@@ -2,9 +2,10 @@
 //! torn-tail tolerant.
 //!
 //! A [`Wal`] is the durability half of the maintenance path: every edge
-//! update is appended here — and fsynced — *before* it is applied to the
-//! in-memory state, so a crash at any instant loses at most work the caller
-//! was never told succeeded. The file layout is deliberately minimal:
+//! update is appended here *before* it is applied to the in-memory state
+//! and fsynced before its success is reported, so a crash at any instant
+//! loses at most work the caller was never told succeeded. The file
+//! layout is deliberately minimal:
 //!
 //! ```text
 //! "KCORWAL1"                                  8-byte magic
@@ -150,18 +151,11 @@ impl Wal {
     /// [`Wal::append`] without the fsync: the record is written (and
     /// charged) but **not yet durable** — a crash can lose it even after
     /// this returns `Ok`. This is the building block of group commit: a
-    /// batch of unsynced appends followed by one [`Wal::sync`] (or, across
-    /// threads, a [`GroupCommitWal`]) pays one barrier for the lot. The
-    /// failure cleanup is identical to [`Wal::append`].
+    /// [`GroupCommitWal`] follows a batch of unsynced appends with one
+    /// barrier for the lot. The failure cleanup is identical to
+    /// [`Wal::append`].
     pub fn append_unsynced(&mut self, payload: &[u8]) -> Result<()> {
         self.append_inner(payload, false)
-    }
-
-    /// Fsync the journal file: every record appended so far — synced or
-    /// not — is durable when this returns `Ok`.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_all()?;
-        Ok(())
     }
 
     fn append_inner(&mut self, payload: &[u8], sync: bool) -> Result<()> {

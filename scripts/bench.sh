@@ -70,10 +70,10 @@ echo "# bench run ${stamp} @ ${rev}" >> "${compress_out}"
 run_target ablation_compress \
     cargo run --release -q -p kcore-bench --bin ablation_compress -- --json "${compress_out}"
 
-# Multi-client serving: ops/sec, p99 and fsync counts for fsync-per-op vs
-# group commit. The binary is the group-commit regression gate: it exits
-# non-zero if batching does not beat per-op durability at the multi-client
-# point (throughput and fsyncs both).
+# Multi-client serving: ops/sec, p99 and fsync counts at journal gather
+# window 0 vs 150 µs. The binary is the barrier-sharing regression gate:
+# it exits non-zero unless the multi-client point issues fewer fsyncs than
+# journaled ops at both windows (and one client exactly one per op).
 echo "# bench run ${stamp} @ ${rev}" >> "${serve_out}"
 run_target serve_load \
     cargo run --release -q -p kcore-bench --bin serve_load -- --json "${serve_out}"

@@ -32,9 +32,10 @@
 //! applied, and restarting with the same directory restores every graph —
 //! maintained cores included — without re-decomposing (the directory's
 //! catalog then also supplies the pool budget and policy, so those flags
-//! are ignored on reopen). `--group-commit-us U` (durable mode only)
-//! batches concurrent journal fsyncs into one barrier with a `U`-µs
-//! gather window. `--compact-after E` (durable mode only) bounds every
+//! are ignored on reopen). `--group-commit-us U` (durable mode only) is
+//! the journal's gather window, default 0: concurrent writers always
+//! share fsync barriers, and a barrier waits `U` µs for more of them to
+//! join. `--compact-after E` (durable mode only) bounds every
 //! graph's update buffer: once `E` buffered edit entries accumulate the
 //! apply path folds tables + edits into a fresh table generation and
 //! truncates buffer and journal (default one million entries).
@@ -405,8 +406,9 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         Some("scanlifo") | None => EvictionPolicy::ScanLifo,
         Some(_) => usage(),
     };
-    // `--group-commit-us U` batches concurrent journal fsyncs; it only
-    // means anything when there is a journal, i.e. with `--data-dir`.
+    // `--group-commit-us U` is the journal's gather window (default 0);
+    // it only means anything when there is a journal, i.e. with
+    // `--data-dir`.
     let group_commit = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<u64>()) {
         Some(Ok(us)) => Some(GroupCommitOptions {
             max_delay: Duration::from_micros(us),

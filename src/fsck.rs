@@ -78,6 +78,18 @@ impl FsckReport {
         self.findings.iter().filter(|f| !f.repaired).count()
     }
 
+    /// The problems behind [`FsckReport::unrepaired`], joined with `"; "`
+    /// for one-line rendering (reply lines, health reasons).
+    pub fn unrepaired_problems(&self) -> String {
+        let problems: Vec<&str> = self
+            .findings
+            .iter()
+            .filter(|f| !f.repaired)
+            .map(|f| f.problem.as_str())
+            .collect();
+        problems.join("; ")
+    }
+
     fn push(&mut self, graph: Option<&str>, problem: String, repaired: bool) {
         self.findings.push(FsckFinding {
             graph: graph.map(str::to_string),
@@ -153,9 +165,19 @@ pub fn fsck_graph_with(
     Ok(report)
 }
 
-/// Generation-keyed checkpoint path — must mirror the service's naming:
-/// `<name>.ckpt` for generation 0, `<name>.g<g>.ckpt` afterwards.
-fn ckpt_path(dir: &Path, name: &str, generation: u64) -> PathBuf {
+/// Checkpoint path for a graph at a given table generation. Generation 0
+/// keeps the historical `<name>.ckpt` name (so pre-generation catalogs
+/// recover unchanged); generation `g > 0` uses `<name>.g<g>.ckpt`.
+///
+/// Keying the checkpoint by generation is what makes the catalog rewrite
+/// the *single* commit point of a compaction: the bumped manifest entry
+/// atomically switches both the tables **and** the checkpoint that
+/// describes them. A shared checkpoint path could not be ordered safely —
+/// written before the catalog commit, a crash between the two would pair
+/// the old tables with an empty-edits checkpoint (edits lost); written
+/// after, a crash would pair the new tables (edits baked in) with the old
+/// checkpoint (edits re-applied twice).
+pub(crate) fn ckpt_path(dir: &Path, name: &str, generation: u64) -> PathBuf {
     if generation == 0 {
         dir.join(format!("{name}.ckpt"))
     } else {
@@ -163,7 +185,8 @@ fn ckpt_path(dir: &Path, name: &str, generation: u64) -> PathBuf {
     }
 }
 
-fn wal_path(dir: &Path, name: &str) -> PathBuf {
+/// Journal path of a graph (one journal across all its generations).
+pub(crate) fn wal_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.wal"))
 }
 

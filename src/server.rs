@@ -413,15 +413,9 @@ pub fn dispatch(svc: &CoreService, line: &str) -> Response {
             if bad == 0 {
                 format!("scrub {name}: clean")
             } else {
-                let problems: Vec<String> = report
-                    .findings
-                    .iter()
-                    .filter(|f| !f.repaired)
-                    .map(|f| f.problem.clone())
-                    .collect();
                 format!(
                     "scrub {name}: {bad} problem(s) found, graph quarantined: {}",
-                    problems.join("; ")
+                    report.unrepaired_problems()
                 )
             }
         })),

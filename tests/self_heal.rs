@@ -17,6 +17,8 @@
 //! * a repair that cannot succeed (corrupted checkpoint) exhausts the
 //!   supervisor's retries and escalates to a sticky quarantine whose
 //!   reason chain preserves the whole causal history;
+//! * a failed journal fsync barrier quarantines (never read-only) and
+//!   repair recovers the acked prefix or prefix + the in-flight op;
 //! * per-op deadlines return typed `timeout` errors without quarantining.
 
 use std::collections::BTreeSet;
@@ -25,9 +27,12 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphstore::{EvictionPolicy, FaultPlan, FaultVfs, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
+use graphstore::{
+    AdjacencyRead, EvictionPolicy, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+};
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, HealthStatus, SelfHealOptions};
 use semicore::ScanExecutor;
+use testutil::oracle_cores;
 
 const BUDGET: u64 = 4 << 20;
 
@@ -228,6 +233,89 @@ fn scrub_detects_journal_damage_and_repair_restores_bit_identical_state() {
     assert_eq!(state_of(&svc, "g"), state_of(&twin, "g"));
     assert!(svc.verify("g").unwrap());
     assert_eq!(svc.scrub("g").unwrap().unrepaired(), 0);
+}
+
+/// A failed **journal** fsync — the barrier that acknowledges an op —
+/// always quarantines, never a read-only downgrade: the op is applied in
+/// memory but its durability is unknown. Repair rebuilds from whatever
+/// the disk holds — the acked prefix, or that prefix plus the in-flight
+/// op, never a third state — bit-identical to a twin that ran exactly
+/// those ops.
+#[test]
+fn failed_journal_barrier_quarantines_and_repair_recovers_prefix_or_in_flight() {
+    const N: u32 = 40;
+    let dir = TempDir::new("heal-barrier").unwrap();
+    std::fs::create_dir_all(dir.path().join("bases")).unwrap();
+    let edges = normalized(graphgen::gnm(N, 90, 71));
+    let present: BTreeSet<(u32, u32)> = edges.iter().copied().collect();
+    let w = fresh_edges(&present, N, 8, 4);
+    let (acked, in_flight) = (&w[..3], w[3]);
+
+    let fault = FaultVfs::new(FaultPlan::default());
+    let data = dir.path().join("data");
+    let svc = durable_with_faults(&data, &fault);
+    svc.create("g", &dir.path().join("bases/g"), edges.iter().copied(), N)
+        .unwrap();
+    let twin = CoreService::with_config(
+        DEFAULT_BLOCK_SIZE,
+        BUDGET,
+        EvictionPolicy::ScanLifo,
+        ScanExecutor::from_env(),
+    )
+    .unwrap();
+    twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), N)
+        .unwrap();
+    for &(u, v) in acked {
+        svc.insert_edge("g", u, v).unwrap();
+        twin.insert_edge("g", u, v).unwrap();
+    }
+
+    // The next fsync is the in-flight op's journal barrier.
+    fault.set_plan(FaultPlan {
+        fail_fsync: Some(1),
+        ..FaultPlan::default()
+    });
+    svc.insert_edge("g", in_flight.0, in_flight.1).unwrap_err();
+    fault.set_plan(FaultPlan::default());
+    let health = svc.health("g").unwrap();
+    assert_eq!(health.status, HealthStatus::Quarantined);
+    assert!(
+        health.reasons.iter().any(|r| r.contains("barrier")),
+        "the quarantine names the failed barrier: {:?}",
+        health.reasons
+    );
+    assert!(svc.kmax("g").unwrap_err().is_quarantined());
+
+    svc.repair("g").unwrap();
+    assert_eq!(svc.health("g").unwrap().status, HealthStatus::Healthy);
+
+    let recovered: BTreeSet<(u32, u32)> = svc
+        .with_graph("g", |idx| {
+            let (mut set, mut nbrs) = (BTreeSet::new(), Vec::new());
+            for u in 0..N {
+                idx.graph_mut().adjacency(u, &mut nbrs)?;
+                set.extend(nbrs.iter().filter(|&&v| u < v).map(|&v| (u, v)));
+            }
+            Ok(set)
+        })
+        .unwrap();
+    let mut prefix = present.clone();
+    prefix.extend(acked.iter().copied());
+    if recovered != prefix {
+        prefix.insert(in_flight);
+        assert_eq!(
+            recovered, prefix,
+            "neither acked prefix nor prefix + in-flight"
+        );
+        twin.insert_edge("g", in_flight.0, in_flight.1).unwrap();
+    }
+    let oracle = oracle_cores(&MemGraph::from_edges(recovered, N));
+    assert_eq!(svc.cores("g").unwrap(), oracle);
+    assert_eq!(state_of(&svc, "g"), state_of(&twin, "g"));
+    assert!(svc.verify("g").unwrap());
+    drop(svc);
+    let report = kcore_suite::fsck(&data, false).unwrap();
+    assert!(report.clean(), "fsck after repair: {:?}", report.findings);
 }
 
 /// `ENOSPC` mid-mutation degrades the graph to read-only: queries keep
