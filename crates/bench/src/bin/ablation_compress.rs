@@ -1,14 +1,14 @@
-//! Ablation — edge-table format v1 (raw `u32`) vs v2 (delta-gap varints).
+//! Ablation — edge-table format v1 (raw `u32`) vs v3 (stream-vbyte groups).
 //!
 //! The paper charges every algorithm per edge-table block read; compressing
-//! the sorted adjacency lists 2–3× therefore cuts charged `read_ios`
+//! the sorted adjacency lists 3× therefore cuts charged `read_ios`
 //! roughly proportionally on every hot path. This sweep builds the *same*
 //! graph in both formats and runs SemiCore\* at a range of cache budgets
 //! (priced against the **v1** edge table, so both formats get equal `M`),
 //! reporting edge-table bytes, charged reads and wall time per point.
 //!
 //! The binary is also the format's regression gate: it **fails loudly**
-//! (non-zero exit) if v2 ever charges more blocks than v1 at equal budget,
+//! (non-zero exit) if v3 ever charges more blocks than v1 at equal budget,
 //! or if the default R-MAT workload's 10%-budget point shows less than the
 //! 25% reduction the format exists to deliver.
 //!
@@ -37,7 +37,7 @@ fn main() -> graphstore::Result<()> {
     let g = graph_standin(&family, target_edges, density);
     let bases = [
         (FormatVersion::V1, dir.path().join("v1")),
-        (FormatVersion::V2, dir.path().join("v2")),
+        (FormatVersion::V3, dir.path().join("v3")),
     ];
     for (version, base) in &bases {
         write_mem_graph_with(base, &g, IoCounter::new(DEFAULT_BLOCK_SIZE), *version)?;
@@ -47,17 +47,17 @@ fn main() -> graphstore::Result<()> {
             .unwrap()
             .len()
     };
-    let (e1, e2) = (edge_len(&bases[0].1), edge_len(&bases[1].1));
+    let (e1, e3) = (edge_len(&bases[0].1), edge_len(&bases[1].1));
 
     println!(
         "Ablation — compressed adjacency blocks ({family}, {} nodes, {} edges)\n\
-         edge table: v1 {} -> v2 {} ({:.2}x, {:.2} B/neighbour)\n",
+         edge table: v1 {} -> v3 {} ({:.2}x, {:.2} B/neighbour)\n",
         g.num_nodes(),
         g.num_edges(),
         fmt_bytes(e1),
-        fmt_bytes(e2),
-        e1 as f64 / e2 as f64,
-        (e2 - graphstore::format::EDGE_HEADER_LEN) as f64 / (2 * g.num_edges()).max(1) as f64,
+        fmt_bytes(e3),
+        e1 as f64 / e3 as f64,
+        (e3 - graphstore::format::EDGE_HEADER_LEN) as f64 / (2 * g.num_edges()).max(1) as f64,
     );
 
     // Budgets priced against the v1 edge table so both formats run at the
@@ -97,13 +97,13 @@ fn main() -> graphstore::Result<()> {
                 "{{\"bench\":\"ablation_compress\",\"family\":\"{family}\",\"format\":\"{}\",\"budget_bytes\":{budget},\"read_ios\":{},\"edge_bytes\":{},\"wall_ns\":{}}}\n",
                 version.tag(),
                 reads[i],
-                if i == 0 { e1 } else { e2 },
+                if i == 0 { e1 } else { e3 },
                 d.stats.wall_time.as_nanos(),
             ));
         }
         if reads[1] > reads[0] {
             violations.push(format!(
-                "at M = {label}: v2 charged {} > v1 {}",
+                "at M = {label}: v3 charged {} > v1 {}",
                 reads[1], reads[0]
             ));
         }
@@ -113,12 +113,12 @@ fn main() -> graphstore::Result<()> {
     }
     t.print();
 
-    let (r1, r2) = ten_pct.expect("the sweep always contains the 10% point");
-    let reduction = 100.0 * (r1.saturating_sub(r2)) as f64 / r1.max(1) as f64;
+    let (r1, r3) = ten_pct.expect("the sweep always contains the 10% point");
+    let reduction = 100.0 * (r1.saturating_sub(r3)) as f64 / r1.max(1) as f64;
     println!(
-        "\nat the 10% edge-table budget: v1 {} -> v2 {} charged reads ({reduction:.1}% fewer)",
+        "\nat the 10% edge-table budget: v1 {} -> v3 {} charged reads ({reduction:.1}% fewer)",
         fmt_count(r1),
-        fmt_count(r2),
+        fmt_count(r3),
     );
 
     if !json_path.is_empty() {
@@ -133,12 +133,12 @@ fn main() -> graphstore::Result<()> {
     // Regression gates: compression must never *cost* charged blocks, and
     // the default R-MAT workload must clear the 25% acceptance bar.
     if !violations.is_empty() {
-        eprintln!("FORMAT V2 REGRESSION: {}", violations.join("; "));
+        eprintln!("FORMAT V3 REGRESSION: {}", violations.join("; "));
         std::process::exit(1);
     }
     if family == "rmat" && reduction < 25.0 {
         eprintln!(
-            "FORMAT V2 REGRESSION: 10%-budget reduction {reduction:.1}% is below the 25% bar"
+            "FORMAT V3 REGRESSION: 10%-budget reduction {reduction:.1}% is below the 25% bar"
         );
         std::process::exit(1);
     }

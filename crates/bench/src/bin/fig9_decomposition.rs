@@ -32,7 +32,6 @@ fn run_disk(
                 // EMCore's budget: enough for a few partitions, far below
                 // the whole graph — the regime the paper evaluates.
                 memory_budget: 2 << 20,
-                ..Default::default()
             },
         ),
         "IMCore" => {

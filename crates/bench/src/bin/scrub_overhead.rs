@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphstore::{EvictionPolicy, TempDir, DEFAULT_BLOCK_SIZE};
-use kcore_bench::harness::{fmt_count, Args, Table};
+use kcore_bench::harness::{fmt_count, percentile, Args, Table};
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, SelfHealOptions};
 use semicore::ScanExecutor;
 
@@ -100,9 +100,8 @@ fn run_mode(scrub: bool, ops: usize) -> graphstore::Result<ModeResult> {
     drop(heal);
 
     lat.sort_unstable();
-    let p99 = lat[(lat.len() * 99) / 100 - 1];
     Ok(ModeResult {
-        p99_us: p99,
+        p99_us: percentile(&lat, 99),
         charged_reads,
         ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
     })

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use graphstore::{
     EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
-use kcore_bench::harness::{fmt_count, Args, Table};
+use kcore_bench::harness::{fmt_count, percentile, Args, Table};
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::ScanExecutor;
 
@@ -132,10 +132,9 @@ fn run_mode(
     let fsyncs = fault.sync_events() - before;
 
     latencies.sort_unstable();
-    let p99 = latencies[(latencies.len() * 99) / 100 - 1];
     Ok(ModeResult {
         ops_per_sec: (clients * ops) as f64 / elapsed.as_secs_f64(),
-        p99_us: p99,
+        p99_us: percentile(&latencies, 99),
         fsyncs,
     })
 }

@@ -166,6 +166,14 @@ pub fn fmt_count(c: u64) -> String {
     }
 }
 
+/// The `p`-th percentile (`0..=100`) of an ascending sample: the element
+/// at rank `⌊len · p / 100⌋` (1-based, clamped to the first), 0 when the
+/// sample is empty.
+pub fn percentile(sorted: &[u64], p: usize) -> u64 {
+    let rank = (sorted.len() * p / 100).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
+
 /// Build a dataset stand-in on disk inside `dir` (cached per scale) and
 /// return a freshly counted handle (block size `block`).
 pub fn build_dataset(
@@ -195,6 +203,16 @@ mod tests {
         assert_eq!(fmt_count(999), "999");
         assert_eq!(fmt_count(1_500_000), "1.5M");
         assert_eq!(fmt_secs(std::time::Duration::from_millis(250)), "250.0 ms");
+    }
+
+    #[test]
+    fn percentile_is_defined_on_tiny_samples() {
+        assert_eq!(percentile(&[], 99), 0);
+        assert_eq!(percentile(&[7], 99), 7);
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 99), 99);
+        assert_eq!(percentile(&hundred, 50), 50);
+        assert_eq!(percentile(&hundred, 100), 100);
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub struct EmCoreOptions {
     pub partition_bytes: u64,
     /// Memory budget for loaded partitions per round, in bytes.
     pub memory_budget: u64,
-    /// Record encoding of the partition files.
-    /// [`graphstore::FormatVersion::V2`] stores neighbour runs as delta-gap
-    /// varints and [`graphstore::FormatVersion::V3`] as stream-vbyte groups
-    /// (vectorized decode), shrinking every charged partition load and
-    /// rewrite of the round loop; v1 (the default) keeps the raw `u32`
-    /// layout the original measurements used.
-    pub partition_format: graphstore::FormatVersion,
 }
 
 impl Default for EmCoreOptions {
@@ -47,7 +40,6 @@ impl Default for EmCoreOptions {
         EmCoreOptions {
             partition_bytes: 1 << 20,
             memory_budget: 16 << 20,
-            partition_format: graphstore::FormatVersion::V1,
         }
     }
 }
@@ -64,12 +56,7 @@ pub fn emcore(g: &mut impl AdjacencyRead, opts: &EmCoreOptions) -> Result<Decomp
     // Line 1: partition the graph on disk. Partition I/O (including this
     // initial write) is charged to the store's own counter.
     let counter = graphstore::IoCounter::new(graphstore::DEFAULT_BLOCK_SIZE);
-    let mut store = PartitionStore::build_with_format(
-        g,
-        opts.partition_bytes.max(4096),
-        counter.clone(),
-        opts.partition_format,
-    )?;
+    let mut store = PartitionStore::build(g, opts.partition_bytes.max(4096), counter.clone())?;
     let parts = store.len();
 
     // Lines 2-3: ub(v) <- deg(v).
@@ -284,7 +271,6 @@ mod tests {
         EmCoreOptions {
             partition_bytes: 4096,
             memory_budget: 1 << 20,
-            ..Default::default()
         }
     }
 
@@ -331,7 +317,6 @@ mod tests {
         let opts = EmCoreOptions {
             partition_bytes: 4096,
             memory_budget: 10_000,
-            ..Default::default()
         };
         let d = emcore(&mut g, &opts).unwrap();
         assert_eq!(d.core, imcore(&g).core);
@@ -352,37 +337,5 @@ mod tests {
         let d = emcore(&mut g, &tiny_opts()).unwrap();
         assert!(d.stats.io.read_ios > 0);
         assert!(d.stats.io.write_ios > 0);
-    }
-
-    #[test]
-    fn v2_partitions_match_cores_and_cut_charged_io() {
-        let mut seed = 5u64;
-        let mut next = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as u32
-        };
-        let n = 600u32;
-        let edges: Vec<(u32, u32)> = (0..4000).map(|_| (next() % n, next() % n)).collect();
-        let mut g = MemGraph::from_edges(edges, n);
-        // Tiny block size via a small partition target keeps several rounds
-        // of load + rewrite in play so compression has traffic to shrink.
-        let v1 = emcore(&mut g, &tiny_opts()).unwrap();
-        let v2 = emcore(
-            &mut g,
-            &EmCoreOptions {
-                partition_format: graphstore::FormatVersion::V2,
-                ..tiny_opts()
-            },
-        )
-        .unwrap();
-        assert_eq!(v2.core, v1.core, "encoding must not change the answer");
-        let io1 = v1.stats.io.read_ios + v1.stats.io.write_ios;
-        let io2 = v2.stats.io.read_ios + v2.stats.io.write_ios;
-        assert!(
-            io2 <= io1,
-            "gap-varint partitions must not cost more charged I/O ({io2} vs {io1})"
-        );
     }
 }

@@ -22,7 +22,7 @@ use crate::tempdir::TempDir;
 ///
 /// The edge-table encoding is chosen at creation
 /// ([`DiskGraphWriter::create_with_format`]): raw `u32` runs (v1) or
-/// delta-gap varints (v2, typically 2–3× smaller — see
+/// stream-vbyte groups (v3, typically 3× smaller — see
 /// [`FormatVersion`]). The appended lists and every reader-visible byte of
 /// the node entries are identical either way.
 pub struct DiskGraphWriter {
@@ -46,12 +46,15 @@ impl DiskGraphWriter {
     }
 
     /// [`DiskGraphWriter::create`] with an explicit edge-table encoding.
+    /// A read-only legacy encoding is refused with
+    /// [`Error::InvalidArgument`].
     pub fn create_with_format(
         base: &Path,
         num_nodes: u32,
         counter: Arc<IoCounter>,
         version: FormatVersion,
     ) -> Result<Self> {
+        check_writable(version)?;
         let paths = GraphPaths::from_base(base);
         if let Some(parent) = paths.nodes.parent() {
             std::fs::create_dir_all(parent)?;
@@ -122,8 +125,8 @@ impl DiskGraphWriter {
         self.encode_buf.clear();
         match self.version {
             FormatVersion::V1 => crate::codec::encode_u32_run(nbrs, &mut self.encode_buf),
-            FormatVersion::V2 => crate::codec::encode_gap_run(nbrs, &mut self.encode_buf),
-            FormatVersion::V3 => crate::codec::encode_group_run(nbrs, &mut self.encode_buf),
+            // `check_writable` admitted only v1 and the compressed format.
+            _ => crate::codec::encode_group_run(nbrs, &mut self.encode_buf),
         }
         self.edge_writer.write_all(&self.encode_buf)?;
         self.node_entries
@@ -145,10 +148,12 @@ impl DiskGraphWriter {
         let edge_bytes = self.edge_writer.position() - format::EDGE_HEADER_LEN;
         self.edge_writer.finish()?.sync_all()?;
 
-        let meta = match self.version {
-            FormatVersion::V1 => format::GraphMeta::v1(self.num_nodes, self.degree_sum),
-            FormatVersion::V2 => format::GraphMeta::v2(self.num_nodes, self.degree_sum, edge_bytes),
-            FormatVersion::V3 => format::GraphMeta::v3(self.num_nodes, self.degree_sum, edge_bytes),
+        // For v1 the measured payload is `4 · degree_sum` by construction.
+        let meta = format::GraphMeta {
+            num_nodes: self.num_nodes,
+            degree_sum: self.degree_sum,
+            version: self.version,
+            edge_bytes,
         };
         let mut w = BlockWriter::create(&self.paths.nodes, self.counter.clone())?;
         w.write_all(&format::encode_node_header(&meta))?;
@@ -158,6 +163,20 @@ impl DiskGraphWriter {
         crate::io::sync_parent_dir(self.counter.vfs().as_ref(), &self.paths.nodes)?;
         Ok(self.paths)
     }
+}
+
+/// The one write-path format rule ([`FormatVersion::write_format`]) as a
+/// guard: a writer emits only formats that are their own write format.
+fn check_writable(version: FormatVersion) -> Result<()> {
+    let current = version.write_format();
+    if current != version {
+        return Err(Error::InvalidArgument(format!(
+            "edge-table format {} is read-only; write {} instead",
+            version.tag(),
+            current.tag()
+        )));
+    }
+    Ok(())
 }
 
 /// Write an in-memory graph to disk (format v1) and return the file pair.
@@ -238,8 +257,10 @@ impl ExternalGraphBuilder {
     }
 
     /// [`ExternalGraphBuilder::new`] with an explicit edge-table encoding
-    /// for the final graph.
+    /// for the final graph (refused up front when it is read-only, like
+    /// [`DiskGraphWriter::create_with_format`]).
     pub fn new_with_format(run_capacity: usize, version: FormatVersion) -> Result<Self> {
+        check_writable(version)?;
         if run_capacity < 2 {
             return Err(Error::InvalidArgument(
                 "run capacity must hold at least one undirected edge".into(),
@@ -410,6 +431,21 @@ mod tests {
         let mut w = DiskGraphWriter::create(&dir.path().join("g"), 3, counter()).unwrap();
         assert!(w.append_adjacency(0, &[0]).is_err());
         assert!(w.append_adjacency(0, &[5]).is_err());
+    }
+
+    #[test]
+    fn no_writer_emits_the_legacy_format() {
+        let dir = TempDir::new("buildtest").unwrap();
+        let base = dir.path().join("g");
+        for err in [
+            DiskGraphWriter::create_with_format(&base, 3, counter(), FormatVersion::V2).err(),
+            ExternalGraphBuilder::new_with_format(8, FormatVersion::V2).err(),
+        ] {
+            let err = err.expect("v2 must be refused");
+            assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+            assert!(err.to_string().contains("v3"), "{err}");
+        }
+        assert!(!GraphPaths::from_base(&base).edges.exists());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub const CATALOG_MAGIC: &[u8; 8] = b"KCORCAT1";
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"KCORCKP1";
 /// Format version written into state checkpoints.
 pub const DURABILITY_VERSION: u32 = 1;
-/// Format version written into new catalog manifests. Version 1 manifests
+/// Format version written into every catalog manifest. Version 1 manifests
 /// (no per-entry edge-table format flag; all entries default to
 /// [`FormatVersion::V1`]) and version 2 manifests (no per-entry table
 /// generation; all entries default to generation 0) keep opening unchanged.
@@ -135,22 +135,8 @@ impl Catalog {
     /// [`Catalog::write`] through an explicit [`Vfs`] — the seam the
     /// fault-schedule tests drive.
     pub fn write_with(&self, dir: &Path, vfs: &dyn Vfs) -> Result<()> {
-        // Stamp the oldest version that can represent this registry: a
-        // manifest whose graphs are all format v1 needs no per-entry format
-        // byte, one whose graphs are all generation 0 needs no per-entry
-        // generation — and writing the oldest layout keeps the data
-        // directory openable by older binaries after a rollback.
-        let needs_v2 = self.entries.iter().any(|e| e.format != FormatVersion::V1);
-        let needs_v3 = self.entries.iter().any(|e| e.generation != 0);
-        let version = if needs_v3 {
-            CATALOG_VERSION
-        } else if needs_v2 {
-            2
-        } else {
-            1
-        };
         let mut body = Vec::new();
-        codec_put_u32(&mut body, version);
+        codec_put_u32(&mut body, CATALOG_VERSION);
         codec_put_u32(&mut body, self.block_size as u32);
         body.extend_from_slice(&self.budget_bytes.to_le_bytes());
         body.push(encode_policy(self.policy));
@@ -166,12 +152,8 @@ impl Catalog {
             put_str(&mut body, base)?;
             body.extend_from_slice(&e.charge_bytes.to_le_bytes());
             body.extend_from_slice(&e.checkpoint_seq.to_le_bytes());
-            if version >= 2 {
-                body.push(e.format.as_u32() as u8);
-            }
-            if version >= 3 {
-                body.extend_from_slice(&e.generation.to_le_bytes());
-            }
+            body.push(e.format.as_u32() as u8);
+            body.extend_from_slice(&e.generation.to_le_bytes());
         }
         let mut bytes = Vec::with_capacity(body.len() + 12);
         bytes.extend_from_slice(CATALOG_MAGIC);
@@ -529,7 +511,7 @@ mod tests {
                     base: PathBuf::from("rel/beta"),
                     charge_bytes: 0,
                     checkpoint_seq: 0,
-                    format: FormatVersion::V1,
+                    format: FormatVersion::V3,
                     generation: 0,
                 },
             ],
@@ -537,69 +519,51 @@ mod tests {
     }
 
     #[test]
-    fn version_1_manifest_still_opens_with_v1_entries() {
-        // Hand-craft a pre-format-flag (version 1) manifest body.
-        let mut body = Vec::new();
-        body.extend_from_slice(&1u32.to_le_bytes()); // catalog version 1
-        body.extend_from_slice(&4096u32.to_le_bytes());
-        body.extend_from_slice(&(1u64 << 20).to_le_bytes());
-        body.push(1); // ScanLifo
-        body.extend_from_slice(&1u32.to_le_bytes()); // one entry
-        body.extend_from_slice(&2u16.to_le_bytes());
-        body.extend_from_slice(b"gg");
-        body.extend_from_slice(&7u16.to_le_bytes());
-        body.extend_from_slice(b"/old/gg");
-        body.extend_from_slice(&42u64.to_le_bytes());
-        body.extend_from_slice(&3u64.to_le_bytes());
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(CATALOG_MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&codec::crc32(&body).to_le_bytes());
+    fn version_1_and_2_manifests_still_open() {
+        // Hand-craft the two retired layouts: version 1 predates the
+        // per-entry format flag, version 2 the per-entry generation.
+        for (version, format) in [(1u32, FormatVersion::V1), (2, FormatVersion::V2)] {
+            let mut body = Vec::new();
+            body.extend_from_slice(&version.to_le_bytes());
+            body.extend_from_slice(&4096u32.to_le_bytes());
+            body.extend_from_slice(&(1u64 << 20).to_le_bytes());
+            body.push(1); // ScanLifo
+            body.extend_from_slice(&1u32.to_le_bytes()); // one entry
+            body.extend_from_slice(&2u16.to_le_bytes());
+            body.extend_from_slice(b"gg");
+            body.extend_from_slice(&7u16.to_le_bytes());
+            body.extend_from_slice(b"/old/gg");
+            body.extend_from_slice(&42u64.to_le_bytes());
+            body.extend_from_slice(&3u64.to_le_bytes());
+            if version >= 2 {
+                body.push(format.as_u32() as u8);
+            }
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(CATALOG_MAGIC);
+            bytes.extend_from_slice(&body);
+            bytes.extend_from_slice(&codec::crc32(&body).to_le_bytes());
 
-        let dir = TempDir::new("cat-v1").unwrap();
-        std::fs::write(Catalog::path_in(dir.path()), &bytes).unwrap();
-        let cat = Catalog::read(dir.path()).unwrap();
-        assert_eq!(cat.entries.len(), 1);
-        assert_eq!(cat.entries[0].name, "gg");
-        assert_eq!(cat.entries[0].format, FormatVersion::V1);
-    }
-
-    #[test]
-    fn all_v1_registry_writes_a_version_1_manifest() {
-        // Downgrade safety: no v2 graph in the registry → the manifest is
-        // written in the version-1 layout a pre-v2 binary can still open.
-        let dir = TempDir::new("cat-down").unwrap();
-        let mut cat = sample_catalog();
-        for e in &mut cat.entries {
-            e.format = FormatVersion::V1;
+            let dir = TempDir::new("cat-old").unwrap();
+            std::fs::write(Catalog::path_in(dir.path()), &bytes).unwrap();
+            let cat = Catalog::read(dir.path()).unwrap();
+            assert_eq!(cat.entries.len(), 1, "manifest v{version}");
+            let e = &cat.entries[0];
+            assert_eq!((e.name.as_str(), e.charge_bytes), ("gg", 42));
+            assert_eq!((e.format, e.generation), (format, 0), "manifest v{version}");
+            // Any rewrite of the registry brings it to the current layout.
+            cat.write(dir.path()).unwrap();
+            let bytes = std::fs::read(Catalog::path_in(dir.path())).unwrap();
+            assert_eq!(&bytes[8..12], &CATALOG_VERSION.to_le_bytes());
+            assert_eq!(Catalog::read(dir.path()).unwrap(), cat);
         }
-        cat.write(dir.path()).unwrap();
-        let bytes = std::fs::read(Catalog::path_in(dir.path())).unwrap();
-        // The version field sits right after the 8-byte magic.
-        assert_eq!(&bytes[8..12], &1u32.to_le_bytes());
-        assert_eq!(Catalog::read(dir.path()).unwrap(), cat);
     }
 
     #[test]
-    fn zero_generation_registry_writes_a_version_2_manifest() {
-        // A registry with v2 graphs but no compacted generation stays in
-        // the version-2 layout a pre-generation binary can still open.
-        let dir = TempDir::new("cat-v2").unwrap();
-        let cat = sample_catalog();
-        cat.write(dir.path()).unwrap();
-        let bytes = std::fs::read(Catalog::path_in(dir.path())).unwrap();
-        assert_eq!(&bytes[8..12], &2u32.to_le_bytes());
-        assert_eq!(Catalog::read(dir.path()).unwrap(), cat);
-    }
-
-    #[test]
-    fn compacted_generation_round_trips_through_a_v3_manifest() {
+    fn compacted_generation_round_trips() {
         let dir = TempDir::new("cat-v3").unwrap();
         let mut cat = sample_catalog();
         cat.entries[0].generation = 5;
         cat.write(dir.path()).unwrap();
-        let bytes = std::fs::read(Catalog::path_in(dir.path())).unwrap();
-        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
         let back = Catalog::read(dir.path()).unwrap();
         assert_eq!(back, cat);
         assert_eq!(

@@ -62,7 +62,7 @@ pub fn edge_list_to_disk(
 }
 
 /// [`edge_list_to_disk`] with an explicit edge-table encoding — what
-/// `kcore build --compress` runs to produce a v2 graph.
+/// `kcore build --compress` runs to produce a v3 graph.
 pub fn edge_list_to_disk_with(
     input: &Path,
     base: &Path,

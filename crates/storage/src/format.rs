@@ -15,30 +15,32 @@
 //!
 //! ## Format versions
 //!
-//! Three edge-table encodings exist, negotiated by the version field of the
-//! node-table header (older files keep opening unchanged):
+//! Three edge-table encodings are *readable*, negotiated by the version
+//! field of the node-table header; two are *written* — one raw, one
+//! compressed ([`FormatVersion::write_format`] is the rule):
 //!
 //! * **v1** ([`FormatVersion::V1`]): raw little-endian `u32` ids, 4 bytes per
 //!   neighbour. Node header is 32 bytes; the edge-table length is derived
 //!   (`8 + 4 · degree_sum`). Supports the zero-copy borrowed-slice visit.
-//! * **v2** ([`FormatVersion::V2`]): delta-gap varints — each list stores its
-//!   first id absolute and every later id as the gap to its predecessor,
-//!   LEB128-encoded ([`crate::codec::encode_gap_run`]). Sorted neighbour
-//!   lists typically shrink 2–3×, which under the block-charged cost model
-//!   is proportionally fewer `read_ios` on every edge-table path. The node
+//! * **v3** ([`FormatVersion::V3`]), the compressed format: stream-vbyte
+//!   groups — each list stores its first id absolute and every later id as
+//!   `gap − 1` to its predecessor (consecutive ids cost zero data bytes),
+//!   with control and data bytes separated per list: `ceil(degree / 4)`
+//!   control bytes (one 2-bit length code per value, packed four per byte)
+//!   followed by the raw little-endian payload
+//!   ([`crate::codec::encode_group_run`]). A decoder processes four values
+//!   per control byte with table-driven gathers (SSSE3 `pshufb` when
+//!   available, an unaligned-load scalar quad otherwise). Sorted neighbour
+//!   lists typically shrink 3×, which under the block-charged cost model is
+//!   proportionally fewer `read_ios` on every edge-table path. The node
 //!   header grows to 40 bytes to record the (now data-dependent) edge-table
 //!   payload length; node *entries* are unchanged (byte offset + degree).
-//! * **v3** ([`FormatVersion::V3`]): stream-vbyte groups — the same delta
-//!   model as v2 but with control and data bytes separated per list:
-//!   `ceil(degree / 4)` control bytes (one 2-bit length code per value,
-//!   packed four per byte) followed by the raw little-endian payload
-//!   ([`crate::codec::encode_group_run`]). Because the lengths are not
-//!   interleaved with the data, a decoder processes four values per control
-//!   byte with table-driven gathers (SSSE3 `pshufb` when available, an
-//!   unaligned-load scalar quad otherwise) instead of v2's byte-at-a-time
-//!   branchy loop. Later values store `gap − 1`, so consecutive ids cost
-//!   zero data bytes. Header layout is identical to v2 (40 bytes, recorded
-//!   payload length); only the envelope check and the edge magic differ.
+//! * **v2** ([`FormatVersion::V2`]), legacy and **read-only**: the same
+//!   delta model as LEB128 gap varints ([`crate::codec::encode_gap_run`]),
+//!   decoded a byte at a time — a third of v3's decode rate at 0.96× its
+//!   bytes. Existing v2 tables keep opening (same 40-byte header as v3;
+//!   only the envelope check and the edge magic differ); no writer emits
+//!   one, and any rewrite of a v2 graph produces v3.
 
 use std::path::{Path, PathBuf};
 
@@ -112,6 +114,17 @@ impl FormatVersion {
         }
     }
 
+    /// The encoding any rewrite of a graph stored as `self` emits: the raw
+    /// and the current compressed format write themselves, legacy v2 is
+    /// read-only and upgrades to v3. Writers refuse a format that is not
+    /// its own write format.
+    pub fn write_format(self) -> FormatVersion {
+        match self {
+            FormatVersion::V1 => FormatVersion::V1,
+            FormatVersion::V2 | FormatVersion::V3 => FormatVersion::V3,
+        }
+    }
+
     /// Short human-readable tag (`"v1"` / `"v2"` / `"v3"`), as the CLI
     /// reports it.
     pub fn tag(self) -> &'static str {
@@ -146,17 +159,6 @@ impl GraphMeta {
             degree_sum,
             version: FormatVersion::V1,
             edge_bytes: 4 * degree_sum,
-        }
-    }
-
-    /// Metadata of a v2 (delta-varint) graph whose encoded adjacency lists
-    /// total `edge_bytes` bytes.
-    pub fn v2(num_nodes: u32, degree_sum: u64, edge_bytes: u64) -> GraphMeta {
-        GraphMeta {
-            num_nodes,
-            degree_sum,
-            version: FormatVersion::V2,
-            edge_bytes,
         }
     }
 
@@ -250,7 +252,12 @@ pub fn decode_node_header(h: &[u8]) -> Result<GraphMeta> {
                     "v2 edge payload of {edge_bytes} B impossible for degree sum {degree_sum}"
                 )));
             }
-            Ok(GraphMeta::v2(n as u32, degree_sum, edge_bytes))
+            Ok(GraphMeta {
+                num_nodes: n as u32,
+                degree_sum,
+                version,
+                edge_bytes,
+            })
         }
         FormatVersion::V3 => {
             let edge_bytes = codec::try_get_u64(h, 32, "edge table payload length")?;
@@ -312,6 +319,22 @@ impl GraphPaths {
 mod tests {
     use super::*;
 
+    /// A legacy v2 header: no constructor builds one any more, readers
+    /// still must decode it.
+    fn v2(num_nodes: u32, degree_sum: u64, edge_bytes: u64) -> GraphMeta {
+        GraphMeta {
+            version: FormatVersion::V2,
+            ..GraphMeta::v3(num_nodes, degree_sum, edge_bytes)
+        }
+    }
+
+    #[test]
+    fn write_format_keeps_v1_and_v3_and_upgrades_v2() {
+        assert_eq!(FormatVersion::V1.write_format(), FormatVersion::V1);
+        assert_eq!(FormatVersion::V2.write_format(), FormatVersion::V3);
+        assert_eq!(FormatVersion::V3.write_format(), FormatVersion::V3);
+    }
+
     #[test]
     fn header_round_trip_v1() {
         let meta = GraphMeta::v1(12345, 99_999);
@@ -322,7 +345,7 @@ mod tests {
 
     #[test]
     fn header_round_trip_v2() {
-        let meta = GraphMeta::v2(12345, 99_999, 150_000);
+        let meta = v2(12345, 99_999, 150_000);
         let h = encode_node_header(&meta);
         assert_eq!(h.len() as u64, NODE_HEADER_LEN_V2);
         assert_eq!(decode_node_header(&h).unwrap(), meta);
@@ -347,7 +370,7 @@ mod tests {
     fn short_header_rejected() {
         assert!(decode_node_header(&[0u8; 5]).unwrap_err().is_corrupt());
         // A v2 header truncated to v1 length must not decode.
-        let h = encode_node_header(&GraphMeta::v2(3, 6, 9));
+        let h = encode_node_header(&v2(3, 6, 9));
         assert!(decode_node_header(&h[..NODE_HEADER_LEN_V1 as usize])
             .unwrap_err()
             .is_corrupt());
@@ -359,7 +382,7 @@ mod tests {
         // past u64 must decode to a corruption error; unchecked length
         // arithmetic would overflow (a panic in debug builds).
         for version in [1u32, 2, 3] {
-            let mut h = encode_node_header(&GraphMeta::v2(3, 6, 9));
+            let mut h = encode_node_header(&v2(3, 6, 9));
             codec::put_u32(&mut h, 8, version);
             codec::put_u64(&mut h, 24, u64::MAX / 2);
             assert!(decode_node_header(&h).unwrap_err().is_corrupt());
@@ -369,10 +392,10 @@ mod tests {
     #[test]
     fn v2_payload_envelope_enforced() {
         // Fewer than one byte per id is impossible.
-        let h = encode_node_header(&GraphMeta::v2(10, 30, 29));
+        let h = encode_node_header(&v2(10, 30, 29));
         assert!(decode_node_header(&h).unwrap_err().is_corrupt());
         // More than five bytes per id is impossible.
-        let h = encode_node_header(&GraphMeta::v2(10, 30, 151));
+        let h = encode_node_header(&v2(10, 30, 151));
         assert!(decode_node_header(&h).unwrap_err().is_corrupt());
     }
 
@@ -411,7 +434,7 @@ mod tests {
         assert_eq!(meta.node_entry_offset(0), 32);
         assert_eq!(meta.node_entry_offset(3), 32 + 36);
 
-        let meta = GraphMeta::v2(10, 30, 45);
+        let meta = v2(10, 30, 45);
         assert_eq!(meta.node_file_len(), 40 + 120);
         assert_eq!(meta.edge_file_len(), 8 + 45);
         assert_eq!(meta.node_entry_offset(0), 40);

@@ -8,12 +8,8 @@
 //! (charged write I/Os).
 //!
 //! Partition file format: `count: u32` then `count` records of
-//! `v: u32, degree: u32, nbrs`. The neighbour payload follows the store's
-//! encoding ([`FormatVersion`]): raw little-endian `u32 × degree` for v1,
-//! or the same delta-gap varint run the main edge tables use for v2
-//! ([`crate::codec::encode_gap_run`]) — partitions are loaded and rewritten
-//! whole every EMCore round, so the 2–3× shrink compounds across every
-//! charged load *and* store of the algorithm.
+//! `v: u32, degree: u32, nbrs: u32 × degree`, all little-endian — the raw
+//! layout the paper's EMCore measurements (Fig. 9) are priced in.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -21,7 +17,6 @@ use std::sync::Arc;
 use crate::access::AdjacencyRead;
 use crate::codec;
 use crate::error::{Error, Result};
-use crate::format::FormatVersion;
 use crate::io::{BlockReader, BlockWriter, IoCounter, IoSnapshot};
 use crate::tempdir::TempDir;
 
@@ -67,12 +62,10 @@ pub struct PartitionStore {
     counter: Arc<IoCounter>,
     parts: Vec<PartitionMeta>,
     num_nodes: u32,
-    format: FormatVersion,
 }
 
 impl PartitionStore {
-    /// Partition `source` into ranges of roughly `target_bytes` each,
-    /// stored in the raw-`u32` (v1) record encoding.
+    /// Partition `source` into ranges of roughly `target_bytes` each.
     ///
     /// The build pass reads `source` sequentially (charged to its counter)
     /// and writes every partition once (charged to `counter`).
@@ -80,19 +73,6 @@ impl PartitionStore {
         source: &mut impl AdjacencyRead,
         target_bytes: u64,
         counter: Arc<IoCounter>,
-    ) -> Result<PartitionStore> {
-        Self::build_with_format(source, target_bytes, counter, FormatVersion::V1)
-    }
-
-    /// [`PartitionStore::build`] with an explicit neighbour-run encoding.
-    /// [`FormatVersion::V2`] stores each record's neighbour list as a
-    /// delta-gap varint run, shrinking both the initial build and every
-    /// per-round load/rewrite of the EMCore loop under the charged model.
-    pub fn build_with_format(
-        source: &mut impl AdjacencyRead,
-        target_bytes: u64,
-        counter: Arc<IoCounter>,
-        format: FormatVersion,
     ) -> Result<PartitionStore> {
         if target_bytes < 64 {
             return Err(Error::InvalidArgument(
@@ -103,25 +83,15 @@ impl PartitionStore {
         let n = source.num_nodes();
         let mut parts = Vec::new();
         let mut buf = Vec::new();
-        let mut rec_scratch = Vec::new();
         let mut cur: Vec<(u32, Vec<u32>)> = Vec::new();
         let mut cur_bytes = 0u64;
         let mut cur_start = 0u32;
         for v in 0..n {
             source.adjacency(v, &mut buf)?;
-            // Split on the *encoded* record size, so v2 partitions pack
-            // proportionally more nodes into the same byte target.
-            let rec_bytes = encoded_record_len(format, &buf, &mut rec_scratch);
+            let rec_bytes = 8 + 4 * buf.len() as u64;
             if cur_bytes + rec_bytes > target_bytes && !cur.is_empty() {
-                let meta = write_partition(
-                    scratch.path(),
-                    parts.len(),
-                    cur_start,
-                    v,
-                    &cur,
-                    &counter,
-                    format,
-                )?;
+                let meta =
+                    write_partition(scratch.path(), parts.len(), cur_start, v, &cur, &counter)?;
                 parts.push(meta);
                 cur.clear();
                 cur_bytes = 0;
@@ -130,28 +100,14 @@ impl PartitionStore {
             cur.push((v, buf.clone()));
             cur_bytes += rec_bytes;
         }
-        let meta = write_partition(
-            scratch.path(),
-            parts.len(),
-            cur_start,
-            n,
-            &cur,
-            &counter,
-            format,
-        )?;
+        let meta = write_partition(scratch.path(), parts.len(), cur_start, n, &cur, &counter)?;
         parts.push(meta);
         Ok(PartitionStore {
             _scratch: scratch,
             counter,
             parts,
             num_nodes: n,
-            format,
         })
-    }
-
-    /// The neighbour-run encoding this store's partition files use.
-    pub fn format(&self) -> FormatVersion {
-        self.format
     }
 
     /// Number of partitions.
@@ -219,21 +175,11 @@ impl PartitionStore {
             let deg = codec::try_get_u32(&bytes, at + 4, "partition degree")? as usize;
             at += 8;
             let mut nbrs = Vec::with_capacity(deg);
-            match self.format {
-                FormatVersion::V1 => {
-                    if bytes.len() < at + deg * 4 {
-                        return Err(Error::corrupt("partition record truncated"));
-                    }
-                    codec::decode_u32_run(&bytes[at..at + deg * 4], &mut nbrs)?;
-                    at += deg * 4;
-                }
-                FormatVersion::V2 => {
-                    at += codec::decode_gap_run(&bytes[at..], deg, &mut nbrs)?;
-                }
-                FormatVersion::V3 => {
-                    at += codec::decode_group_run(&bytes[at..], deg, &mut nbrs)?;
-                }
+            if bytes.len() < at + deg * 4 {
+                return Err(Error::corrupt("partition record truncated"));
             }
+            codec::decode_u32_run(&bytes[at..at + deg * 4], &mut nbrs)?;
+            at += deg * 4;
             if v < meta.start || v >= meta.end {
                 return Err(Error::corrupt(format!(
                     "partition {i} contains node {v} outside range [{}, {})",
@@ -265,7 +211,7 @@ impl PartitionStore {
             }
         };
         let tmp = dir.join(format!("part{i}.new"));
-        let meta = write_partition_at(&tmp, start, end, entries, &self.counter, self.format)?;
+        let meta = write_partition_at(&tmp, start, end, entries, &self.counter)?;
         // The rename is only atomic-replace if the temp file's bytes are
         // durable first, and only durable itself once the directory entry
         // is synced — same protocol as `catalog::write_atomically` and
@@ -285,23 +231,6 @@ impl PartitionStore {
     }
 }
 
-/// Byte length record `(v, nbrs)` will occupy under `format`, using
-/// `scratch` to hold a throwaway encoding on the v2/v3 paths.
-fn encoded_record_len(format: FormatVersion, nbrs: &[u32], scratch: &mut Vec<u8>) -> u64 {
-    match format {
-        FormatVersion::V1 => 8 + 4 * nbrs.len() as u64,
-        FormatVersion::V2 | FormatVersion::V3 => {
-            scratch.clear();
-            match format {
-                FormatVersion::V2 => codec::encode_gap_run(nbrs, scratch),
-                _ => codec::encode_group_run(nbrs, scratch),
-            }
-            8 + scratch.len() as u64
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn write_partition(
     dir: &std::path::Path,
     index: usize,
@@ -309,10 +238,9 @@ fn write_partition(
     end: u32,
     entries: &[(u32, Vec<u32>)],
     counter: &Arc<IoCounter>,
-    format: FormatVersion,
 ) -> Result<PartitionMeta> {
     let path = dir.join(format!("part{index}.bin"));
-    write_partition_at(&path, start, end, entries, counter, format)
+    write_partition_at(&path, start, end, entries, counter)
 }
 
 fn write_partition_at(
@@ -321,7 +249,6 @@ fn write_partition_at(
     end: u32,
     entries: &[(u32, Vec<u32>)],
     counter: &Arc<IoCounter>,
-    format: FormatVersion,
 ) -> Result<PartitionMeta> {
     let mut w = BlockWriter::create(path, counter.clone())?;
     let mut head = [0u8; 4];
@@ -333,11 +260,7 @@ fn write_partition_at(
         rec.resize(8, 0);
         codec::put_u32(&mut rec, 0, *v);
         codec::put_u32(&mut rec, 4, nbrs.len() as u32);
-        match format {
-            FormatVersion::V1 => codec::encode_u32_run(nbrs, &mut rec),
-            FormatVersion::V2 => codec::encode_gap_run(nbrs, &mut rec),
-            FormatVersion::V3 => codec::encode_group_run(nbrs, &mut rec),
-        }
+        codec::encode_u32_run(nbrs, &mut rec);
         w.write_all(&rec)?;
     }
     let bytes = w.position();
@@ -425,53 +348,6 @@ mod tests {
             PartitionStore::build(&mut g, 250, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
         let end = store.meta(0).end;
         assert!(store.rewrite(0, &[(end, vec![])]).is_err());
-    }
-
-    #[test]
-    fn v2_store_round_trips_and_shrinks_footprint() {
-        let mut g = grid(200);
-        let v1 = PartitionStore::build(&mut g, 512, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        let v2 = PartitionStore::build_with_format(
-            &mut g,
-            512,
-            IoCounter::new(DEFAULT_BLOCK_SIZE),
-            FormatVersion::V2,
-        )
-        .unwrap();
-        assert_eq!(v2.format(), FormatVersion::V2);
-        assert!(
-            v2.total_bytes() < v1.total_bytes(),
-            "gap-varint partitions must be smaller ({} vs {})",
-            v2.total_bytes(),
-            v1.total_bytes()
-        );
-        let mut covered = 0u32;
-        for i in 0..v2.len() {
-            let p = v2.load(i).unwrap();
-            for (v, nbrs) in &p.entries {
-                assert_eq!(*v, covered, "contiguous coverage");
-                covered += 1;
-                assert_eq!(nbrs.as_slice(), g.neighbors(*v), "node {v}");
-            }
-        }
-        assert_eq!(covered, 200);
-    }
-
-    #[test]
-    fn v2_rewrite_round_trips() {
-        let mut g = grid(60);
-        let mut store = PartitionStore::build_with_format(
-            &mut g,
-            300,
-            IoCounter::new(DEFAULT_BLOCK_SIZE),
-            FormatVersion::V2,
-        )
-        .unwrap();
-        let p = store.load(0).unwrap();
-        let keep: Vec<_> = p.entries.into_iter().skip(3).collect();
-        store.rewrite(0, &keep).unwrap();
-        let p2 = store.load(0).unwrap();
-        assert_eq!(p2.entries, keep);
     }
 
     #[test]

@@ -388,9 +388,9 @@ impl BufferedGraph {
         self.clean_stale_temps()?;
         let paths = self.disk.paths().clone();
         let tmp_base = rewrite_temp_base(&paths);
-        // The rewrite preserves the graph's edge-table encoding: a v2 graph
-        // stays compressed across flushes (the merge itself works on
-        // decoded lists, so it is format-agnostic).
+        // The rewrite keeps the graph's encoding family — raw stays raw,
+        // compressed stays compressed (a legacy v2 table comes back as v3;
+        // the merge works on decoded lists, so it is format-agnostic).
         let new_paths = self.rewrite_to(&tmp_base, self.disk.format_version())?;
         let vfs = self.disk.counter().vfs().clone();
         vfs.rename(&new_paths.nodes, &paths.nodes)?;
@@ -407,14 +407,16 @@ impl BufferedGraph {
 
     /// Write the merged view — base tables plus every pending edit — into a
     /// fresh, fully fsynced table pair at `target_base`, encoded as
-    /// `format`. The live graph, the buffer and the original files are left
-    /// untouched: the caller owns the commit (a flush renames over the
-    /// source; a generational compaction publishes the new base through the
-    /// catalog instead). Returns the new pair's paths.
+    /// [`format.write_format()`](FormatVersion::write_format). The live
+    /// graph, the buffer and the original files are left untouched: the
+    /// caller owns the commit (a flush renames over the source; a
+    /// generational compaction publishes the new base through the catalog
+    /// instead). Returns the new pair's paths.
     pub fn rewrite_to(&mut self, target_base: &Path, format: FormatVersion) -> Result<GraphPaths> {
         let n = self.disk.num_nodes();
         let counter = self.disk.counter().clone();
-        let mut writer = DiskGraphWriter::create_with_format(target_base, n, counter, format)?;
+        let mut writer =
+            DiskGraphWriter::create_with_format(target_base, n, counter, format.write_format())?;
         let mut base = Vec::new();
         let mut merged = Vec::new();
         for v in 0..n {
@@ -686,15 +688,15 @@ mod tests {
         mirror.delete_edge(0, 1).unwrap();
         let target = dir.path().join("g.g1");
         let new_paths = bg
-            .rewrite_to(&target, crate::format::FormatVersion::V2)
+            .rewrite_to(&target, crate::format::FormatVersion::V3)
             .unwrap();
         // The source pair and the pending buffer are untouched.
         assert_eq!(bg.pending_edits(), 4);
         assert_same_view(&mut bg, &mirror);
-        // The new pair holds the merged view, re-encoded as v2.
+        // The new pair holds the merged view, re-encoded as v3.
         let mut out =
             DiskGraph::open(&target, crate::io::IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        assert_eq!(out.format_version(), crate::format::FormatVersion::V2);
+        assert_eq!(out.format_version(), crate::format::FormatVersion::V3);
         assert_eq!(new_paths, GraphPaths::from_base(&target));
         let mut buf = Vec::new();
         for v in 0..out.num_nodes() {

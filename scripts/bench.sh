@@ -63,8 +63,8 @@ echo "# bench run ${stamp} @ ${rev}" >> "${recovery_out}"
 run_target recovery \
     cargo run --release -q -p kcore-bench --bin recovery -- --json "${recovery_out}"
 
-# The v1-vs-v2 sweep is also the format's regression gate: the binary exits
-# non-zero if v2 ever charges more blocks than v1, or if the R-MAT
+# The v1-vs-v3 sweep is also the format's regression gate: the binary exits
+# non-zero if v3 ever charges more blocks than v1, or if the R-MAT
 # 10%-budget point falls below the 25% reduction bar.
 echo "# bench run ${stamp} @ ${rev}" >> "${compress_out}"
 run_target ablation_compress \

@@ -14,7 +14,7 @@
 //!              [name=graph-base ...]         serve many graphs on one budget
 //! kcore fsck   <data-dir> [--repair]         check (and repair) a durable dir
 //! kcore compact <data-dir> <name>            fold buffered edits into fresh tables
-//! kcore recompress <data-dir> [--to v1|v2|v3]  migrate a catalog's tables
+//! kcore recompress <data-dir> [--to v1|v3]  migrate a catalog's tables
 //! ```
 //!
 //! All runs print the I/O and memory accounting the paper reports.
@@ -41,10 +41,10 @@
 //! truncates buffer and journal (default one million entries).
 //!
 //! `kcore compact <data-dir> <name>` runs that same generational rewrite
-//! offline, and `kcore recompress <data-dir> [--to v1|v2|v3]` migrates
-//! every catalogued graph to the chosen encoding through it (default v2;
-//! v3 is the vectorized stream-vbyte layout), reporting the charged-read
-//! savings per graph.
+//! offline, and `kcore recompress <data-dir> [--to v1|v3]` migrates
+//! every catalogued graph to the chosen encoding through it (default v3,
+//! the compressed stream-vbyte layout — also how a legacy v2 catalog is
+//! upgraded), reporting the charged-read savings per graph.
 //!
 //! `--listen ADDR` additionally serves the same line protocol over TCP
 //! (thread per connection, at most `--max-conns` of them) while stdin
@@ -91,7 +91,7 @@ use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v2|v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--group-commit-us U] [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v2|v3]"
+        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--group-commit-us U] [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v3]"
     );
     std::process::exit(2)
 }
@@ -102,32 +102,37 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Parse a `v1|v2|v3` format tag (as `--compress=` and `--to` take).
+/// Parse a writable format tag (as `--compress=` and `--to` take): `v1`
+/// (raw) or `v3` (compressed). Anything else exits 2 — legacy `v2` with a
+/// pointer to its successor.
 fn parse_format(tag: &str) -> graphstore::FormatVersion {
     match tag {
         "v1" => graphstore::FormatVersion::V1,
-        "v2" => graphstore::FormatVersion::V2,
         "v3" => graphstore::FormatVersion::V3,
+        "v2" => {
+            eprintln!("format v2 is read-only (existing tables still open); write v3 instead");
+            std::process::exit(2)
+        }
         other => {
-            eprintln!("unknown format {other:?} (expected v1|v2|v3)");
+            eprintln!("unknown format {other:?} (expected v1|v3)");
             std::process::exit(2)
         }
     }
 }
 
-/// The compressed format `kcore build` was asked for: bare `--compress`
-/// means v2 (the original compressed encoding), `--compress=vN` is
-/// explicit. `None` = uncompressed v1.
-fn compress_flag(args: &[String]) -> Option<graphstore::FormatVersion> {
+/// The edge-table format `kcore build` was asked for: `--compress` means
+/// v3, the one compressed format (`--compress=v3` spells it out); absent
+/// means raw v1.
+fn build_format(args: &[String]) -> graphstore::FormatVersion {
     for a in args {
         if a == "--compress" {
-            return Some(graphstore::FormatVersion::V2);
+            return graphstore::FormatVersion::V3;
         }
         if let Some(tag) = a.strip_prefix("--compress=") {
-            return Some(parse_format(tag));
+            return parse_format(tag);
         }
     }
-    None
+    graphstore::FormatVersion::V1
 }
 
 fn open(base: &Path) -> graphstore::Result<DiskGraph> {
@@ -174,16 +179,10 @@ fn main() -> graphstore::Result<()> {
             let (Some(input), Some(base)) = (args.get(1), args.get(2)) else {
                 usage()
             };
-            // `--compress` writes the delta-varint edge table (format v2):
-            // same adjacency lists, typically 2–3× fewer edge-table bytes —
+            // `--compress` writes the stream-vbyte edge table (format v3):
+            // same adjacency lists, typically 3× fewer edge-table bytes —
             // and proportionally fewer charged read I/Os on every scan.
-            // `--compress=v3` picks the stream-vbyte group layout instead,
-            // whose decode is vectorized (quad gathers, SSSE3 when
-            // available).
-            let version = match compress_flag(&args) {
-                Some(v) => v,
-                None => graphstore::FormatVersion::V1,
-            };
+            let version = build_format(&args);
             let t0 = std::time::Instant::now();
             let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
             let g = edgelist::edge_list_to_disk_with(
@@ -322,9 +321,9 @@ fn compact_cmd(args: &[String]) -> graphstore::Result<()> {
     Ok(())
 }
 
-/// `kcore recompress <data-dir> [--to v1|v2|v3]`: migrate every
-/// catalogued graph to the requested edge encoding in place (default v2,
-/// the delta-varint layout), through the same generational rewrite
+/// `kcore recompress <data-dir> [--to v1|v3]`: migrate every
+/// catalogued graph to the requested edge encoding in place (default v3,
+/// the compressed layout), through the same generational rewrite
 /// `compact` uses — the catalog commit switches tables, checkpoint and
 /// format atomically per graph. Reports the edge table shrink and the
 /// equivalent full-scan charged-read savings.
@@ -334,7 +333,7 @@ fn recompress_cmd(args: &[String]) -> graphstore::Result<()> {
     };
     let to = match arg_value(args, "--to") {
         Some(tag) => parse_format(&tag),
-        None => graphstore::FormatVersion::V2,
+        None => graphstore::FormatVersion::V3,
     };
     let svc = CoreService::open_catalog(Path::new(dir))?;
     let block = svc.pool().block_size() as u64;

@@ -252,9 +252,9 @@ pub struct CoreService {
 #[derive(Debug)]
 struct Slot {
     handle: Arc<Mutex<Served>>,
-    /// Edge-table encoding, fixed at open. Listing/diagnostic commands
-    /// read it under the registry lock alone, so they never stall behind
-    /// a graph that is mid-scan or mid-maintenance.
+    /// Edge-table encoding of the current tables. Listing/diagnostic
+    /// commands read it under the registry lock alone, so they never
+    /// stall behind a graph that is mid-scan or mid-maintenance.
     format: FormatVersion,
     /// The graph's charge budget — also the working-set size its
     /// operations are admitted at when QoS is enabled.
@@ -773,7 +773,7 @@ impl CoreService {
     }
 
     /// Edge-table encoding of the named graph's current tables (v1 raw
-    /// `u32`s, v2 delta-varints or v3 stream-vbyte groups). Reads
+    /// `u32`s, v3 stream-vbyte groups, or read-only legacy v2). Reads
     /// registry metadata only — never blocks on the graph's own lock, so
     /// listings stay responsive while a graph is mid-scan.
     pub fn format_version(&self, name: &str) -> Result<FormatVersion> {
@@ -1104,38 +1104,6 @@ mod tests {
         drop(svc);
         let svc = CoreService::open_catalog(&data).unwrap();
         assert_eq!(svc.cores("g").unwrap(), vec![1, 1, 1, 1, 1, 1, 1, 0]);
-        assert!(svc.verify("g").unwrap());
-    }
-
-    #[test]
-    fn recompress_migrates_a_v1_graph_to_v2_at_the_commit_point() {
-        let dir = TempDir::new("svc-recompress").unwrap();
-        let data = dir.path().join("data");
-        // A graph big enough that delta-varint actually shrinks the table.
-        let edges: Vec<(u32, u32)> = (0..300u32).map(|v| (v, v + 1)).collect();
-        {
-            let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
-            svc.create("g", &dir.path().join("g"), edges, 301).unwrap();
-            assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
-            let cores = svc.cores("g").unwrap();
-
-            assert_eq!(svc.recompress_to("g", FormatVersion::V2).unwrap(), 1);
-            assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V2);
-            assert_eq!(svc.cores("g").unwrap(), cores);
-            assert!(svc.verify("g").unwrap());
-            // The compressed generation's edge table is strictly smaller
-            // than the raw-u32 original.
-            let v1_len = std::fs::metadata(dir.path().join("g.edges")).unwrap().len();
-            let v2_len = std::fs::metadata(dir.path().join("g.g1.edges"))
-                .unwrap()
-                .len();
-            assert!(v2_len < v1_len, "v2 {v2_len} B !< v1 {v1_len} B");
-        }
-        // The migrated format survives a restart (catalog + tables agree).
-        let svc = CoreService::open_catalog(&data).unwrap();
-        assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V2);
-        assert!(svc.verify("g").unwrap());
-        svc.insert_edge("g", 0, 2).unwrap();
         assert!(svc.verify("g").unwrap());
     }
 

@@ -327,3 +327,42 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
     let report = kcore_suite::fsck(&data, false).unwrap();
     assert!(report.clean(), "post-soak fsck: {:?}", report.findings);
 }
+
+/// A stock client — plain `TcpStream`, Nagle and delayed ACKs left on —
+/// must see its reply in one segment: twenty sequential `kmax` round trips
+/// over loopback stay far below the ~40 ms a reply split across two
+/// segments costs while the client's delayed ACK holds the second back.
+#[test]
+fn stock_tcp_client_round_trips_are_not_stalled_by_delayed_acks() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let dir = TempDir::new("conc-rtt").unwrap();
+    let svc = Arc::new(CoreService::new(BUDGET).unwrap());
+    svc.create("g", &dir.path().join("g"), [(0, 1), (1, 2), (0, 2)], 3)
+        .unwrap();
+    let mut server = kcore_suite::server::Server::start(
+        Arc::clone(&svc),
+        "127.0.0.1:0",
+        kcore_suite::server::ServerOptions::default(),
+    )
+    .unwrap();
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut replies = BufReader::new(conn.try_clone().unwrap());
+    let mut rtt: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            conn.write_all(b"kmax g\n").unwrap();
+            let mut reply = String::new();
+            replies.read_line(&mut reply).unwrap();
+            assert_eq!(reply, "kmax = 2\n");
+            t.elapsed()
+        })
+        .collect();
+    server.shutdown();
+    rtt.sort_unstable();
+    let median = rtt[rtt.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median stock-client RTT {median:?} (sorted: {rtt:?})"
+    );
+}

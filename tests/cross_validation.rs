@@ -27,7 +27,6 @@ proptest! {
         let e = semicore::emcore(&mut g, &EmCoreOptions {
             partition_bytes: 4096,
             memory_budget: 8192,
-            ..Default::default()
         }).unwrap();
         prop_assert_eq!(&e.core, &oracle);
 

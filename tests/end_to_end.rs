@@ -34,7 +34,6 @@ fn emcore_runs_on_disk_built_dataset() {
     let opts = EmCoreOptions {
         partition_bytes: 8192,
         memory_budget: 64 << 10,
-        ..Default::default()
     };
     let em = semicore::emcore(&mut disk, &opts).unwrap();
     let mem = snapshot_mem(&mut disk).unwrap();

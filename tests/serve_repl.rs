@@ -157,6 +157,54 @@ fn fsck_reports_clean_directory_and_flags_damage() {
     assert!(after.status.success(), "directory clean after repair");
 }
 
+/// The CLI writes one compressed format: bare `--compress` and a bare
+/// `recompress` both mean v3, and asking for read-only legacy v2 is a
+/// usage error (exit 2) that names its successor.
+#[test]
+fn cli_compresses_to_v3_and_refuses_to_write_v2() {
+    let dir = TempDir::new("repl-compress").unwrap();
+    let edges = dir.path().join("edges.txt");
+    std::fs::write(&edges, "0 1\n1 2\n0 2\n2 3\n").unwrap();
+    let (base, data) = (dir.path().join("g"), dir.path().join("data"));
+    let kcore = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_kcore"))
+            .args(args)
+            .output()
+            .expect("run kcore")
+    };
+    let (edges, base, data) = (
+        edges.to_str().unwrap(),
+        base.to_str().unwrap(),
+        data.to_str().unwrap(),
+    );
+
+    let built = kcore(&["build", edges, base, "--compress"]);
+    assert!(built.status.success());
+    let text = String::from_utf8_lossy(&built.stdout);
+    assert!(text.contains("(v3)"), "stdout: {text}");
+
+    let (out, ok) = run_session(
+        &["--data-dir", data],
+        &format!("open g {base}\ninsert g 1 3\nsave\nquit\n"),
+    );
+    assert!(ok && out.contains("saved"), "{out}");
+    let migrated = kcore(&["recompress", data, "--to", "v1"]);
+    let text = String::from_utf8_lossy(&migrated.stdout);
+    assert!(text.contains("v3 -> v1"), "stdout: {text}");
+    let migrated = kcore(&["recompress", data]);
+    let text = String::from_utf8_lossy(&migrated.stdout);
+    assert!(text.contains("v1 -> v3"), "stdout: {text}");
+
+    for refused in [
+        kcore(&["build", edges, base, "--compress=v2"]),
+        kcore(&["recompress", data, "--to", "v2"]),
+    ] {
+        assert_eq!(refused.status.code(), Some(2));
+        let text = String::from_utf8_lossy(&refused.stderr);
+        assert!(text.contains("v3"), "stderr: {text}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // TCP front-end: the same protocol over sockets, with fault isolation.
 // ---------------------------------------------------------------------------
