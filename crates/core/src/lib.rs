@@ -64,6 +64,8 @@ pub mod emcore;
 pub mod executor;
 pub mod fixtures;
 pub mod imcore;
+#[cfg(test)]
+mod kernel_differential;
 pub mod localcore;
 pub mod maintain;
 pub mod semicore;

@@ -16,7 +16,9 @@ use std::time::Instant;
 use graphstore::{AdjacencyRead, Result, ShardableRead};
 
 use crate::executor::{self, PassKind, ScanExecutor};
-use crate::localcore::{compute_cnt, local_core, Scratch};
+#[cfg(any(test, feature = "testing"))]
+use crate::localcore::{compute_cnt, local_core};
+use crate::localcore::{recompute_node, Scratch};
 use crate::state::CoreState;
 use crate::stats::{DecomposeOptions, Decomposition, RunStats};
 use crate::window::ScanWindow;
@@ -27,8 +29,111 @@ use crate::window::ScanWindow;
 /// On entry `core[v]` must be an upper bound of the true core of every node
 /// and `cnt` must satisfy Eq. 2 — except that nodes whose `cnt` is *lower*
 /// than Eq. 2's value (e.g. the all-zero initial state) are simply
-/// recomputed, which Algorithm 5 relies on for its first iteration.
+/// recomputed, which Algorithm 5 relies on for its first iteration — and
+/// every node with `cnt < core` must lie inside `window`.
+///
+/// Each node computation is two sweeps: the fused gather/histogram
+/// ([`recompute_node`]), and — only when the estimate dropped — a
+/// sequential pass over the gathered values picking out the neighbours
+/// that lost a supporter. Only those are scheduled: a neighbour already in
+/// violation was announced by the computation that pushed it there (or
+/// lies in the caller's initial window), so announcing it again would move
+/// neither `vmax` nor the next window.
+///
+/// Leaves the kernel scratch's size (`O(d_max)`) in
+/// `stats.peak_memory_bytes`, for the caller to add its node state to.
 pub(crate) fn star_converge(
+    g: &mut impl AdjacencyRead,
+    state: &mut CoreState,
+    window: &mut ScanWindow,
+    stats: &mut RunStats,
+    mut per_iter: Option<&mut Vec<u64>>,
+) -> Result<()> {
+    #[cfg(any(test, feature = "testing"))]
+    if REFERENCE_KERNEL.with(std::cell::Cell::get) {
+        return star_converge_reference(g, state, window, stats, per_iter);
+    }
+    let mut scratch = Scratch::new();
+    let core = &mut state.core;
+    let cnt = &mut state.cnt;
+    if core.is_empty() {
+        window.update = false;
+    }
+    while window.update {
+        window.begin_iteration();
+        let mut changed = 0u64;
+        let mut v = window.vmin as u64;
+        // `window.vmax` may grow while scanning.
+        while v <= window.vmax as u64 {
+            let vu = v as u32;
+            // Line 7: the Lemma 4.2 trigger.
+            if (cnt[vu as usize] as i64) < core[vu as usize] as i64 {
+                stats.node_computations += 1;
+                g.with_adjacency(vu, |nbrs| {
+                    let cold = core[vu as usize];
+                    // Lines 8-10: the new estimate and its Eq. 2 support.
+                    let (cnew, support) = recompute_node(cold, core, nbrs, &mut scratch);
+                    cnt[vu as usize] = support as i32;
+                    if cnew == cold {
+                        return;
+                    }
+                    changed += 1;
+                    core[vu as usize] = cnew;
+                    // Lines 11-13: v stopped supporting neighbours whose
+                    // core lies in (cnew, cold]; schedule those it pushed
+                    // into violating Lemma 4.2.
+                    let (lost, cores) = scratch.lost_support(nbrs.len(), cnew, cold);
+                    for &i in lost {
+                        let u = nbrs[i as usize];
+                        cnt[u as usize] -= 1;
+                        if (cnt[u as usize] as i64) < cores[i as usize] as i64 {
+                            window.schedule(u, vu);
+                        }
+                    }
+                })?;
+            }
+            v += 1;
+        }
+        stats.iterations += 1;
+        if let Some(p) = per_iter.as_deref_mut() {
+            p.push(changed);
+        }
+        window.end_iteration();
+    }
+    stats.peak_memory_bytes = scratch.resident_bytes();
+    Ok(())
+}
+
+#[cfg(any(test, feature = "testing"))]
+thread_local! {
+    /// Set while [`with_reference_kernel`] runs on this thread.
+    static REFERENCE_KERNEL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` with every SemiCore\* convergence loop on this thread — full
+/// decomposition, SemiDelete\*, SemiInsert's second phase — driven by the
+/// four-sweep reference closure instead of the fused kernel. The
+/// differential seam: results, counters and charged I/O must not depend on
+/// which one ran.
+#[cfg(any(test, feature = "testing"))]
+pub fn with_reference_kernel<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            REFERENCE_KERNEL.with(|k| k.set(self.0));
+        }
+    }
+    let _restore = Restore(REFERENCE_KERNEL.with(|k| k.replace(true)));
+    f()
+}
+
+/// [`star_converge`] as the paper writes it — `LocalCore`, `ComputeCnt`,
+/// `UpdateNbrCnt` and the scheduling sweep as four separate passes over the
+/// adjacency, every violating neighbour re-announced — kept as the
+/// reference the kernel-differential tests compare the fused kernel
+/// against ([`with_reference_kernel`]).
+#[cfg(any(test, feature = "testing"))]
+fn star_converge_reference(
     g: &mut impl AdjacencyRead,
     state: &mut CoreState,
     window: &mut ScanWindow,
@@ -245,7 +350,8 @@ pub fn semicore_star_state(
             p.pop();
         }
     }
-    stats.peak_memory_bytes = state.resident_bytes();
+    // The O(n) node state on top of the kernel scratch `star_converge` left.
+    stats.peak_memory_bytes += state.resident_bytes();
     stats.io = g.io().since(&io_before);
     stats.wall_time = start.elapsed();
     stats.changed_per_iteration = per_iter;

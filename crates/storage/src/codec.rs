@@ -264,8 +264,8 @@ pub fn group_ctrl_len(count: usize) -> usize {
     count.div_ceil(4)
 }
 
-/// Total data bytes of one quad, by control byte — shared by the scalar and
-/// SIMD quad paths to advance the input cursor.
+/// Total data bytes of one quad, by control byte — how far the SIMD loop
+/// advances its input cursor per quad, and what [`group_run_len`] sums.
 static QUAD_TOTAL: [u8; 256] = {
     let mut t = [0u8; 256];
     let mut c = 0usize;
@@ -278,6 +278,29 @@ static QUAD_TOTAL: [u8; 256] = {
     }
     t
 };
+
+/// Readable bytes past the end of a run that let [`decode_group_run`]'s
+/// vector loop — one unaligned 16-byte load per quad — decode the run's
+/// last quads too, instead of handing them to the scalar tail.
+pub const GROUP_DECODE_SLACK: usize = 16;
+
+/// Encoded length of the `count`-id group run whose control region is
+/// `ctrl` (its first [`group_ctrl_len`]`(count)` bytes): the control region
+/// plus the data bytes its codes announce. Codes past `count` in the last
+/// control byte are padding and announce nothing. This is what makes a v3
+/// read exact-extent — the run's end is known from its head.
+pub fn group_run_len(ctrl: &[u8], count: usize) -> usize {
+    let ctrl = &ctrl[..group_ctrl_len(count)];
+    let mut len = ctrl.len();
+    let (full, ragged) = ctrl.split_at(count / 4);
+    for &c in full {
+        len += QUAD_TOTAL[c as usize] as usize;
+    }
+    if let Some(&c) = ragged.first() {
+        len += QUAD_TOTAL[(c & ((1u8 << ((count % 4) * 2)) - 1)) as usize] as usize;
+    }
+    len
+}
 
 /// The 2-bit code whose stored length minimally holds `s`.
 #[inline]
@@ -327,6 +350,10 @@ pub fn encode_group_run(values: &[u32], out: &mut Vec<u8>) {
     }
 }
 
+/// Keeps the low bytes of a 4-byte load that a stored length of 0/1/2/4
+/// covers (3 is unreachable).
+const STORED_MASK: [u32; 5] = [0, 0xFF, 0xFFFF, 0, 0xFFFF_FFFF];
+
 /// Truncation error shared by every group-run decode path.
 fn group_truncated(count: usize, len: usize) -> Error {
     Error::corrupt(format!(
@@ -335,9 +362,9 @@ fn group_truncated(count: usize, len: usize) -> Error {
 }
 
 /// SSSE3 quad decode: one `pshufb` spreads a quad's packed data bytes into
-/// four little-endian `u32` lanes, and the contiguous one-shot path also
-/// reconstructs the ids in-register (add-one, prefix sum, broadcast-prev
-/// add). Overflow needs no separate check there: an id wrapping past
+/// four little-endian `u32` lanes, and the ids are reconstructed
+/// in-register (add-one, prefix sum, broadcast-prev add). Overflow needs no
+/// separate check there: an id wrapping past
 /// `u32::MAX` cannot stay strictly ascending, so the unsigned
 /// ascent comparison catches it — the scalar-vs-SIMD differential
 /// proptests pin bit-identical outputs and matching error behaviour.
@@ -368,24 +395,6 @@ mod ssse3 {
         }
         t
     };
-
-    /// Gather the four stored values of the quad controlled by `c` from
-    /// `data` (the quad's first data byte at `data[0]`).
-    ///
-    /// # Safety
-    /// The caller must guarantee `data.len() >= 16` and SSSE3 support.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn gather_quad(c: u8, data: &[u8]) -> [u32; 4] {
-        use std::arch::x86_64::*;
-        // SAFETY (loads/stores): loadu/storeu have no alignment demands;
-        // the 16 readable bytes are the caller's contract above.
-        let raw = _mm_loadu_si128(data.as_ptr() as *const __m128i);
-        let mask = _mm_loadu_si128(SHUFFLE[c as usize].as_ptr() as *const __m128i);
-        let gathered = _mm_shuffle_epi8(raw, mask);
-        let mut out = [0u32; 4];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, gathered);
-        out
-    }
 
     /// One-shot contiguous decode of a whole group run, vectorised end to
     /// end: gather, `+1` per gap (lane 0 of the first quad stores the
@@ -475,181 +484,6 @@ fn simd_available() -> bool {
     false
 }
 
-/// Portable quad gather: four unaligned 4-byte little-endian loads masked
-/// down to each lane's stored length. Needs the same 16 bytes of slack as
-/// the SIMD path (the last lane starts at most 12 bytes in).
-#[inline]
-fn gather_quad_scalar(c: u8, data: &[u8]) -> [u32; 4] {
-    // Indexed by stored length 0/1/2/4 (3 is unreachable).
-    const MASK: [u32; 5] = [0, 0xFF, 0xFFFF, 0, 0xFFFF_FFFF];
-    let mut vals = [0u32; 4];
-    let mut p = 0usize;
-    for (lane, v) in vals.iter_mut().enumerate() {
-        let len = GROUP_LENS[((c >> (lane * 2)) & 3) as usize];
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&data[p..p + 4]);
-        *v = u32::from_le_bytes(b) & MASK[len];
-        p += len;
-    }
-    vals
-}
-
-/// Incremental decoder for one stream-vbyte group run of a known length —
-/// the format-v3 counterpart of [`GapDecoder`], with the identical
-/// [`GroupDecoder::feed`] contract: runs straddle disk blocks, chunks
-/// arrive one slice at a time, and every structural violation in raw disk
-/// bytes (truncation, an id overflowing `u32`) surfaces as a corruption
-/// [`Error`], never a panic. Unsorted runs cannot even be *expressed*: a
-/// later value stores `gap − 1`, so anything it decodes ascends strictly.
-///
-/// Decoding is two-phase: the control region (whose size is known up front
-/// from `count`) is buffered first, then data bytes are consumed four
-/// values per control byte through a table-driven quad gather — SSSE3
-/// `pshufb` when the CPU has it, unaligned-load scalar otherwise, both
-/// feeding the same delta/overflow scalar tail so their output is
-/// bit-identical.
-#[derive(Debug)]
-pub struct GroupDecoder {
-    count: usize,
-    produced: usize,
-    prev: Option<u32>,
-    /// Control region, buffered in full before any data byte is decoded.
-    ctrl: Vec<u8>,
-    /// Bytes of a stored value straddling a feed boundary.
-    partial: [u8; 4],
-    partial_have: usize,
-    /// Total bytes the straddling value needs; 0 when none is in flight.
-    partial_need: usize,
-    /// Skip the quad fast paths (the scalar-vs-SIMD differential seam).
-    force_scalar: bool,
-    /// SSSE3 detected at construction.
-    simd: bool,
-}
-
-impl GroupDecoder {
-    /// Decoder expecting exactly `count` ids, using the fastest quad path
-    /// the CPU supports.
-    pub fn new(count: usize) -> GroupDecoder {
-        GroupDecoder {
-            count,
-            produced: 0,
-            prev: None,
-            ctrl: Vec::with_capacity(group_ctrl_len(count)),
-            partial: [0; 4],
-            partial_have: 0,
-            partial_need: 0,
-            force_scalar: false,
-            simd: simd_available(),
-        }
-    }
-
-    /// A decoder pinned to the byte-at-a-time scalar path — the reference
-    /// the SIMD/quad differential tests and benches compare against.
-    pub fn new_scalar(count: usize) -> GroupDecoder {
-        GroupDecoder {
-            force_scalar: true,
-            simd: false,
-            ..GroupDecoder::new(count)
-        }
-    }
-
-    /// True once all expected ids have been produced.
-    pub fn is_done(&self) -> bool {
-        self.produced == self.count
-    }
-
-    /// Reconstruct and validate one id from its stored value — the single
-    /// scalar tail every gather path funnels through.
-    #[inline]
-    fn push_value(&mut self, s: u32, out: &mut Vec<u32>) -> Result<()> {
-        let id = match self.prev {
-            None => s as u64,
-            Some(p) => p as u64 + s as u64 + 1,
-        };
-        if id > u32::MAX as u64 {
-            return Err(Error::corrupt("adjacency id overflows u32"));
-        }
-        self.prev = Some(id as u32);
-        out.push(id as u32);
-        self.produced += 1;
-        Ok(())
-    }
-
-    /// Consume bytes from `chunk`, appending decoded ids to `out`. Returns
-    /// the number of bytes consumed — all of `chunk` unless the run
-    /// completed mid-slice. Call again with the next chunk while
-    /// [`GroupDecoder::is_done`] is false.
-    pub fn feed(&mut self, chunk: &[u8], out: &mut Vec<u32>) -> Result<usize> {
-        let mut i = 0usize;
-        // Phase 1: buffer the control region (empty runs have none).
-        let ctrl_len = group_ctrl_len(self.count);
-        if self.ctrl.len() < ctrl_len {
-            let take = (ctrl_len - self.ctrl.len()).min(chunk.len());
-            self.ctrl.extend_from_slice(&chunk[..take]);
-            i = take;
-            if self.ctrl.len() < ctrl_len {
-                return Ok(i);
-            }
-        }
-        // Finish a value left straddling the previous chunk boundary.
-        if self.partial_need > 0 {
-            let take = (self.partial_need - self.partial_have).min(chunk.len() - i);
-            self.partial[self.partial_have..self.partial_have + take]
-                .copy_from_slice(&chunk[i..i + take]);
-            self.partial_have += take;
-            i += take;
-            if self.partial_have < self.partial_need {
-                return Ok(i);
-            }
-            self.partial_need = 0;
-            let s = u32::from_le_bytes(self.partial);
-            self.push_value(s, out)?;
-        }
-        while self.produced < self.count {
-            // Quad fast path: a full aligned quad with 16 bytes of input
-            // slack (so unaligned 4-byte loads never overrun the chunk).
-            if !self.force_scalar
-                && self.produced.is_multiple_of(4)
-                && self.count - self.produced >= 4
-                && chunk.len() - i >= 16
-            {
-                let c = self.ctrl[self.produced / 4];
-                #[cfg(target_arch = "x86_64")]
-                let quad = if self.simd {
-                    // SAFETY: 16 bytes of slack checked above; `simd` is
-                    // only set when SSSE3 was detected at construction.
-                    unsafe { ssse3::gather_quad(c, &chunk[i..]) }
-                } else {
-                    gather_quad_scalar(c, &chunk[i..])
-                };
-                #[cfg(not(target_arch = "x86_64"))]
-                let quad = gather_quad_scalar(c, &chunk[i..]);
-                for s in quad {
-                    self.push_value(s, out)?;
-                }
-                i += QUAD_TOTAL[c as usize] as usize;
-                continue;
-            }
-            let code = (self.ctrl[self.produced / 4] >> ((self.produced % 4) * 2)) & 3;
-            let len = GROUP_LENS[code as usize];
-            let avail = chunk.len() - i;
-            if avail < len {
-                // Stash what is here; the next chunk completes the value.
-                self.partial = [0; 4];
-                self.partial[..avail].copy_from_slice(&chunk[i..]);
-                self.partial_have = avail;
-                self.partial_need = len;
-                return Ok(chunk.len());
-            }
-            let mut b = [0u8; 4];
-            b[..len].copy_from_slice(&chunk[i..i + len]);
-            i += len;
-            self.push_value(u32::from_le_bytes(b), out)?;
-        }
-        Ok(i)
-    }
-}
-
 /// Decode the trailing `produced..count` ids of a group run one value at a
 /// time — the shared endgame of every contiguous path, and the whole loop
 /// of the portable one. `prev` is the last id already decoded (ignored
@@ -664,15 +498,11 @@ fn group_tail_scalar(
     mut prev: u64,
     out: &mut Vec<u32>,
 ) -> Result<usize> {
-    // Indexed by stored length 0/1/2/4 (3 is unreachable).
-    const MASK: [u32; 5] = [0, 0xFF, 0xFFFF, 0, 0xFFFF_FFFF];
     while produced < count {
         let len = GROUP_LENS[((ctrl[produced / 4] >> ((produced % 4) * 2)) & 3) as usize];
         let s = if data.len() - p >= 4 {
             // Common case: enough slack for one unaligned masked load.
-            let mut b = [0u8; 4];
-            b.copy_from_slice(&data[p..p + 4]);
-            u32::from_le_bytes(b) & MASK[len]
+            get_u32(data, p) & STORED_MASK[len]
         } else if data.len() - p >= len {
             let mut b = [0u8; 4];
             b[..len].copy_from_slice(&data[p..p + len]);
@@ -696,10 +526,12 @@ fn group_tail_scalar(
     Ok(ctrl.len() + p)
 }
 
-/// Portable contiguous decode: quad gathers through
-/// [`gather_quad_scalar`] with a widened (`u64`) delta accumulator, then
-/// the byte-careful tail. No SIMD anywhere — this is the reference half of
-/// the scalar-vs-SIMD differential.
+/// Portable contiguous decode: whole quads — one control byte, four
+/// unaligned 4-byte little-endian loads masked down to each value's stored
+/// length — while 16 bytes of input slack remain (the last value starts at
+/// most 12 bytes in), with a widened (`u64`) delta accumulator, then the
+/// byte-careful tail. No SIMD anywhere — this is the reference half of the
+/// scalar-vs-SIMD differential and the decoder of CPUs without SSSE3.
 fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
     if count == 0 {
         return Ok(0);
@@ -715,8 +547,9 @@ fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> R
     let mut prev = 0u64;
     while count - produced >= 4 && data.len() - p >= 16 {
         let c = ctrl[produced / 4];
-        let quad = gather_quad_scalar(c, &data[p..]);
-        for (lane, s) in quad.into_iter().enumerate() {
+        for lane in 0..4 {
+            let len = GROUP_LENS[((c >> (lane * 2)) & 3) as usize];
+            let s = get_u32(data, p) & STORED_MASK[len];
             let id = if produced == 0 && lane == 0 {
                 s as u64
             } else {
@@ -727,8 +560,8 @@ fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> R
             }
             out.push(id as u32);
             prev = id;
+            p += len;
         }
-        p += QUAD_TOTAL[c as usize] as usize;
         produced += 4;
     }
     group_tail_scalar(ctrl, data, count, produced, p, prev, out)
@@ -737,9 +570,12 @@ fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> R
 /// One-shot decode of a `count`-id group run from contiguous `bytes`
 /// (appended to `out`). Returns the encoded length consumed; errors when
 /// `bytes` ends before the run does or the encoding is structurally
-/// invalid. Dispatches to the fully vectorised SSSE3 path when the CPU has
-/// it — [`GroupDecoder`] remains the chunk-at-a-time path for runs
-/// arriving block by block from disk.
+/// invalid. `bytes` may extend past the run: nothing beyond the returned
+/// length influences the output, and [`GROUP_DECODE_SLACK`] readable bytes
+/// there let the vector loop finish the run instead of the scalar tail.
+/// Dispatches to the fully vectorised SSSE3 path when the CPU has it —
+/// this is the one v3 decoder; the disk read path
+/// (`BlockReader::read_group_run`) hands it whole runs.
 pub fn decode_group_run(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
     #[cfg(target_arch = "x86_64")]
     if simd_available() {
@@ -903,22 +739,6 @@ mod tests {
         let mut bytes = Vec::new();
         encode_group_run(&values, &mut bytes);
         assert_eq!(bytes.len(), group_ctrl_len(64) + 1);
-    }
-
-    #[test]
-    fn group_decoder_survives_split_feeds() {
-        let values = vec![3u32, 130, 131, 70_000, 70_001, 4_000_000_000];
-        let mut bytes = Vec::new();
-        encode_group_run(&values, &mut bytes);
-        // Feed one byte at a time — the block-boundary worst case.
-        let mut dec = GroupDecoder::new(values.len());
-        let mut out = Vec::new();
-        for b in &bytes {
-            assert!(!dec.is_done());
-            assert_eq!(dec.feed(std::slice::from_ref(b), &mut out).unwrap(), 1);
-        }
-        assert!(dec.is_done());
-        assert_eq!(out, values);
     }
 
     #[test]

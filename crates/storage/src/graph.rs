@@ -428,7 +428,7 @@ impl DiskGraph {
         match self.meta.version {
             FormatVersion::V1 => {
                 buf.resize(degree as usize, 0);
-                read_u32_run(&mut self.edge_reader, offset, buf)?;
+                self.edge_reader.read_u32_run(offset, buf)?;
                 validate_run(v, self.meta.num_nodes, buf)
             }
             FormatVersion::V2 => {
@@ -454,9 +454,9 @@ impl DiskGraph {
     /// [`DiskGraph::try_clone`]) never serialize on each other's visit
     /// closures. Otherwise — and always for v2/v3 graphs, whose encoded
     /// runs have no in-place representation — the run is decoded into an
-    /// internal per-handle scratch buffer that is reused across calls, so
-    /// no hot loop allocates. Charged identically to
-    /// [`DiskGraph::adjacency`].
+    /// internal per-handle scratch buffer that is reused across calls (as
+    /// is the reader's byte staging buffer behind it), so no hot loop
+    /// allocates. Charged identically to [`DiskGraph::adjacency`].
     pub fn with_adjacency<R>(&mut self, v: u32, f: impl FnOnce(&[u32]) -> R) -> Result<R> {
         let (offset, degree) = self.node_entry(v)?;
         if degree == 0 {
@@ -464,9 +464,9 @@ impl DiskGraph {
         }
         let n = self.meta.num_nodes;
         if self.meta.version != FormatVersion::V1 {
-            // Decode-into-scratch: the cached path decodes straight from
-            // pool frames (no byte copy), the uncached path streams through
-            // the reader's reusable chunk buffer.
+            // Decode-into-scratch, straight from the frame or read-ahead
+            // window holding the run (v3 runs that straddle are staged in
+            // the reader's reusable byte buffer first).
             match self.meta.version {
                 FormatVersion::V2 => {
                     self.edge_reader
@@ -490,7 +490,8 @@ impl DiskGraph {
         // Uncached reader or multi-block run: decode a copy.
         self.adj_scratch.clear();
         self.adj_scratch.resize(degree as usize, 0);
-        read_u32_run(&mut self.edge_reader, offset, &mut self.adj_scratch)?;
+        self.edge_reader
+            .read_u32_run(offset, &mut self.adj_scratch)?;
         validate_run(v, n, &self.adj_scratch)?;
         Ok(f(&self.adj_scratch))
     }
@@ -630,20 +631,6 @@ fn borrow_or_decode<'a>(bytes: &'a [u8], scratch: &'a mut Vec<u32>) -> &'a [u32]
         u32::from_le_bytes(b)
     }));
     scratch
-}
-
-/// Read `out.len()` little-endian u32 values starting at byte `offset`.
-pub(crate) fn read_u32_run(reader: &mut BlockReader, offset: u64, out: &mut [u32]) -> Result<()> {
-    // Decode through a byte staging buffer; adjacency lists are short-lived
-    // so a thread-local scratch would buy little.
-    let mut bytes = vec![0u8; out.len() * 4];
-    reader.read_exact_at(offset, &mut bytes)?;
-    for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(chunk);
-        out[i] = u32::from_le_bytes(b);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

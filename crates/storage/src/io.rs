@@ -159,8 +159,12 @@ impl IoCounter {
     }
 
     pub(crate) fn charge_read(&self, blocks: u64, bytes: u64) {
-        self.read_ios.fetch_add(blocks, Ordering::Relaxed);
-        self.physical_reads.fetch_add(blocks, Ordering::Relaxed);
+        // Most requests stay inside an already-charged block: skip the two
+        // locked no-op adds.
+        if blocks != 0 {
+            self.read_ios.fetch_add(blocks, Ordering::Relaxed);
+            self.physical_reads.fetch_add(blocks, Ordering::Relaxed);
+        }
         self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
@@ -292,9 +296,10 @@ pub struct BlockReader {
     /// already paid for when fetched); safe because graph files are
     /// immutable while open ([`BlockReader::invalidate`] clears it).
     memo: Option<(u64, Arc<Vec<u8>>)>,
-    /// Reusable chunk buffer for the encoded-run readers' uncached path,
-    /// so v2/v3 decodes allocate nothing per call.
-    gap_scratch: Vec<u8>,
+    /// Reusable byte staging buffer, so no adjacency read allocates: the
+    /// raw bytes of a v1 run, the v2 decoder's per-block chunk, and the
+    /// contiguous copy of a v3 run that straddles frames or windows.
+    scratch: Vec<u8>,
     /// Where this reader's file lives, when it was opened by path — what
     /// [`BlockReader::set_readahead`] needs to open its second handle.
     path: Option<PathBuf>,
@@ -332,7 +337,7 @@ impl BlockReader {
             cache: None,
             charge: None,
             memo: None,
-            gap_scratch: Vec::new(),
+            scratch: Vec::new(),
             path: None,
             prefetch: None,
         })
@@ -497,15 +502,19 @@ impl BlockReader {
         self.serve_from_window(offset, out)
     }
 
+    /// True when byte `pos` is inside the current read-ahead window.
+    fn window_holds(&self, pos: u64) -> bool {
+        pos >= self.window_start && pos < self.window_start + self.window.len() as u64
+    }
+
     /// Serve `out.len()` bytes at `offset` from the uncached read-ahead
-    /// window, refilling as needed — measurement-free byte movement shared
-    /// by [`BlockReader::read_exact_at`] and [`BlockReader::read_gap_run`],
-    /// which each do their own model charging.
+    /// window, refilling as needed — measurement-free byte movement; its
+    /// callers do their own model charging.
     fn serve_from_window(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
         let mut copied = 0usize;
         let mut pos = offset;
         while copied < out.len() {
-            if pos < self.window_start || pos >= self.window_start + self.window.len() as u64 {
+            if !self.window_holds(pos) {
                 self.fill_window(pos)?;
             }
             let win_off = (pos - self.window_start) as usize;
@@ -601,19 +610,31 @@ impl BlockReader {
             self.counter.charge_seek();
         }
         self.prev_end = end;
+        self.copy_bytes(offset, out)?;
+        self.counter.charge_read(0, out.len() as u64);
+        Ok(())
+    }
+
+    /// Copy the validated range `[offset, offset + out.len())` into `out`:
+    /// frame by frame through the cache — blocks `offset / B ..=
+    /// (end − 1) / B` in ascending order, each charged on miss by
+    /// [`BlockReader::fetch_block`] — or, uncached, from the read-ahead
+    /// window, charging nothing. Seeks, bytes and the uncached block charge
+    /// are the caller's.
+    fn copy_bytes(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
+        if self.cache.is_none() {
+            return self.serve_from_window(offset, out);
+        }
         let b = self.counter.block_size() as u64;
         let mut copied = 0usize;
-        for block in (offset / b)..=((end - 1) / b) {
-            let block_start = block * b;
-            let data = self.fetch_block(block)?;
-            let from = offset.max(block_start) - block_start;
-            let to = end.min(block_start + data.len() as u64) - block_start;
-            let take = (to - from) as usize;
-            out[copied..copied + take].copy_from_slice(&data[from as usize..to as usize]);
+        while copied < out.len() {
+            let pos = offset + copied as u64;
+            let frame = self.fetch_block(pos / b)?;
+            let from = (pos % b) as usize;
+            let take = (frame.len() - from).min(out.len() - copied);
+            out[copied..copied + take].copy_from_slice(&frame[from..from + take]);
             copied += take;
         }
-        debug_assert_eq!(copied, out.len());
-        self.counter.charge_read(0, out.len() as u64);
         Ok(())
     }
 
@@ -651,69 +672,129 @@ impl BlockReader {
         Ok(Some((data, from)))
     }
 
-    /// Decode a `count`-id delta-gap varint (format v2) run starting at
-    /// byte `offset`, appending the ids to `out` (cleared first). Returns
-    /// the encoded length in bytes.
-    pub(crate) fn read_gap_run(
-        &mut self,
-        offset: u64,
-        count: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<u64> {
-        // Every id takes at least one varint byte: that is the cheap
-        // lower-bound range check before any I/O.
-        self.read_encoded_run(
-            crate::codec::GapDecoder::new(count),
-            offset,
-            count,
-            count,
-            out,
-        )
+    /// Read `out.len()` raw little-endian `u32`s (a format-v1 run) starting
+    /// at byte `offset`, charged as one exact-length read.
+    pub(crate) fn read_u32_run(&mut self, offset: u64, out: &mut [u32]) -> Result<()> {
+        let mut bytes = std::mem::take(&mut self.scratch);
+        bytes.resize(out.len() * 4, 0);
+        let res = self.read_exact_at(offset, &mut bytes);
+        for (id, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *id = crate::codec::get_u32(chunk, 0);
+        }
+        self.scratch = bytes;
+        res
     }
 
     /// Decode a `count`-id stream-vbyte group (format v3) run starting at
-    /// byte `offset`, appending the ids to `out` (cleared first). Returns
-    /// the encoded length in bytes. Charging is identical to
-    /// [`BlockReader::read_gap_run`] — the decoder changes, the pricing
-    /// does not.
+    /// byte `offset` into `out` (cleared first). Returns the encoded length
+    /// in bytes.
+    ///
+    /// The read is exact-extent: the control region's length follows from
+    /// `count` and the data length from the control bytes
+    /// ([`group_run_len`](crate::codec::group_run_len)), so the run's true
+    /// end is known before any data byte is fetched and
+    /// [`decode_group_run`](crate::codec::decode_group_run) gets the whole
+    /// run as one slice — borrowed in place when it sits inside one cache
+    /// frame or the read-ahead window, staged in the reader's scratch when
+    /// it straddles.
+    ///
+    /// Charging matches an exact-length contiguous read of the encoded
+    /// bytes: in cached mode blocks `offset / B ..= (end − 1) / B` are
+    /// fetched once each in ascending order and pay per miss exactly as
+    /// [`BlockReader::read_exact_at`] would; in uncached mode each block in
+    /// that span is charged once (with the usual current-block freebie).
+    /// Read bytes are the encoded length and `prev_end` lands on the run's
+    /// true end, so the next contiguous list pays no seek. No block beyond
+    /// the one holding the run's last byte is ever touched.
     pub(crate) fn read_group_run(
         &mut self,
         offset: u64,
         count: usize,
         out: &mut Vec<u32>,
     ) -> Result<u64> {
-        // A v3 run is at least its control region long, even when every
-        // data length is zero.
-        self.read_encoded_run(
-            crate::codec::GroupDecoder::new(count),
-            offset,
-            count,
-            crate::codec::group_ctrl_len(count),
-            out,
-        )
+        use crate::codec::{decode_group_run, group_ctrl_len, group_run_len};
+        out.clear();
+        if count == 0 {
+            return Ok(0);
+        }
+        self.counter.check_deadline()?;
+        let ctrl_len = group_ctrl_len(count);
+        self.check_range(offset, ctrl_len)?;
+        if offset != self.prev_end {
+            self.counter.charge_seek();
+        }
+        let b = self.counter.block_size() as u64;
+        // What is already contiguous in memory from `offset` on: the rest
+        // of its cache frame, or of the read-ahead window.
+        let frame;
+        let view: &[u8] = if self.cache.is_some() {
+            frame = self.fetch_block(offset / b)?;
+            &frame[(offset % b) as usize..]
+        } else {
+            if !self.window_holds(offset) {
+                self.fill_window(offset)?;
+            }
+            &self.window[(offset - self.window_start) as usize..]
+        };
+        let in_view = view
+            .get(..ctrl_len)
+            .map(|ctrl| group_run_len(ctrl, count))
+            .filter(|&total| total <= view.len());
+        let total = match in_view {
+            Some(total) => {
+                decode_group_run(view, count, out)?;
+                total
+            }
+            None => {
+                let total = self.stage_group_run(offset, count)?;
+                decode_group_run(&self.scratch, count, out)?;
+                total
+            }
+        };
+        let end = offset + total as u64;
+        let mut blocks = 0;
+        if self.cache.is_none() {
+            let (first, last) = (offset / b, (end - 1) / b);
+            blocks = last - first + 1 - u64::from(self.last_block == Some(first));
+            self.last_block = Some(last);
+        }
+        self.counter.charge_read(blocks, total as u64);
+        self.prev_end = end;
+        Ok(total as u64)
     }
 
-    /// Decode a `count`-id encoded run (any [`RunDecoder`]) starting at
-    /// byte `offset`, appending the ids to `out` (cleared first).
-    /// `min_len` is the run's format-guaranteed minimum encoded length,
-    /// used for a cheap range check before any I/O. Returns the encoded
-    /// length in bytes — the run's extent is data-dependent, so the read
-    /// proceeds block by block until the decoder is satisfied.
-    ///
-    /// Charging matches an exact-length contiguous read of the encoded
-    /// bytes: in cached mode each block transition pays per miss exactly as
-    /// [`BlockReader::read_exact_at`] would; in uncached mode each block in
-    /// the run's span is charged once (with the usual current-block
-    /// freebie), read bytes count only the bytes the decoder consumed, and
-    /// `prev_end` lands on the run's true end so the next contiguous list
-    /// pays no seek. No block beyond the one holding the run's last byte
-    /// is ever touched.
-    fn read_encoded_run<D: RunDecoder>(
+    /// Copy the `count`-id v3 run at `offset` into `self.scratch` —
+    /// control region, then exactly the data bytes it announces, then
+    /// [`GROUP_DECODE_SLACK`](crate::codec::GROUP_DECODE_SLACK) zero bytes
+    /// so the vector loop also finishes a staged run. Returns the run's
+    /// encoded length; a control byte announcing data past the end of the
+    /// file is corruption.
+    fn stage_group_run(&mut self, offset: u64, count: usize) -> Result<usize> {
+        let ctrl_len = crate::codec::group_ctrl_len(count);
+        let mut buf = std::mem::take(&mut self.scratch);
+        let res = (|| {
+            buf.resize(ctrl_len, 0);
+            self.copy_bytes(offset, &mut buf)?;
+            let total = crate::codec::group_run_len(&buf, count);
+            self.check_range(offset, total)?;
+            buf.resize(total, 0);
+            self.copy_bytes(offset + ctrl_len as u64, &mut buf[ctrl_len..])?;
+            buf.resize(total + crate::codec::GROUP_DECODE_SLACK, 0);
+            Ok(total)
+        })();
+        self.scratch = buf;
+        res
+    }
+
+    /// Decode a `count`-id delta-gap varint (legacy format v2) run starting
+    /// at byte `offset` into `out` (cleared first). Returns the encoded
+    /// length in bytes — a varint run's extent is only known once decoded,
+    /// so the read proceeds block by block until the decoder is satisfied.
+    /// Charged like [`BlockReader::read_group_run`].
+    pub(crate) fn read_gap_run(
         &mut self,
-        mut dec: D,
         offset: u64,
         count: usize,
-        min_len: usize,
         out: &mut Vec<u32>,
     ) -> Result<u64> {
         out.clear();
@@ -721,8 +802,11 @@ impl BlockReader {
             return Ok(0);
         }
         self.counter.check_deadline()?;
-        self.check_range(offset, min_len)?;
+        // Every id takes at least one varint byte: the cheap lower-bound
+        // range check before any I/O.
+        self.check_range(offset, count)?;
         out.reserve(count);
+        let mut dec = crate::codec::GapDecoder::new(count);
         let b = self.counter.block_size() as u64;
         let mut pos = offset;
         let truncated = || {
@@ -730,10 +814,10 @@ impl BlockReader {
                 "encoded run of {count} ids at offset {offset} truncated by end of file"
             ))
         };
+        if offset != self.prev_end {
+            self.counter.charge_seek();
+        }
         if self.cache.is_some() {
-            if offset != self.prev_end {
-                self.counter.charge_seek();
-            }
             while !dec.is_done() {
                 if pos >= self.file_len {
                     return Err(truncated());
@@ -743,20 +827,13 @@ impl BlockReader {
                 let from = (pos - block * b) as usize;
                 pos += dec.feed(&data[from..], out)? as u64;
             }
-            self.prev_end = pos;
             self.counter.charge_read(0, pos - offset);
         } else {
-            // Charging is done here, not by `read_exact_at`: the run's
-            // extent is only known once the decoder finishes, so each chunk
-            // charges exactly the block it touches and the bytes actually
-            // consumed. Routing full-block chunks through `read_exact_at`
-            // would bill the tail block's unused remainder as read bytes
-            // and push `prev_end` past the run's true end, charging the
-            // next list a spurious seek.
-            if offset != self.prev_end {
-                self.counter.charge_seek();
-            }
-            let mut chunk = std::mem::take(&mut self.gap_scratch);
+            // Each chunk charges exactly the block it touches and the bytes
+            // actually consumed: routing full-block chunks through
+            // `read_exact_at` would bill the tail block's unused remainder
+            // as read bytes and push `prev_end` past the run's true end.
+            let mut chunk = std::mem::take(&mut self.scratch);
             let res = (|| -> Result<()> {
                 while !dec.is_done() {
                     if pos >= self.file_len {
@@ -776,10 +853,10 @@ impl BlockReader {
                 }
                 Ok(())
             })();
-            self.gap_scratch = chunk;
+            self.scratch = chunk;
             res?;
-            self.prev_end = pos;
         }
+        self.prev_end = pos;
         Ok(pos - offset)
     }
 
@@ -815,36 +892,6 @@ impl BlockReader {
         if let Some((ghost, file_id)) = self.charge.as_ref() {
             lock_cache(ghost).invalidate_file(*file_id);
         }
-    }
-}
-
-/// The incremental decoder contract shared by the v2
-/// ([`crate::codec::GapDecoder`]) and v3 ([`crate::codec::GroupDecoder`])
-/// adjacency codecs, so [`BlockReader`] drives every encoded-run format
-/// through one block-charging loop with identical pricing.
-trait RunDecoder {
-    /// True once all expected ids have been produced.
-    fn is_done(&self) -> bool;
-    /// Consume bytes from `chunk`, appending decoded ids to `out`;
-    /// returns bytes consumed.
-    fn feed(&mut self, chunk: &[u8], out: &mut Vec<u32>) -> Result<usize>;
-}
-
-impl RunDecoder for crate::codec::GapDecoder {
-    fn is_done(&self) -> bool {
-        crate::codec::GapDecoder::is_done(self)
-    }
-    fn feed(&mut self, chunk: &[u8], out: &mut Vec<u32>) -> Result<usize> {
-        crate::codec::GapDecoder::feed(self, chunk, out)
-    }
-}
-
-impl RunDecoder for crate::codec::GroupDecoder {
-    fn is_done(&self) -> bool {
-        crate::codec::GroupDecoder::is_done(self)
-    }
-    fn feed(&mut self, chunk: &[u8], out: &mut Vec<u32>) -> Result<usize> {
-        crate::codec::GroupDecoder::feed(self, chunk, out)
     }
 }
 
@@ -1304,6 +1351,68 @@ mod tests {
         ra.set_readahead(false).unwrap();
         assert!(!ra.readahead());
         ra.read_exact_at(0, &mut a[..16]).unwrap();
+    }
+
+    #[test]
+    fn group_runs_decode_identically_across_any_block_split() {
+        use crate::cache::{BlockCache, EvictionPolicy};
+        use crate::codec::encode_group_run;
+
+        // Runs of every length mod 4, zero-/one-/two-/four-byte codes and
+        // the u32::MAX endpoint, laid end to end behind a 3-byte header.
+        let mut rng = testutil::Lcg::new(77);
+        let mut bytes = vec![0xEEu8; 3];
+        let mut runs: Vec<(u64, Vec<u32>)> = Vec::new();
+        for len in (0..40).chain([150, 1000]) {
+            let mut next = rng.below(3) * 70_000;
+            let mut values = Vec::with_capacity(len);
+            for _ in 0..len {
+                values.push(next);
+                let gap = [1, 1 + rng.below(200), 300 + rng.below(60_000), 1 << 20];
+                next = next.saturating_add(gap[rng.below(4) as usize]);
+            }
+            if len % 7 == 3 {
+                values.push(u32::MAX);
+            }
+            values.dedup();
+            runs.push((bytes.len() as u64, values.clone()));
+            encode_group_run(&values, &mut bytes);
+        }
+        let dir = crate::tempdir::TempDir::new("iotest").unwrap();
+        let path = dir.path().join("runs.bin");
+        std::fs::write(&path, &bytes).unwrap();
+
+        // Block sizes down to one byte: every control region, value and
+        // run straddles frames (cached) and 64-block windows (uncached).
+        for block in [1usize, 2, 3, 5, 7, 16, 64, 4096] {
+            for cached in [false, true] {
+                let (c_run, c_raw) = (IoCounter::new(block), IoCounter::new(block));
+                let mut by_run = BlockReader::open(&path, c_run.clone()).unwrap();
+                let mut by_raw = BlockReader::open(&path, c_raw.clone()).unwrap();
+                if cached {
+                    for r in [&mut by_run, &mut by_raw] {
+                        let pool =
+                            BlockCache::shared(block, 8 * block as u64, 1, EvictionPolicy::Lru)
+                                .unwrap();
+                        r.attach_caches(pool, 0, None).unwrap();
+                    }
+                }
+                let mut out = Vec::new();
+                let mut raw = Vec::new();
+                for (offset, values) in &runs {
+                    let tag = format!("block {block} cached {cached} offset {offset}");
+                    let used = by_run
+                        .read_group_run(*offset, values.len(), &mut out)
+                        .unwrap();
+                    assert_eq!(&out, values, "{tag}");
+                    // Priced exactly like a plain read of the same bytes.
+                    raw.resize(used as usize, 0);
+                    by_raw.read_exact_at(*offset, &mut raw).unwrap();
+                    assert_eq!(c_run.snapshot(), c_raw.snapshot(), "{tag}");
+                }
+                assert_eq!(by_run.prev_end, bytes.len() as u64);
+            }
+        }
     }
 
     #[test]

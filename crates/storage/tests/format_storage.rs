@@ -256,3 +256,243 @@ fn mismatched_edge_magic_is_rejected_at_open() {
         assert!(err.to_string().contains("magic"), "{err}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The exact-extent v3 read: the run's end is computed from its control
+// region, blocks `offset / B ..= (end − 1) / B` are fetched and nothing
+// past them, and the decoder sees one contiguous slice.
+// ---------------------------------------------------------------------------
+
+/// Block size of the placement fixture: small enough that hand-sized runs
+/// land on, straddle and span block edges.
+const EDGE_BLOCK: u64 = 64;
+
+/// A strictly ascending list whose v3 encoding is exactly `len` bytes:
+/// `k` ids three apart from 103 on (one data byte each) followed by
+/// consecutive ids (zero data bytes each).
+fn list_of_len(len: usize) -> Vec<u32> {
+    let (d, k) = (1..=4 * len)
+        .map(|d: usize| (d, len as i64 - d.div_ceil(4) as i64))
+        .find(|&(d, k)| k >= 1 && k as usize <= d)
+        .unwrap_or_else(|| panic!("no v3 list of {len} bytes"));
+    let k = k as u32;
+    let mut ids: Vec<u32> = (1..=k).map(|i| 100 + 3 * i).collect();
+    ids.extend((1..=d as u32 - k).map(|i| 100 + 3 * k + i));
+    ids
+}
+
+/// First node of the placement fixture with a non-empty list: the lists
+/// themselves only name nodes below or far above the nine that carry them
+/// (the writer rejects self-loops).
+const PLACED: u32 = 40;
+
+/// The placement fixture (edge-table byte ranges at 64 B blocks; the
+/// table opens with its 8-byte magic):
+///
+/// | node        | bytes      | what it places                                    |
+/// |-------------|------------|---------------------------------------------------|
+/// | `PLACED`+1  | [19, 64)   | (a) a run ending on a block's last byte           |
+/// | `PLACED`+3  | [122, 132) | (b) a control region straddling a block edge      |
+/// | `PLACED`+5  | [184, 192) | (c) zero data bytes, control region ending a block |
+/// | `PLACED`+6  | [192, 322) | (d) a run spanning three blocks                   |
+/// | `PLACED`+8  | [384, 399) | (e) the file's last run, nothing after it         |
+///
+/// The even offsets are fillers, every other node is isolated; the lists
+/// need not be symmetric — storage never looks. Returns the graph and the
+/// edge-table byte range of `PLACED + i` at index `i`.
+fn placement_fixture() -> (MemGraph, Vec<std::ops::Range<u64>>) {
+    let placed = vec![
+        list_of_len(11),
+        list_of_len(45),
+        list_of_len(58),
+        (2..38).collect(), // 36 consecutive ids: 9 control bytes + 1
+        list_of_len(52),
+        (0..32).collect(), // from 0: 8 control bytes, no data at all
+        list_of_len(130),
+        list_of_len(62),
+        list_of_len(15),
+    ];
+    let mut at = graphstore::format::EDGE_HEADER_LEN;
+    let ranges: Vec<_> = placed
+        .iter()
+        .map(|list| {
+            let mut bytes = Vec::new();
+            graphstore::codec::encode_group_run(list, &mut bytes);
+            let range = at..at + bytes.len() as u64;
+            at = range.end;
+            range
+        })
+        .collect();
+    // The geometry the cases are named for.
+    assert_eq!(ranges[1], 19..64, "(a)");
+    assert_eq!(ranges[3], 122..132, "(b)");
+    assert!(ranges[3].start + 9 > 128, "(b): control region crosses 128");
+    assert_eq!(ranges[5], 184..192, "(c)");
+    assert_eq!(ranges[6], 192..322, "(d)");
+    assert_eq!(ranges[8], 384..399, "(e)");
+    let mut adj = vec![Vec::new(); PLACED as usize];
+    adj.extend(placed);
+    adj.resize(600, Vec::new());
+    (MemGraph::from_adjacency(adj), ranges)
+}
+
+/// Every way of opening the table: uncached / private cache / pooled with
+/// a charge cache, each with readahead off and on.
+fn placement_opens(base: &Path) -> Vec<(String, DiskGraph)> {
+    let block = EDGE_BLOCK as usize;
+    let budget = 16 * EDGE_BLOCK;
+    let mut opens = Vec::new();
+    for readahead in [false, true] {
+        let pool = SharedPool::new(block, 64 * EDGE_BLOCK).unwrap();
+        for (label, mut dg) in [
+            (
+                "uncached",
+                DiskGraph::open(base, IoCounter::new(block)).unwrap(),
+            ),
+            (
+                "cached",
+                DiskGraph::open_with_cache(base, IoCounter::new(block), budget).unwrap(),
+            ),
+            (
+                "pooled",
+                DiskGraph::open_pooled(base, IoCounter::new(block), &pool, budget).unwrap(),
+            ),
+        ] {
+            dg.set_readahead(readahead).unwrap();
+            opens.push((format!("{label} readahead {readahead}"), dg));
+        }
+    }
+    opens
+}
+
+#[test]
+fn exact_extent_reads_touch_exactly_the_runs_blocks() {
+    let (g, ranges) = placement_fixture();
+    let dir = TempDir::new("fmt-extent").unwrap();
+    let base = write(&dir, &g, FormatVersion::V3);
+    let edge_len = std::fs::metadata(GraphPaths::from_base(&base).edges)
+        .unwrap()
+        .len();
+    assert_eq!(edge_len, 399, "(e): nothing follows the last run");
+
+    // One cold read of each placed run, through a fresh handle. Pinned:
+    // (edge blocks charged, read bytes). Every read also charges one
+    // node-table block and 12 entry bytes, and two seeks (one per table).
+    let cases: [(u32, u64, &str); 5] = [
+        (1, 1, "(a) ends on the block's last byte: block 1 untouched"),
+        (3, 2, "(b) control region straddles: blocks 1 and 2"),
+        (
+            5,
+            1,
+            "(c) no data, control ends the block: block 3 untouched",
+        ),
+        (6, 3, "(d) blocks 3, 4 and 5"),
+        (8, 1, "(e) the short tail block"),
+    ];
+    for (i, edge_blocks, what) in cases {
+        let (v, range) = (PLACED + i, &ranges[i as usize]);
+        assert_eq!(
+            (range.end - 1) / EDGE_BLOCK - range.start / EDGE_BLOCK + 1,
+            edge_blocks,
+            "{what}"
+        );
+        for (label, mut dg) in placement_opens(&base) {
+            let tag = format!("{what} / {label}");
+            let got: Vec<u32> = dg.with_adjacency(v, |nbrs| nbrs.to_vec()).unwrap();
+            assert_eq!(got, g.neighbors(v), "{tag}");
+            let io = dg.io();
+            assert_eq!(io.read_ios, 1 + edge_blocks, "{tag}");
+            assert_eq!(io.read_bytes, 12 + (range.end - range.start), "{tag}");
+            assert_eq!(io.seeks, 2, "{tag}");
+            // Blocks fetched == blocks charged: nothing beyond the run's
+            // last byte entered a cache. (A shared pool's own counters also
+            // hold the open's header reads; its charge cache's do not.)
+            assert_eq!(io.physical_reads, 1 + edge_blocks, "{tag}");
+            let stats = dg.charge_stats().or(dg.cache_stats());
+            if let Some(stats) = stats {
+                assert_eq!(stats.misses, 1 + edge_blocks, "{tag}");
+            }
+            // The copying accessor takes the same path and price; re-reading
+            // a cached run is free, uncached it re-pays all but the block
+            // the reader still holds.
+            let mut buf = Vec::new();
+            dg.adjacency(v, &mut buf).unwrap();
+            assert_eq!(buf, g.neighbors(v), "{tag}");
+            let again = dg.io().read_ios - io.read_ios;
+            if label.starts_with("uncached") {
+                // Edge: all but the block still held when the run sits in
+                // one (a multi-block run ended elsewhere). Node: held.
+                assert_eq!(again, edge_blocks - u64::from(edge_blocks == 1), "{tag}");
+            } else {
+                assert_eq!(again, 0, "{tag}");
+            }
+        }
+    }
+
+    // A full ascending sweep: ids right, and priced as one sequential read
+    // of both tables however the handle was opened.
+    let node_len = std::fs::metadata(GraphPaths::from_base(&base).nodes)
+        .unwrap()
+        .len();
+    for (label, mut dg) in placement_opens(&base) {
+        for v in 0..g.num_nodes() {
+            let got: Vec<u32> = dg.with_adjacency(v, |nbrs| nbrs.to_vec()).unwrap();
+            assert_eq!(got, g.neighbors(v), "{label} node {v}");
+        }
+        let io = dg.io();
+        // Node entries start after the header; edge runs after the magic.
+        let first_node_block = dg.meta().node_entry_offset(0) / EDGE_BLOCK;
+        let node_blocks = node_len.div_ceil(EDGE_BLOCK) - first_node_block;
+        assert_eq!(
+            io.read_ios,
+            node_blocks + 399u64.div_ceil(EDGE_BLOCK),
+            "{label}"
+        );
+        assert_eq!(io.read_bytes, 600 * 12 + (399 - 8), "{label}");
+        // Empty lists read nothing, so the edge cursor never moves again.
+        assert_eq!(io.seeks, 2, "{label}");
+    }
+}
+
+#[test]
+fn corrupt_extents_fail_closed() {
+    let (g, ranges) = placement_fixture();
+    // (past EOF) Stamp the last run's four control bytes 0xFF: fifteen
+    // 4-byte values would need 64 bytes where 11 remain.
+    // (overflow) Stamp the first control byte of the three-block run 0xFF
+    // and its first eight data bytes 0xFF: the extent grows by twelve
+    // bytes — still inside the file — and the second id is
+    // u32::MAX + u32::MAX + 1.
+    let past_eof = |bytes: &mut [u8]| {
+        let at = ranges[8].start as usize;
+        bytes[at..at + 4].fill(0xFF);
+    };
+    let overflow = |bytes: &mut [u8]| {
+        let at = ranges[6].start as usize;
+        let ctrl = graphstore::codec::group_ctrl_len(g.neighbors(PLACED + 6).len());
+        bytes[at] = 0xFF;
+        bytes[at + ctrl..at + ctrl + 8].fill(0xFF);
+    };
+    type Damage<'a> = &'a dyn Fn(&mut [u8]);
+    let damages: [(&str, u32, Damage); 2] =
+        [("past EOF", 8, &past_eof), ("overflow", 6, &overflow)];
+    for (what, i, damage) in damages {
+        let v = PLACED + i;
+        let dir = TempDir::new("fmt-extent").unwrap();
+        let base = write(&dir, &g, FormatVersion::V3);
+        let edges = GraphPaths::from_base(&base).edges;
+        let mut bytes = std::fs::read(&edges).unwrap();
+        damage(&mut bytes);
+        std::fs::write(&edges, &bytes).unwrap();
+        for (label, mut dg) in placement_opens(&base) {
+            let mut buf = Vec::new();
+            let err = dg.adjacency(v, &mut buf).unwrap_err();
+            assert!(err.is_corrupt(), "{what} / {label}: {err}");
+            let err = dg.with_adjacency(v, |nbrs| nbrs.len()).unwrap_err();
+            assert!(err.is_corrupt(), "{what} / {label} (borrowed): {err}");
+            // The neighbours on disk are unharmed and still readable.
+            dg.adjacency(v - 1, &mut buf).unwrap();
+            assert_eq!(buf, g.neighbors(v - 1), "{what} / {label}");
+        }
+    }
+}

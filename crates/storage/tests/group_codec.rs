@@ -6,8 +6,8 @@
 //! Mirrors `varint_codec.rs`, the v2 suite.
 
 use graphstore::codec::{
-    decode_group_run, decode_group_run_scalar, encode_group_run, group_ctrl_len, GroupDecoder,
-    MAX_GROUP_BYTES_PER_ID,
+    decode_group_run, decode_group_run_scalar, encode_group_run, group_ctrl_len, group_run_len,
+    GROUP_DECODE_SLACK, MAX_GROUP_BYTES_PER_ID,
 };
 use proptest::prelude::*;
 
@@ -78,25 +78,32 @@ proptest! {
     }
 
     #[test]
-    fn round_trips_under_arbitrary_chunking(
+    fn extent_is_known_from_the_head_and_trailing_bytes_are_inert(
         values in arb_sorted_list(),
-        chunk in 1usize..7,
+        tail in proptest::collection::vec(any::<u8>(), 0usize..2 * GROUP_DECODE_SLACK),
+        pad in any::<u8>(),
     ) {
-        // The disk path feeds the decoder block by block; any split points
-        // must be equivalent to one contiguous feed. Small chunks also pin
-        // control-region buffering and partial-value straddling.
+        // The disk path sizes its read from the control region alone and
+        // hands the decoder a slice that runs on past the run (the rest of
+        // a frame, or scratch slack): the announced extent must be the
+        // encoded length, and whatever follows must not reach the output.
         let mut bytes = Vec::new();
         encode_group_run(&values, &mut bytes);
-        let mut dec = GroupDecoder::new(values.len());
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while !dec.is_done() {
-            let end = (pos + chunk).min(bytes.len());
-            prop_assert!(pos < end, "decoder starved before completion");
-            pos += dec.feed(&bytes[pos..end], &mut out).unwrap();
+        let run_len = bytes.len();
+        prop_assert_eq!(group_run_len(&bytes, values.len()), run_len);
+        // Padding codes in a ragged last control byte announce nothing.
+        if !values.len().is_multiple_of(4) {
+            let last = group_ctrl_len(values.len()) - 1;
+            let mut noisy = bytes.clone();
+            noisy[last] |= pad << ((values.len() % 4) * 2);
+            prop_assert_eq!(group_run_len(&noisy, values.len()), run_len);
         }
-        prop_assert_eq!(pos, bytes.len());
-        prop_assert_eq!(out, values);
+        bytes.extend_from_slice(&tail);
+        for decode in [decode_group_run, decode_group_run_scalar] {
+            let mut out = Vec::new();
+            prop_assert_eq!(decode(&bytes, values.len(), &mut out).unwrap(), run_len);
+            prop_assert_eq!(&out, &values);
+        }
     }
 
     #[test]
