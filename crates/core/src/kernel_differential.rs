@@ -1,10 +1,13 @@
-//! Differential suite: SemiCore\*'s fused node kernel against the paper's
-//! four-sweep closure ([`with_reference_kernel`]).
+//! Differential suite: SemiCore\*'s node kernel three ways — the paper's
+//! four-sweep closure ([`with_reference_kernel`]), the fused kernel's
+//! portable scalar tier ([`with_scalar_kernel`]) and its vector tier as
+//! production dispatches it.
 //!
 //! The fused kernel does not re-announce neighbours that were already in
 //! violation, which is only sound if the whole run — not just its result —
-//! is unchanged. So everything observable is compared after the
-//! decomposition and after every maintenance step: `core`, `cnt`, passes,
+//! is unchanged; and the vector tier finds the same estimate by a different
+//! search. So everything observable is compared after the decomposition and
+//! after every maintenance step: `core`, `cnt`, passes,
 //! node computations, the per-pass change series and, on disk, the complete
 //! charged [`IoSnapshot`] (a different visiting order would surface as
 //! different block misses and seeks).
@@ -15,7 +18,7 @@ use graphstore::{
 };
 use proptest::prelude::*;
 
-use crate::semicore_star::{semicore_star_state, with_reference_kernel};
+use crate::semicore_star::{semicore_star_state, with_reference_kernel, with_scalar_kernel};
 use crate::{CoreState, DecomposeOptions, InsertAlgorithm, MaintainOp, MaintenanceEngine};
 
 /// What one step of a run exposes.
@@ -81,15 +84,28 @@ fn toggles(g: &MemGraph, seed: u64, count: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Both kernels over an in-memory graph; the run must also be *right*.
+/// `observe` under each of the three kernels, the production dispatch
+/// (the vector tier on an AVX2 CPU) first.
+fn three_ways<T>(mut observe: impl FnMut() -> T) -> [(&'static str, T); 3] {
+    [
+        ("vector kernel", observe()),
+        ("paper reference", with_reference_kernel(&mut observe)),
+        ("scalar twin", with_scalar_kernel(&mut observe)),
+    ]
+}
+
+/// All three kernels over an in-memory graph; the run must also be *right*.
 fn assert_kernels_agree_in_memory(g: &MemGraph, pairs: &[(u32, u32)]) {
     let mut dynamic = DynGraph::from_mem(g);
-    let fused = run(&mut dynamic, pairs);
-    let mut replay = DynGraph::from_mem(g);
-    let reference = with_reference_kernel(|| run(&mut replay, pairs));
-    assert_eq!(fused, reference);
-    assert_eq!(fused[0].state.core, testutil::oracle_cores(g));
-    let last = fused.last().unwrap();
+    let [(_, vector), others @ ..] = three_ways(|| {
+        dynamic = DynGraph::from_mem(g);
+        run(&mut dynamic, pairs)
+    });
+    for (kernel, steps) in &others {
+        assert_eq!(&vector, steps, "vector kernel vs {kernel}");
+    }
+    assert_eq!(vector[0].state.core, testutil::oracle_cores(g));
+    let last = vector.last().unwrap();
     assert_eq!(last.state.core, testutil::oracle_cores(&dynamic.to_mem()));
     assert_eq!(last.state.check_cnt_invariant(&mut dynamic).unwrap(), None);
 }
@@ -152,11 +168,15 @@ fn kernel_differential_on_disk_charges_identically() {
                 })
                 .collect()
         };
-        let fused = observe();
-        let reference = with_reference_kernel(observe);
-        for ((label, f), (_, r)) in fused.iter().zip(&reference) {
-            assert!(f[0].io.read_ios > 0, "{name} {label}: nothing was charged");
-            assert_eq!(f, r, "{name} {label}");
+        let [(_, vector), others @ ..] = three_ways(observe);
+        for (label, steps) in &vector {
+            assert!(
+                steps[0].io.read_ios > 0,
+                "{name} {label}: nothing was charged"
+            );
+        }
+        for (kernel, opened) in &others {
+            assert_eq!(&vector, opened, "{name}: vector kernel vs {kernel}");
         }
     }
 }

@@ -28,7 +28,10 @@
 //! executor reproduces the paper's exact schedule, while
 //! [`ScanExecutor::Parallel`] shards every convergence pass across a worker
 //! pool reading through [`graphstore::ShardableRead`] handles — final core
-//! numbers are bit-identical, wall-clock drops with cores. See
+//! numbers are bit-identical, but wall-clock does **not** yet drop with
+//! cores: two workers measure 0.15–0.35× the sequential scan on the
+//! repository benchmark (`executor.parallel2_speedup`), and ROADMAP's
+//! "Parallel executor: make it pay or cut it" item decides its future. See
 //! [`executor`] for the determinism and charged-I/O guarantees.
 //!
 //! ## Maintenance (§V)
@@ -57,6 +60,9 @@
 //! ```
 
 #![deny(missing_docs)]
+// `localcore`'s AVX2 tier is this crate's only `unsafe`: every block states
+// why it is sound (the CPU feature check, the slice it points into).
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;
 pub mod bits;

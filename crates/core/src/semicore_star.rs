@@ -32,13 +32,13 @@ use crate::window::ScanWindow;
 /// recomputed, which Algorithm 5 relies on for its first iteration — and
 /// every node with `cnt < core` must lie inside `window`.
 ///
-/// Each node computation is two sweeps: the fused gather/histogram
-/// ([`recompute_node`]), and — only when the estimate dropped — a
-/// sequential pass over the gathered values picking out the neighbours
-/// that lost a supporter. Only those are scheduled: a neighbour already in
-/// violation was announced by the computation that pushed it there (or
-/// lies in the caller's initial window), so announcing it again would move
-/// neither `vmax` nor the next window.
+/// Each node computation is one gather ([`recompute_node`], which searches
+/// the gathered estimates for the new one) and — only when the estimate
+/// dropped — a sequential pass over the gathered values picking out the
+/// neighbours that lost a supporter. Only those are scheduled: a neighbour
+/// already in violation was announced by the computation that pushed it
+/// there (or lies in the caller's initial window), so announcing it again
+/// would move neither `vmax` nor the next window.
 ///
 /// Leaves the kernel scratch's size (`O(d_max)`) in
 /// `stats.peak_memory_bytes`, for the caller to add its node state to.
@@ -125,6 +125,13 @@ pub fn with_reference_kernel<R>(f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(REFERENCE_KERNEL.with(|k| k.replace(true)));
     f()
+}
+
+/// Run `f` with the fused kernel's portable scalar tier on this thread,
+/// whatever the CPU offers — the twin the vector tier is held equal to.
+#[cfg(any(test, feature = "testing"))]
+pub fn with_scalar_kernel<R>(f: impl FnOnce() -> R) -> R {
+    crate::localcore::with_scalar_kernel(f)
 }
 
 /// [`star_converge`] as the paper writes it — `LocalCore`, `ComputeCnt`,
