@@ -5,8 +5,8 @@
 //! decoder cannot know where value `i + 1` starts before finishing value
 //! `i`. Format v3 moves the length information into a separate control
 //! stream (one 2-bit code per gap, four to a control byte), which turns
-//! the data stream into straight-line loads — and on SSE-class hardware
-//! into one `pshufb` per four gaps. This harness measures the in-memory
+//! the data stream into straight-line loads — and on AVX2 hardware into
+//! one `vpshufb` per eight gaps. This harness measures the in-memory
 //! decode rate of both codecs over the same R-MAT adjacency lists, the rate
 //! of a fully cached `with_adjacency` sweep of the same lists on disk (the
 //! storage stack's overhead on top of the kernel: node-table lookups,

@@ -61,12 +61,56 @@
 //! many workers race for it.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use crate::error::Result;
 
 /// Key of one cached block: (file id within the pool, block index).
 type BlockKey = (u32, u64);
+
+/// Multiply-rotate hasher for the pool's integer keys. Block numbers and
+/// file ids are the program's own, never outside input, so the default
+/// SipHash's collision resistance buys nothing here and costs three keyed
+/// hashes on every block transition of every reader.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.mix(byte as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.mix(word as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.mix(word);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits on top; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` keyed by the pool's own integers.
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Sentinel for "no frame" in the intrusive LRU list.
 const NONE: u32 = u32::MAX;
@@ -138,7 +182,7 @@ pub struct BlockCache {
     max_frames: usize,
     policy: EvictionPolicy,
     frames: Vec<Frame>,
-    map: HashMap<BlockKey, usize>,
+    map: KeyMap<BlockKey, usize>,
     /// CLOCK hand (ScanLifo fallback sweep).
     hand: usize,
     /// Keyless frames (invalidated or failed loads) to reuse before evicting.
@@ -149,7 +193,7 @@ pub struct BlockCache {
     lru_head: u32,
     lru_tail: u32,
     /// Per-file most-recently-touched frame, exempt from eviction.
-    pinned: HashMap<u32, usize>,
+    pinned: KeyMap<u32, usize>,
     stats: CacheStats,
 }
 
@@ -188,13 +232,13 @@ impl BlockCache {
             max_frames,
             policy,
             frames: Vec::new(),
-            map: HashMap::new(),
+            map: KeyMap::default(),
             hand: 0,
             free: Vec::new(),
             cold_stack: Vec::new(),
             lru_head: NONE,
             lru_tail: NONE,
-            pinned: HashMap::new(),
+            pinned: KeyMap::default(),
             stats: CacheStats::default(),
         })
     }

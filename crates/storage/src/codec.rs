@@ -279,10 +279,11 @@ static QUAD_TOTAL: [u8; 256] = {
     t
 };
 
-/// Readable bytes past the end of a run that let [`decode_group_run`]'s
-/// vector loop — one unaligned 16-byte load per quad — decode the run's
-/// last quads too, instead of handing them to the scalar tail.
-pub const GROUP_DECODE_SLACK: usize = 16;
+/// Readable bytes past the end of a run that keep [`decode_group_run`]'s
+/// vector loop — two unaligned 16-byte loads per eight ids — reading in
+/// place to the run's last id; with fewer, it finishes the run from a
+/// zero-padded copy of what is left.
+pub const GROUP_DECODE_SLACK: usize = 32;
 
 /// Encoded length of the `count`-id group run whose control region is
 /// `ctrl` (its first [`group_ctrl_len`]`(count)` bytes): the control region
@@ -291,15 +292,27 @@ pub const GROUP_DECODE_SLACK: usize = 16;
 /// read exact-extent — the run's end is known from its head.
 pub fn group_run_len(ctrl: &[u8], count: usize) -> usize {
     let ctrl = &ctrl[..group_ctrl_len(count)];
-    let mut len = ctrl.len();
     let (full, ragged) = ctrl.split_at(count / 4);
-    for &c in full {
-        len += QUAD_TOTAL[c as usize] as usize;
-    }
+    let mut len = ctrl.len() + quad_totals(full);
     if let Some(&c) = ragged.first() {
         len += QUAD_TOTAL[(c & ((1u8 << ((count % 4) * 2)) - 1)) as usize] as usize;
     }
     len
+}
+
+/// Sum of [`QUAD_TOTAL`] over `ctrl`, every code counted.
+fn quad_totals(ctrl: &[u8]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if vector_tier() {
+        // SAFETY: AVX2 presence just checked.
+        return unsafe { avx2::quad_totals(ctrl) };
+    }
+    quad_totals_scalar(ctrl)
+}
+
+/// [`quad_totals`] one table lookup per control byte.
+fn quad_totals_scalar(ctrl: &[u8]) -> usize {
+    ctrl.iter().map(|&c| QUAD_TOTAL[c as usize] as usize).sum()
 }
 
 /// The 2-bit code whose stored length minimally holds `s`.
@@ -361,16 +374,23 @@ fn group_truncated(count: usize, len: usize) -> Error {
     ))
 }
 
-/// SSSE3 quad decode: one `pshufb` spreads a quad's packed data bytes into
-/// four little-endian `u32` lanes, and the ids are reconstructed
-/// in-register (add-one, prefix sum, broadcast-prev add). Overflow needs no
-/// separate check there: an id wrapping past
-/// `u32::MAX` cannot stay strictly ascending, so the unsigned
-/// ascent comparison catches it — the scalar-vs-SIMD differential
-/// proptests pin bit-identical outputs and matching error behaviour.
+/// Overflow error shared by every group-run decode path.
+fn group_overflow() -> Error {
+    Error::corrupt("adjacency id overflows u32")
+}
+
+/// The vector tier: eight ids per step. One 256-bit `vpshufb` spreads two
+/// quads' packed data bytes into eight little-endian `u32` lanes and the
+/// ids are reconstructed in-register (add-one, prefix sum inside each
+/// 128-bit half, the lower half's last lane carried into the upper,
+/// broadcast-prev add). Overflow needs no separate check: an id wrapping
+/// past `u32::MAX` cannot stay strictly ascending, so the unsigned ascent
+/// comparison catches it — the scalar-vs-vector differential in
+/// `tests/group_codec.rs` pins bit-identical outputs and equal errors.
 #[cfg(target_arch = "x86_64")]
-mod ssse3 {
-    use super::GROUP_LENS;
+mod avx2 {
+    use super::{group_ctrl_len, group_overflow, group_truncated, GROUP_LENS, QUAD_TOTAL};
+    use std::arch::x86_64::*;
 
     /// Per-control-byte shuffle masks: lane `l` byte `b` selects source
     /// byte `SHUFFLE[c][l * 4 + b]`; `0x80` zero-fills the lane's high
@@ -396,92 +416,217 @@ mod ssse3 {
         t
     };
 
-    /// One-shot contiguous decode of a whole group run, vectorised end to
-    /// end: gather, `+1` per gap (lane 0 of the first quad stores the
-    /// absolute first id, so its increment is 0), in-register inclusive
-    /// prefix sum, broadcast-prev add, then a strict unsigned ascent check
-    /// that doubles as the overflow check (a wrap mod 2³² can never ascend
-    /// past the previous id). Decoded quads land directly in `out`'s
-    /// reserved spare capacity; the ragged tail and low-slack endgame fall
-    /// through to [`super::group_tail_scalar`].
+    /// Data bytes two codes announce, by nibble of a control byte.
+    static NIBBLE_TOTAL: [u8; 16] = {
+        let mut t = [0u8; 16];
+        let mut n = 0usize;
+        while n < 16 {
+            t[n] = (GROUP_LENS[n & 3] + GROUP_LENS[n >> 2]) as u8;
+            n += 1;
+        }
+        t
+    };
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load16(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: `bytes` is 16 readable bytes; `loadu` needs no alignment.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    /// [`super::quad_totals`], sixteen control bytes per step: a `pshufb`
+    /// lookup of each nibble's total, summed across the bytes by `psadbw`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quad_totals(ctrl: &[u8]) -> usize {
+        let (chunks, rest) = ctrl.as_chunks::<16>();
+        let table = load16(&NIBBLE_TOTAL);
+        let low = _mm_set1_epi8(0x0F);
+        let mut acc = _mm_setzero_si128();
+        for chunk in chunks {
+            let c = load16(chunk);
+            // At most 8 per nibble, so a byte's total fits the byte.
+            let totals = _mm_add_epi8(
+                _mm_shuffle_epi8(table, _mm_and_si128(c, low)),
+                _mm_shuffle_epi8(table, _mm_and_si128(_mm_srli_epi16::<4>(c), low)),
+            );
+            acc = _mm_add_epi64(acc, _mm_sad_epu8(totals, _mm_setzero_si128()));
+        }
+        let acc = _mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc));
+        _mm_cvtsi128_si64(acc) as usize + super::quad_totals_scalar(rest)
+    }
+
+    /// One-shot contiguous decode of a whole group run.
     ///
-    /// # Safety
-    /// The caller must guarantee SSSE3 support.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn decode_contiguous(
+    /// Per step of eight ids: gather, `+1` per gap (lane 0 of the run's
+    /// first vector stores the absolute first id, so its increment is 0),
+    /// inclusive prefix sum, broadcast-prev add, and a strict unsigned
+    /// ascent compare of every lane against its predecessor that doubles as
+    /// the overflow check (a wrap mod 2³² can never ascend past the
+    /// previous id). The compare is only *accumulated* in the loop and
+    /// tested once per run: until then the ids are stored into `out`'s
+    /// reserved spare capacity and the length is raised after the test, so
+    /// a corrupt run leaves `out` as it was.
+    ///
+    /// The loop reads in place while 32 data bytes remain. After that the
+    /// remaining bytes are bounced once through a zero-padded stack buffer
+    /// and the same loop, then a 128-bit step for a last whole quad, finish
+    /// from there — a run that ends with its slice (an exact-length
+    /// buffer, the tail of a cache frame) still decodes all but its last
+    /// `count % 4` ids in vectors. A quad announcing more data than the
+    /// slice holds stops the vectors; [`super::group_tail_scalar`] decodes
+    /// the ragged tail and reports truncation in id order.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn decode_contiguous(
         bytes: &[u8],
         count: usize,
         out: &mut Vec<u32>,
     ) -> super::Result<usize> {
-        use std::arch::x86_64::*;
         if count == 0 {
             return Ok(0);
         }
-        let ctrl_len = super::group_ctrl_len(count);
+        let ctrl_len = group_ctrl_len(count);
         if bytes.len() < ctrl_len {
-            return Err(super::group_truncated(count, bytes.len()));
+            return Err(group_truncated(count, bytes.len()));
         }
         let (ctrl, data) = bytes.split_at(ctrl_len);
         let base = out.len();
         out.reserve(count);
+        // SAFETY: `base` is within the allocation.
+        let dst = unsafe { out.as_mut_ptr().add(base) };
         let mut produced = 0usize;
-        let mut p = 0usize;
-        let bias = _mm_set1_epi32(i32::MIN);
-        let mut prev = _mm_setzero_si128();
-        while count - produced >= 4 && data.len() - p >= 16 {
-            let c = ctrl[produced / 4] as usize;
-            // SAFETY: 16 readable bytes at `p` checked by the loop bound;
-            // loadu/storeu have no alignment demands.
-            let raw = _mm_loadu_si128(data.as_ptr().add(p) as *const __m128i);
-            let mask = _mm_loadu_si128(SHUFFLE[c].as_ptr() as *const __m128i);
-            let mut v = _mm_shuffle_epi8(raw, mask);
-            let ones = if produced == 0 {
-                _mm_set_epi32(1, 1, 1, 0)
-            } else {
-                _mm_set1_epi32(1)
-            };
-            v = _mm_add_epi32(v, ones);
-            v = _mm_add_epi32(v, _mm_slli_si128(v, 4));
-            v = _mm_add_epi32(v, _mm_slli_si128(v, 8));
-            v = _mm_add_epi32(v, prev);
-            // lanes(v) must strictly exceed [prev, v0, v1, v2] unsigned;
-            // the first quad's lane 0 (the absolute id) is exempt.
-            let shifted = _mm_or_si128(_mm_slli_si128(v, 4), _mm_srli_si128(prev, 12));
-            let gt = _mm_cmpgt_epi32(_mm_xor_si128(v, bias), _mm_xor_si128(shifted, bias));
-            let asc = _mm_movemask_ps(_mm_castsi128_ps(gt));
-            let asc = if produced == 0 { asc | 1 } else { asc };
-            if asc != 0xF {
-                return Err(super::Error::corrupt("adjacency id overflows u32"));
+        // The read cursor: `left` data bytes are still unconsumed and start
+        // at `src`, which points into `data` or, once bounced, into `pad`.
+        let mut src = data.as_ptr();
+        let mut left = data.len();
+        let mut pad = [0u8; 64];
+        let mut in_pad = false;
+
+        let ones = _mm256_set1_epi32(1);
+        let bias = _mm256_set1_epi32(i32::MIN);
+        let rotate = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+        // Lane 0 of the run's first vector: no increment, no predecessor.
+        let mut exempt = _mm256_setr_epi32(-1, 0, 0, 0, 0, 0, 0, 0);
+        let mut prev = _mm256_setzero_si256();
+        // Biased ids rotated up a lane; lane 0 is the last id before them.
+        let mut before = _mm256_setzero_si256();
+        let mut ascending = _mm256_set1_epi32(-1);
+        while count - produced >= 8 {
+            let (c0, c1) = (ctrl[produced / 4], ctrl[produced / 4 + 1]);
+            let t0 = QUAD_TOTAL[c0 as usize] as usize;
+            let t = t0 + QUAD_TOTAL[c1 as usize] as usize;
+            if left < 32 {
+                if t > left {
+                    break;
+                }
+                if !in_pad {
+                    pad[..left].copy_from_slice(&data[data.len() - left..]);
+                    src = pad.as_ptr();
+                    in_pad = true;
+                }
             }
-            // SAFETY: `reserve(count)` above guarantees spare capacity for
-            // all `count` ids past `base`; on error paths the length was
-            // never raised, so `out` stays untouched.
-            _mm_storeu_si128(out.as_mut_ptr().add(base + produced) as *mut __m128i, v);
-            prev = _mm_shuffle_epi32(v, 0b1111_1111);
-            p += super::QUAD_TOTAL[c] as usize;
+            // SAFETY: 32 bytes are readable at `src` and `t0 <= 16`. In
+            // `data`, `left >= 32` of them remain. In `pad`, fewer than 32
+            // bytes were bounced and `t <= left` keeps the cursor among
+            // them, so both loads end inside its 64 bytes.
+            let (lo, hi) = unsafe {
+                (
+                    _mm_loadu_si128(src.cast()),
+                    _mm_loadu_si128(src.add(t0).cast()),
+                )
+            };
+            let raw = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(lo), hi);
+            let mask = _mm256_inserti128_si256::<1>(
+                _mm256_castsi128_si256(load16(&SHUFFLE[c0 as usize])),
+                load16(&SHUFFLE[c1 as usize]),
+            );
+            let mut v = _mm256_shuffle_epi8(raw, mask);
+            v = _mm256_add_epi32(v, _mm256_add_epi32(ones, exempt));
+            v = _mm256_add_epi32(v, _mm256_slli_si256::<4>(v));
+            v = _mm256_add_epi32(v, _mm256_slli_si256::<8>(v));
+            // The shifts stay inside each 128-bit half: carry the lower
+            // half's total (its lane 3) into all four upper lanes.
+            let lower = _mm256_permute2x128_si256::<0x08>(v, v);
+            v = _mm256_add_epi32(v, _mm256_shuffle_epi32::<0xFF>(lower));
+            v = _mm256_add_epi32(v, prev);
+            let biased = _mm256_xor_si256(v, bias);
+            let rotated = _mm256_permutevar8x32_epi32(biased, rotate);
+            let gt = _mm256_cmpgt_epi32(biased, _mm256_blend_epi32::<1>(rotated, before));
+            ascending = _mm256_and_si256(ascending, _mm256_or_si256(gt, exempt));
+            exempt = _mm256_setzero_si256();
+            before = rotated;
+            prev = _mm256_permutevar8x32_epi32(v, _mm256_set1_epi32(7));
+            // SAFETY: `produced + 8 <= count`, and `reserve(count)` made
+            // room for `count` ids at `dst`; `storeu` needs no alignment.
+            unsafe { _mm256_storeu_si256(dst.add(produced).cast(), v) };
+            // SAFETY: `t <= left` bytes remain at `src`.
+            src = unsafe { src.add(t) };
+            left -= t;
+            produced += 8;
+        }
+
+        // The same step at half width, for whole quads the loop left.
+        let mut exempt = _mm256_castsi256_si128(exempt);
+        let mut prev = _mm256_castsi256_si128(prev);
+        let mut before = _mm256_castsi256_si128(before);
+        let mut ascending = _mm_and_si128(
+            _mm256_castsi256_si128(ascending),
+            _mm256_extracti128_si256::<1>(ascending),
+        );
+        while count - produced >= 4 {
+            let c = ctrl[produced / 4];
+            let t = QUAD_TOTAL[c as usize] as usize;
+            if left < 32 {
+                if t > left {
+                    break;
+                }
+                if !in_pad {
+                    pad[..left].copy_from_slice(&data[data.len() - left..]);
+                    src = pad.as_ptr();
+                    in_pad = true;
+                }
+            }
+            // SAFETY: as above — 16 readable bytes at `src`.
+            let raw = unsafe { _mm_loadu_si128(src.cast()) };
+            let mut v = _mm_shuffle_epi8(raw, load16(&SHUFFLE[c as usize]));
+            v = _mm_add_epi32(v, _mm_add_epi32(_mm256_castsi256_si128(ones), exempt));
+            v = _mm_add_epi32(v, _mm_slli_si128::<4>(v));
+            v = _mm_add_epi32(v, _mm_slli_si128::<8>(v));
+            v = _mm_add_epi32(v, prev);
+            let biased = _mm_xor_si128(v, _mm256_castsi256_si128(bias));
+            let shifted = _mm_blend_epi32::<1>(_mm_slli_si128::<4>(biased), before);
+            let gt = _mm_cmpgt_epi32(biased, shifted);
+            ascending = _mm_and_si128(ascending, _mm_or_si128(gt, exempt));
+            exempt = _mm_setzero_si128();
+            before = _mm_shuffle_epi32::<0xFF>(biased);
+            prev = _mm_shuffle_epi32::<0xFF>(v);
+            // SAFETY: `produced + 4 <= count` ids fit the reserved room.
+            unsafe { _mm_storeu_si128(dst.add(produced).cast(), v) };
+            // SAFETY: `t <= left` bytes remain at `src`.
+            src = unsafe { src.add(t) };
+            left -= t;
             produced += 4;
         }
-        // SAFETY: exactly `produced` ids were written past `base` above.
-        out.set_len(base + produced);
-        let prev = if produced == 0 {
-            0
-        } else {
-            out[base + produced - 1] as u64
+
+        if _mm_movemask_epi8(ascending) != 0xFFFF {
+            return Err(group_overflow());
+        }
+        // SAFETY: exactly `produced` ids were stored past `base` above.
+        unsafe { out.set_len(base + produced) };
+        let prev = match produced {
+            0 => 0,
+            _ => out[base + produced - 1] as u64,
         };
-        super::group_tail_scalar(ctrl, data, count, produced, p, prev, out)
+        let p = data.len() - left;
+        super::group_tail_scalar(ctrl, data, count, produced, p, prev, out).inspect_err(|_| {
+            out.truncate(base);
+        })
     }
 }
 
-/// True when the vectorised quad gather can run on this CPU.
+/// True when the vector tier can run on this CPU.
 #[cfg(target_arch = "x86_64")]
-fn simd_available() -> bool {
-    std::arch::is_x86_feature_detected!("ssse3")
-}
-
-/// No SIMD path is compiled for this architecture.
-#[cfg(not(target_arch = "x86_64"))]
-fn simd_available() -> bool {
-    false
+fn vector_tier() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Decode the trailing `produced..count` ids of a group run one value at a
@@ -516,7 +661,7 @@ fn group_tail_scalar(
             prev + s as u64 + 1
         };
         if id > u32::MAX as u64 {
-            return Err(Error::corrupt("adjacency id overflows u32"));
+            return Err(group_overflow());
         }
         out.push(id as u32);
         prev = id;
@@ -531,8 +676,16 @@ fn group_tail_scalar(
 /// length — while 16 bytes of input slack remain (the last value starts at
 /// most 12 bytes in), with a widened (`u64`) delta accumulator, then the
 /// byte-careful tail. No SIMD anywhere — this is the reference half of the
-/// scalar-vs-SIMD differential and the decoder of CPUs without SSSE3.
+/// scalar-vs-vector differential and the decoder of CPUs without AVX2.
+/// Like the vector tier, an error leaves `out` as it was.
 fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
+    let base = out.len();
+    scalar_quads_then_tail(bytes, count, out).inspect_err(|_| out.truncate(base))
+}
+
+/// [`decode_contiguous_scalar`]'s loops; an error leaves what was decoded
+/// before it in `out`.
+fn scalar_quads_then_tail(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
     if count == 0 {
         return Ok(0);
     }
@@ -556,7 +709,7 @@ fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> R
                 prev + s as u64 + 1
             };
             if id > u32::MAX as u64 {
-                return Err(Error::corrupt("adjacency id overflows u32"));
+                return Err(group_overflow());
             }
             out.push(id as u32);
             prev = id;
@@ -568,25 +721,25 @@ fn decode_contiguous_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> R
 }
 
 /// One-shot decode of a `count`-id group run from contiguous `bytes`
-/// (appended to `out`). Returns the encoded length consumed; errors when
-/// `bytes` ends before the run does or the encoding is structurally
-/// invalid. `bytes` may extend past the run: nothing beyond the returned
-/// length influences the output, and [`GROUP_DECODE_SLACK`] readable bytes
-/// there let the vector loop finish the run instead of the scalar tail.
-/// Dispatches to the fully vectorised SSSE3 path when the CPU has it —
-/// this is the one v3 decoder; the disk read path
-/// (`BlockReader::read_group_run`) hands it whole runs.
+/// (appended to `out`; untouched on error). Returns the encoded length
+/// consumed; errors when `bytes` ends before the run does or the encoding
+/// is structurally invalid. `bytes` may extend past the run: nothing beyond
+/// the returned length influences the output, and [`GROUP_DECODE_SLACK`]
+/// readable bytes there let the vector loop finish the run in place.
+/// Dispatches to the AVX2 tier when the CPU has it — this is the one v3
+/// decoder; the disk read path (`BlockReader::read_group_run`) hands it
+/// whole runs.
 pub fn decode_group_run(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
     #[cfg(target_arch = "x86_64")]
-    if simd_available() {
-        // SAFETY: SSSE3 presence just checked.
-        return unsafe { ssse3::decode_contiguous(bytes, count, out) };
+    if vector_tier() {
+        // SAFETY: AVX2 presence just checked.
+        return unsafe { avx2::decode_contiguous(bytes, count, out) };
     }
     decode_contiguous_scalar(bytes, count, out)
 }
 
 /// [`decode_group_run`] pinned to the portable path (no SIMD) — the
-/// baseline half of the scalar-vs-SIMD differential tests and the decode
+/// baseline half of the scalar-vs-vector differential tests and the decode
 /// bandwidth bench.
 pub fn decode_group_run_scalar(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
     decode_contiguous_scalar(bytes, count, out)

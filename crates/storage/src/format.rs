@@ -29,8 +29,9 @@
 //!   control bytes (one 2-bit length code per value, packed four per byte)
 //!   followed by the raw little-endian payload
 //!   ([`crate::codec::encode_group_run`]). A decoder processes four values
-//!   per control byte with table-driven gathers (SSSE3 `pshufb` when
-//!   available, an unaligned-load scalar quad otherwise). Sorted neighbour
+//!   per control byte with table-driven gathers (two control bytes per
+//!   AVX2 `vpshufb` when available, an unaligned-load scalar quad
+//!   otherwise). Sorted neighbour
 //!   lists typically shrink 3×, which under the block-charged cost model is
 //!   proportionally fewer `read_ios` on every edge-table path. The node
 //!   header grows to 40 bytes to record the (now data-dependent) edge-table

@@ -396,9 +396,9 @@ impl DiskGraph {
     /// Read node `v`'s `(offset, degree)` entry from the node table (charged).
     pub fn node_entry(&mut self, v: u32) -> Result<(u64, u32)> {
         self.check_node(v)?;
-        let mut e = [0u8; format::NODE_ENTRY_LEN as usize];
-        self.node_reader
-            .read_exact_at(self.meta.node_entry_offset(v), &mut e)?;
+        let e: [u8; format::NODE_ENTRY_LEN as usize] = self
+            .node_reader
+            .read_array_at(self.meta.node_entry_offset(v))?;
         let (offset, degree) = format::decode_node_entry(&e);
         // Lower bound of the run's extent: 4 bytes per id raw, at least one
         // byte per varint, at least the control region for v3 groups. The

@@ -52,9 +52,13 @@ const READAHEAD_BLOCKS: usize = 64;
 
 /// Shared mutable I/O counters. Cloning the handle shares the counters.
 ///
-/// Counters are atomic (relaxed) so graph handles are `Send` and future
-/// parallel scans can charge one shared counter without changing any
-/// charged count.
+/// Counters are atomic (relaxed) so graph handles are `Send` and parallel
+/// scans can charge one shared counter without changing any charged count.
+/// The two counters every *request* moves — `read_bytes` and `seeks` — are
+/// kept per [`BlockReader`] while it lives (a private `ReaderTally`), so a
+/// request served from memory executes no locked instruction;
+/// [`IoCounter::snapshot`] adds the live readers' shares to the totals
+/// here, and a reader folds its share in when it drops.
 #[derive(Debug)]
 pub struct IoCounter {
     block_size: usize,
@@ -69,6 +73,10 @@ pub struct IoCounter {
     read_bytes: AtomicU64,
     write_bytes: AtomicU64,
     seeks: AtomicU64,
+    /// The live readers' shares of `read_bytes` and `seeks`. The lock
+    /// orders a reader's fold-and-leave against snapshots and resets, so
+    /// no share is ever counted twice or missed.
+    tallies: Mutex<Vec<Arc<Tally>>>,
     /// Fast-path gate for the cooperative per-op deadline: readers check
     /// this relaxed flag on every request and only take the `deadline`
     /// lock when it is set, so an unarmed counter pays one atomic load.
@@ -98,6 +106,7 @@ impl IoCounter {
             read_bytes: AtomicU64::new(0),
             write_bytes: AtomicU64::new(0),
             seeks: AtomicU64::new(0),
+            tallies: Mutex::new(Vec::new()),
             deadline_armed: AtomicBool::new(false),
             deadline: Mutex::new(None),
         })
@@ -158,14 +167,21 @@ impl IoCounter {
         self.block_size
     }
 
+    /// Charge a whole-file metadata read (journal, catalog, checkpoint) —
+    /// [`BlockReader`]s charge through their tally instead.
     pub(crate) fn charge_read(&self, blocks: u64, bytes: u64) {
+        self.charge_blocks(blocks);
+        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Charge `blocks` read I/Os that were also physical fetches.
+    fn charge_blocks(&self, blocks: u64) {
         // Most requests stay inside an already-charged block: skip the two
         // locked no-op adds.
         if blocks != 0 {
             self.read_ios.fetch_add(blocks, Ordering::Relaxed);
             self.physical_reads.fetch_add(blocks, Ordering::Relaxed);
         }
-        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Charge model read I/Os only (a pooled reader's charge-cache miss):
@@ -185,30 +201,112 @@ impl IoCounter {
         self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    fn charge_seek(&self) {
-        self.seeks.fetch_add(1, Ordering::Relaxed);
+    /// The live readers' tallies. Every update under the lock leaves the
+    /// list valid, so a poisoned lock is recovered.
+    fn live_tallies(&self) -> std::sync::MutexGuard<'_, Vec<Arc<Tally>>> {
+        self.tallies.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// `(read_bytes, seeks)` summed over `live` readers.
+    fn live_sum(live: &[Arc<Tally>]) -> (u64, u64) {
+        live.iter().fold((0u64, 0u64), |(bytes, seeks), t| {
+            (
+                bytes.wrapping_add(t.read_bytes.load(Ordering::Relaxed)),
+                seeks.wrapping_add(t.seeks.load(Ordering::Relaxed)),
+            )
+        })
     }
 
     /// Snapshot the counters.
     pub fn snapshot(&self) -> IoSnapshot {
+        let live = self.live_tallies();
+        let (bytes, seeks) = Self::live_sum(&live);
         IoSnapshot {
             read_ios: self.read_ios.load(Ordering::Relaxed),
             physical_reads: self.physical_reads.load(Ordering::Relaxed),
             write_ios: self.write_ios.load(Ordering::Relaxed),
-            read_bytes: self.read_bytes.load(Ordering::Relaxed),
+            read_bytes: self.read_bytes.load(Ordering::Relaxed).wrapping_add(bytes),
             write_bytes: self.write_bytes.load(Ordering::Relaxed),
-            seeks: self.seeks.load(Ordering::Relaxed),
+            seeks: self.seeks.load(Ordering::Relaxed).wrapping_add(seeks),
         }
     }
 
     /// Reset all counters to zero.
     pub fn reset(&self) {
+        let live = self.live_tallies();
+        // A tally has one writer, its reader; resetting must not become a
+        // second. The shared halves are set to minus what the live readers
+        // hold instead (counters wrap), so the sums read zero from here on
+        // and stay right when those readers fold in.
+        let (bytes, seeks) = Self::live_sum(&live);
         self.read_ios.store(0, Ordering::Relaxed);
         self.physical_reads.store(0, Ordering::Relaxed);
         self.write_ios.store(0, Ordering::Relaxed);
-        self.read_bytes.store(0, Ordering::Relaxed);
+        self.read_bytes
+            .store(0u64.wrapping_sub(bytes), Ordering::Relaxed);
         self.write_bytes.store(0, Ordering::Relaxed);
-        self.seeks.store(0, Ordering::Relaxed);
+        self.seeks
+            .store(0u64.wrapping_sub(seeks), Ordering::Relaxed);
+    }
+}
+
+/// One reader's share of the per-request counters.
+#[derive(Debug, Default)]
+struct Tally {
+    read_bytes: AtomicU64,
+    seeks: AtomicU64,
+}
+
+/// A [`BlockReader`]'s registration with its [`IoCounter`]: the reader's
+/// own `read_bytes` and `seeks`, which only it writes — a plain load and
+/// store, no locked add — and the counter reads when asked for a snapshot.
+/// Dropping the reader folds its share into the counter's atomics.
+#[derive(Debug)]
+struct ReaderTally {
+    counter: Arc<IoCounter>,
+    tally: Arc<Tally>,
+}
+
+impl ReaderTally {
+    fn register(counter: Arc<IoCounter>) -> ReaderTally {
+        let tally = Arc::new(Tally::default());
+        counter.live_tallies().push(Arc::clone(&tally));
+        ReaderTally { counter, tally }
+    }
+
+    /// `cell += n` as its single writer.
+    #[inline]
+    fn add(cell: &AtomicU64, n: u64) {
+        cell.store(
+            cell.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// Charge one non-sequential repositioning.
+    #[inline]
+    fn seek(&self) {
+        Self::add(&self.tally.seeks, 1);
+    }
+
+    /// Charge `n` bytes delivered.
+    #[inline]
+    fn bytes(&self, n: u64) {
+        Self::add(&self.tally.read_bytes, n);
+    }
+}
+
+impl Drop for ReaderTally {
+    fn drop(&mut self) {
+        let mut live = self.counter.live_tallies();
+        live.retain(|t| !Arc::ptr_eq(t, &self.tally));
+        let (bytes, seeks) = (&self.tally.read_bytes, &self.tally.seeks);
+        self.counter
+            .read_bytes
+            .fetch_add(bytes.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.counter
+            .seeks
+            .fetch_add(seeks.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -267,6 +365,8 @@ impl IoSnapshot {
 pub struct BlockReader {
     file: Box<dyn VfsFile>,
     counter: Arc<IoCounter>,
+    /// This reader's `read_bytes` and `seeks`.
+    tally: ReaderTally,
     file_len: u64,
     /// Read-ahead window contents (uncached mode only).
     window: Vec<u8>,
@@ -328,6 +428,7 @@ impl BlockReader {
         let file_len = file.len()?;
         Ok(BlockReader {
             file,
+            tally: ReaderTally::register(Arc::clone(&counter)),
             counter,
             file_len,
             window: Vec::new(),
@@ -480,26 +581,49 @@ impl BlockReader {
         }
         self.counter.check_deadline()?;
         let end = self.check_range(offset, out.len())?;
-        if self.cache.is_some() {
-            return self.read_cached(offset, end, out);
-        }
-        let b = self.counter.block_size() as u64;
-        let first_block = offset / b;
-        let last_block = (end - 1) / b;
+        self.begin_request(offset, end);
+        self.copy_bytes(offset, out)?;
+        self.tally.bytes(out.len() as u64);
+        Ok(())
+    }
 
-        // Charge the model: every block in the span, minus the one still
-        // buffered from the previous request.
-        let mut charged = last_block - first_block + 1;
-        if self.last_block == Some(first_block) {
-            charged -= 1;
+    /// Read the `N` bytes at `offset` — a fixed-size record such as a node
+    /// table entry — charged exactly like [`BlockReader::read_exact_at`].
+    /// A record inside one frame (or the window) is a constant-length move
+    /// straight out of it.
+    pub(crate) fn read_array_at<const N: usize>(&mut self, offset: u64) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        if N == 0 {
+            return Ok(out);
         }
+        self.counter.check_deadline()?;
+        let end = self.check_range(offset, N)?;
+        self.begin_request(offset, end);
+        match self.piece_at(offset)?.first_chunk::<N>() {
+            Some(record) => out = *record,
+            None => self.copy_bytes(offset, &mut out)?,
+        }
+        self.tally.bytes(N as u64);
+        Ok(out)
+    }
+
+    /// Open the validated request `[offset, end)`: a seek unless it starts
+    /// where the previous one ended, and — uncached — the model's charge,
+    /// every block in the span minus the one still buffered from the
+    /// previous request. (Cached, blocks are charged per miss as they are
+    /// fetched.) Delivered bytes are charged by the caller once served.
+    fn begin_request(&mut self, offset: u64, end: u64) {
         if offset != self.prev_end {
-            self.counter.charge_seek();
+            self.tally.seek();
         }
-        self.counter.charge_read(charged, out.len() as u64);
-        self.last_block = Some(last_block);
         self.prev_end = end;
-        self.serve_from_window(offset, out)
+        if self.cache.is_none() {
+            let b = self.counter.block_size() as u64;
+            let (first, last) = (offset / b, (end - 1) / b);
+            let buffered = u64::from(self.last_block == Some(first));
+            self.counter.charge_blocks(last - first + 1 - buffered);
+            self.last_block = Some(last);
+        }
     }
 
     /// True when byte `pos` is inside the current read-ahead window.
@@ -507,38 +631,25 @@ impl BlockReader {
         pos >= self.window_start && pos < self.window_start + self.window.len() as u64
     }
 
-    /// Serve `out.len()` bytes at `offset` from the uncached read-ahead
-    /// window, refilling as needed — measurement-free byte movement; its
-    /// callers do their own model charging.
-    fn serve_from_window(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
-        let mut copied = 0usize;
-        let mut pos = offset;
-        while copied < out.len() {
-            if !self.window_holds(pos) {
-                self.fill_window(pos)?;
-            }
-            let win_off = (pos - self.window_start) as usize;
-            let avail = self.window.len() - win_off;
-            let want = out.len() - copied;
-            let take = avail.min(want);
-            out[copied..copied + take].copy_from_slice(&self.window[win_off..win_off + take]);
-            copied += take;
-            pos += take as u64;
+    /// The bytes of `block`, borrowed from the memoised frame. Streak
+    /// requests into the reader's current block stop here — no pool lock,
+    /// no reference count moved; any other block goes through
+    /// [`BlockReader::load_block`] first.
+    fn block_frame(&mut self, block: u64) -> Result<&[u8]> {
+        if !matches!(&self.memo, Some((b, _)) if *b == block) {
+            self.load_block(block)?;
         }
-        Ok(())
+        match &self.memo {
+            Some((_, data)) => Ok(data),
+            None => Err(Error::corrupt("block frame without a memo")),
+        }
     }
 
-    /// Fetch one block through the shared cache, charging a read I/O on
-    /// miss. The pool lock is held only for the lookup (and, on miss, the
-    /// fill); the returned [`Arc`] lets the caller use the bytes after the
-    /// lock is gone. Streak requests into the reader's current block are
-    /// served from the memo without touching the pool at all.
-    fn fetch_block(&mut self, block: u64) -> Result<Arc<Vec<u8>>> {
-        if let Some((b, data)) = &self.memo {
-            if *b == block {
-                return Ok(Arc::clone(data));
-            }
-        }
+    /// Fetch `block` through the shared cache into the memo, charging a
+    /// read I/O on miss. The pool lock is held only for the lookup (and,
+    /// on miss, the fill); the memoised [`Arc`] keeps the bytes usable
+    /// after the lock is gone.
+    fn load_block(&mut self, block: u64) -> Result<()> {
         let b = self.counter.block_size() as u64;
         let block_start = block * b;
         let block_len = b.min(self.file_len - block_start) as usize;
@@ -546,7 +657,7 @@ impl BlockReader {
             Some(c) => c,
             // Callers guard on `self.cache.is_some()`; an uncached reader
             // can never reach here, but degrade to an error, not a panic.
-            None => return Err(crate::error::Error::corrupt("fetch_block without a cache")),
+            None => return Err(crate::error::Error::corrupt("load_block without a cache")),
         };
         let window = &mut self.window;
         let window_start = &mut self.window_start;
@@ -572,7 +683,7 @@ impl BlockReader {
             // Plain cached mode: the pool's miss IS the model charge.
             None => {
                 if missed {
-                    self.counter.charge_read(1, 0);
+                    self.counter.charge_blocks(1);
                 }
             }
             // Pooled mode: the charge cache decides the model charge from
@@ -593,46 +704,48 @@ impl BlockReader {
                 }
             }
         }
-        self.memo = Some((block, Arc::clone(&data)));
-        Ok(data)
-    }
-
-    /// Serve a validated `[offset, end)` read through the shared cache,
-    /// charging one read I/O per block that was not already resident.
-    ///
-    /// Misses are filled from the reader's read-ahead window, so a cold
-    /// sequential scan issues the same large physical reads as the uncached
-    /// path; only the *charged* count differs (per miss instead of per
-    /// span). The window is per-reader measurement apparatus, like the
-    /// uncached mode's — it never affects charges.
-    fn read_cached(&mut self, offset: u64, end: u64, out: &mut [u8]) -> Result<()> {
-        if offset != self.prev_end {
-            self.counter.charge_seek();
-        }
-        self.prev_end = end;
-        self.copy_bytes(offset, out)?;
-        self.counter.charge_read(0, out.len() as u64);
+        self.memo = Some((block, data));
         Ok(())
     }
 
-    /// Copy the validated range `[offset, offset + out.len())` into `out`:
-    /// frame by frame through the cache — blocks `offset / B ..=
-    /// (end − 1) / B` in ascending order, each charged on miss by
-    /// [`BlockReader::fetch_block`] — or, uncached, from the read-ahead
-    /// window, charging nothing. Seeks, bytes and the uncached block charge
-    /// are the caller's.
-    fn copy_bytes(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
-        if self.cache.is_none() {
-            return self.serve_from_window(offset, out);
+    /// What is already contiguous in memory from byte `pos` on: the rest
+    /// of its cache frame — fetched, and charged on miss, by
+    /// [`BlockReader::load_block`] — or of the read-ahead window, refilled
+    /// if need be and charging nothing.
+    fn piece_at(&mut self, pos: u64) -> Result<&[u8]> {
+        if self.cache.is_some() {
+            let b = self.counter.block_size() as u64;
+            return Ok(&self.block_frame(pos / b)?[(pos % b) as usize..]);
         }
-        let b = self.counter.block_size() as u64;
+        if !self.window_holds(pos) {
+            self.fill_window(pos)?;
+        }
+        Ok(&self.window[(pos - self.window_start) as usize..])
+    }
+
+    /// Copy the validated range `[offset, offset + out.len())` into `out`,
+    /// piece by piece — cached, blocks `offset / B ..= (end − 1) / B` in
+    /// ascending order. Seeks, bytes and the uncached block charge are the
+    /// caller's.
+    fn copy_bytes(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
         let mut copied = 0usize;
         while copied < out.len() {
-            let pos = offset + copied as u64;
-            let frame = self.fetch_block(pos / b)?;
-            let from = (pos % b) as usize;
-            let take = (frame.len() - from).min(out.len() - copied);
-            out[copied..copied + take].copy_from_slice(&frame[from..from + take]);
+            let piece = self.piece_at(offset + copied as u64)?;
+            let take = piece.len().min(out.len() - copied);
+            out[copied..copied + take].copy_from_slice(&piece[..take]);
+            copied += take;
+        }
+        Ok(())
+    }
+
+    /// [`BlockReader::copy_bytes`] appending to `buf` — nothing is
+    /// zero-filled first.
+    fn append_bytes(&mut self, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<()> {
+        let mut copied = 0usize;
+        while copied < len {
+            let piece = self.piece_at(offset + copied as u64)?;
+            let take = piece.len().min(len - copied);
+            buf.extend_from_slice(&piece[..take]);
             copied += take;
         }
         Ok(())
@@ -662,14 +775,13 @@ impl BlockReader {
         if (end - 1) / b != block {
             return Ok(None);
         }
-        if offset != self.prev_end {
-            self.counter.charge_seek();
-        }
-        self.prev_end = end;
-        let data = self.fetch_block(block)?;
-        self.counter.charge_read(0, len as u64);
+        self.begin_request(offset, end);
+        self.block_frame(block)?;
+        self.tally.bytes(len as u64);
         let from = (offset - block * b) as usize;
-        Ok(Some((data, from)))
+        // The one caller that outlives the next request with the bytes
+        // (v1 zero-copy visits): it gets its own handle on the frame.
+        Ok(self.memo.as_ref().map(|(_, data)| (Arc::clone(data), from)))
     }
 
     /// Read `out.len()` raw little-endian `u32`s (a format-v1 run) starting
@@ -721,32 +833,18 @@ impl BlockReader {
         let ctrl_len = group_ctrl_len(count);
         self.check_range(offset, ctrl_len)?;
         if offset != self.prev_end {
-            self.counter.charge_seek();
+            self.tally.seek();
         }
-        let b = self.counter.block_size() as u64;
-        // What is already contiguous in memory from `offset` on: the rest
-        // of its cache frame, or of the read-ahead window.
-        let frame;
-        let view: &[u8] = if self.cache.is_some() {
-            frame = self.fetch_block(offset / b)?;
-            &frame[(offset % b) as usize..]
-        } else {
-            if !self.window_holds(offset) {
-                self.fill_window(offset)?;
-            }
-            &self.window[(offset - self.window_start) as usize..]
-        };
-        let in_view = view
-            .get(..ctrl_len)
-            .map(|ctrl| group_run_len(ctrl, count))
-            .filter(|&total| total <= view.len());
-        let total = match in_view {
-            Some(total) => {
+        let view = self.piece_at(offset)?;
+        // The run's length, when its control region is all in view.
+        let known = view.get(..ctrl_len).map(|ctrl| group_run_len(ctrl, count));
+        let total = match known {
+            Some(total) if total <= view.len() => {
                 decode_group_run(view, count, out)?;
                 total
             }
-            None => {
-                let total = self.stage_group_run(offset, count)?;
+            _ => {
+                let total = self.stage_group_run(offset, count, known)?;
                 decode_group_run(&self.scratch, count, out)?;
                 total
             }
@@ -754,11 +852,13 @@ impl BlockReader {
         let end = offset + total as u64;
         let mut blocks = 0;
         if self.cache.is_none() {
+            let b = self.counter.block_size() as u64;
             let (first, last) = (offset / b, (end - 1) / b);
             blocks = last - first + 1 - u64::from(self.last_block == Some(first));
             self.last_block = Some(last);
         }
-        self.counter.charge_read(blocks, total as u64);
+        self.counter.charge_blocks(blocks);
+        self.tally.bytes(total as u64);
         self.prev_end = end;
         Ok(total as u64)
     }
@@ -766,20 +866,33 @@ impl BlockReader {
     /// Copy the `count`-id v3 run at `offset` into `self.scratch` —
     /// control region, then exactly the data bytes it announces, then
     /// [`GROUP_DECODE_SLACK`](crate::codec::GROUP_DECODE_SLACK) zero bytes
-    /// so the vector loop also finishes a staged run. Returns the run's
-    /// encoded length; a control byte announcing data past the end of the
+    /// so the vector loop also finishes a staged run in place. `known` is
+    /// the run's encoded length when the caller had its control region in
+    /// view; otherwise the region is staged first and walked here. Returns
+    /// that length; a control byte announcing data past the end of the
     /// file is corruption.
-    fn stage_group_run(&mut self, offset: u64, count: usize) -> Result<usize> {
-        let ctrl_len = crate::codec::group_ctrl_len(count);
+    fn stage_group_run(
+        &mut self,
+        offset: u64,
+        count: usize,
+        known: Option<usize>,
+    ) -> Result<usize> {
+        use crate::codec::{group_ctrl_len, group_run_len, GROUP_DECODE_SLACK};
         let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
         let res = (|| {
-            buf.resize(ctrl_len, 0);
-            self.copy_bytes(offset, &mut buf)?;
-            let total = crate::codec::group_run_len(&buf, count);
+            let total = match known {
+                Some(total) => total,
+                None => {
+                    self.append_bytes(offset, group_ctrl_len(count), &mut buf)?;
+                    group_run_len(&buf, count)
+                }
+            };
             self.check_range(offset, total)?;
-            buf.resize(total, 0);
-            self.copy_bytes(offset + ctrl_len as u64, &mut buf[ctrl_len..])?;
-            buf.resize(total + crate::codec::GROUP_DECODE_SLACK, 0);
+            buf.reserve(total + GROUP_DECODE_SLACK - buf.len());
+            let staged = buf.len();
+            self.append_bytes(offset + staged as u64, total - staged, &mut buf)?;
+            buf.resize(total + GROUP_DECODE_SLACK, 0);
             Ok(total)
         })();
         self.scratch = buf;
@@ -815,19 +928,16 @@ impl BlockReader {
             ))
         };
         if offset != self.prev_end {
-            self.counter.charge_seek();
+            self.tally.seek();
         }
         if self.cache.is_some() {
             while !dec.is_done() {
                 if pos >= self.file_len {
                     return Err(truncated());
                 }
-                let block = pos / b;
-                let data = self.fetch_block(block)?;
-                let from = (pos - block * b) as usize;
-                pos += dec.feed(&data[from..], out)? as u64;
+                pos += dec.feed(self.piece_at(pos)?, out)? as u64;
             }
-            self.counter.charge_read(0, pos - offset);
+            self.tally.bytes(pos - offset);
         } else {
             // Each chunk charges exactly the block it touches and the bytes
             // actually consumed: routing full-block chunks through
@@ -844,10 +954,11 @@ impl BlockReader {
                     let block = pos / b;
                     let chunk_end = ((block + 1) * b).min(self.file_len);
                     chunk.resize((chunk_end - pos) as usize, 0);
-                    self.serve_from_window(pos, &mut chunk)?;
+                    self.copy_bytes(pos, &mut chunk)?;
                     let used = dec.feed(&chunk, out)? as u64;
                     let blocks = u64::from(self.last_block != Some(block));
-                    self.counter.charge_read(blocks, used);
+                    self.counter.charge_blocks(blocks);
+                    self.tally.bytes(used);
                     self.last_block = Some(block);
                     pos += used;
                 }

@@ -32,6 +32,11 @@
 
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// `codec`'s AVX2 tier and `graph`'s aligned reinterpretation are this
+// crate's only `unsafe`: every block states why it is sound (the CPU
+// feature check, the bytes readable at a pointer, the room reserved behind
+// a raw store).
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod access;
 pub mod builder;

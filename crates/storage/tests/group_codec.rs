@@ -1,9 +1,12 @@
 //! Property tests for the format-v3 stream-vbyte group codec: round-trips
 //! over arbitrary sorted lists (empty, single-element and max-`u32`-gap
-//! cases included), a scalar-vs-SIMD decoder differential, and fuzz-ish
+//! cases included), a scalar-vs-vector decoder differential, and fuzz-ish
 //! decoder runs over truncated and garbage bytes, which must surface as
 //! [`graphstore::Error`] — never a panic or a wrong-but-silent decode.
-//! Mirrors `varint_codec.rs`, the v2 suite.
+//! Mirrors `varint_codec.rs`, the v2 suite. The exhaustive matrix at the
+//! end walks the vector tier's own seams: every count around its 8- and
+//! 4-id steps, every amount of readable slack around its 32-byte in-place
+//! bound, every truncation cut, and an overflow planted in every lane.
 
 use graphstore::codec::{
     decode_group_run, decode_group_run_scalar, encode_group_run, group_ctrl_len, group_run_len,
@@ -64,8 +67,8 @@ proptest! {
 
     #[test]
     fn scalar_and_simd_decoders_are_bit_identical(values in arb_sorted_list()) {
-        // `decode_group_run` uses the quad fast paths (SSSE3 where the CPU
-        // has it); `decode_group_run_scalar` is pinned to the careful
+        // `decode_group_run` uses the vector tier (AVX2 where the CPU has
+        // it); `decode_group_run_scalar` is pinned to the careful
         // byte-slice path. Their outputs must match exactly.
         let mut bytes = Vec::new();
         encode_group_run(&values, &mut bytes);
@@ -201,4 +204,169 @@ fn structural_garbage_is_rejected() {
     // Truncation mid-value: a 4-byte code with 2 data bytes present.
     let mut out = Vec::new();
     assert!(decode_group_run(&[0b0000_0011, 0xAA, 0xBB], 1, &mut out).is_err());
+}
+
+/// Ids `out` holds before every differential decode: decoders append, and
+/// an error must leave exactly these behind.
+const SENTINEL: [u32; 2] = [7, 9];
+
+/// Decode `count` ids from `bytes` with the dispatched decoder and the
+/// scalar twin: equal consumed length and ids, or equal errors with `out`
+/// untouched. Returns what both agreed on.
+fn decode_both(bytes: &[u8], count: usize, tag: &str) -> Result<(usize, Vec<u32>), String> {
+    let run = |decode: fn(&[u8], usize, &mut Vec<u32>) -> graphstore::Result<usize>| {
+        let mut out = SENTINEL.to_vec();
+        match decode(bytes, count, &mut out) {
+            Ok(used) => {
+                assert_eq!(out[..2], SENTINEL, "{tag}: decoders append");
+                Ok((used, out.split_off(2)))
+            }
+            Err(e) => {
+                assert_eq!(out, SENTINEL, "{tag}: out touched on error");
+                Err(e.to_string())
+            }
+        }
+    };
+    let (vector, scalar) = (run(decode_group_run), run(decode_group_run_scalar));
+    assert_eq!(vector, scalar, "{tag}");
+    vector
+}
+
+/// Encode raw *stored* values — the first id, then `gap − 1` per later id
+/// — with minimal codes, bypassing `encode_group_run`'s ascent assertion so
+/// a test can plant an overflow at a chosen id.
+fn encode_stored(stored: &[u32]) -> Vec<u8> {
+    let mut bytes = vec![0u8; group_ctrl_len(stored.len())];
+    for (i, &s) in stored.iter().enumerate() {
+        let (code, len) = match s {
+            0 => (0u8, 0),
+            1..=0xFF => (1, 1),
+            0x100..=0xFFFF => (2, 2),
+            _ => (3, 4),
+        };
+        bytes[i / 4] |= code << ((i % 4) * 2);
+        bytes.extend_from_slice(&s.to_le_bytes()[..len]);
+    }
+    bytes
+}
+
+/// `count` ascending ids whose gaps cycle through the listed stored sizes.
+fn ids_with_gaps(count: usize, first: u32, gaps: &[u32]) -> Vec<u32> {
+    let mut next = first;
+    (0..count)
+        .map(|i| {
+            let id = next;
+            next += gaps[i % gaps.len()];
+            id
+        })
+        .collect()
+}
+
+#[test]
+fn vector_equals_scalar_for_every_count_slack_and_truncation_cut() {
+    // Gap mixes: every code length interleaved; all 0-byte codes (many ids
+    // in one data byte — the whole run decodes from the padded bounce);
+    // all 4-byte codes (16 data bytes per quad, the widest step).
+    let mixes: [(u32, &[u32]); 3] = [
+        (300, &[1, 200, 1, 70_000, 3, 1 << 20, 1, 1, 255, 257]),
+        (5, &[1]),
+        (1 << 17, &[1 << 16, 1 << 24, 1 << 18]),
+    ];
+    // Trailing garbage, never zero: a decoder that lets bytes past the
+    // run's end reach an id shows up as a difference.
+    let garbage: Vec<u8> = (0..4096u32).map(|i| (i * 37 + 11) as u8 | 1).collect();
+    for (first, gaps) in mixes {
+        for count in 0..=67usize {
+            let values = ids_with_gaps(count, first, gaps);
+            let mut run = Vec::new();
+            encode_group_run(&values, &mut run);
+            assert_eq!(group_run_len(&run, count), run.len());
+            let frame_slack = 4096 - run.len();
+            for slack in (0..=40).chain([frame_slack]) {
+                let mut bytes = run.clone();
+                bytes.extend_from_slice(&garbage[..slack]);
+                let tag = format!("gaps {gaps:?} count {count} slack {slack}");
+                assert_eq!(
+                    decode_both(&bytes, count, &tag),
+                    Ok((run.len(), values.clone())),
+                    "{tag}"
+                );
+            }
+            for cut in 0..run.len() {
+                let tag = format!("gaps {gaps:?} count {count} cut {cut}");
+                let err = decode_both(&run[..cut], count, &tag).unwrap_err();
+                assert!(err.contains("truncated"), "{tag}: {err}");
+            }
+        }
+    }
+}
+
+#[test]
+fn overflow_is_caught_in_every_lane_of_every_step() {
+    // 35 ids: three 8-id vectors (first, middle, last), one 4-id quad,
+    // three scalar ids. The id before `k` is made exactly `u32::MAX`, so
+    // *any* gap at `k` overflows — also the gap of 2³² that wraps back
+    // onto `u32::MAX` itself, and the gap of 1 that wraps to 0 and ascends
+    // again from there, which only lane `k`'s own compare can see. For `k`
+    // in lanes 4–7 nothing wraps inside the upper half alone: only the
+    // lower half's carry pushes it over.
+    const N: usize = 35;
+    for filler in [0u32, 1, 300] {
+        for k in 1..N {
+            let lead = (k as u32 - 1) * (filler + 1);
+            let mut stored = vec![filler; N];
+            stored[0] = u32::MAX - lead;
+            // Up to `k` the run is valid and ends on `u32::MAX` exactly.
+            let valid = encode_stored(&stored[..k]);
+            let tag = format!("filler {filler} k {k}");
+            let (_, ids) = decode_both(&valid, k, &tag).unwrap();
+            assert_eq!(ids.last(), Some(&u32::MAX), "{tag}");
+            for gap_minus_one in [0u32, 5, u32::MAX] {
+                stored[k] = gap_minus_one;
+                let run = encode_stored(&stored);
+                // In place (32+ readable bytes throughout) and from the
+                // padded bounce (the slice ends with the run).
+                for slack in [0usize, 64] {
+                    let mut bytes = run.clone();
+                    bytes.resize(run.len() + slack, 0xA5);
+                    let tag = format!("{tag} gap-1 {gap_minus_one} slack {slack}");
+                    let err = decode_both(&bytes, N, &tag).unwrap_err();
+                    assert!(err.contains("overflows"), "{tag}: {err}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn long_runs_of_zero_byte_codes_decode_from_the_padded_bounce() {
+    // Hundreds of quads in fewer than 32 data bytes: an exact-length slice
+    // never offers the in-place loop its 32 readable bytes, so every
+    // vector step reads the zero-padded copy — and must stop at the real
+    // end of the data, not at the end of the padding.
+    for count in [68usize, 100, 255, 256, 257, 1000] {
+        for jumps in [&[][..], &[3, 40], &[0, 9, 64, 65]] {
+            let mut values: Vec<u32> = Vec::with_capacity(count);
+            let mut next = 1u32 << 20;
+            for i in 0..count {
+                next += if jumps.contains(&i) { 1 << 16 } else { 1 };
+                values.push(next);
+            }
+            let mut run = Vec::new();
+            encode_group_run(&values, &mut run);
+            assert!(run.len() - group_ctrl_len(count) < 32);
+            assert_eq!(group_run_len(&run, count), run.len());
+            let tag = format!("count {count} jumps {jumps:?}");
+            assert_eq!(
+                decode_both(&run, count, &tag),
+                Ok((run.len(), values.clone())),
+                "{tag}"
+            );
+            // Every cut inside the data region (and the last control byte).
+            for cut in group_ctrl_len(count) - 1..run.len() {
+                let err = decode_both(&run[..cut], count, &tag).unwrap_err();
+                assert!(err.contains("truncated"), "{tag} cut {cut}: {err}");
+            }
+        }
+    }
 }
