@@ -11,10 +11,8 @@
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin ablation_cache \
-//!     [-- --family rmat|ba --edges 150000 --json BENCH_cache.json]
+//!     [-- --family rmat|ba --edges 150000]
 //! ```
-
-use std::io::Write as _;
 
 use graphstore::{mem_to_disk, DiskGraph, IoCounter, DEFAULT_BLOCK_SIZE};
 use kcore_bench::harness::{fmt_bytes, fmt_count, fmt_secs, graph_standin, Args, Table};
@@ -28,7 +26,6 @@ fn main() -> graphstore::Result<()> {
     // (Table I); at such densities the node table fits in a small fraction
     // of the edge table, which is where partial budgets start to pay.
     let density: u64 = args.get_num("density", 24);
-    let json_path = args.get("json", "");
     let dir = graphstore::TempDir::new("abl-cache")?;
 
     // Build one fixed graph on disk; every sweep point re-opens it cold.
@@ -58,7 +55,6 @@ fn main() -> graphstore::Result<()> {
         ("whole graph".into(), total + DEFAULT_BLOCK_SIZE as u64),
     ];
 
-    let mut json = String::new();
     let mut t = Table::new(&["budget M", "bytes", "read I/Os", "hit rate", "time"]);
     let mut uncached_reads = 0u64;
     for (label, budget) in &budgets {
@@ -79,11 +75,6 @@ fn main() -> graphstore::Result<()> {
             hit_rate,
             fmt_secs(d.stats.wall_time),
         ]);
-        json.push_str(&format!(
-            "{{\"bench\":\"ablation_cache\",\"family\":\"{family}\",\"budget_bytes\":{},\"read_ios\":{reads},\"wall_ns\":{}}}\n",
-            disk.cache_budget_bytes(),
-            d.stats.wall_time.as_nanos(),
-        ));
     }
     t.print();
 
@@ -96,13 +87,5 @@ fn main() -> graphstore::Result<()> {
         fmt_count(uncached_reads),
     );
 
-    if !json_path.is_empty() {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&json_path)?;
-        f.write_all(json.as_bytes())?;
-        println!("\nresults appended to {json_path}");
-    }
     Ok(())
 }

@@ -26,11 +26,10 @@
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin decode_bw \
-//!     [-- --family rmat --edges 400000 --smoke --json BENCH_decode.json]
+//!     [-- --family rmat --edges 400000 --smoke]
 //! ```
 
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use graphstore::codec::{
@@ -110,7 +109,6 @@ fn main() -> graphstore::Result<()> {
     let target_edges: u64 = args.get_num("edges", if smoke { 120_000 } else { 400_000 });
     let density: u64 = args.get_num("density", 24);
     let trials: usize = args.get_num("trials", if smoke { 5 } else { 7 });
-    let json_path = args.get("json", "");
 
     let g = kcore_bench::harness::graph_standin(&family, target_edges, density);
     let v2 = encode_corpus(&g, encode_gap_run);
@@ -230,29 +228,6 @@ fn main() -> graphstore::Result<()> {
         wall[1].as_secs_f64() * 1e3,
         fmt_count(s_off.read_ios),
     );
-
-    if !json_path.is_empty() {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&json_path)?;
-        writeln!(
-            f,
-            "{{\"bench\":\"decode_bw\",\"family\":\"{family}\",\"ids\":{ids},\"v2_bytes\":{},\"v3_bytes\":{},\"v2_scalar_ids_per_s\":{:.0},\"v3_scalar_ids_per_s\":{:.0},\"v3_auto_ids_per_s\":{:.0},\"memcpy_ids_per_s\":{:.0},\"cached_sweep_ids_per_s\":{:.0},\"sweep_to_kernel\":{:.3},\"scan_read_ios\":{},\"scan_sync_ns\":{},\"scan_readahead_ns\":{}}}",
-            v2.bytes.len(),
-            v3.bytes.len(),
-            v2_rate,
-            v3_scalar_rate,
-            v3_rate,
-            memcpy_rate,
-            sweep_rate,
-            sweep_to_kernel,
-            s_off.read_ios,
-            wall[0].as_nanos(),
-            wall[1].as_nanos(),
-        )?;
-        println!("results appended to {json_path}");
-    }
 
     // Regression gates.
     let mut violations = Vec::new();

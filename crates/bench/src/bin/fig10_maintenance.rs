@@ -13,31 +13,15 @@
 //! ```
 
 use graphstore::{snapshot_mem, BufferedGraph, MemGraph};
-use kcore_bench::harness::{build_dataset, fmt_count, fmt_secs, Args, Table};
+use kcore_bench::harness::{build_dataset, fmt_count, fmt_secs, Args, Table, UpdateCost};
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, SeedableRng};
 use semicore::{
     semi_delete_star, semi_insert, semi_insert_star, semicore_star_state, DecomposeOptions,
     InMemoryCores, SparseMarks,
 };
-use std::time::Duration;
 
 const EDGES_PER_TEST: usize = 100;
-
-struct Avg {
-    time: Duration,
-    ios: u64,
-    computations: u64,
-}
-
-fn avg(times: &[(Duration, u64, u64)]) -> Avg {
-    let n = times.len().max(1) as u32;
-    Avg {
-        time: times.iter().map(|x| x.0).sum::<Duration>() / n,
-        ios: times.iter().map(|x| x.1).sum::<u64>() / n as u64,
-        computations: times.iter().map(|x| x.2).sum::<u64>() / n as u64,
-    }
-}
 
 fn pick_edges(mem: &MemGraph, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -54,7 +38,7 @@ fn run_semi(
     scale: f64,
     dir: &graphstore::TempDir,
     use_star_insert: bool,
-) -> graphstore::Result<(Avg, Avg)> {
+) -> graphstore::Result<(UpdateCost, UpdateCost)> {
     let disk = build_dataset(spec, scale, dir, graphstore::DEFAULT_BLOCK_SIZE)?;
     let mut g = BufferedGraph::with_default_capacity(disk);
     let victims = {
@@ -65,21 +49,22 @@ fn run_semi(
     let n = graphstore::AdjacencyRead::num_nodes(&g);
     let mut marks = SparseMarks::new(n);
 
-    let mut deletes = Vec::new();
+    let mut deletes = UpdateCost::default();
     for &(u, v) in &victims {
-        let st = semi_delete_star(&mut g, &mut state, u, v)?;
-        deletes.push((st.wall_time, st.total_ios(), st.node_computations));
+        deletes.add(&semi_delete_star(&mut g, &mut state, u, v)?);
     }
-    let mut inserts = Vec::new();
+    let mut inserts = UpdateCost::default();
     for &(u, v) in &victims {
-        let st = if use_star_insert {
+        inserts.add(&if use_star_insert {
             semi_insert_star(&mut g, &mut state, &mut marks, u, v)?
         } else {
             semi_insert(&mut g, &mut state, &mut marks, u, v)?
-        };
-        inserts.push((st.wall_time, st.total_ios(), st.node_computations));
+        });
     }
-    Ok((avg(&deletes), avg(&inserts)))
+    Ok((
+        deletes.per_update(victims.len()),
+        inserts.per_update(victims.len()),
+    ))
 }
 
 /// The in-memory baseline on the same protocol.
@@ -87,22 +72,23 @@ fn run_inmem(
     spec: &graphgen::DatasetSpec,
     scale: f64,
     dir: &graphstore::TempDir,
-) -> graphstore::Result<(Avg, Avg)> {
+) -> graphstore::Result<(UpdateCost, UpdateCost)> {
     let mut disk = build_dataset(spec, scale, dir, graphstore::DEFAULT_BLOCK_SIZE)?;
     let mem = snapshot_mem(&mut disk)?;
     let victims = pick_edges(&mem, 0xF1610 + spec.seed);
     let mut im = InMemoryCores::new(&mem)?;
-    let mut deletes = Vec::new();
+    let mut deletes = UpdateCost::default();
     for &(u, v) in &victims {
-        let st = im.delete_edge(u, v)?;
-        deletes.push((st.wall_time, st.total_ios(), st.node_computations));
+        deletes.add(&im.delete_edge(u, v)?);
     }
-    let mut inserts = Vec::new();
+    let mut inserts = UpdateCost::default();
     for &(u, v) in &victims {
-        let st = im.insert_edge(u, v)?;
-        inserts.push((st.wall_time, st.total_ios(), st.node_computations));
+        inserts.add(&im.insert_edge(u, v)?);
     }
-    Ok((avg(&deletes), avg(&inserts)))
+    Ok((
+        deletes.per_update(victims.len()),
+        inserts.per_update(victims.len()),
+    ))
 }
 
 fn main() -> graphstore::Result<()> {
@@ -133,7 +119,7 @@ fn main() -> graphstore::Result<()> {
         let (del, ins_plain) = run_semi(&spec, scale, &dir, false)?;
         // One-phase insertion run on a fresh graph/state.
         let (_, ins_star) = run_semi(&spec, scale, &dir, true)?;
-        let mut push = |algo: &str, a: &Avg| {
+        let mut push = |algo: &str, a: &UpdateCost| {
             t.row(vec![
                 spec.name.to_string(),
                 algo.to_string(),

@@ -25,15 +25,21 @@ fn run_disk(
         "SemiCore*" => semicore::semicore_star(&mut disk, &opts),
         "SemiCore+" => semicore::semicore_plus(&mut disk, &opts),
         "SemiCore" => semicore::semicore(&mut disk, &opts),
-        "EMCore" => semicore::emcore(
-            &mut disk,
-            &EmCoreOptions {
-                partition_bytes: 256 << 10,
-                // EMCore's budget: enough for a few partitions, far below
-                // the whole graph — the regime the paper evaluates.
-                memory_budget: 2 << 20,
-            },
-        ),
+        "EMCore" => {
+            // EMCore's budget is a share of the edge table — the regime the
+            // paper evaluates, and the one `tests/paper_claims.rs` asserts
+            // on: a quarter of it, in four partitions. (A constant budget
+            // holds a small stand-in whole and turns its row into an
+            // in-memory run.)
+            let memory_budget = disk.meta().edge_file_len() / 4;
+            semicore::emcore(
+                &mut disk,
+                &EmCoreOptions {
+                    partition_bytes: memory_budget / 4,
+                    memory_budget,
+                },
+            )
+        }
         "IMCore" => {
             // The in-memory baseline loads the whole graph first (charged),
             // then decomposes in memory.
@@ -102,8 +108,12 @@ fn main() -> graphstore::Result<()> {
     t.print();
     println!("\npaper shape to check: SemiCore* fastest and lowest-I/O of the semi-external trio;");
     println!(
-        "SemiCore lowest memory; EMCore pays write I/Os and holds orders of magnitude more memory;"
+        "SemiCore lowest memory; EMCore, at its quarter-of-the-edge-table budget, pays write I/Os,"
     );
-    println!("IMCore memory ≈ whole graph.");
+    println!(
+        "does more I/O in total than any of the trio and reads more than SemiCore*, and holds"
+    );
+    println!("orders of magnitude more memory; IMCore memory ≈ whole graph.");
+    println!("(tests/paper_claims.rs asserts the counter orderings.)");
     Ok(())
 }

@@ -2,21 +2,18 @@
 //! tenants it is protecting. The same single-tenant update/query workload
 //! runs twice on a durable graph — once with the self-heal supervisor's
 //! scrubber off, once with it scrubbing in a tight loop — and the binary
-//! **fails loudly** (non-zero exit) unless both hold:
-//!
-//! * **latency**: scrub-on p99 op latency ≤ 1.10× the scrub-off p99 (the
-//!   scrubber is token-bucket rate-limited and only takes the graph lock
-//!   for its short journal phase, so it must stay out of the way);
-//! * **charging**: the tenant's charged `read_ios` are **bit-identical**
-//!   with and without scrubbing — the scrubber reads through a scratch
-//!   counter and must be invisible to the external-memory cost model.
+//! **fails loudly** (non-zero exit) unless scrub-on p99 op latency is
+//! ≤ 1.10× the scrub-off p99: the scrubber is token-bucket rate-limited
+//! and only takes the graph lock for its short journal phase, so it must
+//! stay out of the way. (That it is also invisible to the cost model — the
+//! tenant's charged `read_ios` bit-identical with and without it — is
+//! deterministic and lives in `tests/self_heal.rs`.)
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin scrub_overhead \
-//!     [-- --ops 400 --smoke --json BENCH_scrub.json]
+//!     [-- --ops 400 --smoke]
 //! ```
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,7 +27,6 @@ const NODES: u32 = 64;
 
 struct ModeResult {
     p99_us: u64,
-    charged_reads: u64,
     ops_per_sec: f64,
 }
 
@@ -96,13 +92,11 @@ fn run_mode(scrub: bool, ops: usize) -> graphstore::Result<ModeResult> {
         }
     }
     let elapsed = t0.elapsed();
-    let charged_reads = svc.with_graph(GRAPH, |idx| Ok(idx.io().read_ios))?;
     drop(heal);
 
     lat.sort_unstable();
     Ok(ModeResult {
         p99_us: percentile(&lat, 99),
-        charged_reads,
         ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
     })
 }
@@ -111,7 +105,6 @@ fn main() -> graphstore::Result<()> {
     let args = Args::parse();
     let smoke = args.flag("smoke");
     let ops: usize = args.get_num("ops", if smoke { 120 } else { 400 });
-    let json_path = args.get("json", "");
 
     println!(
         "Scrub overhead — {ops} updates (queries riding 1:4) on one durable graph,\n\
@@ -119,14 +112,10 @@ fn main() -> graphstore::Result<()> {
     );
 
     // Wall-clock on a loaded box is noisy; the latency verdict gets up to
-    // three attempts. The charge comparison is deterministic and must
-    // hold on every attempt.
+    // three attempts.
     let mut off = run_mode(false, ops)?;
     let mut on = run_mode(true, ops)?;
     for _ in 0..2 {
-        if on.charged_reads != off.charged_reads {
-            break; // deterministic failure: re-measuring cannot fix it
-        }
         if (on.p99_us as f64) <= off.p99_us as f64 * 1.10 {
             break;
         }
@@ -134,49 +123,22 @@ fn main() -> graphstore::Result<()> {
         on = run_mode(true, ops)?;
     }
 
-    let mut t = Table::new(&["mode", "ops/sec", "p99 latency", "charged reads"]);
+    let mut t = Table::new(&["mode", "ops/sec", "p99 latency"]);
     for (mode, r) in [("scrub-off", &off), ("scrub-on", &on)] {
         t.row(vec![
             mode.to_string(),
             format!("{:.0}", r.ops_per_sec),
             format!("{} µs", fmt_count(r.p99_us)),
-            fmt_count(r.charged_reads),
         ]);
     }
     t.print();
 
-    if !json_path.is_empty() {
-        let mut json = String::new();
-        for (mode, r) in [("scrub-off", &off), ("scrub-on", &on)] {
-            json.push_str(&format!(
-                "{{\"bench\":\"scrub_overhead\",\"ops\":{ops},\"mode\":\"{mode}\",\"ops_per_sec\":{:.1},\"p99_us\":{},\"charged_reads\":{}}}\n",
-                r.ops_per_sec, r.p99_us, r.charged_reads
-            ));
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&json_path)?;
-        f.write_all(json.as_bytes())?;
-        println!("results appended to {json_path}");
-    }
-
     println!(
-        "\np99 {} -> {} µs ({:+.1}%), charged reads {} -> {}",
+        "\np99 {} -> {} µs ({:+.1}%)",
         off.p99_us,
         on.p99_us,
         100.0 * (on.p99_us as f64 - off.p99_us as f64) / off.p99_us.max(1) as f64,
-        off.charged_reads,
-        on.charged_reads
     );
-    if on.charged_reads != off.charged_reads {
-        eprintln!(
-            "SCRUB CHARGING REGRESSION: scrubbing changed the tenant's charged reads \
-             ({} -> {}); the scrubber must be invisible to the cost model",
-            off.charged_reads, on.charged_reads
-        );
-        std::process::exit(1);
-    }
     if (on.p99_us as f64) > off.p99_us as f64 * 1.10 {
         eprintln!(
             "SCRUB LATENCY REGRESSION: scrub-on p99 {} µs > 1.10x scrub-off p99 {} µs",

@@ -174,6 +174,37 @@ pub fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted.get(rank - 1).copied().unwrap_or(0)
 }
 
+/// Cost of one maintenance phase (Figs. 10 and 12): wall time, charged I/Os
+/// and node computations, summed over its updates by [`UpdateCost::add`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct UpdateCost {
+    /// Wall-clock time.
+    pub time: std::time::Duration,
+    /// Charged I/Os, reads plus writes.
+    pub ios: u64,
+    /// Node computations.
+    pub computations: u64,
+}
+
+impl UpdateCost {
+    /// Add one update's stats.
+    pub fn add(&mut self, st: &semicore::MaintainStats) {
+        self.time += st.wall_time;
+        self.ios += st.total_ios();
+        self.computations += st.node_computations;
+    }
+
+    /// The average over `updates` updates (at least one).
+    pub fn per_update(self, updates: usize) -> UpdateCost {
+        let n = updates.max(1);
+        UpdateCost {
+            time: self.time / n as u32,
+            ios: self.ios / n as u64,
+            computations: self.computations / n as u64,
+        }
+    }
+}
+
 /// Build a dataset stand-in on disk inside `dir` (cached per scale) and
 /// return a freshly counted handle (block size `block`).
 pub fn build_dataset(

@@ -209,8 +209,9 @@ proptest! {
 
 /// The headline acceptance property: on an R-MAT workload of at least 10^5
 /// edges, SemiCore* with a cache budget of ~10% of the edge table performs
-/// measurably fewer physical block reads than the uncached baseline, and a
-/// whole-graph budget approaches the single-scan floor.
+/// measurably fewer physical block reads than the uncached baseline, reads
+/// only fall as the budget `M` grows from nothing to the whole graph, and
+/// the whole-graph budget lands within a few blocks of one sequential scan.
 #[test]
 fn semicore_star_cache_budget_reduces_physical_reads() {
     let p = graphgen::Rmat::web(13);
@@ -222,37 +223,49 @@ fn semicore_star_cache_budget_reduces_physical_reads() {
     );
     let dir = TempDir::new("cacheabl").unwrap();
     let base = dir.path().join("g");
-    mem_to_disk(&base, &g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    let meta = mem_to_disk(&base, &g, IoCounter::new(DEFAULT_BLOCK_SIZE))
+        .unwrap()
+        .meta();
+    let (nodes, edges) = (meta.node_file_len(), meta.edge_file_len());
 
-    let run = |budget: u64| {
+    // Uncached, 10 % and 50 % of the edge table, the whole graph
+    // (`ablation_cache` prints the finer sweep).
+    let budgets = [
+        0,
+        edges / 10,
+        edges / 2,
+        nodes + edges + DEFAULT_BLOCK_SIZE as u64,
+    ];
+    let mut reads = Vec::new();
+    let mut reference: Option<Vec<u32>> = None;
+    for budget in budgets {
         let mut disk =
             DiskGraph::open_with_cache(&base, IoCounter::new(DEFAULT_BLOCK_SIZE), budget).unwrap();
         let d = semicore::semicore_star(&mut disk, &DecomposeOptions::default()).unwrap();
-        (d.stats.io.read_ios, d.core, disk.meta())
-    };
-
-    let (uncached, core_uncached, meta) = run(0);
-    let (ten_pct, core_ten, _) = run(meta.edge_file_len() / 10);
-    let (whole, core_whole, _) =
-        run(meta.node_file_len() + meta.edge_file_len() + DEFAULT_BLOCK_SIZE as u64);
-
-    assert_eq!(core_uncached, core_ten, "cache must not change results");
-    assert_eq!(core_uncached, core_whole);
+        let core = reference.get_or_insert_with(|| d.core.clone());
+        assert_eq!(*core, d.core, "M = {budget}: cache must not change results");
+        reads.push(d.stats.io.read_ios);
+    }
+    let (uncached, ten_pct, whole) = (reads[0], reads[1], reads[3]);
 
     // ~10% of the edge table: measurably fewer physical reads (>= 3%).
     assert!(
         ten_pct as f64 <= 0.97 * uncached as f64,
         "10% budget: {ten_pct} reads vs {uncached} uncached"
     );
-    // Whole-graph budget: every block fetched at most once per open, so the
-    // total sits within a small factor of one sequential scan.
-    let scan_blocks = (meta.node_file_len() + meta.edge_file_len()) / DEFAULT_BLOCK_SIZE as u64 + 2;
+    // More memory strictly saves reads at every step of the sweep.
     assert!(
-        whole <= scan_blocks + scan_blocks / 10,
+        reads.windows(2).all(|w| w[1] < w[0]),
+        "reads are not monotone in M: {reads:?} at budgets {budgets:?}"
+    );
+    // Whole-graph budget: every block is fetched once, so the total sits
+    // within a few blocks (the tables' partial tails) of one sequential
+    // scan — 928 against 925 here.
+    let scan_blocks = (nodes + edges) / DEFAULT_BLOCK_SIZE as u64;
+    assert!(
+        whole <= scan_blocks + 4,
         "whole-graph budget: {whole} reads vs scan floor {scan_blocks}"
     );
-    // And the sweep is monotone at these three points.
-    assert!(whole < ten_pct && ten_pct < uncached);
 }
 
 /// Graph handles are `Send` now that counters are atomics and the cache sits

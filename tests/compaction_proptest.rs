@@ -131,7 +131,9 @@ proptest! {
 /// Recovery of the compacted directory must charge strictly fewer
 /// `read_ios` — its checkpoint already covers every edit, while the
 /// uncompacted twin re-runs the whole journal through the maintenance
-/// algorithms and pays their adjacency reads again.
+/// algorithms and pays their adjacency reads again. The directory itself
+/// (catalog, checkpoint, journal) must be strictly smaller too: the edits
+/// now live in the new generation's tables, not in a log beside them.
 #[test]
 fn recovering_a_compacted_directory_charges_strictly_fewer_reads() {
     let mut rng = Lcg::new(0xC0FFEE);
@@ -194,6 +196,19 @@ fn recovering_a_compacted_directory_charges_strictly_fewer_reads() {
     compacted_svc.compact(G).unwrap();
     drop(compacted_svc);
     drop(replayed_svc);
+
+    let dir_bytes = |data: &std::path::Path| -> u64 {
+        std::fs::read_dir(data)
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .sum()
+    };
+    let (small, large) = (dir_bytes(&compacted_data), dir_bytes(&replayed_data));
+    assert!(
+        small < large,
+        "compacted data dir holds {small} B, its uncompacted twin {large} B: \
+         checkpoint + journal must shrink"
+    );
 
     let compacted = CoreService::open_catalog(&compacted_data).unwrap();
     let replayed = CoreService::open_catalog(&replayed_data).unwrap();

@@ -15,7 +15,10 @@
 //! state and charge nothing, which is exactly why the differential can
 //! demand equality rather than mere plausibility. A second test runs the
 //! same fleet against a durable, group-commit service and demands the
-//! reopened catalog recover the final state bit-identically.
+//! reopened catalog recover the final state bit-identically. A third puts
+//! every writer on **one** durable graph and counts fsyncs: the journal
+//! barrier is shared between concurrent writers and never skipped for a
+//! lone one.
 //!
 //! Client counts run 1/2/4 by default; CI sets `KCORE_CLIENTS` to push
 //! the soak wider (e.g. 8) without slowing the local default.
@@ -25,7 +28,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    EvictionPolicy, GroupCommitOptions, MemGraph, QosConfig, TempDir, DEFAULT_BLOCK_SIZE,
+    EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, QosConfig, TempDir, Vfs,
+    DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::ScanExecutor;
@@ -326,6 +330,101 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
     }
     let report = kcore_suite::fsck(&data, false).unwrap();
     assert!(report.clean(), "post-soak fsck: {:?}", report.findings);
+}
+
+/// Writers on **one** durable graph serialize on its lock, so sharing the
+/// journal's fsync barrier is the only win there is, and it must be taken:
+/// `writers × ops` acknowledged updates cost strictly fewer fsyncs, at
+/// gather window 0 and at 200 µs. A lone writer has nobody to share with
+/// and nothing may be skipped for it: exactly one fsync per op. (Whether
+/// the window lowers the count further is scheduling; kbench reports it
+/// as `wal.fsyncs_per_write`.)
+///
+/// Pair `(u, v)` belongs to writer `(u + v) mod writers`, so each writer's
+/// toggles stay valid under any interleaving and the final edge set is the
+/// same for every schedule.
+#[test]
+fn writers_on_one_graph_share_the_journal_barrier() {
+    const NODES: u32 = 48;
+    const OPS: usize = 60;
+    let ring: BTreeSet<(u32, u32)> = (0..NODES)
+        .map(|u| (u.min((u + 1) % NODES), u.max((u + 1) % NODES)))
+        .collect();
+    for writers in [1usize, 4] {
+        let owner = |&(u, v): &(u32, u32)| (u + v) as usize % writers;
+        // Each writer walks its own slice with a stride, so consecutive
+        // ops touch different adjacency lists.
+        let slices: Vec<Vec<(u32, u32)>> = (0..writers)
+            .map(|w| {
+                let mine: Vec<(u32, u32)> = (0..NODES)
+                    .flat_map(|u| ((u + 1)..NODES).map(move |v| (u, v)))
+                    .filter(|e| owner(e) == w)
+                    .collect();
+                (0..OPS).map(|i| mine[(i * 7 + w) % mine.len()]).collect()
+            })
+            .collect();
+        let mut expected = ring.clone();
+        for &e in slices.iter().flatten() {
+            if !expected.remove(&e) {
+                expected.insert(e);
+            }
+        }
+
+        for window in [None, Some(Duration::from_micros(200))] {
+            let dir = TempDir::new("conc-barrier").unwrap();
+            let fault = FaultVfs::new(FaultPlan::default());
+            let svc = CoreService::create_durable_with_vfs(
+                &dir.path().join("data"),
+                DEFAULT_BLOCK_SIZE,
+                BUDGET,
+                EvictionPolicy::ScanLifo,
+                ScanExecutor::Sequential,
+                DurableOptions {
+                    // No checkpoint inside the run: every sync event
+                    // counted below is a journal barrier.
+                    checkpoint_every: u64::MAX,
+                    group_commit: window.map(|max_delay| GroupCommitOptions { max_delay }),
+                    ..Default::default()
+                },
+                Arc::clone(&fault) as Arc<dyn Vfs>,
+            )
+            .unwrap();
+            svc.create(
+                "shared",
+                &dir.path().join("base"),
+                ring.iter().copied(),
+                NODES,
+            )
+            .unwrap();
+
+            let before = fault.sync_events();
+            std::thread::scope(|scope| {
+                for (w, toggles) in slices.iter().enumerate() {
+                    let svc = &svc;
+                    let mut present: BTreeSet<(u32, u32)> =
+                        ring.iter().copied().filter(|e| owner(e) == w).collect();
+                    scope.spawn(move || {
+                        for &e in toggles {
+                            apply_toggle(svc, "shared", &mut present, e);
+                        }
+                    });
+                }
+            });
+            let fsyncs = fault.sync_events() - before;
+            let acked = (writers * OPS) as u64;
+            if writers == 1 {
+                assert_eq!(fsyncs, acked, "window {window:?}: a lone writer's barriers");
+            } else {
+                assert!(
+                    fsyncs < acked,
+                    "window {window:?}: {fsyncs} fsyncs for {acked} updates by {writers} \
+                     writers — no barrier was shared"
+                );
+            }
+            let mem = MemGraph::from_edges(expected.iter().copied(), NODES);
+            assert_eq!(svc.cores("shared").unwrap(), oracle_cores(&mem));
+        }
+    }
 }
 
 /// A stock client — plain `TcpStream`, Nagle and delayed ACKs left on —

@@ -149,6 +149,24 @@ fn decomposition_bit_identical_and_v3_charges_strictly_less() {
         assert_eq!(s1.core, s3.core, "{family}: state cores");
         assert_eq!(s1.cnt, s3.cnt, "{family}: Eq. 2 counters");
     }
+
+    // "Strictly less" has a size: on a web-like graph of realistic density
+    // (R-MAT scale 12, ~24 edges per node) at 10 % of the v1 edge table,
+    // SemiCore* is charged at least a quarter fewer reads — the bar the
+    // format was accepted at (65 % measured here).
+    let web = graphgen::Rmat::web(12);
+    let g = MemGraph::from_edges(graphgen::rmat_edges(web, 180_000, 42), web.num_nodes());
+    let (b1, b3) = write_pair(&dir, &g, "web");
+    let budget = edge_table_len(&b1) / 10;
+    let [r1, r3] = [&b1, &b3].map(|base| {
+        let mut d = open_cached(base, budget, EvictionPolicy::ScanLifo);
+        semicore_star_with(&mut d, &opts, ScanExecutor::Sequential).unwrap();
+        d.io().read_ios
+    });
+    assert!(
+        r3 * 4 <= r1 * 3,
+        "web stand-in at M = {budget}: v3 charged {r3} reads, v1 {r1} — under 25 % fewer"
+    );
 }
 
 #[test]

@@ -14,11 +14,16 @@
 //!   `physical_reads` may move with contention.
 //! * The shared pool **never exceeds its global byte budget**, no matter
 //!   how many graphs hammer it from how many threads.
+//! * Pooling **pays**: at a budget of the combined working set, one pool
+//!   fetches every block once where a static per-graph split of the same
+//!   bytes thrashes on the largest graph.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use graphstore::{mem_to_disk, EvictionPolicy, IoCounter, IoSnapshot, TempDir, DEFAULT_BLOCK_SIZE};
+use graphstore::{
+    mem_to_disk, EvictionPolicy, IoCounter, IoSnapshot, MemGraph, TempDir, DEFAULT_BLOCK_SIZE,
+};
 use kcore_suite::CoreService;
 use semicore::ScanExecutor;
 use testutil::{fixtures, worker_counts, working_set_budget, Lcg};
@@ -247,6 +252,65 @@ fn eviction_frees_capacity_for_the_survivors() {
     run_updates(&svc, &bases[1].0, 7, 10);
     assert!(svc.verify(&bases[1].0).unwrap());
     assert!(svc.io(victim).is_err());
+}
+
+/// What the pool is for. Three graphs of unequal size (the largest ~10× the
+/// smallest) at a total budget `M` of their combined working set: pooled,
+/// every tenant stays resident and each block is fetched exactly once —
+/// physical reads equal the charged count; split statically into `M / 3`
+/// each, the large graph's third cannot hold it while the small graphs'
+/// thirds sit idle, so the same sessions fetch strictly more. Sequential
+/// and seeded, so the counts repeat. (Mid-range budgets can wobble either
+/// way under scan-resistant eviction; kbench reports those as
+/// `pool.hit_ratio` / `io.physical_reads`.)
+#[test]
+fn pooling_the_combined_working_set_beats_a_static_split() {
+    let dir = TempDir::new("svc-split").unwrap();
+    let trio: Vec<(&str, PathBuf)> = [
+        ("small", 9, 18_000),
+        ("medium", 11, 54_000),
+        ("large", 12, 180_000),
+    ]
+    .into_iter()
+    .map(|(name, scale, draws)| {
+        let web = graphgen::Rmat::web(scale);
+        let g = MemGraph::from_edges(graphgen::rmat_edges(web, draws, 42), web.num_nodes());
+        let base = dir.path().join(name);
+        mem_to_disk(&base, &g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+        (name, base)
+    })
+    .collect();
+    let total: u64 = trio.iter().map(|(_, base)| working_set_budget(base)).sum();
+
+    // (physical, charged) reads summed over the three sessions, with the
+    // total budget carved into `pools` equal pools (1 = shared by all).
+    let sessions = |pools: usize| -> (u64, u64) {
+        let budget = total / pools as u64;
+        let services: Vec<CoreService> = (0..pools)
+            .map(|_| service(EvictionPolicy::ScanLifo, ScanExecutor::Sequential, budget))
+            .collect();
+        let mut sum = (0, 0);
+        for (i, (name, base)) in trio.iter().enumerate() {
+            let svc = &services[i % pools];
+            svc.open(name, base).unwrap();
+            run_updates(svc, name, 0x5EED + i as u64, 30);
+            let io = svc.io(name).unwrap();
+            sum = (sum.0 + io.physical_reads, sum.1 + io.read_ios);
+        }
+        sum
+    };
+    let (pooled, split) = (sessions(1), sessions(trio.len()));
+    assert_eq!(pooled.1, split.1, "charged reads never see the split");
+    assert_eq!(
+        pooled.0, pooled.1,
+        "a pool holding every working set fetches each charged block once"
+    );
+    assert!(
+        pooled.0 < split.0,
+        "pooled {} physical reads, split {}: the pool must win at the whole working set",
+        pooled.0,
+        split.0
+    );
 }
 
 #[test]

@@ -1,0 +1,402 @@
+//! The paper's evaluation (§VI, Figs. 3 and 9–12) as deterministic
+//! assertions on the `graphgen::dataset_by_name` stand-ins.
+//!
+//! Every claim here is an *ordering of charged counters* — `read_ios`,
+//! `node_computations`, `peak_memory_bytes` — which this repo keeps
+//! bit-identical across schedules, so the figures need no bench run and no
+//! clock: nothing in this file reads time. Each test prints the numbers it
+//! passed at (`-- --nocapture`, triples in the order `[SemiCore*, SemiCore+,
+//! SemiCore]`); two runs print the same lines. README
+//! "Reproduction" maps each claim to its test and records the two places
+//! the stand-ins deviate from the paper.
+//!
+//! The scales are what keeps the file under ~20 s in the debug profile;
+//! the `fig*` binaries of `crates/bench` print the same tables at any
+//! `--scale`.
+
+use std::path::Path;
+
+use graphgen::{dataset_by_name, sample_edges, sample_nodes};
+use graphstore::{
+    mem_to_disk, AdjacencyRead, BufferedGraph, DiskGraph, IoCounter, MemGraph, TempDir,
+    DEFAULT_BLOCK_SIZE,
+};
+use rand::rngs::SmallRng;
+use rand::{seq::SliceRandom, SeedableRng};
+use semicore::{
+    find_violations, semi_delete_star, semi_insert, semi_insert_star, semicore_star_state,
+    DecomposeOptions, Decomposition, EmCoreOptions, InMemoryCores, RunStats, SparseMarks,
+};
+
+/// The paper's group one (Fig. 9 a/c/e, Fig. 10 a/c).
+const SMALL_GROUP: [&str; 6] = ["DBLP", "Youtube", "WIKI", "CPT", "LJ", "Orkut"];
+/// The two graphs of Figs. 3, 11 and 12.
+const SCALABILITY_PAIR: [&str; 2] = ["Twitter", "UK"];
+
+// Stand-in scales. 0.03 is the smallest at which DBLP's tables span enough
+// blocks for its three read counts to differ (they are 2 / 2 / 2 at 0.025);
+// EMCore on Orkut, two thirds of the Fig. 9 test's time, is what keeps it
+// from being larger. Fig. 3 needs runs long enough to have a second half.
+const FIG9_SCALE: f64 = 0.03;
+const FIG3_SCALE: f64 = 0.06;
+const FIG10_SCALE: f64 = 0.03;
+const FIG11_12_SCALE: f64 = 0.015;
+
+/// Theorem 4.2's bound with the constant written down: SemiCore\* holds
+/// `core` and `cnt` (8 B/node) plus a kernel scratch of `O(d_max)` words,
+/// which stays under 4 B/node on every stand-in.
+const STAR_BYTES_PER_NODE: u64 = 12;
+/// "Far below": the in-memory and partition baselines hold at least this
+/// many times SemiCore\*'s peak on every small-group stand-in (the sparsest,
+/// WIKI at `m/n` = 2.1, sets it; Orkut at 38 is above 25×).
+const BASELINE_MEMORY_FACTOR: u64 = 4;
+/// EMCore's budget as a fraction of the edge table, and its partitions as
+/// a fraction of that budget (`fig9_decomposition` uses the same two).
+const EMCORE_BUDGET_DIVISOR: u64 = 4;
+const EMCORE_PARTITIONS_PER_BUDGET: u64 = 4;
+/// Fig. 3: everything the second half of a SemiCore run changes, as a
+/// share of what its first iteration alone changed.
+const FIG3_TAIL_DIVISOR: u64 = 4;
+
+fn write_table(g: &MemGraph, base: &Path) -> u64 {
+    mem_to_disk(base, g, IoCounter::new(DEFAULT_BLOCK_SIZE))
+        .unwrap()
+        .meta()
+        .edge_file_len()
+}
+
+/// A cold, uncached handle with its own counter: what the paper's `M = O(n)`
+/// model charges, and nothing one algorithm's run can leave for the next.
+fn open(base: &Path) -> DiskGraph {
+    DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap()
+}
+
+/// Theorem 4.1: the assignment is a fixpoint of Eq. 1 at every node. Every
+/// algorithm here descends from `deg(v)`, so a clean certificate is
+/// exactness.
+fn assert_fixpoint(g: &mut impl AdjacencyRead, core: &[u32], what: &str) {
+    let violations = find_violations(g, core).unwrap();
+    assert!(violations.is_empty(), "{what}: {}", violations[0]);
+}
+
+/// The certificate from a fresh handle, so it charges no run.
+fn certify(base: &Path, core: &[u32], what: &str) {
+    assert_fixpoint(&mut open(base), core, what);
+}
+
+/// SemiCore\*, SemiCore+ and SemiCore over the same table, certified.
+fn semi_external_trio(base: &Path, what: &str) -> [Decomposition; 3] {
+    let opts = DecomposeOptions::default();
+    let trio = [
+        semicore::semicore_star(&mut open(base), &opts).unwrap(),
+        semicore::semicore_plus(&mut open(base), &opts).unwrap(),
+        semicore::semicore(&mut open(base), &opts).unwrap(),
+    ];
+    for d in &trio {
+        certify(base, &d.core, &format!("{what} {}", d.stats.algorithm));
+    }
+    trio
+}
+
+/// One counter of the trio, in the order `[SemiCore*, SemiCore+, SemiCore]`.
+fn column(trio: &[Decomposition; 3], counter: impl Fn(&RunStats) -> u64) -> [u64; 3] {
+    trio.each_ref().map(|d| counter(&d.stats))
+}
+
+/// Figs. 9 (e/f) and 11: both cost counters strictly ordered
+/// SemiCore\* < SemiCore+ < SemiCore. Returns (reads, node computations).
+fn assert_decomposition_ordering(trio: &[Decomposition; 3], what: &str) -> ([u64; 3], [u64; 3]) {
+    let reads = column(trio, |s| s.io.read_ios);
+    let computations = column(trio, |s| s.node_computations);
+    for (counter, [star, plus, basic]) in [("reads", reads), ("node computations", computations)] {
+        assert!(
+            star < plus && plus < basic,
+            "{what}: {counter} {star} / {plus} / {basic} not strictly SemiCore* < SemiCore+ < SemiCore"
+        );
+    }
+    (reads, computations)
+}
+
+#[test]
+fn fig09_decomposition_io_computations_and_memory() {
+    let dir = TempDir::new("claims-fig9").unwrap();
+    for name in SMALL_GROUP {
+        let g = dataset_by_name(name).unwrap().generate_mem(FIG9_SCALE);
+        let (n, m) = (u64::from(g.num_nodes()), g.num_edges());
+        let base = dir.path().join(name);
+        let edge_bytes = write_table(&g, &base);
+
+        let trio = semi_external_trio(&base, name);
+        let (reads, computations) = assert_decomposition_ordering(&trio, name);
+        let memory = column(&trio, |s| s.peak_memory_bytes);
+        let star_bytes = memory[0];
+
+        let im = semicore::imcore(&g);
+        certify(&base, &im.core, &format!("{name} IMCore"));
+        assert_eq!(trio[0].core, im.core, "{name}: SemiCore* vs IMCore");
+
+        // EMCore at a budget that is a share of the edge table — the
+        // paper's regime — and at one that holds all of it.
+        let budget = edge_bytes / EMCORE_BUDGET_DIVISOR;
+        let emcore = |memory_budget| {
+            let opts = EmCoreOptions {
+                partition_bytes: budget / EMCORE_PARTITIONS_PER_BUDGET,
+                memory_budget,
+            };
+            let d = semicore::emcore(&mut open(&base), &opts).unwrap();
+            certify(
+                &base,
+                &d.core,
+                &format!("{name} EMCore at {memory_budget} B"),
+            );
+            d.stats
+        };
+        let em = emcore(budget);
+        let em_resident = emcore(2 * edge_bytes);
+
+        println!(
+            "fig9 {name}: n {n} m {m} | reads {reads:?}, EMCore {} (graph in budget: {}) | \
+             computations {computations:?} | memory {memory:?} against {}, IMCore {}, EMCore {} | \
+             EMCore writes {}",
+            em.io.read_ios,
+            em_resident.io.read_ios,
+            STAR_BYTES_PER_NODE * n,
+            im.stats.peak_memory_bytes,
+            em.peak_memory_bytes,
+            em.io.write_ios,
+        );
+
+        // Fig. 9 (e): the semi-external trio is read-only; EMCore rewrites
+        // its partitions every round.
+        assert_eq!(column(&trio, |s| s.io.write_ios), [0; 3], "{name}: wrote");
+        assert!(em.io.write_ios > 0, "{name}: EMCore wrote nothing");
+        // Fig. 9 (e): EMCore's I/O is the worst — more in total than any
+        // of the trio, more reads than SemiCore* — while its budget is a
+        // share of the table. Once the budget holds the graph (what a fixed
+        // budget does to a small stand-in) it reads every partition once,
+        // less than SemiCore*'s passes: the paper's claim does not hold
+        // there, and that is asserted rather than hidden.
+        assert!(
+            em.total_ios() > reads[2] && em.io.read_ios > reads[0],
+            "{name}: EMCore at a 1/{EMCORE_BUDGET_DIVISOR} budget did {} I/Os, {} of them reads",
+            em.total_ios(),
+            em.io.read_ios
+        );
+        assert!(
+            em_resident.io.read_ios < reads[0],
+            "{name}: EMCore holding the graph read {}",
+            em_resident.io.read_ios
+        );
+
+        // Fig. 9 (c): node-only memory. SemiCore keeps `core`, SemiCore+
+        // adds a bit per node, SemiCore* adds `cnt`; all O(n) whatever `m`
+        // is, while IMCore holds both copies of every edge.
+        assert!(
+            memory[2] <= memory[1] && memory[1] <= star_bytes,
+            "{name}: memory {memory:?} not SemiCore <= SemiCore+ <= SemiCore*"
+        );
+        assert!(
+            star_bytes <= STAR_BYTES_PER_NODE * n,
+            "{name}: {star_bytes} B over {n} nodes"
+        );
+        assert!(im.stats.peak_memory_bytes >= 8 * m);
+        for bytes in [im.stats.peak_memory_bytes, em.peak_memory_bytes] {
+            assert!(
+                bytes >= BASELINE_MEMORY_FACTOR * star_bytes,
+                "{name}: a baseline held {bytes} B, SemiCore* {star_bytes}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fig03_changed_nodes_collapse_after_the_first_iterations() {
+    let dir = TempDir::new("claims-fig3").unwrap();
+    for name in SCALABILITY_PAIR {
+        let g = dataset_by_name(name).unwrap().generate_mem(FIG3_SCALE);
+        let base = dir.path().join(name);
+        write_table(&g, &base);
+        let opts = DecomposeOptions {
+            track_changed_per_iteration: true,
+        };
+        let d = semicore::semicore(&mut open(&base), &opts).unwrap();
+        certify(&base, &d.core, name);
+        let series = d.stats.changed_per_iteration.unwrap();
+        let first = series[0];
+        let second_half: u64 = series[series.len() / 2..].iter().sum();
+        println!(
+            "fig3 {name}: n {} | {} iterations, first changed {first}, the whole second half \
+             {second_half}, last {}",
+            g.num_nodes(),
+            series.len(),
+            series[series.len() - 1]
+        );
+        assert!(
+            second_half * FIG3_TAIL_DIVISOR < first,
+            "{name}: second half of the run changed {second_half} nodes, first iteration {first}"
+        );
+    }
+}
+
+fn victims(g: &MemGraph, seed: u64, count: usize) -> Vec<(u32, u32)> {
+    let mut edges: Vec<(u32, u32)> = g.edges().collect();
+    edges.shuffle(&mut SmallRng::seed_from_u64(seed));
+    edges.truncate(count);
+    edges
+}
+
+/// `[charged reads, node computations]` summed over one phase of the
+/// paper's protocol.
+type UpdateCost = [u64; 2];
+
+fn add(cost: &mut UpdateCost, st: &semicore::MaintainStats) {
+    cost[0] += st.io.read_ios;
+    cost[1] += st.node_computations;
+}
+
+/// The paper's Fig. 10 protocol on a disk graph: remove the victims one by
+/// one with SemiDelete\*, then put them back with the given insertion
+/// algorithm. Returns (delete cost, insert cost); the state is certified
+/// after each phase.
+fn delete_then_reinsert(
+    g: &MemGraph,
+    base: &Path,
+    victims: &[(u32, u32)],
+    one_phase: bool,
+) -> (UpdateCost, UpdateCost) {
+    let disk = mem_to_disk(base, g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    let mut graph = BufferedGraph::with_default_capacity(disk);
+    let (mut state, _) = semicore_star_state(&mut graph, &DecomposeOptions::default()).unwrap();
+    let mut marks = SparseMarks::new(g.num_nodes());
+    let what = base.display().to_string();
+
+    let mut delete = UpdateCost::default();
+    for &(u, v) in victims {
+        add(
+            &mut delete,
+            &semi_delete_star(&mut graph, &mut state, u, v).unwrap(),
+        );
+    }
+    assert_fixpoint(&mut graph, &state.core, &what);
+    let mut insert = UpdateCost::default();
+    for &(u, v) in victims {
+        let st = if one_phase {
+            semi_insert_star(&mut graph, &mut state, &mut marks, u, v)
+        } else {
+            semi_insert(&mut graph, &mut state, &mut marks, u, v)
+        };
+        add(&mut insert, &st.unwrap());
+    }
+    assert_fixpoint(&mut graph, &state.core, &what);
+    (delete, insert)
+}
+
+/// Figs. 10 and 12 on one graph: SemiDelete\* ≤ SemiInsert\* < SemiInsert in
+/// reads and in node computations per update. Returns SemiInsert\*'s cost.
+fn assert_maintenance_ordering(
+    g: &MemGraph,
+    dir: &TempDir,
+    tag: &str,
+    victims: &[(u32, u32)],
+) -> UpdateCost {
+    let (delete, two_phase) =
+        delete_then_reinsert(g, &dir.path().join(format!("{tag}-2")), victims, false);
+    let (delete_again, one_phase) =
+        delete_then_reinsert(g, &dir.path().join(format!("{tag}-1")), victims, true);
+    assert_eq!(
+        delete, delete_again,
+        "{tag}: the delete phase is the same run"
+    );
+    println!(
+        "{tag}: n {} m {} | per {} updates, [reads, computations]: {delete:?} <= {one_phase:?} < {two_phase:?}",
+        g.num_nodes(),
+        g.num_edges(),
+        victims.len(),
+    );
+    for (i, counter) in ["reads", "node computations"].into_iter().enumerate() {
+        assert!(
+            delete[i] <= one_phase[i] && one_phase[i] < two_phase[i],
+            "{tag}: {counter} {} / {} / {} not SemiDelete* <= SemiInsert* < SemiInsert",
+            delete[i],
+            one_phase[i],
+            two_phase[i]
+        );
+    }
+    one_phase
+}
+
+#[test]
+fn fig10_maintenance_cost_per_update() {
+    let dir = TempDir::new("claims-fig10").unwrap();
+    for name in SMALL_GROUP {
+        let spec = dataset_by_name(name).unwrap();
+        let g = spec.generate_mem(FIG10_SCALE);
+        let victims = victims(&g, 0xF1610 + spec.seed, 100);
+        let one_phase = assert_maintenance_ordering(&g, &dir, &format!("fig10 {name}"), &victims);
+
+        // SemiInsert* visits exactly the nodes the in-memory algorithm
+        // does: the semi-external model costs block reads, not extra work.
+        let mut in_memory = InMemoryCores::new(&g).unwrap();
+        for &(u, v) in &victims {
+            in_memory.delete_edge(u, v).unwrap();
+        }
+        let computations: u64 = victims
+            .iter()
+            .map(|&(u, v)| in_memory.insert_edge(u, v).unwrap().node_computations)
+            .sum();
+        assert_eq!(
+            one_phase[1], computations,
+            "{name}: SemiInsert* vs the in-memory insert"
+        );
+    }
+}
+
+/// The 20 %…100 % node samples (induced subgraph) and edge samples of one
+/// stand-in, as Figs. 11 and 12 vary them. Both sweeps end at the whole
+/// stand-in, which is listed once.
+fn samples(name: &str) -> Vec<(String, MemGraph)> {
+    let full = dataset_by_name(name).unwrap().generate_mem(FIG11_12_SCALE);
+    let mut out = Vec::new();
+    for pct in [20u64, 40, 60, 80] {
+        let f = pct as f64 / 100.0;
+        out.push((
+            format!("{name} {pct}pct-V"),
+            sample_nodes(&full, f, 1000 + pct),
+        ));
+        out.push((
+            format!("{name} {pct}pct-E"),
+            sample_edges(&full, f, 2000 + pct),
+        ));
+    }
+    out.push((format!("{name} 100pct"), full));
+    out
+}
+
+#[test]
+fn fig11_decomposition_ordering_holds_at_every_sample() {
+    let dir = TempDir::new("claims-fig11").unwrap();
+    for name in SCALABILITY_PAIR {
+        for (tag, g) in samples(name) {
+            let base = dir.path().join(&tag);
+            write_table(&g, &base);
+            let trio = semi_external_trio(&base, &tag);
+            let (reads, computations) = assert_decomposition_ordering(&trio, &tag);
+            println!(
+                "fig11 {tag}: n {} m {} | reads {reads:?} | computations {computations:?}",
+                g.num_nodes(),
+                g.num_edges(),
+            );
+        }
+    }
+}
+
+#[test]
+fn fig12_maintenance_ordering_holds_at_every_sample() {
+    let dir = TempDir::new("claims-fig12").unwrap();
+    for name in SCALABILITY_PAIR {
+        for (tag, g) in samples(name) {
+            let victims = victims(&g, 0xF1612, 30);
+            assert_maintenance_ordering(&g, &dir, &format!("fig12 {tag}"), &victims);
+        }
+    }
+}
