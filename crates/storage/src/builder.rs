@@ -1,11 +1,11 @@
 //! Writers that lay graphs out on disk, including a memory-bounded external
 //! build path for edge lists that do not fit in memory.
 
-use std::collections::BinaryHeap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::codec;
 use crate::error::{Error, Result};
 use crate::format::{self, FormatVersion, GraphPaths};
 use crate::graph::DiskGraph;
@@ -124,9 +124,9 @@ impl DiskGraphWriter {
         let offset = self.edge_writer.position();
         self.encode_buf.clear();
         match self.version {
-            FormatVersion::V1 => crate::codec::encode_u32_run(nbrs, &mut self.encode_buf),
+            FormatVersion::V1 => codec::encode_u32_run(nbrs, &mut self.encode_buf),
             // `check_writable` admitted only v1 and the compressed format.
-            _ => crate::codec::encode_group_run(nbrs, &mut self.encode_buf),
+            _ => codec::encode_group_run(nbrs, &mut self.encode_buf),
         }
         self.edge_writer.write_all(&self.encode_buf)?;
         self.node_entries
@@ -220,33 +220,104 @@ pub fn disk_to_mem(g: &mut DiskGraph) -> Result<MemGraph> {
 
 /// Memory-bounded external graph builder.
 ///
-/// Edges are accumulated into a bounded in-memory run; full runs are sorted
-/// and spilled to disk; [`ExternalGraphBuilder::finish`] k-way-merges the
-/// runs (deduplicating) and streams adjacency lists straight into a
-/// [`DiskGraphWriter`]. Peak memory is `O(run_capacity)` regardless of `m`,
-/// mirroring how a web-scale edge list would actually be ingested.
+/// Undirected edges are accumulated once each into a bounded in-memory run.
+/// A full run becomes sorted adjacency lists by counting degrees into a
+/// node-indexed array, scattering both directions of every edge, and
+/// sorting only the lists that did not come out ascending (none, when the
+/// input arrives grouped by source); it is spilled as `(node, len,
+/// neighbours…)` records. [`ExternalGraphBuilder::finish`] keeps the last
+/// run in memory and walks the nodes in ascending order, taking each node's
+/// list from that run and from whichever spilled runs hold one (uniting
+/// them when more than one does) straight into a [`DiskGraphWriter`].
 ///
-/// Scratch-run I/O is intentionally *not* charged to the graph's counter:
-/// the paper measures algorithm I/O, not one-off ingest cost.
+/// # Memory
+///
+/// Peak live memory is `8 · run_capacity` bytes of run (4 B per directed
+/// edge of buffered pairs plus 4 B per directed edge of scattered
+/// neighbours) and 8 B per node of run index (offsets and list lengths),
+/// whatever `m` is; `finish` adds the writer's 12 B per node of node
+/// entries and one 64 KiB read buffer per spilled run. The node-indexed
+/// terms are what the semi-external model grants — `O(n)` of memory, the
+/// same budget the decomposition's `core[]` array draws on — while the
+/// `O(m)` edge set only ever passes through the `run_capacity` window.
+/// Every run costs a pass over that index, so a `run_capacity` far below
+/// `n` spends its time there: give the run at least the `O(n)` the model
+/// already allows.
+///
+/// Scratch runs live under [`std::env::temp_dir`]; where that is a tmpfs
+/// they are held in RAM, so point `TMPDIR` at a disk for inputs beyond
+/// memory. Scratch-run I/O is intentionally *not* charged to the graph's
+/// counter: the paper measures algorithm I/O, not one-off ingest cost.
 pub struct ExternalGraphBuilder {
     scratch: TempDir,
-    runs: Vec<PathBuf>,
-    buf: Vec<u64>,
-    run_capacity: usize,
-    max_node: u32,
-    saw_edge: bool,
+    runs: Vec<SpilledRun>,
+    /// The current run: each undirected edge once, in arrival order.
+    pairs: Vec<(u32, u32)>,
+    /// Undirected edges per run.
+    pair_capacity: usize,
+    /// Largest id seen plus one.
+    num_nodes: u32,
     version: FormatVersion,
 }
 
-/// Pack a directed edge into a sortable u64.
-#[inline]
-fn pack(u: u32, v: u32) -> u64 {
-    ((u as u64) << 32) | v as u64
+/// Bytes moved per scratch-run write and read.
+const RUN_CHUNK: usize = 64 << 10;
+
+/// A run on disk with the length and checksum it was written with, which
+/// is how its reader tells the run's end from a truncation and its words
+/// from damage.
+struct SpilledRun {
+    path: PathBuf,
+    bytes: u64,
+    sum: RunSum,
 }
 
-#[inline]
-fn unpack(x: u64) -> (u32, u32) {
-    ((x >> 32) as u32, x as u32)
+/// Position-sensitive checksum over a run's `u32` words (Fletcher's two
+/// running sums): any one word changed, or two swapped, changes it.
+#[derive(Clone, Copy, Default, PartialEq)]
+struct RunSum(u64, u64);
+
+impl RunSum {
+    fn add(&mut self, words: &[u32]) {
+        for &w in words {
+            self.0 = self.0.wrapping_add(w as u64);
+            self.1 = self.1.wrapping_add(self.0);
+        }
+    }
+}
+
+/// One run as sorted, duplicate-free adjacency lists over nodes
+/// `0..lens.len()`: node `v`'s list is the first `lens[v]` entries of
+/// `nbrs` from `offsets[v]`.
+struct CsrRun {
+    offsets: Vec<u32>,
+    lens: Vec<u32>,
+    nbrs: Vec<u32>,
+}
+
+impl CsrRun {
+    /// Node `v`'s list; empty for a node the run never saw.
+    fn list(&self, v: u32) -> &[u32] {
+        let at = self.offsets[v as usize] as usize;
+        &self.nbrs[at..at + self.lens[v as usize] as usize]
+    }
+}
+
+/// Make `list` strictly ascending in place — sorted, duplicates dropped —
+/// and return how many entries remain. A list already so is only read.
+fn sort_dedup(list: &mut [u32]) -> usize {
+    if list.windows(2).all(|w| w[0] < w[1]) {
+        return list.len();
+    }
+    list.sort_unstable();
+    let mut kept = 1;
+    for i in 1..list.len() {
+        if list[i] != list[kept - 1] {
+            list[kept] = list[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 impl ExternalGraphBuilder {
@@ -266,49 +337,108 @@ impl ExternalGraphBuilder {
                 "run capacity must hold at least one undirected edge".into(),
             ));
         }
+        // A run's offsets are `u32`, so it holds at most `u32::MAX`
+        // directed edges (32 GiB of run).
+        let pair_capacity = (run_capacity / 2).min(u32::MAX as usize / 2);
         Ok(ExternalGraphBuilder {
             scratch: TempDir::new("kcore-build")?,
             runs: Vec::new(),
-            buf: Vec::with_capacity(run_capacity),
-            run_capacity,
-            max_node: 0,
-            saw_edge: false,
+            pairs: Vec::with_capacity(pair_capacity),
+            pair_capacity,
+            num_nodes: 0,
             version,
         })
     }
 
-    /// Add one undirected edge. Self-loops are dropped silently.
+    /// Add one undirected edge. Self-loops are dropped silently; the id
+    /// `u32::MAX` is refused, because the node count must fit `u32`.
     pub fn add_edge(&mut self, u: u32, v: u32) -> Result<()> {
+        let hi = u.max(v);
+        if hi == u32::MAX {
+            return Err(Error::InvalidArgument(format!(
+                "node id {hi} is out of range: the node count must fit u32"
+            )));
+        }
         if u == v {
             return Ok(());
         }
-        self.max_node = self.max_node.max(u).max(v);
-        self.saw_edge = true;
-        self.buf.push(pack(u, v));
-        self.buf.push(pack(v, u));
-        if self.buf.len() >= self.run_capacity {
+        self.num_nodes = self.num_nodes.max(hi + 1);
+        self.pairs.push((u, v));
+        if self.pairs.len() == self.pair_capacity {
             self.spill()?;
         }
         Ok(())
     }
 
-    fn spill(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+    /// Turn the buffered pairs into a [`CsrRun`] and empty the buffer.
+    fn take_run(&mut self) -> CsrRun {
+        let n = self.num_nodes as usize;
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in &self.pairs {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        self.buf.sort_unstable();
-        self.buf.dedup();
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // `lens[v]` counts what the scatter has placed in `v`'s list so
+        // far; once every pair is placed it is the list's length.
+        let mut lens = vec![0u32; n];
+        let mut nbrs = vec![0u32; 2 * self.pairs.len()];
+        for &(u, v) in &self.pairs {
+            for (a, b) in [(u, v), (v, u)] {
+                nbrs[(offsets[a as usize] + lens[a as usize]) as usize] = b;
+                lens[a as usize] += 1;
+            }
+        }
+        self.pairs.clear();
+        for (v, len) in lens.iter_mut().enumerate() {
+            let at = offsets[v] as usize;
+            *len = sort_dedup(&mut nbrs[at..at + *len as usize]) as u32;
+        }
+        CsrRun {
+            offsets,
+            lens,
+            nbrs,
+        }
+    }
+
+    /// Write the current run to the scratch directory as `(node, len,
+    /// neighbours…)` records of little-endian `u32`s, one per node with a
+    /// non-empty list, in ascending node order.
+    fn spill(&mut self) -> Result<()> {
+        let run = self.take_run();
         let path = self
             .scratch
             .path()
             .join(format!("run{}.bin", self.runs.len()));
-        let mut w = BufWriter::new(std::fs::File::create(&path)?);
-        for &x in &self.buf {
-            w.write_all(&x.to_le_bytes())?;
+        let mut file = std::fs::File::create(&path)?;
+        // A list longer than a chunk goes out in pieces, so the write
+        // buffer stays under two chunks however long the list.
+        let mut chunk = Vec::with_capacity(2 * RUN_CHUNK + 8);
+        let mut bytes = 0u64;
+        let mut sum = RunSum::default();
+        for v in 0..self.num_nodes {
+            let list = run.list(v);
+            if list.is_empty() {
+                continue;
+            }
+            let head = [v, list.len() as u32];
+            sum.add(&head);
+            sum.add(list);
+            codec::encode_u32_run(&head, &mut chunk);
+            for piece in list.chunks(RUN_CHUNK / 4) {
+                codec::encode_u32_run(piece, &mut chunk);
+                if chunk.len() >= RUN_CHUNK {
+                    bytes += chunk.len() as u64;
+                    file.write_all(&chunk)?;
+                    chunk.clear();
+                }
+            }
         }
-        w.flush()?;
-        self.runs.push(path);
-        self.buf.clear();
+        bytes += chunk.len() as u64;
+        file.write_all(&chunk)?;
+        self.runs.push(SpilledRun { path, bytes, sum });
         Ok(())
     }
 
@@ -320,74 +450,169 @@ impl ExternalGraphBuilder {
         min_nodes: u32,
         counter: Arc<IoCounter>,
     ) -> Result<DiskGraph> {
-        self.spill()?;
-        let n = if self.saw_edge {
-            (self.max_node + 1).max(min_nodes)
-        } else {
-            min_nodes
-        };
+        let n = self.num_nodes.max(min_nodes);
+        // The last run is never spilled; "everything fitted in one run" is
+        // the case below with no readers. Its pair buffer is given back
+        // before the writer and the readers allocate theirs.
+        let tail = self.take_run();
+        self.pairs = Vec::new();
+        let mut readers = Vec::with_capacity(self.runs.len());
+        for run in &self.runs {
+            readers.push(RunReader::open(run, self.num_nodes)?);
+        }
         let mut writer =
             DiskGraphWriter::create_with_format(base, n, counter.clone(), self.version)?;
-
-        // K-way merge with global dedup.
-        let mut sources: Vec<RunReader> = Vec::with_capacity(self.runs.len());
-        for p in &self.runs {
-            sources.push(RunReader::open(p)?);
-        }
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (i, s) in sources.iter_mut().enumerate() {
-            if let Some(x) = s.next()? {
-                heap.push(std::cmp::Reverse((x, i)));
+        let mut merged: Vec<u32> = Vec::new();
+        for v in 0..self.num_nodes {
+            merged.clear();
+            let mut sources = 0;
+            for r in readers.iter_mut().filter(|r| r.node == v) {
+                r.take_list(&mut merged)?;
+                sources += 1;
             }
-        }
-        let mut cur_node: Option<u32> = None;
-        let mut nbrs: Vec<u32> = Vec::new();
-        let mut last: Option<u64> = None;
-        while let Some(std::cmp::Reverse((x, i))) = heap.pop() {
-            if let Some(nx) = sources[i].next()? {
-                heap.push(std::cmp::Reverse((nx, i)));
-            }
-            if last == Some(x) {
-                continue;
-            }
-            last = Some(x);
-            let (u, v) = unpack(x);
-            if cur_node != Some(u) {
-                if let Some(c) = cur_node {
-                    writer.append_adjacency(c, &nbrs)?;
+            let mut list = tail.list(v);
+            if sources > 0 {
+                if !list.is_empty() {
+                    merged.extend_from_slice(list);
+                    sources += 1;
                 }
-                cur_node = Some(u);
-                nbrs.clear();
+                if sources > 1 {
+                    let kept = sort_dedup(&mut merged);
+                    merged.truncate(kept);
+                }
+                list = &merged;
             }
-            nbrs.push(v);
+            if !list.is_empty() {
+                writer.append_adjacency(v, list)?;
+            }
         }
-        if let Some(c) = cur_node {
-            writer.append_adjacency(c, &nbrs)?;
-        }
+        // Every record names a node below `num_nodes`, in ascending order.
+        debug_assert!(readers.iter().all(|r| r.node == RunReader::DONE));
         writer.finish()?;
         DiskGraph::open(base, counter)
     }
 }
 
-/// Buffered reader over one spilled run of packed edges.
+/// Chunked reader over one spilled run, standing at one record at a time.
 struct RunReader {
-    reader: BufReader<std::fs::File>,
+    file: std::fs::File,
+    chunk: Vec<u8>,
+    /// Read position in `chunk`.
+    at: usize,
+    /// Bytes of the run not yet read into `chunk`.
+    unread: u64,
+    /// Nodes the records may name: `0..num_nodes`.
+    num_nodes: u32,
+    /// Checksum of the words read so far, and what the whole run's was
+    /// when it was written.
+    sum: RunSum,
+    written_sum: RunSum,
+    /// The current record's node, [`RunReader::DONE`] past the last.
+    node: u32,
+    /// The current record's neighbour count.
+    len: u32,
 }
 
 impl RunReader {
-    fn open(path: &Path) -> Result<Self> {
-        Ok(RunReader {
-            reader: BufReader::with_capacity(1 << 16, std::fs::File::open(path)?),
-        })
+    /// `node` of a reader past its last record; never a node id, since
+    /// [`ExternalGraphBuilder::add_edge`] refuses `u32::MAX`.
+    const DONE: u32 = u32::MAX;
+
+    /// Open `run` and stand at its first record.
+    fn open(run: &SpilledRun, num_nodes: u32) -> Result<Self> {
+        let file = std::fs::File::open(&run.path)?;
+        let on_disk = file.metadata()?.len();
+        if on_disk != run.bytes {
+            return Err(Error::corrupt(format!(
+                "scratch run {} is {on_disk} bytes, written as {}",
+                run.path.display(),
+                run.bytes
+            )));
+        }
+        let mut reader = RunReader {
+            file,
+            chunk: Vec::new(),
+            at: 0,
+            unread: run.bytes,
+            num_nodes,
+            sum: RunSum::default(),
+            written_sum: run.sum,
+            node: Self::DONE,
+            len: 0,
+        };
+        reader.next_record(None)?;
+        Ok(reader)
     }
 
-    fn next(&mut self) -> Result<Option<u64>> {
-        let mut b = [0u8; 8];
-        match self.reader.read_exact(&mut b) {
-            Ok(()) => Ok(Some(u64::from_le_bytes(b))),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(e.into()),
+    /// Bytes of the run after the read position.
+    fn remaining(&self) -> u64 {
+        self.unread + (self.chunk.len() - self.at) as u64
+    }
+
+    /// Read the next chunk. Runs and chunks are whole `u32`s, so a chunk
+    /// never ends inside one.
+    fn refill(&mut self) -> Result<()> {
+        let want = self.unread.min(RUN_CHUNK as u64) as usize;
+        self.chunk.resize(want, 0);
+        self.file.read_exact(&mut self.chunk)?;
+        self.unread -= want as u64;
+        self.at = 0;
+        Ok(())
+    }
+
+    fn word(&mut self) -> Result<u32> {
+        if self.remaining() < 4 {
+            return Err(Error::corrupt("scratch run ends inside a record"));
         }
+        if self.at == self.chunk.len() {
+            self.refill()?;
+        }
+        self.at += 4;
+        Ok(codec::get_u32(&self.chunk, self.at - 4))
+    }
+
+    /// Stand at the record after `prev` (the node of the one just
+    /// consumed), or at [`RunReader::DONE`] when the run is used up.
+    fn next_record(&mut self, prev: Option<u32>) -> Result<()> {
+        if self.remaining() == 0 {
+            if self.sum != self.written_sum {
+                return Err(Error::corrupt("scratch run fails its checksum"));
+            }
+            self.node = Self::DONE;
+            return Ok(());
+        }
+        let (node, len) = (self.word()?, self.word()?);
+        self.sum.add(&[node, len]);
+        if node >= self.num_nodes || prev.is_some_and(|p| node <= p) {
+            return Err(Error::corrupt(format!(
+                "scratch run record for node {node} is out of order or range"
+            )));
+        }
+        if len == 0 || 4 * len as u64 > self.remaining() {
+            return Err(Error::corrupt(format!(
+                "scratch run record for node {node} claims {len} neighbours"
+            )));
+        }
+        (self.node, self.len) = (node, len);
+        Ok(())
+    }
+
+    /// Append the current record's neighbours to `out` and stand at the
+    /// next record.
+    fn take_list(&mut self, out: &mut Vec<u32>) -> Result<()> {
+        let mut left = self.len as usize;
+        let first = out.len();
+        while left > 0 {
+            if self.at == self.chunk.len() {
+                self.refill()?;
+            }
+            let take = left.min((self.chunk.len() - self.at) / 4);
+            codec::decode_u32_run(&self.chunk[self.at..self.at + 4 * take], out)?;
+            self.at += 4 * take;
+            left -= take;
+        }
+        self.sum.add(&out[first..]);
+        self.next_record(Some(self.node))
     }
 }
 
@@ -476,6 +701,22 @@ mod tests {
         }
         let dg = b.finish(&dir.path().join("g"), 0, counter()).unwrap();
         assert_eq!(dg.num_edges(), 2);
+    }
+
+    #[test]
+    fn external_build_refuses_the_id_whose_node_count_overflows() {
+        let dir = TempDir::new("buildtest").unwrap();
+        let mut b = ExternalGraphBuilder::new(8).unwrap();
+        b.add_edge(0, 1).unwrap();
+        for (u, v) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX)] {
+            let err = b.add_edge(u, v).unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
+            assert!(err.to_string().contains("4294967295"), "{err}");
+        }
+        // Nothing of the refused edges was buffered.
+        assert_eq!((b.pairs.len(), b.num_nodes), (1, 2));
+        let dg = b.finish(&dir.path().join("g"), 0, counter()).unwrap();
+        assert_eq!((dg.num_nodes(), dg.num_edges()), (2, 1));
     }
 
     #[test]

@@ -315,18 +315,11 @@ fn quad_totals_scalar(ctrl: &[u8]) -> usize {
     ctrl.iter().map(|&c| QUAD_TOTAL[c as usize] as usize).sum()
 }
 
-/// The 2-bit code whose stored length minimally holds `s`.
+/// The 2-bit code whose stored length minimally holds `s`, as a sum of
+/// comparisons so the encoder's loop carries no data-dependent branch.
 #[inline]
-fn group_code(s: u32) -> u8 {
-    if s == 0 {
-        0
-    } else if s < 1 << 8 {
-        1
-    } else if s < 1 << 16 {
-        2
-    } else {
-        3
-    }
+fn group_code(s: u32) -> usize {
+    (s != 0) as usize + (s > 0xFF) as usize + (s > 0xFFFF) as usize
 }
 
 /// Append the stream-vbyte group encoding of a **strictly ascending** `u32`
@@ -342,25 +335,33 @@ fn group_code(s: u32) -> u8 {
 ///
 /// Debug-asserts strict sortedness; the builders validate before encoding.
 pub fn encode_group_run(values: &[u32], out: &mut Vec<u8>) {
-    if values.is_empty() {
-        return;
+    let start = out.len();
+    let ctrl_len = group_ctrl_len(values.len());
+    // Room for the worst case up front: every value is written as four
+    // bytes wherever the data cursor stands and the cursor then moves by
+    // the stored length, so the next value overwrites what was not kept.
+    out.resize(start + ctrl_len + 4 * values.len(), 0);
+    let (ctrl, data) = out[start..].split_at_mut(ctrl_len);
+    let mut at = 0;
+    // `v − MAX − 1` wraps to `v`: the first value stored verbatim.
+    let mut prev = u32::MAX;
+    for (q, (quad, ctrl)) in values.chunks(4).zip(ctrl).enumerate() {
+        let mut codes = 0;
+        for (i, &v) in quad.iter().enumerate() {
+            debug_assert!(
+                (q, i) == (0, 0) || v > prev,
+                "group run input must be strictly ascending"
+            );
+            let s = v.wrapping_sub(prev).wrapping_sub(1);
+            let code = group_code(s);
+            data[at..at + 4].copy_from_slice(&s.to_le_bytes());
+            at += GROUP_LENS[code];
+            codes |= code << (i * 2);
+            prev = v;
+        }
+        *ctrl = codes as u8;
     }
-    let ctrl_at = out.len();
-    out.resize(ctrl_at + group_ctrl_len(values.len()), 0);
-    let mut prev: Option<u32> = None;
-    for (i, &v) in values.iter().enumerate() {
-        let s = match prev {
-            None => v,
-            Some(p) => {
-                debug_assert!(v > p, "group run input must be strictly ascending");
-                v - p - 1
-            }
-        };
-        let code = group_code(s);
-        out[ctrl_at + i / 4] |= code << ((i % 4) * 2);
-        out.extend_from_slice(&s.to_le_bytes()[..GROUP_LENS[code as usize]]);
-        prev = Some(v);
-    }
+    out.truncate(start + ctrl_len + at);
 }
 
 /// Keeps the low bytes of a 4-byte load that a stored length of 0/1/2/4

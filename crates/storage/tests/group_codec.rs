@@ -370,3 +370,139 @@ fn long_runs_of_zero_byte_codes_decode_from_the_padded_bounce() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The encoder against its reference.
+// ---------------------------------------------------------------------------
+
+/// The encoder as it stood before it went branch-light — a length branch
+/// and a variable-length append per id — kept verbatim as the reference
+/// `encode_group_run` must match byte for byte.
+fn reference_encode_group_run(values: &[u32], out: &mut Vec<u8>) {
+    const GROUP_LENS: [usize; 4] = [0, 1, 2, 4];
+    fn group_code(s: u32) -> u8 {
+        if s == 0 {
+            0
+        } else if s < 1 << 8 {
+            1
+        } else if s < 1 << 16 {
+            2
+        } else {
+            3
+        }
+    }
+    if values.is_empty() {
+        return;
+    }
+    let ctrl_at = out.len();
+    out.resize(ctrl_at + group_ctrl_len(values.len()), 0);
+    let mut prev: Option<u32> = None;
+    for (i, &v) in values.iter().enumerate() {
+        let s = match prev {
+            None => v,
+            Some(p) => {
+                debug_assert!(v > p, "group run input must be strictly ascending");
+                v - p - 1
+            }
+        };
+        let code = group_code(s);
+        out[ctrl_at + i / 4] |= code << ((i % 4) * 2);
+        out.extend_from_slice(&s.to_le_bytes()[..GROUP_LENS[code as usize]]);
+        prev = Some(v);
+    }
+}
+
+/// Both encoders appending to `prefix`: equal bytes, prefix intact, nothing
+/// left behind past the run (the worst-case reservation is given back).
+fn assert_encodes_like_reference(values: &[u32], prefix: &[u8], tag: &str) {
+    let mut expect = prefix.to_vec();
+    reference_encode_group_run(values, &mut expect);
+    let mut got = prefix.to_vec();
+    encode_group_run(values, &mut got);
+    assert_eq!(got, expect, "{tag}");
+    assert_eq!(&got[..prefix.len()], prefix, "{tag}: prefix");
+    assert_eq!(
+        got.len() - prefix.len(),
+        if values.is_empty() {
+            0
+        } else {
+            group_run_len(&got[prefix.len()..], values.len())
+        },
+        "{tag}: slack bytes left behind"
+    );
+}
+
+/// The stored values on either side of every length-class boundary.
+const CLASS_EDGES: [u32; 7] = [0, 1, 255, 256, 65_535, 65_536, u32::MAX];
+
+#[test]
+fn encoder_matches_reference_on_every_class_boundary() {
+    let prefix = [0xA5u8, 0x5A, 0xFF, 0x00, 0x81];
+    for &first in &CLASS_EDGES {
+        // The first value is stored verbatim: every class as a first value,
+        // alone ...
+        assert_encodes_like_reference(&[first], &[], &format!("first {first}"));
+        assert_encodes_like_reference(&[first], &prefix, &format!("first {first} after prefix"));
+        // ... and ahead of each class as the stored gap of the second.
+        for &stored in &CLASS_EDGES {
+            let Some(second) = first.checked_add(1).and_then(|x| x.checked_add(stored)) else {
+                continue;
+            };
+            let tag = format!("first {first} then stored {stored}");
+            assert_encodes_like_reference(&[first, second], &[], &tag);
+            assert_encodes_like_reference(&[first, second], &prefix, &tag);
+        }
+    }
+    // Every class in every position of a quad, ragged tails included.
+    for count in 1..=9 {
+        for rotate in 0..CLASS_EDGES.len() - 1 {
+            let gaps: Vec<u32> = (0..count)
+                .map(|i| CLASS_EDGES[(i + rotate) % (CLASS_EDGES.len() - 1)] + 1)
+                .collect();
+            let values = ids_with_gaps(count, 0, &gaps);
+            let tag = format!("count {count} rotate {rotate}");
+            assert_encodes_like_reference(&values, &prefix, &tag);
+        }
+    }
+}
+
+#[test]
+fn encoder_matches_reference_for_every_count_and_prefix() {
+    // Counts 0..=67 walk every ragged last control byte past two full
+    // vector steps; the gap cycles put each stored size under each code
+    // position.
+    for count in 0..=67usize {
+        for gaps in [
+            &[1u32][..],
+            &[1, 2, 300, 70_000],
+            &[70_000, 300, 2, 1, 1],
+            &[256, 257],
+        ] {
+            for first in [0u32, 9, 1 << 20] {
+                let values = ids_with_gaps(count, first, gaps);
+                for prefix_len in [0usize, 1, 3, 64] {
+                    let prefix: Vec<u8> = (0..prefix_len).map(|i| (i * 37 + 11) as u8).collect();
+                    let tag =
+                        format!("count {count} gaps {gaps:?} first {first} prefix {prefix_len}");
+                    assert_encodes_like_reference(&values, &prefix, &tag);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn encoder_matches_reference_on_arbitrary_sorted_lists(
+        values in arb_sorted_list(),
+        prefix in proptest::collection::vec(any::<u8>(), 0usize..9),
+    ) {
+        let mut expect = prefix.clone();
+        reference_encode_group_run(&values, &mut expect);
+        let mut got = prefix;
+        encode_group_run(&values, &mut got);
+        prop_assert_eq!(got, expect);
+    }
+}

@@ -18,6 +18,9 @@
 //! ```
 //!
 //! All runs print the I/O and memory accounting the paper reports.
+//! `kcore build` spills its sorted runs under `std::env::temp_dir()`
+//! (`$TMPDIR`, `/tmp` by default); where that is a tmpfs the runs are held
+//! in RAM, so point `TMPDIR` at a disk for an input beyond memory.
 //! `--workers N` (or the `SEMICORE_WORKERS` environment variable) shards the
 //! decomposition's convergence scans across `N` threads; `--cache-mb M`
 //! serves disk blocks through an `M`-MiB shared buffer pool (required for
@@ -91,7 +94,7 @@ use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v3]]\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--group-commit-us U] [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v3]"
+        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v3]]\n              (scratch runs go under $TMPDIR, /tmp by default: on a tmpfs that is RAM,\n               so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--group-commit-us U] [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v3]"
     );
     std::process::exit(2)
 }
