@@ -1,15 +1,16 @@
-//! The scan executor: how a convergence loop schedules its passes.
+//! The scan executor: how SemiCore\*'s convergence loop schedules its passes.
 //!
-//! Every semi-external algorithm in this crate is a fixpoint iteration of
-//! repeated scans over a `[vmin, vmax]` vertex window (see [`crate::window`]).
-//! [`ScanExecutor`] abstracts *how* one such pass is driven:
+//! SemiCore\* is a fixpoint iteration of repeated scans over a
+//! `[vmin, vmax]` vertex window (see [`crate::window`]). [`ScanExecutor`]
+//! abstracts *how* one such pass is driven (SemiCore and SemiCore+, the
+//! paper's baselines, are sequential only):
 //!
 //! * [`ScanExecutor::Sequential`] — the paper's exact schedule: one thread
 //!   walks the window in ascending node order and updates state **in
 //!   place**, so a node recomputed late in a pass already sees the pass's
 //!   earlier updates (Gauss–Seidel propagation). This is the schedule whose
-//!   iteration and node-computation counts match Examples 4.1–4.3, and it is
-//!   what the plain entry points ([`crate::semicore()`], …) always run.
+//!   iteration and node-computation counts match Example 4.3, and it is
+//!   what the plain entry point ([`crate::semicore_star()`]) always runs.
 //! * [`ScanExecutor::Parallel`] — deterministic sharded passes: the pass's
 //!   victim set is fixed up front from the state at pass start, split into
 //!   contiguous shards, and scanned by a pool of worker threads that each
@@ -98,23 +99,6 @@ impl ScanExecutor {
         }
     }
 
-    /// Read the executor from the `SEMICORE_WORKERS` environment variable:
-    /// unset, empty, `0` or `1`* — sequential; `N ≥ 2` — parallel with `N`
-    /// workers. (*`1` maps to sequential here because a CLI user asking for
-    /// one thread wants the paper's schedule, not a one-worker Jacobi run.)
-    pub fn from_env() -> ScanExecutor {
-        Self::from_worker_setting(std::env::var("SEMICORE_WORKERS").ok().as_deref())
-    }
-
-    /// [`ScanExecutor::from_env`]'s parsing, separated so it can be tested
-    /// without mutating the process environment.
-    pub fn from_worker_setting(setting: Option<&str>) -> ScanExecutor {
-        match setting.and_then(|v| v.trim().parse::<usize>().ok()) {
-            Some(w) if w >= 2 => ScanExecutor::Parallel { workers: w },
-            _ => ScanExecutor::Sequential,
-        }
-    }
-
     /// Worker count when parallel, `None` when sequential.
     pub(crate) fn worker_count(self) -> Option<usize> {
         match self {
@@ -141,18 +125,6 @@ pub(crate) fn shard_handles<G: ShardableRead>(
     Ok(Some(shards))
 }
 
-/// What a pass records per recomputed node, and which side effects it emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PassKind {
-    /// SemiCore (Alg. 3): record changes only; no neighbour traffic.
-    Full,
-    /// SemiCore+ (Alg. 4): record changes; emit neighbour activations.
-    Active,
-    /// SemiCore* (Alg. 5): record every victim with its Eq. 2 support
-    /// (relative to the snapshot); emit neighbour messages on change.
-    Counted,
-}
-
 /// One recomputation result produced by a worker.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeUpdate {
@@ -162,13 +134,13 @@ pub(crate) struct NodeUpdate {
     pub cold: u32,
     /// Estimate after recomputation (`≤ cold`).
     pub cnew: u32,
-    /// `|{u ∈ nbr(v) | snapshot(u) ≥ cnew}|` — [`PassKind::Counted`] only.
+    /// `|{u ∈ nbr(v) | snapshot(u) ≥ cnew}|`: the node's Eq. 2 support
+    /// relative to the snapshot.
     pub support: u32,
 }
 
 /// A neighbour implicated by a changed node: "my estimate dropped from
-/// `wold` to `wnew`". The merge turns these into activations (SemiCore+) or
-/// `cnt` corrections (SemiCore*).
+/// `wold` to `wnew`". The merge turns these into `cnt` corrections.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Touch {
     /// The implicated neighbour.
@@ -244,8 +216,9 @@ impl ShardView<'_> {
     }
 }
 
-/// Scan one shard's victim list, producing updates and neighbour traffic
-/// per `kind`. Runs on a worker thread with the shard's private graph
+/// Scan one shard's victim list as SemiCore\* (Alg. 5) does: record every
+/// victim with its Eq. 2 support, and emit neighbour messages where the
+/// estimate changed. Runs on a worker thread with the shard's private graph
 /// handle.
 ///
 /// `cold` and the Eq. 2 support are always taken against the **snapshot**
@@ -256,7 +229,6 @@ fn scan_shard<G: AdjacencyRead>(
     g: &mut G,
     snapshot: &[u32],
     victims: &[u32],
-    kind: PassKind,
 ) -> Result<ShardOutput> {
     let mut scratch = Scratch::new();
     let mut out = ShardOutput::default();
@@ -269,50 +241,21 @@ fn scan_shard<G: AdjacencyRead>(
             if changed {
                 view.set(v, cnew);
             }
-            match kind {
-                PassKind::Full => {
-                    if changed {
-                        out.updates.push(NodeUpdate {
-                            v,
-                            cold,
-                            cnew,
-                            support: 0,
-                        });
-                    }
-                }
-                PassKind::Active => {
-                    if changed {
-                        out.updates.push(NodeUpdate {
-                            v,
-                            cold,
-                            cnew,
-                            support: 0,
-                        });
-                        out.touched.extend(nbrs.iter().map(|&u| Touch {
-                            u,
-                            wold: cold,
-                            wnew: cnew,
-                        }));
-                    }
-                }
-                PassKind::Counted => {
-                    // Every victim re-establishes its Eq. 2 support, changed
-                    // or not — mirroring Alg. 5 line 10.
-                    let support = compute_cnt(cnew, snapshot, nbrs);
-                    out.updates.push(NodeUpdate {
-                        v,
-                        cold,
-                        cnew,
-                        support,
-                    });
-                    if changed {
-                        out.touched.extend(nbrs.iter().map(|&u| Touch {
-                            u,
-                            wold: cold,
-                            wnew: cnew,
-                        }));
-                    }
-                }
+            // Every victim re-establishes its Eq. 2 support, changed or
+            // not — mirroring Alg. 5 line 10.
+            let support = compute_cnt(cnew, snapshot, nbrs);
+            out.updates.push(NodeUpdate {
+                v,
+                cold,
+                cnew,
+                support,
+            });
+            if changed {
+                out.touched.extend(nbrs.iter().map(|&u| Touch {
+                    u,
+                    wold: cold,
+                    wnew: cnew,
+                }));
             }
         })?;
     }
@@ -368,7 +311,6 @@ pub(crate) fn run_pass<S: AdjacencyRead + Send>(
     snapshot: &[u32],
     degrees: &[u32],
     victims: &[u32],
-    kind: PassKind,
 ) -> Result<Vec<ShardOutput>> {
     debug_assert!(!shards.is_empty());
     // Late-stage convergence passes shrink to a handful of victims; below
@@ -377,13 +319,13 @@ pub(crate) fn run_pass<S: AdjacencyRead + Send>(
     // victim count only.
     const MIN_VICTIMS_TO_FAN_OUT: usize = 64;
     if shards.len() == 1 || victims.len() < MIN_VICTIMS_TO_FAN_OUT {
-        return Ok(vec![scan_shard(&mut shards[0], snapshot, victims, kind)?]);
+        return Ok(vec![scan_shard(&mut shards[0], snapshot, victims)?]);
     }
     let chunks = balanced_chunks(victims, degrees, shards.len());
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(chunks.len());
         for (shard, vs) in shards.iter_mut().zip(chunks) {
-            handles.push(scope.spawn(move || scan_shard(shard, snapshot, vs, kind)));
+            handles.push(scope.spawn(move || scan_shard(shard, snapshot, vs)));
         }
         let mut outs = Vec::with_capacity(handles.len());
         for h in handles {
@@ -397,20 +339,6 @@ pub(crate) fn run_pass<S: AdjacencyRead + Send>(
 mod tests {
     use super::*;
     use graphstore::MemGraph;
-
-    #[test]
-    fn worker_setting_parses_counts() {
-        // Tested through the pure parser: mutating the real environment
-        // races with concurrent tests reading it (getenv/setenv UB).
-        let parse = ScanExecutor::from_worker_setting;
-        assert_eq!(parse(None), ScanExecutor::Sequential);
-        assert_eq!(parse(Some("")), ScanExecutor::Sequential);
-        assert_eq!(parse(Some("0")), ScanExecutor::Sequential);
-        assert_eq!(parse(Some("1")), ScanExecutor::Sequential);
-        assert_eq!(parse(Some("4")), ScanExecutor::parallel(4));
-        assert_eq!(parse(Some(" 8 ")), ScanExecutor::parallel(8));
-        assert_eq!(parse(Some("nope")), ScanExecutor::Sequential);
-    }
 
     #[test]
     fn balanced_chunks_covers_all_victims_in_order() {
@@ -448,10 +376,12 @@ mod tests {
         let victims: Vec<u32> = (0..n).collect();
         let collect = |workers: usize| -> Vec<(u32, u32)> {
             let mut shards: Vec<MemGraph> = (0..workers).map(|_| g.clone()).collect();
-            run_pass(&mut shards, &snapshot, &degrees, &victims, PassKind::Full)
+            // Every victim reports; the changed ones are the pass's effect.
+            run_pass(&mut shards, &snapshot, &degrees, &victims)
                 .unwrap()
                 .iter()
-                .flat_map(|o| o.updates.iter().map(|u| (u.v, u.cnew)))
+                .flat_map(|o| o.updates.iter().filter(|u| u.cnew != u.cold))
+                .map(|u| (u.v, u.cnew))
                 .collect()
         };
         for workers in [1usize, 2, 4] {

@@ -20,10 +20,10 @@
 //! (with block-accurate I/O accounting), buffered dynamic graphs, or pure
 //! in-memory graphs.
 //!
-//! ## Scan execution (sequential or parallel)
+//! ## Scan execution (sequential, or parallel for SemiCore\*)
 //!
-//! Each decomposition algorithm also comes in a `_with` form
-//! ([`semicore_with`], [`semicore_plus_with`], [`semicore_star_with`],
+//! SemiCore and SemiCore+ are sequential, as in the paper. SemiCore\* also
+//! comes in a `_with` form ([`semicore_star_with`],
 //! [`semicore_star_state_with`]) taking a [`ScanExecutor`]: the sequential
 //! executor reproduces the paper's exact schedule, while
 //! [`ScanExecutor::Parallel`] shards every convergence pass across a worker
@@ -91,8 +91,8 @@ pub use maintain::inmem::InMemoryCores;
 pub use maintain::insert::semi_insert;
 pub use maintain::insert_star::semi_insert_star;
 pub use maintain::{MaintainStats, SparseMarks};
-pub use semicore::{semicore, semicore_with};
-pub use semicore_plus::{semicore_plus, semicore_plus_with};
+pub use semicore::semicore;
+pub use semicore_plus::semicore_plus;
 pub use semicore_star::{
     semicore_star, semicore_star_state, semicore_star_state_with, semicore_star_with,
 };

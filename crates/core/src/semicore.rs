@@ -7,87 +7,10 @@
 
 use std::time::Instant;
 
-use graphstore::{AdjacencyRead, Result, ShardableRead};
+use graphstore::{AdjacencyRead, Result};
 
-use crate::executor::{self, PassKind, ScanExecutor};
 use crate::localcore::{local_core, Scratch};
 use crate::stats::{DecomposeOptions, Decomposition, RunStats};
-
-/// Run SemiCore with an explicit [`ScanExecutor`].
-///
-/// [`ScanExecutor::Sequential`] is exactly [`semicore`]. The parallel
-/// executor runs deterministic sharded Jacobi passes (see
-/// [`crate::executor`]): final core numbers are bit-identical, while
-/// iteration/computation counts follow the Jacobi schedule. Falls back to
-/// the sequential schedule when the backend cannot shard
-/// ([`ShardableRead::shard_handle`] returns `None`).
-pub fn semicore_with<G: ShardableRead>(
-    g: &mut G,
-    opts: &DecomposeOptions,
-    exec: ScanExecutor,
-) -> Result<Decomposition> {
-    if let Some(workers) = exec.worker_count() {
-        if let Some(mut shards) = executor::shard_handles(g, workers)? {
-            return semicore_parallel(g, &mut shards, opts);
-        }
-    }
-    semicore(g, opts)
-}
-
-/// The parallel schedule: every pass recomputes all nodes from a frozen
-/// snapshot, sharded across `shards`.
-fn semicore_parallel<G: ShardableRead>(
-    g: &mut G,
-    shards: &mut [G::Shard],
-    opts: &DecomposeOptions,
-) -> Result<Decomposition> {
-    let start = Instant::now();
-    let io_before = g.io();
-    let mut stats = RunStats::new("SemiCore");
-    let n = g.num_nodes();
-
-    let mut core = g.read_degrees()?;
-    let degrees = core.clone();
-    let mut per_iter = opts.track_changed_per_iteration.then(Vec::new);
-    let victims: Vec<u32> = (0..n).collect();
-    let mut peak_pass_bytes = 0u64;
-
-    let mut update = n > 0;
-    while update {
-        // `core` is frozen for the duration of the pass (the merge below
-        // runs strictly after), so the borrow IS the snapshot — no copy.
-        let outs = executor::run_pass(shards, &core, &degrees, &victims, PassKind::Full)?;
-        stats.node_computations += victims.len() as u64;
-        let mut changed = 0u64;
-        for out in &outs {
-            for u in &out.updates {
-                core[u.v as usize] = u.cnew;
-                changed += 1;
-            }
-        }
-        peak_pass_bytes = peak_pass_bytes.max(outs.iter().map(|o| o.resident_bytes()).sum());
-        stats.iterations += 1;
-        if let Some(p) = per_iter.as_mut() {
-            p.push(changed);
-        }
-        update = changed > 0;
-    }
-    if let Some(p) = per_iter.as_mut() {
-        while p.last() == Some(&0) {
-            p.pop();
-        }
-    }
-
-    // core + degrees + victim list (the workers' frozen snapshot is a
-    // borrow of core, shard views are counted in the pass bytes) plus the
-    // merge buffers' peak.
-    stats.peak_memory_bytes =
-        ((core.len() + degrees.len() + victims.capacity()) * 4) as u64 + peak_pass_bytes;
-    stats.io = g.io().since(&io_before);
-    stats.wall_time = start.elapsed();
-    stats.changed_per_iteration = per_iter;
-    Ok(Decomposition { core, stats })
-}
 
 /// Run SemiCore (Algorithm 3) over any graph access.
 pub fn semicore(g: &mut impl AdjacencyRead, opts: &DecomposeOptions) -> Result<Decomposition> {
@@ -207,46 +130,6 @@ mod tests {
         assert_eq!(d.core, PAPER_EXAMPLE_CORES);
         assert!(d.stats.io.read_ios > 0);
         assert_eq!(d.stats.io.write_ios, 0, "SemiCore is read-only (A2)");
-    }
-
-    #[test]
-    fn parallel_executor_matches_sequential_cores() {
-        let mut state = 7171u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for _ in 0..15 {
-            let n = 2 + next() % 120;
-            let m = next() % (4 * n);
-            let edges: Vec<(u32, u32)> = (0..m).map(|_| (next() % n, next() % n)).collect();
-            let mut g = MemGraph::from_edges(edges, n);
-            let seq = semicore(&mut g, &DecomposeOptions::default()).unwrap();
-            for workers in [1, 2, 4] {
-                let par = semicore_with(
-                    &mut g,
-                    &DecomposeOptions::default(),
-                    ScanExecutor::parallel(workers),
-                )
-                .unwrap();
-                assert_eq!(seq.core, par.core, "workers {workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_executor_on_empty_graph() {
-        let mut g = MemGraph::from_edges(Vec::<(u32, u32)>::new(), 0);
-        let d = semicore_with(
-            &mut g,
-            &DecomposeOptions::default(),
-            ScanExecutor::parallel(4),
-        )
-        .unwrap();
-        assert!(d.core.is_empty());
-        assert_eq!(d.stats.iterations, 0);
     }
 
     #[test]

@@ -9,111 +9,12 @@
 
 use std::time::Instant;
 
-use graphstore::{AdjacencyRead, Result, ShardableRead};
+use graphstore::{AdjacencyRead, Result};
 
 use crate::bits::BitSet;
-use crate::executor::{self, PassKind, ScanExecutor};
 use crate::localcore::{local_core, Scratch};
 use crate::stats::{DecomposeOptions, Decomposition, RunStats};
 use crate::window::ScanWindow;
-
-/// Run SemiCore+ with an explicit [`ScanExecutor`].
-///
-/// [`ScanExecutor::Sequential`] is exactly [`semicore_plus`]. The parallel
-/// executor shards each pass's active window across workers computing from
-/// a frozen snapshot, with all re-activations deferred to the next pass
-/// (see [`crate::executor`]); final core numbers are bit-identical. Falls
-/// back to the sequential schedule when the backend cannot shard.
-pub fn semicore_plus_with<G: ShardableRead>(
-    g: &mut G,
-    opts: &DecomposeOptions,
-    exec: ScanExecutor,
-) -> Result<Decomposition> {
-    if let Some(workers) = exec.worker_count() {
-        if let Some(mut shards) = executor::shard_handles(g, workers)? {
-            return semicore_plus_parallel(g, &mut shards, opts);
-        }
-    }
-    semicore_plus(g, opts)
-}
-
-/// The parallel schedule: victims are the active nodes of the current
-/// window, fixed at pass start; a change re-activates its neighbours for
-/// the *next* pass.
-fn semicore_plus_parallel<G: ShardableRead>(
-    g: &mut G,
-    shards: &mut [G::Shard],
-    opts: &DecomposeOptions,
-) -> Result<Decomposition> {
-    let start = Instant::now();
-    let io_before = g.io();
-    let mut stats = RunStats::new("SemiCore+");
-    let n = g.num_nodes();
-
-    let mut core = g.read_degrees()?;
-    let degrees = core.clone();
-    let mut active = BitSet::all_set(n);
-    let mut window = ScanWindow::full(n);
-    let mut per_iter = opts.track_changed_per_iteration.then(Vec::new);
-    let mut victims: Vec<u32> = Vec::new();
-    let mut peak_pass_bytes = 0u64;
-
-    if n == 0 {
-        window.update = false;
-    }
-    while window.update {
-        window.begin_iteration();
-        let (lo, hi) = window.current_range();
-        victims.clear();
-        for v in lo..=hi {
-            if active.get(v) {
-                active.clear(v);
-                victims.push(v);
-            }
-        }
-        // `core` is frozen for the duration of the pass: the borrow is the
-        // snapshot.
-        let outs = executor::run_pass(shards, &core, &degrees, &victims, PassKind::Active)?;
-        stats.node_computations += victims.len() as u64;
-        let mut changed = 0u64;
-        for out in &outs {
-            for u in &out.updates {
-                core[u.v as usize] = u.cnew;
-                changed += 1;
-            }
-        }
-        for out in &outs {
-            for t in &out.touched {
-                // Alg. 4's activation filter: a neighbour at or below the
-                // dropped node's *new* estimate keeps its full support and
-                // provably cannot change — don't wake it.
-                if core[t.u as usize] > t.wnew {
-                    active.set(t.u);
-                    window.schedule_next(t.u);
-                }
-            }
-        }
-        peak_pass_bytes = peak_pass_bytes.max(outs.iter().map(|o| o.resident_bytes()).sum());
-        stats.iterations += 1;
-        if let Some(p) = per_iter.as_mut() {
-            p.push(changed);
-        }
-        window.end_iteration();
-    }
-    if let Some(p) = per_iter.as_mut() {
-        while p.last() == Some(&0) {
-            p.pop();
-        }
-    }
-
-    stats.peak_memory_bytes = ((core.len() + degrees.len() + victims.capacity()) * 4) as u64
-        + active.resident_bytes()
-        + peak_pass_bytes;
-    stats.io = g.io().since(&io_before);
-    stats.wall_time = start.elapsed();
-    stats.changed_per_iteration = per_iter;
-    Ok(Decomposition { core, stats })
-}
 
 /// Run SemiCore+ (Algorithm 4) over any graph access.
 pub fn semicore_plus(g: &mut impl AdjacencyRead, opts: &DecomposeOptions) -> Result<Decomposition> {
@@ -286,32 +187,5 @@ mod tests {
         let mut g = MemGraph::from_edges(Vec::<(u32, u32)>::new(), 0);
         let d = semicore_plus(&mut g, &DecomposeOptions::default()).unwrap();
         assert!(d.core.is_empty());
-    }
-
-    #[test]
-    fn parallel_executor_matches_sequential_cores() {
-        let mut state = 616u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for _ in 0..15 {
-            let n = 2 + next() % 120;
-            let m = next() % (4 * n);
-            let edges: Vec<(u32, u32)> = (0..m).map(|_| (next() % n, next() % n)).collect();
-            let mut g = MemGraph::from_edges(edges, n);
-            let seq = semicore_plus(&mut g, &DecomposeOptions::default()).unwrap();
-            for workers in [1, 2, 4] {
-                let par = semicore_plus_with(
-                    &mut g,
-                    &DecomposeOptions::default(),
-                    ScanExecutor::parallel(workers),
-                )
-                .unwrap();
-                assert_eq!(seq.core, par.core, "workers {workers}");
-            }
-        }
     }
 }

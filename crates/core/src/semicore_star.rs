@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use graphstore::{AdjacencyRead, Result, ShardableRead};
 
-use crate::executor::{self, PassKind, ScanExecutor};
+use crate::executor::{self, ScanExecutor};
 #[cfg(any(test, feature = "testing"))]
 use crate::localcore::{compute_cnt, local_core};
 use crate::localcore::{recompute_node, Scratch};
@@ -268,7 +268,7 @@ fn star_state_parallel<G: ShardableRead>(
         }
         // `state.core` is frozen for the duration of the pass (all three
         // merge phases run strictly after), so the borrow is the snapshot.
-        let outs = executor::run_pass(shards, &state.core, &degrees, &victims, PassKind::Counted)?;
+        let outs = executor::run_pass(shards, &state.core, &degrees, &victims)?;
         stats.node_computations += victims.len() as u64;
         let mut changed = 0u64;
         // Phase 1: new estimates, and each victim's Eq. 2 support relative

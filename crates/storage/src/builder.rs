@@ -46,15 +46,12 @@ impl DiskGraphWriter {
     }
 
     /// [`DiskGraphWriter::create`] with an explicit edge-table encoding.
-    /// A read-only legacy encoding is refused with
-    /// [`Error::InvalidArgument`].
     pub fn create_with_format(
         base: &Path,
         num_nodes: u32,
         counter: Arc<IoCounter>,
         version: FormatVersion,
     ) -> Result<Self> {
-        check_writable(version)?;
         let paths = GraphPaths::from_base(base);
         if let Some(parent) = paths.nodes.parent() {
             std::fs::create_dir_all(parent)?;
@@ -125,8 +122,7 @@ impl DiskGraphWriter {
         self.encode_buf.clear();
         match self.version {
             FormatVersion::V1 => codec::encode_u32_run(nbrs, &mut self.encode_buf),
-            // `check_writable` admitted only v1 and the compressed format.
-            _ => codec::encode_group_run(nbrs, &mut self.encode_buf),
+            FormatVersion::V3 => codec::encode_group_run(nbrs, &mut self.encode_buf),
         }
         self.edge_writer.write_all(&self.encode_buf)?;
         self.node_entries
@@ -163,20 +159,6 @@ impl DiskGraphWriter {
         crate::io::sync_parent_dir(self.counter.vfs().as_ref(), &self.paths.nodes)?;
         Ok(self.paths)
     }
-}
-
-/// The one write-path format rule ([`FormatVersion::write_format`]) as a
-/// guard: a writer emits only formats that are their own write format.
-fn check_writable(version: FormatVersion) -> Result<()> {
-    let current = version.write_format();
-    if current != version {
-        return Err(Error::InvalidArgument(format!(
-            "edge-table format {} is read-only; write {} instead",
-            version.tag(),
-            current.tag()
-        )));
-    }
-    Ok(())
 }
 
 /// Write an in-memory graph to disk (format v1) and return the file pair.
@@ -328,10 +310,8 @@ impl ExternalGraphBuilder {
     }
 
     /// [`ExternalGraphBuilder::new`] with an explicit edge-table encoding
-    /// for the final graph (refused up front when it is read-only, like
-    /// [`DiskGraphWriter::create_with_format`]).
+    /// for the final graph.
     pub fn new_with_format(run_capacity: usize, version: FormatVersion) -> Result<Self> {
-        check_writable(version)?;
         if run_capacity < 2 {
             return Err(Error::InvalidArgument(
                 "run capacity must hold at least one undirected edge".into(),
@@ -656,21 +636,6 @@ mod tests {
         let mut w = DiskGraphWriter::create(&dir.path().join("g"), 3, counter()).unwrap();
         assert!(w.append_adjacency(0, &[0]).is_err());
         assert!(w.append_adjacency(0, &[5]).is_err());
-    }
-
-    #[test]
-    fn no_writer_emits_the_legacy_format() {
-        let dir = TempDir::new("buildtest").unwrap();
-        let base = dir.path().join("g");
-        for err in [
-            DiskGraphWriter::create_with_format(&base, 3, counter(), FormatVersion::V2).err(),
-            ExternalGraphBuilder::new_with_format(8, FormatVersion::V2).err(),
-        ] {
-            let err = err.expect("v2 must be refused");
-            assert!(matches!(err, Error::InvalidArgument(_)), "{err}");
-            assert!(err.to_string().contains("v3"), "{err}");
-        }
-        assert!(!GraphPaths::from_base(&base).edges.exists());
     }
 
     #[test]

@@ -16,30 +16,22 @@
 //! is expressed by simply not attaching a cache (see
 //! [`DiskGraph::open_with_cache`](crate::DiskGraph::open_with_cache)).
 //!
-//! ## Eviction policies
+//! ## Eviction policy
 //!
-//! No single policy can guarantee both of the properties below at every
-//! pool size (a current-block exemption is content-dependent state, which
-//! is exactly what the stack-policy proof forbids), so each policy owns one:
-//!
-//! * [`EvictionPolicy::Lru`] — strict least-recently-used, no exemptions.
-//!   A stack policy: re-running an access sequence against a warm cache can
-//!   never charge more than the cold run did. The safe choice for
-//!   unpredictable access patterns.
-//! * [`EvictionPolicy::ScanLifo`] — CLOCK over re-referenced frames plus
-//!   newest-first eviction among never-re-referenced ones, with each file's
-//!   most-recently-touched frame **pinned**. The pin reproduces the
-//!   uncached reader's "current block stays buffered" freebie, so (with one
-//!   frame per file) attaching a cache of *any* size never charges more
-//!   than no cache, request by request. One-shot scan traffic displaces
-//!   itself instead of flushing the retained prefix, which is what earns
-//!   cross-iteration hits under the *ascending re-scan* pattern of the
-//!   semi-external convergence loops — a pattern where pure recency
-//!   retention yields zero reuse. Not a stack policy: adversarial patterns
-//!   can exhibit Bélády-style anomalies (a warm start charging slightly
-//!   more than a cold one), the price of scan resistance. The default for
-//!   [`DiskGraph`](crate::DiskGraph), whose workloads are exactly those
-//!   convergence scans.
+//! One policy, [`EvictionPolicy::ScanLifo`]: CLOCK over re-referenced
+//! frames plus newest-first eviction among never-re-referenced ones, with
+//! each file's most-recently-touched frame **pinned**. The pin reproduces
+//! the uncached reader's "current block stays buffered" freebie, so (with
+//! one frame per file) attaching a cache of *any* size never charges more
+//! than no cache, request by request. One-shot scan traffic displaces
+//! itself instead of flushing the retained prefix, which is what earns
+//! cross-iteration hits under the *ascending re-scan* pattern of the
+//! semi-external convergence loops — a pattern where pure recency
+//! retention yields zero reuse. Not a stack policy (a current-block
+//! exemption is content-dependent state, which is exactly what the
+//! stack-policy proof forbids): adversarial patterns can exhibit
+//! Bélády-style anomalies (a warm start charging slightly more than a cold
+//! one), the price of scan resistance.
 //!
 //! ## Concurrency
 //!
@@ -112,18 +104,15 @@ impl Hasher for KeyHasher {
 /// A `HashMap` keyed by the pool's own integers.
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// Sentinel for "no frame" in the intrusive LRU list.
-const NONE: u32 = u32::MAX;
-
-/// How the pool picks eviction victims. See the module docs for the
-/// trade-off.
+/// How the pool picks eviction victims: one way (see the module docs).
+/// The enum, and the `policy` parameter of every constructor that takes
+/// one, outlive their second variant only because the repository
+/// benchmark names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
-    /// Strict least-recently-used (anomaly-free stack policy).
-    #[default]
-    Lru,
     /// Scan-resistant hybrid: CLOCK for re-referenced frames, newest-first
     /// for one-shot traffic. Best for cyclic ascending scans.
+    #[default]
     ScanLifo,
 }
 
@@ -136,12 +125,9 @@ pub enum EvictionPolicy {
 struct Frame {
     key: Option<BlockKey>,
     data: Arc<Vec<u8>>,
-    /// Re-referenced since load (ScanLifo protection bit; streak hits on the
-    /// pinned frame do not count — see `get_or_load`).
+    /// Re-referenced since load (the CLOCK protection bit; streak hits on
+    /// the pinned frame do not count — see `get_or_load`).
     referenced: bool,
-    /// Intrusive LRU list links (Lru policy).
-    prev: u32,
-    next: u32,
 }
 
 /// Hit/miss/eviction counters of one pool.
@@ -180,18 +166,14 @@ impl CacheStats {
 pub struct BlockCache {
     block_size: usize,
     max_frames: usize,
-    policy: EvictionPolicy,
     frames: Vec<Frame>,
     map: KeyMap<BlockKey, usize>,
-    /// CLOCK hand (ScanLifo fallback sweep).
+    /// CLOCK hand (the fallback sweep).
     hand: usize,
     /// Keyless frames (invalidated or failed loads) to reuse before evicting.
     free: Vec<usize>,
-    /// Insertion-ordered stack of never-re-referenced frames (ScanLifo).
+    /// Insertion-ordered stack of never-re-referenced frames.
     cold_stack: Vec<usize>,
-    /// LRU list endpoints (Lru): `lru_head` is the coldest frame.
-    lru_head: u32,
-    lru_tail: u32,
     /// Per-file most-recently-touched frame, exempt from eviction.
     pinned: KeyMap<u32, usize>,
     stats: CacheStats,
@@ -217,7 +199,7 @@ impl BlockCache {
         block_size: usize,
         budget_bytes: u64,
         min_frames: u64,
-        policy: EvictionPolicy,
+        _policy: EvictionPolicy,
     ) -> Result<BlockCache> {
         assert!(block_size > 0, "block size must be positive");
         if budget_bytes < min_frames.max(1) * block_size as u64 {
@@ -230,14 +212,11 @@ impl BlockCache {
         Ok(BlockCache {
             block_size,
             max_frames,
-            policy,
             frames: Vec::new(),
             map: KeyMap::default(),
             hand: 0,
             free: Vec::new(),
             cold_stack: Vec::new(),
-            lru_head: NONE,
-            lru_tail: NONE,
             pinned: KeyMap::default(),
             stats: CacheStats::default(),
         })
@@ -262,11 +241,6 @@ impl BlockCache {
     /// The frame size `B`.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// The configured eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Maximum number of resident frames (`M / B`).
@@ -317,24 +291,14 @@ impl BlockCache {
         debug_assert!(len <= self.block_size);
         if let Some(&idx) = self.map.get(&(file, block)) {
             self.stats.hits += 1;
-            match self.policy {
-                EvictionPolicy::Lru => {
-                    // Recency refreshes on *every* touch — canonical stack
-                    // behaviour is what makes the warm-start guarantee hold.
-                    self.lru_unlink(idx);
-                    self.lru_push_mru(idx);
-                }
-                EvictionPolicy::ScanLifo => {
-                    // A hit on the file's current (pinned) frame is streak
-                    // continuation — traffic the uncached single-window
-                    // reader serves for free — and carries no reuse signal.
-                    // Only a return to a *different* resident block counts
-                    // as a genuine re-reference.
-                    if self.pinned.get(&file) != Some(&idx) {
-                        self.frames[idx].referenced = true;
-                        self.pinned.insert(file, idx);
-                    }
-                }
+            // A hit on the file's current (pinned) frame is streak
+            // continuation — traffic the uncached single-window reader
+            // serves for free — and carries no reuse signal. Only a return
+            // to a *different* resident block counts as a genuine
+            // re-reference.
+            if self.pinned.get(&file) != Some(&idx) {
+                self.frames[idx].referenced = true;
+                self.pinned.insert(file, idx);
             }
             return Ok((Arc::clone(&self.frames[idx].data), false));
         }
@@ -364,13 +328,8 @@ impl BlockCache {
         // flushing the genuinely hot set.
         frame.referenced = false;
         self.map.insert((file, block), idx);
-        match self.policy {
-            EvictionPolicy::Lru => self.lru_push_mru(idx),
-            EvictionPolicy::ScanLifo => {
-                self.pinned.insert(file, idx);
-                self.cold_stack.push(idx);
-            }
-        }
+        self.pinned.insert(file, idx);
+        self.cold_stack.push(idx);
         Ok((Arc::clone(&self.frames[idx].data), true))
     }
 
@@ -416,9 +375,6 @@ impl BlockCache {
     /// Detach `idx` from all bookkeeping and add it to the free pool.
     /// The map entry must already be gone.
     fn drop_frame(&mut self, idx: usize) {
-        if self.policy == EvictionPolicy::Lru {
-            self.lru_unlink(idx);
-        }
         let frame = &mut self.frames[idx];
         frame.key = None;
         frame.referenced = false;
@@ -433,7 +389,7 @@ impl BlockCache {
 
     /// Index of a frame free to overwrite for a block of `for_file`:
     /// recycle invalidated frames, grow the pool while under budget,
-    /// otherwise evict per policy. Pinned frames are passed over while any
+    /// otherwise evict. Pinned frames are passed over while any
     /// ordinary victim exists; when only pins remain, the requesting file's
     /// own pin is sacrificed first, so each file degrades to exactly the
     /// one-current-block buffer of the uncached reader rather than files
@@ -454,18 +410,10 @@ impl BlockCache {
                 key: None,
                 data: Arc::new(Vec::new()),
                 referenced: false,
-                prev: NONE,
-                next: NONE,
             });
             return self.frames.len() - 1;
         }
-        let idx = match self.policy {
-            EvictionPolicy::Lru => self.pick_lru_victim(),
-            EvictionPolicy::ScanLifo => self.pick_scan_victim(for_file),
-        };
-        if self.policy == EvictionPolicy::Lru {
-            self.lru_unlink(idx);
-        }
+        let idx = self.pick_scan_victim(for_file);
         let frame = &mut self.frames[idx];
         if let Some(key) = frame.key.take() {
             self.map.remove(&key);
@@ -478,15 +426,7 @@ impl BlockCache {
         idx
     }
 
-    /// Lru victim: the globally coldest frame. No pin exemptions — any
-    /// content-dependent exemption would break the stack (inclusion)
-    /// property behind the warm-start guarantee.
-    fn pick_lru_victim(&mut self) -> usize {
-        debug_assert!(self.lru_head != NONE, "full pool has a list head");
-        self.lru_head as usize
-    }
-
-    /// ScanLifo victim: newest never-re-referenced frame, falling back to
+    /// The victim: newest never-re-referenced frame, falling back to
     /// escalating CLOCK sweeps.
     fn pick_scan_victim(&mut self, for_file: u32) -> usize {
         // Pop insertion-stack entries, discarding stale ones (re-referenced
@@ -537,39 +477,6 @@ impl BlockCache {
             return idx;
         }
     }
-
-    fn lru_unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let f = &self.frames[idx];
-            (f.prev, f.next)
-        };
-        if prev != NONE {
-            self.frames[prev as usize].next = next;
-        } else if self.lru_head == idx as u32 {
-            self.lru_head = next;
-        }
-        if next != NONE {
-            self.frames[next as usize].prev = prev;
-        } else if self.lru_tail == idx as u32 {
-            self.lru_tail = prev;
-        }
-        let f = &mut self.frames[idx];
-        f.prev = NONE;
-        f.next = NONE;
-    }
-
-    fn lru_push_mru(&mut self, idx: usize) {
-        let tail = self.lru_tail;
-        let f = &mut self.frames[idx];
-        f.prev = tail;
-        f.next = NONE;
-        if tail != NONE {
-            self.frames[tail as usize].next = idx as u32;
-        } else {
-            self.lru_head = idx as u32;
-        }
-        self.lru_tail = idx as u32;
-    }
 }
 
 #[cfg(test)]
@@ -586,32 +493,27 @@ mod tests {
         miss
     }
 
-    fn lru(frames: u64) -> BlockCache {
-        BlockCache::new(4, frames * 4, EvictionPolicy::Lru).unwrap()
-    }
-
     fn scan_lifo(frames: u64) -> BlockCache {
         BlockCache::new(4, frames * 4, EvictionPolicy::ScanLifo).unwrap()
     }
 
     #[test]
     fn invalidate_file_range_matches_per_file_invalidation() {
-        for mut c in [lru(16), scan_lifo(16)] {
-            for f in 0..6u32 {
-                fill_with(&mut c, f, 0, f as u8);
-                fill_with(&mut c, f, 1, f as u8);
-            }
-            c.invalidate_file_range(2, 3); // files 2, 3, 4
-            let mut left: Vec<u32> = c.resident_keys().iter().map(|&(f, _)| f).collect();
-            left.sort_unstable();
-            left.dedup();
-            assert_eq!(left, vec![0, 1, 5]);
-            // The saturating end: a range reaching past u32::MAX clears
-            // everything from `first` up.
-            c.invalidate_file_range(1, u32::MAX);
-            let left: Vec<u32> = c.resident_keys().iter().map(|&(f, _)| f).collect();
-            assert_eq!(left, vec![0, 0]);
+        let mut c = scan_lifo(16);
+        for f in 0..6u32 {
+            fill_with(&mut c, f, 0, f as u8);
+            fill_with(&mut c, f, 1, f as u8);
         }
+        c.invalidate_file_range(2, 3); // files 2, 3, 4
+        let mut left: Vec<u32> = c.resident_keys().iter().map(|&(f, _)| f).collect();
+        left.sort_unstable();
+        left.dedup();
+        assert_eq!(left, vec![0, 1, 5]);
+        // The saturating end: a range reaching past u32::MAX clears
+        // everything from `first` up.
+        c.invalidate_file_range(1, u32::MAX);
+        let left: Vec<u32> = c.resident_keys().iter().map(|&(f, _)| f).collect();
+        assert_eq!(left, vec![0, 0]);
     }
 
     #[test]
@@ -619,66 +521,51 @@ mod tests {
         // The old behaviour silently clamped to one frame, realising a
         // bigger budget than requested; now it errors like
         // `new_with_min_frames`.
-        assert!(BlockCache::new(4096, 0, EvictionPolicy::Lru).is_err());
-        assert!(BlockCache::new(4096, 4095, EvictionPolicy::Lru).is_err());
-        assert!(BlockCache::new(4096, 4096, EvictionPolicy::Lru).is_ok());
-        assert!(BlockCache::new_with_min_frames(4096, 4096, 2, EvictionPolicy::Lru).is_err());
-        assert!(BlockCache::new_with_min_frames(4096, 8192, 2, EvictionPolicy::Lru).is_ok());
+        let p = EvictionPolicy::ScanLifo;
+        assert!(BlockCache::new(4096, 0, p).is_err());
+        assert!(BlockCache::new(4096, 4095, p).is_err());
+        assert!(BlockCache::new(4096, 4096, p).is_ok());
+        assert!(BlockCache::new_with_min_frames(4096, 4096, 2, p).is_err());
+        assert!(BlockCache::new_with_min_frames(4096, 8192, 2, p).is_ok());
     }
 
     #[test]
-    fn hits_after_first_load_both_policies() {
-        for mut c in [lru(16), scan_lifo(16)] {
-            assert!(fill_with(&mut c, 0, 7, 0xAB));
-            assert!(!fill_with(&mut c, 0, 7, 0xCD));
-            let (data, miss) = c.get_or_load(0, 7, 4, |_| unreachable!()).unwrap();
-            assert!(!miss);
-            assert_eq!(
-                data.as_slice(),
-                &[0xAB; 4],
-                "hit returns the originally loaded bytes"
-            );
-            assert_eq!(c.stats().hits, 2);
-            assert_eq!(c.stats().misses, 1);
-        }
+    fn hits_after_first_load() {
+        let mut c = scan_lifo(16);
+        assert!(fill_with(&mut c, 0, 7, 0xAB));
+        assert!(!fill_with(&mut c, 0, 7, 0xCD));
+        let (data, miss) = c.get_or_load(0, 7, 4, |_| unreachable!()).unwrap();
+        assert!(!miss);
+        assert_eq!(
+            data.as_slice(),
+            &[0xAB; 4],
+            "hit returns the originally loaded bytes"
+        );
+        assert_eq!(c.stats().hits, 2);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn files_do_not_collide() {
-        for mut c in [lru(16), scan_lifo(16)] {
-            fill_with(&mut c, 0, 1, 1);
-            fill_with(&mut c, 1, 1, 2);
-            let (a, _) = c.get_or_load(0, 1, 4, |_| unreachable!()).unwrap();
-            assert_eq!(a.as_slice(), &[1; 4]);
-            let (b, _) = c.get_or_load(1, 1, 4, |_| unreachable!()).unwrap();
-            assert_eq!(b.as_slice(), &[2; 4]);
-        }
+        let mut c = scan_lifo(16);
+        fill_with(&mut c, 0, 1, 1);
+        fill_with(&mut c, 1, 1, 2);
+        let (a, _) = c.get_or_load(0, 1, 4, |_| unreachable!()).unwrap();
+        assert_eq!(a.as_slice(), &[1; 4]);
+        let (b, _) = c.get_or_load(1, 1, 4, |_| unreachable!()).unwrap();
+        assert_eq!(b.as_slice(), &[2; 4]);
     }
 
     #[test]
     fn capacity_is_enforced() {
-        for mut c in [lru(4), scan_lifo(4)] {
-            for blk in 0..4 {
-                fill_with(&mut c, 0, blk, blk as u8);
-            }
-            assert_eq!(c.resident_frames(), 4);
-            fill_with(&mut c, 0, 99, 99);
-            assert_eq!(c.resident_frames(), 4);
-            assert_eq!(c.stats().evictions, 1);
+        let mut c = scan_lifo(4);
+        for blk in 0..4 {
+            fill_with(&mut c, 0, blk, blk as u8);
         }
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut c = lru(3);
-        fill_with(&mut c, 0, 0, 0);
-        fill_with(&mut c, 0, 1, 1);
-        fill_with(&mut c, 0, 2, 2);
-        // Touch 0 so 1 becomes the coldest; a new block must evict 1.
-        assert!(!fill_with(&mut c, 0, 0, 0));
-        fill_with(&mut c, 0, 3, 3);
-        assert!(!fill_with(&mut c, 0, 0, 0), "recently used survived");
-        assert!(fill_with(&mut c, 0, 1, 1), "coldest was evicted");
+        assert_eq!(c.resident_frames(), 4);
+        fill_with(&mut c, 0, 99, 99);
+        assert_eq!(c.resident_frames(), 4);
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
@@ -714,23 +601,21 @@ mod tests {
 
     #[test]
     fn invalidate_file_drops_only_that_file() {
-        for mut c in [lru(16), scan_lifo(16)] {
-            fill_with(&mut c, 0, 0, 1);
-            fill_with(&mut c, 1, 0, 2);
-            c.invalidate_file(0);
-            assert!(fill_with(&mut c, 0, 0, 3), "file 0 must reload");
-            assert!(!fill_with(&mut c, 1, 0, 2), "file 1 untouched");
-        }
+        let mut c = scan_lifo(16);
+        fill_with(&mut c, 0, 0, 1);
+        fill_with(&mut c, 1, 0, 2);
+        c.invalidate_file(0);
+        assert!(fill_with(&mut c, 0, 0, 3), "file 0 must reload");
+        assert!(!fill_with(&mut c, 1, 0, 2), "file 1 untouched");
     }
 
     #[test]
     fn load_failure_leaves_no_mapping() {
-        for mut c in [lru(4), scan_lifo(4)] {
-            let err = c.get_or_load(0, 0, 4, |_| Err(crate::error::Error::corrupt("injected")));
-            assert!(err.is_err());
-            assert_eq!(c.resident_frames(), 0);
-            assert!(fill_with(&mut c, 0, 0, 5), "same block fetches again");
-        }
+        let mut c = scan_lifo(4);
+        let err = c.get_or_load(0, 0, 4, |_| Err(crate::error::Error::corrupt("injected")));
+        assert!(err.is_err());
+        assert_eq!(c.resident_frames(), 0);
+        assert!(fill_with(&mut c, 0, 0, 5), "same block fetches again");
     }
 
     #[test]
@@ -738,7 +623,7 @@ mod tests {
         // The visit-outside-lock contract: a reader holding a frame handle
         // keeps the original bytes even after the pool evicts and refills
         // the frame underneath it.
-        let mut c = lru(2);
+        let mut c = scan_lifo(1);
         fill_with(&mut c, 0, 0, 7);
         let (held, _) = c.get_or_load(0, 0, 4, |_| unreachable!()).unwrap();
         for blk in 1..5 {
@@ -750,7 +635,7 @@ mod tests {
 
     #[test]
     fn shared_enforces_minimum_frames() {
-        let p = EvictionPolicy::Lru;
+        let p = EvictionPolicy::ScanLifo;
         assert!(BlockCache::shared(4096, 0, 2, p).is_none());
         assert!(BlockCache::shared(4096, 8191, 2, p).is_none());
         assert!(BlockCache::shared(4096, 8192, 2, p).is_some());
@@ -758,22 +643,21 @@ mod tests {
 
     #[test]
     fn clear_empties_the_pool() {
-        for mut c in [lru(8), scan_lifo(8)] {
-            for blk in 0..8 {
-                fill_with(&mut c, 0, blk, 1);
-            }
-            c.clear();
-            assert_eq!(c.resident_frames(), 0);
-            // Everything reloads; the recycled frames must behave.
-            for blk in 0..8 {
-                assert!(fill_with(&mut c, 0, blk, 2));
-            }
+        let mut c = scan_lifo(8);
+        for blk in 0..8 {
+            fill_with(&mut c, 0, blk, 1);
+        }
+        c.clear();
+        assert_eq!(c.resident_frames(), 0);
+        // Everything reloads; the recycled frames must behave.
+        for blk in 0..8 {
+            assert!(fill_with(&mut c, 0, blk, 2));
         }
     }
 
     #[test]
     fn stats_hit_rate() {
-        let mut c = lru(16);
+        let mut c = scan_lifo(16);
         assert_eq!(c.stats().hit_rate(), 0.0);
         fill_with(&mut c, 0, 0, 0);
         fill_with(&mut c, 0, 1, 0);
@@ -783,39 +667,5 @@ mod tests {
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 2);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    /// Exhaustive-ish randomised check of the LRU warm-start guarantee: a
-    /// warm replay of any access sequence charges no more than the cold run.
-    #[test]
-    fn lru_warm_replay_never_costs_more() {
-        let mut state = 0xC0FFEEu64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for trial in 0..50 {
-            let frames = 2 + next() % 6;
-            let blocks = 1 + next() % 14;
-            let pattern: Vec<(u32, u64)> = (0..(20 + next() % 60))
-                .map(|_| ((next() % 2) as u32, next() % blocks))
-                .collect();
-            let mut c = lru(frames);
-            let run = |c: &mut BlockCache| {
-                let before = c.stats().misses;
-                for &(f, b) in &pattern {
-                    fill_with(c, f, b, 1);
-                }
-                c.stats().misses - before
-            };
-            let cold = run(&mut c);
-            let warm = run(&mut c);
-            assert!(
-                warm <= cold,
-                "trial {trial}: warm {warm} > cold {cold} (frames {frames}, blocks {blocks})\npattern: {pattern:?}"
-            );
-        }
     }
 }

@@ -40,10 +40,10 @@ pub const CATALOG_MAGIC: &[u8; 8] = b"KCORCAT1";
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"KCORCKP1";
 /// Format version written into state checkpoints.
 pub const DURABILITY_VERSION: u32 = 1;
-/// Format version written into every catalog manifest. Version 1 manifests
-/// (no per-entry edge-table format flag; all entries default to
-/// [`FormatVersion::V1`]) and version 2 manifests (no per-entry table
-/// generation; all entries default to generation 0) keep opening unchanged.
+/// Layout version of the catalog manifest: the one written and the one
+/// read. The layouts before it (1: no per-entry edge-table format flag,
+/// 2: no per-entry table generation) have had no writer since PR 13 and
+/// are refused by version.
 pub const CATALOG_VERSION: u32 = 3;
 
 /// Name of the manifest file within a data directory.
@@ -176,9 +176,10 @@ impl Catalog {
         let body = checked_body(&bytes, CATALOG_MAGIC, "catalog")?;
         let mut cur = Cursor::new(body);
         let version = cur.u32("catalog version")?;
-        if version == 0 || version > CATALOG_VERSION {
+        if version != CATALOG_VERSION {
             return Err(Error::corrupt(format!(
-                "unsupported catalog version {version} (expected 1..={CATALOG_VERSION})"
+                "unsupported catalog version {version} (expected {CATALOG_VERSION}; a build at \
+                 or before PR 23 can `kcore recompress` a version 1 or 2 directory)"
             )));
         }
         let block_size = cur.u32("catalog block size")? as usize;
@@ -194,20 +195,8 @@ impl Catalog {
             let base = PathBuf::from(cur.str("entry base path")?);
             let charge_bytes = cur.u64("entry charge budget")?;
             let checkpoint_seq = cur.u64("entry checkpoint seq")?;
-            // Version-1 manifests predate the edge-table format flag; every
-            // graph they catalogue is a v1 graph.
-            let format = if version >= 2 {
-                FormatVersion::from_u32(cur.u8("entry format flag")? as u32)?
-            } else {
-                FormatVersion::V1
-            };
-            // Versions 1/2 predate table generations; every graph they
-            // catalogue still lives at its registered base path.
-            let generation = if version >= 3 {
-                cur.u64("entry generation")?
-            } else {
-                0
-            };
+            let format = FormatVersion::from_u32(cur.u8("entry format flag")? as u32)?;
+            let generation = cur.u64("entry generation")?;
             entries.push(CatalogEntry {
                 name,
                 base,
@@ -411,15 +400,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
 
 fn encode_policy(p: EvictionPolicy) -> u8 {
     match p {
-        EvictionPolicy::Lru => 0,
         EvictionPolicy::ScanLifo => 1,
     }
 }
 
+/// Byte 0 named the retired LRU policy. A policy moves physical residency,
+/// never a result or a charged count's meaning, so a directory saved under
+/// it opens under the one policy there is.
 fn decode_policy(b: u8) -> Result<EvictionPolicy> {
     match b {
-        0 => Ok(EvictionPolicy::Lru),
-        1 => Ok(EvictionPolicy::ScanLifo),
+        0 | 1 => Ok(EvictionPolicy::ScanLifo),
         other => Err(Error::corrupt(format!("unknown eviction policy {other}"))),
     }
 }
@@ -503,7 +493,7 @@ mod tests {
                     base: PathBuf::from("/data/alpha"),
                     charge_bytes: 123_456,
                     checkpoint_seq: 7,
-                    format: FormatVersion::V2,
+                    format: FormatVersion::V1,
                     generation: 0,
                 },
                 CatalogEntry {
@@ -518,44 +508,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn version_1_and_2_manifests_still_open() {
-        // Hand-craft the two retired layouts: version 1 predates the
-        // per-entry format flag, version 2 the per-entry generation.
-        for (version, format) in [(1u32, FormatVersion::V1), (2, FormatVersion::V2)] {
-            let mut body = Vec::new();
-            body.extend_from_slice(&version.to_le_bytes());
-            body.extend_from_slice(&4096u32.to_le_bytes());
-            body.extend_from_slice(&(1u64 << 20).to_le_bytes());
-            body.push(1); // ScanLifo
-            body.extend_from_slice(&1u32.to_le_bytes()); // one entry
-            body.extend_from_slice(&2u16.to_le_bytes());
-            body.extend_from_slice(b"gg");
-            body.extend_from_slice(&7u16.to_le_bytes());
-            body.extend_from_slice(b"/old/gg");
-            body.extend_from_slice(&42u64.to_le_bytes());
-            body.extend_from_slice(&3u64.to_le_bytes());
-            if version >= 2 {
-                body.push(format.as_u32() as u8);
-            }
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(CATALOG_MAGIC);
-            bytes.extend_from_slice(&body);
-            bytes.extend_from_slice(&codec::crc32(&body).to_le_bytes());
-
-            let dir = TempDir::new("cat-old").unwrap();
-            std::fs::write(Catalog::path_in(dir.path()), &bytes).unwrap();
-            let cat = Catalog::read(dir.path()).unwrap();
-            assert_eq!(cat.entries.len(), 1, "manifest v{version}");
-            let e = &cat.entries[0];
-            assert_eq!((e.name.as_str(), e.charge_bytes), ("gg", 42));
-            assert_eq!((e.format, e.generation), (format, 0), "manifest v{version}");
-            // Any rewrite of the registry brings it to the current layout.
-            cat.write(dir.path()).unwrap();
-            let bytes = std::fs::read(Catalog::path_in(dir.path())).unwrap();
-            assert_eq!(&bytes[8..12], &CATALOG_VERSION.to_le_bytes());
-            assert_eq!(Catalog::read(dir.path()).unwrap(), cat);
+    /// A framed manifest in layout `version` with one entry, its format
+    /// flag (layouts 2 and 3) `flag` — what a build at or before PR 23
+    /// could have left behind and no writer produces any more.
+    fn hand_built_manifest(version: u32, flag: u8, policy: u8) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&version.to_le_bytes());
+        body.extend_from_slice(&4096u32.to_le_bytes());
+        body.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        body.push(policy);
+        body.extend_from_slice(&1u32.to_le_bytes()); // one entry
+        body.extend_from_slice(&2u16.to_le_bytes());
+        body.extend_from_slice(b"gg");
+        body.extend_from_slice(&7u16.to_le_bytes());
+        body.extend_from_slice(b"/old/gg");
+        body.extend_from_slice(&42u64.to_le_bytes());
+        body.extend_from_slice(&3u64.to_le_bytes());
+        if version >= 2 {
+            body.push(flag);
         }
+        if version >= 3 {
+            body.extend_from_slice(&0u64.to_le_bytes());
+        }
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(CATALOG_MAGIC);
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(&codec::crc32(&body).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn retired_policy_byte_reads_as_the_one_policy() {
+        let dir = TempDir::new("cat-lru").unwrap();
+        std::fs::write(Catalog::path_in(dir.path()), hand_built_manifest(3, 3, 0)).unwrap();
+        let cat = Catalog::read(dir.path()).unwrap();
+        assert_eq!(cat.policy, EvictionPolicy::ScanLifo);
+        assert_eq!(cat.entries[0].format, FormatVersion::V3);
+        // The next rewrite stores the current byte.
+        cat.write(dir.path()).unwrap();
+        let bytes = std::fs::read(Catalog::path_in(dir.path())).unwrap();
+        assert_eq!(bytes[24], 1);
+        std::fs::write(Catalog::path_in(dir.path()), hand_built_manifest(3, 3, 2)).unwrap();
+        assert!(Catalog::read(dir.path()).unwrap_err().is_corrupt());
     }
 
     #[test]
@@ -611,14 +605,31 @@ mod tests {
         let dir = TempDir::new("cat").unwrap();
         sample_catalog().write(dir.path()).unwrap();
         let path = Catalog::path_in(dir.path());
-        let bytes = std::fs::read(&path).unwrap();
-        for cut in 0..bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
+        let current = std::fs::read(&path).unwrap();
+        // The retired inputs ride along: layouts 1 and 2, and a current
+        // manifest cataloguing a format-v2 graph. Whole, each is refused by
+        // the version it names; cut anywhere, like the current one.
+        let retired = [
+            (hand_built_manifest(1, 0, 1), "catalog version 1"),
+            (hand_built_manifest(2, 2, 1), "catalog version 2"),
+            (hand_built_manifest(3, 2, 1), "format v2"),
+        ];
+        for (bytes, names) in &retired {
+            std::fs::write(&path, bytes).unwrap();
             let err = Catalog::read(dir.path()).unwrap_err();
-            assert!(
-                err.is_corrupt() || matches!(err, Error::Io(_)),
-                "cut {cut}: {err}"
-            );
+            assert!(err.is_corrupt(), "{names}: {err}");
+            assert!(err.to_string().contains(names), "{names}: {err}");
+            assert!(err.to_string().contains("kcore recompress"), "{err}");
+        }
+        for bytes in std::iter::once(&current).chain(retired.iter().map(|(b, _)| b)) {
+            for cut in 0..bytes.len() {
+                std::fs::write(&path, &bytes[..cut]).unwrap();
+                let err = Catalog::read(dir.path()).unwrap_err();
+                assert!(
+                    err.is_corrupt() || matches!(err, Error::Io(_)),
+                    "cut {cut}: {err}"
+                );
+            }
         }
     }
 

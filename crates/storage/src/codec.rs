@@ -129,8 +129,10 @@ pub fn put_varint_u32(out: &mut Vec<u8>, mut v: u32) {
 
 /// Append the delta-gap varint encoding of a **strictly ascending** `u32`
 /// run: the first id absolute, every later id as the gap to its
-/// predecessor. This is the edge-table format-v2 wire encoding of one
-/// adjacency list (see [`crate::format`]).
+/// predecessor. This was the wire encoding of one adjacency list in the
+/// retired edge-table format v2; no table holds it any more, and the pair
+/// [`encode_gap_run`] / [`decode_gap_run`] stays as the byte-at-a-time
+/// baseline the benchmark measures the v3 decoder against.
 ///
 /// Debug-asserts strict sortedness; the builders validate before encoding.
 pub fn encode_gap_run(values: &[u32], out: &mut Vec<u8>) {
@@ -147,16 +149,12 @@ pub fn encode_gap_run(values: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-/// Incremental decoder for one delta-gap varint run of a known length.
-///
-/// Runs can straddle block boundaries, so the disk read path feeds the
-/// decoder one byte slice at a time ([`GapDecoder::feed`]) until
-/// [`GapDecoder::is_done`]. Every structural violation — a varint longer
-/// than [`MAX_VARINT_LEN`] bytes, an id overflowing `u32`, a zero gap
-/// (sortedness broken) — surfaces as a corruption [`Error`], never a panic:
-/// this decoder is fed raw disk bytes.
+/// The decoder behind [`decode_gap_run`]: one delta-gap varint run of a
+/// known length. Every structural violation — a varint longer than
+/// [`MAX_VARINT_LEN`] bytes, an id overflowing `u32`, a zero gap
+/// (sortedness broken) — surfaces as a corruption [`Error`], never a panic.
 #[derive(Debug)]
-pub struct GapDecoder {
+struct GapDecoder {
     remaining: usize,
     acc: u64,
     shift: u32,
@@ -828,22 +826,6 @@ mod tests {
             assert_eq!(used, bytes.len());
             assert_eq!(back, values);
         }
-    }
-
-    #[test]
-    fn gap_decoder_survives_split_feeds() {
-        let values = vec![3u32, 130, 131, 70_000, 70_001];
-        let mut bytes = Vec::new();
-        encode_gap_run(&values, &mut bytes);
-        // Feed one byte at a time — the block-boundary worst case.
-        let mut dec = GapDecoder::new(values.len());
-        let mut out = Vec::new();
-        for b in &bytes {
-            assert!(!dec.is_done());
-            assert_eq!(dec.feed(std::slice::from_ref(b), &mut out).unwrap(), 1);
-        }
-        assert!(dec.is_done());
-        assert_eq!(out, values);
     }
 
     #[test]

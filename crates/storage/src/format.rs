@@ -15,9 +15,9 @@
 //!
 //! ## Format versions
 //!
-//! Three edge-table encodings are *readable*, negotiated by the version
-//! field of the node-table header; two are *written* — one raw, one
-//! compressed ([`FormatVersion::write_format`] is the rule):
+//! Two edge-table encodings exist — one raw, one compressed — negotiated
+//! by the version field of the node-table header; both are read and
+//! written, and a rewrite of a graph keeps its encoding:
 //!
 //! * **v1** ([`FormatVersion::V1`]): raw little-endian `u32` ids, 4 bytes per
 //!   neighbour. Node header is 32 bytes; the edge-table length is derived
@@ -36,12 +36,12 @@
 //!   proportionally fewer `read_ios` on every edge-table path. The node
 //!   header grows to 40 bytes to record the (now data-dependent) edge-table
 //!   payload length; node *entries* are unchanged (byte offset + degree).
-//! * **v2** ([`FormatVersion::V2`]), legacy and **read-only**: the same
-//!   delta model as LEB128 gap varints ([`crate::codec::encode_gap_run`]),
-//!   decoded a byte at a time — a third of v3's decode rate at 0.96× its
-//!   bytes. Existing v2 tables keep opening (same 40-byte header as v3;
-//!   only the envelope check and the edge magic differ); no writer emits
-//!   one, and any rewrite of a v2 graph produces v3.
+//!
+//! Header version 2 (`KCOREDG2`, LEB128 gap varints) was the compressed
+//! format before v3 and has had no writer since PR 13; its reader is gone.
+//! [`decode_node_header`] refuses such a table with a `Corrupt` error that
+//! names the version and the way out (`kcore recompress` from a build at
+//! or before PR 23 rewrites it as v3).
 
 use std::path::{Path, PathBuf};
 
@@ -52,20 +52,17 @@ use crate::error::{Error, Result};
 pub const NODE_MAGIC: &[u8; 8] = b"KCORNOD1";
 /// Magic bytes opening a v1 (raw `u32`) edge table file.
 pub const EDGE_MAGIC: &[u8; 8] = b"KCOREDG1";
-/// Magic bytes opening a v2 (delta-varint) edge table file.
-pub const EDGE_MAGIC_V2: &[u8; 8] = b"KCOREDG2";
 /// Magic bytes opening a v3 (stream-vbyte group) edge table file.
 pub const EDGE_MAGIC_V3: &[u8; 8] = b"KCOREDG3";
 
 /// Size of the v1 node-table header in bytes.
 pub const NODE_HEADER_LEN_V1: u64 = 32;
-/// Size of the v2 node-table header in bytes (v1 plus the edge-table
-/// payload length, which varint encoding makes data-dependent). The v3
-/// header shares this layout and length.
-pub const NODE_HEADER_LEN_V2: u64 = 40;
+/// Size of the v3 node-table header in bytes (v1 plus the edge-table
+/// payload length, which compression makes data-dependent).
+pub const NODE_HEADER_LEN_V3: u64 = 40;
 /// The largest node-table header across versions — what an opener reads
 /// before it knows the version.
-pub const MAX_NODE_HEADER_LEN: u64 = NODE_HEADER_LEN_V2;
+pub const MAX_NODE_HEADER_LEN: u64 = NODE_HEADER_LEN_V3;
 /// Size of one node-table entry in bytes (`offset: u64, degree: u32`).
 pub const NODE_ENTRY_LEN: u64 = 12;
 /// Size of the edge-table header in bytes (both versions).
@@ -77,8 +74,6 @@ pub enum FormatVersion {
     /// Raw little-endian `u32` ids (4 bytes per neighbour).
     #[default]
     V1,
-    /// Delta-gap LEB128 varints (first id absolute, then gaps).
-    V2,
     /// Stream-vbyte groups (2-bit length codes packed four per control
     /// byte, then raw little-endian data; later values store `gap − 1`).
     V3,
@@ -89,7 +84,6 @@ impl FormatVersion {
     pub fn as_u32(self) -> u32 {
         match self {
             FormatVersion::V1 => 1,
-            FormatVersion::V2 => 2,
             FormatVersion::V3 => 3,
         }
     }
@@ -98,10 +92,13 @@ impl FormatVersion {
     pub fn from_u32(v: u32) -> Result<FormatVersion> {
         match v {
             1 => Ok(FormatVersion::V1),
-            2 => Ok(FormatVersion::V2),
             3 => Ok(FormatVersion::V3),
+            2 => Err(Error::corrupt(
+                "format v2 (LEB128 gap varints) is no longer readable; a build at or \
+                 before PR 23 can `kcore recompress` it to v3",
+            )),
             other => Err(Error::corrupt(format!(
-                "unsupported format version {other} (expected 1, 2 or 3)"
+                "unsupported format version {other} (expected 1 or 3)"
             ))),
         }
     }
@@ -110,28 +107,14 @@ impl FormatVersion {
     pub fn edge_magic(self) -> &'static [u8; 8] {
         match self {
             FormatVersion::V1 => EDGE_MAGIC,
-            FormatVersion::V2 => EDGE_MAGIC_V2,
             FormatVersion::V3 => EDGE_MAGIC_V3,
         }
     }
 
-    /// The encoding any rewrite of a graph stored as `self` emits: the raw
-    /// and the current compressed format write themselves, legacy v2 is
-    /// read-only and upgrades to v3. Writers refuse a format that is not
-    /// its own write format.
-    pub fn write_format(self) -> FormatVersion {
-        match self {
-            FormatVersion::V1 => FormatVersion::V1,
-            FormatVersion::V2 | FormatVersion::V3 => FormatVersion::V3,
-        }
-    }
-
-    /// Short human-readable tag (`"v1"` / `"v2"` / `"v3"`), as the CLI
-    /// reports it.
+    /// Short human-readable tag (`"v1"` / `"v3"`), as the CLI reports it.
     pub fn tag(self) -> &'static str {
         match self {
             FormatVersion::V1 => "v1",
-            FormatVersion::V2 => "v2",
             FormatVersion::V3 => "v3",
         }
     }
@@ -147,7 +130,7 @@ pub struct GraphMeta {
     /// Edge-table encoding.
     pub version: FormatVersion,
     /// Edge-table payload length in bytes (excluding its 8-byte header).
-    /// For v1 this is always `4 · degree_sum`; for v2/v3 it is
+    /// For v1 this is always `4 · degree_sum`; for v3 it is
     /// data-dependent and recorded in the header.
     pub edge_bytes: u64,
 }
@@ -183,7 +166,7 @@ impl GraphMeta {
     pub fn node_header_len(&self) -> u64 {
         match self.version {
             FormatVersion::V1 => NODE_HEADER_LEN_V1,
-            FormatVersion::V2 | FormatVersion::V3 => NODE_HEADER_LEN_V2,
+            FormatVersion::V3 => NODE_HEADER_LEN_V3,
         }
     }
 
@@ -203,7 +186,7 @@ impl GraphMeta {
     }
 }
 
-/// Encode the node-table header (32 bytes for v1, 40 for v2/v3).
+/// Encode the node-table header (32 bytes for v1, 40 for v3).
 pub fn encode_node_header(meta: &GraphMeta) -> Vec<u8> {
     let mut h = vec![0u8; meta.node_header_len() as usize];
     h[0..8].copy_from_slice(NODE_MAGIC);
@@ -234,32 +217,16 @@ pub fn decode_node_header(h: &[u8]) -> Result<GraphMeta> {
     }
     let degree_sum = codec::try_get_u64(h, 24, "degree sum")?;
     // Reject degree sums whose edge-table byte extent cannot fit in u64
-    // (up to MAX_VARINT_LEN bytes per id plus the table header): these are
-    // raw disk bytes, and letting them through would overflow the length
-    // arithmetic below and in the size accessors.
-    if degree_sum > (u64::MAX - EDGE_HEADER_LEN) / codec::MAX_VARINT_LEN as u64 {
+    // (up to MAX_GROUP_BYTES_PER_ID bytes per id plus the table header):
+    // these are raw disk bytes, and letting them through would overflow the
+    // length arithmetic below and in the size accessors.
+    if degree_sum > (u64::MAX - EDGE_HEADER_LEN) / codec::MAX_GROUP_BYTES_PER_ID as u64 {
         return Err(Error::corrupt(format!(
             "degree sum {degree_sum} exceeds the representable edge-table extent"
         )));
     }
     match version {
         FormatVersion::V1 => Ok(GraphMeta::v1(n as u32, degree_sum)),
-        FormatVersion::V2 => {
-            let edge_bytes = codec::try_get_u64(h, 32, "edge table payload length")?;
-            // Every id encodes to 1–5 varint bytes; a payload outside that
-            // envelope cannot be a well-formed v2 edge table.
-            if edge_bytes < degree_sum || edge_bytes > codec::MAX_VARINT_LEN as u64 * degree_sum {
-                return Err(Error::corrupt(format!(
-                    "v2 edge payload of {edge_bytes} B impossible for degree sum {degree_sum}"
-                )));
-            }
-            Ok(GraphMeta {
-                num_nodes: n as u32,
-                degree_sum,
-                version,
-                edge_bytes,
-            })
-        }
         FormatVersion::V3 => {
             let edge_bytes = codec::try_get_u64(h, 32, "edge table payload length")?;
             // Every id costs at least a quarter control byte (per-list
@@ -320,35 +287,11 @@ impl GraphPaths {
 mod tests {
     use super::*;
 
-    /// A legacy v2 header: no constructor builds one any more, readers
-    /// still must decode it.
-    fn v2(num_nodes: u32, degree_sum: u64, edge_bytes: u64) -> GraphMeta {
-        GraphMeta {
-            version: FormatVersion::V2,
-            ..GraphMeta::v3(num_nodes, degree_sum, edge_bytes)
-        }
-    }
-
-    #[test]
-    fn write_format_keeps_v1_and_v3_and_upgrades_v2() {
-        assert_eq!(FormatVersion::V1.write_format(), FormatVersion::V1);
-        assert_eq!(FormatVersion::V2.write_format(), FormatVersion::V3);
-        assert_eq!(FormatVersion::V3.write_format(), FormatVersion::V3);
-    }
-
     #[test]
     fn header_round_trip_v1() {
         let meta = GraphMeta::v1(12345, 99_999);
         let h = encode_node_header(&meta);
         assert_eq!(h.len() as u64, NODE_HEADER_LEN_V1);
-        assert_eq!(decode_node_header(&h).unwrap(), meta);
-    }
-
-    #[test]
-    fn header_round_trip_v2() {
-        let meta = v2(12345, 99_999, 150_000);
-        let h = encode_node_header(&meta);
-        assert_eq!(h.len() as u64, NODE_HEADER_LEN_V2);
         assert_eq!(decode_node_header(&h).unwrap(), meta);
     }
 
@@ -365,13 +308,21 @@ mod tests {
         codec::put_u32(&mut h, 8, 77);
         let err = decode_node_header(&h).unwrap_err();
         assert!(err.to_string().contains("version 77"));
+        // The retired compressed format: a well-formed v2 header is refused
+        // by name, with the way out, not decoded as anything.
+        let mut h = encode_node_header(&GraphMeta::v3(3, 6, 9));
+        codec::put_u32(&mut h, 8, 2);
+        let err = decode_node_header(&h).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
+        assert!(err.to_string().contains("format v2"), "{err}");
+        assert!(err.to_string().contains("kcore recompress"), "{err}");
     }
 
     #[test]
     fn short_header_rejected() {
         assert!(decode_node_header(&[0u8; 5]).unwrap_err().is_corrupt());
-        // A v2 header truncated to v1 length must not decode.
-        let h = encode_node_header(&v2(3, 6, 9));
+        // A v3 header truncated to v1 length must not decode.
+        let h = encode_node_header(&GraphMeta::v3(3, 6, 9));
         assert!(decode_node_header(&h[..NODE_HEADER_LEN_V1 as usize])
             .unwrap_err()
             .is_corrupt());
@@ -383,7 +334,7 @@ mod tests {
         // past u64 must decode to a corruption error; unchecked length
         // arithmetic would overflow (a panic in debug builds).
         for version in [1u32, 2, 3] {
-            let mut h = encode_node_header(&v2(3, 6, 9));
+            let mut h = encode_node_header(&GraphMeta::v3(3, 6, 9));
             codec::put_u32(&mut h, 8, version);
             codec::put_u64(&mut h, 24, u64::MAX / 2);
             assert!(decode_node_header(&h).unwrap_err().is_corrupt());
@@ -391,20 +342,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_payload_envelope_enforced() {
-        // Fewer than one byte per id is impossible.
-        let h = encode_node_header(&v2(10, 30, 29));
-        assert!(decode_node_header(&h).unwrap_err().is_corrupt());
-        // More than five bytes per id is impossible.
-        let h = encode_node_header(&v2(10, 30, 151));
-        assert!(decode_node_header(&h).unwrap_err().is_corrupt());
-    }
-
-    #[test]
     fn header_round_trip_v3() {
         let meta = GraphMeta::v3(12345, 99_999, 80_000);
         let h = encode_node_header(&meta);
-        assert_eq!(h.len() as u64, NODE_HEADER_LEN_V2);
+        assert_eq!(h.len() as u64, NODE_HEADER_LEN_V3);
         assert_eq!(decode_node_header(&h).unwrap(), meta);
     }
 
@@ -435,7 +376,7 @@ mod tests {
         assert_eq!(meta.node_entry_offset(0), 32);
         assert_eq!(meta.node_entry_offset(3), 32 + 36);
 
-        let meta = v2(10, 30, 45);
+        let meta = GraphMeta::v3(10, 30, 45);
         assert_eq!(meta.node_file_len(), 40 + 120);
         assert_eq!(meta.edge_file_len(), 8 + 45);
         assert_eq!(meta.node_entry_offset(0), 40);
@@ -444,18 +385,12 @@ mod tests {
     #[test]
     fn version_tags_and_magic() {
         assert_eq!(FormatVersion::V1.tag(), "v1");
-        assert_eq!(FormatVersion::V2.tag(), "v2");
         assert_eq!(FormatVersion::V3.tag(), "v3");
-        assert_eq!(FormatVersion::from_u32(2).unwrap(), FormatVersion::V2);
         assert_eq!(FormatVersion::from_u32(3).unwrap(), FormatVersion::V3);
         assert!(FormatVersion::from_u32(0).is_err());
         assert!(FormatVersion::from_u32(4).is_err());
         assert_ne!(
             FormatVersion::V1.edge_magic(),
-            FormatVersion::V2.edge_magic()
-        );
-        assert_ne!(
-            FormatVersion::V2.edge_magic(),
             FormatVersion::V3.edge_magic()
         );
     }

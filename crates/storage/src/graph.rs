@@ -81,7 +81,7 @@ impl DiskGraph {
     }
 
     /// Open with a block-cache budget of `cache_bytes` (the model's `M`),
-    /// using the scan-resistant eviction policy tuned for the semi-external
+    /// evicting by the scan-resistant policy tuned for the semi-external
     /// convergence loops ([`EvictionPolicy::ScanLifo`]).
     ///
     /// A budget below one frame per table (two blocks) behaves exactly like
@@ -111,20 +111,11 @@ impl DiskGraph {
         counter: Arc<IoCounter>,
         cache_bytes: u64,
     ) -> Result<DiskGraph> {
-        Self::open_with_cache_policy(base, counter, cache_bytes, EvictionPolicy::ScanLifo)
-    }
-
-    /// [`DiskGraph::open_with_cache`] with an explicit eviction policy.
-    pub fn open_with_cache_policy(
-        base: &Path,
-        counter: Arc<IoCounter>,
-        cache_bytes: u64,
-        policy: EvictionPolicy,
-    ) -> Result<DiskGraph> {
         // One pinned frame per table, so any attached cache dominates the
         // uncached per-reader buffers request by request.
+        let block = counter.block_size();
         let binding =
-            BlockCache::shared(counter.block_size(), cache_bytes, 2, policy).map(|pool| {
+            BlockCache::shared(block, cache_bytes, 2, EvictionPolicy::ScanLifo).map(|pool| {
                 CacheBinding {
                     pool,
                     node_file: NODE_FILE,
@@ -203,7 +194,7 @@ impl DiskGraph {
             )));
         }
         // The edge table must carry the magic of the node header's version:
-        // a mismatched pair (e.g. a v1 edge table renamed under a v2 node
+        // a mismatched pair (e.g. a v1 edge table renamed under a v3 node
         // table) would otherwise decode garbage.
         let mut edge_magic = [0u8; format::EDGE_HEADER_LEN as usize];
         edge_reader.read_exact_at(0, &mut edge_magic)?;
@@ -400,12 +391,11 @@ impl DiskGraph {
             .node_reader
             .read_array_at(self.meta.node_entry_offset(v))?;
         let (offset, degree) = format::decode_node_entry(&e);
-        // Lower bound of the run's extent: 4 bytes per id raw, at least one
-        // byte per varint, at least the control region for v3 groups. The
-        // v2/v3 decoders enforce the exact end themselves.
+        // Lower bound of the run's extent: 4 bytes per id raw, at least the
+        // control region for v3 groups. The v3 decoder enforces the exact
+        // end itself.
         let min_bytes: u128 = match self.meta.version {
             FormatVersion::V1 => 4 * degree as u128,
-            FormatVersion::V2 => degree as u128,
             FormatVersion::V3 => (degree as u128).div_ceil(4),
         };
         let end = offset as u128 + min_bytes;
@@ -431,11 +421,6 @@ impl DiskGraph {
                 self.edge_reader.read_u32_run(offset, buf)?;
                 validate_run(v, self.meta.num_nodes, buf)
             }
-            FormatVersion::V2 => {
-                self.edge_reader
-                    .read_gap_run(offset, degree as usize, buf)?;
-                validate_sorted_run(v, self.meta.num_nodes, buf)
-            }
             FormatVersion::V3 => {
                 self.edge_reader
                     .read_group_run(offset, degree as usize, buf)?;
@@ -452,7 +437,7 @@ impl DiskGraph {
     /// copied at all. The frame handle is taken with the pool lock released
     /// before `f` runs, so parallel shard scans (see
     /// [`DiskGraph::try_clone`]) never serialize on each other's visit
-    /// closures. Otherwise — and always for v2/v3 graphs, whose encoded
+    /// closures. Otherwise — and always for v3 graphs, whose encoded
     /// runs have no in-place representation — the run is decoded into an
     /// internal per-handle scratch buffer that is reused across calls (as
     /// is the reader's byte staging buffer behind it), so no hot loop
@@ -463,21 +448,12 @@ impl DiskGraph {
             return Ok(f(&[]));
         }
         let n = self.meta.num_nodes;
-        if self.meta.version != FormatVersion::V1 {
+        if self.meta.version == FormatVersion::V3 {
             // Decode-into-scratch, straight from the frame or read-ahead
-            // window holding the run (v3 runs that straddle are staged in
-            // the reader's reusable byte buffer first).
-            match self.meta.version {
-                FormatVersion::V2 => {
-                    self.edge_reader
-                        .read_gap_run(offset, degree as usize, &mut self.adj_scratch)?
-                }
-                _ => self.edge_reader.read_group_run(
-                    offset,
-                    degree as usize,
-                    &mut self.adj_scratch,
-                )?,
-            };
+            // window holding the run (runs that straddle are staged in the
+            // reader's reusable byte buffer first).
+            self.edge_reader
+                .read_group_run(offset, degree as usize, &mut self.adj_scratch)?;
             validate_sorted_run(v, n, &self.adj_scratch)?;
             return Ok(f(&self.adj_scratch));
         }
@@ -579,10 +555,10 @@ fn read_meta(reader: &mut BlockReader) -> Result<GraphMeta> {
     format::decode_node_header(&header[..want])
 }
 
-/// Check a run the v2/v3 decoders produced: both enforce strict ascent
-/// structurally (a zero gap is corrupt in v2; v3 stores `gap − 1`, making
-/// unsorted lists unrepresentable), so only the range of the maximum — the
-/// last element — needs checking. No re-walk of the run.
+/// Check a run the v3 decoder produced: the encoding enforces strict ascent
+/// structurally (it stores `gap − 1`, making unsorted lists
+/// unrepresentable), so only the range of the maximum — the last element —
+/// needs checking. No re-walk of the run.
 fn validate_sorted_run(v: u32, num_nodes: u32, run: &[u32]) -> Result<()> {
     if let Some(&last) = run.last() {
         if last >= num_nodes {

@@ -397,8 +397,8 @@ pub struct BlockReader {
     /// immutable while open ([`BlockReader::invalidate`] clears it).
     memo: Option<(u64, Arc<Vec<u8>>)>,
     /// Reusable byte staging buffer, so no adjacency read allocates: the
-    /// raw bytes of a v1 run, the v2 decoder's per-block chunk, and the
-    /// contiguous copy of a v3 run that straddles frames or windows.
+    /// raw bytes of a v1 run and the contiguous copy of a v3 run that
+    /// straddles frames or windows.
     scratch: Vec<u8>,
     /// Where this reader's file lives, when it was opened by path — what
     /// [`BlockReader::set_readahead`] needs to open its second handle.
@@ -897,78 +897,6 @@ impl BlockReader {
         })();
         self.scratch = buf;
         res
-    }
-
-    /// Decode a `count`-id delta-gap varint (legacy format v2) run starting
-    /// at byte `offset` into `out` (cleared first). Returns the encoded
-    /// length in bytes — a varint run's extent is only known once decoded,
-    /// so the read proceeds block by block until the decoder is satisfied.
-    /// Charged like [`BlockReader::read_group_run`].
-    pub(crate) fn read_gap_run(
-        &mut self,
-        offset: u64,
-        count: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<u64> {
-        out.clear();
-        if count == 0 {
-            return Ok(0);
-        }
-        self.counter.check_deadline()?;
-        // Every id takes at least one varint byte: the cheap lower-bound
-        // range check before any I/O.
-        self.check_range(offset, count)?;
-        out.reserve(count);
-        let mut dec = crate::codec::GapDecoder::new(count);
-        let b = self.counter.block_size() as u64;
-        let mut pos = offset;
-        let truncated = || {
-            Error::corrupt(format!(
-                "encoded run of {count} ids at offset {offset} truncated by end of file"
-            ))
-        };
-        if offset != self.prev_end {
-            self.tally.seek();
-        }
-        if self.cache.is_some() {
-            while !dec.is_done() {
-                if pos >= self.file_len {
-                    return Err(truncated());
-                }
-                pos += dec.feed(self.piece_at(pos)?, out)? as u64;
-            }
-            self.tally.bytes(pos - offset);
-        } else {
-            // Each chunk charges exactly the block it touches and the bytes
-            // actually consumed: routing full-block chunks through
-            // `read_exact_at` would bill the tail block's unused remainder
-            // as read bytes and push `prev_end` past the run's true end.
-            let mut chunk = std::mem::take(&mut self.scratch);
-            let res = (|| -> Result<()> {
-                while !dec.is_done() {
-                    if pos >= self.file_len {
-                        return Err(truncated());
-                    }
-                    // Decode to the end of the current block (clamped to
-                    // the file), one block per iteration.
-                    let block = pos / b;
-                    let chunk_end = ((block + 1) * b).min(self.file_len);
-                    chunk.resize((chunk_end - pos) as usize, 0);
-                    self.copy_bytes(pos, &mut chunk)?;
-                    let used = dec.feed(&chunk, out)? as u64;
-                    let blocks = u64::from(self.last_block != Some(block));
-                    self.counter.charge_blocks(blocks);
-                    self.tally.bytes(used);
-                    self.last_block = Some(block);
-                    pos += used;
-                }
-                Ok(())
-            })();
-            self.scratch = chunk;
-            res?;
-        }
-        self.prev_end = pos;
-        Ok(pos - offset)
     }
 
     /// Physically read a block-aligned window covering `pos`.
@@ -1502,9 +1430,13 @@ mod tests {
                 let mut by_raw = BlockReader::open(&path, c_raw.clone()).unwrap();
                 if cached {
                     for r in [&mut by_run, &mut by_raw] {
-                        let pool =
-                            BlockCache::shared(block, 8 * block as u64, 1, EvictionPolicy::Lru)
-                                .unwrap();
+                        let pool = BlockCache::shared(
+                            block,
+                            8 * block as u64,
+                            1,
+                            EvictionPolicy::ScanLifo,
+                        )
+                        .unwrap();
                         r.attach_caches(pool, 0, None).unwrap();
                     }
                 }

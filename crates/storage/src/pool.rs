@@ -112,8 +112,8 @@ struct PoolInner {
 }
 
 impl SharedPool {
-    /// A pool of `B = block_size` frames under `budget_bytes`, using the
-    /// scan-resistant default policy ([`EvictionPolicy::ScanLifo`]).
+    /// A pool of `B = block_size` frames under `budget_bytes`, evicting by
+    /// the scan-resistant policy ([`EvictionPolicy::ScanLifo`]).
     ///
     /// Errors when the budget cannot hold two frames — a pool that cannot
     /// keep even one graph's current blocks resident arbitrates nothing;
@@ -122,7 +122,8 @@ impl SharedPool {
         Self::with_policy(block_size, budget_bytes, EvictionPolicy::ScanLifo)
     }
 
-    /// [`SharedPool::new`] with an explicit eviction policy.
+    /// [`SharedPool::new`] with the eviction policy spelled out (there is
+    /// one; see [`EvictionPolicy`]).
     pub fn with_policy(
         block_size: usize,
         budget_bytes: u64,

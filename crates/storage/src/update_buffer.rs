@@ -388,9 +388,8 @@ impl BufferedGraph {
         self.clean_stale_temps()?;
         let paths = self.disk.paths().clone();
         let tmp_base = rewrite_temp_base(&paths);
-        // The rewrite keeps the graph's encoding family — raw stays raw,
-        // compressed stays compressed (a legacy v2 table comes back as v3;
-        // the merge works on decoded lists, so it is format-agnostic).
+        // The rewrite keeps the graph's encoding (the merge works on
+        // decoded lists, so it is format-agnostic).
         let new_paths = self.rewrite_to(&tmp_base, self.disk.format_version())?;
         let vfs = self.disk.counter().vfs().clone();
         vfs.rename(&new_paths.nodes, &paths.nodes)?;
@@ -407,16 +406,15 @@ impl BufferedGraph {
 
     /// Write the merged view — base tables plus every pending edit — into a
     /// fresh, fully fsynced table pair at `target_base`, encoded as
-    /// [`format.write_format()`](FormatVersion::write_format). The live
-    /// graph, the buffer and the original files are left untouched: the
+    /// `format`. The live graph, the buffer and the original files are left
+    /// untouched: the
     /// caller owns the commit (a flush renames over the source; a
     /// generational compaction publishes the new base through the catalog
     /// instead). Returns the new pair's paths.
     pub fn rewrite_to(&mut self, target_base: &Path, format: FormatVersion) -> Result<GraphPaths> {
         let n = self.disk.num_nodes();
         let counter = self.disk.counter().clone();
-        let mut writer =
-            DiskGraphWriter::create_with_format(target_base, n, counter, format.write_format())?;
+        let mut writer = DiskGraphWriter::create_with_format(target_base, n, counter, format)?;
         let mut base = Vec::new();
         let mut merged = Vec::new();
         for v in 0..n {

@@ -28,7 +28,7 @@ fn catalog(tag: u64) -> Catalog {
             format: if (tag + i).is_multiple_of(2) {
                 FormatVersion::V1
             } else {
-                FormatVersion::V2
+                FormatVersion::V3
             },
             generation: (tag + i) % 3,
         })

@@ -3,7 +3,7 @@
 //! share one frame store:
 //!
 //! * `resident_bytes ≤ budget` after **every** step of an adversarial
-//!   get/invalidate/clear sequence, for every eviction policy;
+//!   get/invalidate/clear sequence;
 //! * `invalidate_file` leaves zero frames for that file id, and only that
 //!   file id;
 //! * a [`SharedPool`] lease teardown mid-traffic behaves like an
@@ -99,13 +99,12 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1usize..120),
         frames in 1u64..8,
     ) {
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
-            let budget = frames * BLOCK as u64;
-            let mut cache = BlockCache::new(BLOCK, budget, policy).unwrap();
-            for (step, &op) in ops.iter().enumerate() {
-                apply(&mut cache, op);
-                check_invariants(&cache, budget, step);
-            }
+        let policy = EvictionPolicy::ScanLifo;
+        let budget = frames * BLOCK as u64;
+        let mut cache = BlockCache::new(BLOCK, budget, policy).unwrap();
+        for (step, &op) in ops.iter().enumerate() {
+            apply(&mut cache, op);
+            check_invariants(&cache, budget, step);
         }
     }
 
@@ -116,36 +115,35 @@ proptest! {
     ) {
         // A pool big enough to hold everything: invalidation, not eviction,
         // must be the only reason a block reloads.
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
-            let mut cache = BlockCache::new(
-                BLOCK,
-                (FILES as u64 * BLOCKS_PER_FILE) * BLOCK as u64,
-                policy,
-            )
-            .unwrap();
-            for &(f, b) in &blocks {
-                apply(&mut cache, Op::Get(f, b, 4));
-            }
-            cache.invalidate_file(victim);
-            let mut retouched: Vec<(u32, u64)> = Vec::new();
-            for &(f, b) in &blocks {
-                let (_, missed) = cache
-                    .get_or_load(f, b, 4, |buf| {
-                        buf.fill(stamp(f, b));
-                        Ok(())
-                    })
-                    .unwrap();
-                if f == victim {
-                    // The first re-touch of an invalidated block must miss
-                    // (later re-touches of the same block hit again).
-                    if !retouched.contains(&(f, b)) {
-                        prop_assert!(missed, "({f}, {b}) survived its file's invalidation");
-                    }
-                } else {
-                    prop_assert!(!missed, "({f}, {b}) was evicted by an unrelated invalidation");
+        let policy = EvictionPolicy::ScanLifo;
+        let mut cache = BlockCache::new(
+            BLOCK,
+            (FILES as u64 * BLOCKS_PER_FILE) * BLOCK as u64,
+            policy,
+        )
+        .unwrap();
+        for &(f, b) in &blocks {
+            apply(&mut cache, Op::Get(f, b, 4));
+        }
+        cache.invalidate_file(victim);
+        let mut retouched: Vec<(u32, u64)> = Vec::new();
+        for &(f, b) in &blocks {
+            let (_, missed) = cache
+                .get_or_load(f, b, 4, |buf| {
+                    buf.fill(stamp(f, b));
+                    Ok(())
+                })
+                .unwrap();
+            if f == victim {
+                // The first re-touch of an invalidated block must miss
+                // (later re-touches of the same block hit again).
+                if !retouched.contains(&(f, b)) {
+                    prop_assert!(missed, "({f}, {b}) survived its file's invalidation");
                 }
-                retouched.push((f, b));
+            } else {
+                prop_assert!(!missed, "({f}, {b}) was evicted by an unrelated invalidation");
             }
+            retouched.push((f, b));
         }
     }
 }

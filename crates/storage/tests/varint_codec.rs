@@ -1,10 +1,11 @@
-//! Property tests for the format-v2 delta-gap varint codec: round-trips
-//! over arbitrary sorted lists (empty, single-element and max-`u32`-gap
-//! cases included) and fuzz-ish decoder runs over truncated and garbage
-//! bytes, which must surface as [`graphstore::Error`] — never a panic or a
-//! wrong-but-silent decode.
+//! Property tests for the delta-gap varint codec (the retired format v2's
+//! wire encoding, kept as the benchmark's byte-at-a-time baseline):
+//! round-trips over arbitrary sorted lists (empty, single-element and
+//! max-`u32`-gap cases included) and fuzz-ish decoder runs over truncated
+//! and garbage bytes, which must surface as [`graphstore::Error`] — never a
+//! panic or a wrong-but-silent decode.
 
-use graphstore::codec::{decode_gap_run, encode_gap_run, GapDecoder, MAX_VARINT_LEN};
+use graphstore::codec::{decode_gap_run, encode_gap_run, MAX_VARINT_LEN};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary strictly ascending `u32` list (possibly empty),
@@ -43,27 +44,6 @@ proptest! {
         let used = decode_gap_run(&bytes, values.len(), &mut back).unwrap();
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(back, values);
-    }
-
-    #[test]
-    fn round_trips_under_arbitrary_chunking(
-        values in arb_sorted_list(),
-        chunk in 1usize..7,
-    ) {
-        // The disk path feeds the decoder block by block; any split points
-        // must be equivalent to one contiguous feed.
-        let mut bytes = Vec::new();
-        encode_gap_run(&values, &mut bytes);
-        let mut dec = GapDecoder::new(values.len());
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        while !dec.is_done() {
-            let end = (pos + chunk).min(bytes.len());
-            prop_assert!(pos < end, "decoder starved before completion");
-            pos += dec.feed(&bytes[pos..end], &mut out).unwrap();
-        }
-        prop_assert_eq!(pos, bytes.len());
-        prop_assert_eq!(out, values);
     }
 
     #[test]

@@ -19,18 +19,16 @@
 //! * [`disk_full_budget`] — write a graph to disk and open it with a
 //!   whole-working-set cache budget (the regime where charged I/O is
 //!   schedule-independent);
-//! * [`write_v2_fixture`] — a hand-built legacy format-v2 table pair (no
-//!   writer in the product emits one any more);
+//! * [`worker_counts`] / [`env_executor`] — the one place that reads
+//!   `SEMICORE_WORKERS`, CI's knob for re-running a suite at another width;
 //! * [`arb_graph`] / [`arb_toggle_stream`] — the proptest strategies shared
 //!   by the cross-validation and maintenance property suites.
 
 #![deny(missing_docs)]
 
-use graphstore::{
-    mem_to_disk, DiskGraph, FormatVersion, GraphMeta, GraphPaths, IoCounter, MemGraph, TempDir,
-    DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{mem_to_disk, DiskGraph, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
 use proptest::prelude::*;
+use semicore::ScanExecutor;
 
 /// The suite's standard deterministic generator (a 64-bit LCG with the
 /// Knuth multiplier, emitting the high bits). Same stream as the inline
@@ -78,20 +76,33 @@ pub fn random_mem_graph(rng: &mut Lcg, min_nodes: u32, node_span: u32, density: 
     MemGraph::from_edges(random_edges(rng, n, m), n)
 }
 
-/// Worker counts the executor-equivalence suites sweep: 1/2/4 always, plus
-/// whatever `SEMICORE_WORKERS` asks for — the CI knob that re-runs a suite
-/// at another width (see `.github/workflows/ci.yml`).
-pub fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    if let Some(w) = std::env::var("SEMICORE_WORKERS")
+/// The width `SEMICORE_WORKERS` asks for, if any — the CI knob that re-runs
+/// a suite at another width (see `.github/workflows/ci.yml`). The product
+/// does not read it: there, `--workers N` is the one way.
+fn env_workers() -> Option<usize> {
+    std::env::var("SEMICORE_WORKERS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if w >= 1 && !counts.contains(&w) {
-            counts.push(w);
-        }
+        .filter(|&w| w >= 1)
+}
+
+/// Worker counts the executor-equivalence suites sweep: 1/2/4 always, plus
+/// whatever `SEMICORE_WORKERS` asks for.
+pub fn worker_counts() -> Vec<usize> {
+    let mut counts = vec![1usize, 2, 4];
+    if let Some(w) = env_workers().filter(|w| !counts.contains(w)) {
+        counts.push(w);
     }
     counts
+}
+
+/// The executor of a suite that runs at one width: sequential, unless
+/// `SEMICORE_WORKERS` asks for two workers or more.
+pub fn env_executor() -> ScanExecutor {
+    match env_workers() {
+        Some(w) if w >= 2 => ScanExecutor::parallel(w),
+        _ => ScanExecutor::Sequential,
+    }
 }
 
 /// Core numbers recomputed from scratch by the in-memory oracle (IMCore) —
@@ -139,34 +150,6 @@ pub fn disk_full_budget(g: &MemGraph, dir: &TempDir, tag: &str) -> DiskGraph {
 /// canonical formula, [`graphstore::working_set_charge_budget`].
 pub fn working_set_budget(base: &std::path::Path) -> u64 {
     graphstore::working_set_charge_budget(base, DEFAULT_BLOCK_SIZE).unwrap()
-}
-
-/// Lay `g` out at `<base>.nodes/.edges` in the read-only legacy format v2
-/// (delta-gap varints), byte for byte as the retired v2 writer did: built
-/// only from the public codec and header primitives, so the suites can
-/// keep exercising the v2 *reader* and the upgrade-on-rewrite rule.
-pub fn write_v2_fixture(base: &std::path::Path, g: &MemGraph) -> GraphPaths {
-    let mut edges = FormatVersion::V2.edge_magic().to_vec();
-    let mut entries = Vec::new();
-    for v in 0..g.num_nodes() {
-        let nbrs = g.neighbors(v);
-        entries.extend_from_slice(&graphstore::format::encode_node_entry(
-            edges.len() as u64,
-            nbrs.len() as u32,
-        ));
-        graphstore::codec::encode_gap_run(nbrs, &mut edges);
-    }
-    let mut nodes = graphstore::format::encode_node_header(&GraphMeta {
-        num_nodes: g.num_nodes(),
-        degree_sum: g.degree_sum(),
-        version: FormatVersion::V2,
-        edge_bytes: edges.len() as u64 - graphstore::format::EDGE_HEADER_LEN,
-    });
-    nodes.extend_from_slice(&entries);
-    let paths = GraphPaths::from_base(base);
-    std::fs::write(&paths.nodes, nodes).unwrap();
-    std::fs::write(&paths.edges, edges).unwrap();
-    paths
 }
 
 /// Strategy: an arbitrary small multigraph (edge list plus node count) —
@@ -244,17 +227,6 @@ mod tests {
         for (name, g) in &fx {
             assert!(g.num_edges() > 0, "{name} must have edges");
         }
-    }
-
-    #[test]
-    fn v2_fixture_opens_as_v2_and_reads_back() {
-        let g = random_mem_graph(&mut Lcg::new(9), 20, 40, 3);
-        let dir = TempDir::new("testutil").unwrap();
-        let base = dir.path().join("legacy");
-        write_v2_fixture(&base, &g);
-        let mut disk = DiskGraph::open(&base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        assert_eq!(disk.format_version(), FormatVersion::V2);
-        assert_eq!(graphstore::disk_to_mem(&mut disk).unwrap(), g);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //!                 [--workers N] [--cache-mb M] [--out cores.txt]
 //! kcore query  <graph-base> --k 8            print the k-core's nodes/components
 //! kcore stats  <graph-base>                  core profile (onion levels, nucleus)
-//! kcore serve  [--budget-mb M] [--workers N] [--policy lru|scanlifo]
-//!              [--data-dir DIR] [--listen ADDR] [--max-conns N]
-//!              [--qos-mb M] [--qos-queue N] [--group-commit-us U]
-//!              [--compact-after E] [--scrub-interval S]
-//!              [--repair-retries R] [--op-timeout-ms T]
+//! kcore serve  [--budget-mb M] [--workers N] [--data-dir DIR]
+//!              [--listen ADDR] [--max-conns N] [--qos-mb M]
+//!              [--qos-queue N] [--group-commit-us U] [--compact-after E]
+//!              [--scrub-interval S] [--repair-retries R] [--op-timeout-ms T]
 //!              [name=graph-base ...]         serve many graphs on one budget
 //! kcore fsck   <data-dir> [--repair]         check (and repair) a durable dir
 //! kcore compact <data-dir> <name>            fold buffered edits into fresh tables
@@ -21,10 +20,10 @@
 //! `kcore build` spills its sorted runs under `std::env::temp_dir()`
 //! (`$TMPDIR`, `/tmp` by default); where that is a tmpfs the runs are held
 //! in RAM, so point `TMPDIR` at a disk for an input beyond memory.
-//! `--workers N` (or the `SEMICORE_WORKERS` environment variable) shards the
-//! decomposition's convergence scans across `N` threads; `--cache-mb M`
-//! serves disk blocks through an `M`-MiB shared buffer pool (required for
-//! the parallel scans to pay sequential-equivalent I/O).
+//! `--workers N` shards SemiCore\*'s convergence scans across `N` threads
+//! (absent, or with any other algorithm, the scan is sequential);
+//! `--cache-mb M` serves disk blocks through an `M`-MiB shared buffer pool
+//! (required for the parallel scans to pay sequential-equivalent I/O).
 //!
 //! `kcore serve` starts a [`CoreService`]: every named graph is opened
 //! against one process-wide pool of `--budget-mb` MiB, then commands are
@@ -34,8 +33,8 @@
 //! the registry is durable: every maintenance op is journaled before it is
 //! applied, and restarting with the same directory restores every graph —
 //! maintained cores included — without re-decomposing (the directory's
-//! catalog then also supplies the pool budget and policy, so those flags
-//! are ignored on reopen). `--group-commit-us U` (durable mode only) is
+//! catalog then also supplies the pool budget, so that flag is ignored on
+//! reopen). `--group-commit-us U` (durable mode only) is
 //! the journal's gather window, default 0: concurrent writers always
 //! share fsync barriers, and a barrier waits `U` µs for more of them to
 //! join. `--compact-after E` (durable mode only) bounds every
@@ -46,8 +45,8 @@
 //! `kcore compact <data-dir> <name>` runs that same generational rewrite
 //! offline, and `kcore recompress <data-dir> [--to v1|v3]` migrates
 //! every catalogued graph to the chosen encoding through it (default v3,
-//! the compressed stream-vbyte layout — also how a legacy v2 catalog is
-//! upgraded), reporting the charged-read savings per graph.
+//! the compressed stream-vbyte layout), reporting the charged-read savings
+//! per graph.
 //!
 //! `--listen ADDR` additionally serves the same line protocol over TCP
 //! (thread per connection, at most `--max-conns` of them) while stdin
@@ -94,7 +93,7 @@ use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v3]]\n              (scratch runs go under $TMPDIR, /tmp by default: on a tmpfs that is RAM,\n               so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--policy lru|scanlifo] [--data-dir DIR]\n              [--listen ADDR] [--max-conns N] [--qos-mb M] [--qos-queue N]\n              [--group-commit-us U] [--compact-after E] [--scrub-interval S]\n              [--repair-retries R] [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v3]"
+        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v3]]\n              (scratch runs go under $TMPDIR, /tmp by default: on a tmpfs that is RAM,\n               so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--data-dir DIR] [--listen ADDR]\n              [--max-conns N] [--qos-mb M] [--qos-queue N] [--group-commit-us U]\n              [--compact-after E] [--scrub-interval S] [--repair-retries R]\n              [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v3]"
     );
     std::process::exit(2)
 }
@@ -105,17 +104,12 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Parse a writable format tag (as `--compress=` and `--to` take): `v1`
-/// (raw) or `v3` (compressed). Anything else exits 2 — legacy `v2` with a
-/// pointer to its successor.
+/// Parse a format tag (as `--compress=` and `--to` take): `v1` (raw) or
+/// `v3` (compressed). Anything else exits 2.
 fn parse_format(tag: &str) -> graphstore::FormatVersion {
     match tag {
         "v1" => graphstore::FormatVersion::V1,
         "v3" => graphstore::FormatVersion::V3,
-        "v2" => {
-            eprintln!("format v2 is read-only (existing tables still open); write v3 instead");
-            std::process::exit(2)
-        }
         other => {
             eprintln!("unknown format {other:?} (expected v1|v3)");
             std::process::exit(2)
@@ -143,8 +137,8 @@ fn open(base: &Path) -> graphstore::Result<DiskGraph> {
 }
 
 // Internal decompositions (query/stats) run uncached, where the sequential
-// schedule is the right configuration regardless of SEMICORE_WORKERS — the
-// parallel path wants a cache budget so shard handles share fetched blocks.
+// schedule is the right configuration — the parallel path wants a cache
+// budget so shard handles share fetched blocks.
 fn decompose(base: &Path, algo: &str) -> graphstore::Result<semicore::Decomposition> {
     decompose_with(base, algo, ScanExecutor::Sequential, 0)
 }
@@ -157,16 +151,14 @@ fn decompose_with(
 ) -> graphstore::Result<semicore::Decomposition> {
     let mut g = DiskGraph::open_with_cache(base, IoCounter::new(DEFAULT_BLOCK_SIZE), cache_bytes)?;
     let opts = DecomposeOptions::default();
+    if exec != ScanExecutor::Sequential && matches!(algo, "plus" | "basic" | "emcore") {
+        eprintln!("note: --workers applies to SemiCore* only; {algo} runs sequentially");
+    }
     match algo {
         "star" => semicore::semicore_star_with(&mut g, &opts, exec),
-        "plus" => semicore::semicore_plus_with(&mut g, &opts, exec),
-        "basic" => semicore::semicore_with(&mut g, &opts, exec),
-        "emcore" => {
-            if exec != ScanExecutor::Sequential {
-                eprintln!("note: --workers applies to the semi-external algorithms only; EMCore runs sequentially");
-            }
-            semicore::emcore(&mut g, &EmCoreOptions::default())
-        }
+        "plus" => semicore::semicore_plus(&mut g, &opts),
+        "basic" => semicore::semicore(&mut g, &opts),
+        "emcore" => semicore::emcore(&mut g, &EmCoreOptions::default()),
         other => {
             eprintln!("unknown algorithm {other:?} (expected star|plus|basic|emcore)");
             std::process::exit(2)
@@ -177,6 +169,14 @@ fn decompose_with(
 fn main() -> graphstore::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
+    // A trailing flag with its value forgotten would otherwise be
+    // indistinguishable from an absent flag and silently get the default.
+    if args
+        .last()
+        .is_some_and(|a| SERVE_FLAGS.contains(&a.as_str()) || ONE_SHOT_FLAGS.contains(&a.as_str()))
+    {
+        usage()
+    }
     match cmd.as_str() {
         "build" => {
             let (Some(input), Some(base)) = (args.get(1), args.get(2)) else {
@@ -212,7 +212,7 @@ fn main() -> graphstore::Result<()> {
                 Some(Ok(w)) if w >= 2 => ScanExecutor::parallel(w),
                 Some(Ok(_)) => ScanExecutor::Sequential,
                 Some(Err(_)) => usage(),
-                None => ScanExecutor::from_env(),
+                None => ScanExecutor::Sequential,
             };
             let cache_bytes = match arg_value(&args, "--cache-mb").map(|m| m.parse::<u64>()) {
                 Some(Ok(mb)) => mb << 20,
@@ -361,12 +361,15 @@ fn recompress_cmd(args: &[String]) -> graphstore::Result<()> {
     Ok(())
 }
 
+/// The value-taking flags of the one-shot subcommands (`decompose`, `query`,
+/// `recompress`; `--workers` is in [`SERVE_FLAGS`]).
+const ONE_SHOT_FLAGS: [&str; 5] = ["--algo", "--cache-mb", "--out", "--k", "--to"];
+
 /// The value-taking flags of `kcore serve` — the single list both the
 /// flag parsers and the positional-argument scan below work from.
-const SERVE_FLAGS: [&str; 13] = [
+const SERVE_FLAGS: [&str; 12] = [
     "--budget-mb",
     "--workers",
-    "--policy",
     "--data-dir",
     "--listen",
     "--max-conns",
@@ -384,14 +387,6 @@ const SERVE_FLAGS: [&str; 13] = [
 /// script in; every response is a single line, errors are reported and do
 /// not end the session.
 fn serve(args: &[String]) -> graphstore::Result<()> {
-    // A trailing flag with its value forgotten would otherwise be
-    // indistinguishable from an absent flag and silently get the default.
-    if args
-        .last()
-        .is_some_and(|a| SERVE_FLAGS.contains(&a.as_str()))
-    {
-        usage()
-    }
     let budget_mb: u64 = match arg_value(args, SERVE_FLAGS[0]).map(|v| v.parse()) {
         Some(Ok(mb)) => mb,
         Some(Err(_)) => usage(),
@@ -401,35 +396,30 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         Some(Ok(w)) if w >= 2 => ScanExecutor::parallel(w),
         Some(Ok(_)) => ScanExecutor::Sequential,
         Some(Err(_)) => usage(),
-        None => ScanExecutor::from_env(),
-    };
-    let policy = match arg_value(args, SERVE_FLAGS[2]).as_deref() {
-        Some("lru") => EvictionPolicy::Lru,
-        Some("scanlifo") | None => EvictionPolicy::ScanLifo,
-        Some(_) => usage(),
+        None => ScanExecutor::Sequential,
     };
     // `--group-commit-us U` is the journal's gather window (default 0);
     // it only means anything when there is a journal, i.e. with
     // `--data-dir`.
-    let group_commit = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<u64>()) {
+    let group_commit = match arg_value(args, SERVE_FLAGS[7]).map(|v| v.parse::<u64>()) {
         Some(Ok(us)) => Some(GroupCommitOptions {
             max_delay: Duration::from_micros(us),
         }),
         Some(Err(_)) => usage(),
         None => None,
     };
-    if group_commit.is_some() && arg_value(args, SERVE_FLAGS[3]).is_none() {
+    if group_commit.is_some() && arg_value(args, SERVE_FLAGS[2]).is_none() {
         eprintln!("--group-commit-us requires --data-dir (there is no journal without one)");
         usage()
     }
     // `--compact-after E` bounds each durable graph's update buffer at
     // `E` edit entries before the apply path compacts it.
-    let compact_after = match arg_value(args, SERVE_FLAGS[9]).map(|v| v.parse::<usize>()) {
+    let compact_after = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<usize>()) {
         Some(Ok(entries)) => Some(entries),
         Some(Err(_)) => usage(),
         None => None,
     };
-    if compact_after.is_some() && arg_value(args, SERVE_FLAGS[3]).is_none() {
+    if compact_after.is_some() && arg_value(args, SERVE_FLAGS[2]).is_none() {
         eprintln!("--compact-after requires --data-dir (only durable graphs compact)");
         usage()
     }
@@ -438,7 +428,7 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         compact_after_edits: compact_after.unwrap_or(kcore_suite::DEFAULT_COMPACT_AFTER_EDITS),
         ..kcore_suite::DurableOptions::default()
     };
-    let svc = match arg_value(args, SERVE_FLAGS[3]) {
+    let svc = match arg_value(args, SERVE_FLAGS[2]) {
         Some(dir) => {
             let dir = Path::new(&dir);
             if graphstore::Catalog::exists_in(dir) {
@@ -455,22 +445,25 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
                     dir,
                     DEFAULT_BLOCK_SIZE,
                     budget_mb << 20,
-                    policy,
+                    EvictionPolicy::ScanLifo,
                     exec,
                     durable_opts,
                 )?;
                 println!(
-                    "serving durably from {} on a {budget_mb} MiB shared pool ({policy:?}, {exec:?})",
+                    "serving durably from {} on a {budget_mb} MiB shared pool ({exec:?})",
                     dir.display()
                 );
                 svc
             }
         }
         None => {
-            let svc = CoreService::with_config(DEFAULT_BLOCK_SIZE, budget_mb << 20, policy, exec)?;
-            println!(
-                "serving on a {budget_mb} MiB shared pool ({policy:?}, {exec:?}); 'help' lists commands"
-            );
+            let svc = CoreService::with_config(
+                DEFAULT_BLOCK_SIZE,
+                budget_mb << 20,
+                EvictionPolicy::ScanLifo,
+                exec,
+            )?;
+            println!("serving on a {budget_mb} MiB shared pool ({exec:?}); 'help' lists commands");
             svc
         }
     };
@@ -479,12 +472,12 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     // `--qos-mb M` turns on per-tenant admission control over the charge
     // budget; `--qos-queue N` bounds how many requests may wait (default
     // 16) and is meaningless without a budget to wait for.
-    let qos_mb = match arg_value(args, SERVE_FLAGS[6]).map(|v| v.parse::<u64>()) {
+    let qos_mb = match arg_value(args, SERVE_FLAGS[5]).map(|v| v.parse::<u64>()) {
         Some(Ok(mb)) => Some(mb),
         Some(Err(_)) => usage(),
         None => None,
     };
-    let qos_queue = match arg_value(args, SERVE_FLAGS[7]).map(|v| v.parse::<usize>()) {
+    let qos_queue = match arg_value(args, SERVE_FLAGS[6]).map(|v| v.parse::<usize>()) {
         Some(Ok(n)) => Some(n),
         Some(Err(_)) => usage(),
         None => None,
@@ -511,7 +504,7 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     // `--op-timeout-ms T` bounds every query's charged-read phase: an op
     // over its deadline comes back as one `err timeout:` line (and never
     // quarantines — a slow graph is not a broken graph).
-    match arg_value(args, SERVE_FLAGS[12]).map(|v| v.parse::<u64>()) {
+    match arg_value(args, SERVE_FLAGS[11]).map(|v| v.parse::<u64>()) {
         Some(Ok(ms)) => {
             svc.set_op_timeout(Some(Duration::from_millis(ms)));
             println!("per-op deadline: {ms} ms");
@@ -526,16 +519,16 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     // episode. The supervisor always runs under `serve` — quarantined
     // graphs get repaired and read-only graphs re-probed even with the
     // scrubber off.
-    let scrub_interval = match arg_value(args, SERVE_FLAGS[10]).map(|v| v.parse::<u64>()) {
+    let scrub_interval = match arg_value(args, SERVE_FLAGS[9]).map(|v| v.parse::<u64>()) {
         Some(Ok(secs)) => Some(Duration::from_secs(secs)),
         Some(Err(_)) => usage(),
         None => None,
     };
-    if scrub_interval.is_some() && arg_value(args, SERVE_FLAGS[3]).is_none() {
+    if scrub_interval.is_some() && arg_value(args, SERVE_FLAGS[2]).is_none() {
         eprintln!("--scrub-interval requires --data-dir (the scrubber walks durable artefacts)");
         usage()
     }
-    let repair_retries = match arg_value(args, SERVE_FLAGS[11]).map(|v| v.parse::<u32>()) {
+    let repair_retries = match arg_value(args, SERVE_FLAGS[10]).map(|v| v.parse::<u32>()) {
         Some(Ok(n)) => Some(n),
         Some(Err(_)) => usage(),
         None => None,
@@ -566,9 +559,9 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     }
 
     // `--listen ADDR` serves the same protocol over TCP alongside stdin.
-    let mut server = match arg_value(args, SERVE_FLAGS[4]) {
+    let mut server = match arg_value(args, SERVE_FLAGS[3]) {
         Some(addr) => {
-            let max_connections = match arg_value(args, SERVE_FLAGS[5]).map(|v| v.parse()) {
+            let max_connections = match arg_value(args, SERVE_FLAGS[4]).map(|v| v.parse()) {
                 Some(Ok(n)) => n,
                 Some(Err(_)) => usage(),
                 None => ServerOptions::default().max_connections,

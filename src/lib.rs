@@ -302,9 +302,8 @@ impl CoreIndex {
         &mut self.graph
     }
 
-    /// Edge-table encoding of the backing disk graph (v1 raw `u32`s, v3
-    /// stream-vbyte groups, or read-only legacy v2 until its next rewrite)
-    /// — what `kcore serve` reports per served graph.
+    /// Edge-table encoding of the backing disk graph (v1 raw `u32`s or v3
+    /// stream-vbyte groups) — what `kcore serve` reports per served graph.
     pub fn format_version(&self) -> graphstore::FormatVersion {
         self.graph.disk().format_version()
     }

@@ -168,16 +168,7 @@ impl CoreService {
         let _permit = self.admit(name)?;
         let (handle, health) = self.served_for(name, true)?;
         let mut served = lock_served(name, &handle, &health)?;
-        let format = served.index.format_version();
         let (res, staged_lsn) = self.commit_locked(name, &mut served, ops, &health);
-        if served.index.format_version() != format {
-            // A non-durable graph's buffer flushed itself mid-batch and
-            // the rewrite upgraded legacy v2 tables: keep the lock-free
-            // listing metadata honest.
-            if let Some(slot) = self.registry().get_mut(name) {
-                slot.format = served.index.format_version();
-            }
-        }
         let journal = served.wal.clone();
         // The barrier is crossed *after* the graph lock is gone: the next
         // writer can validate, journal and apply while this batch is
@@ -438,13 +429,11 @@ impl CoreService {
     /// Compact the named graph **now**, regardless of the
     /// [`DurableOptions::compact_after_edits`] threshold: rewrite its
     /// current tables plus every buffered edit into a fresh *generation*
-    /// of table files (the encoding's
-    /// [`write_format`](FormatVersion::write_format): same encoding,
-    /// except that a legacy v2 graph comes out as v3), commit the bumped
-    /// generation in the catalog manifest, then truncate the update buffer
-    /// and the journal. Afterwards the graph's checkpoint carries an empty edit
-    /// list, so recovery is one sequential table scan with nothing to
-    /// replay. Returns the new generation number.
+    /// of table files (same encoding), commit the bumped generation in the
+    /// catalog manifest, then truncate the update buffer and the journal.
+    /// Afterwards the graph's checkpoint carries an empty edit list, so
+    /// recovery is one sequential table scan with nothing to replay.
+    /// Returns the new generation number.
     ///
     /// Errors on a non-durable service. A compaction that fails with an
     /// I/O or corruption error **quarantines** the graph: unlike a
@@ -460,7 +449,7 @@ impl CoreService {
     /// the `format` edge encoding — [`FormatVersion::V3`] for the
     /// compressed stream-vbyte layout, or [`FormatVersion::V1`] to migrate
     /// back to raw `u32` runs: the new generation's tables are written in
-    /// `format.write_format()` whatever the current encoding, and the
+    /// `format` whatever the current encoding, and the
     /// catalog entry's format switches at the same commit point as its
     /// generation. Graphs already in the target format just compact.
     /// Returns the new generation number.
@@ -519,7 +508,7 @@ impl CoreService {
         committed: &mut bool,
     ) -> Result<u64> {
         let old = d.entry(name)?;
-        let format = format_override.unwrap_or(old.format).write_format();
+        let format = format_override.unwrap_or(old.format);
         let new_gen = old.generation + 1;
         let new_base = graphstore::generation_base(&old.base, new_gen);
         served.index.graph_mut().rewrite_to(&new_base, format)?;

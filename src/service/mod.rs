@@ -773,9 +773,9 @@ impl CoreService {
     }
 
     /// Edge-table encoding of the named graph's current tables (v1 raw
-    /// `u32`s, v3 stream-vbyte groups, or read-only legacy v2). Reads
-    /// registry metadata only — never blocks on the graph's own lock, so
-    /// listings stay responsive while a graph is mid-scan.
+    /// `u32`s or v3 stream-vbyte groups). Reads registry metadata only —
+    /// never blocks on the graph's own lock, so listings stay responsive
+    /// while a graph is mid-scan.
     pub fn format_version(&self, name: &str) -> Result<FormatVersion> {
         self.registry()
             .get(name)

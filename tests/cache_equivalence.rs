@@ -4,8 +4,8 @@
 //! scalability the cache exists for (fewer physical reads as `M` grows).
 
 use graphstore::{
-    mem_to_disk, AdjacencyRead, BufferedGraph, DiskGraph, DynGraph, EvictionPolicy, IoCounter,
-    MemGraph, TempDir, DEFAULT_BLOCK_SIZE,
+    mem_to_disk, AdjacencyRead, BufferedGraph, DiskGraph, DynGraph, IoCounter, MemGraph, TempDir,
+    DEFAULT_BLOCK_SIZE,
 };
 use proptest::prelude::*;
 use semicore::DecomposeOptions;
@@ -65,13 +65,9 @@ proptest! {
         let block = 256usize;
         mem_to_disk(&base, &g, IoCounter::new(block)).unwrap();
 
-        let run = |budget: u64, policy: EvictionPolicy| {
-            let mut disk = DiskGraph::open_with_cache_policy(
-                &base,
-                IoCounter::new(block),
-                budget,
-                policy,
-            ).unwrap();
+        let run = |budget: u64| {
+            let mut disk =
+                DiskGraph::open_with_cache(&base, IoCounter::new(block), budget).unwrap();
             let mut buf = Vec::new();
             disk.read_degrees().unwrap();
             for &v in &accesses {
@@ -80,11 +76,10 @@ proptest! {
             disk.io().read_ios
         };
 
-        // The uncached-domination guarantee belongs to the pinned ScanLifo
-        // policy (the DiskGraph default); pure LRU trades the pins away for
-        // its warm-start guarantee.
-        let uncached = run(0, EvictionPolicy::ScanLifo);
-        let cached = run(budget_blocks * block as u64, EvictionPolicy::ScanLifo);
+        // The uncached-domination guarantee is what the policy's per-file
+        // pins buy.
+        let uncached = run(0);
+        let cached = run(budget_blocks * block as u64);
         prop_assert!(
             cached <= uncached,
             "budget of {} blocks charged {} reads vs {} uncached",
@@ -92,46 +87,7 @@ proptest! {
         );
     }
 
-    // The anomaly-freedom guarantee is specific to the LRU stack policy;
-    // the scan-resistant default trades it for cross-iteration retention
-    // (see cache.rs module docs) and is covered by the cyclic-replay test
-    // below instead.
-    #[test]
-    fn lru_warm_cache_never_charges_more_than_cold(
-        (n, edges, accesses) in arb_graph_and_accesses(),
-        budget_blocks in 2u64..16,
-    ) {
-        let g = MemGraph::from_edges(edges, n);
-        let dir = TempDir::new("cacheq").unwrap();
-        let base = dir.path().join("g");
-        let block = 256usize;
-        mem_to_disk(&base, &g, IoCounter::new(block)).unwrap();
-
-        let mut disk = DiskGraph::open_with_cache_policy(
-            &base,
-            IoCounter::new(block),
-            budget_blocks * block as u64,
-            EvictionPolicy::Lru,
-        ).unwrap();
-        // Drop the header block the open pre-loaded: the warm-vs-cold
-        // inclusion argument needs the cold run to start empty.
-        disk.invalidate_buffers();
-        let mut buf = Vec::new();
-        let cold_start = disk.io().read_ios;
-        for &v in &accesses {
-            disk.adjacency(v, &mut buf).unwrap();
-        }
-        let cold = disk.io().read_ios - cold_start;
-        // Replay the identical pattern against the warm cache.
-        let warm_start = disk.io().read_ios;
-        for &v in &accesses {
-            disk.adjacency(v, &mut buf).unwrap();
-        }
-        let warm = disk.io().read_ios - warm_start;
-        prop_assert!(warm <= cold, "warm replay charged {warm} vs cold {cold}");
-    }
-
-    // The default policy's design target: repeated ascending sweeps (the
+    // The policy's design target: repeated ascending sweeps (the
     // shape of every semi-external convergence loop). Warm laps must charge
     // no more than the cold lap, and with a non-trivial budget they must
     // charge strictly less.

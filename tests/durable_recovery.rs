@@ -63,6 +63,19 @@ fn durable_service(data: &Path, policy: EvictionPolicy, checkpoint_every: u64) -
     .unwrap()
 }
 
+/// Overwrite the manifest's policy byte (offset 24: magic, layout version,
+/// block size, budget) and re-seal the checksum — byte 0 is what a build
+/// that still had the LRU policy stored for it.
+fn set_manifest_policy_byte(data: &Path, byte: u8) {
+    let path = graphstore::Catalog::path_in(data);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[24] = byte;
+    let body_end = bytes.len() - 4;
+    let crc = graphstore::codec::crc32(&bytes[8..body_end]);
+    bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+}
+
 /// Apply a toggle to service + mirror, returning whether it was a real op.
 fn toggle(svc: &CoreService, mirror: &mut DynGraph, a: u32, b: u32) -> bool {
     if a == b {
@@ -192,57 +205,60 @@ proptest! {
     }
 }
 
-/// The acceptance differential at a fixed, denser workload: both eviction
-/// policies, seeded stream, restarts at arbitrary points — bit-identical
-/// `cores`/`kmax` vs the never-restarted process, and the reopen's charged
-/// reads strictly below a fresh decomposition's.
+/// The acceptance differential at a fixed, denser workload: seeded stream,
+/// restarts at arbitrary points (one of them from a manifest a build that
+/// still had the LRU policy saved) — bit-identical `cores`/`kmax` vs the
+/// never-restarted process, and the reopen's charged reads strictly below
+/// a fresh decomposition's.
 #[test]
 fn restart_differential_across_policies_with_reopen_cost_bound() {
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
-        let mut rng = Lcg::new(0xD00D + policy as u64);
-        let n = 400u32;
-        let g = MemGraph::from_edges(testutil::random_edges(&mut rng, n, 1200), n);
-        let dir = TempDir::new("acc").unwrap();
-        let data_a = dir.path().join("data-a");
-        let data_b = dir.path().join("data-b");
-        let svc_a = durable_service(&data_a, policy, 6);
-        let mut svc_b = Some(durable_service(&data_b, policy, 6));
-        svc_a
-            .create("g", &dir.path().join("ga"), edges_of(&g), n)
-            .unwrap();
-        svc_b
-            .as_ref()
-            .unwrap()
-            .create("g", &dir.path().join("gb"), edges_of(&g), n)
-            .unwrap();
+    let policy = EvictionPolicy::ScanLifo;
+    let mut rng = Lcg::new(0xD00E);
+    let n = 400u32;
+    let g = MemGraph::from_edges(testutil::random_edges(&mut rng, n, 1200), n);
+    let dir = TempDir::new("acc").unwrap();
+    let data_a = dir.path().join("data-a");
+    let data_b = dir.path().join("data-b");
+    let svc_a = durable_service(&data_a, policy, 6);
+    let mut svc_b = Some(durable_service(&data_b, policy, 6));
+    svc_a
+        .create("g", &dir.path().join("ga"), edges_of(&g), n)
+        .unwrap();
+    svc_b
+        .as_ref()
+        .unwrap()
+        .create("g", &dir.path().join("gb"), edges_of(&g), n)
+        .unwrap();
 
-        let mut mirror = DynGraph::from_mem(&g);
-        let mut mirror_b = DynGraph::from_mem(&g);
-        for step in 0..80 {
-            let (a, b) = (rng.below(n), rng.below(n));
-            toggle(&svc_a, &mut mirror, a, b);
-            toggle(svc_b.as_ref().unwrap(), &mut mirror_b, a, b);
-            if step == 17 || step == 40 || step == 71 {
-                drop(svc_b.take());
-                let reopened = CoreService::open_catalog(&data_b).unwrap();
-                assert_eq!(reopened.pool().policy(), policy, "policy restored");
-                svc_b = Some(reopened);
+    let mut mirror = DynGraph::from_mem(&g);
+    let mut mirror_b = DynGraph::from_mem(&g);
+    for step in 0..80 {
+        let (a, b) = (rng.below(n), rng.below(n));
+        toggle(&svc_a, &mut mirror, a, b);
+        toggle(svc_b.as_ref().unwrap(), &mut mirror_b, a, b);
+        if step == 17 || step == 40 || step == 71 {
+            drop(svc_b.take());
+            if step == 40 {
+                set_manifest_policy_byte(&data_b, 0);
             }
+            let reopened = CoreService::open_catalog(&data_b).unwrap();
+            assert_eq!(reopened.pool().policy(), policy, "policy restored");
+            svc_b = Some(reopened);
         }
-        let svc_b = svc_b.unwrap();
-        assert_eq!(
-            svc_a.cores("g").unwrap(),
-            svc_b.cores("g").unwrap(),
-            "{policy:?}: cores must be bit-identical across restarts"
-        );
-        assert_eq!(svc_a.kmax("g").unwrap(), svc_b.kmax("g").unwrap());
-        assert_eq!(svc_a.cores("g").unwrap(), oracle_cores(&mirror.to_mem()));
-        assert!(svc_a.verify("g").unwrap() && svc_b.verify("g").unwrap());
-        // The strict reopen-vs-decomposition I/O bound lives in
-        // `reopen_charges_strictly_less_than_redecomposition`, on a graph
-        // large enough that the comparison has teeth (this one's whole
-        // working set is a handful of blocks).
     }
+    let svc_b = svc_b.unwrap();
+    assert_eq!(
+        svc_a.cores("g").unwrap(),
+        svc_b.cores("g").unwrap(),
+        "{policy:?}: cores must be bit-identical across restarts"
+    );
+    assert_eq!(svc_a.kmax("g").unwrap(), svc_b.kmax("g").unwrap());
+    assert_eq!(svc_a.cores("g").unwrap(), oracle_cores(&mirror.to_mem()));
+    assert!(svc_a.verify("g").unwrap() && svc_b.verify("g").unwrap());
+    // The strict reopen-vs-decomposition I/O bound lives in
+    // `reopen_charges_strictly_less_than_redecomposition`, on a graph
+    // large enough that the comparison has teeth (this one's whole
+    // working set is a handful of blocks).
 }
 
 /// Reopen cost on a graph large enough that the bound has teeth: recovery

@@ -1,19 +1,15 @@
-//! Edge-table format differential suite, one for every format.
+//! Edge-table format differential suite, one for both formats.
 //!
 //! The compressed edge table must be invisible to every algorithm: the same
 //! graph built as v1 (raw) and v3 (stream-vbyte groups) yields
 //! **bit-identical** cores and Eq. 2 counters — decomposition and
-//! maintenance alike, at any worker count, under either eviction policy,
-//! durable kill/reopen included — while v3's charged `read_ios` is
-//! **strictly lower** at equal cache budget (fewer edge-table blocks exist
-//! to read). Block readahead gets the same treatment: identical decoded
-//! bytes and bit-identical charged counters whether the pipeline is on or
-//! off.
-//!
-//! Legacy v2 (gap varints) is read-only, so it gets an arm of its own, fed
-//! by a hand-built fixture: it must *read* exactly like v1, and the first
-//! rewrite of a v2 graph — here a durable compaction, crash window included
-//! — must land it on v3 with nothing else changed.
+//! maintenance alike, SemiCore\* at any worker count, durable kill/reopen
+//! included — while v3's charged `read_ios` is **strictly lower** at equal
+//! cache budget (fewer edge-table blocks exist to read). Block readahead
+//! gets the same treatment: identical decoded bytes and bit-identical
+//! charged counters whether the pipeline is on or off. A migration between
+//! the two (`recompress_to`) switches tables, checkpoint and catalogued
+//! format at one commit point, crash windows included.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -23,22 +19,33 @@ use graphstore::{
     GraphPaths, IoCounter, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::semicore::{
-    semicore_plus_with, semicore_star_state_with, semicore_star_with, semicore_with,
-    DecomposeOptions, ScanExecutor,
+    semicore, semicore_plus, semicore_star_state_with, semicore_star_with, DecomposeOptions,
+    ScanExecutor,
 };
 use kcore_suite::{CoreIndex, CoreService, DurableOptions};
-use testutil::{fixtures, oracle_cores, random_mem_graph, worker_counts, write_v2_fixture, Lcg};
+use testutil::{fixtures, oracle_cores, random_mem_graph, worker_counts, Lcg};
 
+/// An algorithm, how to run it, and the worker counts it runs at: the
+/// baselines are sequential, SemiCore\* sweeps [`worker_counts`].
 type Algo = (
     &'static str,
     fn(&mut DiskGraph, &DecomposeOptions, ScanExecutor) -> graphstore::Result<Vec<u32>>,
+    Vec<usize>,
 );
 
 fn algos() -> Vec<Algo> {
     vec![
-        ("semicore", |g, o, e| Ok(semicore_with(g, o, e)?.core)),
-        ("semicore+", |g, o, e| Ok(semicore_plus_with(g, o, e)?.core)),
-        ("semicore*", |g, o, e| Ok(semicore_star_with(g, o, e)?.core)),
+        ("semicore", |g, o, _| Ok(semicore(g, o)?.core), vec![1]),
+        (
+            "semicore+",
+            |g, o, _| Ok(semicore_plus(g, o)?.core),
+            vec![1],
+        ),
+        (
+            "semicore*",
+            |g, o, e| Ok(semicore_star_with(g, o, e)?.core),
+            worker_counts(),
+        ),
     ]
 }
 
@@ -63,9 +70,8 @@ fn edge_table_len(base: &Path) -> u64 {
         .len()
 }
 
-fn open_cached(base: &Path, budget: u64, policy: EvictionPolicy) -> DiskGraph {
-    DiskGraph::open_with_cache_policy(base, IoCounter::new(DEFAULT_BLOCK_SIZE), budget, policy)
-        .unwrap()
+fn open_cached(base: &Path, budget: u64) -> DiskGraph {
+    DiskGraph::open_with_cache(base, IoCounter::new(DEFAULT_BLOCK_SIZE), budget).unwrap()
 }
 
 /// A seeded stream of edge toggles over `g` — `(u, v, insert)` — and the
@@ -112,28 +118,26 @@ fn decomposition_bit_identical_and_v3_charges_strictly_less() {
             edge_table_len(&b1) / 10,
             edge_table_len(&b1) + 64 * DEFAULT_BLOCK_SIZE as u64,
         ];
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
-            for &budget in &budgets {
-                for workers in worker_counts() {
+        for &budget in &budgets {
+            for (name, run, widths) in &algos {
+                for &workers in widths {
                     let exec = if workers == 1 {
                         ScanExecutor::Sequential
                     } else {
                         ScanExecutor::parallel(workers)
                     };
-                    for (name, run) in &algos {
-                        let tag = format!("{family}/{name}/{policy:?}/M={budget}/w{workers}");
-                        let mut d1 = open_cached(&b1, budget, policy);
-                        let mut d3 = open_cached(&b3, budget, policy);
-                        let c1 = run(&mut d1, &opts, exec).unwrap();
-                        let c3 = run(&mut d3, &opts, exec).unwrap();
-                        assert_eq!(c1, c3, "{tag}: cores must be bit-identical");
-                        assert_eq!(c1, oracle_cores(&g), "{tag}: oracle");
-                        let (r1, r3) = (d1.io().read_ios, d3.io().read_ios);
-                        assert!(
-                            r3 < r1,
-                            "{tag}: v3 must charge strictly fewer read I/Os ({r3} vs {r1})"
-                        );
-                    }
+                    let tag = format!("{family}/{name}/M={budget}/w{workers}");
+                    let mut d1 = open_cached(&b1, budget);
+                    let mut d3 = open_cached(&b3, budget);
+                    let c1 = run(&mut d1, &opts, exec).unwrap();
+                    let c3 = run(&mut d3, &opts, exec).unwrap();
+                    assert_eq!(c1, c3, "{tag}: cores must be bit-identical");
+                    assert_eq!(c1, oracle_cores(&g), "{tag}: oracle");
+                    let (r1, r3) = (d1.io().read_ios, d3.io().read_ios);
+                    assert!(
+                        r3 < r1,
+                        "{tag}: v3 must charge strictly fewer read I/Os ({r3} vs {r1})"
+                    );
                 }
             }
         }
@@ -159,7 +163,7 @@ fn decomposition_bit_identical_and_v3_charges_strictly_less() {
     let (b1, b3) = write_pair(&dir, &g, "web");
     let budget = edge_table_len(&b1) / 10;
     let [r1, r3] = [&b1, &b3].map(|base| {
-        let mut d = open_cached(base, budget, EvictionPolicy::ScanLifo);
+        let mut d = open_cached(base, budget);
         semicore_star_with(&mut d, &opts, ScanExecutor::Sequential).unwrap();
         d.io().read_ios
     });
@@ -352,65 +356,14 @@ fn recompress_to_migrates_a_v1_graph_to_v3_at_the_commit_point() {
         assert!(v3_len < v1_len, "v3 {v3_len} B !< v1 {v1_len} B");
     }
     // The migrated format survives a restart (catalog + tables agree), and
-    // a further migration can walk back down to raw v1. A legacy target is
-    // mapped through the write rule, never written.
+    // a further migration can walk back down to raw v1.
     let svc = CoreService::open_catalog(&data).unwrap();
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
     assert!(svc.verify("g").unwrap());
     svc.insert_edge("g", 0, 5).unwrap();
     assert_eq!(svc.recompress_to("g", FormatVersion::V1).unwrap(), 2);
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
-    assert_eq!(svc.recompress_to("g", FormatVersion::V2).unwrap(), 3);
-    assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
     assert!(svc.verify("g").unwrap());
-}
-
-#[test]
-fn legacy_v2_tables_read_and_decompose_exactly_like_v1() {
-    let dir = TempDir::new("fmtdiff-v2").unwrap();
-    let opts = DecomposeOptions::default();
-    for (family, g) in fixtures() {
-        let b1 = write_as(&dir, &g, family, FormatVersion::V1);
-        let b2 = dir.path().join(format!("{family}-v2"));
-        write_v2_fixture(&b2, &g);
-        let budget = edge_table_len(&b1) / 10;
-        for (name, run) in &algos() {
-            let mut d1 = open_cached(&b1, budget, EvictionPolicy::ScanLifo);
-            let mut d2 = open_cached(&b2, budget, EvictionPolicy::ScanLifo);
-            assert_eq!(d2.format_version(), FormatVersion::V2);
-            let c1 = run(&mut d1, &opts, ScanExecutor::Sequential).unwrap();
-            let c2 = run(&mut d2, &opts, ScanExecutor::Sequential).unwrap();
-            assert_eq!(c1, c2, "{family}/{name}: cores must be bit-identical");
-            let (r1, r2) = (d1.io().read_ios, d2.io().read_ios);
-            assert!(r2 < r1, "{family}/{name}: v2 charged {r2} vs v1 {r1}");
-        }
-        let mut i1 = CoreIndex::open_with_cache(&b1, 1 << 20).unwrap();
-        let mut i2 = CoreIndex::open_with_cache(&b2, 1 << 20).unwrap();
-        assert_eq!(
-            i1.maintained_state().cnt,
-            i2.maintained_state().cnt,
-            "{family}: Eq. 2 counters"
-        );
-        // Maintenance over a v2 base goes through the same merged view.
-        let (toggles, end) = toggle_stream(&g, 99, 30);
-        for (u, v, insert) in toggles {
-            if insert {
-                i1.insert_edge(u, v).unwrap();
-                i2.insert_edge(u, v).unwrap();
-            } else {
-                i1.delete_edge(u, v).unwrap();
-                i2.delete_edge(u, v).unwrap();
-            }
-            assert_eq!(i1.cores(), i2.cores(), "{family}: cores after ({u}, {v})");
-        }
-        assert_eq!(i1.maintained_state().cnt, i2.maintained_state().cnt);
-        assert_eq!(i2.cores(), oracle_cores(&end), "{family}: final oracle");
-        // Folding the buffered edits into the tables is the graph's first
-        // rewrite: it lands on v3, under unchanged maintained state.
-        i2.graph_mut().flush().unwrap();
-        assert_eq!(i2.format_version(), FormatVersion::V3, "{family}");
-        assert!(i2.verify().unwrap(), "{family}: certificate after upgrade");
-    }
 }
 
 /// Cores and Eq. 2 counters of the served graph `g`.
@@ -434,14 +387,15 @@ fn reopened_state(data: &Path) -> (FormatVersion, u64, Vec<u32>, Vec<i32>) {
     )
 }
 
+/// The commit point of a migration, under a kill before every sync point
+/// of the migrating compaction.
 #[test]
-fn compacting_a_durable_v2_graph_upgrades_it_to_v3_at_the_catalog_commit() {
+fn a_killed_migration_reopens_on_the_v1_pre_state_or_the_v3_post_state() {
     let g = random_mem_graph(&mut Lcg::new(31), 40, 40, 4);
     let (toggles, _) = toggle_stream(&g, 7, 12);
-    // Serve a v2 fixture durably through a fault vfs, with edits buffered.
+    // Serve a v1 graph durably through a fault vfs, with edits buffered.
     let serve = |dir: &TempDir| {
-        let base = dir.path().join("g");
-        write_v2_fixture(&base, &g);
+        let base = write_as(dir, &g, "g", FormatVersion::V1);
         let fault = FaultVfs::new(FaultPlan::default());
         let svc = CoreService::create_durable_with_vfs(
             &dir.path().join("data"),
@@ -454,22 +408,20 @@ fn compacting_a_durable_v2_graph_upgrades_it_to_v3_at_the_catalog_commit() {
         )
         .unwrap();
         svc.open("g", &base).unwrap();
-        assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V2);
         apply_toggles(&svc, "g", &toggles);
         (svc, fault)
     };
 
     // Fault-free: the compaction rewrites the tables as v3 and the catalog
     // entry flips with the generation; core/cnt are untouched.
-    let dir = TempDir::new("fmtdiff-v2-compact").unwrap();
+    let dir = TempDir::new("fmtdiff-migrate").unwrap();
     let data = dir.path().join("data");
     let (svc, fault) = serve(&dir);
     let pre = live_state(&svc);
     let before = fault.sync_events();
-    assert_eq!(svc.compact("g").unwrap(), 1);
+    assert_eq!(svc.recompress_to("g", FormatVersion::V3).unwrap(), 1);
     let commit_syncs = fault.sync_events() - before;
-    assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
-    assert_eq!(live_state(&svc), pre, "compaction changed core/cnt");
+    assert_eq!(live_state(&svc), pre, "migration changed core/cnt");
     let entry = Catalog::read(&data).unwrap().entries.remove(0);
     assert_eq!((entry.format, entry.generation), (FormatVersion::V3, 1));
     let tables = DiskGraph::open(&entry.table_base(), IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
@@ -478,23 +430,24 @@ fn compacting_a_durable_v2_graph_upgrades_it_to_v3_at_the_catalog_commit() {
     let post = (FormatVersion::V3, 1, pre.0.clone(), pre.1.clone());
     assert_eq!(reopened_state(&data), post);
 
-    // A kill before every sync point of the compaction: reopen finds the
-    // v2 pre-state or the v3 post-state, never a mixture — and while only
+    // A kill before every sync point of the migration: reopen finds the
+    // v1 pre-state or the v3 post-state, never a mixture — and while only
     // the new tables (3 sync events) or the new checkpoint (3 more) have
-    // landed, not yet the catalog rename, it is the v2 pre-state.
-    let pre_state = (FormatVersion::V2, 0, pre.0, pre.1);
+    // landed, not yet the catalog rename, it is the v1 pre-state.
+    let pre_state = (FormatVersion::V1, 0, pre.0, pre.1);
     for k in 1..=commit_syncs {
-        let dir = TempDir::new("fmtdiff-v2-crash").unwrap();
+        let dir = TempDir::new("fmtdiff-migrate-crash").unwrap();
         let (svc, fault) = serve(&dir);
         fault.set_plan(FaultPlan {
             crash_before_sync: Some(k),
             ..FaultPlan::default()
         });
-        assert!(svc.compact("g").is_err(), "crash {k} never fired");
+        let migrated = svc.recompress_to("g", FormatVersion::V3);
+        assert!(migrated.is_err(), "crash {k} never fired");
         drop(svc);
         let got = reopened_state(&dir.path().join("data"));
         if k <= 7 {
-            assert_eq!(got, pre_state, "crash {k}: must reopen on the v2 pre-state");
+            assert_eq!(got, pre_state, "crash {k}: must reopen on the v1 pre-state");
         } else {
             assert!(got == pre_state || got == post, "crash {k}: third state");
         }

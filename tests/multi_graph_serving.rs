@@ -5,9 +5,8 @@
 //! The contract under test (see `graphstore::pool` and
 //! `kcore_suite::CoreService`):
 //!
-//! * **Cores are bit-identical** solo vs shared, at any worker count and
-//!   under either eviction policy — the pool serves bytes, it never
-//!   touches results.
+//! * **Cores are bit-identical** solo vs shared, at any worker count — the
+//!   pool serves bytes, it never touches results.
 //! * **Charged `read_ios` is bit-identical** solo vs shared: each graph's
 //!   charge comes from its private deterministic charge cache (its own
 //!   model budget `M`), never from shared-pool residency. Only
@@ -98,57 +97,56 @@ fn n_graphs_shared_equals_n_solo_runs_across_policies_and_workers() {
     let bases = fixture_bases(&dir);
     let steps = 30u32;
 
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::ScanLifo] {
-        for workers in worker_counts() {
-            let exec = ScanExecutor::parallel(workers);
+    let policy = EvictionPolicy::ScanLifo;
+    for workers in worker_counts() {
+        let exec = ScanExecutor::parallel(workers);
 
-            // Solo baseline: each graph gets its own service (same tight
-            // global budget, of which it is the only tenant).
-            let mut solo: Vec<Observation> = Vec::new();
-            for (i, (name, base)) in bases.iter().enumerate() {
-                let svc = service(policy, exec, TIGHT_POOL_BUDGET);
-                svc.open(name, base).unwrap();
-                solo.push(observe(&svc, name, 0xA11CE + i as u64, steps));
-            }
-
-            // Shared run: one service, every graph served concurrently
-            // from its own thread.
+        // Solo baseline: each graph gets its own service (same tight
+        // global budget, of which it is the only tenant).
+        let mut solo: Vec<Observation> = Vec::new();
+        for (i, (name, base)) in bases.iter().enumerate() {
             let svc = service(policy, exec, TIGHT_POOL_BUDGET);
-            let shared: Vec<Observation> = std::thread::scope(|s| {
-                let handles: Vec<_> = bases
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (name, base))| {
-                        let svc = &svc;
-                        s.spawn(move || {
-                            svc.open(name, base).unwrap();
-                            observe(svc, name, 0xA11CE + i as u64, steps)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
+            svc.open(name, base).unwrap();
+            solo.push(observe(&svc, name, 0xA11CE + i as u64, steps));
+        }
 
-            for (i, (name, _)) in bases.iter().enumerate() {
-                assert_eq!(
-                    solo[i].cores, shared[i].cores,
-                    "{name}/{policy:?}/w{workers}: cores solo vs shared"
-                );
-                assert_eq!(
-                    solo[i].charged_reads, shared[i].charged_reads,
-                    "{name}/{policy:?}/w{workers}: charged read_ios solo vs shared"
-                );
-                assert_eq!(solo[i].kmax, shared[i].kmax);
-                assert!(
-                    solo[i].charged_reads > 0,
-                    "{name}: a disk-served session must charge I/O"
-                );
-            }
+        // Shared run: one service, every graph served concurrently
+        // from its own thread.
+        let svc = service(policy, exec, TIGHT_POOL_BUDGET);
+        let shared: Vec<Observation> = std::thread::scope(|s| {
+            let handles: Vec<_> = bases
+                .iter()
+                .enumerate()
+                .map(|(i, (name, base))| {
+                    let svc = &svc;
+                    s.spawn(move || {
+                        svc.open(name, base).unwrap();
+                        observe(svc, name, 0xA11CE + i as u64, steps)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        for (i, (name, _)) in bases.iter().enumerate() {
+            assert_eq!(
+                solo[i].cores, shared[i].cores,
+                "{name}/{policy:?}/w{workers}: cores solo vs shared"
+            );
+            assert_eq!(
+                solo[i].charged_reads, shared[i].charged_reads,
+                "{name}/{policy:?}/w{workers}: charged read_ios solo vs shared"
+            );
+            assert_eq!(solo[i].kmax, shared[i].kmax);
             assert!(
-                svc.pool().resident_bytes() <= svc.pool().budget_bytes(),
-                "{policy:?}/w{workers}: pool over budget after the shared run"
+                solo[i].charged_reads > 0,
+                "{name}: a disk-served session must charge I/O"
             );
         }
+        assert!(
+            svc.pool().resident_bytes() <= svc.pool().budget_bytes(),
+            "{policy:?}/w{workers}: pool over budget after the shared run"
+        );
     }
 }
 

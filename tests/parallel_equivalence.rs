@@ -1,6 +1,7 @@
 //! Sequential-vs-parallel executor equivalence over disk-resident graphs.
 //!
-//! The contract under test (see `semicore::executor`):
+//! The contract under test (see `semicore::executor`; the executor serves
+//! SemiCore\* — the baselines are sequential and ride along at no width):
 //!
 //! * **Core numbers are bit-identical** between the sequential schedule and
 //!   the parallel executor at any worker count, on any backend.
@@ -13,8 +14,7 @@
 
 use graphstore::{mem_to_disk, DiskGraph, IoCounter, MemGraph, TempDir};
 use semicore::{
-    semicore_plus_with, semicore_star_state_with, semicore_star_with, semicore_with,
-    DecomposeOptions, ScanExecutor,
+    semicore_plus, semicore_star_state_with, semicore_star_with, DecomposeOptions, ScanExecutor,
 };
 use testutil::{disk_full_budget as on_disk_full_budget, fixtures, worker_counts, Lcg};
 
@@ -22,24 +22,34 @@ use testutil::{disk_full_budget as on_disk_full_budget, fixtures, worker_counts,
 fn all_algorithms_all_families_all_worker_counts() {
     let dir = TempDir::new("pareq").unwrap();
     let opts = DecomposeOptions::default();
+    // An algorithm, how to run it, and the parallel widths it is held to.
     type Algo = (
         &'static str,
         fn(&mut DiskGraph, &DecomposeOptions, ScanExecutor) -> graphstore::Result<Vec<u32>>,
+        Vec<usize>,
     );
     let algos: Vec<Algo> = vec![
-        ("semicore", |g, o, e| Ok(semicore_with(g, o, e)?.core)),
-        ("semicore+", |g, o, e| Ok(semicore_plus_with(g, o, e)?.core)),
-        ("semicore*", |g, o, e| Ok(semicore_star_with(g, o, e)?.core)),
+        (
+            "semicore",
+            |g, o, _| Ok(semicore::semicore(g, o)?.core),
+            vec![],
+        ),
+        ("semicore+", |g, o, _| Ok(semicore_plus(g, o)?.core), vec![]),
+        (
+            "semicore*",
+            |g, o, e| Ok(semicore_star_with(g, o, e)?.core),
+            worker_counts(),
+        ),
     ];
 
     for (family, g) in fixtures() {
-        for (name, run) in &algos {
+        for (name, run, widths) in &algos {
             let mut seq_disk = on_disk_full_budget(&g, &dir, &format!("{family}-{name}-seq"));
             let seq_core = run(&mut seq_disk, &opts, ScanExecutor::Sequential).unwrap();
             let seq_reads = seq_disk.io().read_ios;
             assert!(seq_reads > 0, "{family}/{name}: disk run must charge I/O");
 
-            for workers in worker_counts() {
+            for &workers in widths {
                 let tag = format!("{family}-{name}-w{workers}");
                 let mut par_disk = on_disk_full_budget(&g, &dir, &tag);
                 let par_core = run(&mut par_disk, &opts, ScanExecutor::parallel(workers)).unwrap();

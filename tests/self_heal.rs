@@ -31,8 +31,7 @@ use graphstore::{
     AdjacencyRead, EvictionPolicy, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, HealthStatus, SelfHealOptions};
-use semicore::ScanExecutor;
-use testutil::oracle_cores;
+use testutil::{env_executor, oracle_cores};
 
 const BUDGET: u64 = 4 << 20;
 
@@ -71,7 +70,7 @@ fn durable_with_faults(data: &Path, fault: &Arc<FaultVfs>) -> CoreService {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        env_executor(),
         DurableOptions {
             group_commit: None,
             ..Default::default()
@@ -131,7 +130,7 @@ fn online_repair_after_io_failure_is_bit_identical_to_uninjected_twin() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        env_executor(),
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 48)
@@ -193,7 +192,7 @@ fn scrub_detects_journal_damage_and_repair_restores_bit_identical_state() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        env_executor(),
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 40)
@@ -268,7 +267,7 @@ fn failed_journal_barrier_quarantines_and_repair_recovers_prefix_or_in_flight() 
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        env_executor(),
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), N)
@@ -346,7 +345,7 @@ fn enospc_degrades_read_only_and_supervisor_promotes_back() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        env_executor(),
     )
     .unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 40)
@@ -549,7 +548,7 @@ fn op_deadline_times_out_typed_without_quarantining() {
         DEFAULT_BLOCK_SIZE,
         BUDGET,
         EvictionPolicy::ScanLifo,
-        ScanExecutor::from_env(),
+        env_executor(),
     )
     .unwrap();
     let edges = normalized(graphgen::gnm(48, 120, 61));

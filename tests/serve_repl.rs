@@ -22,9 +22,13 @@ use kcore_suite::server::{Server, ServerOptions};
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::ScanExecutor;
 
+fn triangle_tail() -> MemGraph {
+    MemGraph::from_edges(vec![(0u32, 1u32), (1, 2), (0, 2), (2, 3)], 4)
+}
+
 fn write_triangle_tail(base: &Path) {
-    let mem = MemGraph::from_edges(vec![(0u32, 1u32), (1, 2), (0, 2), (2, 3)], 4);
-    graphstore::write_mem_graph(base, &mem, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    graphstore::write_mem_graph(base, &triangle_tail(), IoCounter::new(DEFAULT_BLOCK_SIZE))
+        .unwrap();
 }
 
 fn run_session(args: &[&str], script: &str) -> (String, bool) {
@@ -158,8 +162,8 @@ fn fsck_reports_clean_directory_and_flags_damage() {
 }
 
 /// The CLI writes one compressed format: bare `--compress` and a bare
-/// `recompress` both mean v3, and asking for read-only legacy v2 is a
-/// usage error (exit 2) that names its successor.
+/// `recompress` both mean v3, and asking for the retired v2 is a usage
+/// error (exit 2) that names the formats there are.
 #[test]
 fn cli_compresses_to_v3_and_refuses_to_write_v2() {
     let dir = TempDir::new("repl-compress").unwrap();
@@ -203,6 +207,129 @@ fn cli_compresses_to_v3_and_refuses_to_write_v2() {
         let text = String::from_utf8_lossy(&refused.stderr);
         assert!(text.contains("v3"), "stderr: {text}");
     }
+}
+
+/// A flag whose value was forgotten is a usage error (exit 2) on every
+/// subcommand, not a silent default; so is the retired `--policy`. And
+/// `--workers` beside a sequential-only algorithm says so and runs.
+#[test]
+fn cli_refuses_forgotten_flag_values_and_notes_ignored_workers() {
+    let dir = TempDir::new("repl-flags").unwrap();
+    let base = dir.path().join("g");
+    write_triangle_tail(&base);
+    let base = base.to_str().unwrap();
+    let kcore = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_kcore"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kcore")
+    };
+    for args in [
+        &["decompose", base, "--workers"][..],
+        &["decompose", base, "--cache-mb"],
+        &["decompose", base, "--out"],
+        &["decompose", base, "--algo"],
+        &["query", base, "--k"],
+        &["recompress", base, "--to"],
+        &["serve", "--budget-mb"],
+        &["serve", "--policy", "lru"],
+    ] {
+        let out = kcore(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+    }
+    for algo in ["basic", "plus", "emcore"] {
+        let out = kcore(&["decompose", base, "--algo", algo, "--workers", "2"]);
+        assert!(out.status.success(), "{algo}");
+        let note = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            note.contains("--workers applies to SemiCore* only") && note.contains(algo),
+            "{algo}: {note}"
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("kmax = 2"), "{algo}: {text}");
+    }
+    let out = kcore(&["decompose", base, "--workers", "2"]);
+    assert!(out.status.success() && out.stderr.is_empty());
+}
+
+/// The triangle-with-a-tail graph as a format-v2 pair, as the writer
+/// retired in PR 13 laid it out: `KCOREDG2`, LEB128 gap runs, and the
+/// 40-byte node header carrying version 2.
+fn write_v2_triangle_tail(base: &Path) {
+    let mem = triangle_tail();
+    let mut edges = b"KCOREDG2".to_vec();
+    let mut entries = Vec::new();
+    for v in 0..mem.num_nodes() {
+        let nbrs = mem.neighbors(v);
+        let entry = graphstore::format::encode_node_entry(edges.len() as u64, nbrs.len() as u32);
+        entries.extend_from_slice(&entry);
+        graphstore::codec::encode_gap_run(nbrs, &mut edges);
+    }
+    let payload = edges.len() as u64 - graphstore::format::EDGE_HEADER_LEN;
+    let meta = graphstore::GraphMeta::v3(mem.num_nodes(), mem.degree_sum(), payload);
+    let mut nodes = graphstore::format::encode_node_header(&meta);
+    nodes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    nodes.extend_from_slice(&entries);
+    let paths = graphstore::GraphPaths::from_base(base);
+    std::fs::write(paths.nodes, nodes).unwrap();
+    std::fs::write(paths.edges, edges).unwrap();
+}
+
+/// A format-v2 table is refused by name at every door — library open,
+/// service open, the REPL's `open` verb — and `fsck` reports it as a
+/// finding instead of walking it.
+#[test]
+fn retired_format_v2_tables_are_refused_by_name_at_every_door() {
+    let dir = TempDir::new("repl-v2").unwrap();
+    let v2 = dir.path().join("old");
+    write_v2_triangle_tail(&v2);
+    let refused = |err: graphstore::Error| {
+        assert!(err.is_corrupt(), "{err}");
+        let text = err.to_string();
+        assert!(
+            text.contains("format v2") && text.contains("kcore recompress"),
+            "{text}"
+        );
+    };
+    refused(graphstore::DiskGraph::open(&v2, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap_err());
+    let svc = CoreService::new(1 << 20).unwrap();
+    refused(svc.open("old", &v2).unwrap_err());
+    assert!(svc.graph_names().is_empty());
+
+    let (stdout, ok) = run_session(&[], &format!("open old {}\ngraphs\nquit\n", v2.display()));
+    assert!(ok, "the refusal must not end the session:\n{stdout}");
+    let errs: Vec<&str> = stdout.lines().filter(|l| l.starts_with("err ")).collect();
+    assert_eq!(errs.len(), 1, "{stdout}");
+    assert!(
+        errs[0].starts_with("err corrupt:") && errs[0].contains("format v2"),
+        "{stdout}"
+    );
+
+    // A durable directory whose base tables are v2 underneath: seed it
+    // over a current table, then put the old pair in its place.
+    let base = dir.path().join("g");
+    write_triangle_tail(&base);
+    let data = dir.path().join("data");
+    let (stdout, ok) = run_session(
+        &[
+            "--data-dir",
+            &data.display().to_string(),
+            &format!("g={}", base.display()),
+        ],
+        "save\nquit\n",
+    );
+    assert!(ok, "durable session:\n{stdout}");
+    write_v2_triangle_tail(&base);
+    let fsck = Command::new(env!("CARGO_BIN_EXE_kcore"))
+        .args(["fsck", &data.display().to_string()])
+        .output()
+        .expect("run fsck");
+    assert_eq!(fsck.status.code(), Some(1), "a finding, not a crash");
+    let text = String::from_utf8_lossy(&fsck.stdout);
+    assert!(text.contains("g: ") && text.contains("format v2"), "{text}");
 }
 
 // ---------------------------------------------------------------------------
