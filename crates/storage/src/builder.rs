@@ -304,9 +304,10 @@ fn sort_dedup(list: &mut [u32]) -> usize {
 
 impl ExternalGraphBuilder {
     /// Create a builder spilling runs of at most `run_capacity` directed
-    /// edges (two per undirected input edge), producing a v1 graph.
+    /// edges (two per undirected input edge), producing a v3 graph: ingest
+    /// writes the compressed layout.
     pub fn new(run_capacity: usize) -> Result<Self> {
-        Self::new_with_format(run_capacity, FormatVersion::V1)
+        Self::new_with_format(run_capacity, FormatVersion::V3)
     }
 
     /// [`ExternalGraphBuilder::new`] with an explicit edge-table encoding

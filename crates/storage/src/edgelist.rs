@@ -121,25 +121,14 @@ fn parse_line(line: &[u8], lineno: u64) -> Result<Option<(u32, u32)>> {
 }
 
 /// Convenience: ingest a text edge list into an on-disk graph at `base`
-/// with bounded memory (format v1), returning the opened
-/// [`DiskGraph`](crate::DiskGraph).
+/// with bounded memory (format v3, as every ingest writes), returning the
+/// opened [`DiskGraph`](crate::DiskGraph). What `kcore build` runs.
 pub fn edge_list_to_disk(
     input: &Path,
     base: &Path,
     counter: std::sync::Arc<crate::io::IoCounter>,
 ) -> Result<crate::DiskGraph> {
-    edge_list_to_disk_with(input, base, counter, crate::FormatVersion::V1)
-}
-
-/// [`edge_list_to_disk`] with an explicit edge-table encoding — what
-/// `kcore build --compress` runs to produce a v3 graph.
-pub fn edge_list_to_disk_with(
-    input: &Path,
-    base: &Path,
-    counter: std::sync::Arc<crate::io::IoCounter>,
-    version: crate::FormatVersion,
-) -> Result<crate::DiskGraph> {
-    let mut builder = crate::ExternalGraphBuilder::new_with_format(4 << 20, version)?;
+    let mut builder = crate::ExternalGraphBuilder::new(4 << 20)?;
     read_edge_list(input, |u, v| builder.add_edge(u, v))?;
     builder.finish(base, 0, counter)
 }
@@ -345,6 +334,7 @@ mod tests {
         // Self-loop and duplicate dropped.
         assert_eq!(disk.num_nodes(), 4);
         assert_eq!(disk.num_edges(), 4);
+        assert_eq!(disk.format_version(), crate::FormatVersion::V3);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! ## Format versions
 //!
 //! Two edge-table encodings exist — one raw, one compressed — negotiated
-//! by the version field of the node-table header; both are read and
-//! written, and a rewrite of a graph keeps its encoding:
+//! by the version field of the node-table header. Both are read. Ingest
+//! ([`crate::ExternalGraphBuilder::new`]) and every rewrite (an update-buffer
+//! flush, a generational compaction) write v3; the in-memory constructors
+//! ([`crate::write_mem_graph`], [`crate::DiskGraphWriter::create`]) write v1:
 //!
 //! * **v1** ([`FormatVersion::V1`]): raw little-endian `u32` ids, 4 bytes per
 //!   neighbour. Node header is 32 bytes; the edge-table length is derived

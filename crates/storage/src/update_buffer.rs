@@ -375,8 +375,8 @@ impl BufferedGraph {
     }
 
     /// Apply all pending edits to the on-disk graph: sequentially rewrite the
-    /// node and edge tables (charged as write I/Os), atomically replace the
-    /// files, and clear the buffer.
+    /// node and edge tables (as v3, charged as write I/Os — a v1 graph
+    /// becomes v3 here), atomically replace the files, and clear the buffer.
     ///
     /// Any stale temp pair a crashed prior flush stranded at the
     /// [`rewrite_temp_paths`] location is removed first, so the rewrite
@@ -388,9 +388,7 @@ impl BufferedGraph {
         self.clean_stale_temps()?;
         let paths = self.disk.paths().clone();
         let tmp_base = rewrite_temp_base(&paths);
-        // The rewrite keeps the graph's encoding (the merge works on
-        // decoded lists, so it is format-agnostic).
-        let new_paths = self.rewrite_to(&tmp_base, self.disk.format_version())?;
+        let new_paths = self.rewrite_to(&tmp_base)?;
         let vfs = self.disk.counter().vfs().clone();
         vfs.rename(&new_paths.nodes, &paths.nodes)?;
         vfs.rename(&new_paths.edges, &paths.edges)?;
@@ -405,16 +403,18 @@ impl BufferedGraph {
     }
 
     /// Write the merged view — base tables plus every pending edit — into a
-    /// fresh, fully fsynced table pair at `target_base`, encoded as
-    /// `format`. The live graph, the buffer and the original files are left
-    /// untouched: the
-    /// caller owns the commit (a flush renames over the source; a
+    /// fresh, fully fsynced table pair at `target_base`, encoded as v3
+    /// whatever the source's encoding: every rewrite writes the compressed
+    /// layout (the merge works on decoded lists, so it reads either). The
+    /// live graph, the buffer and the original files are left untouched:
+    /// the caller owns the commit (a flush renames over the source; a
     /// generational compaction publishes the new base through the catalog
     /// instead). Returns the new pair's paths.
-    pub fn rewrite_to(&mut self, target_base: &Path, format: FormatVersion) -> Result<GraphPaths> {
+    pub fn rewrite_to(&mut self, target_base: &Path) -> Result<GraphPaths> {
         let n = self.disk.num_nodes();
         let counter = self.disk.counter().clone();
-        let mut writer = DiskGraphWriter::create_with_format(target_base, n, counter, format)?;
+        let mut writer =
+            DiskGraphWriter::create_with_format(target_base, n, counter, FormatVersion::V3)?;
         let mut base = Vec::new();
         let mut merged = Vec::new();
         for v in 0..n {
@@ -685,9 +685,7 @@ mod tests {
         bg.delete_edge(0, 1).unwrap();
         mirror.delete_edge(0, 1).unwrap();
         let target = dir.path().join("g.g1");
-        let new_paths = bg
-            .rewrite_to(&target, crate::format::FormatVersion::V3)
-            .unwrap();
+        let new_paths = bg.rewrite_to(&target).unwrap();
         // The source pair and the pending buffer are untouched.
         assert_eq!(bg.pending_edits(), 4);
         assert_same_view(&mut bg, &mirror);

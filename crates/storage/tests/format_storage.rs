@@ -5,7 +5,7 @@
 //! uncached/cached/pooled open paths, an edge table that actually shrinks
 //! and charges like a contiguous read, and damage surfacing as `Corrupt`,
 //! never a panic. The one storage-level rewrite, the update-buffer flush,
-//! keeps a graph's encoding.
+//! writes v3 whatever it read.
 
 use std::path::{Path, PathBuf};
 
@@ -137,7 +137,7 @@ fn compressed_edge_table_is_smaller_and_charges_fewer_scan_ios() {
 }
 
 #[test]
-fn flush_keeps_v1_and_v3() {
+fn flush_writes_v3() {
     let g = chunky_graph(300);
     let mut views: Vec<Vec<Vec<u32>>> = Vec::new();
     for version in [FormatVersion::V1, FormatVersion::V3] {
@@ -149,11 +149,10 @@ fn flush_keeps_v1_and_v3() {
         bg.delete_edge(0, 1).unwrap();
         bg.insert_edge(2, 17).unwrap();
         assert!(bg.flushes() > 0, "capacity 4 must have flushed");
-        let want = version;
+        let want = FormatVersion::V3;
         assert_eq!(bg.disk().format_version(), want, "{}", version.tag());
 
-        // The rewritten tables reopen in the same format and carry the
-        // merged view.
+        // The rewritten tables reopen as v3 and carry the merged view.
         let mut reopened = open(&base);
         assert_eq!(reopened.format_version(), want, "{}", version.tag());
         let nbrs: Vec<u32> = reopened.with_adjacency(0, |n| n.to_vec()).unwrap();

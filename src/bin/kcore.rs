@@ -1,7 +1,7 @@
 //! `kcore` — command-line front end for the suite.
 //!
 //! ```text
-//! kcore build  <edges.txt> <graph-base>      ingest a text edge list to disk
+//! kcore build  <edges.txt> <graph-base>      ingest a text edge list to disk (v3)
 //! kcore decompose <graph-base> [--algo star|plus|basic|emcore]
 //!                 [--workers N] [--cache-mb M] [--out cores.txt]
 //! kcore query  <graph-base> --k 8            print the k-core's nodes/components
@@ -13,11 +13,17 @@
 //!              [name=graph-base ...]         serve many graphs on one budget
 //! kcore fsck   <data-dir> [--repair]         check (and repair) a durable dir
 //! kcore compact <data-dir> <name>            fold buffered edits into fresh tables
-//! kcore recompress <data-dir> [--to v1|v3]  migrate a catalog's tables
 //! ```
 //!
+//! Every subcommand parses and validates its whole command line before it
+//! acts: an unknown flag, a valued flag without its value, an unparsable
+//! value or a wrong positional is a usage error (exit 2) that has touched
+//! nothing.
+//!
 //! All runs print the I/O and memory accounting the paper reports.
-//! `kcore build` spills its sorted runs under `std::env::temp_dir()`
+//! `kcore build` writes the compressed stream-vbyte edge table (format v3,
+//! typically 3× fewer bytes than raw v1 and proportionally fewer charged
+//! reads on every scan); it spills its sorted runs under `std::env::temp_dir()`
 //! (`$TMPDIR`, `/tmp` by default); where that is a tmpfs the runs are held
 //! in RAM, so point `TMPDIR` at a disk for an input beyond memory.
 //! `--workers N` shards SemiCore\*'s convergence scans across `N` threads
@@ -43,10 +49,8 @@
 //! truncates buffer and journal (default one million entries).
 //!
 //! `kcore compact <data-dir> <name>` runs that same generational rewrite
-//! offline, and `kcore recompress <data-dir> [--to v1|v3]` migrates
-//! every catalogued graph to the chosen encoding through it (default v3,
-//! the compressed stream-vbyte layout), reporting the charged-read savings
-//! per graph.
+//! offline. A rewrite always writes v3, so compacting a graph served from
+//! raw v1 tables is also its migration.
 //!
 //! `--listen ADDR` additionally serves the same line protocol over TCP
 //! (thread per connection, at most `--max-conns` of them) while stdin
@@ -78,8 +82,10 @@
 //! truncates damaged journal tails back to the last good record; exit
 //! status is nonzero while unrepaired problems remain.
 
+use std::collections::HashMap;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,107 +99,116 @@ use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base> [--compress[=v3]]\n              (scratch runs go under $TMPDIR, /tmp by default: on a tmpfs that is RAM,\n               so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--data-dir DIR] [--listen ADDR]\n              [--max-conns N] [--qos-mb M] [--qos-queue N] [--group-commit-us U]\n              [--compact-after E] [--scrub-interval S] [--repair-retries R]\n              [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>\n  kcore recompress <data-dir> [--to v1|v3]"
+        "usage:\n  kcore build <edges.txt> <graph-base>\n              (writes format v3; scratch runs go under $TMPDIR, /tmp by default: on a tmpfs\n               that is RAM, so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--data-dir DIR] [--listen ADDR]\n              [--max-conns N] [--qos-mb M] [--qos-queue N] [--group-commit-us U]\n              [--compact-after E] [--scrub-interval S] [--repair-retries R]\n              [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>"
     );
     std::process::exit(2)
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+/// One subcommand's command line, parsed and validated before it acts:
+/// its positionals in order and the flags it was given, with their values
+/// (empty for a switch).
+#[derive(Default)]
+struct Cli {
+    positional: Vec<String>,
+    values: HashMap<&'static str, String>,
 }
 
-/// Parse a format tag (as `--compress=` and `--to` take): `v1` (raw) or
-/// `v3` (compressed). Anything else exits 2.
-fn parse_format(tag: &str) -> graphstore::FormatVersion {
-    match tag {
-        "v1" => graphstore::FormatVersion::V1,
-        "v3" => graphstore::FormatVersion::V3,
+impl Cli {
+    /// Split `args` into positionals, the `valued` flags (each followed by
+    /// its value) and the `switches`. Any other flag, or a valued flag
+    /// whose value is missing, is a usage error.
+    fn parse(args: &[String], valued: &[&'static str], switches: &[&'static str]) -> Cli {
+        let mut cli = Cli::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                cli.positional.push(arg.clone());
+            } else if let Some(&flag) = valued.iter().find(|&f| f == arg) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        cli.values.insert(flag, value.clone());
+                    }
+                    _ => usage(),
+                }
+            } else if let Some(&flag) = switches.iter().find(|&f| f == arg) {
+                cli.values.insert(flag, String::new());
+            } else {
+                eprintln!("unknown flag {arg:?}");
+                usage()
+            }
+        }
+        cli
+    }
+
+    /// Exactly `N` positionals, or a usage error.
+    fn positionals<const N: usize>(&self) -> [String; N] {
+        self.positional
+            .clone()
+            .try_into()
+            .unwrap_or_else(|_| usage())
+    }
+
+    /// `flag`'s value as a `T` (`None` when absent); a value that does not
+    /// parse is a usage error.
+    fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
+        let value = self.values.get(flag)?;
+        Some(value.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value {value:?} for {flag}");
+            usage()
+        }))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+}
+
+/// `--workers N`: parallel SemiCore\* scans at `N ≥ 2`, sequential
+/// otherwise.
+fn executor(workers: Option<usize>) -> ScanExecutor {
+    match workers {
+        Some(w) if w >= 2 => ScanExecutor::parallel(w),
+        _ => ScanExecutor::Sequential,
+    }
+}
+
+type Algorithm = fn(&mut DiskGraph, ScanExecutor) -> graphstore::Result<semicore::Decomposition>;
+
+/// The decomposition `--algo` names; anything else is a usage error.
+fn algorithm(name: &str) -> Algorithm {
+    match name {
+        "star" => |g, exec| semicore::semicore_star_with(g, &DecomposeOptions::default(), exec),
+        "plus" => |g, _| semicore::semicore_plus(g, &DecomposeOptions::default()),
+        "basic" => |g, _| semicore::semicore(g, &DecomposeOptions::default()),
+        "emcore" => |g, _| semicore::emcore(g, &EmCoreOptions::default()),
         other => {
-            eprintln!("unknown format {other:?} (expected v1|v3)");
-            std::process::exit(2)
+            eprintln!("unknown algorithm {other:?} (expected star|plus|basic|emcore)");
+            usage()
         }
     }
-}
-
-/// The edge-table format `kcore build` was asked for: `--compress` means
-/// v3, the one compressed format (`--compress=v3` spells it out); absent
-/// means raw v1.
-fn build_format(args: &[String]) -> graphstore::FormatVersion {
-    for a in args {
-        if a == "--compress" {
-            return graphstore::FormatVersion::V3;
-        }
-        if let Some(tag) = a.strip_prefix("--compress=") {
-            return parse_format(tag);
-        }
-    }
-    graphstore::FormatVersion::V1
 }
 
 fn open(base: &Path) -> graphstore::Result<DiskGraph> {
     DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE))
 }
 
-// Internal decompositions (query/stats) run uncached, where the sequential
-// schedule is the right configuration — the parallel path wants a cache
-// budget so shard handles share fetched blocks.
-fn decompose(base: &Path, algo: &str) -> graphstore::Result<semicore::Decomposition> {
-    decompose_with(base, algo, ScanExecutor::Sequential, 0)
-}
-
-fn decompose_with(
-    base: &Path,
-    algo: &str,
-    exec: ScanExecutor,
-    cache_bytes: u64,
-) -> graphstore::Result<semicore::Decomposition> {
-    let mut g = DiskGraph::open_with_cache(base, IoCounter::new(DEFAULT_BLOCK_SIZE), cache_bytes)?;
-    let opts = DecomposeOptions::default();
-    if exec != ScanExecutor::Sequential && matches!(algo, "plus" | "basic" | "emcore") {
-        eprintln!("note: --workers applies to SemiCore* only; {algo} runs sequentially");
-    }
-    match algo {
-        "star" => semicore::semicore_star_with(&mut g, &opts, exec),
-        "plus" => semicore::semicore_plus(&mut g, &opts),
-        "basic" => semicore::semicore(&mut g, &opts),
-        "emcore" => semicore::emcore(&mut g, &EmCoreOptions::default()),
-        other => {
-            eprintln!("unknown algorithm {other:?} (expected star|plus|basic|emcore)");
-            std::process::exit(2)
-        }
-    }
+// Internal decompositions (query/stats) run uncached and sequential — the
+// parallel path wants a cache budget so shard handles share fetched blocks.
+fn decompose(base: &Path) -> graphstore::Result<semicore::Decomposition> {
+    semicore::semicore_star(&mut open(base)?, &DecomposeOptions::default())
 }
 
 fn main() -> graphstore::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    // A trailing flag with its value forgotten would otherwise be
-    // indistinguishable from an absent flag and silently get the default.
-    if args
-        .last()
-        .is_some_and(|a| SERVE_FLAGS.contains(&a.as_str()) || ONE_SHOT_FLAGS.contains(&a.as_str()))
-    {
+    let Some((cmd, args)) = args.split_first() else {
         usage()
-    }
+    };
     match cmd.as_str() {
         "build" => {
-            let (Some(input), Some(base)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
-            // `--compress` writes the stream-vbyte edge table (format v3):
-            // same adjacency lists, typically 3× fewer edge-table bytes —
-            // and proportionally fewer charged read I/Os on every scan.
-            let version = build_format(&args);
+            let [input, base] = Cli::parse(args, &[], &[]).positionals();
             let t0 = std::time::Instant::now();
             let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
-            let g = edgelist::edge_list_to_disk_with(
-                Path::new(input),
-                Path::new(base),
-                counter,
-                version,
-            )?;
+            let g = edgelist::edge_list_to_disk(Path::new(&input), Path::new(&base), counter)?;
             let meta = g.meta();
             println!(
                 "built {base}.nodes/.edges ({}): {} nodes, {} edges, edge table {} B ({:.2} B/neighbour) in {:.2} s",
@@ -206,20 +221,19 @@ fn main() -> graphstore::Result<()> {
             );
         }
         "decompose" => {
-            let Some(base) = args.get(1) else { usage() };
-            let algo = arg_value(&args, "--algo").unwrap_or_else(|| "star".into());
-            let exec = match arg_value(&args, "--workers").map(|w| w.parse::<usize>()) {
-                Some(Ok(w)) if w >= 2 => ScanExecutor::parallel(w),
-                Some(Ok(_)) => ScanExecutor::Sequential,
-                Some(Err(_)) => usage(),
-                None => ScanExecutor::Sequential,
-            };
-            let cache_bytes = match arg_value(&args, "--cache-mb").map(|m| m.parse::<u64>()) {
-                Some(Ok(mb)) => mb << 20,
-                Some(Err(_)) => usage(),
-                None => 0,
-            };
-            let d = decompose_with(Path::new(base), &algo, exec, cache_bytes)?;
+            let cli = Cli::parse(args, &["--algo", "--workers", "--cache-mb", "--out"], &[]);
+            let [base] = cli.positionals();
+            let algo: String = cli.value("--algo").unwrap_or_else(|| "star".into());
+            let run = algorithm(&algo);
+            let exec = executor(cli.value("--workers"));
+            let cache_bytes = cli.value::<u64>("--cache-mb").unwrap_or(0) << 20;
+            let out: Option<PathBuf> = cli.value("--out");
+            if exec != ScanExecutor::Sequential && algo != "star" {
+                eprintln!("note: --workers applies to SemiCore* only; {algo} runs sequentially");
+            }
+            let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
+            let mut g = DiskGraph::open_with_cache(Path::new(&base), counter, cache_bytes)?;
+            let d = run(&mut g, exec)?;
             let s = &d.stats;
             println!(
                 "{}: kmax = {}, {} iterations, {} node computations",
@@ -235,22 +249,21 @@ fn main() -> graphstore::Result<()> {
                 s.io.read_ios,
                 s.io.write_ios
             );
-            if let Some(out) = arg_value(&args, "--out") {
+            if let Some(out) = out {
                 let mut text = String::with_capacity(d.core.len() * 8);
                 for (v, c) in d.core.iter().enumerate() {
                     text.push_str(&format!("{v} {c}\n"));
                 }
-                std::fs::write(PathBuf::from(&out), text)?;
-                println!("core numbers written to {out}");
+                std::fs::write(&out, text)?;
+                println!("core numbers written to {}", out.display());
             }
         }
         "query" => {
-            let Some(base) = args.get(1) else { usage() };
-            let k: u32 = arg_value(&args, "--k")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-            let d = decompose(Path::new(base), "star")?;
-            let mut g = open(Path::new(base))?;
+            let cli = Cli::parse(args, &["--k"], &[]);
+            let [base] = cli.positionals();
+            let k: u32 = cli.value("--k").unwrap_or_else(|| usage());
+            let d = decompose(Path::new(&base))?;
+            let mut g = open(Path::new(&base))?;
             let comps = analysis::kcore_components(&mut g, &d.core, k)?;
             let total: usize = comps.iter().map(|c| c.len()).sum();
             println!(
@@ -263,10 +276,10 @@ fn main() -> graphstore::Result<()> {
             }
         }
         "stats" => {
-            let Some(base) = args.get(1) else { usage() };
-            let d = decompose(Path::new(base), "star")?;
+            let [base] = Cli::parse(args, &[], &[]).positionals();
+            let d = decompose(Path::new(&base))?;
             print!("{}", analysis::CoreProfile::new(&d.core));
-            let mut g = open(Path::new(base))?;
+            let mut g = open(Path::new(&base))?;
             let (nucleus, density) = analysis::densest_core(&mut g, &d.core)?;
             println!(
                 "densest-core approximation: {} nodes at density {:.2}",
@@ -274,10 +287,20 @@ fn main() -> graphstore::Result<()> {
                 density
             );
         }
-        "serve" => serve(&args)?,
-        "fsck" => fsck_cmd(&args)?,
-        "compact" => compact_cmd(&args)?,
-        "recompress" => recompress_cmd(&args)?,
+        "serve" => serve(args)?,
+        "fsck" => fsck_cmd(args)?,
+        "compact" => {
+            // Fold the named graph's buffered edits into a fresh v3
+            // generation of table files (the same commit protocol the
+            // serving path uses at its threshold), truncating its update
+            // buffer and journal.
+            let [dir, name] = Cli::parse(args, &[], &[]).positionals();
+            let svc = CoreService::open_catalog(Path::new(&dir))?;
+            let generation = svc.compact(&name)?;
+            println!(
+                "compacted {name}: now generation {generation} (update buffer and journal empty)"
+            );
+        }
         _ => usage(),
     }
     Ok(())
@@ -287,11 +310,9 @@ fn main() -> graphstore::Result<()> {
 /// directory. Prints one line per finding, then a summary; exits 1 while
 /// unrepaired problems remain so scripts can gate on it.
 fn fsck_cmd(args: &[String]) -> graphstore::Result<()> {
-    let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        usage()
-    };
-    let repair = args.iter().any(|a| a == "--repair");
-    let report = kcore_suite::fsck(Path::new(dir), repair)?;
+    let cli = Cli::parse(args, &[], &["--repair"]);
+    let [dir] = cli.positionals();
+    let report = kcore_suite::fsck(Path::new(&dir), cli.has("--repair"))?;
     for f in &report.findings {
         let scope = f.graph.as_deref().unwrap_or("<catalog>");
         let status = if f.repaired { " [repaired]" } else { "" };
@@ -310,63 +331,7 @@ fn fsck_cmd(args: &[String]) -> graphstore::Result<()> {
     Ok(())
 }
 
-/// `kcore compact <data-dir> <name>`: open the durable catalog, fold the
-/// named graph's buffered edits into a fresh generation of table files
-/// (the same commit protocol the serving path uses at its threshold),
-/// and truncate its update buffer and journal.
-fn compact_cmd(args: &[String]) -> graphstore::Result<()> {
-    let (Some(dir), Some(name)) = (args.get(1), args.get(2)) else {
-        usage()
-    };
-    let svc = CoreService::open_catalog(Path::new(dir))?;
-    let generation = svc.compact(name)?;
-    println!("compacted {name}: now generation {generation} (update buffer and journal empty)");
-    Ok(())
-}
-
-/// `kcore recompress <data-dir> [--to v1|v3]`: migrate every
-/// catalogued graph to the requested edge encoding in place (default v3,
-/// the compressed layout), through the same generational rewrite
-/// `compact` uses — the catalog commit switches tables, checkpoint and
-/// format atomically per graph. Reports the edge table shrink and the
-/// equivalent full-scan charged-read savings.
-fn recompress_cmd(args: &[String]) -> graphstore::Result<()> {
-    let Some(dir) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        usage()
-    };
-    let to = match arg_value(args, "--to") {
-        Some(tag) => parse_format(&tag),
-        None => graphstore::FormatVersion::V3,
-    };
-    let svc = CoreService::open_catalog(Path::new(dir))?;
-    let block = svc.pool().block_size() as u64;
-    let table = |name: &str| {
-        svc.with_graph(name, |idx| {
-            let meta = idx.graph_mut().disk().meta();
-            Ok((meta.edge_bytes, meta.version.tag()))
-        })
-    };
-    let names = svc.graph_names();
-    for name in &names {
-        let (old_bytes, old_tag) = table(name)?;
-        let generation = svc.recompress_to(name, to)?;
-        let (new_bytes, new_tag) = table(name)?;
-        println!(
-            "{name}: {old_tag} -> {new_tag} (generation {generation}); edge table {old_bytes} -> {new_bytes} B, full-scan charged reads {} -> {}",
-            old_bytes.div_ceil(block),
-            new_bytes.div_ceil(block),
-        );
-    }
-    println!("recompressed {} graph(s) in {dir}", names.len());
-    Ok(())
-}
-
-/// The value-taking flags of the one-shot subcommands (`decompose`, `query`,
-/// `recompress`; `--workers` is in [`SERVE_FLAGS`]).
-const ONE_SHOT_FLAGS: [&str; 5] = ["--algo", "--cache-mb", "--out", "--k", "--to"];
-
-/// The value-taking flags of `kcore serve` — the single list both the
-/// flag parsers and the positional-argument scan below work from.
+/// The value-taking flags of `kcore serve`.
 const SERVE_FLAGS: [&str; 12] = [
     "--budget-mb",
     "--workers",
@@ -385,76 +350,98 @@ const SERVE_FLAGS: [&str; 12] = [
 /// `kcore serve`: a [`CoreService`] REPL over stdin, optionally also
 /// served over TCP with `--listen`. Non-interactive use pipes a command
 /// script in; every response is a single line, errors are reported and do
-/// not end the session.
+/// not end the session. The whole command line is validated before the
+/// data directory is touched.
 fn serve(args: &[String]) -> graphstore::Result<()> {
-    let budget_mb: u64 = match arg_value(args, SERVE_FLAGS[0]).map(|v| v.parse()) {
-        Some(Ok(mb)) => mb,
-        Some(Err(_)) => usage(),
-        None => 64,
-    };
-    let exec = match arg_value(args, SERVE_FLAGS[1]).map(|w| w.parse::<usize>()) {
-        Some(Ok(w)) if w >= 2 => ScanExecutor::parallel(w),
-        Some(Ok(_)) => ScanExecutor::Sequential,
-        Some(Err(_)) => usage(),
-        None => ScanExecutor::Sequential,
-    };
+    let cli = Cli::parse(args, &SERVE_FLAGS, &[]);
+    let budget_mb: u64 = cli.value("--budget-mb").unwrap_or(64);
+    let exec = executor(cli.value("--workers"));
+    let data_dir: Option<PathBuf> = cli.value("--data-dir");
+    for (flag, why) in [
+        ("--group-commit-us", "there is no journal without one"),
+        ("--compact-after", "only durable graphs compact"),
+        ("--scrub-interval", "the scrubber walks durable artefacts"),
+    ] {
+        if cli.has(flag) && data_dir.is_none() {
+            eprintln!("{flag} requires --data-dir ({why})");
+            usage()
+        }
+    }
     // `--group-commit-us U` is the journal's gather window (default 0);
-    // it only means anything when there is a journal, i.e. with
-    // `--data-dir`.
-    let group_commit = match arg_value(args, SERVE_FLAGS[7]).map(|v| v.parse::<u64>()) {
-        Some(Ok(us)) => Some(GroupCommitOptions {
+    // `--compact-after E` bounds each durable graph's update buffer at `E`
+    // edit entries before the apply path compacts it.
+    let durable_opts = kcore_suite::DurableOptions {
+        group_commit: cli.value("--group-commit-us").map(|us| GroupCommitOptions {
             max_delay: Duration::from_micros(us),
         }),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    if group_commit.is_some() && arg_value(args, SERVE_FLAGS[2]).is_none() {
-        eprintln!("--group-commit-us requires --data-dir (there is no journal without one)");
-        usage()
-    }
-    // `--compact-after E` bounds each durable graph's update buffer at
-    // `E` edit entries before the apply path compacts it.
-    let compact_after = match arg_value(args, SERVE_FLAGS[8]).map(|v| v.parse::<usize>()) {
-        Some(Ok(entries)) => Some(entries),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    if compact_after.is_some() && arg_value(args, SERVE_FLAGS[2]).is_none() {
-        eprintln!("--compact-after requires --data-dir (only durable graphs compact)");
-        usage()
-    }
-    let durable_opts = kcore_suite::DurableOptions {
-        group_commit,
-        compact_after_edits: compact_after.unwrap_or(kcore_suite::DEFAULT_COMPACT_AFTER_EDITS),
+        compact_after_edits: cli
+            .value("--compact-after")
+            .unwrap_or(kcore_suite::DEFAULT_COMPACT_AFTER_EDITS),
         ..kcore_suite::DurableOptions::default()
     };
-    let svc = match arg_value(args, SERVE_FLAGS[2]) {
+    // `--qos-mb M` turns on per-tenant admission control over the charge
+    // budget; `--qos-queue N` bounds how many requests may wait (default
+    // 16) and is meaningless without a budget to wait for.
+    let qos_mb: Option<u64> = cli.value("--qos-mb");
+    let qos_queue: usize = cli.value("--qos-queue").unwrap_or(16);
+    if cli.has("--qos-queue") && qos_mb.is_none() {
+        eprintln!("--qos-queue requires --qos-mb (there is no queue without a budget)");
+        usage()
+    }
+    // `--op-timeout-ms T` bounds every query's charged-read phase: an op
+    // over its deadline comes back as one `err timeout:` line (and never
+    // quarantines — a slow graph is not a broken graph).
+    let op_timeout_ms: Option<u64> = cli.value("--op-timeout-ms");
+    // Self-healing: `--scrub-interval S` walks each healthy graph's
+    // durable artefacts through the fsck invariants every `S` seconds;
+    // `--repair-retries R` bounds automatic online repairs per quarantine
+    // episode. The supervisor always runs under `serve` — quarantined
+    // graphs get repaired and read-only graphs re-probed even with the
+    // scrubber off.
+    let heal_opts = kcore_suite::SelfHealOptions {
+        scrub_interval: cli.value("--scrub-interval").map(Duration::from_secs),
+        repair_retries: cli
+            .value("--repair-retries")
+            .unwrap_or(kcore_suite::SelfHealOptions::default().repair_retries),
+        ..kcore_suite::SelfHealOptions::default()
+    };
+    // `--listen ADDR` serves the same protocol over TCP alongside stdin.
+    let listen: Option<String> = cli.value("--listen");
+    let max_connections = cli
+        .value("--max-conns")
+        .unwrap_or(ServerOptions::default().max_connections);
+    // Positional `name=base` specs pre-open graphs before the REPL starts.
+    let specs: Vec<(&str, &str)> = cli
+        .positional
+        .iter()
+        .map(|spec| spec.split_once('=').unwrap_or_else(|| usage()))
+        .collect();
+
+    let svc = match &data_dir {
+        Some(dir) if graphstore::Catalog::exists_in(dir) => {
+            let svc = CoreService::open_catalog_with(dir, exec, durable_opts)?;
+            println!(
+                "reopened catalog {} ({} MiB pool from manifest): restored [{}]",
+                dir.display(),
+                svc.pool().budget_bytes() >> 20,
+                svc.graph_names().join(", ")
+            );
+            svc
+        }
         Some(dir) => {
-            let dir = Path::new(&dir);
-            if graphstore::Catalog::exists_in(dir) {
-                let svc = CoreService::open_catalog_with(dir, exec, durable_opts)?;
-                println!(
-                    "reopened catalog {} ({} MiB pool from manifest): restored [{}]",
-                    dir.display(),
-                    svc.pool().budget_bytes() >> 20,
-                    svc.graph_names().join(", ")
-                );
-                svc
-            } else {
-                let svc = CoreService::create_durable_with(
-                    dir,
-                    DEFAULT_BLOCK_SIZE,
-                    budget_mb << 20,
-                    EvictionPolicy::ScanLifo,
-                    exec,
-                    durable_opts,
-                )?;
-                println!(
-                    "serving durably from {} on a {budget_mb} MiB shared pool ({exec:?})",
-                    dir.display()
-                );
-                svc
-            }
+            let svc = CoreService::create_durable_with(
+                dir,
+                DEFAULT_BLOCK_SIZE,
+                budget_mb << 20,
+                EvictionPolicy::ScanLifo,
+                exec,
+                durable_opts,
+            )?;
+            println!(
+                "serving durably from {} on a {budget_mb} MiB shared pool ({exec:?})",
+                dir.display()
+            );
+            svc
         }
         None => {
             let svc = CoreService::with_config(
@@ -468,104 +455,25 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
         }
     };
     let svc = Arc::new(svc);
-
-    // `--qos-mb M` turns on per-tenant admission control over the charge
-    // budget; `--qos-queue N` bounds how many requests may wait (default
-    // 16) and is meaningless without a budget to wait for.
-    let qos_mb = match arg_value(args, SERVE_FLAGS[5]).map(|v| v.parse::<u64>()) {
-        Some(Ok(mb)) => Some(mb),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    let qos_queue = match arg_value(args, SERVE_FLAGS[6]).map(|v| v.parse::<usize>()) {
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    match (qos_mb, qos_queue) {
-        (Some(mb), queue) => {
-            svc.set_qos(Some(QosConfig {
-                capacity_bytes: mb << 20,
-                max_waiters: queue.unwrap_or(16),
-            }));
-            println!(
-                "qos: {} MiB admission budget, {} queued requests max",
-                mb,
-                queue.unwrap_or(16)
-            );
-        }
-        (None, Some(_)) => {
-            eprintln!("--qos-queue requires --qos-mb (there is no queue without a budget)");
-            usage()
-        }
-        (None, None) => {}
+    if let Some(mb) = qos_mb {
+        svc.set_qos(Some(QosConfig {
+            capacity_bytes: mb << 20,
+            max_waiters: qos_queue,
+        }));
+        println!("qos: {mb} MiB admission budget, {qos_queue} queued requests max");
     }
-
-    // `--op-timeout-ms T` bounds every query's charged-read phase: an op
-    // over its deadline comes back as one `err timeout:` line (and never
-    // quarantines — a slow graph is not a broken graph).
-    match arg_value(args, SERVE_FLAGS[11]).map(|v| v.parse::<u64>()) {
-        Some(Ok(ms)) => {
-            svc.set_op_timeout(Some(Duration::from_millis(ms)));
-            println!("per-op deadline: {ms} ms");
-        }
-        Some(Err(_)) => usage(),
-        None => {}
+    if let Some(ms) = op_timeout_ms {
+        svc.set_op_timeout(Some(Duration::from_millis(ms)));
+        println!("per-op deadline: {ms} ms");
     }
-
-    // Self-healing: `--scrub-interval S` walks each healthy graph's
-    // durable artefacts through the fsck invariants every `S` seconds;
-    // `--repair-retries R` bounds automatic online repairs per quarantine
-    // episode. The supervisor always runs under `serve` — quarantined
-    // graphs get repaired and read-only graphs re-probed even with the
-    // scrubber off.
-    let scrub_interval = match arg_value(args, SERVE_FLAGS[9]).map(|v| v.parse::<u64>()) {
-        Some(Ok(secs)) => Some(Duration::from_secs(secs)),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    if scrub_interval.is_some() && arg_value(args, SERVE_FLAGS[2]).is_none() {
-        eprintln!("--scrub-interval requires --data-dir (the scrubber walks durable artefacts)");
-        usage()
-    }
-    let repair_retries = match arg_value(args, SERVE_FLAGS[10]).map(|v| v.parse::<u32>()) {
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => usage(),
-        None => None,
-    };
-    let heal_opts = kcore_suite::SelfHealOptions {
-        scrub_interval,
-        repair_retries: repair_retries
-            .unwrap_or(kcore_suite::SelfHealOptions::default().repair_retries),
-        ..kcore_suite::SelfHealOptions::default()
-    };
     let _self_heal = kcore_suite::start_self_heal(&svc, heal_opts);
-
-    // Positional `name=base` specs pre-open graphs before the REPL starts.
-    let mut i = 1usize;
-    while i < args.len() {
-        if SERVE_FLAGS.contains(&args[i].as_str()) {
-            i += 2; // skip the flag and its value
-        } else {
-            let Some((name, base)) = args[i].split_once('=') else {
-                usage()
-            };
-            let resp = dispatch(&svc, &format!("open {name} {base}"));
-            for l in &resp.lines {
-                println!("{l}");
-            }
-            i += 1;
+    for (name, base) in specs {
+        for l in &dispatch(&svc, &format!("open {name} {base}")).lines {
+            println!("{l}");
         }
     }
-
-    // `--listen ADDR` serves the same protocol over TCP alongside stdin.
-    let mut server = match arg_value(args, SERVE_FLAGS[3]) {
+    let mut server = match listen {
         Some(addr) => {
-            let max_connections = match arg_value(args, SERVE_FLAGS[4]).map(|v| v.parse()) {
-                Some(Ok(n)) => n,
-                Some(Err(_)) => usage(),
-                None => ServerOptions::default().max_connections,
-            };
             let opts = ServerOptions {
                 max_connections,
                 ..ServerOptions::default()

@@ -14,9 +14,11 @@
 //! 2. reads the **checkpoint** (`<name>.ckpt`, or `<name>.g<g>.ckpt`
 //!    after compaction; magic + CRC) and checks its vectors against the
 //!    graph's node count;
-//! 3. scans the **journal** (`<name>.wal`) read-only: magic, per-record
-//!    framing CRCs, op decodability, endpoint ranges, and gap-free
-//!    sequence numbers above the checkpoint's;
+//! 3. scans the **journal** (`<name>.wal`) read-only: magic and per-record
+//!    framing CRCs, then every record through recovery's own rule
+//!    (`JournalReplay`: decodable, covered by the checkpoint or else
+//!    gap-free and in range), so fsck flags exactly the records recovery
+//!    would refuse;
 //! 4. sweeps for **generation debris**: stale `.rewrite` flush temps
 //!    beside the live tables, and off-generation table/checkpoint files —
 //!    what a compaction leaves when it crashes before its catalog commit
@@ -24,8 +26,8 @@
 //!    generation's).
 //!
 //! With `repair` set, two classes of problem are fixed. The *journal
-//! tail* problems — a torn or CRC-damaged tail, an undecodable op, a
-//! sequence gap — are repaired by truncating the journal back to its
+//! tail* problems — a torn or CRC-damaged tail, or a record the rule
+//! refuses — are repaired by truncating the journal back to its
 //! longest good prefix, which makes the next
 //! [`crate::CoreService::open_catalog`] recover the checkpoint plus
 //! exactly that prefix (the "fall back to the last good checkpoint"
@@ -41,8 +43,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use graphstore::{
-    AdjacencyRead, Catalog, DiskGraph, IoCounter, Result, StateCheckpoint, StdVfs, Vfs, Wal,
-    WAL_MAGIC,
+    AdjacencyRead, Catalog, CatalogEntry, DiskGraph, IoCounter, Result, StateCheckpoint, StdVfs,
+    Vfs, Wal, WAL_MAGIC,
 };
 use semicore::MaintainOp;
 
@@ -190,6 +192,94 @@ pub(crate) fn wal_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.wal"))
 }
 
+/// One journal record, `seq u64 | MaintainOp`; [`JournalReplay`] is the
+/// one reader.
+pub(crate) fn encode_record(seq: u64, op: MaintainOp) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(8 + semicore::MAINTAIN_OP_LEN);
+    payload.extend_from_slice(&seq.to_le_bytes());
+    payload.extend_from_slice(&op.encode());
+    payload
+}
+
+/// The one reading of a journal, shared by recovery (restart and online
+/// repair) and fsck's journal phase (offline, scrub and repair): records
+/// go in in order, each comes out with a verdict. A record at or below the
+/// checkpoint's sequence number is covered by the checkpoint (a crash
+/// landed between its rename and the journal truncation) and skipped;
+/// every record above it must extend the sequence gap-free and name nodes
+/// of the graph. The first refused record ends the replayable prefix:
+/// recovery fails there, fsck reports it and a repair truncates there.
+pub(crate) struct JournalReplay {
+    /// The checkpoint's sequence number.
+    covered: u64,
+    /// The last admitted record's sequence number (the checkpoint's until
+    /// one is admitted).
+    pub(crate) seq: u64,
+    num_nodes: u32,
+    /// Records judged so far.
+    judged: usize,
+}
+
+impl JournalReplay {
+    pub(crate) fn new(ck_seq: u64, num_nodes: u32) -> JournalReplay {
+        JournalReplay {
+            covered: ck_seq,
+            seq: ck_seq,
+            num_nodes,
+            judged: 0,
+        }
+    }
+
+    /// The next record's verdict: `Ok(None)` covered by the checkpoint,
+    /// `Ok(Some(op))` the next op to replay, `Err` why it is refused.
+    pub(crate) fn admit(
+        &mut self,
+        record: &[u8],
+    ) -> std::result::Result<Option<MaintainOp>, String> {
+        let i = self.judged;
+        self.judged += 1;
+        let refused = |why: String| format!("journal record {i}: {why}");
+        let Some((seq, op)) = record.split_first_chunk::<8>() else {
+            return Err(refused(format!("undersized ({} bytes)", record.len())));
+        };
+        let seq = u64::from_le_bytes(*seq);
+        let op = MaintainOp::decode(op).map_err(|e| refused(format!("undecodable op: {e}")))?;
+        if seq <= self.covered {
+            return Ok(None);
+        }
+        if seq != self.seq + 1 {
+            return Err(refused(format!(
+                "sequence gap: record {seq} after {}",
+                self.seq
+            )));
+        }
+        let ((u, v), n) = (op.endpoints(), self.num_nodes);
+        if u >= n || v >= n {
+            return Err(refused(format!(
+                "op endpoints ({u}, {v}) out of range for {n} nodes"
+            )));
+        }
+        self.seq = seq;
+        Ok(Some(op))
+    }
+}
+
+/// The tables a durable graph references are immutable between
+/// compactions: found in another encoding than catalogued, they were
+/// replaced behind the catalog's back, and the checkpointed state may
+/// belong to a different graph. Recovery fails on it; fsck reports it.
+pub(crate) fn check_format(entry: &CatalogEntry, disk: &DiskGraph) -> Result<()> {
+    if disk.format_version() == entry.format {
+        return Ok(());
+    }
+    Err(graphstore::Error::corrupt(format!(
+        "catalog records {:?} as format {} but its base tables are {}",
+        entry.name,
+        entry.format.tag(),
+        disk.format_version().tag()
+    )))
+}
+
 /// What the table/checkpoint phases learned about a graph — the context
 /// the journal phase validates records against. `None` fields mean the
 /// corresponding artifact was unreadable (already reported).
@@ -201,7 +291,7 @@ pub(crate) struct GraphProbe {
 
 fn check_graph(
     dir: &Path,
-    entry: &graphstore::CatalogEntry,
+    entry: &CatalogEntry,
     block_size: usize,
     repair: bool,
     vfs: &Arc<dyn Vfs>,
@@ -218,7 +308,7 @@ fn check_graph(
 /// compactions, and a checkpoint replace is an atomic rename).
 pub(crate) fn check_tables_and_checkpoint(
     dir: &Path,
-    entry: &graphstore::CatalogEntry,
+    entry: &CatalogEntry,
     block_size: usize,
     vfs: &Arc<dyn Vfs>,
     report: &mut FsckReport,
@@ -230,19 +320,10 @@ pub(crate) fn check_tables_and_checkpoint(
     //    read; the walk adds the structural invariants a CRC cannot see.
     let num_nodes = match DiskGraph::open(&entry.table_base(), counter.clone()) {
         Ok(mut disk) => {
-            if disk.format_version() != entry.format {
-                report.push(
-                    Some(name),
-                    format!(
-                        "catalog records format {} but base tables are {}",
-                        entry.format.tag(),
-                        disk.format_version().tag()
-                    ),
-                    false,
-                );
-            }
-            if let Err(e) = walk_adjacency(&mut disk) {
-                report.push(Some(name), format!("base tables: {e}"), false);
+            for checked in [check_format(entry, &disk), walk_adjacency(&mut disk)] {
+                if let Err(e) = checked {
+                    report.push(Some(name), format!("base tables: {e}"), false);
+                }
             }
             Some(disk.num_nodes())
         }
@@ -285,30 +366,67 @@ pub(crate) fn check_tables_and_checkpoint(
     GraphProbe { num_nodes, ck_seq }
 }
 
-/// Phase 3: read-only scan and record-level validation of the journal
-/// (with `repair`, truncation back to the longest good prefix). The
-/// online scrubber runs this *holding the graph's lock* — a live append
-/// mid-scan would otherwise read as a torn tail.
+/// Phase 3: read-only scan of the journal, each framing-valid record
+/// judged by [`JournalReplay`] (with `repair`, truncation back to the
+/// longest good prefix). The online scrubber runs this *holding the
+/// graph's lock* — a live append mid-scan would otherwise read as a torn
+/// tail.
 pub(crate) fn check_journal(
     dir: &Path,
-    entry: &graphstore::CatalogEntry,
+    entry: &CatalogEntry,
     probe: GraphProbe,
     block_size: usize,
     repair: bool,
     vfs: &Arc<dyn Vfs>,
     report: &mut FsckReport,
 ) {
+    let (name, path) = (entry.name.as_str(), wal_path(dir, &entry.name));
     let counter = IoCounter::with_vfs(block_size, Arc::clone(vfs));
-    check_wal(
-        &wal_path(dir, entry.name.as_str()),
-        entry.name.as_str(),
-        probe.num_nodes,
-        probe.ck_seq,
-        &counter,
-        repair,
-        vfs,
-        report,
-    );
+    let scan = match Wal::scan(&path, &counter) {
+        Ok(scan) => scan,
+        Err(e) => {
+            // Bad magic or missing file: the journal carries no decodable
+            // history at all. Repairing means declaring the checkpoint the
+            // whole truth: recreate an empty journal.
+            let repaired = repair && recreate_wal(&path, &counter, vfs).is_ok();
+            report.push(Some(name), format!("journal unreadable: {e}"), repaired);
+            return;
+        }
+    };
+
+    // Framing-valid prefix vs. physical length: a torn tail is the normal
+    // crash signature (recovery tolerates it silently), but fsck reports
+    // it so `--repair` can scrub the evidence.
+    if scan.valid_len < scan.file_len {
+        let repaired = repair && truncate_to(&path, scan.valid_len, vfs).is_ok();
+        report.push(
+            Some(name),
+            format!(
+                "torn journal tail: {} trailing bytes after the last whole record",
+                scan.file_len - scan.valid_len
+            ),
+            repaired,
+        );
+    }
+
+    // Without readable tables and checkpoint there is no recovery for the
+    // records to agree with: those findings already stand unrepaired, and
+    // the journal is left whole for whoever restores them.
+    let (Some(n), Some(ck_seq)) = (probe.num_nodes, probe.ck_seq) else {
+        return;
+    };
+    // The first refused record ends what recovery replays, so repair
+    // truncates back to the end of the record before it.
+    let mut replay = JournalReplay::new(ck_seq, n);
+    let mut good_end = WAL_MAGIC.len() as u64;
+    for (record, &end) in scan.records.iter().zip(&scan.record_ends) {
+        if let Err(problem) = replay.admit(record) {
+            let repaired = repair && truncate_to(&path, good_end, vfs).is_ok();
+            report.push(Some(name), problem, repaired);
+            return;
+        }
+        good_end = end;
+    }
 }
 
 /// Sweep for files a crashed or interrupted compaction/flush left behind:
@@ -319,7 +437,7 @@ pub(crate) fn check_journal(
 /// manifest's generation — so repair deletes them.
 pub(crate) fn check_generation_debris(
     dir: &Path,
-    entry: &graphstore::CatalogEntry,
+    entry: &CatalogEntry,
     repair: bool,
     vfs: &Arc<dyn Vfs>,
     report: &mut FsckReport,
@@ -406,105 +524,6 @@ fn walk_adjacency(disk: &mut DiskGraph) -> Result<()> {
             disk.degree_sum()
         )));
     }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_wal(
-    path: &Path,
-    name: &str,
-    num_nodes: Option<u32>,
-    ck_seq: Option<u64>,
-    counter: &Arc<IoCounter>,
-    repair: bool,
-    vfs: &Arc<dyn Vfs>,
-    report: &mut FsckReport,
-) {
-    let scan = match Wal::scan(path, counter) {
-        Ok(scan) => scan,
-        Err(e) => {
-            // Bad magic or missing file: the journal carries no decodable
-            // history at all. Repairing means declaring the checkpoint the
-            // whole truth: recreate an empty journal.
-            let repaired = repair && recreate_wal(path, counter, vfs).is_ok();
-            report.push(Some(name), format!("journal unreadable: {e}"), repaired);
-            return;
-        }
-    };
-
-    // Framing-valid prefix vs. physical length: a torn tail is the normal
-    // crash signature (recovery tolerates it silently), but fsck reports
-    // it so `--repair` can scrub the evidence.
-    if scan.valid_len < scan.file_len {
-        let repaired = repair && truncate_to(path, scan.valid_len, vfs).is_ok();
-        report.push(
-            Some(name),
-            format!(
-                "torn journal tail: {} trailing bytes after the last whole record",
-                scan.file_len - scan.valid_len
-            ),
-            repaired,
-        );
-    }
-
-    // Record-level validation of the framing-valid prefix. The first bad
-    // record poisons everything after it (replay is sequential), so repair
-    // truncates back to the end of the last good record.
-    let mut seq = ck_seq.unwrap_or(0);
-    let mut good_end = WAL_MAGIC.len() as u64;
-    for (i, record) in scan.records.iter().enumerate() {
-        let verdict = validate_record(record, num_nodes, ck_seq, &mut seq);
-        if let Err(problem) = verdict {
-            let repaired = repair && truncate_to(path, good_end, vfs).is_ok();
-            report.push(
-                Some(name),
-                format!("journal record {i}: {problem}"),
-                repaired,
-            );
-            return;
-        }
-        good_end = scan.record_ends[i];
-    }
-}
-
-/// One journal record: `seq u64 | MaintainOp`. Returns a description of
-/// what is wrong, or advances `seq` past the record.
-fn validate_record(
-    record: &[u8],
-    num_nodes: Option<u32>,
-    ck_seq: Option<u64>,
-    seq: &mut u64,
-) -> std::result::Result<(), String> {
-    if record.len() < 8 {
-        return Err(format!("undersized ({} bytes)", record.len()));
-    }
-    let mut seq_bytes = [0u8; 8];
-    seq_bytes.copy_from_slice(&record[..8]);
-    let rseq = u64::from_le_bytes(seq_bytes);
-    let op = MaintainOp::decode(&record[8..]).map_err(|e| format!("undecodable op: {e}"))?;
-    if let Some(n) = num_nodes {
-        let (u, v) = op.endpoints();
-        if u >= n || v >= n {
-            return Err(format!(
-                "op endpoints ({u}, {v}) out of range for {n} nodes"
-            ));
-        }
-    }
-    // Records at or below the checkpoint sequence are covered by the
-    // checkpoint (crash between its rename and the journal truncation);
-    // everything above must be gap-free — mirrors recovery's check.
-    if let Some(ck) = ck_seq {
-        if rseq <= ck {
-            return Ok(());
-        }
-    }
-    // With no readable checkpoint the baseline is unknown, so the first
-    // record anchors the sequence instead of being gap-checked.
-    let anchored = *seq != 0 || ck_seq.is_some();
-    if anchored && rseq != *seq + 1 {
-        return Err(format!("sequence gap: record {rseq} after {seq}"));
-    }
-    *seq = rseq;
     Ok(())
 }
 

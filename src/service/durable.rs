@@ -23,7 +23,7 @@ use semicore::{CoreState, MaintainOp, MaintainStats};
 
 use super::health::HealthState;
 use super::{lock_meta, lock_served, not_serving, CoreService, DurableOptions, Served, Slot};
-use crate::fsck::{ckpt_path, wal_path};
+use crate::fsck::{check_format, ckpt_path, encode_record, wal_path, JournalReplay};
 use crate::CoreIndex;
 
 /// Update-buffer capacity for durable graphs: self-flush is disabled (a
@@ -97,14 +97,6 @@ impl Durable {
     }
 }
 
-/// Wire encoding of one journal record: sequence number, then the op.
-fn encode_record(seq: u64, op: MaintainOp) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + semicore::MAINTAIN_OP_LEN);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&op.encode());
-    payload
-}
-
 /// Durable graph names become file names; restrict them so they can never
 /// traverse out of the data directory.
 pub(super) fn validate_durable_name(name: &str) -> Result<()> {
@@ -168,7 +160,9 @@ impl CoreService {
         let _permit = self.admit(name)?;
         let (handle, health) = self.served_for(name, true)?;
         let mut served = lock_served(name, &handle, &health)?;
+        let before = served.index.format_version();
         let (res, staged_lsn) = self.commit_locked(name, &mut served, ops, &health);
+        self.note_format(name, &handle, before, &served);
         let journal = served.wal.clone();
         // The barrier is crossed *after* the graph lock is gone: the next
         // writer can validate, journal and apply while this batch is
@@ -330,7 +324,7 @@ impl CoreService {
             // not ride on it — its failure only moves the health machine.
             if served.index.graph_mut().pending_edits() >= d.compact_after_edits {
                 let mut committed = false;
-                if let Err(e) = self.compact_locked(d, name, served, None, &mut committed) {
+                if let Err(e) = self.compact_locked(d, name, served, &mut committed) {
                     lock_meta(health).record_compact_failure(&e, committed);
                 }
             }
@@ -429,11 +423,13 @@ impl CoreService {
     /// Compact the named graph **now**, regardless of the
     /// [`DurableOptions::compact_after_edits`] threshold: rewrite its
     /// current tables plus every buffered edit into a fresh *generation*
-    /// of table files (same encoding), commit the bumped generation in the
-    /// catalog manifest, then truncate the update buffer and the journal.
+    /// of v3 table files, commit the bumped generation in the catalog
+    /// manifest, then truncate the update buffer and the journal.
     /// Afterwards the graph's checkpoint carries an empty edit list, so
     /// recovery is one sequential table scan with nothing to replay.
-    /// Returns the new generation number.
+    /// Compaction is also the migration: a v1 graph's entry flips to v3 at
+    /// the same commit point as its generation. Returns the new generation
+    /// number.
     ///
     /// Errors on a non-durable service. A compaction that fails with an
     /// I/O or corruption error **quarantines** the graph: unlike a
@@ -442,28 +438,14 @@ impl CoreService {
     /// manifest is the safe way back (it recovers exactly the pre- or
     /// post-compaction state, never a third).
     pub fn compact(&self, name: &str) -> Result<u64> {
-        self.compact_with(name, None)
-    }
-
-    /// [`CoreService::compact`] that additionally migrates the graph to
-    /// the `format` edge encoding — [`FormatVersion::V3`] for the
-    /// compressed stream-vbyte layout, or [`FormatVersion::V1`] to migrate
-    /// back to raw `u32` runs: the new generation's tables are written in
-    /// `format` whatever the current encoding, and the
-    /// catalog entry's format switches at the same commit point as its
-    /// generation. Graphs already in the target format just compact.
-    /// Returns the new generation number.
-    pub fn recompress_to(&self, name: &str, format: FormatVersion) -> Result<u64> {
-        self.compact_with(name, Some(format))
-    }
-
-    fn compact_with(&self, name: &str, format: Option<FormatVersion>) -> Result<u64> {
         let d = self.durable("nothing to compact")?;
         let _permit = self.admit(name)?;
         let (handle, health) = self.served_for(name, true)?;
         let mut served = lock_served(name, &handle, &health)?;
+        let before = served.index.format_version();
         let mut committed = false;
-        let res = self.compact_locked(d, name, &mut served, format, &mut committed);
+        let res = self.compact_locked(d, name, &mut served, &mut committed);
+        self.note_format(name, &handle, before, &served);
         if let Err(e) = &res {
             lock_meta(&health).record_compact_failure(e, committed);
         }
@@ -504,14 +486,12 @@ impl CoreService {
         d: &Durable,
         name: &str,
         served: &mut Served,
-        format_override: Option<FormatVersion>,
         committed: &mut bool,
     ) -> Result<u64> {
         let old = d.entry(name)?;
-        let format = format_override.unwrap_or(old.format);
         let new_gen = old.generation + 1;
         let new_base = graphstore::generation_base(&old.base, new_gen);
-        served.index.graph_mut().rewrite_to(&new_base, format)?;
+        served.index.graph_mut().rewrite_to(&new_base)?;
         let counter = served.index.graph_mut().disk().counter().clone();
         let state = served.index.maintained_state().clone();
         StateCheckpoint::write_parts(
@@ -525,7 +505,7 @@ impl CoreService {
         if let Some(e) = lock_meta(&d.entries).get_mut(name) {
             e.generation = new_gen;
             e.checkpoint_seq = served.seq;
-            e.format = format;
+            e.format = FormatVersion::V3;
         }
         if let Err(e) = d.write_catalog(&self.pool, self.vfs.as_ref()) {
             // Both generations' files exist on disk, so whichever
@@ -548,9 +528,6 @@ impl CoreService {
         served.ck_seq = served.seq;
         let disk = DiskGraph::open_pooled(&new_base, counter, &self.pool, old.charge_bytes)?;
         served.index = CoreIndex::restore(disk, DURABLE_BUFFER_CAPACITY, state)?;
-        if let Some(slot) = self.registry().get_mut(name) {
-            slot.format = format;
-        }
         self.remove_generation_files(d, &old);
         Ok(new_gen)
     }
@@ -661,21 +638,7 @@ impl CoreService {
             &self.pool,
             entry.charge_bytes,
         )?;
-        // The tables a durable graph references are immutable between
-        // compactions: finding them in a different encoding than
-        // catalogued means someone replaced them behind the catalog's
-        // back — the checkpointed state could then belong to a different
-        // graph entirely.
-        if disk.format_version() != entry.format {
-            return Err(graphstore::Error::Corrupt {
-                reason: format!(
-                    "catalog records {:?} as format {} but its base tables are {}",
-                    entry.name,
-                    entry.format.tag(),
-                    disk.format_version().tag()
-                ),
-            });
-        }
+        check_format(entry, &disk)?;
         let ck =
             StateCheckpoint::read(&ckpt_path(&d.dir, &entry.name, entry.generation), &counter)?;
         let mut index = CoreIndex::restore(
@@ -712,39 +675,21 @@ impl CoreService {
             })?;
         }
         // Replay the journal tail through the same typed-op dispatch used
-        // live. Records at or below the checkpoint sequence are already in
-        // the checkpoint (the crash landed between its commit and the
-        // journal truncation); anything else must be gap-free.
+        // live, admitting records by the one journal rule.
         let (wal, records) = Wal::open(&wal_path(&d.dir, &entry.name), counter)?;
-        let mut seq = ck.seq;
+        let mut replay = JournalReplay::new(ck.seq, index.num_nodes());
         for record in records {
-            if record.len() < 8 {
-                return Err(graphstore::Error::Corrupt {
-                    reason: format!("undersized journal record for {:?}", entry.name),
-                });
+            let admitted = replay.admit(&record).map_err(|problem| {
+                graphstore::Error::corrupt(format!("{:?}: {problem}", entry.name))
+            })?;
+            if let Some(op) = admitted {
+                index.apply(op)?;
             }
-            let mut seq_bytes = [0u8; 8];
-            seq_bytes.copy_from_slice(&record[..8]);
-            let rseq = u64::from_le_bytes(seq_bytes);
-            let op = MaintainOp::decode(&record[8..])?;
-            if rseq <= ck.seq {
-                continue;
-            }
-            if rseq != seq + 1 {
-                return Err(graphstore::Error::Corrupt {
-                    reason: format!(
-                        "journal gap for {:?}: record {rseq} after {seq}",
-                        entry.name
-                    ),
-                });
-            }
-            index.apply(op)?;
-            seq = rseq;
         }
         Ok(Served {
             index,
             wal: Some(d.journal(wal)?),
-            seq,
+            seq: replay.seq,
             ck_seq: ck.seq,
         })
     }

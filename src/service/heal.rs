@@ -52,7 +52,9 @@ impl CoreService {
                 poisoned.into_inner()
             }
         };
+        let before = served.index.format_version();
         let res = self.repair_locked(name, &mut served);
+        self.note_format(name, &handle, before, &served);
         drop(served);
         lock_meta(&health).finish_repair(attempt, &res);
         res

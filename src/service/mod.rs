@@ -252,9 +252,10 @@ pub struct CoreService {
 #[derive(Debug)]
 struct Slot {
     handle: Arc<Mutex<Served>>,
-    /// Edge-table encoding of the current tables. Listing/diagnostic
-    /// commands read it under the registry lock alone, so they never
-    /// stall behind a graph that is mid-scan or mid-maintenance.
+    /// Edge-table encoding of the current tables, kept current by
+    /// [`CoreService::note_format`]. Listing/diagnostic commands read it
+    /// under the registry lock alone, so they never stall behind a graph
+    /// that is mid-scan or mid-maintenance.
     format: FormatVersion,
     /// The graph's charge budget — also the working-set size its
     /// operations are admitted at when QoS is enabled.
@@ -676,7 +677,9 @@ impl CoreService {
         // The registry lock is released; only this graph serializes.
         let mut served = lock_served(name, &handle, &health)?;
         let _deadline = self.arm_deadline(&mut served);
+        let before = served.index.format_version();
         let res = f(&mut served.index);
+        self.note_format(name, &handle, before, &served);
         if let Err(e) = &res {
             lock_meta(&health).record_failure(e, "operation failed");
         }
@@ -781,6 +784,31 @@ impl CoreService {
             .get(name)
             .map(|s| s.format)
             .ok_or_else(|| not_serving(name))
+    }
+
+    /// After an operation that may have flushed the graph's tables (a
+    /// flush writes v3), refresh the registry's lock-free copy of their
+    /// encoding so listings never report a stale tag. The registry is
+    /// touched only on a change, and only while `handle` is still the
+    /// slot's graph.
+    fn note_format(
+        &self,
+        name: &str,
+        handle: &Arc<Mutex<Served>>,
+        before: FormatVersion,
+        served: &Served,
+    ) {
+        let now = served.index.format_version();
+        if now == before {
+            return;
+        }
+        let mut registry = self.registry();
+        if let Some(slot) = registry
+            .get_mut(name)
+            .filter(|s| Arc::ptr_eq(&s.handle, handle))
+        {
+            slot.format = now;
+        }
     }
 
     /// Look the graph up without any health gate, returning its handle

@@ -13,13 +13,16 @@
 //! * **Reopen cost** — restoring a maintained graph charges strictly fewer
 //!   read I/Os than the fresh decomposition it replaces (the whole point
 //!   of checkpoint + journal-tail replay).
+//! * **One journal rule** — recovery refuses a damaged journal exactly
+//!   when fsck reports it, and `fsck --repair` keeps exactly the records
+//!   recovery would replay.
 
 use std::path::Path;
 
-use graphstore::{DynGraph, EvictionPolicy, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
+use graphstore::{DynGraph, EvictionPolicy, IoCounter, MemGraph, TempDir, Wal, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
 use proptest::prelude::*;
-use semicore::ScanExecutor;
+use semicore::{MaintainOp, ScanExecutor};
 use testutil::{arb_toggle_stream, oracle_cores, Lcg};
 
 /// Recover the undirected edge list of a memgraph (`u < v` once each).
@@ -385,4 +388,126 @@ fn corrupted_artifacts_error_cleanly() {
     bytes[last] ^= 0x01;
     std::fs::write(&cat, &bytes).unwrap();
     assert!(CoreService::open_catalog(&data).unwrap_err().is_corrupt());
+}
+
+/// One journal record as the service writes it: `seq u64 | MaintainOp`.
+fn record(seq: u64, op: MaintainOp) -> Vec<u8> {
+    [&seq.to_le_bytes()[..], &op.encode()].concat()
+}
+
+/// Recovery and fsck judge a journal by one rule. For each kind of damage,
+/// written with the journal's own framing (every record CRC-valid):
+/// `open_catalog` fails iff `fsck` reports an unrepaired journal finding,
+/// and after `fsck --repair` it succeeds and has replayed exactly the
+/// records the rule admits — everything before the first refused record
+/// that the checkpoint does not already cover.
+#[test]
+fn recovery_and_fsck_agree_on_every_journal_record() {
+    // A path plus two journaled inserts, checkpointed at sequence 2.
+    let path: Vec<(u32, u32)> = (0..7).map(|v| (v, v + 1)).collect();
+    let (ins, del) = (MaintainOp::Insert, MaintainOp::Delete);
+    let [a, b, c] = [ins(1, 3), ins(1, 4), del(0, 1)];
+    // (damage, records, how many the rule admits above the checkpoint,
+    // whether it refuses one)
+    let cases: Vec<(&str, Vec<Vec<u8>>, usize, bool)> = vec![
+        (
+            "none",
+            vec![record(3, a), record(4, b), record(5, c)],
+            3,
+            false,
+        ),
+        (
+            "undersized record",
+            vec![record(3, a), vec![4, 0, 0], record(4, b)],
+            1,
+            true,
+        ),
+        (
+            "undecodable op",
+            vec![record(3, a), [&4u64.to_le_bytes()[..], &[9; 9]].concat()],
+            1,
+            true,
+        ),
+        (
+            "gap above the checkpoint",
+            vec![record(3, a), record(5, b)],
+            1,
+            true,
+        ),
+        (
+            "repeated sequence number",
+            vec![record(3, a), record(3, b), record(4, c)],
+            1,
+            true,
+        ),
+        (
+            "out-of-range endpoints above the checkpoint",
+            vec![record(3, a), record(4, ins(1, 99))],
+            1,
+            true,
+        ),
+        (
+            "out-of-range record at or below the checkpoint",
+            vec![
+                record(1, ins(0, 2)),
+                record(2, ins(1, 99)),
+                record(3, a),
+                record(4, b),
+            ],
+            2,
+            false,
+        ),
+    ];
+    for (case, records, admitted, damaged) in cases {
+        let dir = TempDir::new("journal-rule").unwrap();
+        let data = dir.path().join("data");
+        {
+            let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+            svc.create("g", &dir.path().join("g"), path.iter().copied(), 8)
+                .unwrap();
+            svc.insert_edge("g", 0, 2).unwrap();
+            svc.insert_edge("g", 0, 3).unwrap();
+            svc.save("g").unwrap();
+        }
+        let mut wal = Wal::create(&data.join("g.wal"), IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        drop(wal);
+
+        let refused = CoreService::open_catalog(&data).is_err();
+        let report = kcore_suite::fsck(&data, false).unwrap();
+        let reported = report
+            .findings
+            .iter()
+            .any(|f| f.problem.starts_with("journal") && !f.repaired);
+        assert_eq!(refused, reported, "{case}: {:?}", report.findings);
+        assert_eq!(refused, damaged, "{case}");
+
+        kcore_suite::fsck(&data, true).unwrap();
+        assert!(kcore_suite::fsck(&data, false).unwrap().clean(), "{case}");
+        let svc = CoreService::open_catalog(&data).unwrap();
+        let mut mirror = DynGraph::from_mem(&MemGraph::from_edges(path.iter().copied(), 8));
+        for op in [ins(0, 2), ins(0, 3), a, b, c]
+            .into_iter()
+            .take(2 + admitted)
+        {
+            let (u, v) = op.endpoints();
+            match op {
+                MaintainOp::Insert(..) => graphstore::DynamicGraph::insert_edge(&mut mirror, u, v),
+                MaintainOp::Delete(..) => graphstore::DynamicGraph::delete_edge(&mut mirror, u, v),
+            }
+            .unwrap();
+        }
+        let want = graphstore::snapshot_mem(&mut mirror).unwrap();
+        assert_eq!(svc.cores("g").unwrap(), oracle_cores(&want), "{case}");
+        for (u, v) in [(1, 3), (1, 4), (0, 1)] {
+            let present = svc.with_graph("g", |i| i.has_edge(u, v)).unwrap();
+            assert_eq!(
+                present,
+                want.neighbors(u).contains(&v),
+                "{case}: edge ({u}, {v})"
+            );
+        }
+    }
 }

@@ -7,9 +7,10 @@
 //! included — while v3's charged `read_ios` is **strictly lower** at equal
 //! cache budget (fewer edge-table blocks exist to read). Block readahead
 //! gets the same treatment: identical decoded bytes and bit-identical
-//! charged counters whether the pipeline is on or off. A migration between
-//! the two (`recompress_to`) switches tables, checkpoint and catalogued
-//! format at one commit point, crash windows included.
+//! charged counters whether the pipeline is on or off. Every rewrite writes
+//! v3, so a v1 graph migrates at its next compaction — tables, checkpoint
+//! and catalogued format switching at one commit point, crash windows
+//! included — or, served without a data directory, at its next flush.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -22,6 +23,7 @@ use kcore_suite::semicore::{
     semicore, semicore_plus, semicore_star_state_with, semicore_star_with, DecomposeOptions,
     ScanExecutor,
 };
+use kcore_suite::server::dispatch;
 use kcore_suite::{CoreIndex, CoreService, DurableOptions};
 use testutil::{fixtures, oracle_cores, random_mem_graph, worker_counts, Lcg};
 
@@ -332,7 +334,7 @@ fn recovery_rejects_base_tables_swapped_to_another_format() {
 }
 
 #[test]
-fn recompress_to_migrates_a_v1_graph_to_v3_at_the_commit_point() {
+fn compact_migrates_a_v1_graph_to_v3_at_the_commit_point() {
     let dir = TempDir::new("fmtdiff-recompress").unwrap();
     let data = dir.path().join("data");
     // Consecutive neighbours: the workload v3's zero-byte gap code wins on.
@@ -345,7 +347,7 @@ fn recompress_to_migrates_a_v1_graph_to_v3_at_the_commit_point() {
         assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
         let cores = svc.cores("g").unwrap();
 
-        assert_eq!(svc.recompress_to("g", FormatVersion::V3).unwrap(), 1);
+        assert_eq!(svc.compact("g").unwrap(), 1);
         assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
         assert_eq!(svc.cores("g").unwrap(), cores);
         assert!(svc.verify("g").unwrap());
@@ -355,14 +357,32 @@ fn recompress_to_migrates_a_v1_graph_to_v3_at_the_commit_point() {
             .len();
         assert!(v3_len < v1_len, "v3 {v3_len} B !< v1 {v1_len} B");
     }
-    // The migrated format survives a restart (catalog + tables agree), and
-    // a further migration can walk back down to raw v1.
+    // The migrated format survives a restart (catalog + tables agree).
     let svc = CoreService::open_catalog(&data).unwrap();
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
     assert!(svc.verify("g").unwrap());
-    svc.insert_edge("g", 0, 5).unwrap();
-    assert_eq!(svc.recompress_to("g", FormatVersion::V1).unwrap(), 2);
+}
+
+/// Without a data directory a graph's tables are rewritten in place by its
+/// update-buffer flush — as v3 — and the registry's lock-free format tag
+/// (`format_version`, the `graphs` verb) follows them.
+#[test]
+fn a_flush_turns_a_non_durable_v1_graph_into_v3() {
+    let dir = TempDir::new("fmtdiff-flush").unwrap();
+    let g = random_mem_graph(&mut Lcg::new(5), 40, 40, 4);
+    let base = write_as(&dir, &g, "g", FormatVersion::V1);
+    let svc = CoreService::new(1 << 20).unwrap();
+    svc.open("g", &base).unwrap();
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
+    let (toggles, end) = toggle_stream(&g, 99, 8);
+    assert!(toggles.iter().any(|&(_, _, insert)| insert));
+    apply_toggles(&svc, "g", &toggles);
+    svc.with_graph("g", |i| i.graph_mut().flush()).unwrap();
+    assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
+    assert_eq!(dispatch(&svc, "graphs").lines, ["serving: g(v3)"]);
+    let tables = DiskGraph::open(&base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    assert_eq!(tables.format_version(), FormatVersion::V3);
+    assert_eq!(svc.cores("g").unwrap(), oracle_cores(&end));
     assert!(svc.verify("g").unwrap());
 }
 
@@ -419,7 +439,7 @@ fn a_killed_migration_reopens_on_the_v1_pre_state_or_the_v3_post_state() {
     let (svc, fault) = serve(&dir);
     let pre = live_state(&svc);
     let before = fault.sync_events();
-    assert_eq!(svc.recompress_to("g", FormatVersion::V3).unwrap(), 1);
+    assert_eq!(svc.compact("g").unwrap(), 1);
     let commit_syncs = fault.sync_events() - before;
     assert_eq!(live_state(&svc), pre, "migration changed core/cnt");
     let entry = Catalog::read(&data).unwrap().entries.remove(0);
@@ -442,7 +462,7 @@ fn a_killed_migration_reopens_on_the_v1_pre_state_or_the_v3_post_state() {
             crash_before_sync: Some(k),
             ..FaultPlan::default()
         });
-        let migrated = svc.recompress_to("g", FormatVersion::V3);
+        let migrated = svc.compact("g");
         assert!(migrated.is_err(), "crash {k} never fired");
         drop(svc);
         let got = reopened_state(&dir.path().join("data"));

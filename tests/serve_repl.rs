@@ -161,51 +161,133 @@ fn fsck_reports_clean_directory_and_flags_damage() {
     assert!(after.status.success(), "directory clean after repair");
 }
 
-/// The CLI writes one compressed format: bare `--compress` and a bare
-/// `recompress` both mean v3, and asking for the retired v2 is a usage
-/// error (exit 2) that names the formats there are.
+/// `kcore` writes one format and has no knob for it: `build` writes v3,
+/// `compact` migrates a durable v1 graph to v3, and the retired
+/// `--compress[=…]` flag and `recompress` subcommand are usage errors
+/// (exit 2) — whatever format they ask for.
 #[test]
-fn cli_compresses_to_v3_and_refuses_to_write_v2() {
+fn cli_builds_v3_compacts_v1_to_v3_and_refuses_the_retired_format_knobs() {
     let dir = TempDir::new("repl-compress").unwrap();
     let edges = dir.path().join("edges.txt");
     std::fs::write(&edges, "0 1\n1 2\n0 2\n2 3\n").unwrap();
     let (base, data) = (dir.path().join("g"), dir.path().join("data"));
+    let raw = dir.path().join("raw");
+    write_triangle_tail(&raw);
     let kcore = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_kcore"))
             .args(args)
+            .stdin(Stdio::null())
             .output()
             .expect("run kcore")
     };
+    let (edges, base, data, raw) = (
+        edges.to_str().unwrap(),
+        base.to_str().unwrap(),
+        data.to_str().unwrap(),
+        raw.to_str().unwrap(),
+    );
+
+    let built = kcore(&["build", edges, base]);
+    assert!(built.status.success());
+    let text = String::from_utf8_lossy(&built.stdout);
+    assert!(text.contains("(v3)"), "stdout: {text}");
+
+    // A durable graph served from raw v1 tables becomes v3 at `compact`.
+    let (out, ok) = run_session(
+        &["--data-dir", data],
+        &format!("open g {raw}\ninsert g 1 3\ngraphs\nquit\n"),
+    );
+    assert!(ok && out.contains("serving: g(v1)"), "{out}");
+    let compacted = kcore(&["compact", data, "g"]);
+    let text = String::from_utf8_lossy(&compacted.stdout);
+    assert!(text.contains("now generation 1"), "stdout: {text}");
+    let (out, ok) = run_session(&["--data-dir", data], "graphs\nkmax g\nquit\n");
+    assert!(
+        ok && out.contains("serving: g(v3)") && out.contains("kmax = 2"),
+        "{out}"
+    );
+
+    for refused in [
+        &["build", edges, base, "--compress"][..],
+        &["build", edges, base, "--compress=v3"],
+        &["build", edges, base, "--compress=v2"],
+        &["recompress", data],
+        &["recompress", data, "--to", "v2"],
+    ] {
+        let out = kcore(refused);
+        assert_eq!(out.status.code(), Some(2), "{refused:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("usage:"), "{refused:?}: {text}");
+    }
+}
+
+/// `kcore serve` validates its whole command line before it acts: a
+/// rejected invocation leaves no catalog behind, so the corrected run
+/// creates the directory with its own budget instead of reopening the
+/// rejected one's.
+#[test]
+fn serve_rejects_a_bad_command_line_before_touching_the_data_dir() {
+    let dir = TempDir::new("repl-validate").unwrap();
+    let data = dir.path().join("data");
+    let d = data.to_str().unwrap();
+    for bad in [
+        &["--bogus"][..],
+        &["--qos-mb", "x"],
+        &["--qos-queue", "x"],
+        &["--op-timeout-ms", "x"],
+        &["--scrub-interval", "x"],
+        &["--repair-retries", "x"],
+        &["--max-conns", "x"],
+        &["not-a-spec"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_kcore"))
+            .args(["serve", "--data-dir", d, "--budget-mb", "8"])
+            .args(bad)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kcore serve");
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        assert!(
+            !data.join("catalog.kc").exists(),
+            "{bad:?} wrote a catalog before it was refused"
+        );
+    }
+    let (out, ok) = run_session(&["--data-dir", d, "--budget-mb", "64"], "quit\n");
+    assert!(ok && out.contains("on a 64 MiB shared pool"), "{out}");
+}
+
+/// A misspelled flag is a usage error (exit 2) in every subcommand, never
+/// silently ignored.
+#[test]
+fn a_misspelled_flag_is_a_usage_error_in_every_subcommand() {
+    let dir = TempDir::new("repl-typo").unwrap();
+    let edges = dir.path().join("edges.txt");
+    std::fs::write(&edges, "0 1\n1 2\n0 2\n2 3\n").unwrap();
+    let base = dir.path().join("g");
+    write_triangle_tail(&base);
+    let data = dir.path().join("data");
     let (edges, base, data) = (
         edges.to_str().unwrap(),
         base.to_str().unwrap(),
         data.to_str().unwrap(),
     );
-
-    let built = kcore(&["build", edges, base, "--compress"]);
-    assert!(built.status.success());
-    let text = String::from_utf8_lossy(&built.stdout);
-    assert!(text.contains("(v3)"), "stdout: {text}");
-
-    let (out, ok) = run_session(
-        &["--data-dir", data],
-        &format!("open g {base}\ninsert g 1 3\nsave\nquit\n"),
-    );
-    assert!(ok && out.contains("saved"), "{out}");
-    let migrated = kcore(&["recompress", data, "--to", "v1"]);
-    let text = String::from_utf8_lossy(&migrated.stdout);
-    assert!(text.contains("v3 -> v1"), "stdout: {text}");
-    let migrated = kcore(&["recompress", data]);
-    let text = String::from_utf8_lossy(&migrated.stdout);
-    assert!(text.contains("v1 -> v3"), "stdout: {text}");
-
-    for refused in [
-        kcore(&["build", edges, base, "--compress=v2"]),
-        kcore(&["recompress", data, "--to", "v2"]),
+    for args in [
+        &["build", edges, base, "--compres"][..],
+        &["decompose", base, "--wokers", "4"],
+        &["query", base, "--k", "2", "--kk", "3"],
+        &["stats", base, "--verbose"],
+        &["serve", "--budgt-mb", "8"],
+        &["fsck", data, "--repiar"],
+        &["compact", data, "g", "--now"],
     ] {
-        assert_eq!(refused.status.code(), Some(2));
-        let text = String::from_utf8_lossy(&refused.stderr);
-        assert!(text.contains("v3"), "stderr: {text}");
+        let out = Command::new(env!("CARGO_BIN_EXE_kcore"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kcore");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("usage:"), "{args:?}: {text}");
     }
 }
 
