@@ -19,7 +19,7 @@ use graphstore::{
 use proptest::prelude::*;
 
 use crate::semicore_star::{semicore_star_state, with_reference_kernel, with_scalar_kernel};
-use crate::{CoreState, DecomposeOptions, InsertAlgorithm, MaintainOp, MaintenanceEngine};
+use crate::{semi_delete_star, semi_insert, CoreState, DecomposeOptions, SparseMarks};
 
 /// What one step of a run exposes.
 #[derive(Debug, PartialEq)]
@@ -46,17 +46,16 @@ fn run(g: &mut impl DynamicGraph, pairs: &[(u32, u32)]) -> Vec<Observed> {
         changed_per_iteration: stats.changed_per_iteration,
         io: stats.io,
     }];
-    let mut engine =
-        MaintenanceEngine::with_algorithm(state.num_nodes(), InsertAlgorithm::TwoPhase);
+    let mut marks = SparseMarks::new(state.num_nodes());
     let mut nbrs = Vec::new();
     for &(a, b) in pairs.iter().filter(|(a, b)| a != b) {
         g.adjacency(a, &mut nbrs).unwrap();
-        let op = if nbrs.binary_search(&b).is_ok() {
-            MaintainOp::Delete(a, b)
+        let stats = if nbrs.binary_search(&b).is_ok() {
+            semi_delete_star(g, &mut state, a, b)
         } else {
-            MaintainOp::Insert(a, b)
-        };
-        let stats = engine.apply(g, &mut state, op).unwrap();
+            semi_insert(g, &mut state, &mut marks, a, b)
+        }
+        .unwrap();
         steps.push(Observed {
             state: state.clone(),
             iterations: stats.iterations,

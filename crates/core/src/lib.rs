@@ -86,7 +86,7 @@ pub use emcore::{emcore, EmCoreOptions};
 pub use executor::ScanExecutor;
 pub use imcore::imcore;
 pub use maintain::delete::semi_delete_star;
-pub use maintain::engine::{InsertAlgorithm, MaintainOp, MaintenanceEngine, MAINTAIN_OP_LEN};
+pub use maintain::engine::{MaintainOp, MaintenanceEngine, MAINTAIN_OP_LEN};
 pub use maintain::inmem::InMemoryCores;
 pub use maintain::insert::semi_insert;
 pub use maintain::insert_star::semi_insert_star;

@@ -17,7 +17,6 @@ use graphstore::{DynamicGraph, Error, Result};
 use crate::state::CoreState;
 
 use super::delete::semi_delete_star;
-use super::insert::semi_insert;
 use super::insert_star::semi_insert_star;
 use super::{MaintainStats, SparseMarks};
 
@@ -89,22 +88,9 @@ impl MaintainOp {
     }
 }
 
-/// Which insertion algorithm the engine dispatches
-/// [`MaintainOp::Insert`] to. Deletions always run SemiDelete\* — the paper
-/// gives no alternative worth selecting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InsertAlgorithm {
-    /// SemiInsert\* (Algorithm 8): one phase, `cnt*`-pruned expansion —
-    /// the paper's recommended configuration.
-    #[default]
-    OnePhase,
-    /// SemiInsert (Algorithm 7): two phases, unpruned candidate set. Kept
-    /// selectable for head-to-head evaluation (Fig. 10).
-    TwoPhase,
-}
-
-/// Owns maintenance dispatch for one graph: algorithm selection plus the
-/// reusable scratch state the workers need.
+/// Owns maintenance dispatch for one graph: insertions run SemiInsert\*
+/// (Algorithm 8), deletions SemiDelete\* (Algorithm 6), and the engine
+/// holds the reusable scratch state they need.
 ///
 /// ```
 /// use graphstore::{DynGraph, MemGraph};
@@ -120,28 +106,15 @@ pub enum InsertAlgorithm {
 /// ```
 #[derive(Debug)]
 pub struct MaintenanceEngine {
-    insert_algorithm: InsertAlgorithm,
     marks: SparseMarks,
 }
 
 impl MaintenanceEngine {
-    /// An engine for a graph of `n` nodes with the default (one-phase)
-    /// insertion algorithm.
+    /// An engine for a graph of `n` nodes.
     pub fn new(n: u32) -> MaintenanceEngine {
-        Self::with_algorithm(n, InsertAlgorithm::default())
-    }
-
-    /// [`MaintenanceEngine::new`] with an explicit insertion algorithm.
-    pub fn with_algorithm(n: u32, insert_algorithm: InsertAlgorithm) -> MaintenanceEngine {
         MaintenanceEngine {
-            insert_algorithm,
             marks: SparseMarks::new(n),
         }
-    }
-
-    /// The insertion algorithm this engine dispatches to.
-    pub fn insert_algorithm(&self) -> InsertAlgorithm {
-        self.insert_algorithm
     }
 
     /// Bytes of reusable scratch state held (the [`SparseMarks`] flags) —
@@ -165,10 +138,7 @@ impl MaintenanceEngine {
         op: MaintainOp,
     ) -> Result<MaintainStats> {
         match op {
-            MaintainOp::Insert(u, v) => match self.insert_algorithm {
-                InsertAlgorithm::OnePhase => semi_insert_star(g, state, &mut self.marks, u, v),
-                InsertAlgorithm::TwoPhase => semi_insert(g, state, &mut self.marks, u, v),
-            },
+            MaintainOp::Insert(u, v) => semi_insert_star(g, state, &mut self.marks, u, v),
             MaintainOp::Delete(u, v) => semi_delete_star(g, state, u, v),
         }
     }
@@ -245,28 +215,25 @@ mod tests {
     #[test]
     fn engine_dispatch_matches_direct_worker_calls() {
         let mut rng = testutil::Lcg::new(99);
-        for algo in [InsertAlgorithm::OnePhase, InsertAlgorithm::TwoPhase] {
-            let g = testutil::random_mem_graph(&mut rng, 4, 50, 3);
-            let n = g.num_nodes();
-            let (mut dynamic, mut state) = decomposed(&g);
-            let mut engine = MaintenanceEngine::with_algorithm(n, algo);
-            assert_eq!(engine.insert_algorithm(), algo);
-            for _ in 0..25 {
-                let (a, b) = (rng.below(n), rng.below(n));
-                if a == b {
-                    continue;
-                }
-                let op = if dynamic.has_edge(a, b) {
-                    MaintainOp::Delete(a, b)
-                } else {
-                    MaintainOp::Insert(a, b)
-                };
-                engine.apply(&mut dynamic, &mut state, op).unwrap();
-                let oracle = imcore(&dynamic.to_mem());
-                assert_eq!(state.core, oracle.core, "{algo:?} diverged");
+        let g = testutil::random_mem_graph(&mut rng, 4, 50, 3);
+        let n = g.num_nodes();
+        let (mut dynamic, mut state) = decomposed(&g);
+        let mut engine = MaintenanceEngine::new(n);
+        for _ in 0..25 {
+            let (a, b) = (rng.below(n), rng.below(n));
+            if a == b {
+                continue;
             }
-            assert_eq!(state.check_cnt_invariant(&mut dynamic).unwrap(), None);
+            let op = if dynamic.has_edge(a, b) {
+                MaintainOp::Delete(a, b)
+            } else {
+                MaintainOp::Insert(a, b)
+            };
+            engine.apply(&mut dynamic, &mut state, op).unwrap();
+            let oracle = imcore(&dynamic.to_mem());
+            assert_eq!(state.core, oracle.core);
         }
+        assert_eq!(state.check_cnt_invariant(&mut dynamic).unwrap(), None);
     }
 
     #[test]

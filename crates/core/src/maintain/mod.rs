@@ -16,8 +16,8 @@
 //! * [`inmem`] — the in-memory maintenance baseline (IMInsert / IMDelete).
 //! * [`engine`] — the typed [`MaintainOp`](engine::MaintainOp) value and
 //!   the [`MaintenanceEngine`](engine::MaintenanceEngine) that owns
-//!   algorithm selection and dispatch; the functions above are its
-//!   workers, and the journaling/replay/batching layers speak only in ops.
+//!   dispatch; the functions above are its workers, and the
+//!   journaling/replay/batching layers speak only in ops.
 
 pub mod delete;
 pub mod engine;

@@ -10,21 +10,22 @@
 //!
 //! Accounting contract: a read served from a resident frame charges **no**
 //! read I/O; a miss charges exactly one read I/O for the block fetched. A
-//! cold sequential scan therefore still costs `ceil(N / B)` I/Os — identical
-//! to the uncached model — while re-visits of resident blocks are free, so
-//! `read_ios` reports *blocks physically fetched*. A budget of zero frames
-//! is expressed by simply not attaching a cache (see
-//! [`DiskGraph::open_with_cache`](crate::DiskGraph::open_with_cache)).
+//! cold sequential scan therefore still costs `ceil(N / B)` I/Os — as for a
+//! reader with no pool attached, which owns a private one-frame cache —
+//! while re-visits of resident blocks are free, so `read_ios` reports
+//! *blocks physically fetched*. The smallest budget is that one frame per
+//! file: [`DiskGraph::open_with_cache`](crate::DiskGraph::open_with_cache)
+//! leaves each reader its own frame when the budget holds fewer.
 //!
 //! ## Eviction policy
 //!
 //! One policy, [`EvictionPolicy::ScanLifo`]: CLOCK over re-referenced
 //! frames plus newest-first eviction among never-re-referenced ones, with
-//! each file's most-recently-touched frame **pinned**. The pin reproduces
-//! the uncached reader's "current block stays buffered" freebie, so (with
+//! each file's most-recently-touched frame **pinned**. The pin keeps the
+//! one-frame reader's "current block stays buffered" freebie, so (with
 //! one frame per file) attaching a cache of *any* size never charges more
-//! than no cache, request by request. One-shot scan traffic displaces
-//! itself instead of flushing the retained prefix, which is what earns
+//! than a reader's own frame, request by request. One-shot scan traffic
+//! displaces itself instead of flushing the retained prefix, which is what earns
 //! cross-iteration hits under the *ascending re-scan* pattern of the
 //! semi-external convergence loops — a pattern where pure recency
 //! retention yields zero reuse. Not a stack policy (a current-block
@@ -223,10 +224,10 @@ impl BlockCache {
     }
 
     /// Budget-aware shared-pool constructor: `None` when the budget cannot
-    /// hold `min_frames` blocks (the uncached behaviour), otherwise a pool
-    /// ready to be shared by several readers. Pass the number of files that
-    /// will share the pool as `min_frames` so every reader keeps its pinned
-    /// current block.
+    /// hold `min_frames` blocks (each reader keeps its own one frame),
+    /// otherwise a pool ready to be shared by several readers. Pass the
+    /// number of files that will share the pool as `min_frames` so every
+    /// reader keeps its pinned current block.
     pub fn shared(
         block_size: usize,
         budget_bytes: u64,
@@ -292,10 +293,9 @@ impl BlockCache {
         if let Some(&idx) = self.map.get(&(file, block)) {
             self.stats.hits += 1;
             // A hit on the file's current (pinned) frame is streak
-            // continuation — traffic the uncached single-window reader
-            // serves for free — and carries no reuse signal. Only a return
-            // to a *different* resident block counts as a genuine
-            // re-reference.
+            // continuation — traffic a one-frame reader serves for free —
+            // and carries no reuse signal. Only a return to a *different*
+            // resident block counts as a genuine re-reference.
             if self.pinned.get(&file) != Some(&idx) {
                 self.frames[idx].referenced = true;
                 self.pinned.insert(file, idx);
@@ -392,7 +392,7 @@ impl BlockCache {
     /// otherwise evict. Pinned frames are passed over while any
     /// ordinary victim exists; when only pins remain, the requesting file's
     /// own pin is sacrificed first, so each file degrades to exactly the
-    /// one-current-block buffer of the uncached reader rather than files
+    /// one-current-block buffer of an unattached reader rather than files
     /// evicting each other's position.
     fn grab_frame(&mut self, for_file: u32) -> usize {
         while let Some(idx) = self.free.pop() {
@@ -592,7 +592,7 @@ mod tests {
         let mut c = scan_lifo(2);
         fill_with(&mut c, 0, 5, 5);
         // A burst of single-use traffic from the other file must not evict
-        // file 0's current block (the uncached-parity pin).
+        // file 0's current block (the one-frame-parity pin).
         for blk in 0..6 {
             fill_with(&mut c, 1, blk, blk as u8);
         }

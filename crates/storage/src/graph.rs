@@ -44,10 +44,11 @@ struct CacheBinding {
 ///
 /// All reads are charged to the [`IoCounter`] supplied at open time, so the
 /// semi-external algorithms can report I/O exactly as the paper does. By
-/// default the struct holds only O(1) memory (two single-window block
-/// readers); the node table is *not* cached in memory — the semi-external
-/// model keeps node *state* (core numbers, counts) in memory, not the node
-/// table itself, which is re-scanned from disk every iteration (§IV-A).
+/// default the struct holds only O(1) memory (two block readers, each with
+/// one frame and a read-ahead window); the node table is *not* cached in
+/// memory — the semi-external model keeps node *state* (core numbers,
+/// counts) in memory, not the node table itself, which is re-scanned from
+/// disk every iteration (§IV-A).
 ///
 /// [`DiskGraph::open_with_cache`] attaches a memory-budgeted buffer pool
 /// shared by both tables, realising the model's `M` parameter: resident
@@ -112,7 +113,7 @@ impl DiskGraph {
         cache_bytes: u64,
     ) -> Result<DiskGraph> {
         // One pinned frame per table, so any attached cache dominates the
-        // uncached per-reader buffers request by request.
+        // readers' own one-frame buffers request by request.
         let block = counter.block_size();
         let binding =
             BlockCache::shared(block, cache_bytes, 2, EvictionPolicy::ScanLifo).map(|pool| {
@@ -449,9 +450,9 @@ impl DiskGraph {
         }
         let n = self.meta.num_nodes;
         if self.meta.version == FormatVersion::V3 {
-            // Decode-into-scratch, straight from the frame or read-ahead
-            // window holding the run (runs that straddle are staged in the
-            // reader's reusable byte buffer first).
+            // Decode-into-scratch, straight from the frame holding the run
+            // (runs that straddle are staged in the reader's reusable byte
+            // buffer first).
             self.edge_reader
                 .read_group_run(offset, degree as usize, &mut self.adj_scratch)?;
             validate_sorted_run(v, n, &self.adj_scratch)?;
@@ -463,7 +464,7 @@ impl DiskGraph {
             validate_run(v, self.meta.num_nodes, run)?;
             return Ok(f(run));
         }
-        // Uncached reader or multi-block run: decode a copy.
+        // Multi-block run: decode a copy.
         self.adj_scratch.clear();
         self.adj_scratch.resize(degree as usize, 0);
         self.edge_reader

@@ -5,14 +5,17 @@
 //! `B` bytes, and the cost of an execution is the number of blocks read and
 //! written. This module makes that model *operational*: all disk access in
 //! this crate flows through [`BlockReader`] / [`BlockWriter`], which charge an
-//! [`IoCounter`] per distinct block touched.
+//! [`IoCounter`] per block fetched.
 //!
-//! Counting rule: a read request spanning blocks `s..=e` charges one read I/O
-//! per block, except that the block the previous request ended in is not
-//! charged again (it is still buffered). This makes a sequential scan of `N`
-//! bytes cost exactly `ceil(N / B)` I/Os while random accesses pay for every
-//! block they touch — the same accounting the paper uses when it reports
-//! "I/Os" in Figures 9 and 10.
+//! Counting rule: one read I/O is a miss of the reader's frame pool;
+//! unattached readers own one frame. A reader fetches the blocks `s..=e` a
+//! request spans in ascending order, so with its one frame it pays for
+//! every block except the one the previous request ended in (still
+//! buffered). A sequential scan of `N` bytes then costs exactly
+//! `ceil(N / B)` I/Os while random accesses pay for every block they
+//! touch — the same accounting the paper uses when it reports "I/Os" in
+//! Figures 9 and 10. A larger pool ([`BlockCache`]) only turns more
+//! fetches into hits.
 //!
 //! Physical reads use a read-ahead window larger than `B` for speed; the
 //! charged I/O count is independent of the window size.
@@ -20,9 +23,8 @@
 //! ## Charged vs physical reads
 //!
 //! `read_ios` is the *model's* currency — what the paper's figures plot.
-//! `physical_reads` counts blocks actually fetched from disk into a cache
-//! frame (or charged by the uncached model, where the two coincide). The
-//! counters are equal in every single-graph configuration; they diverge
+//! `physical_reads` counts blocks actually fetched from disk into a frame.
+//! The counters are equal in every single-graph configuration; they diverge
 //! only for graphs opened against a process-wide
 //! [`SharedPool`](crate::pool::SharedPool), where the model charge comes
 //! from a deterministic per-graph *charge cache* (the graph's own budget
@@ -39,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::cache::BlockCache;
+use crate::cache::{BlockCache, EvictionPolicy};
 use crate::error::{Error, Result};
 use crate::vfs::{StdFile, StdVfs, Vfs, VfsFile};
 
@@ -176,12 +178,8 @@ impl IoCounter {
 
     /// Charge `blocks` read I/Os that were also physical fetches.
     fn charge_blocks(&self, blocks: u64) {
-        // Most requests stay inside an already-charged block: skip the two
-        // locked no-op adds.
-        if blocks != 0 {
-            self.read_ios.fetch_add(blocks, Ordering::Relaxed);
-            self.physical_reads.fetch_add(blocks, Ordering::Relaxed);
-        }
+        self.read_ios.fetch_add(blocks, Ordering::Relaxed);
+        self.physical_reads.fetch_add(blocks, Ordering::Relaxed);
     }
 
     /// Charge model read I/Os only (a pooled reader's charge-cache miss):
@@ -352,15 +350,14 @@ impl IoSnapshot {
 
 /// Block-buffered reader over a file with I/O accounting.
 ///
-/// Reads may target any offset; forward-sequential patterns are served from a
-/// read-ahead window. The charged I/O count follows the rule documented at
-/// module level.
-///
-/// When a shared [`BlockCache`] is attached ([`BlockReader::new_cached`]),
-/// reads are served from the pool's frames instead of the private window and
-/// a read I/O is charged **only on cache miss** — `read_ios` then counts
-/// blocks physically fetched, the quantity the paper's memory-scalability
-/// experiments (Fig. 11) vary `M` against.
+/// Every byte is served from a frame of the reader's [`BlockCache`], and a
+/// read I/O is charged **only on a frame miss** (the rule documented at
+/// module level). A reader owns a private one-frame cache until a shared
+/// pool is attached ([`BlockReader::open_cached_with_charge`]); `read_ios`
+/// then counts blocks fetched under that pool's budget, the quantity the
+/// paper's memory-scalability experiments (Fig. 11) vary `M` against.
+/// Frames are filled from a read-ahead window, so forward-sequential
+/// misses cost one large physical read per window.
 #[derive(Debug)]
 pub struct BlockReader {
     file: Box<dyn VfsFile>,
@@ -368,18 +365,15 @@ pub struct BlockReader {
     /// This reader's `read_bytes` and `seeks`.
     tally: ReaderTally,
     file_len: u64,
-    /// Read-ahead window contents (uncached mode only).
+    /// Read-ahead window contents, the physical buffer frames fill from.
     window: Vec<u8>,
     /// Byte offset of the start of `window` (block aligned).
     window_start: u64,
-    /// Last block charged to the counter, if any: subsequent requests starting
-    /// in this block do not pay for it again (uncached mode only; a cache
-    /// subsumes this single-block freebie).
-    last_block: Option<u64>,
     /// End position of the previous request, to detect seeks.
     prev_end: u64,
-    /// Shared frame pool plus this reader's file id within it.
-    cache: Option<(Arc<Mutex<BlockCache>>, u32)>,
+    /// The frame pool plus this reader's file id within it: a private
+    /// one-frame cache, or the shared pool once one is attached.
+    cache: (Arc<Mutex<BlockCache>>, u32),
     /// Deterministic per-graph *charge cache* plus this reader's file id in
     /// it (pooled mode only). When present, model read I/Os are charged by
     /// this cache's hit/miss decisions — a pure function of the graph's own
@@ -388,44 +382,32 @@ pub struct BlockReader {
     /// zero-length (keys and eviction state, no bytes), so it costs O(1)
     /// memory per tracked block.
     charge: Option<(Arc<Mutex<BlockCache>>, u32)>,
-    /// The last frame fetched from the pool (cached mode): streak requests
-    /// into the same block are served from this handle without taking the
-    /// pool lock — the cached-mode analogue of the uncached reader's
-    /// current-block freebie, and what keeps concurrent shard scans off the
-    /// lock between block transitions. Charges nothing (the block was
-    /// already paid for when fetched); safe because graph files are
-    /// immutable while open ([`BlockReader::invalidate`] clears it).
+    /// The last frame fetched from the pool: streak requests into the same
+    /// block are served from this handle without taking the pool lock —
+    /// what keeps concurrent shard scans off the lock between block
+    /// transitions. Charges nothing (the block was already paid for when
+    /// fetched); safe because graph files are immutable while open
+    /// ([`BlockReader::invalidate`] clears it).
     memo: Option<(u64, Arc<Vec<u8>>)>,
     /// Reusable byte staging buffer, so no adjacency read allocates: the
     /// raw bytes of a v1 run and the contiguous copy of a v3 run that
     /// straddles frames or windows.
     scratch: Vec<u8>,
-    /// Where this reader's file lives, when it was opened by path — what
-    /// [`BlockReader::set_readahead`] needs to open its second handle.
-    path: Option<PathBuf>,
+    /// Where this reader's file lives — what [`BlockReader::set_readahead`]
+    /// needs to open its second handle.
+    path: PathBuf,
     /// Background window prefetcher, when readahead is enabled.
     prefetch: Option<Prefetcher>,
 }
 
 impl BlockReader {
-    /// Open a reader over an already-open std `file`, charging I/O to
-    /// `counter`. Prefer [`BlockReader::open`], which routes the open
-    /// itself through the counter's [`Vfs`].
-    pub fn new(file: File, counter: Arc<IoCounter>) -> Result<Self> {
-        Self::from_vfs_file(Box::new(StdFile::new(file)), counter)
-    }
-
     /// Open the file at `path` (read-only, through the counter's [`Vfs`])
     /// and charge I/O to `counter`.
     pub fn open(path: &Path, counter: Arc<IoCounter>) -> Result<Self> {
-        let file = counter.vfs().open_read(path)?;
-        let mut reader = Self::from_vfs_file(file, counter)?;
-        reader.path = Some(path.to_path_buf());
-        Ok(reader)
-    }
-
-    fn from_vfs_file(mut file: Box<dyn VfsFile>, counter: Arc<IoCounter>) -> Result<Self> {
+        let mut file = counter.vfs().open_read(path)?;
         let file_len = file.len()?;
+        let b = counter.block_size();
+        let frame = BlockCache::new(b, b as u64, EvictionPolicy::ScanLifo)?;
         Ok(BlockReader {
             file,
             tally: ReaderTally::register(Arc::clone(&counter)),
@@ -433,28 +415,14 @@ impl BlockReader {
             file_len,
             window: Vec::new(),
             window_start: 0,
-            last_block: None,
             prev_end: 0,
-            cache: None,
+            cache: (Arc::new(Mutex::new(frame)), 0),
             charge: None,
             memo: None,
             scratch: Vec::new(),
-            path: None,
+            path: path.to_path_buf(),
             prefetch: None,
         })
-    }
-
-    /// Open a reader whose blocks are cached in the shared `pool` under
-    /// `file_id`. The pool's block size must equal the counter's.
-    pub fn new_cached(
-        file: File,
-        counter: Arc<IoCounter>,
-        pool: Arc<Mutex<BlockCache>>,
-        file_id: u32,
-    ) -> Result<Self> {
-        let mut reader = Self::new(file, counter)?;
-        reader.attach_caches(pool, file_id, None)?;
-        Ok(reader)
     }
 
     /// [`BlockReader::open`] with the shared `pool` and an optional private
@@ -471,41 +439,22 @@ impl BlockReader {
         file_id: u32,
         charge: Option<(Arc<Mutex<BlockCache>>, u32)>,
     ) -> Result<Self> {
-        let mut reader = Self::open(path, counter)?;
-        reader.attach_caches(pool, file_id, charge)?;
-        Ok(reader)
-    }
-
-    fn attach_caches(
-        &mut self,
-        pool: Arc<Mutex<BlockCache>>,
-        file_id: u32,
-        charge: Option<(Arc<Mutex<BlockCache>>, u32)>,
-    ) -> Result<()> {
-        {
-            let cache = lock_cache(&pool);
-            assert_eq!(
-                cache.block_size(),
-                self.counter.block_size(),
-                "cache and counter must agree on the block size"
-            );
-        }
+        assert_eq!(
+            lock_cache(&pool).block_size(),
+            counter.block_size(),
+            "cache and counter must agree on the block size"
+        );
         if let Some((ghost, _)) = charge.as_ref() {
-            let ghost = lock_cache(ghost);
             assert_eq!(
-                ghost.block_size(),
-                self.counter.block_size(),
+                lock_cache(ghost).block_size(),
+                counter.block_size(),
                 "charge cache and counter must agree on the block size"
             );
         }
-        self.cache = Some((pool, file_id));
-        self.charge = charge;
-        Ok(())
-    }
-
-    /// True when this reader serves blocks from a shared cache pool.
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
+        let mut reader = Self::open(path, counter)?;
+        reader.cache = (pool, file_id);
+        reader.charge = charge;
+        Ok(reader)
     }
 
     /// Enable (or disable) background readahead pipelining: while the
@@ -521,9 +470,6 @@ impl BlockReader {
     /// so fault injection still controls every byte; it is **off by
     /// default** because a background reader would race FaultVfs's
     /// deterministic operation schedules.
-    ///
-    /// Errors with [`Error::InvalidArgument`] on readers not opened by
-    /// path (the worker needs to open its own handle).
     pub fn set_readahead(&mut self, enabled: bool) -> Result<()> {
         if !enabled {
             self.prefetch = None;
@@ -532,12 +478,7 @@ impl BlockReader {
         if self.prefetch.is_some() {
             return Ok(());
         }
-        let Some(path) = self.path.as_ref() else {
-            return Err(Error::InvalidArgument(
-                "readahead requires a reader opened by path".into(),
-            ));
-        };
-        let file = self.counter.vfs().open_read(path)?;
+        let file = self.counter.vfs().open_read(&self.path)?;
         self.prefetch = Some(Prefetcher::spawn(file)?);
         Ok(())
     }
@@ -589,8 +530,8 @@ impl BlockReader {
 
     /// Read the `N` bytes at `offset` — a fixed-size record such as a node
     /// table entry — charged exactly like [`BlockReader::read_exact_at`].
-    /// A record inside one frame (or the window) is a constant-length move
-    /// straight out of it.
+    /// A record inside one frame is a constant-length move straight out of
+    /// it.
     pub(crate) fn read_array_at<const N: usize>(&mut self, offset: u64) -> Result<[u8; N]> {
         let mut out = [0u8; N];
         if N == 0 {
@@ -608,27 +549,13 @@ impl BlockReader {
     }
 
     /// Open the validated request `[offset, end)`: a seek unless it starts
-    /// where the previous one ended, and — uncached — the model's charge,
-    /// every block in the span minus the one still buffered from the
-    /// previous request. (Cached, blocks are charged per miss as they are
-    /// fetched.) Delivered bytes are charged by the caller once served.
+    /// where the previous one ended. Blocks are charged per miss as they
+    /// are fetched; delivered bytes by the caller once served.
     fn begin_request(&mut self, offset: u64, end: u64) {
         if offset != self.prev_end {
             self.tally.seek();
         }
         self.prev_end = end;
-        if self.cache.is_none() {
-            let b = self.counter.block_size() as u64;
-            let (first, last) = (offset / b, (end - 1) / b);
-            let buffered = u64::from(self.last_block == Some(first));
-            self.counter.charge_blocks(last - first + 1 - buffered);
-            self.last_block = Some(last);
-        }
-    }
-
-    /// True when byte `pos` is inside the current read-ahead window.
-    fn window_holds(&self, pos: u64) -> bool {
-        pos >= self.window_start && pos < self.window_start + self.window.len() as u64
     }
 
     /// The bytes of `block`, borrowed from the memoised frame. Streak
@@ -645,20 +572,18 @@ impl BlockReader {
         }
     }
 
-    /// Fetch `block` through the shared cache into the memo, charging a
-    /// read I/O on miss. The pool lock is held only for the lookup (and,
-    /// on miss, the fill); the memoised [`Arc`] keeps the bytes usable
-    /// after the lock is gone.
+    /// Fetch `block` through the frame pool into the memo, charging a read
+    /// I/O on miss. The pool lock is held only for the lookup (and, on
+    /// miss, the fill); the memoised [`Arc`] keeps the bytes usable after
+    /// the lock is gone.
     fn load_block(&mut self, block: u64) -> Result<()> {
         let b = self.counter.block_size() as u64;
         let block_start = block * b;
         let block_len = b.min(self.file_len - block_start) as usize;
-        let (pool, file_id) = match self.cache.as_ref() {
-            Some(c) => c,
-            // Callers guard on `self.cache.is_some()`; an uncached reader
-            // can never reach here, but degrade to an error, not a panic.
-            None => return Err(crate::error::Error::corrupt("load_block without a cache")),
-        };
+        // Let go of the outgoing frame first, so a miss can refill its
+        // buffer in place rather than allocate.
+        self.memo = None;
+        let (pool, file_id) = &self.cache;
         let window = &mut self.window;
         let window_start = &mut self.window_start;
         let file = self.file.as_mut();
@@ -680,7 +605,7 @@ impl BlockReader {
             })?
         };
         match self.charge.as_ref() {
-            // Plain cached mode: the pool's miss IS the model charge.
+            // The pool's (or the private frame's) miss IS the model charge.
             None => {
                 if missed {
                     self.counter.charge_blocks(1);
@@ -690,7 +615,7 @@ impl BlockReader {
             // the graph's own access stream alone; the shared pool's miss
             // only moves the physical count. The ghost is consulted on
             // every block transition (memo streaks never reach here), so
-            // it sees exactly the stream the uncached accounting would.
+            // it sees exactly the stream a one-frame reader would.
             Some((ghost, ghost_file)) => {
                 if missed {
                     self.counter.charge_physical_read(1);
@@ -709,24 +634,16 @@ impl BlockReader {
     }
 
     /// What is already contiguous in memory from byte `pos` on: the rest
-    /// of its cache frame — fetched, and charged on miss, by
-    /// [`BlockReader::load_block`] — or of the read-ahead window, refilled
-    /// if need be and charging nothing.
+    /// of its frame — fetched, and charged on miss, by
+    /// [`BlockReader::load_block`].
     fn piece_at(&mut self, pos: u64) -> Result<&[u8]> {
-        if self.cache.is_some() {
-            let b = self.counter.block_size() as u64;
-            return Ok(&self.block_frame(pos / b)?[(pos % b) as usize..]);
-        }
-        if !self.window_holds(pos) {
-            self.fill_window(pos)?;
-        }
-        Ok(&self.window[(pos - self.window_start) as usize..])
+        let b = self.counter.block_size() as u64;
+        Ok(&self.block_frame(pos / b)?[(pos % b) as usize..])
     }
 
     /// Copy the validated range `[offset, offset + out.len())` into `out`,
-    /// piece by piece — cached, blocks `offset / B ..= (end − 1) / B` in
-    /// ascending order. Seeks, bytes and the uncached block charge are the
-    /// caller's.
+    /// piece by piece — blocks `offset / B ..= (end − 1) / B` in ascending
+    /// order. Seeks and bytes are the caller's.
     fn copy_bytes(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
         let mut copied = 0usize;
         while copied < out.len() {
@@ -751,22 +668,22 @@ impl BlockReader {
         Ok(())
     }
 
-    /// When this reader is cached and `[offset, offset + len)` lies inside a
-    /// single block, ensure the block is resident (charging a miss if not)
-    /// and return a shared handle to the frame plus the range's offset
-    /// within it — the zero-copy fast path for adjacency runs. The bytes are
+    /// When `[offset, offset + len)` lies inside a single block, ensure the
+    /// block is resident (charging a miss if not) and return a shared
+    /// handle to the frame plus the range's offset within it — the
+    /// zero-copy fast path for adjacency runs. The bytes are
     /// decoded and visited by the caller *after* the pool lock is released,
     /// so concurrent shard scans never serialize on each other's compute.
     ///
-    /// Returns `Ok(None)` when the fast path does not apply (uncached
-    /// reader, empty range, or multi-block range); the caller must then
-    /// fall back to [`BlockReader::read_exact_at`].
+    /// Returns `Ok(None)` when the fast path does not apply (empty range or
+    /// multi-block range); the caller must then fall back to
+    /// [`BlockReader::read_exact_at`].
     pub(crate) fn cached_run(
         &mut self,
         offset: u64,
         len: usize,
     ) -> Result<Option<(Arc<Vec<u8>>, usize)>> {
-        if self.cache.is_none() || len == 0 {
+        if len == 0 {
             return Ok(None);
         }
         let end = self.check_range(offset, len)?;
@@ -806,18 +723,16 @@ impl BlockReader {
     /// ([`group_run_len`](crate::codec::group_run_len)), so the run's true
     /// end is known before any data byte is fetched and
     /// [`decode_group_run`](crate::codec::decode_group_run) gets the whole
-    /// run as one slice — borrowed in place when it sits inside one cache
-    /// frame or the read-ahead window, staged in the reader's scratch when
-    /// it straddles.
+    /// run as one slice — borrowed in place when it sits inside one frame,
+    /// staged in the reader's scratch when it straddles.
     ///
     /// Charging matches an exact-length contiguous read of the encoded
-    /// bytes: in cached mode blocks `offset / B ..= (end − 1) / B` are
-    /// fetched once each in ascending order and pay per miss exactly as
-    /// [`BlockReader::read_exact_at`] would; in uncached mode each block in
-    /// that span is charged once (with the usual current-block freebie).
-    /// Read bytes are the encoded length and `prev_end` lands on the run's
-    /// true end, so the next contiguous list pays no seek. No block beyond
-    /// the one holding the run's last byte is ever touched.
+    /// bytes: blocks `offset / B ..= (end − 1) / B` are fetched once each
+    /// in ascending order and pay per miss exactly as
+    /// [`BlockReader::read_exact_at`] would. Read bytes are the encoded
+    /// length and `prev_end` lands on the run's true end, so the next
+    /// contiguous list pays no seek. No block beyond the one holding the
+    /// run's last byte is ever touched.
     pub(crate) fn read_group_run(
         &mut self,
         offset: u64,
@@ -849,17 +764,8 @@ impl BlockReader {
                 total
             }
         };
-        let end = offset + total as u64;
-        let mut blocks = 0;
-        if self.cache.is_none() {
-            let b = self.counter.block_size() as u64;
-            let (first, last) = (offset / b, (end - 1) / b);
-            blocks = last - first + 1 - u64::from(self.last_block == Some(first));
-            self.last_block = Some(last);
-        }
-        self.counter.charge_blocks(blocks);
         self.tally.bytes(total as u64);
-        self.prev_end = end;
+        self.prev_end = offset + total as u64;
         Ok(total as u64)
     }
 
@@ -899,21 +805,8 @@ impl BlockReader {
         res
     }
 
-    /// Physically read a block-aligned window covering `pos`.
-    fn fill_window(&mut self, pos: u64) -> Result<()> {
-        fill_window_at(
-            &mut self.window,
-            &mut self.window_start,
-            self.file.as_mut(),
-            self.file_len,
-            self.counter.block_size() as u64,
-            pos,
-            self.prefetch.as_ref(),
-        )
-    }
-
-    /// Forget buffered state, so the next read is charged in full. In
-    /// cached mode this also drops the file's frames from the shared pool.
+    /// Forget buffered state, so the next read is charged in full. This
+    /// drops the file's frames from its pool, shared or private.
     ///
     /// This invalidates *buffers only* — the reader keeps its open file
     /// handle and length. If the file on disk was replaced (e.g. renamed
@@ -922,12 +815,10 @@ impl BlockReader {
     /// [`DiskGraph`](crate::DiskGraph)'s rewrite path does.
     pub fn invalidate(&mut self) {
         self.window.clear();
-        self.last_block = None;
         self.prev_end = u64::MAX;
         self.memo = None;
-        if let Some((pool, file_id)) = self.cache.as_ref() {
-            lock_cache(pool).invalidate_file(*file_id);
-        }
+        let (pool, file_id) = &self.cache;
+        lock_cache(pool).invalidate_file(*file_id);
         if let Some((ghost, file_id)) = self.charge.as_ref() {
             lock_cache(ghost).invalidate_file(*file_id);
         }
@@ -1079,46 +970,14 @@ pub(crate) fn sync_parent_dir(vfs: &dyn Vfs, path: &std::path::Path) -> Result<(
     Ok(())
 }
 
-/// Refill `window` with a read-ahead span starting at the block containing
-/// `pos` (free function so cache-load closures can borrow reader fields
-/// disjointly). With a prefetcher attached, a window the worker already
-/// fetched is claimed without touching the file, and the *next* window's
-/// fetch is kicked off before returning — the pipelining overlap.
-#[allow(clippy::too_many_arguments)]
-fn fill_window_at(
-    window: &mut Vec<u8>,
-    window_start: &mut u64,
-    file: &mut dyn VfsFile,
-    file_len: u64,
-    block_size: u64,
-    pos: u64,
-    prefetch: Option<&Prefetcher>,
-) -> Result<()> {
-    let start = (pos / block_size) * block_size;
-    let want = (block_size as usize) * READAHEAD_BLOCKS;
-    let avail = (file_len - start) as usize;
-    let len = want.min(avail);
-    let mut recycle = Vec::new();
-    match prefetch.and_then(|p| p.take(start, len)) {
-        Some(buf) => recycle = std::mem::replace(window, buf),
-        None => {
-            window.resize(len, 0);
-            file.read_exact_at(start, window)?;
-        }
-    }
-    *window_start = start;
-    if let Some(p) = prefetch {
-        let next = start + len as u64;
-        if next < file_len {
-            p.request(next, want.min((file_len - next) as usize), recycle);
-        }
-    }
-    Ok(())
-}
-
-/// Copy the block at `block_start` into `buf`, serving from (and refilling)
-/// the read-ahead window so cold sequential misses cost one large physical
-/// read per `READAHEAD_BLOCKS`, not one syscall per block.
+/// Copy the block at `block_start` into `buf`, serving from the read-ahead
+/// window so cold sequential misses cost one large physical read per
+/// `READAHEAD_BLOCKS`, not one syscall per block (free function so
+/// cache-load closures can borrow reader fields disjointly). A block
+/// outside the window refills it from `block_start` on; with a prefetcher
+/// attached, a window the worker already fetched is claimed without
+/// touching the file, and the *next* window's fetch is kicked off — the
+/// pipelining overlap.
 #[allow(clippy::too_many_arguments)]
 fn fill_from_window(
     window: &mut Vec<u8>,
@@ -1132,15 +991,23 @@ fn fill_from_window(
 ) -> Result<()> {
     let end = block_start + buf.len() as u64;
     if block_start < *window_start || end > *window_start + window.len() as u64 {
-        fill_window_at(
-            window,
-            window_start,
-            file,
-            file_len,
-            block_size,
-            block_start,
-            prefetch,
-        )?;
+        let want = (block_size as usize) * READAHEAD_BLOCKS;
+        let len = want.min((file_len - block_start) as usize);
+        let mut recycle = Vec::new();
+        match prefetch.and_then(|p| p.take(block_start, len)) {
+            Some(buf) => recycle = std::mem::replace(window, buf),
+            None => {
+                window.resize(len, 0);
+                file.read_exact_at(block_start, window)?;
+            }
+        }
+        *window_start = block_start;
+        if let Some(p) = prefetch {
+            let next = block_start + len as u64;
+            if next < file_len {
+                p.request(next, want.min((file_len - next) as usize), recycle);
+            }
+        }
     }
     let from = (block_start - *window_start) as usize;
     buf.copy_from_slice(&window[from..from + buf.len()]);
@@ -1253,7 +1120,7 @@ mod tests {
     fn sequential_scan_costs_ceil_n_over_b() {
         let (_dir, path) = temp_file_with(10_000);
         let counter = IoCounter::new(1024);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter.clone()).unwrap();
+        let mut r = BlockReader::open(&path, counter.clone()).unwrap();
         let mut buf = [0u8; 100];
         let mut off = 0;
         while off < 10_000 {
@@ -1272,7 +1139,7 @@ mod tests {
     fn random_reads_pay_per_block() {
         let (_dir, path) = temp_file_with(64 * 1024);
         let counter = IoCounter::new(4096);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter.clone()).unwrap();
+        let mut r = BlockReader::open(&path, counter.clone()).unwrap();
         let mut buf = [0u8; 8];
         // Touch 8 distinct far-apart blocks.
         for i in 0..8u64 {
@@ -1286,7 +1153,7 @@ mod tests {
     fn rereading_same_block_is_free() {
         let (_dir, path) = temp_file_with(4096);
         let counter = IoCounter::new(4096);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter.clone()).unwrap();
+        let mut r = BlockReader::open(&path, counter.clone()).unwrap();
         let mut buf = [0u8; 16];
         r.read_exact_at(0, &mut buf).unwrap();
         r.read_exact_at(16, &mut buf).unwrap();
@@ -1298,7 +1165,7 @@ mod tests {
     fn read_past_eof_is_corrupt_not_panic() {
         let (_dir, path) = temp_file_with(100);
         let counter = IoCounter::new(4096);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter).unwrap();
+        let mut r = BlockReader::open(&path, counter).unwrap();
         let mut buf = [0u8; 32];
         let err = r.read_exact_at(90, &mut buf).unwrap_err();
         assert!(err.is_corrupt());
@@ -1308,7 +1175,7 @@ mod tests {
     fn reader_delivers_correct_bytes_across_window_boundaries() {
         let (_dir, path) = temp_file_with(300_000);
         let counter = IoCounter::new(512);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter).unwrap();
+        let mut r = BlockReader::open(&path, counter).unwrap();
         // A large read spanning several read-ahead windows.
         let mut buf = vec![0u8; 299_000];
         r.read_exact_at(500, &mut buf).unwrap();
@@ -1369,6 +1236,8 @@ mod tests {
         let mut sync = BlockReader::open(&path, c_sync.clone()).unwrap();
         let mut ra = BlockReader::open(&path, c_ra.clone()).unwrap();
         assert!(!ra.readahead());
+        // Disabling an absent prefetcher is fine.
+        ra.set_readahead(false).unwrap();
         ra.set_readahead(true).unwrap();
         assert!(ra.readahead());
         // Enabling twice is a no-op; so is disabling and re-enabling.
@@ -1422,24 +1291,22 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         // Block sizes down to one byte: every control region, value and
-        // run straddles frames (cached) and 64-block windows (uncached).
+        // run straddles frames and 64-block windows, in a reader's own
+        // frame and in an attached pool.
         for block in [1usize, 2, 3, 5, 7, 16, 64, 4096] {
             for cached in [false, true] {
                 let (c_run, c_raw) = (IoCounter::new(block), IoCounter::new(block));
-                let mut by_run = BlockReader::open(&path, c_run.clone()).unwrap();
-                let mut by_raw = BlockReader::open(&path, c_raw.clone()).unwrap();
-                if cached {
-                    for r in [&mut by_run, &mut by_raw] {
-                        let pool = BlockCache::shared(
-                            block,
-                            8 * block as u64,
-                            1,
-                            EvictionPolicy::ScanLifo,
-                        )
-                        .unwrap();
-                        r.attach_caches(pool, 0, None).unwrap();
+                let open = |counter: &Arc<IoCounter>| {
+                    if !cached {
+                        return BlockReader::open(&path, counter.clone()).unwrap();
                     }
-                }
+                    let pool =
+                        BlockCache::shared(block, 8 * block as u64, 1, EvictionPolicy::ScanLifo)
+                            .unwrap();
+                    BlockReader::open_cached_with_charge(&path, counter.clone(), pool, 0, None)
+                        .unwrap()
+                };
+                let (mut by_run, mut by_raw) = (open(&c_run), open(&c_raw));
                 let mut out = Vec::new();
                 let mut raw = Vec::new();
                 for (offset, values) in &runs {
@@ -1456,16 +1323,5 @@ mod tests {
                 assert_eq!(by_run.prev_end, bytes.len() as u64);
             }
         }
-    }
-
-    #[test]
-    fn readahead_needs_a_path_opened_reader() {
-        let (_dir, path) = temp_file_with(1000);
-        let counter = IoCounter::new(512);
-        let mut r = BlockReader::new(File::open(&path).unwrap(), counter).unwrap();
-        let err = r.set_readahead(true).unwrap_err();
-        assert!(err.to_string().contains("readahead"), "{err}");
-        // Disabling an absent prefetcher is still fine.
-        r.set_readahead(false).unwrap();
     }
 }

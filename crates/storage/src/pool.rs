@@ -117,7 +117,7 @@ impl SharedPool {
     ///
     /// Errors when the budget cannot hold two frames — a pool that cannot
     /// keep even one graph's current blocks resident arbitrates nothing;
-    /// callers wanting uncached behaviour should open graphs without a pool.
+    /// callers wanting one frame per table should open graphs without a pool.
     pub fn new(block_size: usize, budget_bytes: u64) -> Result<SharedPool> {
         Self::with_policy(block_size, budget_bytes, EvictionPolicy::ScanLifo)
     }

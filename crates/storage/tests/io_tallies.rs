@@ -260,3 +260,106 @@ fn eight_cloned_handles_on_eight_threads_sum_exactly() {
     drop(root);
     assert_eq!(counter.snapshot(), expected);
 }
+
+/// One table reader under the `Mode::Uncached` rule: a seek unless the
+/// request starts where the previous one ended, and every block of the span
+/// but the one the previous request ended in.
+#[derive(Default)]
+struct SpanRule {
+    prev_end: Option<u64>,
+    last_block: Option<u64>,
+}
+
+impl SpanRule {
+    fn request(&mut self, offset: u64, end: u64, block: u64, model: &mut IoSnapshot) {
+        let (first, last) = (offset / block, (end - 1) / block);
+        let charged = last - first + 1 - u64::from(self.last_block == Some(first));
+        model.seeks += u64::from(self.prev_end != Some(offset));
+        model.read_bytes += end - offset;
+        model.read_ios += charged;
+        model.physical_reads += charged;
+        self.prev_end = Some(end);
+        self.last_block = Some(last);
+    }
+}
+
+/// The uncached rule one layer up: an unattached `DiskGraph` driven
+/// through `read_degrees`, `adjacency` and `with_adjacency` charges, call
+/// by call, exactly the span rule applied to the node-entry read and to
+/// the run's extent (from the node's offset to the next non-empty node's).
+/// Block sizes small enough that entries and runs straddle blocks, over
+/// raw and stream-vbyte tables, with random jumps between sequential runs.
+#[test]
+fn uncached_disk_graph_calls_charge_the_span_rule() {
+    let mut rng = Lcg::new(0x5A4);
+    let n = 400u32;
+    // Every seventh node isolated (an empty run the extent skips), one hub
+    // whose run spans many blocks, and a random sprinkle in between.
+    let isolated = |v: u32| v % 7 == 3;
+    let mut edges: Vec<(u32, u32)> = testutil::random_edges(&mut rng, n, 3 * n);
+    edges.extend((1..n).step_by(2).map(|v| (0, v)));
+    edges.retain(|&(a, b)| !isolated(a) && !isolated(b));
+    let g = graphstore::MemGraph::from_edges(edges, n);
+    let dir = TempDir::new("tallies-graph").unwrap();
+    for version in [FormatVersion::V1, FormatVersion::V3] {
+        let base = dir.path().join(version.tag());
+        write_mem_graph_with(&base, &g, IoCounter::new(BLOCK), version).unwrap();
+        // Extents come from an unmeasured handle.
+        let mut oracle = DiskGraph::open(&base, IoCounter::new(BLOCK)).unwrap();
+        let meta = oracle.meta();
+        let entries: Vec<(u64, u32)> = (0..n).map(|v| oracle.node_entry(v).unwrap()).collect();
+        let run_end = |v: usize| {
+            entries[v + 1..]
+                .iter()
+                .find(|&&(_, d)| d > 0)
+                .map_or(meta.edge_file_len(), |&(o, _)| o)
+        };
+        for block in [13u64, 64, 100] {
+            let counter = IoCounter::new(block as usize);
+            let mut dg = DiskGraph::open(&base, counter.clone()).unwrap();
+            let (mut nodes, mut edge_rule) = (SpanRule::default(), SpanRule::default());
+            let mut model = IoSnapshot::default();
+            let mut buf = Vec::new();
+            let mut v = 0u32;
+            for step in 0..600 {
+                let entry_at = |v: u32| meta.node_entry_offset(v);
+                if step % 50 == 7 {
+                    // One request for the whole table (n is below the
+                    // 4096-entry chunk).
+                    let degrees = dg.read_degrees().unwrap();
+                    assert_eq!(degrees, g.degrees());
+                    nodes.request(entry_at(0), entry_at(n), block, &mut model);
+                } else {
+                    v = if rng.below(2) == 0 {
+                        rng.below(n)
+                    } else {
+                        (v + 1) % n
+                    };
+                    if step % 2 == 0 {
+                        dg.adjacency(v, &mut buf).unwrap();
+                    } else {
+                        dg.with_adjacency(v, |nbrs| buf = nbrs.to_vec()).unwrap();
+                    }
+                    assert_eq!(buf, g.neighbors(v), "{version:?} node {v}");
+                    let at = entry_at(v);
+                    nodes.request(
+                        at,
+                        at + graphstore::format::NODE_ENTRY_LEN,
+                        block,
+                        &mut model,
+                    );
+                    if entries[v as usize].1 > 0 {
+                        let end = run_end(v as usize);
+                        edge_rule.request(entries[v as usize].0, end, block, &mut model);
+                    }
+                }
+                assert_eq!(
+                    counter.snapshot(),
+                    model,
+                    "{version:?} B={block} step {step}"
+                );
+            }
+            assert!(model.read_ios > 300 && model.seeks > 300, "{model:?}");
+        }
+    }
+}

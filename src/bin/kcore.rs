@@ -158,6 +158,16 @@ impl Cli {
         }))
     }
 
+    /// `flag`'s value in MiB, as a byte count (`None` when absent); a
+    /// count that overflows `u64` is a usage error, not a wrapped budget.
+    fn mib(&self, flag: &str) -> Option<u64> {
+        let mb: u64 = self.value(flag)?;
+        Some(mb.checked_mul(1 << 20).unwrap_or_else(|| {
+            eprintln!("{flag} {mb} MiB overflows a byte count");
+            usage()
+        }))
+    }
+
     fn has(&self, flag: &str) -> bool {
         self.values.contains_key(flag)
     }
@@ -226,7 +236,7 @@ fn main() -> graphstore::Result<()> {
             let algo: String = cli.value("--algo").unwrap_or_else(|| "star".into());
             let run = algorithm(&algo);
             let exec = executor(cli.value("--workers"));
-            let cache_bytes = cli.value::<u64>("--cache-mb").unwrap_or(0) << 20;
+            let cache_bytes = cli.mib("--cache-mb").unwrap_or(0);
             let out: Option<PathBuf> = cli.value("--out");
             if exec != ScanExecutor::Sequential && algo != "star" {
                 eprintln!("note: --workers applies to SemiCore* only; {algo} runs sequentially");
@@ -354,7 +364,7 @@ const SERVE_FLAGS: [&str; 12] = [
 /// data directory is touched.
 fn serve(args: &[String]) -> graphstore::Result<()> {
     let cli = Cli::parse(args, &SERVE_FLAGS, &[]);
-    let budget_mb: u64 = cli.value("--budget-mb").unwrap_or(64);
+    let budget_bytes = cli.mib("--budget-mb").unwrap_or(64 << 20);
     let exec = executor(cli.value("--workers"));
     let data_dir: Option<PathBuf> = cli.value("--data-dir");
     for (flag, why) in [
@@ -382,9 +392,9 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
     // `--qos-mb M` turns on per-tenant admission control over the charge
     // budget; `--qos-queue N` bounds how many requests may wait (default
     // 16) and is meaningless without a budget to wait for.
-    let qos_mb: Option<u64> = cli.value("--qos-mb");
+    let qos_bytes = cli.mib("--qos-mb");
     let qos_queue: usize = cli.value("--qos-queue").unwrap_or(16);
-    if cli.has("--qos-queue") && qos_mb.is_none() {
+    if cli.has("--qos-queue") && qos_bytes.is_none() {
         eprintln!("--qos-queue requires --qos-mb (there is no queue without a budget)");
         usage()
     }
@@ -432,35 +442,42 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
             let svc = CoreService::create_durable_with(
                 dir,
                 DEFAULT_BLOCK_SIZE,
-                budget_mb << 20,
+                budget_bytes,
                 EvictionPolicy::ScanLifo,
                 exec,
                 durable_opts,
             )?;
             println!(
-                "serving durably from {} on a {budget_mb} MiB shared pool ({exec:?})",
-                dir.display()
+                "serving durably from {} on a {} MiB shared pool ({exec:?})",
+                dir.display(),
+                budget_bytes >> 20
             );
             svc
         }
         None => {
             let svc = CoreService::with_config(
                 DEFAULT_BLOCK_SIZE,
-                budget_mb << 20,
+                budget_bytes,
                 EvictionPolicy::ScanLifo,
                 exec,
             )?;
-            println!("serving on a {budget_mb} MiB shared pool ({exec:?}); 'help' lists commands");
+            println!(
+                "serving on a {} MiB shared pool ({exec:?}); 'help' lists commands",
+                budget_bytes >> 20
+            );
             svc
         }
     };
     let svc = Arc::new(svc);
-    if let Some(mb) = qos_mb {
+    if let Some(bytes) = qos_bytes {
         svc.set_qos(Some(QosConfig {
-            capacity_bytes: mb << 20,
+            capacity_bytes: bytes,
             max_waiters: qos_queue,
         }));
-        println!("qos: {mb} MiB admission budget, {qos_queue} queued requests max");
+        println!(
+            "qos: {} MiB admission budget, {qos_queue} queued requests max",
+            bytes >> 20
+        );
     }
     if let Some(ms) = op_timeout_ms {
         svc.set_op_timeout(Some(Duration::from_millis(ms)));

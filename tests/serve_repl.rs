@@ -256,6 +256,40 @@ fn serve_rejects_a_bad_command_line_before_touching_the_data_dir() {
     assert!(ok && out.contains("on a 64 MiB shared pool"), "{out}");
 }
 
+/// A MiB count whose byte value overflows `u64` is a usage error (exit 2)
+/// raised before anything is written — not a budget wrapped to its low
+/// bits (2^44 + 1 MiB would serve a 1 MiB pool, 2^44 MiB an uncached run).
+#[test]
+fn mib_flags_that_overflow_a_byte_count_are_usage_errors() {
+    let dir = TempDir::new("repl-mib").unwrap();
+    let base = dir.path().join("g");
+    write_triangle_tail(&base);
+    let data = dir.path().join("data");
+    let (base, d) = (base.to_str().unwrap(), data.to_str().unwrap());
+    for args in [
+        &["serve", "--data-dir", d, "--budget-mb", "17592186044417"][..],
+        &["serve", "--data-dir", d, "--qos-mb", "17592186044416"],
+        &["decompose", base, "--cache-mb", "17592186044416"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_kcore"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kcore");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            text.contains("overflows") && text.contains("usage:"),
+            "{args:?}: {text}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before it was refused");
+        assert!(
+            !data.join("catalog.kc").exists(),
+            "{args:?} wrote a catalog"
+        );
+    }
+}
+
 /// A misspelled flag is a usage error (exit 2) in every subcommand, never
 /// silently ignored.
 #[test]
