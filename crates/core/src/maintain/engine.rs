@@ -142,29 +142,6 @@ impl MaintenanceEngine {
             MaintainOp::Delete(u, v) => semi_delete_star(g, state, u, v),
         }
     }
-
-    /// Apply a batch of operations in order, returning one aggregated
-    /// stats block (counters summed, I/O measured across the whole batch,
-    /// algorithm name `"Batch"`).
-    pub fn apply_all(
-        &mut self,
-        g: &mut impl DynamicGraph,
-        state: &mut CoreState,
-        ops: impl IntoIterator<Item = MaintainOp>,
-    ) -> Result<MaintainStats> {
-        let start = std::time::Instant::now();
-        let io_before = g.io();
-        let mut total = MaintainStats::new("Batch");
-        for op in ops {
-            let s = self.apply(g, state, op)?;
-            total.iterations += s.iterations;
-            total.node_computations += s.node_computations;
-            total.candidates += s.candidates;
-        }
-        total.io = g.io().since(&io_before);
-        total.wall_time = start.elapsed();
-        Ok(total)
-    }
 }
 
 #[cfg(test)]
@@ -234,27 +211,5 @@ mod tests {
             assert_eq!(state.core, oracle.core);
         }
         assert_eq!(state.check_cnt_invariant(&mut dynamic).unwrap(), None);
-    }
-
-    #[test]
-    fn batched_apply_aggregates_and_matches_oracle() {
-        let g = MemGraph::from_edges([(0, 1), (1, 2)], 5);
-        let (mut dynamic, mut state) = decomposed(&g);
-        let mut engine = MaintenanceEngine::new(5);
-        let stats = engine
-            .apply_all(
-                &mut dynamic,
-                &mut state,
-                [
-                    MaintainOp::Insert(0, 2),
-                    MaintainOp::Insert(3, 4),
-                    MaintainOp::Delete(0, 1),
-                ],
-            )
-            .unwrap();
-        assert_eq!(stats.algorithm, "Batch");
-        assert!(stats.node_computations > 0);
-        let oracle = imcore(&dynamic.to_mem());
-        assert_eq!(state.core, oracle.core);
     }
 }

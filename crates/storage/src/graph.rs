@@ -311,18 +311,11 @@ impl DiskGraph {
     }
 
     /// Resident cache blocks as `(file, block)` keys (diagnostics). For
-    /// pooled opens this lists the whole pool, every graph's frames; this
-    /// graph's own ids are [`DiskGraph::cache_file_ids`].
+    /// pooled opens this lists the whole pool, every graph's frames.
     pub fn cache_resident_keys(&self) -> Vec<(u32, u64)> {
         self.binding
             .as_ref()
             .map_or_else(Vec::new, |b| crate::io::lock_cache(&b.pool).resident_keys())
-    }
-
-    /// The `(node table, edge table)` file ids this graph's blocks are
-    /// keyed under in its frame pool (`None` uncached).
-    pub fn cache_file_ids(&self) -> Option<(u32, u32)> {
-        self.binding.as_ref().map(|b| (b.node_file, b.edge_file))
     }
 
     /// Memory budget realised by the attached cache, in bytes (0 uncached).

@@ -36,14 +36,13 @@
 //! [`Vfs`] seam, so fault-injection tests can fail any syscall the engine
 //! issues (see [`crate::vfs`]).
 
-use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::cache::{BlockCache, EvictionPolicy};
 use crate::error::{Error, Result};
-use crate::vfs::{StdFile, StdVfs, Vfs, VfsFile};
+use crate::vfs::{StdVfs, Vfs, VfsFile};
 
 /// Default block size `B` (4 KiB, a typical page).
 pub const DEFAULT_BLOCK_SIZE: usize = 4096;
@@ -122,24 +121,6 @@ impl IoCounter {
         let mut slot = self.deadline.lock().unwrap_or_else(|p| p.into_inner());
         *slot = d;
         self.deadline_armed.store(d.is_some(), Ordering::Release);
-    }
-
-    /// Temporarily stop deadline checks without forgetting the armed
-    /// deadline — used around non-cancellable sections (a maintenance op
-    /// mid-mutation must run to completion or the state is torn).
-    pub fn pause_deadline(&self) {
-        self.deadline_armed.store(false, Ordering::Release);
-    }
-
-    /// Re-enable checks against the deadline armed before
-    /// [`IoCounter::pause_deadline`]. A no-op when none is armed.
-    pub fn resume_deadline(&self) {
-        let armed = self
-            .deadline
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .is_some();
-        self.deadline_armed.store(armed, Ordering::Release);
     }
 
     /// Fail with [`Error::Timeout`] once the armed deadline has passed.
@@ -1033,25 +1014,16 @@ pub struct BlockWriter {
 }
 
 impl BlockWriter {
-    /// Start writing `file` from offset zero.
-    pub fn new(file: File, counter: Arc<IoCounter>) -> Self {
-        Self::from_vfs_file(Box::new(StdFile::new(file)), counter)
-    }
-
     /// Create (truncating) the file at `path` through the counter's
     /// [`Vfs`] and start writing from offset zero.
     pub fn create(path: &Path, counter: Arc<IoCounter>) -> Result<Self> {
         let file = counter.vfs().create(path)?;
-        Ok(Self::from_vfs_file(file, counter))
-    }
-
-    fn from_vfs_file(file: Box<dyn VfsFile>, counter: Arc<IoCounter>) -> Self {
-        BlockWriter {
+        Ok(BlockWriter {
             file,
             buf: Vec::with_capacity(WRITE_BUFFER_LEN),
             counter,
             pos: 0,
-        }
+        })
     }
 
     /// Current write position (bytes written so far).
@@ -1105,6 +1077,7 @@ impl BlockWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::File;
     use std::io::Write;
 
     fn temp_file_with(len: usize) -> (crate::tempdir::TempDir, std::path::PathBuf) {
@@ -1189,7 +1162,7 @@ mod tests {
         let dir = crate::tempdir::TempDir::new("iotest").unwrap();
         let path = dir.path().join("out.bin");
         let counter = IoCounter::new(1000);
-        let mut w = BlockWriter::new(File::create(&path).unwrap(), counter.clone());
+        let mut w = BlockWriter::create(&path, counter.clone()).unwrap();
         for _ in 0..25 {
             w.write_all(&[7u8; 100]).unwrap();
         }

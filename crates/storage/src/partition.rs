@@ -130,23 +130,6 @@ impl PartitionStore {
         &self.parts[i]
     }
 
-    /// Index of the partition whose range contains `v`.
-    pub fn partition_of(&self, v: u32) -> usize {
-        debug_assert!(v < self.num_nodes);
-        match self.parts.binary_search_by(|p| {
-            if v < p.start {
-                std::cmp::Ordering::Greater
-            } else if v >= p.end {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => i,
-            Err(_) => unreachable!("partition ranges cover 0..n"),
-        }
-    }
-
     /// I/O snapshot of the store's counter.
     pub fn io(&self) -> IoSnapshot {
         self.counter.snapshot()
@@ -312,17 +295,6 @@ mod tests {
             for (v, nbrs) in &p.entries {
                 assert_eq!(nbrs.as_slice(), g.neighbors(*v), "node {v}");
             }
-        }
-    }
-
-    #[test]
-    fn partition_of_locates_nodes() {
-        let mut g = grid(64);
-        let store = PartitionStore::build(&mut g, 200, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        for v in 0..64u32 {
-            let i = store.partition_of(v);
-            let m = store.meta(i);
-            assert!(m.start <= v && v < m.end);
         }
     }
 

@@ -14,8 +14,6 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct TempDir {
     path: PathBuf,
-    /// When false, the directory is kept on drop (for debugging).
-    cleanup: bool,
 }
 
 impl TempDir {
@@ -34,30 +32,19 @@ impl TempDir {
                 .unwrap_or(0)
         ));
         std::fs::create_dir_all(&path)?;
-        Ok(TempDir {
-            path,
-            cleanup: true,
-        })
+        Ok(TempDir { path })
     }
 
     /// Path of the directory.
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Keep the directory on drop and return its path.
-    pub fn into_path(mut self) -> PathBuf {
-        self.cleanup = false;
-        self.path.clone()
-    }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        if self.cleanup {
-            // Best effort; leaking a temp dir must not mask the real error.
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
+        // Best effort; leaking a temp dir must not mask the real error.
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 
@@ -82,13 +69,5 @@ mod tests {
         let a = TempDir::new("kcore-test").unwrap();
         let b = TempDir::new("kcore-test").unwrap();
         assert_ne!(a.path(), b.path());
-    }
-
-    #[test]
-    fn into_path_keeps_directory() {
-        let d = TempDir::new("kcore-test").unwrap();
-        let p = d.into_path();
-        assert!(p.is_dir());
-        std::fs::remove_dir_all(&p).unwrap();
     }
 }

@@ -135,16 +135,11 @@ pub fn fsck_with(dir: &Path, repair: bool, vfs: Arc<dyn Vfs>) -> Result<FsckRepo
     Ok(report)
 }
 
-/// Check (and with `repair`, tail-repair) a **single catalogued graph** —
-/// the library entry point the serving layer's repair supervisor drives.
-/// Identical validation to [`fsck`], scoped to `name`; errors with
-/// [`graphstore::Error::InvalidArgument`] when `name` is not in the
-/// catalog.
-pub fn fsck_graph(dir: &Path, name: &str, repair: bool) -> Result<FsckReport> {
-    fsck_graph_with(dir, name, repair, StdVfs::arc())
-}
-
-/// [`fsck_graph`] through an explicit filesystem seam.
+/// Check (and with `repair`, tail-repair) a **single catalogued graph**
+/// through the filesystem seam `vfs` — the library entry point the serving
+/// layer's repair supervisor drives. Identical validation to [`fsck`],
+/// scoped to `name`; errors with [`graphstore::Error::InvalidArgument`]
+/// when `name` is not in the catalog.
 pub fn fsck_graph_with(
     dir: &Path,
     name: &str,
@@ -620,14 +615,15 @@ mod tests {
 
         // The healthy graph reports clean; the damaged one is found and
         // repaired without touching anything else.
-        assert!(fsck_graph(&data, "h", false).unwrap().clean());
-        let report = fsck_graph(&data, "g", false).unwrap();
+        let fsck_one = |name, repair| fsck_graph_with(&data, name, repair, StdVfs::arc());
+        assert!(fsck_one("h", false).unwrap().clean());
+        let report = fsck_one("g", false).unwrap();
         assert_eq!(report.graphs_checked, 1);
         assert_eq!(report.unrepaired(), 1, "{:?}", report.findings);
-        let report = fsck_graph(&data, "g", true).unwrap();
+        let report = fsck_one("g", true).unwrap();
         assert_eq!(report.unrepaired(), 0, "{:?}", report.findings);
         assert!(fsck(&data, false).unwrap().clean());
-        assert!(fsck_graph(&data, "nope", false).is_err());
+        assert!(fsck_one("nope", false).is_err());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod server;
 #[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod fsck;
 
-pub use fsck::{fsck, fsck_graph, fsck_graph_with, FsckFinding, FsckReport};
+pub use fsck::{fsck, fsck_graph_with, FsckFinding, FsckReport};
 pub use server::{Server, ServerOptions};
 pub use service::{
     start_self_heal, CoreService, DurableOptions, HealthReport, HealthStatus, SelfHealHandle,
@@ -69,12 +69,12 @@ pub use service::{
 use std::path::Path;
 
 use graphstore::{
-    AdjacencyRead, BufferedGraph, DiskGraph, IoCounter, IoSnapshot, MemGraph, Result, SharedPool,
+    AdjacencyRead, BufferedGraph, DiskGraph, IoCounter, IoSnapshot, MemGraph, Result,
     DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_CAPACITY,
 };
 use semicore::{
-    semicore_star_state, semicore_star_state_with, CoreState, DecomposeOptions, MaintainOp,
-    MaintainStats, MaintenanceEngine, RunStats, ScanExecutor,
+    semicore_star_state_with, CoreState, DecomposeOptions, MaintainOp, MaintainStats,
+    MaintenanceEngine, RunStats, ScanExecutor,
 };
 
 /// A disk-resident dynamic graph with continuously maintained core numbers.
@@ -93,41 +93,24 @@ pub struct CoreIndex {
 
 impl CoreIndex {
     /// Build a graph from `edges` (undirected; self-loops and duplicates
-    /// dropped) at `<base>.nodes/.edges`, then decompose it.
+    /// dropped) at `<base>.nodes/.edges`, then decompose it uncached.
     pub fn create(
         base: &Path,
         edges: impl IntoIterator<Item = (u32, u32)>,
         min_nodes: u32,
     ) -> Result<CoreIndex> {
-        Self::create_with_cache(base, edges, min_nodes, 0)
-    }
-
-    /// Like [`CoreIndex::create`], but serve disk blocks through a cache of
-    /// `cache_bytes` (the external-memory model's `M`). Zero keeps the
-    /// uncached O(1)-buffer behaviour.
-    pub fn create_with_cache(
-        base: &Path,
-        edges: impl IntoIterator<Item = (u32, u32)>,
-        min_nodes: u32,
-        cache_bytes: u64,
-    ) -> Result<CoreIndex> {
         let mem = MemGraph::from_edges(edges, min_nodes);
-        let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
-        graphstore::write_mem_graph(base, &mem, counter.clone())?;
-        let disk = graphstore::DiskGraph::open_with_cache(base, counter, cache_bytes)?;
-        Self::from_disk(BufferedGraph::with_default_capacity(disk))
-    }
-
-    /// Open an existing on-disk graph and decompose it.
-    pub fn open(base: &Path) -> Result<CoreIndex> {
+        graphstore::write_mem_graph(base, &mem, IoCounter::new(DEFAULT_BLOCK_SIZE))?;
         Self::open_with_cache(base, 0)
     }
 
-    /// Like [`CoreIndex::open`], with a block-cache budget of `cache_bytes`.
+    /// Open an existing on-disk graph with a block-cache budget of
+    /// `cache_bytes` (the external-memory model's `M`; zero keeps the
+    /// uncached one-frame reader) and decompose it sequentially.
     pub fn open_with_cache(base: &Path, cache_bytes: u64) -> Result<CoreIndex> {
         let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
-        let disk = graphstore::DiskGraph::open_with_cache(base, counter, cache_bytes)?;
-        Self::from_disk(BufferedGraph::new(disk, DEFAULT_BUFFER_CAPACITY))
+        let disk = DiskGraph::open_with_cache(base, counter, cache_bytes)?;
+        Self::from_disk_graph(disk, DEFAULT_BUFFER_CAPACITY, ScanExecutor::Sequential)
     }
 
     /// Hit/miss statistics of the disk block cache (`None` when opened
@@ -136,26 +119,10 @@ impl CoreIndex {
         self.graph.disk().cache_stats()
     }
 
-    /// Open a graph against a process-wide [`SharedPool`] and decompose it
-    /// with the given executor: bytes come from the pool's shared budget,
-    /// while charged `read_ios` follows a private charge cache of
-    /// `charge_bytes` (the graph's own model budget `M`) so the charge is
-    /// bit-identical however many other graphs contend for the pool. This
-    /// is the constructor [`CoreService`] serves graphs through.
-    pub fn open_pooled(
-        base: &Path,
-        pool: &SharedPool,
-        charge_bytes: u64,
-        exec: ScanExecutor,
-    ) -> Result<CoreIndex> {
-        let counter = IoCounter::new(pool.block_size());
-        let disk = DiskGraph::open_pooled(base, counter, pool, charge_bytes)?;
-        Self::from_disk_graph(disk, DEFAULT_BUFFER_CAPACITY, exec)
-    }
-
     /// Decompose `disk` with the given executor (the disk graph is still
     /// shardable at this point, so parallel executors fan out), then wrap
     /// it with an update buffer of `capacity` edit entries for maintenance.
+    /// Every decomposing constructor ends here, [`CoreService`]'s included.
     pub fn from_disk_graph(
         mut disk: DiskGraph,
         capacity: usize,
@@ -163,27 +130,7 @@ impl CoreIndex {
     ) -> Result<CoreIndex> {
         let (state, decompose_stats) =
             semicore_star_state_with(&mut disk, &DecomposeOptions::default(), exec)?;
-        let graph = BufferedGraph::new(disk, capacity);
-        let n = graph.num_nodes();
-        Ok(CoreIndex {
-            graph,
-            state,
-            engine: MaintenanceEngine::new(n),
-            decompose_stats,
-        })
-    }
-
-    /// Wrap an already-buffered graph and decompose it.
-    pub fn from_disk(mut graph: BufferedGraph) -> Result<CoreIndex> {
-        let (state, decompose_stats) =
-            semicore_star_state(&mut graph, &DecomposeOptions::default())?;
-        let n = graph.num_nodes();
-        Ok(CoreIndex {
-            graph,
-            state,
-            engine: MaintenanceEngine::new(n),
-            decompose_stats,
-        })
+        Ok(Self::assemble(disk, capacity, state, decompose_stats))
     }
 
     /// Adopt `disk` with an already-maintained `state` — **no**
@@ -206,14 +153,28 @@ impl CoreIndex {
                 ),
             });
         }
-        let graph = BufferedGraph::new(disk, capacity);
-        let n = graph.num_nodes();
-        Ok(CoreIndex {
-            graph,
+        Ok(Self::assemble(
+            disk,
+            capacity,
             state,
-            engine: MaintenanceEngine::new(n),
-            decompose_stats: RunStats::new("Restored"),
-        })
+            RunStats::new("Restored"),
+        ))
+    }
+
+    /// The one place an index is put together.
+    fn assemble(
+        disk: DiskGraph,
+        capacity: usize,
+        state: CoreState,
+        decompose_stats: RunStats,
+    ) -> CoreIndex {
+        let engine = MaintenanceEngine::new(disk.num_nodes());
+        CoreIndex {
+            graph: BufferedGraph::new(disk, capacity),
+            state,
+            engine,
+            decompose_stats,
+        }
     }
 
     /// Number of nodes.
@@ -348,7 +309,7 @@ mod tests {
         {
             CoreIndex::create(&base, [(0u32, 1u32), (1, 2), (0, 2)], 3).unwrap();
         }
-        let idx = CoreIndex::open(&base).unwrap();
+        let idx = CoreIndex::open_with_cache(&base, 0).unwrap();
         assert_eq!(idx.cores(), &[2, 2, 2]);
     }
 }

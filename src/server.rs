@@ -84,7 +84,6 @@ pub struct Server {
     addr: SocketAddr,
     svc: Arc<CoreService>,
     shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
     accept: Option<std::thread::JoinHandle<()>>,
     conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
@@ -96,12 +95,11 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
         let conns = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let svc = Arc::clone(&svc);
             let shutdown = Arc::clone(&shutdown);
-            let active = Arc::clone(&active);
+            let active = Arc::new(AtomicUsize::new(0));
             let conns = Arc::clone(&conns);
             std::thread::spawn(move || accept_loop(listener, svc, opts, shutdown, active, conns))
         };
@@ -109,7 +107,6 @@ impl Server {
             addr,
             svc,
             shutdown,
-            active,
             accept: Some(accept),
             conns,
         })
@@ -118,11 +115,6 @@ impl Server {
     /// The bound address (with the real port when `:0` was requested).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
     }
 
     /// Graceful drain: stop accepting, let every in-flight command finish

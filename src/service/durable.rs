@@ -46,13 +46,15 @@ pub(super) struct Durable {
     /// Gather window every graph's journal is wrapped with.
     gather: GroupCommitOptions,
     /// The catalog manifest's entries as last committed (with a fresher,
-    /// advisory `checkpoint_seq`). [`Durable::write_catalog`] writes
-    /// exactly this map.
+    /// advisory `checkpoint_seq`). Only [`Durable::commit`] changes its
+    /// shape, and only after the manifest holding the change is written.
     entries: Mutex<HashMap<String, CatalogEntry>>,
 }
 
 impl Durable {
-    pub(super) fn new(dir: &Path, opts: DurableOptions) -> Durable {
+    /// Durability state over `dir`, whose manifest currently lists
+    /// `committed`.
+    pub(super) fn new(dir: &Path, opts: DurableOptions, committed: Vec<CatalogEntry>) -> Durable {
         Durable {
             dir: dir.to_path_buf(),
             checkpoint_every: opts.checkpoint_every.max(1),
@@ -60,7 +62,7 @@ impl Durable {
             gather: opts.group_commit.unwrap_or(GroupCommitOptions {
                 max_delay: Duration::ZERO,
             }),
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(committed.into_iter().map(|e| (e.name.clone(), e)).collect()),
         }
     }
 
@@ -76,15 +78,25 @@ impl Durable {
             .ok_or_else(|| not_serving(name))
     }
 
-    /// Write the current catalog manifest (atomic replace). Caller must
-    /// have already updated the entry map. The entries lock is held across
-    /// the write: snapshot-then-write-unlocked would let two racing
-    /// registry changes rename their manifests in either order, and the
-    /// stale one could land last — durably resurrecting an evicted graph
-    /// whose sidecars are already gone.
-    pub(super) fn write_catalog(&self, pool: &SharedPool, vfs: &dyn Vfs) -> Result<()> {
-        let guard = lock_meta(&self.entries);
-        let mut entries: Vec<CatalogEntry> = guard.values().cloned().collect();
+    /// THE manifest rule — stage → write → publish, under one hold of the
+    /// entries lock: clone the committed map, apply `edit` to the clone,
+    /// write the clone as the catalog manifest (atomic replace), and
+    /// install it only once the write succeeded. A change is therefore
+    /// never visible — to a query, or to a racing commit that would write
+    /// it out — before its own manifest is durable, and a failed write
+    /// leaves the map exactly as last committed, with nothing to roll
+    /// back. Holding the lock across the write also orders the renames, so
+    /// a stale manifest can never land last.
+    pub(super) fn commit(
+        &self,
+        pool: &SharedPool,
+        vfs: &dyn Vfs,
+        edit: impl FnOnce(&mut HashMap<String, CatalogEntry>),
+    ) -> Result<()> {
+        let mut committed = lock_meta(&self.entries);
+        let mut staged = committed.clone();
+        edit(&mut staged);
+        let mut entries: Vec<CatalogEntry> = staged.values().cloned().collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         Catalog {
             block_size: pool.block_size(),
@@ -92,8 +104,20 @@ impl Durable {
             policy: pool.policy(),
             entries,
         }
-        .write_with(&self.dir, vfs)
-        // `guard` drops here, after the manifest is durably in place.
+        .write_with(&self.dir, vfs)?;
+        *committed = staged;
+        Ok(())
+    }
+
+    /// Refresh `name`'s in-memory `checkpoint_seq` without writing the
+    /// manifest — the one change to the map outside [`Durable::commit`].
+    /// The value is advisory (recovery trusts the checkpoint file's own
+    /// sequence number), so the next commit carries it and three fsyncs
+    /// per checkpoint on the hot apply path would buy nothing.
+    fn note_checkpoint(&self, name: &str, seq: u64) {
+        if let Some(e) = lock_meta(&self.entries).get_mut(name) {
+            e.checkpoint_seq = seq;
+        }
     }
 }
 
@@ -389,14 +413,7 @@ impl CoreService {
             journal.truncate_satisfy()?;
         }
         served.ck_seq = served.seq;
-        // Refresh the in-memory entry so the *next* registry-shape rewrite
-        // carries a current value, but do not rewrite the manifest here:
-        // `checkpoint_seq` is advisory (the checkpoint file's own sequence
-        // number is what recovery trusts), and three fsyncs per checkpoint
-        // on the hot apply path would buy nothing.
-        if let Some(e) = lock_meta(&d.entries).get_mut(name) {
-            e.checkpoint_seq = served.seq;
-        }
+        d.note_checkpoint(name, served.seq);
         Ok(())
     }
 
@@ -502,22 +519,14 @@ impl CoreService {
             &state.cnt,
             &[],
         )?;
-        if let Some(e) = lock_meta(&d.entries).get_mut(name) {
-            e.generation = new_gen;
-            e.checkpoint_seq = served.seq;
-            e.format = FormatVersion::V3;
-        }
-        if let Err(e) = d.write_catalog(&self.pool, self.vfs.as_ref()) {
-            // Both generations' files exist on disk, so whichever
-            // manifest actually survived is self-consistent; the
-            // in-memory entry just must match what a re-open would pick
-            // if the old manifest won.
-            if let Some(en) = lock_meta(&d.entries).get_mut(name) {
-                en.generation = old.generation;
-                en.format = old.format;
+        let seq = served.seq;
+        d.commit(&self.pool, self.vfs.as_ref(), |entries| {
+            if let Some(e) = entries.get_mut(name) {
+                e.generation = new_gen;
+                e.checkpoint_seq = seq;
+                e.format = FormatVersion::V3;
             }
-            return Err(e);
-        }
+        })?;
         // The catalog rename landed: failures past this point leave the
         // artefacts between states, which the caller's classification
         // treats as seal-worthy whatever the error kind.
@@ -548,9 +557,11 @@ impl CoreService {
     }
 
     /// Make a freshly opened graph durable, with its lock held: seq-0
-    /// checkpoint, empty journal, catalog entry, manifest rewrite. On
-    /// failure every durable trace is rolled back — a graph the catalog
-    /// will not restore must not be served.
+    /// checkpoint, empty journal, then the manifest commit that catalogues
+    /// it. On failure nothing was committed, so the caller only has to
+    /// stop serving it; a leftover checkpoint or journal is uncatalogued
+    /// (recovery never reads it) and the next publish of the name replaces
+    /// both.
     pub(super) fn publish_locked(
         &self,
         d: &Durable,
@@ -558,37 +569,35 @@ impl CoreService {
         served: &mut Served,
     ) -> Result<()> {
         let name = entry.name.clone();
-        let publish = (|| -> Result<()> {
-            // The seq-0 checkpoint: same writer as every later one
-            // (`served.wal` is still None, so no journal to truncate,
-            // and the entry map has nothing to refresh yet).
-            self.checkpoint_locked(d, &name, served)?;
-            let counter = served.index.graph_mut().disk().counter().clone();
-            served.wal = Some(d.journal(Wal::create(&wal_path(&d.dir, &name), counter)?)?);
-            lock_meta(&d.entries).insert(name.clone(), entry);
-            d.write_catalog(&self.pool, self.vfs.as_ref())
-        })();
-        if publish.is_err() {
-            lock_meta(&d.entries).remove(&name);
-            let _ = self.vfs.remove_file(&ckpt_path(&d.dir, &name, 0));
-            let _ = self.vfs.remove_file(&wal_path(&d.dir, &name));
-        }
-        publish
+        // The seq-0 checkpoint: same writer as every later one
+        // (`served.wal` is still None, so no journal to truncate, and the
+        // entry map has nothing to refresh yet).
+        self.checkpoint_locked(d, &name, served)?;
+        let counter = served.index.graph_mut().disk().counter().clone();
+        served.wal = Some(d.journal(Wal::create(&wal_path(&d.dir, &name), counter)?)?);
+        d.commit(&self.pool, self.vfs.as_ref(), |entries| {
+            entries.insert(name, entry);
+        })
     }
 
-    /// Drop an evicted graph from the catalog and remove its sidecars
-    /// (the user's registered base tables are untouched).
+    /// Evict `name` from a durable service: commit a manifest without it,
+    /// **then** drop its registry slot and remove its sidecars (the user's
+    /// registered base tables are untouched). A failed commit leaves the
+    /// graph served and catalogued, exactly as before the call.
     pub(super) fn retire(&self, d: &Durable, name: &str) -> Result<()> {
-        let entry = lock_meta(&d.entries).remove(name);
-        d.write_catalog(&self.pool, self.vfs.as_ref())?;
-        // Sidecars of an uncatalogued graph are dead weight; failures
-        // here are harmless (recovery never reads uncatalogued files).
-        let _ = self.vfs.remove_file(&wal_path(&d.dir, name));
-        match entry {
-            Some(e) => self.remove_generation_files(d, &e),
-            None => {
-                let _ = self.vfs.remove_file(&ckpt_path(&d.dir, name, 0));
-            }
+        let mut removed = None;
+        d.commit(&self.pool, self.vfs.as_ref(), |entries| {
+            removed = entries.remove(name);
+        })?;
+        self.registry()
+            .remove(name)
+            .ok_or_else(|| not_serving(name))?;
+        // Sidecars of an uncatalogued graph are dead weight; failures here
+        // are harmless (recovery never reads uncatalogued files). With no
+        // entry, a publish of this graph is still in flight and owns them.
+        if let Some(e) = removed {
+            let _ = self.vfs.remove_file(&wal_path(&d.dir, name));
+            self.remove_generation_files(d, &e);
         }
         Ok(())
     }
@@ -602,7 +611,7 @@ impl CoreService {
             });
         }
         let served = self.rebuild_served(d, entry)?;
-        let checkpoint_seq = served.ck_seq;
+        d.note_checkpoint(&entry.name, served.ck_seq);
         self.registry().insert(
             entry.name.clone(),
             Slot::new(
@@ -611,13 +620,6 @@ impl CoreService {
                 entry.charge_bytes,
                 &entry.base,
             ),
-        );
-        lock_meta(&d.entries).insert(
-            entry.name.clone(),
-            CatalogEntry {
-                checkpoint_seq,
-                ..entry.clone()
-            },
         );
         Ok(())
     }

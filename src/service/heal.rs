@@ -24,7 +24,7 @@ pub const DEFAULT_SCRUB_RATE: u64 = 8 << 20;
 impl CoreService {
     /// Attempt an **online repair** of a quarantined graph: drop its live
     /// index, run the single-graph fsck tail-repair over its durable
-    /// artefacts ([`crate::fsck::fsck_graph`]), rebuild it through the
+    /// artefacts ([`crate::fsck::fsck_graph_with`]), rebuild it through the
     /// same recovery path a restart uses, and gate re-admission on the
     /// Theorem 4.1 fixpoint certificate. On success the graph returns to
     /// [`HealthStatus::Healthy`] with its repair counters (and any sticky
@@ -110,7 +110,7 @@ impl CoreService {
     /// compactions, and a checkpoint replace is an atomic rename), then
     /// the journal scan and generation-debris sweep run under the graph's
     /// lock (a live append mid-scan would read as a torn tail). Physical
-    /// reads are paced by a token bucket at `bytes_per_sec`
+    /// reads are paced by a token bucket at [`DEFAULT_SCRUB_RATE`]
     /// ([`graphstore::ThrottledVfs`]); the scrub runs on a scratch I/O
     /// counter, so the graph's own charged `read_ios` stays bit-identical
     /// with and without scrubbing.
@@ -120,15 +120,11 @@ impl CoreService {
     /// compaction swaps the table generation mid-scrub, the stale
     /// findings are discarded and an empty report returned; the next pass
     /// rechecks the new generation. Errors on a non-durable service.
-    pub fn scrub_with_rate(&self, name: &str, bytes_per_sec: u64) -> Result<FsckReport> {
+    pub fn scrub(&self, name: &str) -> Result<FsckReport> {
         let d = self.durable("nothing to scrub")?;
         let (handle, health) = self.slot_parts(name)?;
         let entry = d.entry(name)?;
-        let vfs: Arc<dyn Vfs> = if bytes_per_sec == u64::MAX {
-            Arc::clone(&self.vfs)
-        } else {
-            ThrottledVfs::new(Arc::clone(&self.vfs), bytes_per_sec)
-        };
+        let vfs: Arc<dyn Vfs> = ThrottledVfs::new(Arc::clone(&self.vfs), DEFAULT_SCRUB_RATE);
         let block_size = self.pool.block_size();
         let fresh = || FsckReport {
             graphs_checked: 1,
@@ -159,11 +155,6 @@ impl CoreService {
             ));
         }
         Ok(report)
-    }
-
-    /// [`CoreService::scrub_with_rate`] at [`DEFAULT_SCRUB_RATE`].
-    pub fn scrub(&self, name: &str) -> Result<FsckReport> {
-        self.scrub_with_rate(name, DEFAULT_SCRUB_RATE)
     }
 
     /// Probe a read-only graph for recovery by attempting a real
@@ -211,9 +202,6 @@ pub struct SelfHealOptions {
     /// Base delay of the exponential backoff between repair attempts:
     /// attempt `n` waits `backoff_base * 2^n`.
     pub backoff_base: Duration,
-    /// Scrubber read-rate ceiling in bytes per second
-    /// ([`CoreService::scrub_with_rate`]).
-    pub scrub_rate: u64,
     /// How often the supervisor wakes up to look at graph health.
     pub poll_interval: Duration,
 }
@@ -224,7 +212,6 @@ impl Default for SelfHealOptions {
             scrub_interval: None,
             repair_retries: 3,
             backoff_base: Duration::from_millis(50),
-            scrub_rate: DEFAULT_SCRUB_RATE,
             poll_interval: Duration::from_millis(50),
         }
     }
@@ -268,7 +255,7 @@ impl Drop for SelfHealHandle {
 ///   ([`CoreService::probe_read_only`]) and promotes it back to
 ///   read-write when a checkpoint succeeds;
 /// * scrubs each healthy graph's durable artefacts on `scrub_interval`
-///   ([`CoreService::scrub_with_rate`]), routing findings into the
+///   ([`CoreService::scrub`]), routing findings into the
 ///   quarantine → repair pipeline.
 ///
 /// The returned handle owns the worker; drop it to stop.
@@ -321,7 +308,7 @@ fn heal_tick(svc: &CoreService, opts: &SelfHealOptions, last_scrub: &mut HashMap
                         .is_none_or(|t| t.elapsed() >= interval);
                     if due {
                         last_scrub.insert(name.clone(), Instant::now());
-                        let _ = svc.scrub_with_rate(&name, opts.scrub_rate);
+                        let _ = svc.scrub(&name);
                     }
                 }
             }

@@ -3,8 +3,9 @@
 //!
 //! The paper prices everything against a single memory budget `M`;
 //! [`CoreService`] makes that budget a *process-wide* resource. It owns one
-//! [`SharedPool`] and a registry of named graphs, each opened through
-//! [`CoreIndex::open_pooled`]: the pool arbitrates the global byte budget
+//! [`SharedPool`] and a registry of named graphs, each opened against it
+//! with [`DiskGraph::open_pooled`] and decomposed by
+//! [`CoreIndex::from_disk_graph`]: the pool arbitrates the global byte budget
 //! across whichever graphs are busy, while every graph keeps a private
 //! deterministic charge cache so its charged `read_ios` is bit-identical
 //! whether it is served alone or alongside `K` contending graphs — only
@@ -409,8 +410,8 @@ impl CoreService {
             )));
         }
         let pool = SharedPool::with_policy(block_size, budget_bytes, policy)?;
-        let durable = Durable::new(dir, opts);
-        durable.write_catalog(&pool, vfs.as_ref())?;
+        let durable = Durable::new(dir, opts, Vec::new());
+        durable.commit(&pool, vfs.as_ref(), |_| {})?;
         Ok(Self::assemble(pool, exec, Some(durable), vfs))
     }
 
@@ -447,7 +448,8 @@ impl CoreService {
         let catalog = Catalog::read_with(dir, vfs.as_ref())?;
         let pool =
             SharedPool::with_policy(catalog.block_size, catalog.budget_bytes, catalog.policy)?;
-        let svc = Self::assemble(pool, exec, Some(Durable::new(dir, opts)), vfs);
+        let durable = Durable::new(dir, opts, catalog.entries.clone());
+        let svc = Self::assemble(pool, exec, Some(durable), vfs);
         for entry in &catalog.entries {
             svc.recover_entry(entry)?;
         }
@@ -642,16 +644,20 @@ impl CoreService {
     /// (and re-decomposed) later.
     ///
     /// Eviction deliberately **bypasses quarantine**: removing a poisoned
-    /// or corrupted graph is how an operator clears it for re-open.
+    /// or corrupted graph is how an operator clears it for re-open. On a
+    /// durable service the manifest commit comes first: if it fails, the
+    /// graph stays served and catalogued.
     pub fn evict(&self, name: &str) -> Result<()> {
+        if let Some(d) = &self.durable {
+            if !self.contains(name) {
+                return Err(not_serving(name));
+            }
+            return self.retire(d, name);
+        }
         self.registry()
             .remove(name)
             .map(|_| ())
-            .ok_or_else(|| not_serving(name))?;
-        match &self.durable {
-            Some(d) => self.retire(d, name),
-            None => Ok(()),
-        }
+            .ok_or_else(|| not_serving(name))
     }
 
     /// Run `f` against the named graph's [`CoreIndex`], holding that
@@ -1160,6 +1166,49 @@ mod tests {
         drop(svc);
         let svc = CoreService::open_catalog(&data).unwrap();
         assert_eq!(svc.graph_names(), vec!["kept".to_string()]);
+    }
+
+    #[test]
+    fn failed_evict_commit_keeps_the_graph_served_and_catalogued() {
+        let dir = TempDir::new("svc-durable").unwrap();
+        let data = dir.path().join("data");
+        let fault = graphstore::FaultVfs::new(graphstore::FaultPlan::default());
+        let svc = CoreService::create_durable_with_vfs(
+            &data,
+            DEFAULT_BLOCK_SIZE,
+            1 << 20,
+            EvictionPolicy::ScanLifo,
+            ScanExecutor::Sequential,
+            DurableOptions::default(),
+            Arc::clone(&fault) as Arc<dyn Vfs>,
+        )
+        .unwrap();
+        for name in ["g", "h"] {
+            svc.create(name, &dir.path().join(name), triangle_plus_tail(), 4)
+                .unwrap();
+        }
+        // Count pass: an evict writes one manifest (its fsync, the rename,
+        // the directory fsync) and syncs nothing else, so the manifest's
+        // fsync is the first one after re-arming.
+        fault.set_plan(graphstore::FaultPlan::default());
+        svc.evict("h").unwrap();
+        assert_eq!(fault.sync_events(), 3);
+
+        fault.set_plan(graphstore::FaultPlan {
+            fail_fsync: Some(1),
+            ..graphstore::FaultPlan::default()
+        });
+        assert!(svc.evict("g").is_err());
+        fault.set_plan(graphstore::FaultPlan::default());
+        assert!(svc.contains("g"), "a failed evict must keep serving");
+        assert!(svc.verify("g").unwrap());
+        // The next commit still catalogues `g`.
+        svc.create("k", &dir.path().join("k"), triangle_plus_tail(), 4)
+            .unwrap();
+        drop(svc);
+        let svc = CoreService::open_catalog(&data).unwrap();
+        assert_eq!(svc.graph_names(), vec!["g".to_string(), "k".to_string()]);
+        assert!(svc.verify("g").unwrap());
     }
 
     #[test]

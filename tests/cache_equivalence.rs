@@ -4,9 +4,10 @@
 //! scalability the cache exists for (fewer physical reads as `M` grows).
 
 use graphstore::{
-    mem_to_disk, AdjacencyRead, BufferedGraph, DiskGraph, DynGraph, IoCounter, MemGraph, TempDir,
-    DEFAULT_BLOCK_SIZE,
+    mem_to_disk, AdjacencyRead, BufferedGraph, DiskGraph, DynGraph, ExternalGraphBuilder,
+    FormatVersion, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_CAPACITY,
 };
+use kcore_suite::CoreIndex;
 use proptest::prelude::*;
 use semicore::DecomposeOptions;
 
@@ -233,7 +234,7 @@ fn graph_handles_are_send() {
     assert_send::<BufferedGraph>();
     assert_send::<MemGraph>();
     assert_send::<DynGraph>();
-    assert_send::<kcore_suite::CoreIndex>();
+    assert_send::<CoreIndex>();
     assert_send::<graphstore::IoCounter>();
 }
 
@@ -243,19 +244,65 @@ fn core_index_cache_plumbing() {
     let dir = TempDir::new("cacheidx").unwrap();
     let base = dir.path().join("g");
     let edges: Vec<(u32, u32)> = (0..400u32).map(|i| (i, (i + 1) % 400)).collect();
-    {
-        let idx =
-            kcore_suite::CoreIndex::create_with_cache(&base, edges.clone(), 400, 1 << 20).unwrap();
-        let stats = idx.cache_stats().expect("cache attached");
-        assert!(
-            stats.hits + stats.misses > 0,
-            "decomposition went through the cache"
-        );
-        assert!(idx.cores().iter().all(|&c| c == 2), "cycle is a 2-core");
-    }
-    let idx = kcore_suite::CoreIndex::open_with_cache(&base, 1 << 20).unwrap();
-    assert!(idx.cache_stats().is_some());
-    let plain = kcore_suite::CoreIndex::open(&base).unwrap();
+    let created = CoreIndex::create(&base, edges, 400).unwrap();
+    assert!(created.cores().iter().all(|&c| c == 2), "cycle is a 2-core");
+    let idx = CoreIndex::open_with_cache(&base, 1 << 20).unwrap();
+    let stats = idx.cache_stats().expect("cache attached");
+    assert!(
+        stats.hits + stats.misses > 0,
+        "decomposition went through the cache"
+    );
+    let plain = CoreIndex::open_with_cache(&base, 0).unwrap();
     assert!(plain.cache_stats().is_none());
     assert_eq!(idx.cores(), plain.cores());
+    assert_eq!(created.cores(), plain.cores());
+}
+
+/// `CoreIndex` decomposes the bare [`DiskGraph`]; a [`BufferedGraph`]
+/// wrapped around the same tables must converge to the same state through
+/// the same passes and charge exactly the same I/O — for v1 and v3 tables,
+/// uncached, at a quarter of the tables and at the whole graph.
+#[test]
+fn core_index_decomposition_charges_like_a_buffered_scan() {
+    let dir = TempDir::new("cacheidx").unwrap();
+    for (name, g) in testutil::fixtures() {
+        for format in [FormatVersion::V1, FormatVersion::V3] {
+            let base = dir.path().join(format!("{name}-{format:?}"));
+            let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
+            let disk = if format == FormatVersion::V1 {
+                mem_to_disk(&base, &g, counter).unwrap()
+            } else {
+                let mut builder = ExternalGraphBuilder::new(1 << 16).unwrap();
+                for (u, v) in g.edges() {
+                    builder.add_edge(u, v).unwrap();
+                }
+                builder.finish(&base, g.num_nodes(), counter).unwrap()
+            };
+            assert_eq!(disk.format_version(), format);
+            let tables = disk.meta().node_file_len() + disk.meta().edge_file_len();
+            drop(disk);
+            let whole = graphstore::working_set_charge_budget(&base, DEFAULT_BLOCK_SIZE).unwrap();
+            for budget in [0, tables / 4, whole] {
+                let at = format!("{name} {format:?} M = {budget}");
+                let idx = CoreIndex::open_with_cache(&base, budget).unwrap();
+                let disk =
+                    DiskGraph::open_with_cache(&base, IoCounter::new(DEFAULT_BLOCK_SIZE), budget)
+                        .unwrap();
+                let mut buffered = BufferedGraph::new(disk, DEFAULT_BUFFER_CAPACITY);
+                let (state, stats) =
+                    semicore::semicore_star_state(&mut buffered, &DecomposeOptions::default())
+                        .unwrap();
+                assert_eq!(idx.cores(), state.core.as_slice(), "{at}: cores");
+                assert_eq!(idx.maintained_state().cnt, state.cnt, "{at}: cnt");
+                let ran = idx.decompose_stats();
+                assert_eq!(ran.iterations, stats.iterations, "{at}: iterations");
+                assert_eq!(
+                    ran.node_computations, stats.node_computations,
+                    "{at}: node computations"
+                );
+                assert_eq!(ran.io, stats.io, "{at}: decomposition I/O");
+                assert_eq!(idx.io(), buffered.io(), "{at}: cumulative I/O");
+            }
+        }
+    }
 }
