@@ -47,16 +47,21 @@ impl Default for EmCoreOptions {
 /// Run EMCore (Algorithm 2) over any graph access.
 ///
 /// The source graph is first divided into partitions on disk (line 1);
-/// all subsequent I/O happens against the partition store.
+/// all subsequent I/O happens against the partition store. Both are
+/// charged in the source's block size `B`, and the reported I/O is their
+/// sum.
 pub fn emcore(g: &mut impl AdjacencyRead, opts: &EmCoreOptions) -> Result<Decomposition> {
     let start = Instant::now();
     let mut stats = RunStats::new("EMCore");
     let n = g.num_nodes();
+    let source_start = g.io();
 
-    // Line 1: partition the graph on disk. Partition I/O (including this
-    // initial write) is charged to the store's own counter.
-    let counter = graphstore::IoCounter::new(graphstore::DEFAULT_BLOCK_SIZE);
-    let mut store = PartitionStore::build(g, opts.partition_bytes.max(4096), counter.clone())?;
+    // Line 1: partition the graph on disk, at least one block a partition.
+    // The scan is charged to the source's counter; partition I/O
+    // (including this initial write) to the store's own.
+    let block = g.block_size();
+    let counter = graphstore::IoCounter::new(block);
+    let mut store = PartitionStore::build(g, opts.partition_bytes.max(block as u64), counter)?;
     let parts = store.len();
 
     // Lines 2-3: ub(v) <- deg(v).
@@ -201,7 +206,7 @@ pub fn emcore(g: &mut impl AdjacencyRead, opts: &EmCoreOptions) -> Result<Decomp
         ku = kl - 1;
     }
 
-    stats.io = store.io();
+    stats.io = store.io().plus(&g.io().since(&source_start));
     stats.peak_memory_bytes = peak_mem;
     stats.wall_time = start.elapsed();
     Ok(Decomposition { core, stats })

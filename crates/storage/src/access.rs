@@ -43,6 +43,12 @@ pub trait AdjacencyRead {
 
     /// Snapshot of I/O performed so far through this handle.
     fn io(&self) -> IoSnapshot;
+
+    /// The block size `B` this handle's I/O is charged in; a backend that
+    /// charges nothing reports the default.
+    fn block_size(&self) -> usize {
+        crate::io::DEFAULT_BLOCK_SIZE
+    }
 }
 
 impl AdjacencyRead for crate::graph::DiskGraph {
@@ -69,6 +75,10 @@ impl AdjacencyRead for crate::graph::DiskGraph {
     fn io(&self) -> IoSnapshot {
         crate::graph::DiskGraph::io(self)
     }
+
+    fn block_size(&self) -> usize {
+        self.counter().block_size()
+    }
 }
 
 impl AdjacencyRead for MemGraph {
@@ -85,24 +95,14 @@ impl AdjacencyRead for MemGraph {
     }
 
     fn adjacency(&mut self, v: u32, buf: &mut Vec<u32>) -> Result<()> {
-        if v >= MemGraph::num_nodes(self) {
-            return Err(crate::error::Error::NodeOutOfRange {
-                node: v,
-                num_nodes: MemGraph::num_nodes(self),
-            });
-        }
-        buf.clear();
-        buf.extend_from_slice(self.neighbors(v));
-        Ok(())
+        self.with_adjacency(v, |nbrs| {
+            buf.clear();
+            buf.extend_from_slice(nbrs)
+        })
     }
 
     fn with_adjacency<R>(&mut self, v: u32, f: impl FnOnce(&[u32]) -> R) -> Result<R> {
-        if v >= MemGraph::num_nodes(self) {
-            return Err(crate::error::Error::NodeOutOfRange {
-                node: v,
-                num_nodes: MemGraph::num_nodes(self),
-            });
-        }
+        crate::error::Error::check_node(v, MemGraph::num_nodes(self))?;
         Ok(f(self.neighbors(v)))
     }
 
@@ -127,24 +127,14 @@ impl AdjacencyRead for crate::memgraph::DynGraph {
     }
 
     fn adjacency(&mut self, v: u32, buf: &mut Vec<u32>) -> Result<()> {
-        if v >= crate::memgraph::DynGraph::num_nodes(self) {
-            return Err(crate::error::Error::NodeOutOfRange {
-                node: v,
-                num_nodes: crate::memgraph::DynGraph::num_nodes(self),
-            });
-        }
-        buf.clear();
-        buf.extend_from_slice(self.neighbors(v));
-        Ok(())
+        self.with_adjacency(v, |nbrs| {
+            buf.clear();
+            buf.extend_from_slice(nbrs)
+        })
     }
 
     fn with_adjacency<R>(&mut self, v: u32, f: impl FnOnce(&[u32]) -> R) -> Result<R> {
-        if v >= crate::memgraph::DynGraph::num_nodes(self) {
-            return Err(crate::error::Error::NodeOutOfRange {
-                node: v,
-                num_nodes: crate::memgraph::DynGraph::num_nodes(self),
-            });
-        }
+        crate::error::Error::check_node(v, crate::memgraph::DynGraph::num_nodes(self))?;
         Ok(f(self.neighbors(v)))
     }
 
@@ -303,6 +293,10 @@ impl<G: AdjacencyRead> AdjacencyRead for &mut G {
 
     fn io(&self) -> IoSnapshot {
         (**self).io()
+    }
+
+    fn block_size(&self) -> usize {
+        (**self).block_size()
     }
 }
 

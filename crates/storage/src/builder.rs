@@ -39,13 +39,8 @@ pub struct DiskGraphWriter {
 }
 
 impl DiskGraphWriter {
-    /// Begin writing a v1 graph with `num_nodes` nodes at
-    /// `<base>.nodes/.edges`.
-    pub fn create(base: &Path, num_nodes: u32, counter: Arc<IoCounter>) -> Result<Self> {
-        Self::create_with_format(base, num_nodes, counter, FormatVersion::V1)
-    }
-
-    /// [`DiskGraphWriter::create`] with an explicit edge-table encoding.
+    /// Begin writing a graph with `num_nodes` nodes at
+    /// `<base>.nodes/.edges` in the edge-table encoding `version`.
     pub fn create_with_format(
         base: &Path,
         num_nodes: u32,
@@ -71,11 +66,6 @@ impl DiskGraphWriter {
         })
     }
 
-    /// The edge-table encoding this writer produces.
-    pub fn format_version(&self) -> FormatVersion {
-        self.version
-    }
-
     fn pad_to(&mut self, v: u32) {
         // Nodes without adjacency get (current offset, degree 0).
         let offset = self.edge_writer.position();
@@ -89,12 +79,7 @@ impl DiskGraphWriter {
     /// Append `nbr(v)`; `v` must be ≥ every node appended so far and `nbrs`
     /// strictly sorted with ids in `0..num_nodes`, no self-loop.
     pub fn append_adjacency(&mut self, v: u32, nbrs: &[u32]) -> Result<()> {
-        if v >= self.num_nodes {
-            return Err(Error::NodeOutOfRange {
-                node: v,
-                num_nodes: self.num_nodes,
-            });
-        }
+        Error::check_node(v, self.num_nodes)?;
         if v < self.next_node {
             return Err(Error::InvalidArgument(format!(
                 "adjacency lists must be appended in ascending order (got {v} after {})",
@@ -102,12 +87,7 @@ impl DiskGraphWriter {
             )));
         }
         for (i, &u) in nbrs.iter().enumerate() {
-            if u >= self.num_nodes {
-                return Err(Error::NodeOutOfRange {
-                    node: u,
-                    num_nodes: self.num_nodes,
-                });
-            }
+            Error::check_node(u, self.num_nodes)?;
             if u == v {
                 return Err(Error::InvalidArgument(format!("self-loop at node {v}")));
             }
@@ -161,9 +141,9 @@ impl DiskGraphWriter {
     }
 }
 
-/// Write an in-memory graph to disk (format v1) and return the file pair.
+/// Write an in-memory graph to disk (format v3) and return the file pair.
 pub fn write_mem_graph(base: &Path, g: &MemGraph, counter: Arc<IoCounter>) -> Result<GraphPaths> {
-    write_mem_graph_with(base, g, counter, FormatVersion::V1)
+    write_mem_graph_with(base, g, counter, FormatVersion::V3)
 }
 
 /// [`write_mem_graph`] with an explicit edge-table encoding.
@@ -180,7 +160,7 @@ pub fn write_mem_graph_with(
     w.finish()
 }
 
-/// Convenience: write `g` at `base` (format v1) and open it as a
+/// Convenience: write `g` at `base` (format v3) and open it as a
 /// [`DiskGraph`].
 pub fn mem_to_disk(base: &Path, g: &MemGraph, counter: Arc<IoCounter>) -> Result<DiskGraph> {
     write_mem_graph(base, g, counter.clone())?;
@@ -606,6 +586,11 @@ mod tests {
         IoCounter::new(DEFAULT_BLOCK_SIZE)
     }
 
+    fn writer(dir: &TempDir) -> DiskGraphWriter {
+        DiskGraphWriter::create_with_format(&dir.path().join("g"), 3, counter(), FormatVersion::V3)
+            .unwrap()
+    }
+
     #[test]
     fn writer_round_trip_with_isolated_tail() {
         let dir = TempDir::new("buildtest").unwrap();
@@ -619,14 +604,14 @@ mod tests {
     #[test]
     fn writer_rejects_unsorted_adjacency() {
         let dir = TempDir::new("buildtest").unwrap();
-        let mut w = DiskGraphWriter::create(&dir.path().join("g"), 3, counter()).unwrap();
+        let mut w = writer(&dir);
         assert!(w.append_adjacency(0, &[2, 1]).is_err());
     }
 
     #[test]
     fn writer_rejects_descending_nodes() {
         let dir = TempDir::new("buildtest").unwrap();
-        let mut w = DiskGraphWriter::create(&dir.path().join("g"), 3, counter()).unwrap();
+        let mut w = writer(&dir);
         w.append_adjacency(1, &[2]).unwrap();
         assert!(w.append_adjacency(0, &[1]).is_err());
     }
@@ -634,7 +619,7 @@ mod tests {
     #[test]
     fn writer_rejects_self_loop_and_out_of_range() {
         let dir = TempDir::new("buildtest").unwrap();
-        let mut w = DiskGraphWriter::create(&dir.path().join("g"), 3, counter()).unwrap();
+        let mut w = writer(&dir);
         assert!(w.append_adjacency(0, &[0]).is_err());
         assert!(w.append_adjacency(0, &[5]).is_err());
     }

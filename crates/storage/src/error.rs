@@ -120,6 +120,15 @@ impl Error {
         }
     }
 
+    /// `Ok` when `node` is an id of a graph with `num_nodes` nodes, else
+    /// [`Error::NodeOutOfRange`].
+    pub fn check_node(node: u32, num_nodes: u32) -> Result<()> {
+        if node >= num_nodes {
+            return Err(Error::NodeOutOfRange { node, num_nodes });
+        }
+        Ok(())
+    }
+
     /// True when the error indicates damaged on-disk data.
     pub fn is_corrupt(&self) -> bool {
         matches!(self, Error::Corrupt { .. })

@@ -16,10 +16,11 @@
 //! ## Format versions
 //!
 //! Two edge-table encodings exist — one raw, one compressed — negotiated
-//! by the version field of the node-table header. Both are read. Ingest
-//! ([`crate::ExternalGraphBuilder::new`]) and every rewrite (an update-buffer
-//! flush, a generational compaction) write v3; the in-memory constructors
-//! ([`crate::write_mem_graph`], [`crate::DiskGraphWriter::create`]) write v1:
+//! by the version field of the node-table header. Both are read. Every
+//! writer — ingest ([`crate::ExternalGraphBuilder::new`]), the in-memory
+//! constructors ([`crate::write_mem_graph`]) and every rewrite (an
+//! update-buffer flush, a generational compaction) — writes v3. A v1 table
+//! is served as it is and upgraded at its next flush or compaction:
 //!
 //! * **v1** ([`FormatVersion::V1`]): raw little-endian `u32` ids, 4 bytes per
 //!   neighbour. Node header is 32 bytes; the edge-table length is derived
@@ -71,10 +72,9 @@ pub const NODE_ENTRY_LEN: u64 = 12;
 pub const EDGE_HEADER_LEN: u64 = 8;
 
 /// Edge-table encoding of a stored graph. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FormatVersion {
     /// Raw little-endian `u32` ids (4 bytes per neighbour).
-    #[default]
     V1,
     /// Stream-vbyte groups (2-bit length codes packed four per control
     /// byte, then raw little-endian data; later values store `gap − 1`).

@@ -368,19 +368,9 @@ impl DiskGraph {
         self.counter.snapshot()
     }
 
-    fn check_node(&self, v: u32) -> Result<()> {
-        if v >= self.meta.num_nodes {
-            return Err(Error::NodeOutOfRange {
-                node: v,
-                num_nodes: self.meta.num_nodes,
-            });
-        }
-        Ok(())
-    }
-
     /// Read node `v`'s `(offset, degree)` entry from the node table (charged).
     pub fn node_entry(&mut self, v: u32) -> Result<(u64, u32)> {
-        self.check_node(v)?;
+        Error::check_node(v, self.meta.num_nodes)?;
         let e: [u8; format::NODE_ENTRY_LEN as usize] = self
             .node_reader
             .read_array_at(self.meta.node_entry_offset(v))?;
@@ -606,7 +596,7 @@ fn borrow_or_decode<'a>(bytes: &'a [u8], scratch: &'a mut Vec<u32>) -> &'a [u32]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::write_mem_graph;
+    use crate::builder::{write_mem_graph, write_mem_graph_with};
     use crate::io::DEFAULT_BLOCK_SIZE;
     use crate::memgraph::MemGraph;
     use crate::tempdir::TempDir;
@@ -685,7 +675,7 @@ mod tests {
         let dir = TempDir::new("graphtest").unwrap();
         let base = dir.path().join("g");
         let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
-        write_mem_graph(&base, &g, counter.clone()).unwrap();
+        write_mem_graph_with(&base, &g, counter.clone(), FormatVersion::V1).unwrap();
         let paths = GraphPaths::from_base(&base);
         // Stamp a bogus offset into node 1's entry.
         let mut bytes = std::fs::read(&paths.nodes).unwrap();

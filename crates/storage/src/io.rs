@@ -327,6 +327,18 @@ impl IoSnapshot {
             seeks: self.seeks.saturating_sub(earlier.seeks),
         }
     }
+
+    /// Counter sum `self + other`, for one run charged to two counters.
+    pub fn plus(&self, other: &IoSnapshot) -> IoSnapshot {
+        IoSnapshot {
+            read_ios: self.read_ios + other.read_ios,
+            physical_reads: self.physical_reads + other.physical_reads,
+            write_ios: self.write_ios + other.write_ios,
+            read_bytes: self.read_bytes + other.read_bytes,
+            write_bytes: self.write_bytes + other.write_bytes,
+            seeks: self.seeks + other.seeks,
+        }
+    }
 }
 
 /// Block-buffered reader over a file with I/O accounting.

@@ -238,18 +238,8 @@ impl DynGraph {
 
     fn check_pair(&self, u: u32, v: u32) -> Result<()> {
         let n = self.num_nodes();
-        if u >= n {
-            return Err(Error::NodeOutOfRange {
-                node: u,
-                num_nodes: n,
-            });
-        }
-        if v >= n {
-            return Err(Error::NodeOutOfRange {
-                node: v,
-                num_nodes: n,
-            });
-        }
+        Error::check_node(u, n)?;
+        Error::check_node(v, n)?;
         if u == v {
             return Err(Error::InvalidArgument(
                 "self-loops are not supported".into(),

@@ -292,18 +292,8 @@ impl BufferedGraph {
 
     fn check_pair(&self, u: u32, v: u32) -> Result<()> {
         let n = self.num_nodes();
-        if u >= n {
-            return Err(Error::NodeOutOfRange {
-                node: u,
-                num_nodes: n,
-            });
-        }
-        if v >= n {
-            return Err(Error::NodeOutOfRange {
-                node: v,
-                num_nodes: n,
-            });
-        }
+        Error::check_node(u, n)?;
+        Error::check_node(v, n)?;
         if u == v {
             return Err(Error::InvalidArgument(
                 "self-loops are not supported".into(),
@@ -496,6 +486,10 @@ impl AdjacencyRead for BufferedGraph {
 
     fn io(&self) -> IoSnapshot {
         self.disk.io()
+    }
+
+    fn block_size(&self) -> usize {
+        self.disk.block_size()
     }
 }
 

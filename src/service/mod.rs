@@ -752,12 +752,7 @@ impl CoreService {
     /// a serving layer must survive bad queries.
     pub fn core(&self, name: &str, v: u32) -> Result<u32> {
         self.with_graph(name, |idx| {
-            if v >= idx.num_nodes() {
-                return Err(graphstore::Error::NodeOutOfRange {
-                    node: v,
-                    num_nodes: idx.num_nodes(),
-                });
-            }
+            graphstore::Error::check_node(v, idx.num_nodes())?;
             Ok(idx.core(v))
         })
     }

@@ -4,8 +4,9 @@
 //! scalability the cache exists for (fewer physical reads as `M` grows).
 
 use graphstore::{
-    mem_to_disk, AdjacencyRead, BufferedGraph, DiskGraph, DynGraph, ExternalGraphBuilder,
-    FormatVersion, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_CAPACITY,
+    mem_to_disk, write_mem_graph_with, AdjacencyRead, BufferedGraph, DiskGraph, DynGraph,
+    ExternalGraphBuilder, FormatVersion, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE,
+    DEFAULT_BUFFER_CAPACITY,
 };
 use kcore_suite::CoreIndex;
 use proptest::prelude::*;
@@ -270,7 +271,8 @@ fn core_index_decomposition_charges_like_a_buffered_scan() {
             let base = dir.path().join(format!("{name}-{format:?}"));
             let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
             let disk = if format == FormatVersion::V1 {
-                mem_to_disk(&base, &g, counter).unwrap()
+                write_mem_graph_with(&base, &g, counter.clone(), format).unwrap();
+                DiskGraph::open(&base, counter).unwrap()
             } else {
                 let mut builder = ExternalGraphBuilder::new(1 << 16).unwrap();
                 for (u, v) in g.edges() {

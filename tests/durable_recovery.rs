@@ -51,9 +51,18 @@ fn copy_data_dir(src: &Path, dst: &Path) {
 }
 
 fn durable_service(data: &Path, policy: EvictionPolicy, checkpoint_every: u64) -> CoreService {
+    durable_service_at(data, DEFAULT_BLOCK_SIZE, policy, checkpoint_every)
+}
+
+fn durable_service_at(
+    data: &Path,
+    block_size: usize,
+    policy: EvictionPolicy,
+    checkpoint_every: u64,
+) -> CoreService {
     CoreService::create_durable_with(
         data,
-        DEFAULT_BLOCK_SIZE,
+        block_size,
         1 << 20,
         policy,
         ScanExecutor::Sequential,
@@ -271,13 +280,17 @@ fn restart_differential_across_policies_with_reopen_cost_bound() {
 fn reopen_charges_strictly_less_than_redecomposition() {
     // A web-like R-MAT graph: skewed degrees keep maintenance local (the
     // paper's regime), so a short journal tail replays a handful of
-    // blocks while decomposition must scan every one.
+    // blocks while decomposition must scan every one. A clean reopen reads
+    // the node table and the checkpoint, O(n) bytes, so the bound needs an
+    // edge table well over that once compressed: 80k draws over 2048
+    // nodes, charged in 1 KiB blocks so the tail's scattered reads stay
+    // small against the scan.
     let params = graphgen::Rmat::web(11);
     let n = params.num_nodes();
-    let edges = graphgen::rmat_edges(params, 40_000, 0xBEEF);
+    let edges = graphgen::rmat_edges(params, 80_000, 0xBEEF);
     let dir = TempDir::new("cost").unwrap();
     let data = dir.path().join("data");
-    let svc = durable_service(&data, EvictionPolicy::ScanLifo, 8);
+    let svc = durable_service_at(&data, 1024, EvictionPolicy::ScanLifo, 8);
     svc.create("g", &dir.path().join("g"), edges.iter().copied(), n)
         .unwrap();
     let decompose_ios = svc

@@ -338,12 +338,16 @@ fn compact_migrates_a_v1_graph_to_v3_at_the_commit_point() {
     let dir = TempDir::new("fmtdiff-recompress").unwrap();
     let data = dir.path().join("data");
     // Consecutive neighbours: the workload v3's zero-byte gap code wins on.
-    let edges: Vec<(u32, u32)> = (0..300u32)
-        .flat_map(|v| [(v, v + 1), (v, (v + 2).min(300))])
-        .collect();
+    let edges = (0..300u32).flat_map(|v| [(v, v + 1), (v, (v + 2).min(300))]);
+    let base = write_as(
+        &dir,
+        &MemGraph::from_edges(edges, 301),
+        "g",
+        FormatVersion::V1,
+    );
     {
         let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
-        svc.create("g", &dir.path().join("g"), edges, 301).unwrap();
+        svc.open("g", &base).unwrap();
         assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
         let cores = svc.cores("g").unwrap();
 
@@ -351,16 +355,43 @@ fn compact_migrates_a_v1_graph_to_v3_at_the_commit_point() {
         assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
         assert_eq!(svc.cores("g").unwrap(), cores);
         assert!(svc.verify("g").unwrap());
-        let v1_len = std::fs::metadata(dir.path().join("g.edges")).unwrap().len();
-        let v3_len = std::fs::metadata(dir.path().join("g.g1.edges"))
-            .unwrap()
-            .len();
+        let v1_len = edge_table_len(&base);
+        let v3_len = edge_table_len(&dir.path().join("g-v1.g1"));
         assert!(v3_len < v1_len, "v3 {v3_len} B !< v1 {v1_len} B");
     }
     // The migrated format survives a restart (catalog + tables agree).
     let svc = CoreService::open_catalog(&data).unwrap();
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
     assert!(svc.verify("g").unwrap());
+}
+
+/// v3 is the one written format: every in-memory constructor writes it,
+/// and raw v1 comes only from asking `write_mem_graph_with` for it.
+#[test]
+fn every_in_memory_constructor_writes_v3() {
+    let dir = TempDir::new("fmtdiff-writers").unwrap();
+    let g = random_mem_graph(&mut Lcg::new(8), 40, 40, 4);
+    let at = |tag: &str| dir.path().join(tag);
+    let format_of = |base: &Path| {
+        let disk = DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+        disk.format_version()
+    };
+    graphstore::write_mem_graph(&at("written"), &g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    let converted =
+        graphstore::mem_to_disk(&at("converted"), &g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    let index = CoreIndex::create(&at("index"), g.edges(), g.num_nodes()).unwrap();
+    let svc = CoreService::new(1 << 20).unwrap();
+    svc.create("g", &at("service"), g.edges(), g.num_nodes())
+        .unwrap();
+    let written = [
+        format_of(&at("written")),
+        converted.format_version(),
+        index.format_version(),
+        svc.format_version("g").unwrap(),
+    ];
+    assert_eq!(written, [FormatVersion::V3; 4]);
+    let raw = write_as(&dir, &g, "raw", FormatVersion::V1);
+    assert_eq!(format_of(&raw), FormatVersion::V1);
 }
 
 /// Without a data directory a graph's tables are rewritten in place by its

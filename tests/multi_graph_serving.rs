@@ -315,19 +315,21 @@ fn pooling_the_combined_working_set_beats_a_static_split() {
 fn explicit_charge_budget_is_the_model_m_knob() {
     // A smaller per-graph charge budget charges *more* read I/Os for the
     // same session (less model memory absorbs fewer re-reads), without any
-    // other graph or the pool size being involved.
+    // other graph or the pool size being involved. At 512 B blocks the
+    // compressed fixture spans dozens of blocks, so four are a real squeeze.
+    const BLOCK: usize = 512;
     let dir = TempDir::new("svc-charge").unwrap();
     let (name, g) = &fixtures()[0];
     let base = dir.path().join(name);
-    mem_to_disk(&base, g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+    mem_to_disk(&base, g, IoCounter::new(BLOCK)).unwrap();
 
     let mut charged = Vec::new();
-    for budget in [working_set_budget(&base), 4 * DEFAULT_BLOCK_SIZE as u64] {
-        let svc = service(
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
-            TIGHT_POOL_BUDGET,
-        );
+    let working_set = graphstore::working_set_charge_budget(&base, BLOCK).unwrap();
+    for budget in [working_set, 4 * BLOCK as u64] {
+        let policy = EvictionPolicy::ScanLifo;
+        let svc =
+            CoreService::with_config(BLOCK, TIGHT_POOL_BUDGET, policy, ScanExecutor::Sequential)
+                .unwrap();
         svc.open_with_charge(name, &base, budget).unwrap();
         charged.push(observe(&svc, name, 0xCAFE, 10).charged_reads);
     }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, IoCounter, MemGraph, QosConfig,
-    TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+    EvictionPolicy, FaultPlan, FaultVfs, FormatVersion, GroupCommitOptions, IoCounter, MemGraph,
+    QosConfig, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::server::{Server, ServerOptions};
 use kcore_suite::{CoreService, DurableOptions};
@@ -172,7 +172,8 @@ fn cli_builds_v3_compacts_v1_to_v3_and_refuses_the_retired_format_knobs() {
     std::fs::write(&edges, "0 1\n1 2\n0 2\n2 3\n").unwrap();
     let (base, data) = (dir.path().join("g"), dir.path().join("data"));
     let raw = dir.path().join("raw");
-    write_triangle_tail(&raw);
+    let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
+    graphstore::write_mem_graph_with(&raw, &triangle_tail(), counter, FormatVersion::V1).unwrap();
     let kcore = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_kcore"))
             .args(args)
