@@ -13,8 +13,9 @@ use kcore_bench::harness::{fmt_count, fmt_secs, Args, Table};
 use semicore::DecomposeOptions;
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let scale: f64 = args.get_num("scale", 0.5);
+    args.finish();
     let dir = graphstore::TempDir::new("abl-block")?;
     let spec = graphgen::dataset_by_name("Twitter").unwrap();
     let base = dir.path().join("twitter");

@@ -18,9 +18,10 @@ use semicore::{
 };
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let scale: f64 = args.get_num("scale", 0.3);
     let ops: usize = args.get_num("ops", 3000);
+    args.finish();
     let dir = graphstore::TempDir::new("abl-buffer")?;
     let spec = graphgen::dataset_by_name("Youtube").unwrap();
     let full = spec.generate_mem(scale);

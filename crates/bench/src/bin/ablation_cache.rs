@@ -19,13 +19,14 @@ use kcore_bench::harness::{fmt_bytes, fmt_count, fmt_secs, graph_standin, Args, 
 use semicore::DecomposeOptions;
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let family = args.get("family", "rmat");
     let target_edges: u64 = args.get_num("edges", 150_000);
     // Density m/n of the stand-in. The paper's web crawls sit at 27–43
     // (Table I); at such densities the node table fits in a small fraction
     // of the edge table, which is where partial budgets start to pay.
     let density: u64 = args.get_num("density", 24);
+    args.finish();
     let dir = graphstore::TempDir::new("abl-cache")?;
 
     // Build one fixed graph on disk; every sweep point re-opens it cold.

@@ -1,85 +1,56 @@
 //! Figure 11 — scalability of core decomposition on the Twitter and UK
 //! stand-ins, varying |V| (induced node sampling) and |E| (edge sampling)
-//! from 20% to 100%.
+//! from 20% to 100%: time / charged reads / node computations per
+//! algorithm.
+//!
+//! The samples are `kcore_bench::paper`'s; at `--scale 0.015` they are the
+//! ones `tests/paper_claims.rs` asserts the ordering on.
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin fig11_scalability [-- --scale 1.0]
 //! ```
 
-use graphstore::{mem_to_disk, snapshot_mem, IoCounter, MemGraph, DEFAULT_BLOCK_SIZE};
-use kcore_bench::harness::{build_dataset, fmt_count, fmt_secs, Args, Table};
-use semicore::DecomposeOptions;
-
-fn run_all(
-    g: &MemGraph,
-    dir: &graphstore::TempDir,
-    tag: &str,
-) -> graphstore::Result<[(String, std::time::Duration, u64); 3]> {
-    let base = dir.path().join(tag);
-    mem_to_disk(&base, g, IoCounter::new(DEFAULT_BLOCK_SIZE))?;
-    let opts = DecomposeOptions::default();
-    let mut out = Vec::new();
-    for algo in ["SemiCore*", "SemiCore+", "SemiCore"] {
-        let mut disk = graphstore::DiskGraph::open(&base, IoCounter::new(DEFAULT_BLOCK_SIZE))?;
-        let d = match algo {
-            "SemiCore*" => semicore::semicore_star(&mut disk, &opts)?,
-            "SemiCore+" => semicore::semicore_plus(&mut disk, &opts)?,
-            _ => semicore::semicore(&mut disk, &opts)?,
-        };
-        out.push((algo.to_string(), d.stats.wall_time, d.stats.io.total_ios()));
-    }
-    Ok([out[0].clone(), out[1].clone(), out[2].clone()])
-}
+use kcore_bench::harness::{fmt_count, fmt_secs, Args, Table};
+use kcore_bench::paper;
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let scale: f64 = args.get_num("scale", 1.0);
+    args.finish();
     let dir = graphstore::TempDir::new("fig11")?;
 
-    for name in ["Twitter", "UK"] {
-        let spec = graphgen::dataset_by_name(name).unwrap();
-        let mut disk = build_dataset(&spec, scale, &dir, DEFAULT_BLOCK_SIZE)?;
-        let full = snapshot_mem(&mut disk)?;
-        drop(disk);
-
-        for (dim, sampler) in [("|V|", true), ("|E|", false)] {
-            println!("\nFig. 11 — {name} stand-in, varying {dim} (time and total I/Os)");
-            let mut t = Table::new(&[
-                "fraction",
-                "nodes",
-                "edges",
-                "SemiCore* t",
-                "SemiCore+ t",
-                "SemiCore t",
-                "SemiCore* I/O",
-                "SemiCore+ I/O",
-                "SemiCore I/O",
-            ]);
-            for pct in [20u32, 40, 60, 80, 100] {
-                let f = pct as f64 / 100.0;
-                let g = if sampler {
-                    graphgen::sample_nodes(&full, f, 1000 + pct as u64)
-                } else {
-                    graphgen::sample_edges(&full, f, 2000 + pct as u64)
-                };
-                let tag = format!("{name}-{dim}-{pct}").replace('|', "");
-                let r = run_all(&g, &dir, &tag)?;
-                t.row(vec![
-                    format!("{pct}%"),
-                    fmt_count(g.num_nodes() as u64),
-                    fmt_count(g.num_edges()),
-                    fmt_secs(r[0].1),
-                    fmt_secs(r[1].1),
-                    fmt_secs(r[2].1),
-                    fmt_count(r[0].2),
-                    fmt_count(r[1].2),
-                    fmt_count(r[2].2),
-                ]);
-            }
-            t.print();
+    for name in paper::SCALABILITY_PAIR {
+        println!("\nFig. 11 — {name} stand-in (scale {scale}): time / reads / node computations");
+        let mut t = Table::new(&[
+            "sample",
+            "nodes",
+            "edges",
+            "SemiCore*",
+            "SemiCore+",
+            "SemiCore",
+        ]);
+        for (tag, g) in paper::samples(name, scale) {
+            let base = dir.path().join(&tag);
+            paper::write_table(&g, &base)?;
+            let mut row = vec![
+                tag,
+                fmt_count(g.num_nodes().into()),
+                fmt_count(g.num_edges()),
+            ];
+            row.extend(paper::trio(&base)?.iter().map(|d| {
+                format!(
+                    "{} / {} / {}",
+                    fmt_secs(d.stats.wall_time),
+                    fmt_count(d.stats.io.read_ios),
+                    fmt_count(d.stats.node_computations)
+                )
+            }));
+            t.row(row);
         }
+        t.print();
     }
     println!("\npaper shape to check: time grows with the sample; SemiCore* best everywhere,");
     println!("with the SemiCore-vs-SemiCore* gap widening as |E| grows.");
+    println!("(tests/paper_claims.rs asserts the counter ordering at every sample.)");
     Ok(())
 }

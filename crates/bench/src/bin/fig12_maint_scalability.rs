@@ -1,115 +1,56 @@
 //! Figure 12 — scalability of core maintenance on the Twitter and UK
-//! stand-ins: average update time, charged I/Os and node computations
-//! while varying |V| and |E| from 20% to 100% (50 deletes + 50 reinserts
-//! per point).
+//! stand-ins: average update time, charged reads and node computations
+//! while varying |V| and |E| from 20% to 100%.
 //!
 //! The paper plots time only — on the stand-ins the one column its claim
 //! fails on (page-cache warm, SemiInsert\* is slower at most points while
 //! reading and computing less at every one), so the counters are printed
-//! beside it; `tests/paper_claims.rs` asserts their ordering.
+//! beside it. The samples, victims and protocol are `kcore_bench::paper`'s;
+//! at `--scale 0.015` they are the ones `tests/paper_claims.rs` asserts
+//! the counter ordering on.
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin fig12_maint_scalability [-- --scale 1.0]
 //! ```
 
-use graphstore::{
-    mem_to_disk, snapshot_mem, BufferedGraph, IoCounter, MemGraph, DEFAULT_BLOCK_SIZE,
-};
-use kcore_bench::harness::{build_dataset, fmt_count, fmt_secs, Args, Table, UpdateCost};
-use rand::rngs::SmallRng;
-use rand::{seq::SliceRandom, SeedableRng};
-use semicore::{
-    semi_delete_star, semi_insert, semi_insert_star, semicore_star_state, DecomposeOptions,
-    SparseMarks,
-};
+use kcore_bench::harness::{fmt_count, fmt_secs, Args, Table};
+use kcore_bench::paper::{self, PhaseCost};
 
-const EDGES_PER_TEST: usize = 50;
-
-/// One table cell: average time / I/Os / node computations per update.
-fn cell(avg: &UpdateCost) -> String {
+/// One table cell: average time / reads / node computations per update.
+fn cell(cost: PhaseCost, updates: usize) -> String {
+    let avg = cost.per_update(updates);
     format!(
         "{} / {} / {}",
         fmt_secs(avg.time),
-        fmt_count(avg.ios),
+        fmt_count(avg.reads),
         fmt_count(avg.computations)
     )
 }
 
-/// Returns (SemiInsert avg, SemiInsert* avg, SemiDelete* avg).
-fn run_point(
-    g: &MemGraph,
-    dir: &graphstore::TempDir,
-    tag: &str,
-) -> graphstore::Result<(UpdateCost, UpdateCost, UpdateCost)> {
-    let mut victims: Vec<(u32, u32)> = g.edges().collect();
-    let mut rng = SmallRng::seed_from_u64(0xF1612);
-    victims.shuffle(&mut rng);
-    victims.truncate(EDGES_PER_TEST);
-    if victims.is_empty() {
-        return Ok(Default::default());
-    }
-
-    let run = |use_star: bool, tag: &str| -> graphstore::Result<(UpdateCost, UpdateCost)> {
-        let base = dir.path().join(tag);
-        let disk = mem_to_disk(&base, g, IoCounter::new(DEFAULT_BLOCK_SIZE))?;
-        let mut bg = BufferedGraph::with_default_capacity(disk);
-        let (mut state, _) = semicore_star_state(&mut bg, &DecomposeOptions::default())?;
-        let n = graphstore::AdjacencyRead::num_nodes(&bg);
-        let mut marks = SparseMarks::new(n);
-        let mut del = UpdateCost::default();
-        for &(u, v) in &victims {
-            del.add(&semi_delete_star(&mut bg, &mut state, u, v)?);
-        }
-        let mut ins = UpdateCost::default();
-        for &(u, v) in &victims {
-            ins.add(&if use_star {
-                semi_insert_star(&mut bg, &mut state, &mut marks, u, v)?
-            } else {
-                semi_insert(&mut bg, &mut state, &mut marks, u, v)?
-            });
-        }
-        Ok((del.per_update(victims.len()), ins.per_update(victims.len())))
-    };
-
-    let (del_avg, ins_plain) = run(false, &format!("{tag}-p"))?;
-    let (_, ins_star) = run(true, &format!("{tag}-s"))?;
-    Ok((ins_plain, ins_star, del_avg))
-}
-
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let scale: f64 = args.get_num("scale", 1.0);
+    args.finish();
     let dir = graphstore::TempDir::new("fig12")?;
 
-    for name in ["Twitter", "UK"] {
-        let spec = graphgen::dataset_by_name(name).unwrap();
-        let mut disk = build_dataset(&spec, scale, &dir, DEFAULT_BLOCK_SIZE)?;
-        let full = snapshot_mem(&mut disk)?;
-        drop(disk);
-
-        for (dim, by_nodes) in [("|V|", true), ("|E|", false)] {
-            println!(
-                "\nFig. 12 — {name} stand-in, varying {dim}: avg time / I/Os / node computations per update"
-            );
-            let mut t = Table::new(&["fraction", "SemiInsert", "SemiInsert*", "SemiDelete*"]);
-            for pct in [20u32, 40, 60, 80, 100] {
-                let f = pct as f64 / 100.0;
-                let g = if by_nodes {
-                    graphgen::sample_nodes(&full, f, 3000 + pct as u64)
-                } else {
-                    graphgen::sample_edges(&full, f, 4000 + pct as u64)
-                };
-                let tag = format!("{name}-{dim}-{pct}").replace('|', "");
-                let (ins, ins_star, del) = run_point(&g, &dir, &tag)?;
-                t.row(vec![
-                    format!("{pct}%"),
-                    cell(&ins),
-                    cell(&ins_star),
-                    cell(&del),
-                ]);
-            }
-            t.print();
+    for name in paper::SCALABILITY_PAIR {
+        println!(
+            "\nFig. 12 — {name} stand-in (scale {scale}): avg time / reads / node computations per update"
+        );
+        let mut t = Table::new(&["sample", "SemiInsert", "SemiInsert*", "SemiDelete*"]);
+        for (tag, g) in paper::samples(name, scale) {
+            let victims = paper::fig12_victims(&g);
+            let [[delete, two_phase], [_, one_phase]] =
+                paper::delete_then_reinsert(&g, &dir.path().join(&tag), &victims, |_, _| {})?;
+            let n = victims.len();
+            t.row(vec![
+                tag,
+                cell(two_phase, n),
+                cell(one_phase, n),
+                cell(delete, n),
+            ]);
         }
+        t.print();
     }
     println!("\npaper shape: SemiDelete* best and stable; SemiInsert* below SemiInsert, whose");
     println!("candidate component can be large. Here the counter half holds at every point");

@@ -114,9 +114,11 @@ fn trace_maintenance() -> Result<()> {
 }
 
 fn main() -> Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
+    let maintenance = args.flag("maintenance");
+    args.finish();
     println!("Running example graph (Fig. 1): v0..v8\n");
-    if args.flag("maintenance") {
+    if maintenance {
         return trace_maintenance();
     }
     let mut g = paper_example_graph();

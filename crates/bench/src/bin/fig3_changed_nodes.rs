@@ -9,39 +9,36 @@
 //! cargo run --release -p kcore-bench --bin fig3_changed_nodes [-- --scale 1.0]
 //! ```
 
-use kcore_bench::harness::{build_dataset, Args};
-use semicore::DecomposeOptions;
+use kcore_bench::harness::Args;
+use kcore_bench::paper;
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let scale: f64 = args.get_num("scale", 1.0);
+    args.finish();
     let dir = graphstore::TempDir::new("fig3")?;
 
-    for name in ["Twitter", "UK"] {
+    for name in paper::SCALABILITY_PAIR {
         let spec = graphgen::dataset_by_name(name).unwrap();
-        let mut disk = build_dataset(&spec, scale, &dir, graphstore::DEFAULT_BLOCK_SIZE)?;
-        let opts = DecomposeOptions {
-            track_changed_per_iteration: true,
-        };
-        let d = semicore::semicore(&mut disk, &opts)?;
+        let base = dir.path().join(name);
+        paper::write_dataset(&spec, scale, &base)?;
+        let d = paper::changed_per_iteration(&base)?;
         let series = d.stats.changed_per_iteration.as_ref().unwrap();
+        let n = d.core.len();
         println!(
-            "\nFig. 3 ({name} stand-in): {} nodes, {} edges, {} iterations",
-            disk.num_nodes(),
-            disk.num_edges(),
+            "\nFig. 3 ({name} stand-in): {n} nodes, {} iterations",
             series.len()
         );
         println!(
             "{:>10} {:>14} {:>9}",
             "iteration", "changed nodes", "% of n"
         );
-        let n = disk.num_nodes() as f64;
         for (i, &c) in series.iter().enumerate() {
             // Log-style sampling of the series, as the figure's log axis does.
             let it = i + 1;
             let is_pow2 = it & (it - 1) == 0;
             if is_pow2 || it == series.len() {
-                println!("{it:>10} {c:>14} {:>8.3}%", 100.0 * c as f64 / n);
+                println!("{it:>10} {c:>14} {:>8.3}%", 100.0 * c as f64 / n as f64);
             }
         }
         let first = series[0] as f64;

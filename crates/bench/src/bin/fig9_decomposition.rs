@@ -3,78 +3,40 @@
 //!
 //! Small group compares SemiCore*, SemiCore+, SemiCore, EMCore and IMCore;
 //! big group runs the three semi-external algorithms, as in the paper.
+//! Everything runs through `kcore_bench::paper`, so at `--scale 0.03` the
+//! small group prints the rows `tests/paper_claims.rs` asserts on.
 //!
 //! ```sh
 //! cargo run --release -p kcore-bench --bin fig9_decomposition -- --group small
 //! cargo run --release -p kcore-bench --bin fig9_decomposition -- --group big [--scale 0.5]
 //! ```
 
-use graphstore::{snapshot_mem, DiskGraph};
-use kcore_bench::harness::{build_dataset, fmt_bytes, fmt_count, fmt_secs, Args, Table};
-use semicore::{DecomposeOptions, Decomposition, EmCoreOptions};
+use graphgen::DatasetGroup;
+use graphstore::snapshot_mem;
+use kcore_bench::harness::{fmt_bytes, fmt_count, fmt_secs, Args, Table};
+use kcore_bench::paper;
+use semicore::Decomposition;
 
-fn run_disk(
-    spec: &graphgen::DatasetSpec,
-    scale: f64,
-    dir: &graphstore::TempDir,
-    algo: &str,
-) -> graphstore::Result<Decomposition> {
-    let mut disk: DiskGraph = build_dataset(spec, scale, dir, graphstore::DEFAULT_BLOCK_SIZE)?;
-    let opts = DecomposeOptions::default();
-    match algo {
-        "SemiCore*" => semicore::semicore_star(&mut disk, &opts),
-        "SemiCore+" => semicore::semicore_plus(&mut disk, &opts),
-        "SemiCore" => semicore::semicore(&mut disk, &opts),
-        "EMCore" => {
-            // EMCore's budget is a share of the raw adjacency it partitions
-            // (`8·m` bytes, whatever the edge table's encoding) — the regime
-            // the paper evaluates, and the rule `tests/paper_claims.rs`
-            // asserts on: a quarter of it, in four partitions. (A constant
-            // budget holds a small stand-in whole and turns its row into an
-            // in-memory run.)
-            let memory_budget = 8 * disk.num_edges() / 4;
-            semicore::emcore(
-                &mut disk,
-                &EmCoreOptions {
-                    partition_bytes: memory_budget / 4,
-                    memory_budget,
-                },
-            )
-        }
-        "IMCore" => {
-            // The in-memory baseline loads the whole graph first (charged),
-            // then decomposes in memory.
-            let t0 = std::time::Instant::now();
-            let io0 = graphstore::AdjacencyRead::io(&disk);
-            let mem = snapshot_mem(&mut disk)?;
-            let mut d = semicore::imcore(&mem);
-            d.stats.wall_time = t0.elapsed();
-            d.stats.io = graphstore::AdjacencyRead::io(&disk).since(&io0);
-            Ok(d)
-        }
-        _ => unreachable!("unknown algorithm {algo}"),
-    }
+/// The in-memory baseline: load the whole graph (charged), then decompose.
+fn imcore(base: &std::path::Path) -> graphstore::Result<Decomposition> {
+    let t0 = std::time::Instant::now();
+    let mut disk = paper::open(base)?;
+    let mem = snapshot_mem(&mut disk)?;
+    let mut d = semicore::imcore(&mem);
+    d.stats.wall_time = t0.elapsed();
+    d.stats.io = disk.io();
+    Ok(d)
 }
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
-    let group = args.get("group", "small");
+    let mut args = Args::parse();
+    let group = args.group();
     let scale: f64 = args.get_num("scale", 1.0);
+    args.finish();
     let dir = graphstore::TempDir::new("fig9")?;
 
-    let (want, algos): (graphgen::DatasetGroup, Vec<&str>) = match group.as_str() {
-        "big" => (
-            graphgen::DatasetGroup::Big,
-            vec!["SemiCore*", "SemiCore+", "SemiCore"],
-        ),
-        _ => (
-            graphgen::DatasetGroup::Small,
-            vec!["SemiCore*", "SemiCore+", "SemiCore", "EMCore", "IMCore"],
-        ),
-    };
-
     println!(
-        "Fig. 9 — core decomposition, {group} graphs (scale {scale}): time (a/b), memory (c/d), I/Os (e/f)\n"
+        "Fig. 9 — core decomposition, {group:?} graphs (scale {scale}): time (a/b), memory (c/d), I/Os (e/f)\n"
     );
     let mut t = Table::new(&[
         "dataset",
@@ -88,14 +50,21 @@ fn main() -> graphstore::Result<()> {
         "kmax",
     ]);
     for spec in graphgen::paper_datasets() {
-        if spec.group != want {
+        if spec.group != group {
             continue;
         }
-        for algo in &algos {
-            let d = run_disk(&spec, scale, &dir, algo)?;
+        let base = dir.path().join(spec.name);
+        paper::write_dataset(&spec, scale, &base)?;
+        let mut runs = Vec::from(paper::trio(&base)?);
+        if group == DatasetGroup::Small {
+            let m = paper::open(&base)?.num_edges();
+            runs.push(paper::emcore(&base, paper::emcore_budget(m))?);
+            runs.push(imcore(&base)?);
+        }
+        for d in runs {
             t.row(vec![
                 spec.name.to_string(),
-                algo.to_string(),
+                d.stats.algorithm.to_string(),
                 fmt_secs(d.stats.wall_time),
                 fmt_bytes(d.stats.peak_memory_bytes),
                 fmt_count(d.stats.io.read_ios),

@@ -102,9 +102,10 @@ fn run_mode(scrub: bool, ops: usize) -> graphstore::Result<ModeResult> {
 }
 
 fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+    let mut args = Args::parse();
     let smoke = args.flag("smoke");
     let ops: usize = args.get_num("ops", if smoke { 120 } else { 400 });
+    args.finish();
 
     println!(
         "Scrub overhead — {ops} updates (queries riding 1:4) on one durable graph,\n\

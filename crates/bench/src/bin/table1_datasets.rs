@@ -8,14 +8,13 @@
 //! ```
 
 use graphgen::paper_datasets;
-use graphstore::snapshot_mem;
-use kcore_bench::harness::{build_dataset, fmt_count, Args, Table};
+use kcore_bench::harness::{fmt_count, Args, Table};
 use semicore::imcore;
 
-fn main() -> graphstore::Result<()> {
-    let args = Args::parse();
+fn main() {
+    let mut args = Args::parse();
     let scale: f64 = args.get_num("scale", 1.0);
-    let dir = graphstore::TempDir::new("table1")?;
+    args.finish();
 
     println!("Table I — datasets (paper vs generated stand-ins, scale {scale})\n");
     let mut t = Table::new(&[
@@ -36,8 +35,7 @@ fn main() -> graphstore::Result<()> {
             graphgen::DatasetGroup::Small => scale,
             graphgen::DatasetGroup::Big => scale * 0.25,
         };
-        let mut disk = build_dataset(&spec, s, &dir, graphstore::DEFAULT_BLOCK_SIZE)?;
-        let mem = snapshot_mem(&mut disk)?;
+        let mem = spec.generate_mem(s);
         let d = imcore(&mem);
         t.row(vec![
             spec.name.to_string(),
@@ -53,5 +51,4 @@ fn main() -> graphstore::Result<()> {
     }
     t.print();
     println!("\nnote: kmax does not scale linearly with |V|; the stand-ins match density and skew, not absolute kmax.");
-    Ok(())
 }

@@ -1,10 +1,12 @@
-//! Shared plumbing for the figure/table harness binaries: a tiny argument
-//! parser, aligned table printing, and dataset preparation.
+//! Shared plumbing for the figure/table harness binaries: a tiny, strict
+//! argument parser, aligned table printing and the ablation workload.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
-use graphgen::DatasetSpec;
-use graphstore::{DiskGraph, IoCounter, MemGraph, Result, TempDir};
+use graphgen::DatasetGroup;
+use graphstore::MemGraph;
 
 /// Deterministic ablation workload shared by the `ablation_*` sweeps:
 /// a `family` ("ba" or "rmat") graph targeting `edges` edges at average
@@ -28,47 +30,117 @@ pub fn graph_standin(family: &str, edges: u64, density: u64) -> MemGraph {
 }
 
 /// Minimal `--key value` / `--flag` argument parser (no external crates).
+///
+/// Strict: a binary reads every key it accepts through the getters, then
+/// calls [`Args::finish`], which refuses a key no getter read, a value that
+/// does not parse and a stray positional argument — a typo must not run the
+/// full-size default for minutes.
 #[derive(Debug)]
 pub struct Args {
-    map: HashMap<String, String>,
+    /// Given and not read yet.
+    given: BTreeMap<String, String>,
+    /// `usage: <program>`, then one `[--key default]` per key read.
+    usage: String,
+    errors: Vec<String>,
 }
 
 impl Args {
     /// Parse the process arguments.
     pub fn parse() -> Args {
-        let mut map = HashMap::new();
-        let mut iter = std::env::args().skip(1).peekable();
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        Args::from_args(&program, argv)
+    }
+
+    /// Parse `argv` (without the program name) for `program`.
+    fn from_args(program: &str, argv: impl IntoIterator<Item = String>) -> Args {
+        let mut args = Args {
+            given: BTreeMap::new(),
+            usage: format!("usage: {program}"),
+            errors: Vec::new(),
+        };
+        let mut iter = argv.into_iter().peekable();
         while let Some(a) = iter.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let value = match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next().unwrap(),
-                    _ => String::from("true"),
-                };
-                map.insert(key.to_string(), value);
-            }
+            let Some(key) = a.strip_prefix("--") else {
+                args.errors.push(format!("unexpected argument `{a}`"));
+                continue;
+            };
+            let value = match iter.peek() {
+                Some(v) if !v.starts_with("--") => iter.next().unwrap(),
+                _ => String::from("true"),
+            };
+            args.given.insert(key.to_string(), value);
         }
-        Args { map }
+        args
+    }
+
+    fn take(&mut self, key: &str, usage: &str) -> Option<String> {
+        self.usage += &format!(" [{usage}]");
+        self.given.remove(key)
     }
 
     /// String option with default.
-    pub fn get(&self, key: &str, default: &str) -> String {
-        self.map
-            .get(key)
-            .cloned()
+    pub fn get(&mut self, key: &str, default: &str) -> String {
+        self.take(key, &format!("--{key} {default}"))
             .unwrap_or_else(|| default.to_string())
     }
 
     /// Parsed numeric option with default.
-    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.map
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    pub fn get_num<T: FromStr + Display>(&mut self, key: &str, default: T) -> T {
+        let value = self.take(key, &format!("--{key} {default}"));
+        match value.map(|v| v.parse().map_err(|_| v)) {
+            None => default,
+            Some(Ok(v)) => v,
+            Some(Err(v)) => {
+                self.errors
+                    .push(format!("--{key} takes a number, not `{v}`"));
+                default
+            }
+        }
     }
 
     /// Boolean flag.
-    pub fn flag(&self, key: &str) -> bool {
-        self.map.contains_key(key)
+    pub fn flag(&mut self, key: &str) -> bool {
+        let value = self.take(key, &format!("--{key}"));
+        if let Some(v) = value.as_ref().filter(|v| *v != "true") {
+            self.errors
+                .push(format!("--{key} takes no value, not `{v}`"));
+        }
+        value.is_some()
+    }
+
+    /// The `--group small|big` option (Figs. 9 and 10), `small` by default.
+    pub fn group(&mut self) -> DatasetGroup {
+        match self.take("group", "--group small|big").as_deref() {
+            None | Some("small") => DatasetGroup::Small,
+            Some("big") => DatasetGroup::Big,
+            Some(other) => {
+                self.errors
+                    .push(format!("--group is `small` or `big`, not `{other}`"));
+                DatasetGroup::Small
+            }
+        }
+    }
+
+    /// What is wrong with the command line, given the keys read so far.
+    fn check(&self) -> Result<(), String> {
+        let unknown = self.given.keys().map(|k| format!("unknown option --{k}"));
+        let problems: Vec<String> = self.errors.iter().cloned().chain(unknown).collect();
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(problems.join("; "))
+        }
+    }
+
+    /// Call once every option is read: on an option no getter read, a
+    /// value that did not parse or a stray argument, print the problems
+    /// with the usage line and exit 2.
+    pub fn finish(self) {
+        if let Err(problems) = self.check() {
+            eprintln!("{problems}\n{}", self.usage);
+            std::process::exit(2);
+        }
     }
 }
 
@@ -174,55 +246,6 @@ pub fn percentile(sorted: &[u64], p: usize) -> u64 {
     sorted.get(rank - 1).copied().unwrap_or(0)
 }
 
-/// Cost of one maintenance phase (Figs. 10 and 12): wall time, charged I/Os
-/// and node computations, summed over its updates by [`UpdateCost::add`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct UpdateCost {
-    /// Wall-clock time.
-    pub time: std::time::Duration,
-    /// Charged I/Os, reads plus writes.
-    pub ios: u64,
-    /// Node computations.
-    pub computations: u64,
-}
-
-impl UpdateCost {
-    /// Add one update's stats.
-    pub fn add(&mut self, st: &semicore::MaintainStats) {
-        self.time += st.wall_time;
-        self.ios += st.total_ios();
-        self.computations += st.node_computations;
-    }
-
-    /// The average over `updates` updates (at least one).
-    pub fn per_update(self, updates: usize) -> UpdateCost {
-        let n = updates.max(1);
-        UpdateCost {
-            time: self.time / n as u32,
-            ios: self.ios / n as u64,
-            computations: self.computations / n as u64,
-        }
-    }
-}
-
-/// Build a dataset stand-in on disk inside `dir` (cached per scale) and
-/// return a freshly counted handle (block size `block`).
-pub fn build_dataset(
-    spec: &DatasetSpec,
-    scale: f64,
-    dir: &TempDir,
-    block: usize,
-) -> Result<DiskGraph> {
-    let base = dir
-        .path()
-        .join(format!("{}-{scale}", spec.name.to_lowercase()));
-    let paths = graphstore::GraphPaths::from_base(&base);
-    if !paths.nodes.exists() {
-        spec.build_disk(&base, scale, IoCounter::new(block))?;
-    }
-    DiskGraph::open(&base, IoCounter::new(block))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,12 +276,47 @@ mod tests {
         t.print();
     }
 
+    fn args(argv: &[&str]) -> Args {
+        Args::from_args("fig", argv.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn dataset_build_is_cached() {
-        let spec = graphgen::dataset_by_name("DBLP").unwrap();
-        let dir = TempDir::new("harness").unwrap();
-        let a = build_dataset(&spec, 0.02, &dir, 4096).unwrap();
-        let b = build_dataset(&spec, 0.02, &dir, 4096).unwrap();
-        assert_eq!(a.num_edges(), b.num_edges());
+    fn args_read_what_they_are_given() {
+        let mut a = args(&[
+            "--group", "big", "--scale", "0.02", "--smoke", "--family", "ba",
+        ]);
+        assert_eq!(a.group(), DatasetGroup::Big);
+        assert_eq!(a.get_num("scale", 1.0), 0.02);
+        assert!(a.flag("smoke"));
+        assert_eq!(a.get("family", "rmat"), "ba");
+        assert!(!a.flag("maintenance"));
+        assert_eq!(a.get_num("ops", 7), 7);
+        assert_eq!(a.check(), Ok(()));
+        assert_eq!(
+            a.usage,
+            "usage: fig [--group small|big] [--scale 1] [--smoke] [--family rmat] \
+             [--maintenance] [--ops 7]"
+        );
+    }
+
+    #[test]
+    fn args_refuse_what_no_getter_reads_or_parses() {
+        for (argv, problem) in [
+            (&["--scle", "0.02"][..], "unknown option --scle"),
+            (&["--scale", "0,02"], "--scale takes a number, not `0,02`"),
+            (&["--scale"], "--scale takes a number, not `true`"),
+            (
+                &["--group", "Big"],
+                "--group is `small` or `big`, not `Big`",
+            ),
+            (&["small"], "unexpected argument `small`"),
+            (&["--smoke", "3"], "--smoke takes no value, not `3`"),
+        ] {
+            let mut a = args(argv);
+            a.group();
+            a.get_num("scale", 1.0);
+            a.flag("smoke");
+            assert_eq!(a.check(), Err(problem.to_string()), "{argv:?}");
+        }
     }
 }

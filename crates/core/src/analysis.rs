@@ -6,33 +6,6 @@ use std::collections::HashMap;
 
 use graphstore::{AdjacencyRead, Result};
 
-/// Size of every k-core, for `k = 0..=kmax` (the "onion" profile).
-///
-/// `sizes[k] = |{v : core(v) ≥ k}|`; by Property 2.1 the sequence is
-/// non-increasing.
-pub fn kcore_sizes(core: &[u32]) -> Vec<u64> {
-    let kmax = core.iter().copied().max().unwrap_or(0) as usize;
-    let mut hist = vec![0u64; kmax + 1];
-    for &c in core {
-        hist[c as usize] += 1;
-    }
-    // Suffix-sum the exact-level histogram into cumulative core sizes.
-    let mut sizes = hist;
-    for k in (0..kmax).rev() {
-        sizes[k] += sizes[k + 1];
-    }
-    sizes
-}
-
-/// A degeneracy ordering: nodes sorted by non-decreasing core number, with
-/// the guarantee that every node has at most `kmax` neighbours *after* it in
-/// the order. The classic preprocessing step for clique finding \[8\].
-pub fn degeneracy_order(core: &[u32]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..core.len() as u32).collect();
-    order.sort_by_key(|&v| core[v as usize]);
-    order
-}
-
 /// Connected components of the k-core (`G(V_k)` per Lemma 2.1), returned as
 /// sorted node lists, largest first. These are the "communities" of
 /// core-based community detection \[12, 15\].
@@ -149,56 +122,6 @@ pub fn densest_core(g: &mut impl AdjacencyRead, core: &[u32]) -> Result<(Vec<u32
 mod tests {
     use super::*;
     use crate::fixtures::{paper_example_graph, PAPER_EXAMPLE_CORES};
-
-    #[test]
-    fn kcore_sizes_of_example() {
-        let sizes = kcore_sizes(&PAPER_EXAMPLE_CORES);
-        assert_eq!(sizes, vec![9, 9, 8, 4]);
-    }
-
-    #[test]
-    fn kcore_sizes_empty_and_isolated() {
-        assert_eq!(kcore_sizes(&[]), vec![0]);
-        assert_eq!(kcore_sizes(&[0, 0]), vec![2]);
-    }
-
-    #[test]
-    fn degeneracy_order_is_sorted_by_core() {
-        let order = degeneracy_order(&PAPER_EXAMPLE_CORES);
-        let cores: Vec<u32> = order
-            .iter()
-            .map(|&v| PAPER_EXAMPLE_CORES[v as usize])
-            .collect();
-        let mut sorted = cores.clone();
-        sorted.sort_unstable();
-        assert_eq!(cores, sorted);
-        assert_eq!(order[0], 8, "v8 (core 1) first");
-    }
-
-    #[test]
-    fn degeneracy_order_bounds_forward_degree() {
-        // The defining property: each node has <= kmax neighbours later in
-        // the order.
-        let mut g = paper_example_graph();
-        let order = degeneracy_order(&PAPER_EXAMPLE_CORES);
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 9];
-            for (i, &v) in order.iter().enumerate() {
-                p[v as usize] = i;
-            }
-            p
-        };
-        let kmax = 3;
-        let mut nbrs = Vec::new();
-        for v in 0..9u32 {
-            g.adjacency(v, &mut nbrs).unwrap();
-            let forward = nbrs
-                .iter()
-                .filter(|&&u| pos[u as usize] > pos[v as usize])
-                .count();
-            assert!(forward <= kmax, "node {v} has {forward} forward neighbours");
-        }
-    }
 
     #[test]
     fn components_of_the_3core() {

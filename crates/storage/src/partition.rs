@@ -207,11 +207,6 @@ impl PartitionStore {
         self.parts[i].alive_nodes = meta.alive_nodes;
         Ok(())
     }
-
-    /// Total bytes across all partitions (the on-disk footprint).
-    pub fn total_bytes(&self) -> u64 {
-        self.parts.iter().map(|p| p.bytes).sum()
-    }
 }
 
 fn write_partition(

@@ -32,8 +32,11 @@ impl CoreService {
     /// failure appended to its reason chain. Other graphs keep serving
     /// throughout.
     ///
-    /// On a non-durable service nothing journaled survives, but the
-    /// immutable base tables do: repair re-opens and re-decomposes them.
+    /// On a non-durable service nothing journaled survives: repair
+    /// re-opens and re-decomposes the tables at the registered base, which
+    /// hold the graph's last buffer flush (a non-durable graph's flushes
+    /// rewrite them in place; a durable graph never touches its generation
+    /// 0).
     ///
     /// Errors when the graph is not quarantined (there is nothing to
     /// repair), when a repair is already running, or when the repair

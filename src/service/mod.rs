@@ -639,9 +639,12 @@ impl CoreService {
     /// normally; its pool frames are invalidated when the last one drops
     /// its handle. On a durable service the graph also leaves the catalog
     /// and its checkpoint/journal files are removed — as are tables of
-    /// generation > 0, which are service-created compaction output — but
-    /// the registered base tables are untouched, so it can be re-opened
-    /// (and re-decomposed) later.
+    /// generation > 0, which are service-created compaction output. A
+    /// durable graph never writes its registered base tables (generation
+    /// 0), so it can be re-opened (and re-decomposed) from them later. A
+    /// non-durable graph's buffer flushes rewrite the tables at its
+    /// registered base in place: evicting it leaves its last flush there,
+    /// not the tables it was opened on.
     ///
     /// Eviction deliberately **bypasses quarantine**: removing a poisoned
     /// or corrupted graph is how an operator clears it for re-open. On a

@@ -10,35 +10,25 @@
 //! "Reproduction" maps each claim to its test and records the two places
 //! the stand-ins deviate from the paper.
 //!
-//! The tables are the ones the system writes and serves: compressed (v3),
-//! charged in blocks of [`BLOCK_SIZE`] = 1 KiB. The model is stated in
-//! blocks of `B` and the claims are orderings, so `B` is scaled down to
-//! the stand-ins rather than the stand-ins up to `B`. The scales are what
-//! keeps the file near 25 s in the debug profile on two cores; the `fig*`
-//! binaries of `crates/bench` print the same tables at any `--scale`.
+//! The protocols — the tables, compressed (v3) and charged in blocks of
+//! [`paper::BLOCK_SIZE`] = 1 KiB, the algorithms' options, the victims
+//! and the samples — are `kcore_bench::paper`'s, the code the `fig*`
+//! printers of `crates/bench` print from at any `--scale`; this file
+//! certifies and orders what they return. The model is stated in blocks
+//! of `B` and the claims are orderings, so `B` is scaled down to the
+//! stand-ins rather than the stand-ins up to `B`. The scales are what
+//! keeps the file near 25 s in the debug profile on two cores.
 
 use std::collections::HashSet;
 use std::path::Path;
 
-use graphgen::{dataset_by_name, sample_edges, sample_nodes};
-use graphstore::{mem_to_disk, BufferedGraph, DiskGraph, IoCounter, MemGraph, TempDir};
-use rand::rngs::SmallRng;
-use rand::{seq::SliceRandom, SeedableRng};
-use semicore::{
-    find_violations, semi_delete_star, semi_insert, semi_insert_star, semicore_star_state,
-    DecomposeOptions, Decomposition, EmCoreOptions, InMemoryCores, RunStats, SparseMarks,
-};
+use graphgen::dataset_by_name;
+use graphstore::{DiskGraph, IoCounter, MemGraph, TempDir};
+use kcore_bench::paper::{self, EMCORE_BUDGET_DIVISOR, SCALABILITY_PAIR};
+use semicore::{find_violations, Decomposition, EmCoreOptions, RunStats};
 
 /// The paper's group one (Fig. 9 a/c/e, Fig. 10 a/c).
 const SMALL_GROUP: [&str; 6] = ["DBLP", "Youtube", "WIKI", "CPT", "LJ", "Orkut"];
-/// The two graphs of Figs. 3, 11 and 12.
-const SCALABILITY_PAIR: [&str; 2] = ["Twitter", "UK"];
-
-/// The block size every table here is charged in. At the default 4 KiB the
-/// compressed small-group stand-ins span too few blocks for the trio's
-/// read counts to differ (DBLP's tie); at 1 KiB each table spans four
-/// times as many, and every scan still reads whole blocks.
-const BLOCK_SIZE: usize = 1024;
 
 // Stand-in scales. At 1 KiB blocks 0.03 gives DBLP's three read counts
 // room to differ; EMCore on Orkut, most of the Fig. 9 test's time, is what
@@ -57,25 +47,9 @@ const STAR_BYTES_PER_NODE: u64 = 12;
 /// many times SemiCore\*'s peak on every small-group stand-in (the sparsest,
 /// WIKI at `m/n` = 2.1, sets it; Orkut at 38 is above 25×).
 const BASELINE_MEMORY_FACTOR: u64 = 4;
-/// EMCore's budget as a fraction of the raw adjacency it partitions (`8·m`
-/// bytes: both directions of every edge as `u32`s, whatever the edge
-/// table's encoding), and its partitions as a fraction of that budget
-/// (`fig9_decomposition` uses the same rule).
-const EMCORE_BUDGET_DIVISOR: u64 = 4;
-const EMCORE_PARTITIONS_PER_BUDGET: u64 = 4;
 /// Fig. 3: everything the second half of a SemiCore run changes, as a
 /// share of what its first iteration alone changed.
 const FIG3_TAIL_DIVISOR: u64 = 4;
-
-fn write_table(g: &MemGraph, base: &Path) -> DiskGraph {
-    mem_to_disk(base, g, IoCounter::new(BLOCK_SIZE)).unwrap()
-}
-
-/// A cold, uncached handle with its own counter: what the paper's `M = O(n)`
-/// model charges, and nothing one algorithm's run can leave for the next.
-fn open(base: &Path) -> DiskGraph {
-    DiskGraph::open(base, IoCounter::new(BLOCK_SIZE)).unwrap()
-}
 
 /// Theorem 4.1: the assignment is a fixpoint of Eq. 1 at every node. Every
 /// algorithm here descends from `deg(v)`, so a clean certificate is
@@ -89,12 +63,7 @@ fn certify(g: &MemGraph, core: &[u32], what: &str) {
 
 /// SemiCore\*, SemiCore+ and SemiCore over `g`'s table at `base`, certified.
 fn semi_external_trio(g: &MemGraph, base: &Path, what: &str) -> [Decomposition; 3] {
-    let opts = DecomposeOptions::default();
-    let trio = [
-        semicore::semicore_star(&mut open(base), &opts).unwrap(),
-        semicore::semicore_plus(&mut open(base), &opts).unwrap(),
-        semicore::semicore(&mut open(base), &opts).unwrap(),
-    ];
+    let trio = paper::trio(base).unwrap();
     for d in &trio {
         certify(g, &d.core, &format!("{what} {}", d.stats.algorithm));
     }
@@ -139,7 +108,7 @@ fn fig09_decomposition_io_computations_and_memory() {
         let g = dataset_by_name(name).unwrap().generate_mem(FIG9_SCALE);
         let (n, m) = (u64::from(g.num_nodes()), g.num_edges());
         let base = dir.path().join(name);
-        write_table(&g, &base);
+        paper::write_table(&g, &base).unwrap();
         let raw_bytes = 8 * m;
 
         let trio = semi_external_trio(&g, &base, name);
@@ -153,13 +122,9 @@ fn fig09_decomposition_io_computations_and_memory() {
 
         // EMCore at a budget that is a share of the adjacency it loads —
         // the paper's regime — and at one that holds all of it.
-        let budget = raw_bytes / EMCORE_BUDGET_DIVISOR;
+        let budget = paper::emcore_budget(m);
         let emcore = |memory_budget| {
-            let opts = EmCoreOptions {
-                partition_bytes: budget / EMCORE_PARTITIONS_PER_BUDGET,
-                memory_budget,
-            };
-            let d = semicore::emcore(&mut open(&base), &opts).unwrap();
+            let d = paper::emcore(&base, memory_budget).unwrap();
             certify(&g, &d.core, &format!("{name} EMCore at {memory_budget} B"));
             d.stats
         };
@@ -230,7 +195,7 @@ fn emcore_charges_in_the_inputs_blocks_and_reports_its_input_scan() {
     let dir = TempDir::new("claims-emcore").unwrap();
     let g = dataset_by_name("Youtube").unwrap().generate_mem(FIG9_SCALE);
     let base = dir.path().join("g");
-    write_table(&g, &base);
+    paper::write_table(&g, &base).unwrap();
     // Partitions of 4 KiB, so every `B` below splits the graph alike.
     let opts = EmCoreOptions {
         partition_bytes: 4096,
@@ -270,11 +235,8 @@ fn fig03_changed_nodes_collapse_after_the_first_iterations() {
     on_each_of_the_pair(|name| {
         let g = dataset_by_name(name).unwrap().generate_mem(FIG3_SCALE);
         let base = dir.path().join(name);
-        write_table(&g, &base);
-        let opts = DecomposeOptions {
-            track_changed_per_iteration: true,
-        };
-        let d = semicore::semicore(&mut open(&base), &opts).unwrap();
+        paper::write_table(&g, &base).unwrap();
+        let d = paper::changed_per_iteration(&base).unwrap();
         certify(&g, &d.core, name);
         let series = d.stats.changed_per_iteration.unwrap();
         let first = series[0];
@@ -293,72 +255,23 @@ fn fig03_changed_nodes_collapse_after_the_first_iterations() {
     });
 }
 
-fn victims(g: &MemGraph, seed: u64, count: usize) -> Vec<(u32, u32)> {
-    let mut edges: Vec<(u32, u32)> = g.edges().collect();
-    edges.shuffle(&mut SmallRng::seed_from_u64(seed));
-    edges.truncate(count);
-    edges
-}
-
-/// `[charged reads, node computations]` summed over one phase of the
-/// paper's protocol.
-type UpdateCost = [u64; 2];
-
-fn add(cost: &mut UpdateCost, st: &semicore::MaintainStats) {
-    cost[0] += st.io.read_ios;
-    cost[1] += st.node_computations;
-}
-
-/// The paper's Fig. 10 protocol on a disk graph: remove the victims one by
-/// one with SemiDelete\*, then put them back with the given insertion
-/// algorithm. Returns (delete cost, insert cost); the state is certified
-/// after each phase.
-fn delete_then_reinsert(
-    g: &MemGraph,
-    base: &Path,
-    victims: &[(u32, u32)],
-    one_phase: bool,
-) -> (UpdateCost, UpdateCost) {
-    let mut graph = BufferedGraph::with_default_capacity(write_table(g, base));
-    let (mut state, _) = semicore_star_state(&mut graph, &DecomposeOptions::default()).unwrap();
-    let mut marks = SparseMarks::new(g.num_nodes());
-    let what = base.display().to_string();
-
-    let mut delete = UpdateCost::default();
-    for &(u, v) in victims {
-        add(
-            &mut delete,
-            &semi_delete_star(&mut graph, &mut state, u, v).unwrap(),
-        );
-    }
-    let gone: HashSet<(u32, u32)> = victims.iter().copied().collect();
-    let pruned = MemGraph::from_edges(g.edges().filter(|e| !gone.contains(e)), g.num_nodes());
-    certify(&pruned, &state.core, &what);
-    let mut insert = UpdateCost::default();
-    for &(u, v) in victims {
-        let st = if one_phase {
-            semi_insert_star(&mut graph, &mut state, &mut marks, u, v)
-        } else {
-            semi_insert(&mut graph, &mut state, &mut marks, u, v)
-        };
-        add(&mut insert, &st.unwrap());
-    }
-    certify(g, &state.core, &what);
-    (delete, insert)
-}
-
 /// Figs. 10 and 12 on one graph: SemiDelete\* ≤ SemiInsert\* < SemiInsert in
-/// reads and in node computations per update. Returns SemiInsert\*'s cost.
+/// reads and in node computations per update, with the state certified
+/// after each phase. Returns SemiInsert\*'s `[reads, computations]`.
 fn assert_maintenance_ordering(
     g: &MemGraph,
     dir: &TempDir,
     tag: &str,
     victims: &[(u32, u32)],
-) -> UpdateCost {
-    let (delete, two_phase) =
-        delete_then_reinsert(g, &dir.path().join(format!("{tag}-2")), victims, false);
-    let (delete_again, one_phase) =
-        delete_then_reinsert(g, &dir.path().join(format!("{tag}-1")), victims, true);
+) -> [u64; 2] {
+    let gone: HashSet<(u32, u32)> = victims.iter().copied().collect();
+    let pruned = MemGraph::from_edges(g.edges().filter(|e| !gone.contains(e)), g.num_nodes());
+    let [[delete, two_phase], [delete_again, one_phase]] =
+        paper::delete_then_reinsert(g, &dir.path().join(tag), victims, |back, core| {
+            certify(if back { g } else { &pruned }, core, tag)
+        })
+        .unwrap()
+        .map(|run| run.map(|phase| phase.counters()));
     assert_eq!(
         delete, delete_again,
         "{tag}: the delete phase is the same run"
@@ -387,54 +300,26 @@ fn fig10_maintenance_cost_per_update() {
     for name in SMALL_GROUP {
         let spec = dataset_by_name(name).unwrap();
         let g = spec.generate_mem(FIG10_SCALE);
-        let victims = victims(&g, 0xF1610 + spec.seed, 100);
+        let victims = paper::fig10_victims(&spec, &g);
         let one_phase = assert_maintenance_ordering(&g, &dir, &format!("fig10 {name}"), &victims);
 
         // SemiInsert* visits exactly the nodes the in-memory algorithm
         // does: the semi-external model costs block reads, not extra work.
-        let mut in_memory = InMemoryCores::new(&g).unwrap();
-        for &(u, v) in &victims {
-            in_memory.delete_edge(u, v).unwrap();
-        }
-        let computations: u64 = victims
-            .iter()
-            .map(|&(u, v)| in_memory.insert_edge(u, v).unwrap().node_computations)
-            .sum();
+        let [_, in_memory] = paper::in_memory_delete_then_reinsert(&g, &victims).unwrap();
         assert_eq!(
-            one_phase[1], computations,
+            one_phase[1], in_memory.computations,
             "{name}: SemiInsert* vs the in-memory insert"
         );
     }
-}
-
-/// The 20 %…100 % node samples (induced subgraph) and edge samples of one
-/// stand-in, as Figs. 11 and 12 vary them. Both sweeps end at the whole
-/// stand-in, which is listed once.
-fn samples(name: &str) -> Vec<(String, MemGraph)> {
-    let full = dataset_by_name(name).unwrap().generate_mem(FIG11_12_SCALE);
-    let mut out = Vec::new();
-    for pct in [20u64, 40, 60, 80] {
-        let f = pct as f64 / 100.0;
-        out.push((
-            format!("{name} {pct}pct-V"),
-            sample_nodes(&full, f, 1000 + pct),
-        ));
-        out.push((
-            format!("{name} {pct}pct-E"),
-            sample_edges(&full, f, 2000 + pct),
-        ));
-    }
-    out.push((format!("{name} 100pct"), full));
-    out
 }
 
 #[test]
 fn fig11_decomposition_ordering_holds_at_every_sample() {
     let dir = TempDir::new("claims-fig11").unwrap();
     on_each_of_the_pair(|name| {
-        for (tag, g) in samples(name) {
+        for (tag, g) in paper::samples(name, FIG11_12_SCALE) {
             let base = dir.path().join(&tag);
-            write_table(&g, &base);
+            paper::write_table(&g, &base).unwrap();
             let trio = semi_external_trio(&g, &base, &tag);
             let (reads, computations) = assert_decomposition_ordering(&trio, &tag);
             println!(
@@ -450,8 +335,8 @@ fn fig11_decomposition_ordering_holds_at_every_sample() {
 fn fig12_maintenance_ordering_holds_at_every_sample() {
     let dir = TempDir::new("claims-fig12").unwrap();
     on_each_of_the_pair(|name| {
-        for (tag, g) in samples(name) {
-            let victims = victims(&g, 0xF1612, 30);
+        for (tag, g) in paper::samples(name, FIG11_12_SCALE) {
+            let victims = paper::fig12_victims(&g);
             assert_maintenance_ordering(&g, &dir, &format!("fig12 {tag}"), &victims);
         }
     });
