@@ -20,7 +20,7 @@ use semicore::DecomposeOptions;
 
 fn main() -> graphstore::Result<()> {
     let mut args = Args::parse();
-    let family = args.get("family", "rmat");
+    let family = args.family();
     let target_edges: u64 = args.get_num("edges", 150_000);
     // Density m/n of the stand-in. The paper's web crawls sit at 27–43
     // (Table I); at such densities the node table fits in a small fraction
@@ -30,7 +30,7 @@ fn main() -> graphstore::Result<()> {
     let dir = graphstore::TempDir::new("abl-cache")?;
 
     // Build one fixed graph on disk; every sweep point re-opens it cold.
-    let g = graph_standin(&family, target_edges, density);
+    let g = graph_standin(family, target_edges, density);
     let base = dir.path().join("g");
     let disk = mem_to_disk(&base, &g, IoCounter::new(DEFAULT_BLOCK_SIZE))?;
     let node_bytes = disk.meta().node_file_len();

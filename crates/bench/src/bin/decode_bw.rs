@@ -104,14 +104,14 @@ fn sweep(
 
 fn main() -> graphstore::Result<()> {
     let mut args = Args::parse();
-    let family = args.get("family", "rmat");
+    let family = args.family();
     let smoke = args.flag("smoke");
     let target_edges: u64 = args.get_num("edges", if smoke { 120_000 } else { 400_000 });
     let density: u64 = args.get_num("density", 24);
     let trials: usize = args.get_num("trials", if smoke { 5 } else { 7 });
     args.finish();
 
-    let g = kcore_bench::harness::graph_standin(&family, target_edges, density);
+    let g = kcore_bench::harness::graph_standin(family, target_edges, density);
     let v2 = encode_corpus(&g, encode_gap_run);
     let v3 = encode_corpus(&g, encode_group_run);
     let ids = v2.total_ids;

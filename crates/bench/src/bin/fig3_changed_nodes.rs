@@ -21,12 +21,13 @@ fn main() -> graphstore::Result<()> {
     for name in paper::SCALABILITY_PAIR {
         let spec = graphgen::dataset_by_name(name).unwrap();
         let base = dir.path().join(name);
-        paper::write_dataset(&spec, scale, &base)?;
+        let table = paper::write_table(&spec.generate_mem(scale), &base)?;
         let d = paper::changed_per_iteration(&base)?;
         let series = d.stats.changed_per_iteration.as_ref().unwrap();
-        let n = d.core.len();
+        let n = table.num_nodes();
         println!(
-            "\nFig. 3 ({name} stand-in): {n} nodes, {} iterations",
+            "\nFig. 3 ({name} stand-in): {n} nodes, {} edges, {} iterations",
+            table.num_edges(),
             series.len()
         );
         println!(

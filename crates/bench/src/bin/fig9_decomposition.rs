@@ -54,10 +54,9 @@ fn main() -> graphstore::Result<()> {
             continue;
         }
         let base = dir.path().join(spec.name);
-        paper::write_dataset(&spec, scale, &base)?;
+        let m = paper::write_table(&spec.generate_mem(scale), &base)?.num_edges();
         let mut runs = Vec::from(paper::trio(&base)?);
         if group == DatasetGroup::Small {
-            let m = paper::open(&base)?.num_edges();
             runs.push(paper::emcore(&base, paper::emcore_budget(m))?);
             runs.push(imcore(&base)?);
         }

@@ -9,8 +9,8 @@ use graphgen::DatasetGroup;
 use graphstore::MemGraph;
 
 /// Deterministic ablation workload shared by the `ablation_*` sweeps:
-/// a `family` ("ba" or "rmat") graph targeting `edges` edges at average
-/// density `m/n ≈ density`.
+/// a `family` ([`Args::family`]: "rmat" or "ba") graph targeting `edges`
+/// edges at average density `m/n ≈ density`.
 pub fn graph_standin(family: &str, edges: u64, density: u64) -> MemGraph {
     let density = density.max(2);
     match family {
@@ -18,7 +18,7 @@ pub fn graph_standin(family: &str, edges: u64, density: u64) -> MemGraph {
             let n = (edges / density).max(64) as u32;
             MemGraph::from_edges(graphgen::preferential_attachment(n, density as u32, 42), n)
         }
-        _ => {
+        "rmat" => {
             let n_target = (edges / density).max(64);
             let scale = (64 - n_target.leading_zeros() as u64).clamp(8, 30) as u32;
             let p = graphgen::Rmat::web(scale);
@@ -26,6 +26,7 @@ pub fn graph_standin(family: &str, edges: u64, density: u64) -> MemGraph {
             // at high density).
             MemGraph::from_edges(graphgen::rmat_edges(p, edges * 3, 42), p.num_nodes())
         }
+        other => panic!("no graph family `{other}`: \"rmat\" or \"ba\""),
     }
 }
 
@@ -79,12 +80,6 @@ impl Args {
         self.given.remove(key)
     }
 
-    /// String option with default.
-    pub fn get(&mut self, key: &str, default: &str) -> String {
-        self.take(key, &format!("--{key} {default}"))
-            .unwrap_or_else(|| default.to_string())
-    }
-
     /// Parsed numeric option with default.
     pub fn get_num<T: FromStr + Display>(&mut self, key: &str, default: T) -> T {
         let value = self.take(key, &format!("--{key} {default}"));
@@ -109,17 +104,33 @@ impl Args {
         value.is_some()
     }
 
-    /// The `--group small|big` option (Figs. 9 and 10), `small` by default.
-    pub fn group(&mut self) -> DatasetGroup {
-        match self.take("group", "--group small|big").as_deref() {
-            None | Some("small") => DatasetGroup::Small,
-            Some("big") => DatasetGroup::Big,
-            Some(other) => {
+    /// Option `key`, one of `choices`, the first by default.
+    fn choice(&mut self, key: &str, choices: [&'static str; 2]) -> &'static str {
+        let [first, second] = choices;
+        match self.take(key, &format!("--{key} {first}|{second}")) {
+            None => first,
+            Some(v) if v == first => first,
+            Some(v) if v == second => second,
+            Some(v) => {
                 self.errors
-                    .push(format!("--group is `small` or `big`, not `{other}`"));
-                DatasetGroup::Small
+                    .push(format!("--{key} is `{first}` or `{second}`, not `{v}`"));
+                first
             }
         }
+    }
+
+    /// The `--group small|big` option (Figs. 9 and 10), `small` by default.
+    pub fn group(&mut self) -> DatasetGroup {
+        match self.choice("group", ["small", "big"]) {
+            "big" => DatasetGroup::Big,
+            _ => DatasetGroup::Small,
+        }
+    }
+
+    /// The `--family rmat|ba` option of the [`graph_standin`] sweeps,
+    /// `rmat` by default.
+    pub fn family(&mut self) -> &'static str {
+        self.choice("family", ["rmat", "ba"])
     }
 
     /// What is wrong with the command line, given the keys read so far.
@@ -288,13 +299,13 @@ mod tests {
         assert_eq!(a.group(), DatasetGroup::Big);
         assert_eq!(a.get_num("scale", 1.0), 0.02);
         assert!(a.flag("smoke"));
-        assert_eq!(a.get("family", "rmat"), "ba");
+        assert_eq!(a.family(), "ba");
         assert!(!a.flag("maintenance"));
         assert_eq!(a.get_num("ops", 7), 7);
         assert_eq!(a.check(), Ok(()));
         assert_eq!(
             a.usage,
-            "usage: fig [--group small|big] [--scale 1] [--smoke] [--family rmat] \
+            "usage: fig [--group small|big] [--scale 1] [--smoke] [--family rmat|ba] \
              [--maintenance] [--ops 7]"
         );
     }
@@ -309,6 +320,8 @@ mod tests {
                 &["--group", "Big"],
                 "--group is `small` or `big`, not `Big`",
             ),
+            (&["--family", "BA"], "--family is `rmat` or `ba`, not `BA`"),
+            (&["--family"], "--family is `rmat` or `ba`, not `true`"),
             (&["small"], "unexpected argument `small`"),
             (&["--smoke", "3"], "--smoke takes no value, not `3`"),
         ] {
@@ -316,6 +329,7 @@ mod tests {
             a.group();
             a.get_num("scale", 1.0);
             a.flag("smoke");
+            a.family();
             assert_eq!(a.check(), Err(problem.to_string()), "{argv:?}");
         }
     }

@@ -39,14 +39,6 @@ pub fn write_table(g: &MemGraph, base: &Path) -> Result<DiskGraph> {
     mem_to_disk(base, g, IoCounter::new(BLOCK_SIZE))
 }
 
-/// Write `spec`'s stand-in at `scale` as a table at `base`: the table
-/// [`write_table`] writes for `spec.generate_mem(scale)`, built in bounded
-/// memory.
-pub fn write_dataset(spec: &DatasetSpec, scale: f64, base: &Path) -> Result<()> {
-    spec.build_disk(base, scale, IoCounter::new(BLOCK_SIZE))
-        .map(drop)
-}
-
 /// A cold, uncached handle with its own counter: what the paper's `M = O(n)`
 /// model charges, and nothing one algorithm's run can leave for the next.
 pub fn open(base: &Path) -> Result<DiskGraph> {
