@@ -1,7 +1,8 @@
 //! Scaled stand-ins for the paper's 12 evaluation datasets (Table I).
 //!
 //! Each spec records the real graph's published statistics (for the
-//! paper-vs-measured tables in EXPERIMENTS.md) and a generator recipe that
+//! paper-vs-measured comparison in the README's "Reproduction" section and
+//! the `table1_datasets` printer of `kcore-bench`) and a generator recipe that
 //! reproduces its shape class at a size this machine chews through in
 //! seconds: preferential attachment for the social/citation networks, R-MAT
 //! for the web crawls, with the average density `m/n` matched to Table I.

@@ -7,7 +7,9 @@
 //! UK, Clueweb, WIKI).
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+#[cfg(test)]
+use rand::Rng;
+use rand::{RngCore, SeedableRng};
 
 /// R-MAT parameter set. Probabilities must be non-negative and sum to ~1.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +40,10 @@ impl Rmat {
         1u32 << self.scale
     }
 
-    /// Sample one directed edge.
+    /// Sample one directed edge the way the sampler is specified: one
+    /// uniform `f64` per level, compared against the cumulative quadrant
+    /// probabilities. [`rmat_stream`] must reproduce it draw for draw.
+    #[cfg(test)]
     fn edge(&self, rng: &mut SmallRng) -> (u32, u32) {
         let mut u = 0u32;
         let mut v = 0u32;
@@ -61,6 +66,49 @@ impl Rmat {
     }
 }
 
+/// The cumulative quadrant probabilities `a`, `a + b`, `a + b + c` as
+/// thresholds on the 53-bit integer behind one uniform `f64` draw.
+///
+/// The rand shim's `f64` is exactly `k · 2⁻⁵³` with `k = next_u64() >> 11`,
+/// so `r < p` holds iff `k < ceil(p · 2⁵³)`: `p · 2⁵³` is exact in `f64`
+/// (a power-of-two scaling), and for an integer `k`, `k < x` iff
+/// `k < ceil(x)`. The sums are the same `f64` expressions the float
+/// reference (`Rmat::edge`, built for tests) compares against, so every
+/// draw lands in the same quadrant.
+struct Thresholds {
+    t1: u64,
+    t2: u64,
+    t3: u64,
+}
+
+impl Thresholds {
+    fn new(p: &Rmat) -> Thresholds {
+        let scaled = |x: f64| (x * (1u64 << 53) as f64).ceil() as u64;
+        Thresholds {
+            t1: scaled(p.a),
+            t2: scaled(p.a + p.b),
+            t3: scaled(p.a + p.b + p.c),
+        }
+    }
+
+    /// One edge, one `next_u64` per level. The quadrants in draw order are
+    /// `(0,0)`, `(0,1)`, `(1,0)`, `(1,1)`, so `u` is set past `t2` and `v`
+    /// in the second and fourth bands; `t1 ≤ t2 ≤ t3` because the
+    /// probabilities are non-negative.
+    fn edge(&self, scale: u32, rng: &mut SmallRng) -> (u32, u32) {
+        let mut u = 0u32;
+        let mut v = 0u32;
+        for _ in 0..scale {
+            let k = rng.next_u64() >> 11;
+            let u_bit = k >= self.t2;
+            let v_bit = (k >= self.t1) & !u_bit | (k >= self.t3);
+            u = (u << 1) | u_bit as u32;
+            v = (v << 1) | v_bit as u32;
+        }
+        (u, v)
+    }
+}
+
 /// Generate `m` R-MAT edge samples (with possible duplicates / self-loops —
 /// callers normalise through the graph builders), calling `emit` per edge.
 pub fn rmat_stream(params: Rmat, m: u64, seed: u64, mut emit: impl FnMut(u32, u32)) {
@@ -75,9 +123,10 @@ pub fn rmat_stream(params: Rmat, m: u64, seed: u64, mut emit: impl FnMut(u32, u3
             && params.a + params.b + params.c <= 1.0 + 1e-9,
         "probabilities must be a valid distribution"
     );
+    let thresholds = Thresholds::new(&params);
     let mut rng = SmallRng::seed_from_u64(seed);
     for _ in 0..m {
-        let (u, v) = params.edge(&mut rng);
+        let (u, v) = thresholds.edge(params.scale, &mut rng);
         emit(u, v);
     }
 }
@@ -93,6 +142,66 @@ pub fn rmat_edges(params: Rmat, m: u64, seed: u64) -> Vec<(u32, u32)> {
 mod tests {
     use super::*;
     use graphstore::MemGraph;
+
+    fn rmat(a: f64, b: f64, c: f64, scale: u32) -> Rmat {
+        Rmat { a, b, c, scale }
+    }
+
+    /// `m` edges from the float reference sampler, `Rmat::edge`.
+    fn reference_edges(p: Rmat, m: u64, seed: u64) -> Vec<(u32, u32)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..m).map(|_| p.edge(&mut rng)).collect()
+    }
+
+    #[test]
+    fn integer_sampler_matches_the_float_reference() {
+        let params = [
+            Rmat::web(17),
+            Rmat::web(1),
+            Rmat::web(31),
+            rmat(0.25, 0.25, 0.25, 12),
+            // Sums that do not round-trip through decimal (0.1 + 0.2).
+            rmat(0.1, 0.2, 0.3, 9),
+            // Empty bands: `t1 = 0`, `t1 = t2`, `t2 = t3` and `t3 = 2⁵³`.
+            rmat(0.0, 0.5, 0.5, 10),
+            rmat(0.6, 0.0, 0.0, 10),
+            rmat(1.0, 0.0, 0.0, 5),
+            rmat(0.0, 0.0, 0.0, 5),
+        ];
+        for p in params {
+            for seed in [0, 1, 112, u64::MAX] {
+                assert_eq!(
+                    rmat_edges(p, 5_000, seed),
+                    reference_edges(p, 5_000, seed),
+                    "{p:?}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_split_draws_exactly_where_the_floats_do() {
+        // At each threshold's neighbours, `k < t` must agree with the float
+        // comparison `k · 2⁻⁵³ < p` that the reference makes.
+        for p in [
+            Rmat::web(8),
+            rmat(0.1, 0.2, 0.3, 8),
+            rmat(0.5, 0.25, 0.125, 8),
+            rmat(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 8),
+        ] {
+            let t = Thresholds::new(&p);
+            for (threshold, prob) in [(t.t1, p.a), (t.t2, p.a + p.b), (t.t3, p.a + p.b + p.c)] {
+                for k in threshold.saturating_sub(2)..threshold + 2 {
+                    let r = k as f64 * (1.0 / (1u64 << 53) as f64);
+                    assert_eq!(
+                        k < threshold,
+                        r < prob,
+                        "{p:?}: k {k}, threshold {threshold}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_a_seed() {
@@ -127,15 +236,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "scale")]
     fn rejects_scale_32() {
-        rmat_edges(
-            Rmat {
-                a: 0.25,
-                b: 0.25,
-                c: 0.25,
-                scale: 32,
-            },
-            1,
-            0,
-        );
+        rmat_edges(rmat(0.25, 0.25, 0.25, 32), 1, 0);
     }
 }

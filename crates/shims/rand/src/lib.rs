@@ -74,8 +74,9 @@ macro_rules! impl_sample_uniform {
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "cannot sample empty range");
                 let span = (hi as u64).wrapping_sub(lo as u64);
-                // Multiply-shift rejection-free mapping; the modulo bias is
-                // below 2^-32 for every span this workspace uses.
+                // Plain modulo reduction, no rejection: the bias is below
+                // 2^-32 for every span this workspace uses. Changing the
+                // mapping would change every seeded stream.
                 let x = rng.next_u64() % span;
                 lo.wrapping_add(x as $t)
             }

@@ -267,7 +267,7 @@ impl CsrRun {
 
 /// Make `list` strictly ascending in place — sorted, duplicates dropped —
 /// and return how many entries remain. A list already so is only read.
-fn sort_dedup(list: &mut [u32]) -> usize {
+pub(crate) fn sort_dedup(list: &mut [u32]) -> usize {
     if list.windows(2).all(|w| w[0] < w[1]) {
         return list.len();
     }

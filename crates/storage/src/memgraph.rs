@@ -7,6 +7,7 @@
 //! Both normalise input the same way the disk builder does: undirected,
 //! self-loops dropped, duplicate edges dropped, neighbour lists sorted.
 
+use crate::builder::sort_dedup;
 use crate::error::{Error, Result};
 
 /// Adjacency lists must mirror each other: finding `(u, v)` in only one
@@ -15,29 +16,6 @@ fn asymmetric(u: u32, v: u32) -> Error {
     Error::Corrupt {
         reason: format!("asymmetric adjacency at ({u}, {v})"),
     }
-}
-
-/// Normalise an edge list in place: symmetrise, drop self-loops and
-/// duplicates, sort pairs. Returns the implied node count (max id + 1),
-/// clamped up to `min_nodes`.
-fn normalize_edges(edges: &mut Vec<(u32, u32)>, min_nodes: u32) -> u32 {
-    let mut n = min_nodes;
-    let mut sym = Vec::with_capacity(edges.len() * 2);
-    for &(u, v) in edges.iter() {
-        if u == v {
-            continue;
-        }
-        sym.push((u, v));
-        sym.push((v, u));
-        let hi = u.max(v);
-        if hi >= n {
-            n = hi + 1;
-        }
-    }
-    sym.sort_unstable();
-    sym.dedup();
-    *edges = sym;
-    n
 }
 
 /// Immutable compressed-sparse-row undirected graph.
@@ -58,18 +36,56 @@ impl MemGraph {
     /// Build from an arbitrary edge list (normalised as documented above).
     ///
     /// `min_nodes` forces at least that many nodes even if the tail ids are
-    /// isolated.
+    /// isolated. The node count is the largest endpoint of a non-loop edge
+    /// plus one, and at least `min_nodes`: a self-loop never adds a node.
+    ///
+    /// Count and scatter, as the external builder does with a run: count
+    /// each node's degree, scatter both directions of every edge into one
+    /// neighbour array, then sort and dedup each list in place and close
+    /// the gaps the duplicates left. Peak memory is the collected input
+    /// (8 B per edge) plus 4 B per directed edge and 8 B per node.
     pub fn from_edges(edges: impl IntoIterator<Item = (u32, u32)>, min_nodes: u32) -> MemGraph {
-        let mut list: Vec<(u32, u32)> = edges.into_iter().collect();
-        let n = normalize_edges(&mut list, min_nodes);
-        let mut offsets = vec![0u64; n as usize + 1];
-        for &(u, _) in &list {
+        let list: Vec<(u32, u32)> = edges.into_iter().collect();
+        let not_loop = |&&(u, v): &&(u32, u32)| u != v;
+        let n = list
+            .iter()
+            .filter(not_loop)
+            .map(|&(u, v)| u.max(v) + 1)
+            .fold(min_nodes, u32::max) as usize;
+        // `offsets[v + 1]` counts `v`'s directed edges; the prefix sum makes
+        // `offsets[v]` the start of `v`'s raw list.
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, v) in list.iter().filter(not_loop) {
             offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        for i in 0..n as usize {
-            offsets[i + 1] += offsets[i];
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let nbrs = list.into_iter().map(|(_, v)| v).collect();
+        // `offsets[v]` is `v`'s scatter cursor: once every edge is placed it
+        // has advanced to the end of `v`'s raw list.
+        let mut nbrs = vec![0u32; offsets[n] as usize];
+        for &(u, v) in list.iter().filter(not_loop) {
+            for (a, b) in [(u, v), (v, u)] {
+                nbrs[offsets[a as usize] as usize] = b;
+                offsets[a as usize] += 1;
+            }
+        }
+        drop(list);
+        // Sort and dedup each raw list, move it down over the duplicates
+        // dropped before it, and turn `offsets[v]` back into its start.
+        let (mut read, mut write) = (0usize, 0usize);
+        for offset in &mut offsets[..n] {
+            let end = *offset as usize;
+            let kept = sort_dedup(&mut nbrs[read..end]);
+            nbrs.copy_within(read..read + kept, write);
+            *offset = write as u64;
+            write += kept;
+            read = end;
+        }
+        offsets[n] = write as u64;
+        nbrs.truncate(write);
+        nbrs.shrink_to_fit();
         MemGraph {
             offsets: std::sync::Arc::new(offsets),
             nbrs: std::sync::Arc::new(nbrs),
@@ -299,6 +315,98 @@ impl DynGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testutil::{random_edges, Lcg};
+
+    /// The sort-based normaliser `from_edges` replaced: symmetrise, drop
+    /// self-loops, sort and dedup all `2m` pairs, then count offsets. The
+    /// count-and-scatter build must equal it on every input.
+    fn reference_from_edges(edges: &[(u32, u32)], min_nodes: u32) -> MemGraph {
+        let mut n = min_nodes;
+        let mut sym = Vec::with_capacity(edges.len() * 2);
+        for &(u, v) in edges {
+            if u == v {
+                continue;
+            }
+            sym.push((u, v));
+            sym.push((v, u));
+            let hi = u.max(v);
+            if hi >= n {
+                n = hi + 1;
+            }
+        }
+        sym.sort_unstable();
+        sym.dedup();
+        let mut offsets = vec![0u64; n as usize + 1];
+        for &(u, _) in &sym {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n as usize {
+            offsets[i + 1] += offsets[i];
+        }
+        let nbrs = sym.into_iter().map(|(_, v)| v).collect();
+        MemGraph {
+            offsets: std::sync::Arc::new(offsets),
+            nbrs: std::sync::Arc::new(nbrs),
+        }
+    }
+
+    fn assert_matches_reference(edges: &[(u32, u32)], min_nodes: u32) {
+        let got = MemGraph::from_edges(edges.to_vec(), min_nodes);
+        assert_eq!(
+            got,
+            reference_from_edges(edges, min_nodes),
+            "{} edges, min_nodes {min_nodes}",
+            edges.len()
+        );
+        got.validate().unwrap();
+    }
+
+    #[test]
+    fn from_edges_matches_the_sorting_normaliser() {
+        let mut rng = Lcg::new(35);
+        for case in 0..200u32 {
+            let n = 1 + rng.below(60);
+            let count = rng.below(4 * n + 1);
+            // Duplicates, both orientations and self-loops come with the
+            // draw; every fourth case also asks for isolated tail nodes.
+            let mut edges = random_edges(&mut rng, n, count);
+            let min_nodes = if case % 4 == 0 {
+                n + rng.below(5)
+            } else {
+                rng.below(n)
+            };
+            assert_matches_reference(&edges, min_nodes);
+            let flipped: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+            assert_matches_reference(&flipped, min_nodes);
+            edges.extend_from_within(..edges.len() / 2);
+            assert_matches_reference(&edges, min_nodes);
+        }
+    }
+
+    #[test]
+    fn from_edges_edge_cases_match_the_sorting_normaliser() {
+        assert_matches_reference(&[], 0);
+        assert_matches_reference(&[], 7);
+        // A self-loop above every other id, and above `min_nodes`, adds no
+        // node; one below `min_nodes` changes nothing either.
+        assert_matches_reference(&[(0, 1), (9, 9)], 0);
+        assert_matches_reference(&[(0, 1), (9, 9)], 4);
+        assert_matches_reference(&[(3, 3)], 2);
+        assert_eq!(MemGraph::from_edges([(0, 1), (9, 9)], 4).num_nodes(), 4);
+        // `min_nodes` above the largest id.
+        assert_matches_reference(&[(2, 0), (1, 2)], 50);
+        // A hub: every node joined to node 0, in descending order, twice,
+        // half of them the other way round.
+        let hub: Vec<_> = (1..500u32)
+            .rev()
+            .chain(1..500)
+            .map(|v| if v % 2 == 0 { (0, v) } else { (v, 0) })
+            .collect();
+        assert_matches_reference(&hub, 0);
+        let g = MemGraph::from_edges(hub, 0);
+        assert_eq!(g.degree(0), 499);
+        assert_eq!(g.num_edges(), 499);
+    }
 
     fn triangle_plus_tail() -> MemGraph {
         // 0-1-2 triangle, 3 hanging off 2, node 4 isolated.
