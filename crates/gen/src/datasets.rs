@@ -12,12 +12,13 @@
 //! the bench harness exposes `--scale` to grow or shrink everything
 //! proportionally.
 
+use graphstore::memgraph::{in_ranges, range_count};
 use graphstore::{DiskGraph, ExternalGraphBuilder, IoCounter, MemGraph, Result};
 use std::path::Path;
 use std::sync::Arc;
 
 use crate::ba::preferential_attachment;
-use crate::rmat::{rmat_stream, Rmat};
+use crate::rmat::{rmat_range, rmat_stream, Rmat};
 
 /// Which evaluation group a dataset belongs to (Fig. 9/10 split them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +81,11 @@ impl DatasetSpec {
 
     /// Generate the stand-in in memory (fine for the small group and for
     /// tests; the big group at large scales should go straight to disk).
+    ///
+    /// The Web arm draws [`range_count`] consecutive ranges of the R-MAT
+    /// stream ([`rmat_range`]) on threads of their own and normalises them
+    /// in order: the graph is the one a single sequential draw gives,
+    /// whatever the count.
     pub fn generate_mem(&self, scale: f64) -> MemGraph {
         let n = self.nodes(scale);
         match self.family {
@@ -91,19 +97,33 @@ impl DatasetSpec {
                 let p = Rmat::web(log2_ceil(n));
                 // Oversample: R-MAT repeats edges, normalisation dedups.
                 let m = (self.edge_target(scale) as f64 * 1.15) as u64;
-                let mut edges = Vec::with_capacity(m as usize);
-                rmat_stream(p, m, self.seed, |u, v| {
-                    if u < n && v < n {
-                        edges.push((u, v));
-                    }
+                let ranges = range_count(m) as u64;
+                let parts = in_ranges((0..ranges).collect(), |j| {
+                    let range = m * j / ranges..m * (j + 1) / ranges;
+                    let mut part = Vec::with_capacity((range.end - range.start) as usize);
+                    rmat_range(p, range, self.seed, |u, v| {
+                        if u < n && v < n {
+                            part.push((u, v));
+                        }
+                    });
+                    part
                 });
-                MemGraph::from_edges(edges, n)
+                MemGraph::from_edge_parts(parts, n)
             }
         }
     }
 
-    /// Generate the stand-in directly on disk with bounded memory, returning
-    /// the opened graph. Used for the big group.
+    /// Generate the stand-in directly on disk, returning the opened graph.
+    /// Used for the big group.
+    ///
+    /// Memory depends on the family. The Web arm streams R-MAT draws
+    /// straight into the external builder, so it holds only the builder's
+    /// bound: a run of 4 Mi directed edges (32 MiB) plus `O(n)` node state
+    /// (see [`ExternalGraphBuilder`]). The Social arm is not bounded:
+    /// [`preferential_attachment`] returns the whole edge `Vec` (8 B per
+    /// edge) and samples from an endpoint pool of two `u32`s per edge
+    /// (8 B per edge more), 16 B per edge in all before the builder sees
+    /// an edge.
     pub fn build_disk(
         &self,
         base: &Path,

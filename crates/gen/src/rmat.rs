@@ -10,6 +10,7 @@ use rand::rngs::SmallRng;
 #[cfg(test)]
 use rand::Rng;
 use rand::{RngCore, SeedableRng};
+use std::ops::Range;
 
 /// R-MAT parameter set. Probabilities must be non-negative and sum to ~1.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +43,7 @@ impl Rmat {
 
     /// Sample one directed edge the way the sampler is specified: one
     /// uniform `f64` per level, compared against the cumulative quadrant
-    /// probabilities. [`rmat_stream`] must reproduce it draw for draw.
+    /// probabilities. [`rmat_range`] must reproduce it draw for draw.
     #[cfg(test)]
     fn edge(&self, rng: &mut SmallRng) -> (u32, u32) {
         let mut u = 0u32;
@@ -109,9 +110,16 @@ impl Thresholds {
     }
 }
 
-/// Generate `m` R-MAT edge samples (with possible duplicates / self-loops —
-/// callers normalise through the graph builders), calling `emit` per edge.
-pub fn rmat_stream(params: Rmat, m: u64, seed: u64, mut emit: impl FnMut(u32, u32)) {
+/// Draw edges `edges.start..edges.end` of the R-MAT sample stream for
+/// `seed` (with possible duplicates / self-loops — callers normalise
+/// through the graph builders), calling `emit` per edge.
+///
+/// Every edge takes exactly `scale` draws, so edge `i`'s draws start
+/// `i · scale` draws into the stream: the generator jumps there with
+/// [`SmallRng::advance`] and the edges come out exactly as a sequential
+/// draw of `0..edges.end` would produce them. Disjoint ranges can
+/// therefore be drawn on separate threads and concatenated in order.
+pub fn rmat_range(params: Rmat, edges: Range<u64>, seed: u64, mut emit: impl FnMut(u32, u32)) {
     assert!(
         params.scale >= 1 && params.scale < 32,
         "scale must be in 1..32"
@@ -125,10 +133,17 @@ pub fn rmat_stream(params: Rmat, m: u64, seed: u64, mut emit: impl FnMut(u32, u3
     );
     let thresholds = Thresholds::new(&params);
     let mut rng = SmallRng::seed_from_u64(seed);
-    for _ in 0..m {
+    rng.advance(edges.start.wrapping_mul(params.scale as u64));
+    for _ in edges {
         let (u, v) = thresholds.edge(params.scale, &mut rng);
         emit(u, v);
     }
+}
+
+/// Generate `m` R-MAT edge samples, calling `emit` per edge: the first `m`
+/// edges of [`rmat_range`]'s stream.
+pub fn rmat_stream(params: Rmat, m: u64, seed: u64, emit: impl FnMut(u32, u32)) {
+    rmat_range(params, 0..m, seed, emit);
 }
 
 /// Collect `m` R-MAT edge samples into a vector.
@@ -200,6 +215,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Edges `lo..hi` of the stream, drawn on their own.
+    fn range(p: Rmat, lo: u64, hi: u64, seed: u64) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        rmat_range(p, lo..hi, seed, |u, v| out.push((u, v)));
+        out
+    }
+
+    #[test]
+    fn ranges_concatenate_to_the_sequential_stream() {
+        for (p, m) in [
+            (Rmat::web(13), 10_001u64),
+            (Rmat::web(1), 7),
+            (Rmat::web(31), 999),
+        ] {
+            let whole = rmat_edges(p, m, 77);
+            // Uneven cuts, with empty (`lo == hi`) and single-edge ranges.
+            let cuts = [
+                vec![0, m],
+                vec![0, 0, 1, m / 3, m / 3, m / 3 + 1, m - 1, m],
+                vec![0, 1, 2, 3, m / 2 + 1, m],
+            ];
+            for cut in cuts {
+                let glued: Vec<_> = cut
+                    .windows(2)
+                    .flat_map(|w| range(p, w[0], w[1], 77))
+                    .collect();
+                assert_eq!(glued, whole, "{p:?}, m {m}, cuts {cut:?}");
+            }
+            assert!(range(p, m, m, 77).is_empty());
+            assert_eq!(range(p, m - 1, m, 77), [whole[m as usize - 1]]);
         }
     }
 

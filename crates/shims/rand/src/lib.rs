@@ -3,7 +3,8 @@
 //! The build environment has no access to a crates registry, so the handful
 //! of `rand` entry points the generators and benches rely on are implemented
 //! here: [`rngs::SmallRng`], [`SeedableRng::seed_from_u64`], the [`Rng`]
-//! methods `gen`, `gen_range`, `gen_bool`, and [`seq::SliceRandom::shuffle`].
+//! methods `gen`, `gen_range`, `gen_bool`, and [`seq::SliceRandom::shuffle`];
+//! plus one call upstream lacks, the jump-ahead [`rngs::SmallRng::advance`].
 //!
 //! The generator is SplitMix64 — deterministic per seed, statistically solid
 //! for workload generation, and a different stream from upstream `rand`
@@ -121,11 +122,25 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub mod rngs {
     use super::{RngCore, SeedableRng};
 
-    /// SplitMix64: 64 bits of state, passes BigCrush, one multiply-xor step
-    /// per output. Stands in for rand's `SmallRng`.
+    /// The Weyl increment SplitMix64 adds to its state per draw.
+    const GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+    /// SplitMix64: 64 bits of state, passes BigCrush, one add to the state
+    /// and two multiply–xorshift rounds of finaliser per output. Stands in
+    /// for rand's `SmallRng`.
     #[derive(Debug, Clone)]
     pub struct SmallRng {
         state: u64,
+    }
+
+    impl SmallRng {
+        /// Skip `draws` outputs in O(1): the state is a counter stepped by
+        /// a constant, so this equals `draws` calls to `next_u64` for every
+        /// `draws` (modulo 2⁶⁴, the state's own period), and a range of
+        /// the stream can be drawn on its own.
+        pub fn advance(&mut self, draws: u64) {
+            self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+        }
     }
 
     impl SeedableRng for SmallRng {
@@ -136,7 +151,7 @@ pub mod rngs {
 
     impl RngCore for SmallRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -174,7 +189,7 @@ pub mod seq {
 mod tests {
     use super::rngs::SmallRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -186,6 +201,24 @@ mod tests {
         let zs: Vec<u64> = (0..16).map(|_| c.gen::<u64>()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        for k in [0u64, 1, 17, 1_000] {
+            let mut drawn = SmallRng::seed_from_u64(99);
+            for _ in 0..k {
+                drawn.next_u64();
+            }
+            let mut skipped = SmallRng::seed_from_u64(99);
+            skipped.advance(k);
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "k = {k}");
+        }
+        // 2⁶⁴ − 1 draws and one more wrap the state round to where it was.
+        let mut rng = SmallRng::seed_from_u64(5);
+        rng.advance(u64::MAX);
+        rng.advance(1);
+        assert_eq!(rng.next_u64(), SmallRng::seed_from_u64(5).next_u64());
     }
 
     #[test]

@@ -315,11 +315,7 @@ impl ExternalGraphBuilder {
     /// `u32::MAX` is refused, because the node count must fit `u32`.
     pub fn add_edge(&mut self, u: u32, v: u32) -> Result<()> {
         let hi = u.max(v);
-        if hi == u32::MAX {
-            return Err(Error::InvalidArgument(format!(
-                "node id {hi} is out of range: the node count must fit u32"
-            )));
-        }
+        Error::check_node_id(hi)?;
         if u == v {
             return Ok(());
         }

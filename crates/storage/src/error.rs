@@ -129,6 +129,18 @@ impl Error {
         Ok(())
     }
 
+    /// `Ok` unless `node` is `u32::MAX`, the one id no graph can hold
+    /// because its node count must fit `u32`; that id is
+    /// [`Error::InvalidArgument`].
+    pub fn check_node_id(node: u32) -> Result<()> {
+        if node == u32::MAX {
+            return Err(Error::InvalidArgument(format!(
+                "node id {node} is out of range: the node count must fit u32"
+            )));
+        }
+        Ok(())
+    }
+
     /// True when the error indicates damaged on-disk data.
     pub fn is_corrupt(&self) -> bool {
         matches!(self, Error::Corrupt { .. })

@@ -40,56 +40,32 @@ impl MemGraph {
     /// plus one, and at least `min_nodes`: a self-loop never adds a node.
     ///
     /// Count and scatter, as the external builder does with a run: count
-    /// each node's degree, scatter both directions of every edge into one
-    /// neighbour array, then sort and dedup each list in place and close
-    /// the gaps the duplicates left. Peak memory is the collected input
-    /// (8 B per edge) plus 4 B per directed edge and 8 B per node.
+    /// each node's degree, cut the nodes into ranges of about equal
+    /// directed-edge count, and let each range, on a thread of its own,
+    /// scatter the endpoints that fall in it into its slice of one
+    /// neighbour array, then sort and dedup its lists in place and close
+    /// the gaps the duplicates left; one sequential pass joins the ranges.
+    /// The count is [`range_count`] of the input edges, and the output
+    /// does not depend on it. Peak memory is the collected input (8 B per
+    /// edge) plus 4 B per directed edge and 8 B per node: each range's
+    /// scatter cursors are its slice of the offsets.
+    ///
+    /// # Panics
+    ///
+    /// If a non-loop edge has the endpoint `u32::MAX`: the node count must
+    /// fit `u32`. Callers with untrusted input refuse that id first, as
+    /// [`ExternalGraphBuilder::add_edge`](crate::ExternalGraphBuilder::add_edge)
+    /// does.
     pub fn from_edges(edges: impl IntoIterator<Item = (u32, u32)>, min_nodes: u32) -> MemGraph {
-        let list: Vec<(u32, u32)> = edges.into_iter().collect();
-        let not_loop = |&&(u, v): &&(u32, u32)| u != v;
-        let n = list
-            .iter()
-            .filter(not_loop)
-            .map(|&(u, v)| u.max(v) + 1)
-            .fold(min_nodes, u32::max) as usize;
-        // `offsets[v + 1]` counts `v`'s directed edges; the prefix sum makes
-        // `offsets[v]` the start of `v`'s raw list.
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, v) in list.iter().filter(not_loop) {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        // `offsets[v]` is `v`'s scatter cursor: once every edge is placed it
-        // has advanced to the end of `v`'s raw list.
-        let mut nbrs = vec![0u32; offsets[n] as usize];
-        for &(u, v) in list.iter().filter(not_loop) {
-            for (a, b) in [(u, v), (v, u)] {
-                nbrs[offsets[a as usize] as usize] = b;
-                offsets[a as usize] += 1;
-            }
-        }
-        drop(list);
-        // Sort and dedup each raw list, move it down over the duplicates
-        // dropped before it, and turn `offsets[v]` back into its start.
-        let (mut read, mut write) = (0usize, 0usize);
-        for offset in &mut offsets[..n] {
-            let end = *offset as usize;
-            let kept = sort_dedup(&mut nbrs[read..end]);
-            nbrs.copy_within(read..read + kept, write);
-            *offset = write as u64;
-            write += kept;
-            read = end;
-        }
-        offsets[n] = write as u64;
-        nbrs.truncate(write);
-        nbrs.shrink_to_fit();
-        MemGraph {
-            offsets: std::sync::Arc::new(offsets),
-            nbrs: std::sync::Arc::new(nbrs),
-        }
+        MemGraph::from_edge_parts(vec![edges.into_iter().collect()], min_nodes)
+    }
+
+    /// [`MemGraph::from_edges`] over the concatenation of `parts`, without
+    /// concatenating them: a generator that drew its edges in ranges on
+    /// several threads hands the ranges over as they are.
+    pub fn from_edge_parts(parts: Vec<Vec<(u32, u32)>>, min_nodes: u32) -> MemGraph {
+        let edges = parts.iter().map(Vec::len).sum::<usize>();
+        normalise(parts, min_nodes, range_count(edges as u64))
     }
 
     /// Build directly from per-node sorted adjacency lists.
@@ -192,6 +168,167 @@ impl MemGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// Items per range of [`range_count`], at least: a smaller range costs
+/// more in thread start-up than it saves.
+const ITEMS_PER_RANGE: u64 = 1 << 16;
+
+/// How many ranges to cut `items` items of work into for [`in_ranges`]:
+/// one per available core, but at most one per 64 Ki items, so that a
+/// small input is one range on the calling thread. `available_parallelism`
+/// honours the process's affinity mask.
+pub fn range_count(items: u64) -> usize {
+    match items / ITEMS_PER_RANGE {
+        0 | 1 => 1,
+        cap => std::thread::available_parallelism()
+            .map_or(1, |c| c.get().min(cap.try_into().unwrap_or(usize::MAX))),
+    }
+}
+
+/// Run `work` on each job, the first on the calling thread and every other
+/// on a scoped thread of its own, and return the results in job order. A
+/// single job spawns nothing; a panic in any job is re-raised here.
+pub fn in_ranges<J: Send, T: Send>(jobs: Vec<J>, work: impl Fn(J) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        let rest: Vec<_> = jobs.map(|job| s.spawn(|| work(job))).collect();
+        first
+            .map(&work)
+            .into_iter()
+            .chain(
+                rest.into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+            )
+            .collect()
+    })
+}
+
+/// [`MemGraph::from_edge_parts`] with the nodes cut into `ranges` ranges
+/// (at least one): the seam through which tests force the count.
+pub(crate) fn normalise(parts: Vec<Vec<(u32, u32)>>, min_nodes: u32, ranges: usize) -> MemGraph {
+    let non_loops = || parts.iter().flatten().copied().filter(|&(u, v)| u != v);
+    let n = non_loops()
+        .map(|(u, v)| {
+            let hi = u.max(v);
+            if let Err(e) = Error::check_node_id(hi) {
+                panic!("{e}");
+            }
+            hi + 1
+        })
+        .fold(min_nodes, u32::max) as usize;
+    // `offsets[v + 1]` counts `v`'s directed edges; the prefix sum makes
+    // `offsets[v]` the start of `v`'s raw list.
+    let mut offsets = vec![0u64; n + 1];
+    non_loops().for_each(|(u, v)| {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    });
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    // Range `j` holds nodes `cuts[j]..cuts[j + 1]`: each later range starts
+    // at the first node whose list starts at or past its share of the
+    // directed edges, so no list straddles two ranges. A range may be
+    // empty, or hold only isolated nodes.
+    let total = offsets[n];
+    let cuts: Vec<usize> = (0..ranges as u64)
+        .map(|j| offsets[..n].partition_point(|&o| o < total * j / ranges as u64))
+        .chain([n])
+        .collect();
+    let mut nbrs = vec![0u32; total as usize];
+    let mut jobs = Vec::with_capacity(ranges);
+    let (mut rest_offsets, mut rest_nbrs) = (&mut offsets[..n], &mut nbrs[..]);
+    for w in cuts.windows(2) {
+        let (cursors, tail) = std::mem::take(&mut rest_offsets).split_at_mut(w[1] - w[0]);
+        let end = tail.first().map_or(total, |&o| o);
+        let base = cursors.first().map_or(end, |&o| o);
+        rest_offsets = tail;
+        let (slice, tail) = std::mem::take(&mut rest_nbrs).split_at_mut((end - base) as usize);
+        rest_nbrs = tail;
+        jobs.push(NodeRange {
+            first: w[0] as u32,
+            base: base as usize,
+            cursors,
+            nbrs: slice,
+        });
+    }
+    let kept = in_ranges(jobs, |job| job.run(&parts));
+    drop(parts);
+    // Move each range's kept lists down over the duplicates dropped before
+    // it, and turn its range-relative starts into `offsets`.
+    let mut write = 0usize;
+    for (w, kept) in cuts.windows(2).zip(kept) {
+        for offset in &mut offsets[w[0]..w[1]] {
+            *offset += write as u64;
+        }
+        let len = kept.len();
+        nbrs.copy_within(kept, write);
+        write += len;
+    }
+    offsets[n] = write as u64;
+    nbrs.truncate(write);
+    nbrs.shrink_to_fit();
+    MemGraph {
+        offsets: std::sync::Arc::new(offsets),
+        nbrs: std::sync::Arc::new(nbrs),
+    }
+}
+
+/// One node range of [`normalise`]: nodes `first..first + cursors.len()`,
+/// whose raw lists fill `nbrs`, the slice of the neighbour array that
+/// starts at index `base`.
+struct NodeRange<'a> {
+    first: u32,
+    base: usize,
+    /// Node `first + i`'s scatter cursor, an index into the whole array:
+    /// the start of its raw list on entry.
+    cursors: &'a mut [u64],
+    nbrs: &'a mut [u32],
+}
+
+impl NodeRange<'_> {
+    /// Scatter the range's endpoints of every non-loop edge, sort and dedup
+    /// each list, and pack the kept lists to the front of the slice. On
+    /// return `cursors[i]` is list `i`'s start relative to the slice, and
+    /// the result is where the kept lists lie in the whole array.
+    fn run(self, parts: &[Vec<(u32, u32)>]) -> std::ops::Range<usize> {
+        let NodeRange {
+            first,
+            base,
+            cursors,
+            nbrs,
+        } = self;
+        let len = cursors.len() as u32;
+        let mut place = |a: u32, b: u32| {
+            let i = a.wrapping_sub(first);
+            if i < len {
+                let cursor = &mut cursors[i as usize];
+                nbrs[*cursor as usize - base] = b;
+                *cursor += 1;
+            }
+        };
+        for part in parts {
+            for &(u, v) in part {
+                if u != v {
+                    place(u, v);
+                    place(v, u);
+                }
+            }
+        }
+        // `cursors[i]` has advanced to the end of list `i`'s raw list.
+        let (mut read, mut write) = (0usize, 0usize);
+        for cursor in cursors.iter_mut() {
+            let end = *cursor as usize - base;
+            let kept = sort_dedup(&mut nbrs[read..end]);
+            nbrs.copy_within(read..read + kept, write);
+            *cursor = write as u64;
+            write += kept;
+            read = end;
+        }
+        base..base + write
     }
 }
 
@@ -350,15 +487,23 @@ mod tests {
         }
     }
 
+    /// `from_edges`, and the normaliser at every forced range count with
+    /// the input cut into uneven parts, equal the sorting normaliser.
     fn assert_matches_reference(edges: &[(u32, u32)], min_nodes: u32) {
+        let want = reference_from_edges(edges, min_nodes);
         let got = MemGraph::from_edges(edges.to_vec(), min_nodes);
-        assert_eq!(
-            got,
-            reference_from_edges(edges, min_nodes),
-            "{} edges, min_nodes {min_nodes}",
-            edges.len()
-        );
+        assert_eq!(got, want, "{} edges, min_nodes {min_nodes}", edges.len());
         got.validate().unwrap();
+        let third = edges.len() / 3;
+        let parts = vec![edges[..third].to_vec(), Vec::new(), edges[third..].to_vec()];
+        for ranges in [1, 2, 3, 7] {
+            assert_eq!(
+                normalise(parts.clone(), min_nodes, ranges),
+                want,
+                "{} edges, min_nodes {min_nodes}, {ranges} ranges",
+                edges.len()
+            );
+        }
     }
 
     #[test]
@@ -406,6 +551,33 @@ mod tests {
         let g = MemGraph::from_edges(hub, 0);
         assert_eq!(g.degree(0), 499);
         assert_eq!(g.num_edges(), 499);
+        // A hub in the middle whose list is more than any range's share, so
+        // it spans where an even cut by edge count would fall, and leaves
+        // the ranges after it empty; then a sparse path with isolated nodes
+        // between, so some ranges hold nodes but no edges.
+        let mid_hub: Vec<_> = (0..40u32)
+            .filter(|&v| v != 20)
+            .map(|v| (20, v))
+            .chain([(0, 1), (38, 39)])
+            .collect();
+        assert_matches_reference(&mid_hub, 60);
+        assert_matches_reference(&[(0, 1), (50, 51), (99, 98)], 0);
+    }
+
+    #[test]
+    fn small_inputs_are_one_range() {
+        for items in [0, 1, ITEMS_PER_RANGE, 2 * ITEMS_PER_RANGE - 1] {
+            assert_eq!(range_count(items), 1, "{items} items");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(range_count(u64::MAX), cores);
+        assert_eq!(range_count(3 * ITEMS_PER_RANGE), cores.min(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "node count must fit u32")]
+    fn from_edges_refuses_the_id_u32_max() {
+        MemGraph::from_edges([(0, u32::MAX)], 0);
     }
 
     fn triangle_plus_tail() -> MemGraph {

@@ -77,6 +77,16 @@ use semicore::{
     MaintenanceEngine, RunStats, ScanExecutor,
 };
 
+/// Collect `edges` for [`MemGraph::from_edges`], refusing the id `u32::MAX`
+/// first: the node count must fit `u32`.
+fn checked_edges(edges: impl IntoIterator<Item = (u32, u32)>) -> Result<Vec<(u32, u32)>> {
+    let edges: Vec<_> = edges.into_iter().collect();
+    for &(u, v) in &edges {
+        graphstore::Error::check_node_id(u.max(v))?;
+    }
+    Ok(edges)
+}
+
 /// A disk-resident dynamic graph with continuously maintained core numbers.
 ///
 /// Construction runs SemiCore\* once; every subsequent edge update is
@@ -93,13 +103,15 @@ pub struct CoreIndex {
 
 impl CoreIndex {
     /// Build a graph from `edges` (undirected; self-loops and duplicates
-    /// dropped) at `<base>.nodes/.edges`, then decompose it uncached.
+    /// dropped) at `<base>.nodes/.edges`, then decompose it uncached. The
+    /// id `u32::MAX` is [`Error::InvalidArgument`](graphstore::Error), as
+    /// at [`ExternalGraphBuilder::add_edge`](graphstore::ExternalGraphBuilder::add_edge).
     pub fn create(
         base: &Path,
         edges: impl IntoIterator<Item = (u32, u32)>,
         min_nodes: u32,
     ) -> Result<CoreIndex> {
-        let mem = MemGraph::from_edges(edges, min_nodes);
+        let mem = MemGraph::from_edges(checked_edges(edges)?, min_nodes);
         graphstore::write_mem_graph(base, &mem, IoCounter::new(DEFAULT_BLOCK_SIZE))?;
         Self::open_with_cache(base, 0)
     }
@@ -311,5 +323,17 @@ mod tests {
         }
         let idx = CoreIndex::open_with_cache(&base, 0).unwrap();
         assert_eq!(idx.cores(), &[2, 2, 2]);
+    }
+
+    #[test]
+    fn create_refuses_the_id_u32_max() {
+        let dir = TempDir::new("suite").unwrap();
+        let base = dir.path().join("g");
+        let err = CoreIndex::create(&base, [(0, 1), (1, u32::MAX)], 2).unwrap_err();
+        assert!(
+            matches!(&err, graphstore::Error::InvalidArgument(m) if m.contains("must fit u32")),
+            "{err:?}"
+        );
+        assert!(!graphstore::GraphPaths::from_base(&base).nodes.exists());
     }
 }

@@ -629,7 +629,7 @@ impl CoreService {
         if self.contains(name) {
             return Err(already_serving(name));
         }
-        let mem = graphstore::MemGraph::from_edges(edges, min_nodes);
+        let mem = graphstore::MemGraph::from_edges(crate::checked_edges(edges)?, min_nodes);
         let counter = IoCounter::with_vfs(self.pool.block_size(), Arc::clone(&self.vfs));
         graphstore::write_mem_graph(base, &mem, counter)?;
         self.open(name, base)
@@ -902,6 +902,20 @@ mod tests {
         assert!(svc.cores("a").is_err());
         // b is untouched by a's teardown.
         assert_eq!(svc.kmax("b").unwrap(), 1);
+    }
+
+    #[test]
+    fn create_refuses_the_id_u32_max() {
+        let dir = TempDir::new("svc").unwrap();
+        let svc = CoreService::new(1 << 20).unwrap();
+        let err = svc
+            .create("a", &dir.path().join("a"), [(u32::MAX, 0)], 0)
+            .unwrap_err();
+        assert!(
+            matches!(&err, graphstore::Error::InvalidArgument(m) if m.contains("must fit u32")),
+            "{err:?}"
+        );
+        assert!(!svc.contains("a"));
     }
 
     #[test]
