@@ -17,10 +17,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphstore::{EvictionPolicy, TempDir, DEFAULT_BLOCK_SIZE};
+use graphstore::{StdVfs, TempDir, DEFAULT_BLOCK_SIZE};
 use kcore_bench::harness::{fmt_count, percentile, Args, Table};
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, SelfHealOptions};
-use semicore::ScanExecutor;
 
 const GRAPH: &str = "tenant";
 const NODES: u32 = 64;
@@ -44,17 +43,16 @@ fn toggles(ops: usize) -> Vec<(u32, u32)> {
 
 fn run_mode(scrub: bool, ops: usize) -> graphstore::Result<ModeResult> {
     let dir = TempDir::new("scrub-overhead")?;
-    let svc = Arc::new(CoreService::create_durable_with(
+    let svc = Arc::new(CoreService::create_durable(
         &dir.path().join("data"),
         DEFAULT_BLOCK_SIZE,
         16 << 20,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every: u64::MAX, // isolate the scrubber from checkpoints
             group_commit: None,
             ..Default::default()
         },
+        StdVfs::arc(),
     )?);
     let base: Vec<(u32, u32)> = (0..NODES).map(|u| (u, (u + 1) % NODES)).collect();
     svc.create(GRAPH, &dir.path().join("base"), base.iter().copied(), NODES)?;

@@ -20,19 +20,9 @@
 //! (with block-accurate I/O accounting), buffered dynamic graphs, or pure
 //! in-memory graphs.
 //!
-//! ## Scan execution (sequential, or parallel for SemiCore\*)
-//!
-//! SemiCore and SemiCore+ are sequential, as in the paper. SemiCore\* also
-//! comes in a `_with` form ([`semicore_star_with`],
-//! [`semicore_star_state_with`]) taking a [`ScanExecutor`]: the sequential
-//! executor reproduces the paper's exact schedule, while
-//! [`ScanExecutor::Parallel`] shards every convergence pass across a worker
-//! pool reading through [`graphstore::ShardableRead`] handles — final core
-//! numbers are bit-identical, but wall-clock does **not** yet drop with
-//! cores: two workers measure 0.15–0.35× the sequential scan on the
-//! repository benchmark (`executor.parallel2_speedup`), and ROADMAP's
-//! "Parallel executor: make it pay or cut it" item decides its future. See
-//! [`executor`] for the determinism and charged-I/O guarantees.
+//! SemiCore, SemiCore+ and SemiCore\* run the paper's sequential, in-place
+//! scan; the iteration, node-computation and I/O counts of §IV are defined
+//! on that schedule.
 //!
 //! ## Maintenance (§V)
 //!
@@ -67,7 +57,6 @@
 pub mod analysis;
 pub mod bits;
 pub mod emcore;
-pub mod executor;
 pub mod fixtures;
 pub mod imcore;
 #[cfg(test)]
@@ -83,7 +72,6 @@ pub mod verify;
 pub mod window;
 
 pub use emcore::{emcore, EmCoreOptions};
-pub use executor::ScanExecutor;
 pub use imcore::imcore;
 pub use maintain::delete::semi_delete_star;
 pub use maintain::engine::{MaintainOp, MaintenanceEngine, MAINTAIN_OP_LEN};
@@ -93,9 +81,7 @@ pub use maintain::insert_star::semi_insert_star;
 pub use maintain::{MaintainStats, SparseMarks};
 pub use semicore::semicore;
 pub use semicore_plus::semicore_plus;
-pub use semicore_star::{
-    semicore_star, semicore_star_state, semicore_star_state_with, semicore_star_with,
-};
+pub use semicore_star::{semicore_star, semicore_star_state};
 pub use state::CoreState;
-pub use stats::{DecomposeOptions, Decomposition, RunStats};
+pub use stats::{DecomposeOptions, Decomposition, RunStats, ScanExecutor};
 pub use verify::{find_violations, verify_cores, verify_exact, Violation};

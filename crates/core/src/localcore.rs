@@ -334,28 +334,13 @@ fn walk_down(num: &[u32]) -> (u32, u32) {
 /// Note: the paper's line 19 reads `if s ≥ i then break`, a typo for
 /// `s ≥ k`; we implement the intended comparison.
 pub fn local_core(cold: u32, core: &[u32], nbrs: &[u32], scratch: &mut Scratch) -> u32 {
-    local_core_by(cold, nbrs, scratch, |u| core[u as usize])
-}
-
-/// [`local_core`] with the estimates behind an accessor instead of a slice.
-///
-/// The parallel scan executor reads a node's neighbours through a shard
-/// view (own shard: freshest in-pass values; other shards: the pass-start
-/// snapshot), which has no contiguous slice to hand out. Monomorphises to
-/// the same code as [`local_core`] for the slice case.
-pub fn local_core_by(
-    cold: u32,
-    nbrs: &[u32],
-    scratch: &mut Scratch,
-    core_of: impl Fn(u32) -> u32,
-) -> u32 {
     if cold == 0 || nbrs.is_empty() {
         return 0;
     }
     // num(i) = #neighbours with min(cold, core(u)) == i.
     let num = histogram(&mut scratch.num, cold);
     for &u in nbrs {
-        num[cold.min(core_of(u)) as usize] += 1;
+        num[cold.min(core[u as usize]) as usize] += 1;
     }
     walk_down(num).0
 }

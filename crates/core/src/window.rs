@@ -73,14 +73,9 @@ impl ScanWindow {
         }
     }
 
-    /// Schedule `u` for the *next* iteration unconditionally.
-    ///
-    /// The parallel scan executor's merge path: sharded passes have no
-    /// in-pass propagation (a pass computes from a frozen snapshot), so
-    /// every implicated node — forward or backward of the node that
-    /// implicated it — waits for the next pass.
+    /// Schedule `u` for the *next* iteration: it lies behind the scan.
     #[inline]
-    pub fn schedule_next(&mut self, u: u32) {
+    fn schedule_next(&mut self, u: u32) {
         self.update = true;
         if u < self.next_min {
             self.next_min = u;

@@ -37,21 +37,19 @@
 //! ## Concurrency
 //!
 //! The pool is wrapped in `Arc<Mutex<..>>` by its users and is shared by
-//! every reader of one graph — including the per-worker shard handles the
-//! parallel scan executor opens (see
-//! [`DiskGraph::try_clone`](crate::DiskGraph::try_clone)). Frame contents
+//! both readers of one graph or, behind a [`SharedPool`](crate::SharedPool),
+//! by every graph a service serves, each on its own thread. Frame contents
 //! are handed out as [`Arc`] clones, so the pool lock protects only the
 //! lookup/eviction bookkeeping: decoding and visiting a block's bytes
 //! happens entirely *outside* the lock, which is what lets concurrent
-//! workers make progress on cache hits. An evicted frame's bytes stay alive
+//! readers make progress on cache hits. An evicted frame's bytes stay alive
 //! until the last in-flight reader drops its handle (resident memory can
 //! transiently exceed the budget by one block per concurrent reader).
 //!
 //! A missed block is still fetched while the lock is held, serializing
 //! concurrent *cold* fetches — a faithful model of the single disk
-//! underneath, and the reason the charged miss count stays deterministic:
-//! each distinct block misses exactly once per residency, no matter how
-//! many workers race for it.
+//! underneath: each distinct block misses exactly once per residency, no
+//! matter how many readers race for it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -106,9 +104,9 @@ impl Hasher for KeyHasher {
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// How the pool picks eviction victims: one way (see the module docs).
-/// The enum, and the `policy` parameter of every constructor that takes
-/// one, outlive their second variant only because the repository
-/// benchmark names them.
+/// Kbench compatibility: the enum outlives its second variant only because
+/// the repository benchmark names it, and the pinned service constructors
+/// that take one ignore it. It goes with ROADMAP item 12b.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Scan-resistant hybrid: CLOCK for re-referenced frames, newest-first
@@ -189,8 +187,8 @@ impl BlockCache {
     /// asked for. Callers expressing "no cache" should skip construction
     /// entirely; see [`BlockCache::shared`] for the budget-aware
     /// constructor that maps an insufficient budget to `None`.
-    pub fn new(block_size: usize, budget_bytes: u64, policy: EvictionPolicy) -> Result<BlockCache> {
-        Self::new_with_min_frames(block_size, budget_bytes, 1, policy)
+    pub fn new(block_size: usize, budget_bytes: u64) -> Result<BlockCache> {
+        Self::new_with_min_frames(block_size, budget_bytes, 1)
     }
 
     /// [`BlockCache::new`] requiring room for at least `min_frames` frames
@@ -200,7 +198,6 @@ impl BlockCache {
         block_size: usize,
         budget_bytes: u64,
         min_frames: u64,
-        _policy: EvictionPolicy,
     ) -> Result<BlockCache> {
         assert!(block_size > 0, "block size must be positive");
         if budget_bytes < min_frames.max(1) * block_size as u64 {
@@ -232,9 +229,8 @@ impl BlockCache {
         block_size: usize,
         budget_bytes: u64,
         min_frames: u64,
-        policy: EvictionPolicy,
     ) -> Option<Arc<Mutex<BlockCache>>> {
-        Self::new_with_min_frames(block_size, budget_bytes, min_frames, policy)
+        Self::new_with_min_frames(block_size, budget_bytes, min_frames)
             .ok()
             .map(|c| Arc::new(Mutex::new(c)))
     }
@@ -494,7 +490,7 @@ mod tests {
     }
 
     fn scan_lifo(frames: u64) -> BlockCache {
-        BlockCache::new(4, frames * 4, EvictionPolicy::ScanLifo).unwrap()
+        BlockCache::new(4, frames * 4).unwrap()
     }
 
     #[test]
@@ -521,12 +517,11 @@ mod tests {
         // The old behaviour silently clamped to one frame, realising a
         // bigger budget than requested; now it errors like
         // `new_with_min_frames`.
-        let p = EvictionPolicy::ScanLifo;
-        assert!(BlockCache::new(4096, 0, p).is_err());
-        assert!(BlockCache::new(4096, 4095, p).is_err());
-        assert!(BlockCache::new(4096, 4096, p).is_ok());
-        assert!(BlockCache::new_with_min_frames(4096, 4096, 2, p).is_err());
-        assert!(BlockCache::new_with_min_frames(4096, 8192, 2, p).is_ok());
+        assert!(BlockCache::new(4096, 0).is_err());
+        assert!(BlockCache::new(4096, 4095).is_err());
+        assert!(BlockCache::new(4096, 4096).is_ok());
+        assert!(BlockCache::new_with_min_frames(4096, 4096, 2).is_err());
+        assert!(BlockCache::new_with_min_frames(4096, 8192, 2).is_ok());
     }
 
     #[test]
@@ -635,10 +630,9 @@ mod tests {
 
     #[test]
     fn shared_enforces_minimum_frames() {
-        let p = EvictionPolicy::ScanLifo;
-        assert!(BlockCache::shared(4096, 0, 2, p).is_none());
-        assert!(BlockCache::shared(4096, 8191, 2, p).is_none());
-        assert!(BlockCache::shared(4096, 8192, 2, p).is_some());
+        assert!(BlockCache::shared(4096, 0, 2).is_none());
+        assert!(BlockCache::shared(4096, 8191, 2).is_none());
+        assert!(BlockCache::shared(4096, 8192, 2).is_some());
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::cache::EvictionPolicy;
 use crate::codec;
 use crate::error::{Error, Result};
 use crate::format::FormatVersion;
@@ -107,8 +106,6 @@ pub struct Catalog {
     pub block_size: usize,
     /// Global pool budget in bytes, arbitrated across all entries.
     pub budget_bytes: u64,
-    /// Eviction policy of the pool (and of each graph's charge cache).
-    pub policy: EvictionPolicy,
     /// The served graphs, in registration order.
     pub entries: Vec<CatalogEntry>,
 }
@@ -139,7 +136,7 @@ impl Catalog {
         codec_put_u32(&mut body, CATALOG_VERSION);
         codec_put_u32(&mut body, self.block_size as u32);
         body.extend_from_slice(&self.budget_bytes.to_le_bytes());
-        body.push(encode_policy(self.policy));
+        body.push(POLICY_SCAN_LIFO);
         codec_put_u32(&mut body, self.entries.len() as u32);
         for e in &self.entries {
             put_str(&mut body, &e.name)?;
@@ -187,7 +184,7 @@ impl Catalog {
             return Err(Error::corrupt("catalog block size is zero"));
         }
         let budget_bytes = cur.u64("catalog budget")?;
-        let policy = decode_policy(cur.u8("catalog policy")?)?;
+        check_policy(cur.u8("catalog policy")?)?;
         let count = cur.u32("catalog entry count")? as usize;
         let mut entries = Vec::new();
         for _ in 0..count {
@@ -210,7 +207,6 @@ impl Catalog {
         Ok(Catalog {
             block_size,
             budget_bytes,
-            policy,
             entries,
         })
     }
@@ -398,18 +394,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
-fn encode_policy(p: EvictionPolicy) -> u8 {
-    match p {
-        EvictionPolicy::ScanLifo => 1,
-    }
-}
+/// The manifest's policy byte for the one eviction policy there is
+/// ([`crate::EvictionPolicy::ScanLifo`]).
+const POLICY_SCAN_LIFO: u8 = 1;
 
 /// Byte 0 named the retired LRU policy. A policy moves physical residency,
 /// never a result or a charged count's meaning, so a directory saved under
 /// it opens under the one policy there is.
-fn decode_policy(b: u8) -> Result<EvictionPolicy> {
+fn check_policy(b: u8) -> Result<()> {
     match b {
-        0 | 1 => Ok(EvictionPolicy::ScanLifo),
+        0 | POLICY_SCAN_LIFO => Ok(()),
         other => Err(Error::corrupt(format!("unknown eviction policy {other}"))),
     }
 }
@@ -486,7 +480,6 @@ mod tests {
         Catalog {
             block_size: 4096,
             budget_bytes: 1 << 20,
-            policy: EvictionPolicy::ScanLifo,
             entries: vec![
                 CatalogEntry {
                     name: "alpha".into(),
@@ -542,7 +535,6 @@ mod tests {
         let dir = TempDir::new("cat-lru").unwrap();
         std::fs::write(Catalog::path_in(dir.path()), hand_built_manifest(3, 3, 0)).unwrap();
         let cat = Catalog::read(dir.path()).unwrap();
-        assert_eq!(cat.policy, EvictionPolicy::ScanLifo);
         assert_eq!(cat.entries[0].format, FormatVersion::V3);
         // The next rewrite stores the current byte.
         cat.write(dir.path()).unwrap();

@@ -3,7 +3,7 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::cache::{BlockCache, CacheStats, EvictionPolicy};
+use crate::cache::{BlockCache, CacheStats};
 use crate::error::{Error, Result};
 use crate::format::{self, FormatVersion, GraphMeta, GraphPaths};
 use crate::io::{BlockReader, IoCounter, IoSnapshot};
@@ -23,7 +23,7 @@ const EDGE_FILE: u32 = 1;
 /// ([`DiskGraph::open_pooled`]) read through a process-wide
 /// [`SharedPool`] under leased ids, with a private deterministic *charge
 /// cache* deciding the model I/O (see [`crate::pool`] for the contract).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CacheBinding {
     /// The frame store actually serving bytes (private or process-wide).
     pool: Arc<Mutex<BlockCache>>,
@@ -34,10 +34,9 @@ struct CacheBinding {
     /// Deterministic per-graph charge cache (pooled opens only); its file
     /// ids are always `NODE_FILE`/`EDGE_FILE`.
     charge: Option<Arc<Mutex<BlockCache>>>,
-    /// Keeps the pool's file ids reserved; shared by every
-    /// [`DiskGraph::try_clone`] handle so the last drop invalidates the
-    /// graph's frames (pooled opens only).
-    lease: Option<Arc<PoolLease>>,
+    /// Keeps the pool's file ids reserved; dropping the graph drops it,
+    /// which invalidates the graph's frames (pooled opens only).
+    lease: Option<PoolLease>,
 }
 
 /// A read-only graph stored on disk as a node table + edge table pair.
@@ -83,7 +82,7 @@ impl DiskGraph {
 
     /// Open with a block-cache budget of `cache_bytes` (the model's `M`),
     /// evicting by the scan-resistant policy tuned for the semi-external
-    /// convergence loops ([`EvictionPolicy::ScanLifo`]).
+    /// convergence loops ([`crate::EvictionPolicy::ScanLifo`]).
     ///
     /// A budget below one frame per table (two blocks) behaves exactly like
     /// [`DiskGraph::open`] — zero remains the semantics-preserving default
@@ -115,16 +114,13 @@ impl DiskGraph {
         // One pinned frame per table, so any attached cache dominates the
         // readers' own one-frame buffers request by request.
         let block = counter.block_size();
-        let binding =
-            BlockCache::shared(block, cache_bytes, 2, EvictionPolicy::ScanLifo).map(|pool| {
-                CacheBinding {
-                    pool,
-                    node_file: NODE_FILE,
-                    edge_file: EDGE_FILE,
-                    charge: None,
-                    lease: None,
-                }
-            });
+        let binding = BlockCache::shared(block, cache_bytes, 2).map(|pool| CacheBinding {
+            pool,
+            node_file: NODE_FILE,
+            edge_file: EDGE_FILE,
+            charge: None,
+            lease: None,
+        });
         Self::open_paths_impl(GraphPaths::from_base(base), counter, binding)
     }
 
@@ -156,13 +152,13 @@ impl DiskGraph {
             )));
         }
         let lease = pool.register(2)?;
-        let charge = BlockCache::shared(counter.block_size(), charge_bytes, 2, pool.policy());
+        let charge = BlockCache::shared(counter.block_size(), charge_bytes, 2);
         let binding = CacheBinding {
             pool: pool.cache(),
             node_file: lease.file_id(0),
             edge_file: lease.file_id(1),
             charge,
-            lease: Some(Arc::new(lease)),
+            lease: Some(lease),
         };
         Self::open_paths_impl(GraphPaths::from_base(base), counter, Some(binding))
     }
@@ -262,31 +258,6 @@ impl DiskGraph {
                 BlockReader::open(&paths.nodes, counter.clone())?,
                 BlockReader::open(&paths.edges, counter.clone())?,
             ),
-        })
-    }
-
-    /// Open an additional read handle over the same file pair, sharing this
-    /// handle's [`IoCounter`] and (when attached) block-cache pool.
-    ///
-    /// This is what the parallel scan executor hands each worker thread:
-    /// every handle owns its own O(1) reader state (read-ahead window,
-    /// decode scratch) so scans proceed concurrently, while charged I/O
-    /// accumulates in the one shared counter and fetched blocks land in the
-    /// one shared pool — a block fetched by any worker is a free hit for
-    /// all of them. Unlike [`DiskGraph::open`], cloning does **not** reset
-    /// the counter or the cache statistics: the clone joins the measurement
-    /// in progress.
-    pub fn try_clone(&self) -> Result<DiskGraph> {
-        let (node_reader, edge_reader) =
-            Self::open_readers(&self.paths, &self.counter, &self.binding)?;
-        Ok(DiskGraph {
-            paths: self.paths.clone(),
-            meta: self.meta,
-            counter: self.counter.clone(),
-            node_reader,
-            edge_reader,
-            binding: self.binding.clone(),
-            adj_scratch: Vec::new(),
         })
     }
 
@@ -419,9 +390,8 @@ impl DiskGraph {
     /// (and the platform is little-endian, matching the on-disk encoding)
     /// the slice is decoded **in place from the frame** — no bytes are
     /// copied at all. The frame handle is taken with the pool lock released
-    /// before `f` runs, so parallel shard scans (see
-    /// [`DiskGraph::try_clone`]) never serialize on each other's visit
-    /// closures. Otherwise — and always for v3 graphs, whose encoded
+    /// before `f` runs, so graphs sharing one [`SharedPool`] never serialize
+    /// on each other's visit closures. Otherwise — and always for v3 graphs, whose encoded
     /// runs have no in-place representation — the run is decoded into an
     /// internal per-handle scratch buffer that is reused across calls (as
     /// is the reader's byte staging buffer behind it), so no hot loop
@@ -498,7 +468,7 @@ impl DiskGraph {
     /// [`BlockReader::set_readahead`](crate::io::BlockReader::set_readahead)).
     /// Physical pipelining only — every charged counter is bit-identical
     /// with readahead on or off, which the format-v3 differential suite
-    /// asserts. Off by default; clones do not inherit it.
+    /// asserts. Off by default.
     pub fn set_readahead(&mut self, enabled: bool) -> Result<()> {
         self.node_reader.set_readahead(enabled)?;
         self.edge_reader.set_readahead(enabled)
@@ -782,26 +752,21 @@ mod tests {
     }
 
     #[test]
-    fn dropping_all_pooled_handles_frees_the_graphs_frames() {
+    fn dropping_a_pooled_graph_frees_its_frames() {
         use crate::pool::SharedPool;
         let g = sample();
         let dir = TempDir::new("pooledtest").unwrap();
         let base = dir.path().join("g");
         write_mem_graph(&base, &g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
         let pool = SharedPool::new(DEFAULT_BLOCK_SIZE, 1 << 20).unwrap();
-        let dg = DiskGraph::open_pooled(&base, IoCounter::new(DEFAULT_BLOCK_SIZE), &pool, 1 << 20)
-            .unwrap();
-        let mut clone = dg.try_clone().unwrap();
+        let mut dg =
+            DiskGraph::open_pooled(&base, IoCounter::new(DEFAULT_BLOCK_SIZE), &pool, 1 << 20)
+                .unwrap();
         let mut buf = Vec::new();
-        clone.adjacency(0, &mut buf).unwrap();
+        dg.adjacency(0, &mut buf).unwrap();
         assert!(pool.resident_frames() > 0);
         assert_eq!(pool.registered_graphs(), 1);
         drop(dg);
-        assert!(
-            pool.resident_frames() > 0,
-            "a surviving clone keeps the lease alive"
-        );
-        drop(clone);
         assert_eq!(pool.resident_frames(), 0);
         assert_eq!(pool.registered_graphs(), 0);
     }

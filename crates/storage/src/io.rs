@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::cache::{BlockCache, EvictionPolicy};
+use crate::cache::BlockCache;
 use crate::error::{Error, Result};
 use crate::vfs::{StdVfs, Vfs, VfsFile};
 
@@ -53,8 +53,9 @@ const READAHEAD_BLOCKS: usize = 64;
 
 /// Shared mutable I/O counters. Cloning the handle shares the counters.
 ///
-/// Counters are atomic (relaxed) so graph handles are `Send` and parallel
-/// scans can charge one shared counter without changing any charged count.
+/// Counters are atomic (relaxed) so graph handles are `Send` and readers on
+/// several threads can charge one shared counter without changing any
+/// charged count.
 /// The two counters every *request* moves — `read_bytes` and `seeks` — are
 /// kept per [`BlockReader`] while it lives (a private `ReaderTally`), so a
 /// request served from memory executes no locked instruction;
@@ -377,7 +378,7 @@ pub struct BlockReader {
     charge: Option<(Arc<Mutex<BlockCache>>, u32)>,
     /// The last frame fetched from the pool: streak requests into the same
     /// block are served from this handle without taking the pool lock —
-    /// what keeps concurrent shard scans off the lock between block
+    /// what keeps concurrent readers off the lock between block
     /// transitions. Charges nothing (the block was already paid for when
     /// fetched); safe because graph files are immutable while open
     /// ([`BlockReader::invalidate`] clears it).
@@ -400,7 +401,7 @@ impl BlockReader {
         let mut file = counter.vfs().open_read(path)?;
         let file_len = file.len()?;
         let b = counter.block_size();
-        let frame = BlockCache::new(b, b as u64, EvictionPolicy::ScanLifo)?;
+        let frame = BlockCache::new(b, b as u64)?;
         Ok(BlockReader {
             file,
             tally: ReaderTally::register(Arc::clone(&counter)),
@@ -666,7 +667,7 @@ impl BlockReader {
     /// handle to the frame plus the range's offset within it — the
     /// zero-copy fast path for adjacency runs. The bytes are
     /// decoded and visited by the caller *after* the pool lock is released,
-    /// so concurrent shard scans never serialize on each other's compute.
+    /// so concurrent readers never serialize on each other's compute.
     ///
     /// Returns `Ok(None)` when the fast path does not apply (empty range or
     /// multi-block range); the caller must then fall back to
@@ -1248,7 +1249,7 @@ mod tests {
 
     #[test]
     fn group_runs_decode_identically_across_any_block_split() {
-        use crate::cache::{BlockCache, EvictionPolicy};
+        use crate::cache::BlockCache;
         use crate::codec::encode_group_run;
 
         // Runs of every length mod 4, zero-/one-/two-/four-byte codes and
@@ -1285,9 +1286,7 @@ mod tests {
                     if !cached {
                         return BlockReader::open(&path, counter.clone()).unwrap();
                     }
-                    let pool =
-                        BlockCache::shared(block, 8 * block as u64, 1, EvictionPolicy::ScanLifo)
-                            .unwrap();
+                    let pool = BlockCache::shared(block, 8 * block as u64, 1).unwrap();
                     BlockReader::open_cached_with_charge(&path, counter.clone(), pool, 0, None)
                         .unwrap()
                 };

@@ -56,7 +56,7 @@ pub mod update_buffer;
 pub mod vfs;
 pub mod wal;
 
-pub use access::{snapshot_mem, AdjacencyRead, DynamicGraph, ShardableRead};
+pub use access::{snapshot_mem, AdjacencyRead, DynamicGraph};
 pub use builder::{
     disk_to_mem, mem_to_disk, write_mem_graph, write_mem_graph_with, DiskGraphWriter,
     ExternalGraphBuilder,

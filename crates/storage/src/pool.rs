@@ -15,8 +15,8 @@
 //! ## Registration and teardown
 //!
 //! [`SharedPool::register`] leases a contiguous run of file ids and returns
-//! a [`PoolLease`]; dropping the lease (when the last handle of the graph
-//! goes away) invalidates every frame belonging to those ids, returning the
+//! a [`PoolLease`]; dropping the lease (when the graph is dropped)
+//! invalidates every frame belonging to those ids, returning the
 //! capacity to the pool. Ids are never reused, so a stale read handle can
 //! never alias a newer graph's frames.
 //!
@@ -36,17 +36,13 @@
 //!
 //! Charged I/O is then a pure function of (graph, access stream, per-graph
 //! budget): bit-identical whether the graph is served alone or alongside
-//! `K` contending graphs, while physical reads move with contention. The
-//! same caveat as the parallel executor applies to multi-threaded scans: a
-//! charge budget that absorbs the scan's re-read working set makes charged
-//! misses equal *distinct blocks touched* (schedule-independent); tighter
-//! charge budgets remain honest but order-dependent.
+//! `K` contending graphs, while physical reads move with contention.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::cache::{BlockCache, CacheStats, EvictionPolicy};
+use crate::cache::{BlockCache, CacheStats};
 use crate::error::{Error, Result};
 use crate::format::GraphPaths;
 
@@ -60,8 +56,8 @@ const CHARGE_HEADROOM_BLOCKS: u64 = 4;
 /// `<base>.nodes/.edges`: its whole on-disk working set — both table files
 /// plus a few blocks of rounding headroom. With this budget, charged
 /// `read_ios` equals *distinct blocks touched*, a schedule-independent
-/// quantity, so the solo-vs-shared and sequential-vs-parallel equivalence
-/// guarantees hold at any worker count. The single source of truth for the
+/// quantity, so the solo-vs-shared equivalence holds however the graph's
+/// requests interleave. The single source of truth for the
 /// formula — the serving layer, the benches and the test suites all price
 /// against this.
 pub fn working_set_charge_budget(base: &Path, block_size: usize) -> Result<u64> {
@@ -106,30 +102,26 @@ struct PoolInner {
     cache: Arc<Mutex<BlockCache>>,
     block_size: usize,
     budget_bytes: u64,
-    policy: EvictionPolicy,
     next_file: AtomicU32,
     graphs: AtomicUsize,
 }
 
 impl SharedPool {
     /// A pool of `B = block_size` frames under `budget_bytes`, evicting by
-    /// the scan-resistant policy ([`EvictionPolicy::ScanLifo`]).
+    /// the scan-resistant policy ([`crate::EvictionPolicy::ScanLifo`]).
     ///
-    /// Errors when the budget cannot hold two frames — a pool that cannot
-    /// keep even one graph's current blocks resident arbitrates nothing;
-    /// callers wanting one frame per table should open graphs without a pool.
+    /// Errors when `block_size` is zero or does not fit the catalog's
+    /// 32-bit field, or when the budget cannot hold two frames — a pool
+    /// that cannot keep even one graph's current blocks resident arbitrates
+    /// nothing; callers wanting one frame per table should open graphs
+    /// without a pool.
     pub fn new(block_size: usize, budget_bytes: u64) -> Result<SharedPool> {
-        Self::with_policy(block_size, budget_bytes, EvictionPolicy::ScanLifo)
-    }
-
-    /// [`SharedPool::new`] with the eviction policy spelled out (there is
-    /// one; see [`EvictionPolicy`]).
-    pub fn with_policy(
-        block_size: usize,
-        budget_bytes: u64,
-        policy: EvictionPolicy,
-    ) -> Result<SharedPool> {
-        let cache = BlockCache::shared(block_size, budget_bytes, 2, policy).ok_or_else(|| {
+        if block_size == 0 || u32::try_from(block_size).is_err() {
+            return Err(Error::InvalidArgument(format!(
+                "block size {block_size} B is outside 1..=u32::MAX"
+            )));
+        }
+        let cache = BlockCache::shared(block_size, budget_bytes, 2).ok_or_else(|| {
             Error::InvalidArgument(format!(
                 "shared pool budget of {budget_bytes} B holds fewer than two {block_size} B frames"
             ))
@@ -139,7 +131,6 @@ impl SharedPool {
                 cache,
                 block_size,
                 budget_bytes,
-                policy,
                 next_file: AtomicU32::new(0),
                 graphs: AtomicUsize::new(0),
             }),
@@ -154,11 +145,6 @@ impl SharedPool {
     /// The global byte budget arbitrated across all registered graphs.
     pub fn budget_bytes(&self) -> u64 {
         self.inner.budget_bytes
-    }
-
-    /// The pool's eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.inner.policy
     }
 
     /// Number of currently registered (leased, not yet dropped) graphs.
@@ -251,10 +237,9 @@ impl SharedPool {
 ///
 /// Dropping the lease is the teardown path: every frame belonging to the
 /// leased ids is invalidated (the pool's capacity returns to the other
-/// graphs) and the registration count decrements. [`DiskGraph`](crate::DiskGraph)
-/// holds its lease behind an [`Arc`] shared with every
-/// [`try_clone`](crate::DiskGraph::try_clone) handle, so invalidation
-/// happens exactly once — when the last handle goes away.
+/// graphs) and the registration count decrements. A pooled
+/// [`DiskGraph`](crate::DiskGraph) owns its lease, so the graph's frames
+/// go when it does.
 #[derive(Debug)]
 pub struct PoolLease {
     inner: Arc<PoolInner>,
@@ -659,6 +644,18 @@ mod tests {
         assert!(SharedPool::new(4096, 0).is_err());
         assert!(SharedPool::new(4096, 4096).is_err());
         assert!(SharedPool::new(4096, 8192).is_ok());
+    }
+
+    #[test]
+    fn block_size_outside_u32_is_an_error_not_a_panic() {
+        for block in [0, u32::MAX as usize + 1] {
+            let err = SharedPool::new(block, 1 << 20).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidArgument(_)),
+                "B = {block}: {err}"
+            );
+        }
+        assert!(SharedPool::new(u32::MAX as usize, 1 << 40).is_ok());
     }
 
     #[test]

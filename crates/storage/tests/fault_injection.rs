@@ -8,8 +8,7 @@
 use std::sync::Arc;
 
 use graphstore::{
-    Catalog, CatalogEntry, EvictionPolicy, FaultPlan, FaultVfs, FormatVersion, IoCounter, TempDir,
-    Vfs, Wal,
+    Catalog, CatalogEntry, FaultPlan, FaultVfs, FormatVersion, IoCounter, TempDir, Vfs, Wal,
 };
 use proptest::prelude::*;
 use testutil::Lcg;
@@ -36,7 +35,6 @@ fn catalog(tag: u64) -> Catalog {
     Catalog {
         block_size: BLOCK,
         budget_bytes: 1 << 20,
-        policy: EvictionPolicy::ScanLifo,
         entries,
     }
 }

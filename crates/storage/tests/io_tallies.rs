@@ -7,15 +7,14 @@
 //! one counter, `snapshot()` has to equal what one set of shared counters
 //! charged request by request would hold — also across a reader dropping
 //! mid-stream, a `reset()` with readers alive (what opening a graph does)
-//! and eight cloned graph handles scanning on eight threads.
+//! and eight graph handles on one counter scanning on eight threads.
 
 use std::path::Path;
 use std::sync::{Arc, Barrier, Mutex};
 
 use graphstore::io::{BlockReader, BlockWriter};
 use graphstore::{
-    write_mem_graph_with, BlockCache, DiskGraph, EvictionPolicy, FormatVersion, IoCounter,
-    IoSnapshot, TempDir,
+    write_mem_graph_with, BlockCache, DiskGraph, FormatVersion, IoCounter, IoSnapshot, TempDir,
 };
 use testutil::Lcg;
 
@@ -120,7 +119,7 @@ fn pattern(at: u64) -> u8 {
 }
 
 fn small_pool(frames: u64) -> Pool {
-    BlockCache::shared(BLOCK, frames * BLOCK as u64, 1, EvictionPolicy::ScanLifo).unwrap()
+    BlockCache::shared(BLOCK, frames * BLOCK as u64, 1).unwrap()
 }
 
 #[test]
@@ -206,15 +205,15 @@ fn snapshot_after_every_request_equals_the_shared_counter_model() {
 }
 
 #[test]
-fn eight_cloned_handles_on_eight_threads_sum_exactly() {
+fn eight_handles_on_eight_threads_sum_exactly() {
     const THREADS: usize = 8;
     let mut rng = Lcg::new(41);
     let g = testutil::random_mem_graph(&mut rng, 3000, 1, 7);
     let dir = TempDir::new("tallies").unwrap();
     let base = dir.path().join("g");
     write_mem_graph_with(&base, &g, IoCounter::new(BLOCK), FormatVersion::V3).unwrap();
-    // A budget holding the whole graph: every distinct block misses once,
-    // whichever handle gets there first.
+    // A budget holding the whole graph: each handle's own cache misses
+    // every distinct block once.
     let budget = graphstore::working_set_charge_budget(&base, BLOCK).unwrap();
 
     let sweep = |dg: &mut DiskGraph| {
@@ -229,13 +228,17 @@ fn eight_cloned_handles_on_eight_threads_sum_exactly() {
     let one = solo_counter.snapshot();
     assert!(one.seeks > 0 && one.read_bytes > 0);
 
+    // Every open resets the counter, with the handles opened before it
+    // alive; the sweeps start after the last one.
     let counter = IoCounter::new(BLOCK);
-    let root = DiskGraph::open_with_cache(&base, counter.clone(), budget).unwrap();
+    let handles: Vec<DiskGraph> = (0..THREADS)
+        .map(|_| DiskGraph::open_with_cache(&base, counter.clone(), budget).unwrap())
+        .collect();
     let start = Barrier::new(THREADS);
     let live = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let mut handle = root.try_clone().unwrap();
+        let workers: Vec<_> = handles
+            .into_iter()
+            .map(|mut handle| {
                 let (sweep, start) = (&sweep, &start);
                 scope.spawn(move || {
                     start.wait();
@@ -250,15 +253,16 @@ fn eight_cloned_handles_on_eight_threads_sum_exactly() {
         drop(handles);
         live
     });
+    let t = THREADS as u64;
     let expected = IoSnapshot {
-        read_bytes: one.read_bytes * THREADS as u64,
-        seeks: one.seeks * THREADS as u64,
+        read_ios: one.read_ios * t,
+        physical_reads: one.physical_reads * t,
+        read_bytes: one.read_bytes * t,
+        seeks: one.seeks * t,
         ..one
     };
     assert_eq!(live, expected, "with the handles alive");
     assert_eq!(counter.snapshot(), expected, "after they folded in");
-    drop(root);
-    assert_eq!(counter.snapshot(), expected);
 }
 
 /// One table reader under the `Mode::Uncached` rule: a seek unless the

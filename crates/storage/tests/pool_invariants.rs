@@ -7,9 +7,11 @@
 //! * `invalidate_file` leaves zero frames for that file id, and only that
 //!   file id;
 //! * a [`SharedPool`] lease teardown mid-traffic behaves like an
-//!   invalidation of exactly the leased ids.
+//!   invalidation of exactly the leased ids;
+//! * eight graphs reading through one [`SharedPool`] on eight threads get
+//!   every byte right while the pool thrashes.
 
-use graphstore::{BlockCache, EvictionPolicy, SharedPool};
+use graphstore::{mem_to_disk, BlockCache, DiskGraph, IoCounter, SharedPool, TempDir};
 use proptest::prelude::*;
 use testutil::Lcg;
 
@@ -99,9 +101,8 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1usize..120),
         frames in 1u64..8,
     ) {
-        let policy = EvictionPolicy::ScanLifo;
         let budget = frames * BLOCK as u64;
-        let mut cache = BlockCache::new(BLOCK, budget, policy).unwrap();
+        let mut cache = BlockCache::new(BLOCK, budget).unwrap();
         for (step, &op) in ops.iter().enumerate() {
             apply(&mut cache, op);
             check_invariants(&cache, budget, step);
@@ -115,13 +116,8 @@ proptest! {
     ) {
         // A pool big enough to hold everything: invalidation, not eviction,
         // must be the only reason a block reloads.
-        let policy = EvictionPolicy::ScanLifo;
-        let mut cache = BlockCache::new(
-            BLOCK,
-            (FILES as u64 * BLOCKS_PER_FILE) * BLOCK as u64,
-            policy,
-        )
-        .unwrap();
+        let mut cache =
+            BlockCache::new(BLOCK, (FILES as u64 * BLOCKS_PER_FILE) * BLOCK as u64).unwrap();
         for &(f, b) in &blocks {
             apply(&mut cache, Op::Get(f, b, 4));
         }
@@ -154,8 +150,7 @@ proptest! {
 #[test]
 fn lease_teardown_under_traffic_keeps_budget_and_neighbours() {
     let frames = 6u64;
-    let pool =
-        SharedPool::with_policy(BLOCK, frames * BLOCK as u64, EvictionPolicy::ScanLifo).unwrap();
+    let pool = SharedPool::new(BLOCK, frames * BLOCK as u64).unwrap();
     let survivor = pool.register(1).unwrap();
     let mut rng = Lcg::new(0xDECAF);
     for round in 0..40 {
@@ -189,4 +184,56 @@ fn lease_teardown_under_traffic_keeps_budget_and_neighbours() {
     }
     drop(survivor);
     assert_eq!(pool.resident_frames(), 0);
+}
+
+/// Stress one shared pool from many threads at once: eight pooled opens of
+/// one graph — how a service serves graphs on different threads — hammer
+/// random adjacency lists under a budget far smaller than the graph,
+/// forcing constant eviction and refill races. Every read must still
+/// deliver exactly the right bytes.
+#[test]
+fn concurrent_cache_access_stress() {
+    let n = 3000u32;
+    let g = testutil::random_mem_graph(&mut Lcg::new(99), n, 1, 6);
+    let dir = TempDir::new("stress").unwrap();
+    let base = dir.path().join("g");
+    // Small blocks so the graph spans many frames; budget of 8 blocks so
+    // the pool thrashes.
+    let block = 512usize;
+    mem_to_disk(&base, &g, IoCounter::new(block)).unwrap();
+    let pool = SharedPool::new(block, 8 * block as u64).unwrap();
+
+    // The graphs stay open (their leases alive) until the checks are done.
+    let _graphs: Vec<DiskGraph> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..8u64)
+            .map(|t| {
+                let mut h = DiskGraph::open_pooled(&base, IoCounter::new(block), &pool, 0).unwrap();
+                let expect = &g;
+                s.spawn(move || {
+                    let mut rng = Lcg::new(0x5EED ^ t);
+                    for _ in 0..4000 {
+                        let v = rng.below(n);
+                        h.with_adjacency(v, |nbrs| {
+                            assert_eq!(nbrs, expect.neighbors(v), "node {v} bytes corrupted");
+                        })
+                        .unwrap();
+                    }
+                    h
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+
+    let stats = pool.stats();
+    assert!(
+        stats.misses > 0 && stats.evictions > 0,
+        "stress must thrash"
+    );
+    // The pool itself stayed within its 8-frame budget (in-flight readers
+    // may briefly keep evicted bytes alive, but never as pool residents).
+    assert!(
+        pool.resident_frames() <= pool.capacity_frames(),
+        "pool exceeded its frame budget"
+    );
 }

@@ -16,19 +16,20 @@
 //! * [`oracle_cores`] — recompute-from-scratch core numbers (the IMCore
 //!   oracle);
 //! * [`fixtures`] — the ER/BA/RMAT generator-family trio at test size;
-//! * [`disk_full_budget`] — write a graph to disk and open it with a
-//!   whole-working-set cache budget (the regime where charged I/O is
-//!   schedule-independent);
-//! * [`worker_counts`] / [`env_executor`] — the one place that reads
-//!   `SEMICORE_WORKERS`, CI's knob for re-running a suite at another width;
+//! * [`service`] / [`create_durable`] / [`open_catalog`] — the service's
+//!   lifecycle constructors at the default block size and options, on the
+//!   real filesystem (the facade's own unit tests cannot use them: there
+//!   the facade is a different crate instance);
 //! * [`arb_graph`] / [`arb_toggle_stream`] — the proptest strategies shared
 //!   by the cross-validation and maintenance property suites.
 
 #![deny(missing_docs)]
 
-use graphstore::{mem_to_disk, DiskGraph, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
+use std::path::Path;
+
+use graphstore::{MemGraph, Result, StdVfs, DEFAULT_BLOCK_SIZE};
+use kcore_suite::{CoreService, DurableOptions};
 use proptest::prelude::*;
-use semicore::ScanExecutor;
 
 /// The suite's standard deterministic generator (a 64-bit LCG with the
 /// Knuth multiplier, emitting the high bits). Same stream as the inline
@@ -76,33 +77,20 @@ pub fn random_mem_graph(rng: &mut Lcg, min_nodes: u32, node_span: u32, density: 
     MemGraph::from_edges(random_edges(rng, n, m), n)
 }
 
-/// The width `SEMICORE_WORKERS` asks for, if any — the CI knob that re-runs
-/// a suite at another width (see `.github/workflows/ci.yml`). The product
-/// does not read it: there, `--workers N` is the one way.
-fn env_workers() -> Option<usize> {
-    std::env::var("SEMICORE_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
+/// [`CoreService::new`] at the default block size.
+pub fn service(budget_bytes: u64) -> CoreService {
+    CoreService::new(DEFAULT_BLOCK_SIZE, budget_bytes).unwrap()
 }
 
-/// Worker counts the executor-equivalence suites sweep: 1/2/4 always, plus
-/// whatever `SEMICORE_WORKERS` asks for.
-pub fn worker_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    if let Some(w) = env_workers().filter(|w| !counts.contains(w)) {
-        counts.push(w);
-    }
-    counts
+/// [`CoreService::create_durable`] at the default block size and options.
+pub fn create_durable(dir: &Path, budget_bytes: u64) -> Result<CoreService> {
+    let opts = DurableOptions::default();
+    CoreService::create_durable(dir, DEFAULT_BLOCK_SIZE, budget_bytes, opts, StdVfs::arc())
 }
 
-/// The executor of a suite that runs at one width: sequential, unless
-/// `SEMICORE_WORKERS` asks for two workers or more.
-pub fn env_executor() -> ScanExecutor {
-    match env_workers() {
-        Some(w) if w >= 2 => ScanExecutor::parallel(w),
-        _ => ScanExecutor::Sequential,
-    }
+/// [`CoreService::open_catalog`] with the default options.
+pub fn open_catalog(dir: &Path) -> Result<CoreService> {
+    CoreService::open_catalog(dir, DurableOptions::default(), StdVfs::arc())
 }
 
 /// Core numbers recomputed from scratch by the in-memory oracle (IMCore) —
@@ -124,25 +112,6 @@ pub fn fixtures() -> Vec<(&'static str, MemGraph)> {
         rmat_params.num_nodes(),
     );
     vec![("ER", er), ("BA", ba), ("RMAT", rmat)]
-}
-
-/// Write `g` to disk under `dir/tag` and open it with a cache budget
-/// covering the whole graph — the regime in which charged I/O equals
-/// *distinct blocks touched* and is therefore schedule-independent (what
-/// the sequential-vs-parallel equivalence suites rely on).
-///
-/// Headroom of a few frames over the byte total: each table rounds up to
-/// whole blocks, and a pool one frame short of the working set would evict
-/// — making charged misses schedule-dependent again.
-pub fn disk_full_budget(g: &MemGraph, dir: &TempDir, tag: &str) -> DiskGraph {
-    let base = dir.path().join(tag);
-    drop(mem_to_disk(&base, g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap());
-    DiskGraph::open_with_cache(
-        &base,
-        IoCounter::new(DEFAULT_BLOCK_SIZE),
-        working_set_budget(&base),
-    )
-    .unwrap()
 }
 
 /// The working-set charge/cache budget of the graph stored at `base`, at
@@ -227,16 +196,5 @@ mod tests {
         for (name, g) in &fx {
             assert!(g.num_edges() > 0, "{name} must have edges");
         }
-    }
-
-    #[test]
-    fn disk_full_budget_round_trips() {
-        let g = MemGraph::from_edges([(0, 1), (1, 2), (0, 2)], 3);
-        let dir = TempDir::new("testutil").unwrap();
-        let mut disk = disk_full_budget(&g, &dir, "g");
-        let mut buf = Vec::new();
-        disk.adjacency(1, &mut buf).unwrap();
-        assert_eq!(buf, vec![0, 2]);
-        assert!(disk.cache_budget_bytes() > 0);
     }
 }

@@ -3,10 +3,10 @@
 //! ```text
 //! kcore build  <edges.txt> <graph-base>      ingest a text edge list to disk (v3)
 //! kcore decompose <graph-base> [--algo star|plus|basic|emcore]
-//!                 [--workers N] [--cache-mb M] [--out cores.txt]
+//!                 [--cache-mb M] [--out cores.txt]
 //! kcore query  <graph-base> --k 8            print the k-core's nodes/components
 //! kcore stats  <graph-base>                  core profile (onion levels, nucleus)
-//! kcore serve  [--budget-mb M] [--workers N] [--data-dir DIR]
+//! kcore serve  [--budget-mb M] [--data-dir DIR]
 //!              [--listen ADDR] [--max-conns N] [--qos-mb M]
 //!              [--qos-queue N] [--group-commit-us U] [--compact-after E]
 //!              [--scrub-interval S] [--repair-retries R] [--op-timeout-ms T]
@@ -26,10 +26,7 @@
 //! reads on every scan); it spills its sorted runs under `std::env::temp_dir()`
 //! (`$TMPDIR`, `/tmp` by default); where that is a tmpfs the runs are held
 //! in RAM, so point `TMPDIR` at a disk for an input beyond memory.
-//! `--workers N` shards SemiCore\*'s convergence scans across `N` threads
-//! (absent, or with any other algorithm, the scan is sequential);
-//! `--cache-mb M` serves disk blocks through an `M`-MiB shared buffer pool
-//! (required for the parallel scans to pay sequential-equivalent I/O).
+//! `--cache-mb M` serves disk blocks through an `M`-MiB buffer pool.
 //!
 //! `kcore serve` starts a [`CoreService`]: every named graph is opened
 //! against one process-wide pool of `--budget-mb` MiB, then commands are
@@ -90,16 +87,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    edgelist, DiskGraph, EvictionPolicy, GroupCommitOptions, IoCounter, QosConfig,
-    DEFAULT_BLOCK_SIZE,
+    edgelist, DiskGraph, GroupCommitOptions, IoCounter, QosConfig, StdVfs, DEFAULT_BLOCK_SIZE,
 };
-use kcore_suite::semicore::{self, analysis, DecomposeOptions, EmCoreOptions, ScanExecutor};
+use kcore_suite::semicore::{self, analysis, DecomposeOptions, EmCoreOptions};
 use kcore_suite::server::{dispatch, Server, ServerOptions};
 use kcore_suite::CoreService;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  kcore build <edges.txt> <graph-base>\n              (writes format v3; scratch runs go under $TMPDIR, /tmp by default: on a tmpfs\n               that is RAM, so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--workers N] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--workers N] [--data-dir DIR] [--listen ADDR]\n              [--max-conns N] [--qos-mb M] [--qos-queue N] [--group-commit-us U]\n              [--compact-after E] [--scrub-interval S] [--repair-retries R]\n              [--op-timeout-ms T] [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>"
+        "usage:\n  kcore build <edges.txt> <graph-base>\n              (writes format v3; scratch runs go under $TMPDIR, /tmp by default: on a tmpfs\n               that is RAM, so point TMPDIR at a disk for an input beyond memory)\n  kcore decompose <graph-base> [--algo star|plus|basic|emcore] [--cache-mb M] [--out cores.txt]\n  kcore query <graph-base> --k <K>\n  kcore stats <graph-base>\n  kcore serve [--budget-mb M] [--data-dir DIR] [--listen ADDR] [--max-conns N]\n              [--qos-mb M] [--qos-queue N] [--group-commit-us U] [--compact-after E]\n              [--scrub-interval S] [--repair-retries R] [--op-timeout-ms T]\n              [name=graph-base ...]\n  kcore fsck <data-dir> [--repair]\n  kcore compact <data-dir> <name>"
     );
     std::process::exit(2)
 }
@@ -173,24 +169,15 @@ impl Cli {
     }
 }
 
-/// `--workers N`: parallel SemiCore\* scans at `N ≥ 2`, sequential
-/// otherwise.
-fn executor(workers: Option<usize>) -> ScanExecutor {
-    match workers {
-        Some(w) if w >= 2 => ScanExecutor::parallel(w),
-        _ => ScanExecutor::Sequential,
-    }
-}
-
-type Algorithm = fn(&mut DiskGraph, ScanExecutor) -> graphstore::Result<semicore::Decomposition>;
+type Algorithm = fn(&mut DiskGraph) -> graphstore::Result<semicore::Decomposition>;
 
 /// The decomposition `--algo` names; anything else is a usage error.
 fn algorithm(name: &str) -> Algorithm {
     match name {
-        "star" => |g, exec| semicore::semicore_star_with(g, &DecomposeOptions::default(), exec),
-        "plus" => |g, _| semicore::semicore_plus(g, &DecomposeOptions::default()),
-        "basic" => |g, _| semicore::semicore(g, &DecomposeOptions::default()),
-        "emcore" => |g, _| semicore::emcore(g, &EmCoreOptions::default()),
+        "star" => |g| semicore::semicore_star(g, &DecomposeOptions::default()),
+        "plus" => |g| semicore::semicore_plus(g, &DecomposeOptions::default()),
+        "basic" => |g| semicore::semicore(g, &DecomposeOptions::default()),
+        "emcore" => |g| semicore::emcore(g, &EmCoreOptions::default()),
         other => {
             eprintln!("unknown algorithm {other:?} (expected star|plus|basic|emcore)");
             usage()
@@ -202,8 +189,7 @@ fn open(base: &Path) -> graphstore::Result<DiskGraph> {
     DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE))
 }
 
-// Internal decompositions (query/stats) run uncached and sequential — the
-// parallel path wants a cache budget so shard handles share fetched blocks.
+// Internal decompositions (query/stats) run uncached.
 fn decompose(base: &Path) -> graphstore::Result<semicore::Decomposition> {
     semicore::semicore_star(&mut open(base)?, &DecomposeOptions::default())
 }
@@ -231,19 +217,15 @@ fn main() -> graphstore::Result<()> {
             );
         }
         "decompose" => {
-            let cli = Cli::parse(args, &["--algo", "--workers", "--cache-mb", "--out"], &[]);
+            let cli = Cli::parse(args, &["--algo", "--cache-mb", "--out"], &[]);
             let [base] = cli.positionals();
             let algo: String = cli.value("--algo").unwrap_or_else(|| "star".into());
             let run = algorithm(&algo);
-            let exec = executor(cli.value("--workers"));
             let cache_bytes = cli.mib("--cache-mb").unwrap_or(0);
             let out: Option<PathBuf> = cli.value("--out");
-            if exec != ScanExecutor::Sequential && algo != "star" {
-                eprintln!("note: --workers applies to SemiCore* only; {algo} runs sequentially");
-            }
             let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
             let mut g = DiskGraph::open_with_cache(Path::new(&base), counter, cache_bytes)?;
-            let d = run(&mut g, exec)?;
+            let d = run(&mut g)?;
             let s = &d.stats;
             println!(
                 "{}: kmax = {}, {} iterations, {} node computations",
@@ -305,7 +287,8 @@ fn main() -> graphstore::Result<()> {
             // serving path uses at its threshold), truncating its update
             // buffer and journal.
             let [dir, name] = Cli::parse(args, &[], &[]).positionals();
-            let svc = CoreService::open_catalog(Path::new(&dir))?;
+            let opts = kcore_suite::DurableOptions::default();
+            let svc = CoreService::open_catalog(Path::new(&dir), opts, StdVfs::arc())?;
             let generation = svc.compact(&name)?;
             println!(
                 "compacted {name}: now generation {generation} (update buffer and journal empty)"
@@ -342,9 +325,8 @@ fn fsck_cmd(args: &[String]) -> graphstore::Result<()> {
 }
 
 /// The value-taking flags of `kcore serve`.
-const SERVE_FLAGS: [&str; 12] = [
+const SERVE_FLAGS: [&str; 11] = [
     "--budget-mb",
-    "--workers",
     "--data-dir",
     "--listen",
     "--max-conns",
@@ -365,7 +347,6 @@ const SERVE_FLAGS: [&str; 12] = [
 fn serve(args: &[String]) -> graphstore::Result<()> {
     let cli = Cli::parse(args, &SERVE_FLAGS, &[]);
     let budget_bytes = cli.mib("--budget-mb").unwrap_or(64 << 20);
-    let exec = executor(cli.value("--workers"));
     let data_dir: Option<PathBuf> = cli.value("--data-dir");
     for (flag, why) in [
         ("--group-commit-us", "there is no journal without one"),
@@ -429,7 +410,7 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
 
     let svc = match &data_dir {
         Some(dir) if graphstore::Catalog::exists_in(dir) => {
-            let svc = CoreService::open_catalog_with(dir, exec, durable_opts)?;
+            let svc = CoreService::open_catalog(dir, durable_opts, StdVfs::arc())?;
             println!(
                 "reopened catalog {} ({} MiB pool from manifest): restored [{}]",
                 dir.display(),
@@ -439,30 +420,24 @@ fn serve(args: &[String]) -> graphstore::Result<()> {
             svc
         }
         Some(dir) => {
-            let svc = CoreService::create_durable_with(
+            let svc = CoreService::create_durable(
                 dir,
                 DEFAULT_BLOCK_SIZE,
                 budget_bytes,
-                EvictionPolicy::ScanLifo,
-                exec,
                 durable_opts,
+                StdVfs::arc(),
             )?;
             println!(
-                "serving durably from {} on a {} MiB shared pool ({exec:?})",
+                "serving durably from {} on a {} MiB shared pool",
                 dir.display(),
                 budget_bytes >> 20
             );
             svc
         }
         None => {
-            let svc = CoreService::with_config(
-                DEFAULT_BLOCK_SIZE,
-                budget_bytes,
-                EvictionPolicy::ScanLifo,
-                exec,
-            )?;
+            let svc = CoreService::new(DEFAULT_BLOCK_SIZE, budget_bytes)?;
             println!(
-                "serving on a {} MiB shared pool ({exec:?}); 'help' lists commands",
+                "serving on a {} MiB shared pool; 'help' lists commands",
                 budget_bytes >> 20
             );
             svc

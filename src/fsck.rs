@@ -537,13 +537,20 @@ fn recreate_wal(path: &Path, counter: &Arc<IoCounter>, vfs: &Arc<dyn Vfs>) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoreService;
-    use graphstore::TempDir;
+    use crate::{CoreService, DurableOptions};
+    use graphstore::{TempDir, DEFAULT_BLOCK_SIZE};
     use std::io::{Seek, SeekFrom, Write};
+
+    fn open_catalog(data: &Path) -> Result<CoreService> {
+        CoreService::open_catalog(data, DurableOptions::default(), StdVfs::arc())
+    }
 
     fn seeded_dir(tmp: &TempDir) -> PathBuf {
         let data = tmp.path().join("data");
-        let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+        let opts = DurableOptions::default();
+        let svc =
+            CoreService::create_durable(&data, DEFAULT_BLOCK_SIZE, 1 << 20, opts, StdVfs::arc())
+                .unwrap();
         svc.create(
             "g",
             &tmp.path().join("g"),
@@ -593,7 +600,7 @@ mod tests {
 
         // Clean after repair, and the directory still opens.
         assert!(fsck(&data, false).unwrap().clean());
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.kmax("g").unwrap(), 3);
     }
 
@@ -602,7 +609,7 @@ mod tests {
         let tmp = TempDir::new("fsck").unwrap();
         let data = seeded_dir(&tmp);
         // A second, healthy graph beside the damaged one.
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         svc.create("h", &tmp.path().join("h"), vec![(0u32, 1u32), (1, 2)], 3)
             .unwrap();
         drop(svc);
@@ -630,7 +637,7 @@ mod tests {
     fn compacted_directory_reports_clean() {
         let tmp = TempDir::new("fsck").unwrap();
         let data = seeded_dir(&tmp);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         svc.insert_edge("g", 2, 3).unwrap_err(); // present already — no-op
         assert_eq!(svc.compact("g").unwrap(), 1);
         drop(svc);
@@ -642,7 +649,7 @@ mod tests {
     fn generation_debris_is_found_and_swept() {
         let tmp = TempDir::new("fsck").unwrap();
         let data = seeded_dir(&tmp);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.compact("g").unwrap(), 1);
         drop(svc);
         // Plant what a crashed compaction would leave: next-generation
@@ -673,7 +680,7 @@ mod tests {
         assert!(!tmp.path().join("g.g2.nodes").exists());
         assert!(!data.join("g.ckpt").exists());
         // The live generation still recovers.
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.kmax("g").unwrap(), 3);
     }
 
@@ -711,6 +718,6 @@ mod tests {
         assert_eq!(report.unrepaired(), 0, "{:?}", report.findings);
         assert!(fsck(&data, false).unwrap().clean());
         // Recovery falls back to the checkpoint alone.
-        assert!(CoreService::open_catalog(&data).is_ok());
+        assert!(open_catalog(&data).is_ok());
     }
 }

@@ -73,8 +73,8 @@ use graphstore::{
     DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_CAPACITY,
 };
 use semicore::{
-    semicore_star_state_with, CoreState, DecomposeOptions, MaintainOp, MaintainStats,
-    MaintenanceEngine, RunStats, ScanExecutor,
+    semicore_star_state, CoreState, DecomposeOptions, MaintainOp, MaintainStats, MaintenanceEngine,
+    RunStats, ScanExecutor,
 };
 
 /// Collect `edges` for [`MemGraph::from_edges`], refusing the id `u32::MAX`
@@ -118,7 +118,7 @@ impl CoreIndex {
 
     /// Open an existing on-disk graph with a block-cache budget of
     /// `cache_bytes` (the external-memory model's `M`; zero keeps the
-    /// uncached one-frame reader) and decompose it sequentially.
+    /// uncached one-frame reader) and decompose it.
     pub fn open_with_cache(base: &Path, cache_bytes: u64) -> Result<CoreIndex> {
         let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
         let disk = DiskGraph::open_with_cache(base, counter, cache_bytes)?;
@@ -131,17 +131,18 @@ impl CoreIndex {
         self.graph.disk().cache_stats()
     }
 
-    /// Decompose `disk` with the given executor (the disk graph is still
-    /// shardable at this point, so parallel executors fan out), then wrap
-    /// it with an update buffer of `capacity` edit entries for maintenance.
-    /// Every decomposing constructor ends here, [`CoreService`]'s included.
+    /// Decompose `disk` with SemiCore\*, then wrap it with an update buffer
+    /// of `capacity` edit entries for maintenance. Every decomposing
+    /// constructor ends here, [`CoreService`]'s included. Kbench
+    /// compatibility: `_exec` is ignored (there is one schedule) and goes
+    /// with ROADMAP item 12b.
     pub fn from_disk_graph(
         mut disk: DiskGraph,
         capacity: usize,
-        exec: ScanExecutor,
+        _exec: ScanExecutor,
     ) -> Result<CoreIndex> {
         let (state, decompose_stats) =
-            semicore_star_state_with(&mut disk, &DecomposeOptions::default(), exec)?;
+            semicore_star_state(&mut disk, &DecomposeOptions::default())?;
         Ok(Self::assemble(disk, capacity, state, decompose_stats))
     }
 

@@ -101,7 +101,6 @@ impl Durable {
         Catalog {
             block_size: pool.block_size(),
             budget_bytes: pool.budget_bytes(),
-            policy: pool.policy(),
             entries,
         }
         .write_with(&self.dir, vfs)?;

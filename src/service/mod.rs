@@ -110,7 +110,7 @@ use std::time::{Duration, Instant};
 use graphstore::{
     working_set_charge_budget, AdmissionController, AdmissionPermit, Catalog, CatalogEntry,
     DiskGraph, EvictionPolicy, FormatVersion, GroupCommitOptions, GroupCommitWal, IoCounter,
-    IoSnapshot, QosConfig, Result, SharedPool, StdVfs, Vfs, DEFAULT_BLOCK_SIZE,
+    IoSnapshot, QosConfig, Result, SharedPool, StdVfs, Vfs,
 };
 use semicore::ScanExecutor;
 
@@ -122,8 +122,8 @@ use health::HealthState;
 /// edit entries (~16 MiB of buffer) before the apply path compacts.
 pub const DEFAULT_COMPACT_AFTER_EDITS: usize = 1 << 20;
 
-/// Durability knobs for [`CoreService::create_durable_with`] /
-/// [`CoreService::open_catalog_with`].
+/// Durability knobs for [`CoreService::create_durable`] /
+/// [`CoreService::open_catalog`].
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Checkpoint (and truncate the journal) after this many maintenance
@@ -193,11 +193,11 @@ impl Served {
 /// byte budget — with optional on-disk durability of the whole registry.
 ///
 /// ```
-/// use graphstore::TempDir;
+/// use graphstore::{TempDir, DEFAULT_BLOCK_SIZE};
 /// use kcore_suite::CoreService;
 ///
 /// let dir = TempDir::new("doc-service").unwrap();
-/// let service = CoreService::new(1 << 20).unwrap(); // 1 MiB for everyone
+/// let service = CoreService::new(DEFAULT_BLOCK_SIZE, 1 << 20).unwrap(); // 1 MiB for everyone
 /// service
 ///     .create("tri", &dir.path().join("tri"), [(0, 1), (1, 2), (0, 2)], 3)
 ///     .unwrap();
@@ -215,23 +215,30 @@ impl Served {
 /// The durable variant survives a restart with its maintained state:
 ///
 /// ```
-/// use graphstore::TempDir;
-/// use kcore_suite::CoreService;
+/// use graphstore::{StdVfs, TempDir, DEFAULT_BLOCK_SIZE};
+/// use kcore_suite::{CoreService, DurableOptions};
 ///
 /// let dir = TempDir::new("doc-durable").unwrap();
 /// let data = dir.path().join("data");
+/// let opts = DurableOptions::default();
 /// {
-///     let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+///     let svc = CoreService::create_durable(
+///         &data,
+///         DEFAULT_BLOCK_SIZE,
+///         1 << 20,
+///         opts.clone(),
+///         StdVfs::arc(),
+///     )
+///     .unwrap();
 ///     svc.create("g", &dir.path().join("g"), [(0, 1), (1, 2)], 3).unwrap();
 ///     svc.insert_edge("g", 0, 2).unwrap(); // journaled, then applied
 /// } // process "dies" here
-/// let svc = CoreService::open_catalog(&data).unwrap();
+/// let svc = CoreService::open_catalog(&data, opts, StdVfs::arc()).unwrap();
 /// assert_eq!(svc.kmax("g").unwrap(), 2); // restored without re-decomposing
 /// ```
 #[derive(Debug)]
 pub struct CoreService {
     pool: SharedPool,
-    exec: ScanExecutor,
     graphs: Mutex<HashMap<String, Slot>>,
     durable: Option<Durable>,
     /// Filesystem seam every counter (and the catalog writer) goes
@@ -306,43 +313,31 @@ impl Drop for DeadlineGuard {
 }
 
 impl CoreService {
-    /// A service arbitrating `budget_bytes` across all served graphs, with
-    /// the default block size, the scan-resistant eviction policy and the
-    /// sequential executor. Errors when the budget holds fewer than two
-    /// blocks. Nothing is persisted — see [`CoreService::create_durable`].
-    pub fn new(budget_bytes: u64) -> Result<CoreService> {
-        Self::with_config(
-            DEFAULT_BLOCK_SIZE,
-            budget_bytes,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
-        )
+    /// A service arbitrating `budget_bytes` across all served graphs in
+    /// blocks of `block_size` bytes. Errors when the block size is zero or
+    /// beyond `u32::MAX`, or the budget holds fewer than two blocks.
+    /// Nothing is persisted — see [`CoreService::create_durable`].
+    pub fn new(block_size: usize, budget_bytes: u64) -> Result<CoreService> {
+        let pool = SharedPool::new(block_size, budget_bytes)?;
+        Ok(Self::assemble(pool, None, StdVfs::arc()))
     }
 
-    /// [`CoreService::new`] with every knob explicit: block size `B`,
-    /// global budget, pool eviction policy (also used by each graph's
-    /// charge cache), and the scan executor used for initial
-    /// decompositions.
+    /// Kbench compatibility: [`CoreService::new`], ignoring `policy` (there
+    /// is one) and `exec` (there is one schedule). Goes with ROADMAP item
+    /// 12b.
     pub fn with_config(
         block_size: usize,
         budget_bytes: u64,
-        policy: EvictionPolicy,
-        exec: ScanExecutor,
+        _policy: EvictionPolicy,
+        _exec: ScanExecutor,
     ) -> Result<CoreService> {
-        let pool = SharedPool::with_policy(block_size, budget_bytes, policy)?;
-        Ok(Self::assemble(pool, exec, None, StdVfs::arc()))
+        Self::new(block_size, budget_bytes)
     }
 
     /// The one place a service is put together.
-    fn assemble(
-        pool: SharedPool,
-        exec: ScanExecutor,
-        durable: Option<Durable>,
-        vfs: Arc<dyn Vfs>,
-    ) -> CoreService {
+    fn assemble(pool: SharedPool, durable: Option<Durable>, vfs: Arc<dyn Vfs>) -> CoreService {
         CoreService {
             pool,
-            exec,
             graphs: Mutex::new(HashMap::new()),
             durable,
             vfs,
@@ -352,56 +347,22 @@ impl CoreService {
     }
 
     /// A durable service persisting its registry under `dir` (created if
-    /// absent), with the default block size, policy, sequential executor
-    /// and checkpoint cadence. Errors if `dir` already holds a catalog —
+    /// absent). The pool configuration (block size, budget) is written
+    /// into the catalog and restored by [`CoreService::open_catalog`]; the
+    /// durability options are runtime choices and are not. Every I/O
+    /// counter the service creates routes through `vfs`, so a
+    /// [`graphstore::FaultVfs`] here puts the whole serving stack under
+    /// fault injection. Errors, before `dir` is created, on a pool
+    /// [`CoreService::new`] refuses, and if `dir` already holds a catalog —
     /// reopen an existing one with [`CoreService::open_catalog`].
-    pub fn create_durable(dir: &Path, budget_bytes: u64) -> Result<CoreService> {
-        Self::create_durable_with(
-            dir,
-            DEFAULT_BLOCK_SIZE,
-            budget_bytes,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
-            DurableOptions::default(),
-        )
-    }
-
-    /// [`CoreService::create_durable`] with every knob explicit. The pool
-    /// configuration (block size, budget, policy) is written into the
-    /// catalog and restored by [`CoreService::open_catalog`]; the executor
-    /// and checkpoint cadence are runtime choices and are not.
-    pub fn create_durable_with(
+    pub fn create_durable(
         dir: &Path,
         block_size: usize,
         budget_bytes: u64,
-        policy: EvictionPolicy,
-        exec: ScanExecutor,
-        opts: DurableOptions,
-    ) -> Result<CoreService> {
-        Self::create_durable_with_vfs(
-            dir,
-            block_size,
-            budget_bytes,
-            policy,
-            exec,
-            opts,
-            StdVfs::arc(),
-        )
-    }
-
-    /// [`CoreService::create_durable_with`] with an explicit filesystem
-    /// seam. Every I/O counter the service creates routes through `vfs`,
-    /// so a [`graphstore::FaultVfs`] here puts the whole serving stack
-    /// under fault injection.
-    pub fn create_durable_with_vfs(
-        dir: &Path,
-        block_size: usize,
-        budget_bytes: u64,
-        policy: EvictionPolicy,
-        exec: ScanExecutor,
         opts: DurableOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<CoreService> {
+        let pool = SharedPool::new(block_size, budget_bytes)?;
         std::fs::create_dir_all(dir)?;
         if Catalog::exists_in(dir) {
             return Err(graphstore::Error::InvalidArgument(format!(
@@ -409,51 +370,55 @@ impl CoreService {
                 dir.display()
             )));
         }
-        let pool = SharedPool::with_policy(block_size, budget_bytes, policy)?;
         let durable = Durable::new(dir, opts, Vec::new());
         durable.commit(&pool, vfs.as_ref(), |_| {})?;
-        Ok(Self::assemble(pool, exec, Some(durable), vfs))
+        Ok(Self::assemble(pool, Some(durable), vfs))
+    }
+
+    /// Kbench compatibility: [`CoreService::create_durable`], ignoring
+    /// `policy` and `exec`. Goes with ROADMAP item 12b.
+    pub fn create_durable_with_vfs(
+        dir: &Path,
+        block_size: usize,
+        budget_bytes: u64,
+        _policy: EvictionPolicy,
+        _exec: ScanExecutor,
+        opts: DurableOptions,
+        vfs: Arc<dyn Vfs>,
+    ) -> Result<CoreService> {
+        Self::create_durable(dir, block_size, budget_bytes, opts, vfs)
     }
 
     /// Reopen the durable service persisted under `dir`: load the manifest,
     /// rebuild the pool it describes, and restore every catalogued graph —
     /// checkpoint first (one sequential scan, **no** re-decomposition),
     /// then the journal tail replayed through the same typed-op path live
-    /// traffic uses. Uses the sequential executor; see
-    /// [`CoreService::open_catalog_with`] for the knobs.
-    pub fn open_catalog(dir: &Path) -> Result<CoreService> {
-        Self::open_catalog_with(dir, ScanExecutor::Sequential, DurableOptions::default())
-    }
-
-    /// [`CoreService::open_catalog`] with an explicit executor (used for
-    /// decompositions of graphs opened *after* recovery) and durability
-    /// options.
-    pub fn open_catalog_with(
+    /// traffic uses. Recovery itself — catalog, checkpoint and journal
+    /// reads — goes through `vfs` too.
+    pub fn open_catalog(
         dir: &Path,
-        exec: ScanExecutor,
-        opts: DurableOptions,
-    ) -> Result<CoreService> {
-        Self::open_catalog_with_vfs(dir, exec, opts, StdVfs::arc())
-    }
-
-    /// [`CoreService::open_catalog_with`] with an explicit filesystem seam
-    /// (see [`CoreService::create_durable_with_vfs`]). Recovery itself —
-    /// catalog, checkpoint and journal reads — goes through `vfs` too.
-    pub fn open_catalog_with_vfs(
-        dir: &Path,
-        exec: ScanExecutor,
         opts: DurableOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<CoreService> {
         let catalog = Catalog::read_with(dir, vfs.as_ref())?;
-        let pool =
-            SharedPool::with_policy(catalog.block_size, catalog.budget_bytes, catalog.policy)?;
+        let pool = SharedPool::new(catalog.block_size, catalog.budget_bytes)?;
         let durable = Durable::new(dir, opts, catalog.entries.clone());
-        let svc = Self::assemble(pool, exec, Some(durable), vfs);
+        let svc = Self::assemble(pool, Some(durable), vfs);
         for entry in &catalog.entries {
             svc.recover_entry(entry)?;
         }
         Ok(svc)
+    }
+
+    /// Kbench compatibility: [`CoreService::open_catalog`], ignoring
+    /// `exec`. Goes with ROADMAP item 12b.
+    pub fn open_catalog_with_vfs(
+        dir: &Path,
+        _exec: ScanExecutor,
+        opts: DurableOptions,
+        vfs: Arc<dyn Vfs>,
+    ) -> Result<CoreService> {
+        Self::open_catalog(dir, opts, vfs)
     }
 
     /// The data directory of a durable service (`None` when nothing is
@@ -534,8 +499,7 @@ impl CoreService {
     /// Open the graph stored at `<base>.nodes/.edges` and serve it as
     /// `name`, decomposing it on the way in. The charge budget defaults to
     /// the graph's whole working set (both tables plus headroom), which
-    /// makes its charged `read_ios` equal *distinct blocks touched* —
-    /// schedule-independent, so the guarantee holds at any worker count.
+    /// makes its charged `read_ios` equal *distinct blocks touched*.
     pub fn open(&self, name: &str, base: &Path) -> Result<()> {
         let charge = working_set_charge_budget(base, self.pool.block_size())?;
         self.open_with_charge(name, base, charge)
@@ -614,7 +578,7 @@ impl CoreService {
         } else {
             graphstore::DEFAULT_BUFFER_CAPACITY
         };
-        CoreIndex::from_disk_graph(disk, capacity, self.exec)
+        CoreIndex::from_disk_graph(disk, capacity, ScanExecutor::Sequential)
     }
 
     /// Build a graph from `edges` at `<base>.nodes/.edges`, then serve it
@@ -876,16 +840,32 @@ fn not_serving(name: &str) -> graphstore::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphstore::TempDir;
+    use graphstore::{TempDir, DEFAULT_BLOCK_SIZE};
 
     fn triangle_plus_tail() -> Vec<(u32, u32)> {
         vec![(0, 1), (1, 2), (0, 2), (2, 3)]
     }
 
+    /// A volatile service at the default block size.
+    fn volatile(budget: u64) -> CoreService {
+        CoreService::new(DEFAULT_BLOCK_SIZE, budget).unwrap()
+    }
+
+    /// [`CoreService::create_durable`] at the default block size and options.
+    fn create_durable(data: &Path, budget: u64) -> Result<CoreService> {
+        let opts = DurableOptions::default();
+        CoreService::create_durable(data, DEFAULT_BLOCK_SIZE, budget, opts, StdVfs::arc())
+    }
+
+    /// [`CoreService::open_catalog`] with the default options.
+    fn open_catalog(data: &Path) -> Result<CoreService> {
+        CoreService::open_catalog(data, DurableOptions::default(), StdVfs::arc())
+    }
+
     #[test]
     fn serve_two_graphs_and_evict() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         svc.create("b", &dir.path().join("b"), [(0u32, 1u32), (1, 2)], 3)
@@ -907,7 +887,7 @@ mod tests {
     #[test]
     fn create_refuses_the_id_u32_max() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         let err = svc
             .create("a", &dir.path().join("a"), [(u32::MAX, 0)], 0)
             .unwrap_err();
@@ -921,7 +901,7 @@ mod tests {
     #[test]
     fn maintenance_is_per_graph() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         svc.create("b", &dir.path().join("b"), triangle_plus_tail(), 4)
@@ -938,7 +918,7 @@ mod tests {
     #[test]
     fn duplicate_and_missing_names_are_errors() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         assert!(svc
@@ -951,7 +931,7 @@ mod tests {
     #[test]
     fn duplicate_insert_and_absent_delete_are_errors_not_corruption() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         let edges_before = svc.with_graph("a", |idx| Ok(idx.num_edges())).unwrap();
@@ -969,7 +949,7 @@ mod tests {
     #[test]
     fn out_of_range_queries_error_instead_of_panicking() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         assert!(matches!(
@@ -983,7 +963,7 @@ mod tests {
     #[test]
     fn save_without_data_dir_is_an_error() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         assert!(svc.data_dir().is_none());
@@ -995,7 +975,7 @@ mod tests {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
         {
-            let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+            let svc = create_durable(&data, 1 << 20).unwrap();
             assert_eq!(svc.data_dir(), Some(data.as_path()));
             svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
                 .unwrap();
@@ -1006,7 +986,7 @@ mod tests {
             svc.delete_edge("b", 0, 1).unwrap();
             // No save: the journal alone must carry the tail.
         }
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.graph_names(), vec!["a".to_string(), "b".to_string()]);
         assert_eq!(svc.kmax("a").unwrap(), 3);
         assert_eq!(svc.cores("b").unwrap(), vec![0, 1, 1]);
@@ -1021,7 +1001,7 @@ mod tests {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
         {
-            let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+            let svc = create_durable(&data, 1 << 20).unwrap();
             svc.create("g", &dir.path().join("g"), triangle_plus_tail(), 4)
                 .unwrap();
             svc.insert_edge("g", 1, 3).unwrap();
@@ -1030,7 +1010,7 @@ mod tests {
         // After save, the journal is empty: recovery is checkpoint-only.
         let wal_len = std::fs::metadata(data.join("g.wal")).unwrap().len();
         assert_eq!(wal_len, 8, "journal truncated to its header by save");
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.kmax("g").unwrap(), 2);
         assert!(svc.verify("g").unwrap());
     }
@@ -1039,16 +1019,15 @@ mod tests {
     fn checkpoint_threshold_truncates_journal_mid_stream() {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
-        let svc = CoreService::create_durable_with(
+        let svc = CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             1 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions {
                 checkpoint_every: 2,
                 ..Default::default()
             },
+            StdVfs::arc(),
         )
         .unwrap();
         svc.create("g", &dir.path().join("g"), [(0u32, 1u32)], 6)
@@ -1059,7 +1038,7 @@ mod tests {
         assert_eq!(wal_len, 8, "threshold checkpoint must truncate the journal");
         svc.insert_edge("g", 3, 4).unwrap(); // journaled on the fresh log
         drop(svc);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.cores("g").unwrap(), vec![1, 1, 1, 1, 1, 0]);
         assert!(svc.verify("g").unwrap());
     }
@@ -1070,7 +1049,7 @@ mod tests {
         let data = dir.path().join("data");
         let base = dir.path().join("g");
         {
-            let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+            let svc = create_durable(&data, 1 << 20).unwrap();
             svc.create("g", &base, triangle_plus_tail(), 5).unwrap();
             svc.insert_edge("g", 1, 3).unwrap();
             svc.insert_edge("g", 3, 4).unwrap();
@@ -1103,7 +1082,7 @@ mod tests {
             assert!(!data.join("g.g1.ckpt").exists());
             assert!(dir.path().join("g.g2.nodes").exists());
         }
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.generation("g").unwrap(), 2);
         assert_eq!(svc.kmax("g").unwrap(), 3, "0-1-2-3 is a K4 after (0,3)");
         assert!(svc.verify("g").unwrap());
@@ -1116,12 +1095,10 @@ mod tests {
     fn compaction_threshold_bounds_buffer_and_journal_on_the_apply_path() {
         let dir = TempDir::new("svc-compact").unwrap();
         let data = dir.path().join("data");
-        let svc = CoreService::create_durable_with(
+        let svc = CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             1 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions {
                 // Checkpoints alone would let the buffer grow without
                 // bound; the compaction threshold is the memory bound.
@@ -1129,6 +1106,7 @@ mod tests {
                 compact_after_edits: 4,
                 ..Default::default()
             },
+            StdVfs::arc(),
         )
         .unwrap();
         svc.create("g", &dir.path().join("g"), [(0u32, 1u32)], 8)
@@ -1148,7 +1126,7 @@ mod tests {
             "five ops over a 2-op threshold compact more than once"
         );
         drop(svc);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.cores("g").unwrap(), vec![1, 1, 1, 1, 1, 1, 1, 0]);
         assert!(svc.verify("g").unwrap());
     }
@@ -1156,7 +1134,7 @@ mod tests {
     #[test]
     fn compact_without_data_dir_is_an_error() {
         let dir = TempDir::new("svc").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         assert!(svc.compact("a").is_err());
@@ -1167,7 +1145,7 @@ mod tests {
     fn durable_evict_removes_catalog_entry_and_sidecars() {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
-        let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+        let svc = create_durable(&data, 1 << 20).unwrap();
         svc.create("gone", &dir.path().join("gone"), triangle_plus_tail(), 4)
             .unwrap();
         svc.create("kept", &dir.path().join("kept"), triangle_plus_tail(), 4)
@@ -1176,7 +1154,7 @@ mod tests {
         assert!(!data.join("gone.ckpt").exists());
         assert!(!data.join("gone.wal").exists());
         drop(svc);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.graph_names(), vec!["kept".to_string()]);
     }
 
@@ -1185,12 +1163,10 @@ mod tests {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
         let fault = graphstore::FaultVfs::new(graphstore::FaultPlan::default());
-        let svc = CoreService::create_durable_with_vfs(
+        let svc = CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             1 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions::default(),
             Arc::clone(&fault) as Arc<dyn Vfs>,
         )
@@ -1218,7 +1194,7 @@ mod tests {
         svc.create("k", &dir.path().join("k"), triangle_plus_tail(), 4)
             .unwrap();
         drop(svc);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.graph_names(), vec!["g".to_string(), "k".to_string()]);
         assert!(svc.verify("g").unwrap());
     }
@@ -1226,7 +1202,7 @@ mod tests {
     #[test]
     fn durable_names_are_restricted_to_safe_characters() {
         let dir = TempDir::new("svc-durable").unwrap();
-        let svc = CoreService::create_durable(&dir.path().join("data"), 1 << 20).unwrap();
+        let svc = create_durable(&dir.path().join("data"), 1 << 20).unwrap();
         for bad in ["", "../escape", "a/b", "dot.dot", "sp ace"] {
             assert!(
                 svc.create(bad, &dir.path().join("g"), triangle_plus_tail(), 4)
@@ -1239,7 +1215,7 @@ mod tests {
     #[test]
     fn io_failure_quarantines_only_the_failing_graph() {
         let dir = TempDir::new("svc-quarantine").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("sick", &dir.path().join("sick"), triangle_plus_tail(), 4)
             .unwrap();
         svc.create("well", &dir.path().join("well"), triangle_plus_tail(), 4)
@@ -1275,7 +1251,7 @@ mod tests {
     #[test]
     fn validation_errors_do_not_quarantine() {
         let dir = TempDir::new("svc-quarantine").unwrap();
-        let svc = CoreService::new(1 << 20).unwrap();
+        let svc = volatile(1 << 20);
         svc.create("a", &dir.path().join("a"), triangle_plus_tail(), 4)
             .unwrap();
         assert!(svc.insert_edge("a", 0, 1).is_err()); // duplicate
@@ -1287,7 +1263,7 @@ mod tests {
     #[test]
     fn poisoned_graph_lock_becomes_quarantine_not_a_crash() {
         let dir = TempDir::new("svc-poison").unwrap();
-        let svc = Arc::new(CoreService::new(1 << 20).unwrap());
+        let svc = Arc::new(volatile(1 << 20));
         svc.create("p", &dir.path().join("p"), triangle_plus_tail(), 4)
             .unwrap();
         svc.create("q", &dir.path().join("q"), triangle_plus_tail(), 4)
@@ -1316,8 +1292,56 @@ mod tests {
     fn create_durable_refuses_an_existing_catalog() {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
-        drop(CoreService::create_durable(&data, 1 << 20).unwrap());
-        assert!(CoreService::create_durable(&data, 1 << 20).is_err());
-        assert!(CoreService::open_catalog(&data).is_ok());
+        drop(create_durable(&data, 1 << 20).unwrap());
+        assert!(create_durable(&data, 1 << 20).is_err());
+        assert!(open_catalog(&data).is_ok());
+    }
+
+    /// Block sizes the catalog's `u32` field cannot hold back.
+    const BAD_BLOCK_SIZES: [usize; 2] = [0, u32::MAX as usize + 1];
+
+    #[test]
+    fn new_refuses_a_block_size_outside_u32() {
+        for block in BAD_BLOCK_SIZES {
+            let err = CoreService::new(block, 1 << 20).unwrap_err();
+            assert!(
+                matches!(err, graphstore::Error::InvalidArgument(_)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn create_durable_refuses_a_block_size_outside_u32_before_creating_the_dir() {
+        let dir = TempDir::new("svc-durable").unwrap();
+        let data = dir.path().join("data");
+        for block in BAD_BLOCK_SIZES {
+            let opts = DurableOptions::default();
+            let err = CoreService::create_durable(&data, block, 1 << 20, opts, StdVfs::arc())
+                .unwrap_err();
+            assert!(
+                matches!(err, graphstore::Error::InvalidArgument(_)),
+                "{err}"
+            );
+            assert!(!data.exists(), "B = {block} created the data directory");
+        }
+    }
+
+    #[test]
+    fn open_catalog_refuses_a_zero_block_size() {
+        let dir = TempDir::new("svc-durable").unwrap();
+        let data = dir.path().join("data");
+        drop(create_durable(&data, 1 << 20).unwrap());
+        // Magic (8 bytes), layout version (4), then the block size; the
+        // CRC over the body is recomputed so the field itself is what fails.
+        let path = Catalog::path_in(&data);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let body_end = bytes.len() - 4;
+        bytes[12..16].copy_from_slice(&0u32.to_le_bytes());
+        let crc = graphstore::codec::crc32(&bytes[8..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let err = open_catalog(&data).unwrap_err();
+        assert!(err.is_corrupt(), "{err}");
     }
 }

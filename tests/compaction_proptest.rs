@@ -18,25 +18,23 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use graphstore::{EvictionPolicy, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
+use graphstore::{MemGraph, StdVfs, TempDir, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
 use proptest::prelude::*;
-use semicore::ScanExecutor;
 use testutil::{arb_toggle_stream, oracle_cores, Lcg};
 
 const BUDGET: u64 = 8 << 20;
 const G: &str = "g";
 
 fn durable(data: &Path) -> CoreService {
-    CoreService::create_durable_with(
+    CoreService::create_durable(
         data,
         DEFAULT_BLOCK_SIZE,
         BUDGET,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
         // Default threshold: the apply path never self-compacts here, so
         // every compaction in the test is one the script forced.
         DurableOptions::default(),
+        StdVfs::arc(),
     )
     .unwrap()
 }
@@ -100,14 +98,14 @@ proptest! {
                 }
                 1 => {
                     drop(svc);
-                    svc = CoreService::open_catalog(&data).unwrap();
+                    svc = testutil::open_catalog(&data).unwrap();
                 }
                 _ => {}
             }
         }
         // One final kill/reopen so the last segment always recovers too.
         drop(svc);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = testutil::open_catalog(&data).unwrap();
         let got = svc
             .with_graph(G, |idx| Ok(idx.maintained_state().clone()))
             .unwrap();
@@ -147,18 +145,17 @@ fn recovering_a_compacted_directory_charges_strictly_fewer_reads() {
 
     let mut services = ["compacted", "replayed"].map(|tag| {
         let data = dir.path().join(format!("{tag}-data"));
-        let svc = CoreService::create_durable_with(
+        let svc = CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             BUDGET,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions {
                 // No checkpoint threshold in range: the uncompacted twin
                 // must recover by journal replay alone.
                 checkpoint_every: 1_000_000,
                 ..Default::default()
             },
+            StdVfs::arc(),
         )
         .unwrap();
         svc.create(
@@ -210,8 +207,8 @@ fn recovering_a_compacted_directory_charges_strictly_fewer_reads() {
          checkpoint + journal must shrink"
     );
 
-    let compacted = CoreService::open_catalog(&compacted_data).unwrap();
-    let replayed = CoreService::open_catalog(&replayed_data).unwrap();
+    let compacted = testutil::open_catalog(&compacted_data).unwrap();
+    let replayed = testutil::open_catalog(&replayed_data).unwrap();
     let (a, b) = (
         compacted.io(G).unwrap().read_ios,
         replayed.io(G).unwrap().read_ios,

@@ -28,11 +28,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, QosConfig, TempDir, Vfs,
+    FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, QosConfig, StdVfs, TempDir, Vfs,
     DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::{CoreService, DurableOptions};
-use semicore::ScanExecutor;
 use testutil::{oracle_cores, Lcg};
 
 const BUDGET: u64 = 32 << 20;
@@ -160,13 +159,7 @@ fn run_concurrent(svc: &Arc<CoreService>, scripts: &[Script]) -> Vec<(Vec<u32>, 
 /// The sequential referee: a fresh solo service replays each tenant's op
 /// stream in program order, one tenant at a time, no concurrency at all.
 fn run_sequential(dir: &TempDir, scripts: &[Script]) -> Vec<(Vec<u32>, u64)> {
-    let svc = CoreService::with_config(
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-    )
-    .unwrap();
+    let svc = CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap();
     scripts
         .iter()
         .enumerate()
@@ -230,15 +223,7 @@ fn concurrent_serving_is_indistinguishable_from_sequential_replay() {
         let scripts: Vec<Script> = (0..n).map(script).collect();
         let dir = TempDir::new("conc-serve").unwrap();
 
-        let svc = Arc::new(
-            CoreService::with_config(
-                DEFAULT_BLOCK_SIZE,
-                BUDGET,
-                EvictionPolicy::ScanLifo,
-                ScanExecutor::Sequential,
-            )
-            .unwrap(),
-        );
+        let svc = Arc::new(CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap());
         for (c, s) in scripts.iter().enumerate() {
             let name = tenant(c);
             svc.create(
@@ -286,12 +271,10 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
     let data = dir.path().join("data");
 
     let svc = Arc::new(
-        CoreService::create_durable_with(
+        CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             BUDGET,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions {
                 checkpoint_every: 16,
                 group_commit: Some(GroupCommitOptions {
@@ -299,6 +282,7 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
                 }),
                 ..Default::default()
             },
+            StdVfs::arc(),
         )
         .unwrap(),
     );
@@ -316,7 +300,7 @@ fn group_commit_soak_recovers_final_state_bit_identically() {
     let live = run_concurrent(&svc, &scripts);
     drop(svc);
 
-    let reopened = CoreService::open_catalog(&data).unwrap();
+    let reopened = testutil::open_catalog(&data).unwrap();
     for (c, s) in scripts.iter().enumerate() {
         let name = tenant(c);
         let recovered = reopened.cores(&name).unwrap();
@@ -373,12 +357,10 @@ fn writers_on_one_graph_share_the_journal_barrier() {
         for window in [None, Some(Duration::from_micros(200))] {
             let dir = TempDir::new("conc-barrier").unwrap();
             let fault = FaultVfs::new(FaultPlan::default());
-            let svc = CoreService::create_durable_with_vfs(
+            let svc = CoreService::create_durable(
                 &dir.path().join("data"),
                 DEFAULT_BLOCK_SIZE,
                 BUDGET,
-                EvictionPolicy::ScanLifo,
-                ScanExecutor::Sequential,
                 DurableOptions {
                     // No checkpoint inside the run: every sync event
                     // counted below is a journal barrier.
@@ -436,7 +418,7 @@ fn stock_tcp_client_round_trips_are_not_stalled_by_delayed_acks() {
     use std::io::{BufRead, BufReader, Write};
 
     let dir = TempDir::new("conc-rtt").unwrap();
-    let svc = Arc::new(CoreService::new(BUDGET).unwrap());
+    let svc = Arc::new(testutil::service(BUDGET));
     svc.create("g", &dir.path().join("g"), [(0, 1), (1, 2), (0, 2)], 3)
         .unwrap();
     let mut server = kcore_suite::server::Server::start(

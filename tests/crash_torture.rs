@@ -27,11 +27,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    EvictionPolicy, FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, TempDir, Vfs,
-    DEFAULT_BLOCK_SIZE,
+    FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::{CoreService, DurableOptions};
-use semicore::{MaintainOp, ScanExecutor};
+use semicore::MaintainOp;
 use testutil::oracle_cores;
 
 const BUDGET: u64 = 4 << 20;
@@ -168,15 +167,7 @@ fn run_scenario(vfs: Arc<dyn Vfs>, data: &Path, bases: &Path, sc: &Scenario) -> 
         group_commit: None,
         ..Default::default()
     };
-    let svc = match CoreService::create_durable_with_vfs(
-        data,
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        opts,
-        vfs,
-    ) {
+    let svc = match CoreService::create_durable(data, DEFAULT_BLOCK_SIZE, BUDGET, opts, vfs) {
         Ok(svc) => svc,
         Err(_) => return (false, vec![false; sc.steps.len()]),
     };
@@ -238,7 +229,7 @@ fn crash_point_torture_matrix() {
         "sync-point count {total} outside the expected band"
     );
     let full = sc.world(sc.steps.len());
-    let reopened = CoreService::open_catalog(&data).unwrap();
+    let reopened = testutil::open_catalog(&data).unwrap();
     assert_eq!(observed_world(&reopened), full, "clean-run recovery");
     drop(reopened);
 
@@ -265,7 +256,7 @@ fn crash_point_torture_matrix() {
         }
 
         // Recover with the REAL filesystem — the crash is over.
-        match CoreService::open_catalog(&data) {
+        match testutil::open_catalog(&data) {
             Err(e) => assert!(
                 !created,
                 "crash {k}: reopen failed though create_durable acked: {e}"
@@ -305,12 +296,10 @@ fn quarantine_isolates_tenant_and_fsck_catches_bit_rot() {
     std::fs::create_dir_all(&bases).unwrap();
 
     let fault = FaultVfs::new(FaultPlan::default());
-    let svc = CoreService::create_durable_with_vfs(
+    let svc = CoreService::create_durable(
         &data,
         DEFAULT_BLOCK_SIZE,
         BUDGET,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every: 8,
             group_commit: None,
@@ -406,7 +395,7 @@ fn quarantine_isolates_tenant_and_fsck_catches_bit_rot() {
     }
 
     // The healthy tenant still recovers and serves.
-    let svc = CoreService::open_catalog(&data).unwrap();
+    let svc = testutil::open_catalog(&data).unwrap();
     let mut expect: BTreeSet<(u32, u32)> = well_set.clone();
     expect.insert(we[0]);
     expect.insert(we[1]);
@@ -489,15 +478,7 @@ fn run_gc_stream(
         }),
         ..Default::default()
     };
-    let svc = match CoreService::create_durable_with_vfs(
-        data,
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        opts,
-        vfs,
-    ) {
+    let svc = match CoreService::create_durable(data, DEFAULT_BLOCK_SIZE, BUDGET, opts, vfs) {
         Ok(svc) => svc,
         Err(_) => return (false, vec![false; batches.len()]),
     };
@@ -582,15 +563,7 @@ fn run_cp_stream(
         group_commit: None,
         compact_after_edits: 4,
     };
-    let svc = match CoreService::create_durable_with_vfs(
-        data,
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        opts,
-        vfs,
-    ) {
+    let svc = match CoreService::create_durable(data, DEFAULT_BLOCK_SIZE, BUDGET, opts, vfs) {
         Ok(svc) => svc,
         Err(_) => return (false, vec![false; ops.len()]),
     };
@@ -636,7 +609,7 @@ fn compaction_crash_points_recover_pre_or_post_state_and_fsck_sweeps_debris() {
         (20..=300).contains(&total),
         "sync-point count {total} outside the expected band"
     );
-    let reopened = CoreService::open_catalog(&data).unwrap();
+    let reopened = testutil::open_catalog(&data).unwrap();
     assert!(
         reopened.generation(CP).unwrap() >= 2,
         "threshold 4 over {} ops must compact more than once",
@@ -672,7 +645,7 @@ fn compaction_crash_points_recover_pre_or_post_state_and_fsck_sweeps_debris() {
             "crash {k}: acks not a prefix: {acked:?}"
         );
 
-        match CoreService::open_catalog(&data) {
+        match testutil::open_catalog(&data) {
             Err(e) => assert!(
                 !created,
                 "crash {k}: reopen failed though create_durable acked: {e}"
@@ -713,7 +686,7 @@ fn compaction_crash_points_recover_pre_or_post_state_and_fsck_sweeps_debris() {
 
                 // The sweep removed only debris: the directory still
                 // recovers and serves the same world.
-                let svc = CoreService::open_catalog(&data).unwrap();
+                let svc = testutil::open_catalog(&data).unwrap();
                 assert_eq!(svc.cores(CP).unwrap(), got, "crash {k}: post-sweep state");
                 assert!(svc.verify(CP).unwrap(), "crash {k}: post-sweep certificate");
             }
@@ -752,7 +725,7 @@ fn group_commit_crash_points_recover_acked_batches_or_in_flight_prefix() {
         "sync-point count {total} outside the expected band"
     );
     let all_ops: Vec<MaintainOp> = batches.iter().flatten().copied().collect();
-    let reopened = CoreService::open_catalog(&data).unwrap();
+    let reopened = testutil::open_catalog(&data).unwrap();
     assert_eq!(
         reopened.cores(GC).unwrap(),
         gc_world(&base, &all_ops),
@@ -784,7 +757,7 @@ fn group_commit_crash_points_recover_acked_batches_or_in_flight_prefix() {
             "crash {k}: batch acks not a prefix: {acked:?}"
         );
 
-        match CoreService::open_catalog(&data) {
+        match testutil::open_catalog(&data) {
             Err(e) => assert!(
                 !created,
                 "crash {k}: reopen failed though create_durable acked: {e}"

@@ -19,10 +19,10 @@
 
 use std::path::Path;
 
-use graphstore::{DynGraph, EvictionPolicy, IoCounter, MemGraph, TempDir, Wal, DEFAULT_BLOCK_SIZE};
+use graphstore::{DynGraph, IoCounter, MemGraph, StdVfs, TempDir, Wal, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
 use proptest::prelude::*;
-use semicore::{MaintainOp, ScanExecutor};
+use semicore::MaintainOp;
 use testutil::{arb_toggle_stream, oracle_cores, Lcg};
 
 /// Recover the undirected edge list of a memgraph (`u < v` once each).
@@ -50,27 +50,21 @@ fn copy_data_dir(src: &Path, dst: &Path) {
     }
 }
 
-fn durable_service(data: &Path, policy: EvictionPolicy, checkpoint_every: u64) -> CoreService {
-    durable_service_at(data, DEFAULT_BLOCK_SIZE, policy, checkpoint_every)
+fn durable_service(data: &Path, checkpoint_every: u64) -> CoreService {
+    durable_service_at(data, DEFAULT_BLOCK_SIZE, checkpoint_every)
 }
 
-fn durable_service_at(
-    data: &Path,
-    block_size: usize,
-    policy: EvictionPolicy,
-    checkpoint_every: u64,
-) -> CoreService {
-    CoreService::create_durable_with(
+fn durable_service_at(data: &Path, block_size: usize, checkpoint_every: u64) -> CoreService {
+    CoreService::create_durable(
         data,
         block_size,
         1 << 20,
-        policy,
-        ScanExecutor::Sequential,
         DurableOptions {
             checkpoint_every,
             group_commit: None,
             ..Default::default()
         },
+        StdVfs::arc(),
     )
     .unwrap()
 }
@@ -115,7 +109,7 @@ proptest! {
         let dir = TempDir::new("torn").unwrap();
         let data = dir.path().join("data");
         // No threshold checkpoints: the journal must carry the whole stream.
-        let svc = durable_service(&data, EvictionPolicy::ScanLifo, u64::MAX);
+        let svc = durable_service(&data, u64::MAX);
         svc.create("g", &dir.path().join("g"), edges_of(&g), g.num_nodes())
             .unwrap();
         let mut mirror = DynGraph::from_mem(&g);
@@ -128,7 +122,7 @@ proptest! {
         drop(svc);
         if applied.is_empty() {
             // Nothing journaled; just check the empty-journal reopen.
-            let svc = CoreService::open_catalog(&data).unwrap();
+            let svc = testutil::open_catalog(&data).unwrap();
             prop_assert_eq!(svc.cores("g").unwrap(), oracle_cores(&mirror.to_mem()));
             return Ok(());
         }
@@ -153,7 +147,7 @@ proptest! {
             let case = dir.path().join(format!("cut{cut}"));
             copy_data_dir(&data, &case);
             std::fs::write(case.join("g.wal"), &wal_bytes[..cut]).unwrap();
-            let svc = CoreService::open_catalog(&case).unwrap();
+            let svc = testutil::open_catalog(&case).unwrap();
             let cores = svc.cores("g").unwrap();
             if cut == wal_bytes.len() {
                 prop_assert_eq!(&cores, &oracle_full, "intact journal at cut {}", cut);
@@ -177,8 +171,8 @@ proptest! {
         let dir = TempDir::new("diff").unwrap();
         let data_a = dir.path().join("data-a");
         let data_b = dir.path().join("data-b");
-        let svc_a = durable_service(&data_a, EvictionPolicy::ScanLifo, 4);
-        let mut svc_b = Some(durable_service(&data_b, EvictionPolicy::ScanLifo, 4));
+        let svc_a = durable_service(&data_a, 4);
+        let mut svc_b = Some(durable_service(&data_b, 4));
         svc_a
             .create("g", &dir.path().join("ga"), edges_of(&g), g.num_nodes())
             .unwrap();
@@ -196,7 +190,7 @@ proptest! {
             if i % 5 == 2 {
                 // SIGKILL stand-in: drop with no save, reopen from disk.
                 drop(svc_b.take());
-                svc_b = Some(CoreService::open_catalog(&data_b).unwrap());
+                svc_b = Some(testutil::open_catalog(&data_b).unwrap());
             }
         }
         let svc_b = svc_b.unwrap();
@@ -224,15 +218,14 @@ proptest! {
 /// a fresh decomposition's.
 #[test]
 fn restart_differential_across_policies_with_reopen_cost_bound() {
-    let policy = EvictionPolicy::ScanLifo;
     let mut rng = Lcg::new(0xD00E);
     let n = 400u32;
     let g = MemGraph::from_edges(testutil::random_edges(&mut rng, n, 1200), n);
     let dir = TempDir::new("acc").unwrap();
     let data_a = dir.path().join("data-a");
     let data_b = dir.path().join("data-b");
-    let svc_a = durable_service(&data_a, policy, 6);
-    let mut svc_b = Some(durable_service(&data_b, policy, 6));
+    let svc_a = durable_service(&data_a, 6);
+    let mut svc_b = Some(durable_service(&data_b, 6));
     svc_a
         .create("g", &dir.path().join("ga"), edges_of(&g), n)
         .unwrap();
@@ -253,16 +246,14 @@ fn restart_differential_across_policies_with_reopen_cost_bound() {
             if step == 40 {
                 set_manifest_policy_byte(&data_b, 0);
             }
-            let reopened = CoreService::open_catalog(&data_b).unwrap();
-            assert_eq!(reopened.pool().policy(), policy, "policy restored");
-            svc_b = Some(reopened);
+            svc_b = Some(testutil::open_catalog(&data_b).unwrap());
         }
     }
     let svc_b = svc_b.unwrap();
     assert_eq!(
         svc_a.cores("g").unwrap(),
         svc_b.cores("g").unwrap(),
-        "{policy:?}: cores must be bit-identical across restarts"
+        "cores must be bit-identical across restarts"
     );
     assert_eq!(svc_a.kmax("g").unwrap(), svc_b.kmax("g").unwrap());
     assert_eq!(svc_a.cores("g").unwrap(), oracle_cores(&mirror.to_mem()));
@@ -290,7 +281,7 @@ fn reopen_charges_strictly_less_than_redecomposition() {
     let edges = graphgen::rmat_edges(params, 80_000, 0xBEEF);
     let dir = TempDir::new("cost").unwrap();
     let data = dir.path().join("data");
-    let svc = durable_service_at(&data, 1024, EvictionPolicy::ScanLifo, 8);
+    let svc = durable_service_at(&data, 1024, 8);
     svc.create("g", &dir.path().join("g"), edges.iter().copied(), n)
         .unwrap();
     let decompose_ios = svc
@@ -313,7 +304,7 @@ fn reopen_charges_strictly_less_than_redecomposition() {
 
     // Variant 1: the 5-op journal tail is replayed at reopen.
     drop(svc);
-    let svc = CoreService::open_catalog(&data).unwrap();
+    let svc = testutil::open_catalog(&data).unwrap();
     let reopen_with_tail = svc.io("g").unwrap().read_ios;
     assert!(
         reopen_with_tail < decompose_ios,
@@ -325,7 +316,7 @@ fn reopen_charges_strictly_less_than_redecomposition() {
     // should land far below (checkpoint scan + header blocks only).
     svc.save_all().unwrap();
     drop(svc);
-    let svc = CoreService::open_catalog(&data).unwrap();
+    let svc = testutil::open_catalog(&data).unwrap();
     let reopen_clean = svc.io("g").unwrap().read_ios;
     assert!(
         reopen_clean * 2 < decompose_ios,
@@ -348,7 +339,7 @@ fn checkpoint_cadence_does_not_change_recovered_state() {
     for (tag, every) in [("one", 1), ("three", 3), ("inf", u64::MAX)] {
         let dir = TempDir::new("cadence").unwrap();
         let data = dir.path().join(format!("data-{tag}"));
-        let svc = durable_service(&data, EvictionPolicy::ScanLifo, every);
+        let svc = durable_service(&data, every);
         svc.create("g", &dir.path().join("g"), edges_of(&g), n)
             .unwrap();
         let mut mirror = DynGraph::from_mem(&g);
@@ -356,7 +347,7 @@ fn checkpoint_cadence_does_not_change_recovered_state() {
             toggle(&svc, &mut mirror, a, b);
         }
         drop(svc);
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = testutil::open_catalog(&data).unwrap();
         assert_eq!(svc.cores("g").unwrap(), oracle_cores(&mirror.to_mem()));
         recovered.push(svc.cores("g").unwrap());
     }
@@ -372,7 +363,7 @@ fn corrupted_artifacts_error_cleanly() {
     let dir = TempDir::new("corrupt").unwrap();
     let data = dir.path().join("data");
     {
-        let svc = durable_service(&data, EvictionPolicy::ScanLifo, 4);
+        let svc = durable_service(&data, 4);
         svc.create(
             "g",
             &dir.path().join("g"),
@@ -388,19 +379,19 @@ fn corrupted_artifacts_error_cleanly() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
     std::fs::write(&ckpt, &bytes).unwrap();
-    let err = CoreService::open_catalog(&data).unwrap_err();
+    let err = testutil::open_catalog(&data).unwrap_err();
     assert!(err.is_corrupt(), "checkpoint bitrot: {err}");
 
     // Same for the catalog.
     bytes[mid] ^= 0x10;
     std::fs::write(&ckpt, &bytes).unwrap(); // restore
-    assert!(CoreService::open_catalog(&data).is_ok());
+    assert!(testutil::open_catalog(&data).is_ok());
     let cat = data.join("catalog.kc");
     let mut bytes = std::fs::read(&cat).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     std::fs::write(&cat, &bytes).unwrap();
-    assert!(CoreService::open_catalog(&data).unwrap_err().is_corrupt());
+    assert!(testutil::open_catalog(&data).unwrap_err().is_corrupt());
 }
 
 /// One journal record as the service writes it: `seq u64 | MaintainOp`.
@@ -475,7 +466,7 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
         let dir = TempDir::new("journal-rule").unwrap();
         let data = dir.path().join("data");
         {
-            let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+            let svc = testutil::create_durable(&data, 1 << 20).unwrap();
             svc.create("g", &dir.path().join("g"), path.iter().copied(), 8)
                 .unwrap();
             svc.insert_edge("g", 0, 2).unwrap();
@@ -488,7 +479,7 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
         }
         drop(wal);
 
-        let refused = CoreService::open_catalog(&data).is_err();
+        let refused = testutil::open_catalog(&data).is_err();
         let report = kcore_suite::fsck(&data, false).unwrap();
         let reported = report
             .findings
@@ -499,7 +490,7 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
 
         kcore_suite::fsck(&data, true).unwrap();
         assert!(kcore_suite::fsck(&data, false).unwrap().clean(), "{case}");
-        let svc = CoreService::open_catalog(&data).unwrap();
+        let svc = testutil::open_catalog(&data).unwrap();
         let mut mirror = DynGraph::from_mem(&MemGraph::from_edges(path.iter().copied(), 8));
         for op in [ins(0, 2), ins(0, 3), a, b, c]
             .into_iter()

@@ -3,51 +3,40 @@
 //! The compressed edge table must be invisible to every algorithm: the same
 //! graph built as v1 (raw) and v3 (stream-vbyte groups) yields
 //! **bit-identical** cores and Eq. 2 counters — decomposition and
-//! maintenance alike, SemiCore\* at any worker count, durable kill/reopen
-//! included — while v3's charged `read_ios` is **strictly lower** at equal
-//! cache budget (fewer edge-table blocks exist to read). Block readahead
-//! gets the same treatment: identical decoded bytes and bit-identical
-//! charged counters whether the pipeline is on or off. Every rewrite writes
-//! v3, so a v1 graph migrates at its next compaction — tables, checkpoint
-//! and catalogued format switching at one commit point, crash windows
-//! included — or, served without a data directory, at its next flush.
+//! maintenance alike, durable kill/reopen included — while v3's charged
+//! `read_ios` is **strictly lower** at equal cache budget (fewer edge-table
+//! blocks exist to read). Block readahead gets the same treatment:
+//! identical decoded bytes and bit-identical charged counters whether the
+//! pipeline is on or off. Every rewrite writes v3, so a v1 graph migrates
+//! at its next compaction — tables, checkpoint and catalogued format
+//! switching at one commit point, crash windows included — or, served
+//! without a data directory, at its next flush.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use graphstore::{
-    write_mem_graph_with, Catalog, DiskGraph, EvictionPolicy, FaultPlan, FaultVfs, FormatVersion,
-    GraphPaths, IoCounter, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+    write_mem_graph_with, Catalog, DiskGraph, FaultPlan, FaultVfs, FormatVersion, GraphPaths,
+    IoCounter, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::semicore::{
-    semicore, semicore_plus, semicore_star_state_with, semicore_star_with, DecomposeOptions,
-    ScanExecutor,
+    semicore, semicore_plus, semicore_star, semicore_star_state, DecomposeOptions,
 };
 use kcore_suite::server::dispatch;
 use kcore_suite::{CoreIndex, CoreService, DurableOptions};
-use testutil::{fixtures, oracle_cores, random_mem_graph, worker_counts, Lcg};
+use testutil::{fixtures, oracle_cores, random_mem_graph, Lcg};
 
-/// An algorithm, how to run it, and the worker counts it runs at: the
-/// baselines are sequential, SemiCore\* sweeps [`worker_counts`].
+/// An algorithm and how to run it.
 type Algo = (
     &'static str,
-    fn(&mut DiskGraph, &DecomposeOptions, ScanExecutor) -> graphstore::Result<Vec<u32>>,
-    Vec<usize>,
+    fn(&mut DiskGraph, &DecomposeOptions) -> graphstore::Result<Vec<u32>>,
 );
 
 fn algos() -> Vec<Algo> {
     vec![
-        ("semicore", |g, o, _| Ok(semicore(g, o)?.core), vec![1]),
-        (
-            "semicore+",
-            |g, o, _| Ok(semicore_plus(g, o)?.core),
-            vec![1],
-        ),
-        (
-            "semicore*",
-            |g, o, e| Ok(semicore_star_with(g, o, e)?.core),
-            worker_counts(),
-        ),
+        ("semicore", |g, o| Ok(semicore(g, o)?.core)),
+        ("semicore+", |g, o| Ok(semicore_plus(g, o)?.core)),
+        ("semicore*", |g, o| Ok(semicore_star(g, o)?.core)),
     ]
 }
 
@@ -121,35 +110,26 @@ fn decomposition_bit_identical_and_v3_charges_strictly_less() {
             edge_table_len(&b1) + 64 * DEFAULT_BLOCK_SIZE as u64,
         ];
         for &budget in &budgets {
-            for (name, run, widths) in &algos {
-                for &workers in widths {
-                    let exec = if workers == 1 {
-                        ScanExecutor::Sequential
-                    } else {
-                        ScanExecutor::parallel(workers)
-                    };
-                    let tag = format!("{family}/{name}/M={budget}/w{workers}");
-                    let mut d1 = open_cached(&b1, budget);
-                    let mut d3 = open_cached(&b3, budget);
-                    let c1 = run(&mut d1, &opts, exec).unwrap();
-                    let c3 = run(&mut d3, &opts, exec).unwrap();
-                    assert_eq!(c1, c3, "{tag}: cores must be bit-identical");
-                    assert_eq!(c1, oracle_cores(&g), "{tag}: oracle");
-                    let (r1, r3) = (d1.io().read_ios, d3.io().read_ios);
-                    assert!(
-                        r3 < r1,
-                        "{tag}: v3 must charge strictly fewer read I/Os ({r3} vs {r1})"
-                    );
-                }
+            for (name, run) in &algos {
+                let tag = format!("{family}/{name}/M={budget}");
+                let mut d1 = open_cached(&b1, budget);
+                let mut d3 = open_cached(&b3, budget);
+                let c1 = run(&mut d1, &opts).unwrap();
+                let c3 = run(&mut d3, &opts).unwrap();
+                assert_eq!(c1, c3, "{tag}: cores must be bit-identical");
+                assert_eq!(c1, oracle_cores(&g), "{tag}: oracle");
+                let (r1, r3) = (d1.io().read_ios, d3.io().read_ios);
+                assert!(
+                    r3 < r1,
+                    "{tag}: v3 must charge strictly fewer read I/Os ({r3} vs {r1})"
+                );
             }
         }
 
         // The Eq. 2 counters the maintained state carries must match too.
         let state = |base: &Path| {
             let mut d = DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-            semicore_star_state_with(&mut d, &opts, ScanExecutor::Sequential)
-                .unwrap()
-                .0
+            semicore_star_state(&mut d, &opts).unwrap().0
         };
         let (s1, s3) = (state(&b1), state(&b3));
         assert_eq!(s1.core, s3.core, "{family}: state cores");
@@ -166,7 +146,7 @@ fn decomposition_bit_identical_and_v3_charges_strictly_less() {
     let budget = edge_table_len(&b1) / 10;
     let [r1, r3] = [&b1, &b3].map(|base| {
         let mut d = open_cached(base, budget);
-        semicore_star_with(&mut d, &opts, ScanExecutor::Sequential).unwrap();
+        semicore_star(&mut d, &opts).unwrap();
         d.io().read_ios
     });
     assert!(
@@ -254,13 +234,9 @@ fn readahead_changes_no_result_and_no_charged_counter() {
             let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
             let mut dg = DiskGraph::open(&base, counter.clone()).unwrap();
             dg.set_readahead(readahead).unwrap();
-            let cores = semicore_star_with(
-                &mut dg,
-                &DecomposeOptions::default(),
-                ScanExecutor::Sequential,
-            )
-            .unwrap()
-            .core;
+            let cores = semicore_star(&mut dg, &DecomposeOptions::default())
+                .unwrap()
+                .core;
             (cores, counter.snapshot())
         };
         let (c_off, s_off) = run(false);
@@ -284,14 +260,14 @@ fn durable_kill_reopen_cycle_is_format_transparent() {
     let data1 = dir.path().join("data-v1");
     let data3 = dir.path().join("data-v3");
     for (data, base) in [(&data1, &b1), (&data3, &b3)] {
-        let svc = CoreService::create_durable(data, 1 << 20).unwrap();
+        let svc = testutil::create_durable(data, 1 << 20).unwrap();
         svc.open("g", base).unwrap();
         apply_toggles(&svc, "g", &toggles);
         // Dropped here: simulated kill with a journal tail outstanding.
     }
 
-    let s1 = CoreService::open_catalog(&data1).unwrap();
-    let s3 = CoreService::open_catalog(&data3).unwrap();
+    let s1 = testutil::open_catalog(&data1).unwrap();
+    let s3 = testutil::open_catalog(&data3).unwrap();
     assert_eq!(s1.format_version("g").unwrap(), FormatVersion::V1);
     assert_eq!(s3.format_version("g").unwrap(), FormatVersion::V3);
     assert_eq!(
@@ -320,7 +296,7 @@ fn recovery_rejects_base_tables_swapped_to_another_format() {
     write(FormatVersion::V3);
     let data = dir.path().join("data");
     {
-        let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+        let svc = testutil::create_durable(&data, 1 << 20).unwrap();
         svc.open("g", &base).unwrap();
         svc.insert_edge("g", 1, 3).unwrap();
     }
@@ -328,7 +304,7 @@ fn recovery_rejects_base_tables_swapped_to_another_format() {
     // checkpointed state no longer matches what is on disk, and the
     // catalogued format flag is how recovery notices.
     write(FormatVersion::V1);
-    let err = CoreService::open_catalog(&data).unwrap_err();
+    let err = testutil::open_catalog(&data).unwrap_err();
     assert!(err.is_corrupt(), "{err}");
     assert!(err.to_string().contains("format"), "{err}");
 }
@@ -346,7 +322,7 @@ fn compact_migrates_a_v1_graph_to_v3_at_the_commit_point() {
         FormatVersion::V1,
     );
     {
-        let svc = CoreService::create_durable(&data, 1 << 20).unwrap();
+        let svc = testutil::create_durable(&data, 1 << 20).unwrap();
         svc.open("g", &base).unwrap();
         assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
         let cores = svc.cores("g").unwrap();
@@ -360,7 +336,7 @@ fn compact_migrates_a_v1_graph_to_v3_at_the_commit_point() {
         assert!(v3_len < v1_len, "v3 {v3_len} B !< v1 {v1_len} B");
     }
     // The migrated format survives a restart (catalog + tables agree).
-    let svc = CoreService::open_catalog(&data).unwrap();
+    let svc = testutil::open_catalog(&data).unwrap();
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V3);
     assert!(svc.verify("g").unwrap());
 }
@@ -380,7 +356,7 @@ fn every_in_memory_constructor_writes_v3() {
     let converted =
         graphstore::mem_to_disk(&at("converted"), &g, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
     let index = CoreIndex::create(&at("index"), g.edges(), g.num_nodes()).unwrap();
-    let svc = CoreService::new(1 << 20).unwrap();
+    let svc = testutil::service(1 << 20);
     svc.create("g", &at("service"), g.edges(), g.num_nodes())
         .unwrap();
     let written = [
@@ -402,7 +378,7 @@ fn a_flush_turns_a_non_durable_v1_graph_into_v3() {
     let dir = TempDir::new("fmtdiff-flush").unwrap();
     let g = random_mem_graph(&mut Lcg::new(5), 40, 40, 4);
     let base = write_as(&dir, &g, "g", FormatVersion::V1);
-    let svc = CoreService::new(1 << 20).unwrap();
+    let svc = testutil::service(1 << 20);
     svc.open("g", &base).unwrap();
     assert_eq!(svc.format_version("g").unwrap(), FormatVersion::V1);
     let (toggles, end) = toggle_stream(&g, 99, 8);
@@ -427,7 +403,7 @@ fn live_state(svc: &CoreService) -> (Vec<u32>, Vec<i32>) {
 
 /// Everything a reopen of `data` shows about graph `g`.
 fn reopened_state(data: &Path) -> (FormatVersion, u64, Vec<u32>, Vec<i32>) {
-    let svc = CoreService::open_catalog(data).unwrap();
+    let svc = testutil::open_catalog(data).unwrap();
     assert!(svc.verify("g").unwrap());
     let (cores, cnt) = live_state(&svc);
     (
@@ -448,12 +424,10 @@ fn a_killed_migration_reopens_on_the_v1_pre_state_or_the_v3_post_state() {
     let serve = |dir: &TempDir| {
         let base = write_as(dir, &g, "g", FormatVersion::V1);
         let fault = FaultVfs::new(FaultPlan::default());
-        let svc = CoreService::create_durable_with_vfs(
+        let svc = CoreService::create_durable(
             &dir.path().join("data"),
             DEFAULT_BLOCK_SIZE,
             1 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions::default(),
             Arc::clone(&fault) as Arc<dyn Vfs>,
         )

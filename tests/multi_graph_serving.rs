@@ -5,8 +5,8 @@
 //! The contract under test (see `graphstore::pool` and
 //! `kcore_suite::CoreService`):
 //!
-//! * **Cores are bit-identical** solo vs shared, at any worker count — the
-//!   pool serves bytes, it never touches results.
+//! * **Cores are bit-identical** solo vs shared — the pool serves bytes, it
+//!   never touches results.
 //! * **Charged `read_ios` is bit-identical** solo vs shared: each graph's
 //!   charge comes from its private deterministic charge cache (its own
 //!   model budget `M`), never from shared-pool residency. Only
@@ -20,12 +20,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use graphstore::{
-    mem_to_disk, EvictionPolicy, IoCounter, IoSnapshot, MemGraph, TempDir, DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{mem_to_disk, IoCounter, IoSnapshot, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
 use kcore_suite::CoreService;
-use semicore::ScanExecutor;
-use testutil::{fixtures, worker_counts, working_set_budget, Lcg};
+use testutil::{fixtures, working_set_budget, Lcg};
 
 /// A deterministic per-graph maintenance script: toggle a seeded stream of
 /// edges through the service (insert when absent, delete when present).
@@ -87,67 +84,58 @@ fn fixture_bases(dir: &TempDir) -> Vec<(String, PathBuf)> {
 /// reads diverge and charged reads must not.
 const TIGHT_POOL_BUDGET: u64 = 8 * DEFAULT_BLOCK_SIZE as u64;
 
-fn service(policy: EvictionPolicy, exec: ScanExecutor, budget: u64) -> CoreService {
-    CoreService::with_config(DEFAULT_BLOCK_SIZE, budget, policy, exec).unwrap()
-}
-
 #[test]
 fn n_graphs_shared_equals_n_solo_runs_across_policies_and_workers() {
     let dir = TempDir::new("svc-diff").unwrap();
     let bases = fixture_bases(&dir);
     let steps = 30u32;
 
-    let policy = EvictionPolicy::ScanLifo;
-    for workers in worker_counts() {
-        let exec = ScanExecutor::parallel(workers);
+    // Solo baseline: each graph gets its own service (same tight
+    // global budget, of which it is the only tenant).
+    let mut solo: Vec<Observation> = Vec::new();
+    for (i, (name, base)) in bases.iter().enumerate() {
+        let svc = testutil::service(TIGHT_POOL_BUDGET);
+        svc.open(name, base).unwrap();
+        solo.push(observe(&svc, name, 0xA11CE + i as u64, steps));
+    }
 
-        // Solo baseline: each graph gets its own service (same tight
-        // global budget, of which it is the only tenant).
-        let mut solo: Vec<Observation> = Vec::new();
-        for (i, (name, base)) in bases.iter().enumerate() {
-            let svc = service(policy, exec, TIGHT_POOL_BUDGET);
-            svc.open(name, base).unwrap();
-            solo.push(observe(&svc, name, 0xA11CE + i as u64, steps));
-        }
-
-        // Shared run: one service, every graph served concurrently
-        // from its own thread.
-        let svc = service(policy, exec, TIGHT_POOL_BUDGET);
-        let shared: Vec<Observation> = std::thread::scope(|s| {
-            let handles: Vec<_> = bases
-                .iter()
-                .enumerate()
-                .map(|(i, (name, base))| {
-                    let svc = &svc;
-                    s.spawn(move || {
-                        svc.open(name, base).unwrap();
-                        observe(svc, name, 0xA11CE + i as u64, steps)
-                    })
+    // Shared run: one service, every graph served concurrently
+    // from its own thread.
+    let svc = testutil::service(TIGHT_POOL_BUDGET);
+    let shared: Vec<Observation> = std::thread::scope(|s| {
+        let handles: Vec<_> = bases
+            .iter()
+            .enumerate()
+            .map(|(i, (name, base))| {
+                let svc = &svc;
+                s.spawn(move || {
+                    svc.open(name, base).unwrap();
+                    observe(svc, name, 0xA11CE + i as u64, steps)
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-        for (i, (name, _)) in bases.iter().enumerate() {
-            assert_eq!(
-                solo[i].cores, shared[i].cores,
-                "{name}/{policy:?}/w{workers}: cores solo vs shared"
-            );
-            assert_eq!(
-                solo[i].charged_reads, shared[i].charged_reads,
-                "{name}/{policy:?}/w{workers}: charged read_ios solo vs shared"
-            );
-            assert_eq!(solo[i].kmax, shared[i].kmax);
-            assert!(
-                solo[i].charged_reads > 0,
-                "{name}: a disk-served session must charge I/O"
-            );
-        }
+    for (i, (name, _)) in bases.iter().enumerate() {
+        assert_eq!(
+            solo[i].cores, shared[i].cores,
+            "{name}: cores solo vs shared"
+        );
+        assert_eq!(
+            solo[i].charged_reads, shared[i].charged_reads,
+            "{name}: charged read_ios solo vs shared"
+        );
+        assert_eq!(solo[i].kmax, shared[i].kmax);
         assert!(
-            svc.pool().resident_bytes() <= svc.pool().budget_bytes(),
-            "{policy:?}/w{workers}: pool over budget after the shared run"
+            solo[i].charged_reads > 0,
+            "{name}: a disk-served session must charge I/O"
         );
     }
+    assert!(
+        svc.pool().resident_bytes() <= svc.pool().budget_bytes(),
+        "pool over budget after the shared run"
+    );
 }
 
 #[test]
@@ -157,11 +145,7 @@ fn shared_serving_matches_the_oracle_per_graph() {
     // the merged on-disk + buffered state matches the oracle.
     let dir = TempDir::new("svc-oracle").unwrap();
     let bases = fixture_bases(&dir);
-    let svc = service(
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        TIGHT_POOL_BUDGET,
-    );
+    let svc = testutil::service(TIGHT_POOL_BUDGET);
     for (i, (name, base)) in bases.iter().enumerate() {
         svc.open(name, base).unwrap();
         run_updates(&svc, name, 0xBEEF + i as u64, 20);
@@ -181,11 +165,7 @@ fn pool_budget_holds_under_concurrent_load_with_monitor() {
     // just at quiescence.
     let dir = TempDir::new("svc-budget").unwrap();
     let bases = fixture_bases(&dir);
-    let svc = service(
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        TIGHT_POOL_BUDGET,
-    );
+    let svc = testutil::service(TIGHT_POOL_BUDGET);
     for (name, base) in &bases {
         svc.open(name, base).unwrap();
     }
@@ -234,11 +214,7 @@ fn pool_budget_holds_under_concurrent_load_with_monitor() {
 fn eviction_frees_capacity_for_the_survivors() {
     let dir = TempDir::new("svc-evict").unwrap();
     let bases = fixture_bases(&dir);
-    let svc = service(
-        EvictionPolicy::ScanLifo,
-        ScanExecutor::Sequential,
-        TIGHT_POOL_BUDGET,
-    );
+    let svc = testutil::service(TIGHT_POOL_BUDGET);
     for (name, base) in &bases {
         svc.open(name, base).unwrap();
     }
@@ -284,9 +260,7 @@ fn pooling_the_combined_working_set_beats_a_static_split() {
     // total budget carved into `pools` equal pools (1 = shared by all).
     let sessions = |pools: usize| -> (u64, u64) {
         let budget = total / pools as u64;
-        let services: Vec<CoreService> = (0..pools)
-            .map(|_| service(EvictionPolicy::ScanLifo, ScanExecutor::Sequential, budget))
-            .collect();
+        let services: Vec<CoreService> = (0..pools).map(|_| testutil::service(budget)).collect();
         let mut sum = (0, 0);
         for (i, (name, base)) in trio.iter().enumerate() {
             let svc = &services[i % pools];
@@ -326,10 +300,7 @@ fn explicit_charge_budget_is_the_model_m_knob() {
     let mut charged = Vec::new();
     let working_set = graphstore::working_set_charge_budget(&base, BLOCK).unwrap();
     for budget in [working_set, 4 * BLOCK as u64] {
-        let policy = EvictionPolicy::ScanLifo;
-        let svc =
-            CoreService::with_config(BLOCK, TIGHT_POOL_BUDGET, policy, ScanExecutor::Sequential)
-                .unwrap();
+        let svc = CoreService::new(BLOCK, TIGHT_POOL_BUDGET).unwrap();
         svc.open_with_charge(name, &base, budget).unwrap();
         charged.push(observe(&svc, name, 0xCAFE, 10).charged_reads);
     }

@@ -27,11 +27,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphstore::{
-    AdjacencyRead, EvictionPolicy, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{AdjacencyRead, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, HealthStatus, SelfHealOptions};
-use testutil::{env_executor, oracle_cores};
+use testutil::oracle_cores;
 
 const BUDGET: u64 = 4 << 20;
 
@@ -65,12 +63,10 @@ fn fresh_edges(present: &BTreeSet<(u32, u32)>, n: u32, seed: u64, count: usize) 
 }
 
 fn durable_with_faults(data: &Path, fault: &Arc<FaultVfs>) -> CoreService {
-    CoreService::create_durable_with_vfs(
+    CoreService::create_durable(
         data,
         DEFAULT_BLOCK_SIZE,
         BUDGET,
-        EvictionPolicy::ScanLifo,
-        env_executor(),
         DurableOptions {
             group_commit: None,
             ..Default::default()
@@ -126,13 +122,7 @@ fn online_repair_after_io_failure_is_bit_identical_to_uninjected_twin() {
     let svc = durable_with_faults(&dir.path().join("data"), &fault);
     svc.create("g", &dir.path().join("bases/g"), edges.iter().copied(), 48)
         .unwrap();
-    let twin = CoreService::with_config(
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        env_executor(),
-    )
-    .unwrap();
+    let twin = CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 48)
         .unwrap();
     for &(u, v) in &w1 {
@@ -188,13 +178,7 @@ fn scrub_detects_journal_damage_and_repair_restores_bit_identical_state() {
     let svc = durable_with_faults(&data, &fault);
     svc.create("g", &dir.path().join("bases/g"), edges.iter().copied(), 40)
         .unwrap();
-    let twin = CoreService::with_config(
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        env_executor(),
-    )
-    .unwrap();
+    let twin = CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 40)
         .unwrap();
     // A clean scrub — here one between every two tenant ops, harsher than
@@ -263,13 +247,7 @@ fn failed_journal_barrier_quarantines_and_repair_recovers_prefix_or_in_flight() 
     let svc = durable_with_faults(&data, &fault);
     svc.create("g", &dir.path().join("bases/g"), edges.iter().copied(), N)
         .unwrap();
-    let twin = CoreService::with_config(
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        env_executor(),
-    )
-    .unwrap();
+    let twin = CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), N)
         .unwrap();
     for &(u, v) in acked {
@@ -341,13 +319,7 @@ fn enospc_degrades_read_only_and_supervisor_promotes_back() {
     let svc = Arc::new(durable_with_faults(&dir.path().join("data"), &fault));
     svc.create("g", &dir.path().join("bases/g"), edges.iter().copied(), 40)
         .unwrap();
-    let twin = CoreService::with_config(
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        env_executor(),
-    )
-    .unwrap();
+    let twin = CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap();
     twin.create("g", &dir.path().join("bases/t"), edges.iter().copied(), 40)
         .unwrap();
 
@@ -544,13 +516,7 @@ fn supervisor_scrubs_quarantines_and_repairs_end_to_end() {
 #[test]
 fn op_deadline_times_out_typed_without_quarantining() {
     let dir = TempDir::new("heal-deadline").unwrap();
-    let svc = CoreService::with_config(
-        DEFAULT_BLOCK_SIZE,
-        BUDGET,
-        EvictionPolicy::ScanLifo,
-        env_executor(),
-    )
-    .unwrap();
+    let svc = CoreService::new(DEFAULT_BLOCK_SIZE, BUDGET).unwrap();
     let edges = normalized(graphgen::gnm(48, 120, 61));
     let present: BTreeSet<(u32, u32)> = edges.iter().copied().collect();
     let (u, v) = fresh_edges(&present, 48, 7, 1)[0];

@@ -15,12 +15,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    EvictionPolicy, FaultPlan, FaultVfs, FormatVersion, GroupCommitOptions, IoCounter, MemGraph,
-    QosConfig, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+    FaultPlan, FaultVfs, FormatVersion, GroupCommitOptions, IoCounter, MemGraph, QosConfig, StdVfs,
+    TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::server::{Server, ServerOptions};
 use kcore_suite::{CoreService, DurableOptions};
-use semicore::ScanExecutor;
 
 fn triangle_tail() -> MemGraph {
     MemGraph::from_edges(vec![(0u32, 1u32), (1, 2), (0, 2), (2, 3)], 4)
@@ -327,8 +326,8 @@ fn a_misspelled_flag_is_a_usage_error_in_every_subcommand() {
 }
 
 /// A flag whose value was forgotten is a usage error (exit 2) on every
-/// subcommand, not a silent default; so is the retired `--policy`. And
-/// `--workers` beside a sequential-only algorithm says so and runs.
+/// subcommand, not a silent default; so are the retired `--policy` and
+/// `--workers` (there is one scan schedule), whatever the algorithm.
 #[test]
 fn cli_refuses_forgotten_flag_values_and_notes_ignored_workers() {
     let dir = TempDir::new("repl-flags").unwrap();
@@ -357,19 +356,21 @@ fn cli_refuses_forgotten_flag_values_and_notes_ignored_workers() {
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(text.contains("usage:"), "{args:?}: {text}");
     }
-    for algo in ["basic", "plus", "emcore"] {
+    for algo in ["star", "basic", "plus", "emcore"] {
         let out = kcore(&["decompose", base, "--algo", algo, "--workers", "2"]);
-        assert!(out.status.success(), "{algo}");
-        let note = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{algo}");
+        let text = String::from_utf8_lossy(&out.stderr);
         assert!(
-            note.contains("--workers applies to SemiCore* only") && note.contains(algo),
-            "{algo}: {note}"
+            text.contains("unknown flag \"--workers\"") && text.contains("usage:"),
+            "{algo}: {text}"
         );
+        let out = kcore(&["decompose", base, "--algo", algo]);
+        assert!(out.status.success(), "{algo}");
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("kmax = 2"), "{algo}: {text}");
     }
-    let out = kcore(&["decompose", base, "--workers", "2"]);
-    assert!(out.status.success() && out.stderr.is_empty());
+    let out = kcore(&["serve", "--workers", "2"]);
+    assert_eq!(out.status.code(), Some(2));
 }
 
 /// The triangle-with-a-tail graph as a format-v2 pair, as the writer
@@ -412,7 +413,7 @@ fn retired_format_v2_tables_are_refused_by_name_at_every_door() {
         );
     };
     refused(graphstore::DiskGraph::open(&v2, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap_err());
-    let svc = CoreService::new(1 << 20).unwrap();
+    let svc = testutil::service(1 << 20);
     refused(svc.open("old", &v2).unwrap_err());
     assert!(svc.graph_names().is_empty());
 
@@ -486,12 +487,10 @@ fn tcp_connection_tripping_quarantine_does_not_disturb_the_other() {
     // "fail" on cue while the server stays up.
     let fault = FaultVfs::new(FaultPlan::default());
     let svc = Arc::new(
-        CoreService::create_durable_with_vfs(
+        CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             4 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions {
                 checkpoint_every: 8,
                 group_commit: None,
@@ -576,12 +575,10 @@ fn shutdown_drains_in_flight_ops_and_flushes_group_commit() {
     let (data, bases) = (dir.path().join("data"), dir.path().join("bases"));
     std::fs::create_dir_all(&bases).unwrap();
     let svc = Arc::new(
-        CoreService::create_durable_with(
+        CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
             4 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
             DurableOptions {
                 // A long gather window keeps the insert's durability
                 // barrier in flight while shutdown starts.
@@ -590,6 +587,7 @@ fn shutdown_drains_in_flight_ops_and_flushes_group_commit() {
                 }),
                 ..Default::default()
             },
+            StdVfs::arc(),
         )
         .unwrap(),
     );
@@ -616,7 +614,7 @@ fn shutdown_drains_in_flight_ops_and_flushes_group_commit() {
     // The acknowledged op is durable: a fresh catalog open replays it.
     drop(server);
     drop(svc);
-    let svc2 = CoreService::open_catalog(&data).unwrap();
+    let svc2 = testutil::open_catalog(&data).unwrap();
     let edges_after = svc2
         .with_graph("g", |idx| Ok(idx.num_edges()))
         .expect("reopen the drained graph");
@@ -629,15 +627,7 @@ fn shutdown_drains_in_flight_ops_and_flushes_group_commit() {
 /// closes, while the admitted client keeps serving.
 #[test]
 fn tcp_connection_limit_sheds_with_a_structured_line() {
-    let svc = Arc::new(
-        CoreService::with_config(
-            DEFAULT_BLOCK_SIZE,
-            4 << 20,
-            EvictionPolicy::ScanLifo,
-            ScanExecutor::Sequential,
-        )
-        .unwrap(),
-    );
+    let svc = Arc::new(CoreService::new(DEFAULT_BLOCK_SIZE, 4 << 20).unwrap());
     let opts = ServerOptions {
         max_connections: 1,
         ..ServerOptions::default()
