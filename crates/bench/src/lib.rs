@@ -6,8 +6,9 @@
 //! samples. `tests/paper_claims.rs` (root package) asserts the orderings
 //! on what it returns, and one printer binary per table/figure of §VI
 //! (`fig*`, `table1_datasets`) prints it; beside them sit the
-//! storage-layer sweeps (`ablation_{cache,blocksize,buffer}`) and two
-//! wall-clock gates (`decode_bw`, `scrub_overhead`); see `src/bin/`. The
+//! storage-layer sweeps (`ablation_{cache,blocksize,buffer}`), two
+//! wall-clock gates (`decode_bw`, `scrub_overhead`) and the decomposition
+//! rate's spread (`decompose_modes`); see `src/bin/`. The
 //! figure binaries accept `--scale` to grow or shrink the dataset
 //! stand-ins; defaults finish in minutes, and at the claims' scales they
 //! print the rows the claims pass at.

@@ -20,9 +20,23 @@
 //!
 //! Both files carry a magic, a format version and a trailing CRC-32; a
 //! failed validation surfaces as [`Error::Corrupt`], never a panic or an
-//! unbounded allocation. The recovery invariants tying these artefacts to
-//! the per-graph write-ahead journal ([`crate::wal`]) are documented in
-//! ARCHITECTURE.md ("Durability").
+//! unbounded allocation.
+//!
+//! A checkpoint is `KCORCKP1 | version u32 | seq u64 | n u32 | edits u32 |
+//! state | edits × (u u32, v u32, flag u8) | crc u32` (little-endian; the
+//! CRC covers everything after the magic). Version 2, the only one
+//! written, stores the state per node as `core` (an LEB128 varint) then
+//! `cnt − core` (zigzagged, at most 5 bytes, so an understated `cnt` stays
+//! representable): about 2 B/node on the stand-ins, from 8. Version 1 —
+//! `n` raw `u32` cores, then `n` raw `i32` counters — is still read, so a
+//! directory written before version 2 opens unchanged; its next checkpoint
+//! or compaction rewrites it as version 2. The reader takes at most five
+//! bytes per varint, keeps `core` in `u32` and `cnt` in `i32`, checks `n`
+//! against the payload before allocating and consumes every byte.
+//!
+//! The recovery invariants tying these artefacts to the per-graph
+//! write-ahead journal ([`crate::wal`]) are documented in ARCHITECTURE.md
+//! ("Durability").
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,8 +51,10 @@ use crate::vfs::{StdVfs, Vfs};
 pub const CATALOG_MAGIC: &[u8; 8] = b"KCORCAT1";
 /// Magic bytes opening a state checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"KCORCKP1";
-/// Format version written into state checkpoints.
-pub const DURABILITY_VERSION: u32 = 1;
+/// Layout version written into state checkpoints: per node, `core` as an
+/// LEB128 varint and `cnt − core` as a zigzagged one. Version 1 (raw
+/// `u32` cores, then raw `i32` counters) is read and never written.
+pub const DURABILITY_VERSION: u32 = 2;
 /// Layout version of the catalog manifest: the one written and the one
 /// read. The layouts before it (1: no per-entry edge-table format flag,
 /// 2: no per-entry table generation) have had no writer since PR 13 and
@@ -245,7 +261,9 @@ impl StateCheckpoint {
     /// the serving layer checkpoints every `checkpoint_every` ops while
     /// holding the graph's lock, and cloning two `O(n)` vectors per
     /// checkpoint just to feed an owned struct would betray the bounded
-    /// semi-external footprint everything else maintains.
+    /// semi-external footprint everything else maintains. The file is
+    /// built in one buffer of its exact size (layout version
+    /// [`DURABILITY_VERSION`], ≈ 2 B/node).
     pub fn write_parts(
         path: &Path,
         counter: &Arc<IoCounter>,
@@ -261,26 +279,30 @@ impl StateCheckpoint {
                 cnt.len()
             )));
         }
-        let mut body = Vec::with_capacity(24 + cores.len() * 8 + edits.len() * 9);
-        codec_put_u32(&mut body, DURABILITY_VERSION);
-        body.extend_from_slice(&seq.to_le_bytes());
-        codec_put_u32(&mut body, cores.len() as u32);
-        codec_put_u32(&mut body, edits.len() as u32);
-        for &c in cores {
-            body.extend_from_slice(&c.to_le_bytes());
-        }
-        for &c in cnt {
-            body.extend_from_slice(&c.to_le_bytes());
+        let state: usize = cores
+            .iter()
+            .zip(cnt)
+            .map(|(&c, &k)| varint_len(c.into()) + varint_len(zigzag(k, c)))
+            .sum();
+        let len = CHECKPOINT_MAGIC.len() + 20 + state + edits.len() * 9 + 4;
+        let mut bytes = Vec::with_capacity(len);
+        bytes.extend_from_slice(CHECKPOINT_MAGIC);
+        codec_put_u32(&mut bytes, DURABILITY_VERSION);
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        codec_put_u32(&mut bytes, cores.len() as u32);
+        codec_put_u32(&mut bytes, edits.len() as u32);
+        for (&c, &k) in cores.iter().zip(cnt) {
+            codec::put_varint_u32(&mut bytes, c);
+            codec::put_varint_u64(&mut bytes, zigzag(k, c));
         }
         for &(u, v, inserted) in edits {
-            body.extend_from_slice(&u.to_le_bytes());
-            body.extend_from_slice(&v.to_le_bytes());
-            body.push(inserted as u8);
+            bytes.extend_from_slice(&u.to_le_bytes());
+            bytes.extend_from_slice(&v.to_le_bytes());
+            bytes.push(inserted as u8);
         }
-        let mut bytes = Vec::with_capacity(body.len() + 12);
-        bytes.extend_from_slice(CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&codec::crc32(&body).to_le_bytes());
+        let crc = codec::crc32(&bytes[CHECKPOINT_MAGIC.len()..]);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(bytes.len(), len);
 
         let b = counter.block_size() as u64;
         counter.charge_write((bytes.len() as u64).div_ceil(b), bytes.len() as u64);
@@ -288,7 +310,7 @@ impl StateCheckpoint {
     }
 
     /// Read and validate the checkpoint at `path`, charging the sequential
-    /// read to `counter`.
+    /// read to `counter`. Reads layout versions 1 and 2.
     pub fn read(path: &Path, counter: &Arc<IoCounter>) -> Result<StateCheckpoint> {
         let bytes = counter.vfs().read(path)?;
         let b = counter.block_size() as u64;
@@ -297,9 +319,9 @@ impl StateCheckpoint {
         let body = checked_body(&bytes, CHECKPOINT_MAGIC, "checkpoint")?;
         let mut cur = Cursor::new(body);
         let version = cur.u32("checkpoint version")?;
-        if version != DURABILITY_VERSION {
+        if version != 1 && version != DURABILITY_VERSION {
             return Err(Error::corrupt(format!(
-                "unsupported checkpoint version {version} (expected {DURABILITY_VERSION})"
+                "unsupported checkpoint version {version} (expected 1 or {DURABILITY_VERSION})"
             )));
         }
         let seq = cur.u64("checkpoint seq")?;
@@ -307,23 +329,41 @@ impl StateCheckpoint {
         let edits_len = cur.u32("checkpoint edit count")? as usize;
         // Validate the declared sizes against the actual payload before
         // allocating: corrupt counts must not drive unbounded allocations.
-        let want = n
-            .checked_mul(8)
-            .and_then(|x| x.checked_add(edits_len.checked_mul(9)?))
-            .ok_or_else(|| Error::corrupt("checkpoint sizes overflow"))?;
-        if cur.remaining() != want {
+        // A node takes 8 bytes in version 1 and at least 2 in version 2.
+        let per_node = if version == 1 { 8 } else { 2 };
+        if n > cur.remaining() / per_node {
             return Err(Error::corrupt(format!(
-                "checkpoint declares {n} nodes and {edits_len} edits but holds {} payload bytes",
+                "checkpoint declares {n} nodes but holds {} payload bytes",
                 cur.remaining()
             )));
         }
         let mut cores = Vec::with_capacity(n);
-        for _ in 0..n {
-            cores.push(cur.u32("core number")?);
-        }
         let mut cnt = Vec::with_capacity(n);
-        for _ in 0..n {
-            cnt.push(cur.u32("cnt counter")? as i32);
+        if version == 1 {
+            for _ in 0..n {
+                cores.push(cur.u32("core number")?);
+            }
+            for _ in 0..n {
+                cnt.push(cur.u32("cnt counter")? as i32);
+            }
+        } else {
+            for _ in 0..n {
+                let core = u32::try_from(cur.varint("core number")?)
+                    .map_err(|_| Error::corrupt("checkpoint core number exceeds u32"))?;
+                let z = cur.varint("cnt offset")?;
+                let offset = (z >> 1) as i64 ^ -((z & 1) as i64);
+                cores.push(core);
+                cnt.push(
+                    i32::try_from(i64::from(core) + offset)
+                        .map_err(|_| Error::corrupt("checkpoint cnt counter exceeds i32"))?,
+                );
+            }
+        }
+        if edits_len.checked_mul(9) != Some(cur.remaining()) {
+            return Err(Error::corrupt(format!(
+                "checkpoint declares {edits_len} edits but holds {} bytes after its {n} nodes",
+                cur.remaining()
+            )));
         }
         let mut edits = Vec::with_capacity(edits_len);
         for _ in 0..edits_len {
@@ -343,6 +383,18 @@ impl StateCheckpoint {
             edits,
         })
     }
+}
+
+/// The zigzag image of `cnt − core`: small magnitudes of either sign map
+/// to small codes. Every `i32 − u32` lands below 2³⁵, in five varint bytes.
+fn zigzag(cnt: i32, core: u32) -> u64 {
+    let d = i64::from(cnt) - i64::from(core);
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// Encoded length of `v` as an LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Write `bytes` at `path` atomically: temp sibling, fsync, rename, fsync
@@ -430,6 +482,23 @@ impl<'a> Cursor<'a> {
         let v = self.bytes[self.pos];
         self.pos += 1;
         Ok(v)
+    }
+
+    /// One LEB128 varint of at most [`codec::MAX_VARINT_LEN`] bytes, so
+    /// below 2³⁵; a longer one is corrupt.
+    fn varint(&mut self, what: &str) -> Result<u64> {
+        let mut v = 0u64;
+        for i in 0..codec::MAX_VARINT_LEN {
+            let b = self.u8(what)?;
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(Error::corrupt(format!(
+            "{what} varint exceeds {} bytes",
+            codec::MAX_VARINT_LEN
+        )))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32> {
@@ -672,18 +741,127 @@ mod tests {
             assert!(StateCheckpoint::read(&path, &c).unwrap_err().is_corrupt());
         }
         // Oversized declared counts must not allocate: craft a body with a
-        // huge node count and a valid CRC.
-        let mut body = Vec::new();
-        body.extend_from_slice(&DURABILITY_VERSION.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes()); // nodes
-        body.extend_from_slice(&u32::MAX.to_le_bytes()); // edits
-        let mut forged = Vec::new();
-        forged.extend_from_slice(CHECKPOINT_MAGIC);
-        forged.extend_from_slice(&body);
-        forged.extend_from_slice(&codec::crc32(&body).to_le_bytes());
-        std::fs::write(&path, &forged).unwrap();
-        assert!(StateCheckpoint::read(&path, &c).unwrap_err().is_corrupt());
+        // huge node count and a valid CRC, in either layout.
+        for version in [1, DURABILITY_VERSION] {
+            std::fs::write(&path, forged(version, u32::MAX, u32::MAX, &[])).unwrap();
+            assert!(StateCheckpoint::read(&path, &c).unwrap_err().is_corrupt());
+        }
+    }
+
+    /// A checkpoint at sequence 9 declaring `n` nodes and `edits` edits,
+    /// its state bytes `state`, framed with a valid CRC.
+    fn forged(version: u32, n: u32, edits: u32, state: &[u8]) -> Vec<u8> {
+        let mut p = 9u64.to_le_bytes().to_vec();
+        p.extend_from_slice(&n.to_le_bytes());
+        p.extend_from_slice(&edits.to_le_bytes());
+        p.extend_from_slice(state);
+        testutil::forge_checkpoint(version, &p)
+    }
+
+    #[test]
+    fn varint_state_round_trips_at_its_boundaries() {
+        let dir = TempDir::new("ckp").unwrap();
+        let path = dir.path().join("g.ckpt");
+        let c = IoCounter::new(DEFAULT_BLOCK_SIZE);
+        let top = i32::MAX as u32;
+        // (core, cnt): core at the varint length steps, cnt − core
+        // negative (an understated cnt), zero, 63 / 64 (the zigzag length
+        // step) and large, and the extremes of both types.
+        let nodes = [
+            (0, 0),
+            (127, 127),
+            (128, 64),
+            (128, 128 + 63),
+            (128, 128 + 64),
+            (top, 0),
+            (top, i32::MAX),
+            (5, i32::MAX),
+            (u32::MAX, i32::MIN),
+            (0, i32::MIN),
+        ];
+        let cores: Vec<u32> = nodes.iter().map(|p| p.0).collect();
+        let cnt: Vec<i32> = nodes.iter().map(|p| p.1).collect();
+        let cases = [
+            (cores.clone(), cnt.clone(), vec![]),
+            (cores, cnt, vec![(0, 9, true), (3, 4, false)]),
+            (vec![], vec![], vec![]),
+            (vec![], vec![], vec![(1, 2, true)]),
+        ];
+        for (cores, cnt, edits) in cases {
+            let ck = StateCheckpoint {
+                seq: 5,
+                cores,
+                cnt,
+                edits,
+            };
+            ck.write(&path, &c).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(codec::get_u32(&bytes, 8), DURABILITY_VERSION);
+            // At most 5 bytes per varint, two varints per node.
+            assert!(bytes.len() <= 32 + 10 * ck.cores.len() + 9 * ck.edits.len());
+            assert_eq!(StateCheckpoint::read(&path, &c).unwrap(), ck);
+        }
+        // Small values take one byte each: 2 B/node.
+        let small = StateCheckpoint {
+            seq: 1,
+            cores: vec![3; 100],
+            cnt: vec![4; 100],
+            edits: vec![],
+        };
+        small.write(&path, &c).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 32 + 200);
+    }
+
+    #[test]
+    fn version_one_checkpoints_still_read() {
+        let dir = TempDir::new("ckp").unwrap();
+        let path = dir.path().join("g.ckpt");
+        let c = IoCounter::new(DEFAULT_BLOCK_SIZE);
+        let ck = sample_checkpoint();
+        let v1 = testutil::checkpoint_v1(ck.seq, &ck.cores, &ck.cnt, &ck.edits);
+        std::fs::write(&path, &v1).unwrap();
+        assert_eq!(StateCheckpoint::read(&path, &c).unwrap(), ck);
+        for cut in 0..v1.len() {
+            std::fs::write(&path, &v1[..cut]).unwrap();
+            assert!(StateCheckpoint::read(&path, &c).unwrap_err().is_corrupt());
+        }
+    }
+
+    #[test]
+    fn crafted_varint_bodies_are_corrupt() {
+        let dir = TempDir::new("ckp").unwrap();
+        let path = dir.path().join("g.ckpt");
+        let c = IoCounter::new(DEFAULT_BLOCK_SIZE);
+        let v = DURABILITY_VERSION;
+        let cases = [
+            ("truncated varint", forged(v, 1, 0, &[0x85, 0x80])),
+            (
+                "6-byte varint",
+                forged(v, 1, 0, &[0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0]),
+            ),
+            (
+                "core above u32::MAX",
+                forged(v, 1, 0, &[0x80, 0x80, 0x80, 0x80, 0x10, 0]),
+            ),
+            (
+                "cnt above i32::MAX",
+                forged(v, 1, 0, &[0, 0x80, 0x80, 0x80, 0x80, 0x10]),
+            ),
+            ("n above payload / 2", forged(v, 3, 0, &[1, 2, 3, 4, 5])),
+            ("trailing bytes", forged(v, 1, 0, &[1, 2, 3])),
+            ("edit count past the payload", forged(v, 1, 1, &[1, 2])),
+            ("unknown version", forged(3, 1, 0, &[1, 2])),
+            ("version zero", forged(0, 1, 0, &[1, 2])),
+        ];
+        for (what, bytes) in &cases {
+            std::fs::write(&path, bytes).unwrap();
+            let err = StateCheckpoint::read(&path, &c).unwrap_err();
+            assert!(err.is_corrupt(), "{what}: {err}");
+        }
+        // The same frame with a well-formed state reads.
+        std::fs::write(&path, forged(v, 1, 0, &[1, 2])).unwrap();
+        let ck = StateCheckpoint::read(&path, &c).unwrap();
+        assert_eq!((ck.seq, ck.cores, ck.cnt), (9, vec![1], vec![2]));
     }
 
     #[test]

@@ -119,7 +119,13 @@ pub const MAX_VARINT_LEN: usize = 5;
 
 /// Append the LEB128 varint encoding of `v` (1–5 bytes).
 #[inline]
-pub fn put_varint_u32(out: &mut Vec<u8>, mut v: u32) {
+pub fn put_varint_u32(out: &mut Vec<u8>, v: u32) {
+    put_varint_u64(out, v.into());
+}
+
+/// Append the LEB128 varint encoding of `v` (1–10 bytes).
+#[inline]
+pub fn put_varint_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8 & 0x7F) | 0x80);
         v >>= 7;

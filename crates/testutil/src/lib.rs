@@ -21,7 +21,10 @@
 //!   real filesystem (the facade's own unit tests cannot use them: there
 //!   the facade is a different crate instance);
 //! * [`arb_graph`] / [`arb_toggle_stream`] — the proptest strategies shared
-//!   by the cross-validation and maintenance property suites.
+//!   by the cross-validation and maintenance property suites;
+//! * [`forge_checkpoint`] / [`checkpoint_v1`] — hand-framed state
+//!   checkpoints: crafted bodies, and the version-1 layout no writer
+//!   produces any more.
 
 #![deny(missing_docs)]
 
@@ -91,6 +94,41 @@ pub fn create_durable(dir: &Path, budget_bytes: u64) -> Result<CoreService> {
 /// [`CoreService::open_catalog`] with the default options.
 pub fn open_catalog(dir: &Path) -> Result<CoreService> {
     CoreService::open_catalog(dir, DurableOptions::default(), StdVfs::arc())
+}
+
+/// A state checkpoint file framed around `payload`: the magic, `version`,
+/// `payload` (everything after the version) and a valid CRC — the bytes a
+/// reader gets past its checksum with.
+pub fn forge_checkpoint(version: u32, payload: &[u8]) -> Vec<u8> {
+    let body = [&version.to_le_bytes()[..], payload].concat();
+    let crc = graphstore::codec::crc32(&body);
+    [
+        &graphstore::catalog::CHECKPOINT_MAGIC[..],
+        &body,
+        &crc.to_le_bytes(),
+    ]
+    .concat()
+}
+
+/// The version-1 rendering of a checkpoint: `seq`, the counts, `n` raw
+/// `u32` cores, `n` raw `i32` counters and the 9-byte edits — what a
+/// directory written before checkpoint version 2 holds.
+pub fn checkpoint_v1(seq: u64, cores: &[u32], cnt: &[i32], edits: &[(u32, u32, bool)]) -> Vec<u8> {
+    let mut p = seq.to_le_bytes().to_vec();
+    p.extend_from_slice(&(cores.len() as u32).to_le_bytes());
+    p.extend_from_slice(&(edits.len() as u32).to_le_bytes());
+    for c in cores {
+        p.extend_from_slice(&c.to_le_bytes());
+    }
+    for c in cnt {
+        p.extend_from_slice(&c.to_le_bytes());
+    }
+    for &(u, v, inserted) in edits {
+        p.extend_from_slice(&u.to_le_bytes());
+        p.extend_from_slice(&v.to_le_bytes());
+        p.push(inserted as u8);
+    }
+    forge_checkpoint(1, &p)
 }
 
 /// Core numbers recomputed from scratch by the in-memory oracle (IMCore) —

@@ -6,7 +6,8 @@
 # restarts against the same data directory and verifies:
 #   * the registry is restored (the graph is listed),
 #   * the maintained cores pass the Theorem 4.1 fixpoint certificate,
-#   * the restored graph still serves maintenance ops.
+#   * the restored graph still serves maintenance ops,
+#   * `kcore fsck` finds the saved directory clean.
 #
 # The exact kill point is intentionally racy — any prefix of the stream
 # may have landed — which is the point: recovery must be correct at every
@@ -66,5 +67,9 @@ fi
     || { echo "FAIL: expected two passing certificate checks" >&2; exit 1; }
 grep -q 'saved all graphs' "${workdir}/serve2.log" \
     || { echo "FAIL: save did not complete" >&2; exit 1; }
+
+echo "== offline check of the recovered and saved data dir"
+kcore fsck "${data}" \
+    || { echo "FAIL: fsck reported findings after recovery" >&2; exit 1; }
 
 echo "== recovery smoke passed"

@@ -16,6 +16,8 @@
 //! * **One journal rule** — recovery refuses a damaged journal exactly
 //!   when fsck reports it, and `fsck --repair` keeps exactly the records
 //!   recovery would replay.
+//! * **Checkpoint layout** — a version-1 checkpoint still opens and is
+//!   rewritten as version 2 (≈ 2 B/node) by the next save.
 
 use std::path::Path;
 
@@ -514,4 +516,65 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
             );
         }
     }
+}
+
+/// A directory whose checkpoint is still in layout version 1 (raw 8 B/node
+/// arrays, pending edits included) opens unchanged; its next save rewrites
+/// it as version 2 at under a third of the size.
+#[test]
+fn version_one_checkpoint_opens_and_saves_as_version_two() {
+    let dir = TempDir::new("ckpt-v1").unwrap();
+    let data = dir.path().join("data");
+    let g = testutil::random_mem_graph(&mut Lcg::new(41), 300, 1, 4);
+    let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
+    let ckpt = data.join("g.ckpt");
+    let want = {
+        let svc = durable_service(&data, u64::MAX);
+        svc.create("g", &dir.path().join("g"), edges_of(&g), g.num_nodes())
+            .unwrap();
+        let mut mirror = DynGraph::from_mem(&g);
+        for (a, b) in [(0, 7), (3, 250), (11, 12), (0, 7)] {
+            toggle(&svc, &mut mirror, a, b);
+        }
+        svc.save("g").unwrap();
+        let cores = svc.cores("g").unwrap();
+        assert_eq!(cores, oracle_cores(&mirror.to_mem()));
+        cores
+    };
+    let ck = graphstore::StateCheckpoint::read(&ckpt, &counter).unwrap();
+    assert!(!ck.edits.is_empty(), "the save must hold pending edits");
+    let v1 = testutil::checkpoint_v1(ck.seq, &ck.cores, &ck.cnt, &ck.edits);
+    std::fs::write(&ckpt, &v1).unwrap();
+    assert!(kcore_suite::fsck(&data, false).unwrap().clean());
+
+    let svc = testutil::open_catalog(&data).unwrap();
+    assert_eq!(svc.cores("g").unwrap(), want);
+    assert!(svc.verify("g").unwrap());
+    svc.save("g").unwrap();
+    drop(svc);
+    assert!(kcore_suite::fsck(&data, false).unwrap().clean());
+    let v2 = std::fs::read(&ckpt).unwrap();
+    assert_eq!(graphstore::codec::get_u32(&v2, 8), 2, "saved as version 2");
+    assert!(3 * v2.len() <= v1.len(), "{} B vs {} B", v2.len(), v1.len());
+    assert_eq!(
+        graphstore::StateCheckpoint::read(&ckpt, &counter).unwrap(),
+        ck
+    );
+}
+
+/// kbench's `serve_wal` graph (the DBLP stand-in at scale 1): its
+/// checkpoint stores the node state in at most 2.25 B/node.
+#[test]
+fn checkpoint_of_the_dblp_standin_is_about_two_bytes_per_node() {
+    let dir = TempDir::new("ckpt-size").unwrap();
+    let data = dir.path().join("data");
+    let g = graphgen::dataset_by_name("DBLP").unwrap().generate_mem(1.0);
+    assert_eq!(g.num_nodes(), 6342);
+    let svc = durable_service(&data, u64::MAX);
+    svc.create("g", &dir.path().join("g"), edges_of(&g), g.num_nodes())
+        .unwrap();
+    svc.save("g").unwrap();
+    let len = std::fs::metadata(data.join("g.ckpt")).unwrap().len() as f64;
+    let bound = 2.25 * g.num_nodes() as f64 + 64.0;
+    assert!(len <= bound, "checkpoint {len} B above {bound} B");
 }
