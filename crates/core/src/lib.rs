@@ -56,6 +56,7 @@
 
 pub mod analysis;
 pub mod bits;
+mod compat;
 pub mod emcore;
 pub mod fixtures;
 pub mod imcore;
@@ -71,6 +72,7 @@ pub mod stats;
 pub mod verify;
 pub mod window;
 
+pub use compat::ScanExecutor;
 pub use emcore::{emcore, EmCoreOptions};
 pub use imcore::imcore;
 pub use maintain::delete::semi_delete_star;
@@ -83,5 +85,5 @@ pub use semicore::semicore;
 pub use semicore_plus::semicore_plus;
 pub use semicore_star::{semicore_star, semicore_star_state};
 pub use state::CoreState;
-pub use stats::{DecomposeOptions, Decomposition, RunStats, ScanExecutor};
+pub use stats::{DecomposeOptions, Decomposition, RunStats};
 pub use verify::{find_violations, verify_cores, verify_exact, Violation};

@@ -83,26 +83,6 @@ pub struct DecomposeOptions {
     pub track_changed_per_iteration: bool,
 }
 
-/// How SemiCore\*'s passes are scheduled: one way, the paper's sequential
-/// in-place scan. Kbench compatibility: a sharded executor was measured at
-/// 0.14–0.20× the sequential scan with two workers and retired, and this
-/// type outlives it only because the repository benchmark names it. It goes
-/// with ROADMAP item 12b.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanExecutor {
-    /// The paper's single-threaded schedule (in-place propagation).
-    #[default]
-    Sequential,
-}
-
-impl ScanExecutor {
-    /// Kbench compatibility: runs the sequential schedule whatever
-    /// `_workers` says.
-    pub fn parallel(_workers: usize) -> ScanExecutor {
-        ScanExecutor::Sequential
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,7 @@
 //!
 //! ## Eviction policy
 //!
-//! One policy, [`EvictionPolicy::ScanLifo`]: CLOCK over re-referenced
+//! One policy, scan-resistant: CLOCK over re-referenced
 //! frames plus newest-first eviction among never-re-referenced ones, with
 //! each file's most-recently-touched frame **pinned**. The pin keeps the
 //! one-frame reader's "current block stays buffered" freebie, so (with
@@ -102,18 +102,6 @@ impl Hasher for KeyHasher {
 
 /// A `HashMap` keyed by the pool's own integers.
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
-/// How the pool picks eviction victims: one way (see the module docs).
-/// Kbench compatibility: the enum outlives its second variant only because
-/// the repository benchmark names it, and the pinned service constructors
-/// that take one ignore it. It goes with ROADMAP item 12b.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Scan-resistant hybrid: CLOCK for re-referenced frames, newest-first
-    /// for one-shot traffic. Best for cyclic ascending scans.
-    #[default]
-    ScanLifo,
-}
 
 /// One `B`-sized frame (the tail block of a file may be shorter).
 ///

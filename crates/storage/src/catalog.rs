@@ -446,8 +446,8 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
-/// The manifest's policy byte for the one eviction policy there is
-/// ([`crate::EvictionPolicy::ScanLifo`]).
+/// The manifest's policy byte for the one eviction policy there is (the
+/// scan-resistant one of [`crate::cache`]).
 const POLICY_SCAN_LIFO: u8 = 1;
 
 /// Byte 0 named the retired LRU policy. A policy moves physical residency,

@@ -133,119 +133,8 @@ pub fn put_varint_u64(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Append the delta-gap varint encoding of a **strictly ascending** `u32`
-/// run: the first id absolute, every later id as the gap to its
-/// predecessor. This was the wire encoding of one adjacency list in the
-/// retired edge-table format v2; no table holds it any more, and the pair
-/// [`encode_gap_run`] / [`decode_gap_run`] stays as the byte-at-a-time
-/// baseline the benchmark measures the v3 decoder against.
-///
-/// Debug-asserts strict sortedness; the builders validate before encoding.
-pub fn encode_gap_run(values: &[u32], out: &mut Vec<u8>) {
-    let mut prev: Option<u32> = None;
-    for &v in values {
-        match prev {
-            None => put_varint_u32(out, v),
-            Some(p) => {
-                debug_assert!(v > p, "gap run input must be strictly ascending");
-                put_varint_u32(out, v - p);
-            }
-        }
-        prev = Some(v);
-    }
-}
-
-/// The decoder behind [`decode_gap_run`]: one delta-gap varint run of a
-/// known length. Every structural violation — a varint longer than
-/// [`MAX_VARINT_LEN`] bytes, an id overflowing `u32`, a zero gap
-/// (sortedness broken) — surfaces as a corruption [`Error`], never a panic.
-#[derive(Debug)]
-struct GapDecoder {
-    remaining: usize,
-    acc: u64,
-    shift: u32,
-    prev: Option<u32>,
-}
-
-impl GapDecoder {
-    /// Decoder expecting exactly `count` ids.
-    pub fn new(count: usize) -> GapDecoder {
-        GapDecoder {
-            remaining: count,
-            acc: 0,
-            shift: 0,
-            prev: None,
-        }
-    }
-
-    /// True once all expected ids have been produced.
-    pub fn is_done(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Consume bytes from `chunk`, appending decoded ids to `out`. Returns
-    /// the number of bytes consumed — all of `chunk` unless the run
-    /// completed mid-slice. Call again with the next chunk while
-    /// [`GapDecoder::is_done`] is false.
-    pub fn feed(&mut self, chunk: &[u8], out: &mut Vec<u32>) -> Result<usize> {
-        for (i, &byte) in chunk.iter().enumerate() {
-            if self.remaining == 0 {
-                return Ok(i);
-            }
-            self.acc |= ((byte & 0x7F) as u64) << self.shift;
-            if byte & 0x80 != 0 {
-                self.shift += 7;
-                if self.shift as usize >= MAX_VARINT_LEN * 7 {
-                    return Err(Error::corrupt("varint exceeds 5 bytes"));
-                }
-                continue;
-            }
-            let value = self.acc;
-            self.acc = 0;
-            self.shift = 0;
-            let id = match self.prev {
-                None => value,
-                Some(p) => {
-                    if value == 0 {
-                        return Err(Error::corrupt(
-                            "zero gap in adjacency run (list not strictly sorted)",
-                        ));
-                    }
-                    p as u64 + value
-                }
-            };
-            if id > u32::MAX as u64 {
-                return Err(Error::corrupt("adjacency id overflows u32"));
-            }
-            self.prev = Some(id as u32);
-            out.push(id as u32);
-            self.remaining -= 1;
-            if self.remaining == 0 {
-                return Ok(i + 1);
-            }
-        }
-        Ok(chunk.len())
-    }
-}
-
-/// One-shot decode of a `count`-id gap run from contiguous `bytes`
-/// (appended to `out`). Returns the encoded length consumed; errors when
-/// `bytes` ends before the run does or the encoding is structurally
-/// invalid.
-pub fn decode_gap_run(bytes: &[u8], count: usize, out: &mut Vec<u32>) -> Result<usize> {
-    let mut dec = GapDecoder::new(count);
-    // One reservation up front: the hot decode paths must never re-grow
-    // the output push by push.
-    out.reserve(count);
-    let used = dec.feed(bytes, out)?;
-    if !dec.is_done() {
-        return Err(Error::corrupt(format!(
-            "gap run truncated: expected {count} ids in {} bytes",
-            bytes.len()
-        )));
-    }
-    Ok(used)
-}
+// The retired format v2's gap codec is kbench's decode baseline only.
+pub use crate::compat::{decode_gap_run, encode_gap_run};
 
 // ---------------------------------------------------------------------------
 // Format v3: stream-vbyte group runs.
@@ -805,51 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn varint_round_trips_boundary_values() {
-        for v in [0u32, 1, 127, 128, 16_383, 16_384, 1 << 21, u32::MAX] {
-            let mut bytes = Vec::new();
-            put_varint_u32(&mut bytes, v);
-            assert!(bytes.len() <= MAX_VARINT_LEN);
-            let mut out = Vec::new();
-            let used = decode_gap_run(&bytes, 1, &mut out).unwrap();
-            assert_eq!((used, out.as_slice()), (bytes.len(), &[v][..]), "{v}");
-        }
-    }
-
-    #[test]
-    fn gap_run_round_trips() {
-        for values in [
-            vec![],
-            vec![0],
-            vec![u32::MAX],
-            vec![0, u32::MAX],
-            vec![5, 6, 7, 1000, 1_000_000],
-        ] {
-            let mut bytes = Vec::new();
-            encode_gap_run(&values, &mut bytes);
-            let mut back = Vec::new();
-            let used = decode_gap_run(&bytes, values.len(), &mut back).unwrap();
-            assert_eq!(used, bytes.len());
-            assert_eq!(back, values);
-        }
-    }
-
-    #[test]
-    fn truncated_gap_run_is_corrupt() {
-        let mut bytes = Vec::new();
-        encode_gap_run(&[1, 200, 70_000], &mut bytes);
-        for cut in 0..bytes.len() {
-            let mut out = Vec::new();
-            assert!(
-                decode_gap_run(&bytes[..cut], 3, &mut out)
-                    .unwrap_err()
-                    .is_corrupt(),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
     fn group_run_round_trips() {
         for values in [
             vec![],
@@ -905,29 +749,6 @@ mod tests {
         let bytes = [0b0000_0011u8, 0xFF, 0xFF, 0xFF, 0xFF];
         let mut out = Vec::new();
         assert!(decode_group_run(&bytes, 2, &mut out)
-            .unwrap_err()
-            .is_corrupt());
-    }
-
-    #[test]
-    fn overlong_varint_and_zero_gap_are_corrupt() {
-        // Six continuation bytes: longer than any u32 varint.
-        let mut out = Vec::new();
-        let overlong = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
-        assert!(decode_gap_run(&overlong, 1, &mut out)
-            .unwrap_err()
-            .is_corrupt());
-        // A zero gap after the first id breaks strict sortedness.
-        let mut out = Vec::new();
-        assert!(decode_gap_run(&[5, 0], 2, &mut out)
-            .unwrap_err()
-            .is_corrupt());
-        // An id overflowing u32: MAX followed by any gap.
-        let mut bytes = Vec::new();
-        put_varint_u32(&mut bytes, u32::MAX);
-        put_varint_u32(&mut bytes, 1);
-        let mut out = Vec::new();
-        assert!(decode_gap_run(&bytes, 2, &mut out)
             .unwrap_err()
             .is_corrupt());
     }

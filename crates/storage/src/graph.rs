@@ -77,12 +77,12 @@ pub struct DiskGraph {
 impl DiskGraph {
     /// Open the graph stored at `<base>.nodes` / `<base>.edges`.
     pub fn open(base: &Path, counter: Arc<IoCounter>) -> Result<DiskGraph> {
-        Self::open_paths(GraphPaths::from_base(base), counter)
+        Self::open_with_binding(GraphPaths::from_base(base), counter, None)
     }
 
     /// Open with a block-cache budget of `cache_bytes` (the model's `M`),
     /// evicting by the scan-resistant policy tuned for the semi-external
-    /// convergence loops ([`crate::EvictionPolicy::ScanLifo`]).
+    /// convergence loops (see [`crate::cache`]).
     ///
     /// A budget below one frame per table (two blocks) behaves exactly like
     /// [`DiskGraph::open`] — zero remains the semantics-preserving default
@@ -121,7 +121,7 @@ impl DiskGraph {
             charge: None,
             lease: None,
         });
-        Self::open_paths_impl(GraphPaths::from_base(base), counter, binding)
+        Self::open_with_binding(GraphPaths::from_base(base), counter, binding)
     }
 
     /// Open against a process-wide [`SharedPool`]: bytes are served from
@@ -160,15 +160,10 @@ impl DiskGraph {
             charge,
             lease: Some(lease),
         };
-        Self::open_paths_impl(GraphPaths::from_base(base), counter, Some(binding))
+        Self::open_with_binding(GraphPaths::from_base(base), counter, Some(binding))
     }
 
-    /// Open from an explicit file pair.
-    pub fn open_paths(paths: GraphPaths, counter: Arc<IoCounter>) -> Result<DiskGraph> {
-        Self::open_paths_impl(paths, counter, None)
-    }
-
-    fn open_paths_impl(
+    fn open_with_binding(
         paths: GraphPaths,
         counter: Arc<IoCounter>,
         binding: Option<CacheBinding>,
@@ -279,14 +274,6 @@ impl DiskGraph {
             .as_ref()
             .and_then(|b| b.charge.as_ref())
             .map(|g| crate::io::lock_cache(g).stats())
-    }
-
-    /// Resident cache blocks as `(file, block)` keys (diagnostics). For
-    /// pooled opens this lists the whole pool, every graph's frames.
-    pub fn cache_resident_keys(&self) -> Vec<(u32, u64)> {
-        self.binding
-            .as_ref()
-            .map_or_else(Vec::new, |b| crate::io::lock_cache(&b.pool).resident_keys())
     }
 
     /// Memory budget realised by the attached cache, in bytes (0 uncached).

@@ -96,7 +96,7 @@ impl IoCounter {
     }
 
     /// Create a counter whose I/O goes through `vfs` — the fault-injection
-    /// entry point (see [`crate::vfs::FaultVfs`]).
+    /// entry point (the test suites' `testutil::FaultVfs`).
     pub fn with_vfs(block_size: usize, vfs: Arc<dyn Vfs>) -> Arc<Self> {
         assert!(block_size > 0, "block size must be positive");
         Arc::new(IoCounter {
@@ -462,7 +462,7 @@ impl BlockReader {
     /// bit-identical with readahead on or off (the v3 differential suite
     /// pins this). The second handle opens through the counter's [`Vfs`],
     /// so fault injection still controls every byte; it is **off by
-    /// default** because a background reader would race FaultVfs's
+    /// default** because a background reader would race a fault injector's
     /// deterministic operation schedules.
     pub fn set_readahead(&mut self, enabled: bool) -> Result<()> {
         if !enabled {

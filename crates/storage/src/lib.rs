@@ -43,6 +43,7 @@ pub mod builder;
 pub mod cache;
 pub mod catalog;
 pub mod codec;
+mod compat;
 pub mod edgelist;
 pub mod error;
 pub mod format;
@@ -61,8 +62,9 @@ pub use builder::{
     disk_to_mem, mem_to_disk, write_mem_graph, write_mem_graph_with, DiskGraphWriter,
     ExternalGraphBuilder,
 };
-pub use cache::{BlockCache, CacheStats, EvictionPolicy};
+pub use cache::{BlockCache, CacheStats};
 pub use catalog::{generation_base, Catalog, CatalogEntry, StateCheckpoint};
+pub use compat::EvictionPolicy;
 pub use error::{Error, Result};
 pub use format::{FormatVersion, GraphMeta, GraphPaths};
 pub use graph::DiskGraph;
@@ -77,7 +79,7 @@ pub use tempdir::TempDir;
 pub use update_buffer::{
     rewrite_temp_base, rewrite_temp_paths, BufferedGraph, UpdateBuffer, DEFAULT_BUFFER_CAPACITY,
 };
-pub use vfs::{FaultPlan, FaultVfs, StdVfs, ThrottledVfs, Vfs, VfsFile};
+pub use vfs::{StdVfs, ThrottledVfs, Vfs, VfsFile};
 pub use wal::{GroupCommitOptions, GroupCommitWal, Wal, WalScan, WAL_MAGIC};
 
 /// Node identifier. The paper's largest graph (978.4M nodes) fits in `u32`.

@@ -108,7 +108,7 @@ struct PoolInner {
 
 impl SharedPool {
     /// A pool of `B = block_size` frames under `budget_bytes`, evicting by
-    /// the scan-resistant policy ([`crate::EvictionPolicy::ScanLifo`]).
+    /// the scan-resistant policy of [`crate::cache`].
     ///
     /// Errors when `block_size` is zero or does not fit the catalog's
     /// 32-bit field, or when the budget cannot hold two frames — a pool

@@ -733,106 +733,6 @@ mod tests {
         assert!(w.append(&huge).is_err());
     }
 
-    fn fault_counter(plan: crate::vfs::FaultPlan) -> (Arc<crate::vfs::FaultVfs>, Arc<IoCounter>) {
-        let vfs = crate::vfs::FaultVfs::new(plan);
-        let counter = IoCounter::with_vfs(
-            DEFAULT_BLOCK_SIZE,
-            Arc::clone(&vfs) as Arc<dyn crate::vfs::Vfs>,
-        );
-        (vfs, counter)
-    }
-
-    #[test]
-    fn group_commit_one_barrier_covers_many_submits() {
-        let dir = TempDir::new("gwal").unwrap();
-        let path = wal_path(&dir);
-        let (vfs, fc) = fault_counter(crate::vfs::FaultPlan::default());
-        let wal = Wal::create(&path, fc).unwrap();
-        let group = GroupCommitWal::wrap(wal, GroupCommitOptions::default()).unwrap();
-
-        let before = vfs.sync_events();
-        let mut last = 0;
-        for payload in [b"a".as_slice(), b"bb", b"ccc", b"dddd", b"eeeee"] {
-            last = group.submit(payload).unwrap();
-        }
-        assert_eq!(group.durable_lsn(), 0, "nothing durable before the barrier");
-        group.wait_durable(last, false).unwrap();
-        assert_eq!(
-            vfs.sync_events() - before,
-            1,
-            "five submits, one fsync barrier"
-        );
-        assert_eq!(group.durable_lsn(), last);
-        // Waiting again is free: the watermark already covers it.
-        group.wait_durable(last, false).unwrap();
-        assert_eq!(vfs.sync_events() - before, 1);
-
-        drop(group);
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                b"a".to_vec(),
-                b"bb".to_vec(),
-                b"ccc".to_vec(),
-                b"dddd".to_vec(),
-                b"eeeee".to_vec()
-            ]
-        );
-    }
-
-    #[test]
-    fn group_commit_concurrent_submitters_all_recover_in_submit_order() {
-        let dir = TempDir::new("gwal-mt").unwrap();
-        let path = wal_path(&dir);
-        let (vfs, fc) = fault_counter(crate::vfs::FaultPlan::default());
-        let wal = Wal::create(&path, fc).unwrap();
-        let group = Arc::new(
-            GroupCommitWal::wrap(
-                wal,
-                GroupCommitOptions {
-                    max_delay: Duration::from_micros(500),
-                },
-            )
-            .unwrap(),
-        );
-
-        let before = vfs.sync_events();
-        const THREADS: u8 = 4;
-        const OPS: u8 = 16;
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let g = Arc::clone(&group);
-                std::thread::spawn(move || {
-                    for i in 0..OPS {
-                        let lsn = g.submit(&[t, i]).unwrap();
-                        g.wait_durable(lsn, true).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = u64::from(THREADS) * u64::from(OPS);
-        assert_eq!(group.durable_lsn(), total);
-        let barriers = vfs.sync_events() - before;
-        assert!(
-            (1..=total).contains(&barriers),
-            "{barriers} barriers for {total} ops"
-        );
-
-        drop(group);
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
-        assert_eq!(records.len(), total as usize);
-        // Per-thread subsequences stay in program order (appends happen
-        // under the append lock in LSN order).
-        for t in 0..THREADS {
-            let seen: Vec<u8> = records.iter().filter(|r| r[0] == t).map(|r| r[1]).collect();
-            assert_eq!(seen, (0..OPS).collect::<Vec<u8>>());
-        }
-    }
-
     #[test]
     fn group_commit_truncate_satisfy_releases_waiters() {
         let dir = TempDir::new("gwal").unwrap();
@@ -872,30 +772,6 @@ mod tests {
         drop(group);
         let (_w, records) = Wal::open(&path, counter()).unwrap();
         assert_eq!(records, vec![b"kept".to_vec(), b"after".to_vec()]);
-    }
-
-    #[test]
-    fn group_commit_failed_barrier_is_sticky_but_acked_prefix_stays_good() {
-        let dir = TempDir::new("gwal").unwrap();
-        let path = wal_path(&dir);
-        let (vfs, c) = fault_counter(crate::vfs::FaultPlan::default());
-        let wal = Wal::create(&path, c).unwrap();
-        let group = GroupCommitWal::wrap(wal, GroupCommitOptions::default()).unwrap();
-        let acked = group.submit(b"acked").unwrap();
-        group.wait_durable(acked, false).unwrap();
-
-        // The next barrier fails: its op errors, and so does every later
-        // wait — the durable frontier is no longer knowable.
-        vfs.set_plan(crate::vfs::FaultPlan {
-            fail_fsync: Some(1),
-            ..crate::vfs::FaultPlan::default()
-        });
-        let lost = group.submit(b"lost").unwrap();
-        assert!(group.wait_durable(lost, false).is_err());
-        let after = group.submit(b"after").unwrap();
-        assert!(group.wait_durable(after, false).is_err(), "sticky");
-        // …but anything acknowledged before the failure stays acknowledged.
-        group.wait_durable(acked, false).unwrap();
     }
 
     #[test]

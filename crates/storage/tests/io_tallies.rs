@@ -165,7 +165,7 @@ fn snapshot_after_every_request_equals_the_shared_counter_model() {
             // A fresh reader registers under the same counter (and shares
             // the pool its predecessor warmed).
             450 => readers[1] = Some(cached(0)),
-            // `open_paths_impl` resets the counter with both of its
+            // `open_with_binding` resets the counter with both of its
             // readers alive; their per-reader state (position, buffered
             // block) survives, their charges do not.
             600 => {

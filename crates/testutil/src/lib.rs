@@ -25,8 +25,14 @@
 //! * [`forge_checkpoint`] / [`checkpoint_v1`] — hand-framed state
 //!   checkpoints: crafted bodies, and the version-1 layout no writer
 //!   produces any more.
+//! * [`FaultVfs`] / [`FaultPlan`] ([`fault`]) — the deterministic fault
+//!   injector behind the crash, fault-property and self-healing suites.
 
 #![deny(missing_docs)]
+
+pub mod fault;
+
+pub use fault::{FaultPlan, FaultVfs};
 
 use std::path::Path;
 

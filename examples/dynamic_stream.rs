@@ -16,7 +16,7 @@ use graphstore::{mem_to_disk, IoCounter, MemGraph, TempDir, DEFAULT_BLOCK_SIZE};
 use kcore_suite::CoreIndex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use semicore::{imcore, ScanExecutor};
+use semicore::imcore;
 
 fn main() -> graphstore::Result<()> {
     let n = 20_000u32;
@@ -34,7 +34,7 @@ fn main() -> graphstore::Result<()> {
         IoCounter::new(DEFAULT_BLOCK_SIZE),
     )?;
     // A small buffer forces periodic flushes so their cost is visible.
-    let mut index = CoreIndex::from_disk_graph(disk, 4096, ScanExecutor::Sequential)?;
+    let mut index = CoreIndex::decompose(disk, 4096)?;
     println!(
         "initial decomposition: kmax = {}, {} iterations, {} read I/Os",
         index.kmax(),

@@ -46,6 +46,8 @@ pub use graphgen;
 pub use graphstore;
 pub use semicore;
 
+mod compat;
+
 // The serving layer must never bring the process down on one tenant's
 // failure: panicking unwraps are banned outright (tests excepted).
 #[cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -74,7 +76,7 @@ use graphstore::{
 };
 use semicore::{
     semicore_star_state, CoreState, DecomposeOptions, MaintainOp, MaintainStats, MaintenanceEngine,
-    RunStats, ScanExecutor,
+    RunStats,
 };
 
 /// Collect `edges` for [`MemGraph::from_edges`], refusing the id `u32::MAX`
@@ -85,6 +87,17 @@ fn checked_edges(edges: impl IntoIterator<Item = (u32, u32)>) -> Result<Vec<(u32
         graphstore::Error::check_node_id(u.max(v))?;
     }
     Ok(edges)
+}
+
+/// Refuse a maintained `state` that does not cover `disk`'s node count.
+fn check_covers(state: &CoreState, disk: &DiskGraph) -> Result<()> {
+    let (covered, n) = (state.num_nodes(), disk.num_nodes());
+    if covered == n {
+        return Ok(());
+    }
+    Err(graphstore::Error::corrupt(format!(
+        "restored state covers {covered} nodes but the graph has {n}"
+    )))
 }
 
 /// A disk-resident dynamic graph with continuously maintained core numbers.
@@ -122,7 +135,7 @@ impl CoreIndex {
     pub fn open_with_cache(base: &Path, cache_bytes: u64) -> Result<CoreIndex> {
         let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
         let disk = DiskGraph::open_with_cache(base, counter, cache_bytes)?;
-        Self::from_disk_graph(disk, DEFAULT_BUFFER_CAPACITY, ScanExecutor::Sequential)
+        Self::decompose(disk, DEFAULT_BUFFER_CAPACITY)
     }
 
     /// Hit/miss statistics of the disk block cache (`None` when opened
@@ -133,14 +146,8 @@ impl CoreIndex {
 
     /// Decompose `disk` with SemiCore\*, then wrap it with an update buffer
     /// of `capacity` edit entries for maintenance. Every decomposing
-    /// constructor ends here, [`CoreService`]'s included. Kbench
-    /// compatibility: `_exec` is ignored (there is one schedule) and goes
-    /// with ROADMAP item 12b.
-    pub fn from_disk_graph(
-        mut disk: DiskGraph,
-        capacity: usize,
-        _exec: ScanExecutor,
-    ) -> Result<CoreIndex> {
+    /// constructor ends here, [`CoreService`]'s included.
+    pub fn decompose(mut disk: DiskGraph, capacity: usize) -> Result<CoreIndex> {
         let (state, decompose_stats) =
             semicore_star_state(&mut disk, &DecomposeOptions::default())?;
         Ok(Self::assemble(disk, capacity, state, decompose_stats))
@@ -157,21 +164,24 @@ impl CoreIndex {
     /// invariant) of the graph `disk` + the edits the caller is about to
     /// replay from; a mismatched node count is rejected.
     pub fn restore(disk: DiskGraph, capacity: usize, state: CoreState) -> Result<CoreIndex> {
-        if state.num_nodes() != disk.num_nodes() {
-            return Err(graphstore::Error::Corrupt {
-                reason: format!(
-                    "restored state covers {} nodes but the graph has {}",
-                    state.num_nodes(),
-                    disk.num_nodes()
-                ),
-            });
-        }
+        check_covers(&state, &disk)?;
         Ok(Self::assemble(
             disk,
             capacity,
             state,
             RunStats::new("Restored"),
         ))
+    }
+
+    /// Compaction's swap: move onto `disk`, the same graph as new tables,
+    /// behind an empty buffer of `capacity` entries. State and engine stay
+    /// put (nothing node-sized is copied); a node-count mismatch is refused
+    /// with the index untouched.
+    pub(crate) fn adopt_tables(&mut self, disk: DiskGraph, capacity: usize) -> Result<()> {
+        check_covers(&self.state, &disk)?;
+        self.graph = BufferedGraph::new(disk, capacity);
+        self.decompose_stats = RunStats::new("Restored");
+        Ok(())
     }
 
     /// The one place an index is put together.
@@ -324,6 +334,31 @@ mod tests {
         }
         let idx = CoreIndex::open_with_cache(&base, 0).unwrap();
         assert_eq!(idx.cores(), &[2, 2, 2]);
+    }
+
+    #[test]
+    fn adopt_tables_keeps_the_state_and_refuses_another_node_count() {
+        let dir = TempDir::new("suite").unwrap();
+        let mut idx =
+            CoreIndex::create(&dir.path().join("g"), [(0, 1), (1, 2), (0, 2)], 3).unwrap();
+        let other = dir.path().join("h");
+        CoreIndex::create(&other, [(0, 1), (2, 3)], 4).unwrap();
+        let disk = |base: &Path| DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+        let err = idx.adopt_tables(disk(&other), 8).unwrap_err();
+        assert!(err.is_corrupt(), "{err:?}");
+        assert_eq!(idx.cores(), &[2, 2, 2]);
+        assert!(
+            idx.verify().unwrap(),
+            "a refused swap leaves the index whole"
+        );
+
+        idx.delete_edge(0, 1).unwrap();
+        let rewritten = dir.path().join("g1");
+        idx.graph_mut().rewrite_to(&rewritten).unwrap();
+        idx.adopt_tables(disk(&rewritten), 8).unwrap();
+        assert_eq!(idx.cores(), &[1, 1, 1]);
+        assert!(idx.verify().unwrap());
+        assert!(!idx.has_edge(0, 1).unwrap());
     }
 
     #[test]

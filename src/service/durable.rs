@@ -492,7 +492,8 @@ impl CoreService {
     ///    journaled record is `<= served.seq` and the committed
     ///    checkpoint sits exactly at `served.seq`, so recovery skips
     ///    them by sequence number whether or not the truncate landed;
-    /// 5. swap the live index onto the new tables and drop the old
+    /// 5. swap the live index onto the new tables in place (the
+    ///    maintained state is never copied) and drop the old
     ///    generation's files (plain unlinks: no sync points, no new
     ///    crash windows; failures leave orphans for fsck to sweep). The
     ///    registered generation-0 base is the user's file and is never
@@ -509,7 +510,7 @@ impl CoreService {
         let new_base = graphstore::generation_base(&old.base, new_gen);
         served.index.graph_mut().rewrite_to(&new_base)?;
         let counter = served.index.graph_mut().disk().counter().clone();
-        let state = served.index.maintained_state().clone();
+        let state = served.index.maintained_state();
         StateCheckpoint::write_parts(
             &ckpt_path(&d.dir, name, new_gen),
             &counter,
@@ -535,7 +536,7 @@ impl CoreService {
         }
         served.ck_seq = served.seq;
         let disk = DiskGraph::open_pooled(&new_base, counter, &self.pool, old.charge_bytes)?;
-        served.index = CoreIndex::restore(disk, DURABLE_BUFFER_CAPACITY, state)?;
+        served.index.adopt_tables(disk, DURABLE_BUFFER_CAPACITY)?;
         self.remove_generation_files(d, &old);
         Ok(new_gen)
     }

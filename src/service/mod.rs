@@ -5,7 +5,7 @@
 //! [`CoreService`] makes that budget a *process-wide* resource. It owns one
 //! [`SharedPool`] and a registry of named graphs, each opened against it
 //! with [`DiskGraph::open_pooled`] and decomposed by
-//! [`CoreIndex::from_disk_graph`]: the pool arbitrates the global byte budget
+//! [`CoreIndex::decompose`]: the pool arbitrates the global byte budget
 //! across whichever graphs are busy, while every graph keeps a private
 //! deterministic charge cache so its charged `read_ios` is bit-identical
 //! whether it is served alone or alongside `K` contending graphs — only
@@ -109,10 +109,9 @@ use std::time::{Duration, Instant};
 
 use graphstore::{
     working_set_charge_budget, AdmissionController, AdmissionPermit, Catalog, CatalogEntry,
-    DiskGraph, EvictionPolicy, FormatVersion, GroupCommitOptions, GroupCommitWal, IoCounter,
-    IoSnapshot, QosConfig, Result, SharedPool, StdVfs, Vfs,
+    DiskGraph, FormatVersion, GroupCommitOptions, GroupCommitWal, IoCounter, IoSnapshot, QosConfig,
+    Result, SharedPool, StdVfs, Vfs,
 };
-use semicore::ScanExecutor;
 
 use crate::CoreIndex;
 use durable::{validate_durable_name, Durable, DURABLE_BUFFER_CAPACITY};
@@ -242,8 +241,8 @@ pub struct CoreService {
     graphs: Mutex<HashMap<String, Slot>>,
     durable: Option<Durable>,
     /// Filesystem seam every counter (and the catalog writer) goes
-    /// through; [`StdVfs`] in production, a fault-injecting
-    /// [`graphstore::FaultVfs`] under the torture tests.
+    /// through; [`StdVfs`] in production, a fault-injecting one
+    /// (`testutil::FaultVfs`) under the torture tests.
     vfs: Arc<dyn Vfs>,
     /// Per-tenant admission control over the charge budget (`None` admits
     /// everything). Installed by [`CoreService::set_qos`]; every serving
@@ -322,18 +321,6 @@ impl CoreService {
         Ok(Self::assemble(pool, None, StdVfs::arc()))
     }
 
-    /// Kbench compatibility: [`CoreService::new`], ignoring `policy` (there
-    /// is one) and `exec` (there is one schedule). Goes with ROADMAP item
-    /// 12b.
-    pub fn with_config(
-        block_size: usize,
-        budget_bytes: u64,
-        _policy: EvictionPolicy,
-        _exec: ScanExecutor,
-    ) -> Result<CoreService> {
-        Self::new(block_size, budget_bytes)
-    }
-
     /// The one place a service is put together.
     fn assemble(pool: SharedPool, durable: Option<Durable>, vfs: Arc<dyn Vfs>) -> CoreService {
         CoreService {
@@ -351,8 +338,8 @@ impl CoreService {
     /// into the catalog and restored by [`CoreService::open_catalog`]; the
     /// durability options are runtime choices and are not. Every I/O
     /// counter the service creates routes through `vfs`, so a
-    /// [`graphstore::FaultVfs`] here puts the whole serving stack under
-    /// fault injection. Errors, before `dir` is created, on a pool
+    /// fault-injecting one (`testutil::FaultVfs`) here puts the whole
+    /// serving stack under fault injection. Errors, before `dir` is created, on a pool
     /// [`CoreService::new`] refuses, and if `dir` already holds a catalog —
     /// reopen an existing one with [`CoreService::open_catalog`].
     pub fn create_durable(
@@ -375,20 +362,6 @@ impl CoreService {
         Ok(Self::assemble(pool, Some(durable), vfs))
     }
 
-    /// Kbench compatibility: [`CoreService::create_durable`], ignoring
-    /// `policy` and `exec`. Goes with ROADMAP item 12b.
-    pub fn create_durable_with_vfs(
-        dir: &Path,
-        block_size: usize,
-        budget_bytes: u64,
-        _policy: EvictionPolicy,
-        _exec: ScanExecutor,
-        opts: DurableOptions,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<CoreService> {
-        Self::create_durable(dir, block_size, budget_bytes, opts, vfs)
-    }
-
     /// Reopen the durable service persisted under `dir`: load the manifest,
     /// rebuild the pool it describes, and restore every catalogued graph —
     /// checkpoint first (one sequential scan, **no** re-decomposition),
@@ -408,17 +381,6 @@ impl CoreService {
             svc.recover_entry(entry)?;
         }
         Ok(svc)
-    }
-
-    /// Kbench compatibility: [`CoreService::open_catalog`], ignoring
-    /// `exec`. Goes with ROADMAP item 12b.
-    pub fn open_catalog_with_vfs(
-        dir: &Path,
-        _exec: ScanExecutor,
-        opts: DurableOptions,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<CoreService> {
-        Self::open_catalog(dir, opts, vfs)
     }
 
     /// The data directory of a durable service (`None` when nothing is
@@ -578,7 +540,7 @@ impl CoreService {
         } else {
             graphstore::DEFAULT_BUFFER_CAPACITY
         };
-        CoreIndex::from_disk_graph(disk, capacity, ScanExecutor::Sequential)
+        CoreIndex::decompose(disk, capacity)
     }
 
     /// Build a graph from `edges` at `<base>.nodes/.edges`, then serve it
@@ -1162,7 +1124,7 @@ mod tests {
     fn failed_evict_commit_keeps_the_graph_served_and_catalogued() {
         let dir = TempDir::new("svc-durable").unwrap();
         let data = dir.path().join("data");
-        let fault = graphstore::FaultVfs::new(graphstore::FaultPlan::default());
+        let fault = testutil::FaultVfs::new(testutil::FaultPlan::default());
         let svc = CoreService::create_durable(
             &data,
             DEFAULT_BLOCK_SIZE,
@@ -1178,16 +1140,16 @@ mod tests {
         // Count pass: an evict writes one manifest (its fsync, the rename,
         // the directory fsync) and syncs nothing else, so the manifest's
         // fsync is the first one after re-arming.
-        fault.set_plan(graphstore::FaultPlan::default());
+        fault.set_plan(testutil::FaultPlan::default());
         svc.evict("h").unwrap();
         assert_eq!(fault.sync_events(), 3);
 
-        fault.set_plan(graphstore::FaultPlan {
+        fault.set_plan(testutil::FaultPlan {
             fail_fsync: Some(1),
-            ..graphstore::FaultPlan::default()
+            ..testutil::FaultPlan::default()
         });
         assert!(svc.evict("g").is_err());
-        fault.set_plan(graphstore::FaultPlan::default());
+        fault.set_plan(testutil::FaultPlan::default());
         assert!(svc.contains("g"), "a failed evict must keep serving");
         assert!(svc.verify("g").unwrap());
         // The next commit still catalogues `g`.

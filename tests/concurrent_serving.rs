@@ -28,11 +28,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, QosConfig, StdVfs, TempDir, Vfs,
-    DEFAULT_BLOCK_SIZE,
+    GroupCommitOptions, MemGraph, QosConfig, StdVfs, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::{CoreService, DurableOptions};
-use testutil::{oracle_cores, Lcg};
+use testutil::{oracle_cores, FaultPlan, FaultVfs, Lcg};
 
 const BUDGET: u64 = 32 << 20;
 const STEPS: usize = 40;

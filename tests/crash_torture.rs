@@ -26,12 +26,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphstore::{
-    FaultPlan, FaultVfs, GroupCommitOptions, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
-};
+use graphstore::{GroupCommitOptions, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
 use semicore::MaintainOp;
-use testutil::oracle_cores;
+use testutil::{oracle_cores, FaultPlan, FaultVfs};
 
 const BUDGET: u64 = 4 << 20;
 const ALPHA: &str = "alpha";

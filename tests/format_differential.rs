@@ -16,15 +16,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use graphstore::{
-    write_mem_graph_with, Catalog, DiskGraph, FaultPlan, FaultVfs, FormatVersion, GraphPaths,
-    IoCounter, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+    write_mem_graph_with, Catalog, DiskGraph, FormatVersion, GraphPaths, IoCounter, MemGraph,
+    TempDir, Vfs, DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::semicore::{
     semicore, semicore_plus, semicore_star, semicore_star_state, DecomposeOptions,
 };
 use kcore_suite::server::dispatch;
 use kcore_suite::{CoreIndex, CoreService, DurableOptions};
-use testutil::{fixtures, oracle_cores, random_mem_graph, Lcg};
+use testutil::{fixtures, oracle_cores, random_mem_graph, FaultPlan, FaultVfs, Lcg};
 
 /// An algorithm and how to run it.
 type Algo = (

@@ -27,9 +27,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphstore::{AdjacencyRead, FaultPlan, FaultVfs, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
+use graphstore::{AdjacencyRead, MemGraph, TempDir, Vfs, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{start_self_heal, CoreService, DurableOptions, HealthStatus, SelfHealOptions};
-use testutil::oracle_cores;
+use testutil::{oracle_cores, FaultPlan, FaultVfs};
 
 const BUDGET: u64 = 4 << 20;
 

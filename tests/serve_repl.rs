@@ -15,11 +15,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphstore::{
-    FaultPlan, FaultVfs, FormatVersion, GroupCommitOptions, IoCounter, MemGraph, QosConfig, StdVfs,
-    TempDir, Vfs, DEFAULT_BLOCK_SIZE,
+    FormatVersion, GroupCommitOptions, IoCounter, MemGraph, QosConfig, StdVfs, TempDir, Vfs,
+    DEFAULT_BLOCK_SIZE,
 };
 use kcore_suite::server::{Server, ServerOptions};
 use kcore_suite::{CoreService, DurableOptions};
+use testutil::{FaultPlan, FaultVfs};
 
 fn triangle_tail() -> MemGraph {
     MemGraph::from_edges(vec![(0u32, 1u32), (1, 2), (0, 2), (2, 3)], 4)
