@@ -265,17 +265,6 @@ impl DiskGraph {
             .map(|b| crate::io::lock_cache(&b.pool).stats())
     }
 
-    /// Hit/miss counters of this graph's deterministic charge cache
-    /// (`None` unless opened via [`DiskGraph::open_pooled`] with a charge
-    /// budget of at least two frames). Misses here are exactly the charged
-    /// `read_ios` of the cached paths.
-    pub fn charge_stats(&self) -> Option<CacheStats> {
-        self.binding
-            .as_ref()
-            .and_then(|b| b.charge.as_ref())
-            .map(|g| crate::io::lock_cache(g).stats())
-    }
-
     /// Memory budget realised by the attached cache, in bytes (0 uncached).
     /// For pooled opens this is the **shared pool's** global budget, not a
     /// per-graph reservation.

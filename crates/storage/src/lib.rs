@@ -77,7 +77,8 @@ pub use pool::{
 };
 pub use tempdir::TempDir;
 pub use update_buffer::{
-    rewrite_temp_base, rewrite_temp_paths, BufferedGraph, UpdateBuffer, DEFAULT_BUFFER_CAPACITY,
+    rebase_edits, rewrite_tables, rewrite_temp_base, rewrite_temp_paths, BufferedGraph,
+    UpdateBuffer, DEFAULT_BUFFER_CAPACITY,
 };
 pub use vfs::{StdVfs, ThrottledVfs, Vfs, VfsFile};
 pub use wal::{GroupCommitOptions, GroupCommitWal, Wal, WalScan, WAL_MAGIC};

@@ -213,15 +213,6 @@ impl SharedPool {
         self.lock().resident_keys()
     }
 
-    /// Run `f` against the raw frame store, under the pool lock.
-    ///
-    /// Normal reads go through [`crate::io::BlockReader`]; this is the
-    /// escape hatch for diagnostics and invariant tests that need to drive
-    /// the cache against leased file ids directly.
-    pub fn with_cache_mut<R>(&self, f: impl FnOnce(&mut BlockCache) -> R) -> R {
-        f(&mut self.lock())
-    }
-
     /// The underlying frame store, for readers opened against this pool.
     pub(crate) fn cache(&self) -> Arc<Mutex<BlockCache>> {
         Arc::clone(&self.inner.cache)
@@ -399,15 +390,6 @@ impl AdmissionController {
         lock_admission(&self.state)
             .weights
             .insert(tenant.to_string(), weight.max(1));
-    }
-
-    /// The tenant's configured weight (1 if never set).
-    pub fn weight_of(&self, tenant: &str) -> u32 {
-        lock_admission(&self.state)
-            .weights
-            .get(tenant)
-            .copied()
-            .unwrap_or(1)
     }
 
     /// Ask to admit `bytes` of working set for `tenant`. Returns a
@@ -691,6 +673,48 @@ mod tests {
         assert_eq!(pool.resident_frames(), 0);
     }
 
+    /// A lease teardown mid-traffic is an invalidation of exactly the
+    /// leased ids: the surviving graph's frames stay, and the pool keeps
+    /// honouring its budget afterwards.
+    #[test]
+    fn lease_teardown_under_traffic_keeps_budget_and_neighbours() {
+        const BLOCK: usize = 16;
+        const BLOCKS_PER_FILE: u64 = 12;
+        let pool = SharedPool::new(BLOCK, 6 * BLOCK as u64).unwrap();
+        let survivor = pool.register(1).unwrap();
+        let mut state = 0xDECAFu64;
+        let mut below = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for round in 0..40 {
+            let doomed = pool.register(2).unwrap();
+            for _ in 0..30 {
+                let file = match below(3) {
+                    0 => survivor.file_id(0),
+                    k => doomed.file_id(k as u32 - 1),
+                };
+                fill(&pool, file, below(BLOCKS_PER_FILE));
+                assert!(
+                    pool.resident_bytes() <= pool.budget_bytes(),
+                    "round {round}"
+                );
+            }
+            let doomed_ids = [doomed.file_id(0), doomed.file_id(1)];
+            drop(doomed);
+            let keys = pool.resident_keys();
+            assert!(
+                keys.iter().all(|(f, _)| !doomed_ids.contains(f)),
+                "round {round}: dropped lease left frames"
+            );
+            assert!(pool.resident_bytes() <= pool.budget_bytes());
+        }
+        drop(survivor);
+        assert_eq!(pool.resident_frames(), 0);
+    }
+
     #[test]
     fn file_id_exhaustion_errors_without_aliasing() {
         let pool = SharedPool::new(4096, 1 << 20).unwrap();
@@ -717,6 +741,17 @@ mod tests {
             capacity_bytes,
             max_waiters,
         })
+    }
+
+    #[test]
+    fn set_weight_records_the_share_with_a_floor_of_one() {
+        let ctl = qos(1024, 4);
+        let weight = |tenant: &str| lock_admission(&ctl.state).weights.get(tenant).copied();
+        assert_eq!(weight("a"), None, "unset tenants weigh the default 1");
+        for (w, recorded) in [(5, 5), (0, 1), (1, 1)] {
+            ctl.set_weight("a", w);
+            assert_eq!(weight("a"), Some(recorded), "set_weight({w})");
+        }
     }
 
     #[test]

@@ -74,6 +74,25 @@ impl UpdateBuffer {
         UpdateBuffer::default()
     }
 
+    /// A buffer holding exactly `edits` — undirected net edits `(u, v,
+    /// inserted)` as [`UpdateBuffer::net_edits`] emits them.
+    pub fn from_net_edits(edits: &[(u32, u32, bool)]) -> Self {
+        let mut buffer = UpdateBuffer::new();
+        for &(u, v, inserted) in edits {
+            if inserted {
+                buffer.record_insert(u, v);
+            } else {
+                buffer.record_delete(u, v);
+            }
+        }
+        buffer
+    }
+
+    /// Net degree-sum change the buffer makes to its base tables.
+    fn degree_sum_delta(&self) -> i64 {
+        self.per_node.keys().map(|&v| self.degree_delta(v)).sum()
+    }
+
     /// Number of (node, neighbour) edit entries held (each undirected edge
     /// contributes two).
     pub fn len(&self) -> usize {
@@ -228,6 +247,74 @@ pub struct BufferedGraph {
 
 /// Default edit-entry capacity of the in-memory buffer.
 pub const DEFAULT_BUFFER_CAPACITY: usize = 1 << 20;
+
+/// Write `source`'s tables with `edits` folded in — the merged view — into
+/// a fresh, fully fsynced v3 table pair at `target_base`, whatever the
+/// source's encoding (the merge works on decoded lists, so it reads
+/// either). The source files are left untouched: the caller owns the
+/// commit (a flush renames over the source; a generational compaction
+/// publishes the new base through the catalog instead). `before_node`
+/// runs ahead of each node's list. Returns the new pair's paths.
+pub fn rewrite_tables(
+    source: &mut DiskGraph,
+    edits: &UpdateBuffer,
+    target_base: &Path,
+    mut before_node: impl FnMut(u32),
+) -> Result<GraphPaths> {
+    let n = source.num_nodes();
+    let counter = source.counter().clone();
+    let mut writer =
+        DiskGraphWriter::create_with_format(target_base, n, counter, FormatVersion::V3)?;
+    let mut base = Vec::new();
+    let mut merged = Vec::new();
+    for v in 0..n {
+        before_node(v);
+        source.adjacency(v, &mut base)?;
+        edits.apply(v, &base, &mut merged);
+        writer.append_adjacency(v, &merged)?;
+    }
+    writer.finish()
+}
+
+/// Rebase live net edits onto tables that already hold `folded`: the
+/// edits a buffer over the new tables must hold so that its merged view
+/// is the live one. Both inputs are net edits against the *same* old
+/// tables, sorted as [`UpdateBuffer::net_edits`] emits them; so is the
+/// output. A pair in both lists whose direction agrees is in the new
+/// tables already and drops out; a pair only in `live` is kept as it is;
+/// a pair only in `folded` was undone after the fold froze it, so it
+/// comes back inverted. `O(|live| + |folded|)`, no I/O.
+pub fn rebase_edits(
+    live: &[(u32, u32, bool)],
+    folded: &[(u32, u32, bool)],
+) -> Vec<(u32, u32, bool)> {
+    let mut out = Vec::with_capacity(live.len());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        match (live.get(i), folded.get(j)) {
+            (Some(&a), Some(&b)) if (a.0, a.1) == (b.0, b.1) => {
+                if a.2 != b.2 {
+                    out.push(a);
+                }
+                i += 1;
+                j += 1;
+            }
+            (Some(&a), Some(&b)) if (a.0, a.1) < (b.0, b.1) => {
+                out.push(a);
+                i += 1;
+            }
+            (Some(&a), None) => {
+                out.push(a);
+                i += 1;
+            }
+            (_, Some(&(u, v, inserted))) => {
+                out.push((u, v, !inserted));
+                j += 1;
+            }
+            (None, None) => return out,
+        }
+    }
+}
 
 /// The temp base path a flush rewrite of `paths` goes through before the
 /// rename: the node table path with `.rewrite` appended. The writer then
@@ -392,27 +479,20 @@ impl BufferedGraph {
         Ok(())
     }
 
-    /// Write the merged view — base tables plus every pending edit — into a
-    /// fresh, fully fsynced table pair at `target_base`, encoded as v3
-    /// whatever the source's encoding: every rewrite writes the compressed
-    /// layout (the merge works on decoded lists, so it reads either). The
-    /// live graph, the buffer and the original files are left untouched:
-    /// the caller owns the commit (a flush renames over the source; a
-    /// generational compaction publishes the new base through the catalog
-    /// instead). Returns the new pair's paths.
+    /// [`rewrite_tables`] of this graph's tables and every pending edit:
+    /// the merged view as a fresh v3 pair at `target_base`. The live graph
+    /// and its buffer are left untouched. Returns the new pair's paths.
     pub fn rewrite_to(&mut self, target_base: &Path) -> Result<GraphPaths> {
-        let n = self.disk.num_nodes();
-        let counter = self.disk.counter().clone();
-        let mut writer =
-            DiskGraphWriter::create_with_format(target_base, n, counter, FormatVersion::V3)?;
-        let mut base = Vec::new();
-        let mut merged = Vec::new();
-        for v in 0..n {
-            self.disk.adjacency(v, &mut base)?;
-            self.buffer.apply(v, &base, &mut merged);
-            writer.append_adjacency(v, &merged)?;
-        }
-        writer.finish()
+        rewrite_tables(&mut self.disk, &self.buffer, target_base, |_| {})
+    }
+
+    /// Move onto `disk` — new tables of the same graph — behind a buffer
+    /// holding exactly `pending`, net edits against `disk` (see
+    /// [`rebase_edits`]). The capacity and flush count carry over.
+    pub fn adopt(&mut self, disk: DiskGraph, pending: &[(u32, u32, bool)]) {
+        self.buffer = UpdateBuffer::from_net_edits(pending);
+        self.degree_sum_delta = self.buffer.degree_sum_delta();
+        self.disk = disk;
     }
 
     /// Remove any stale flush temp files left at [`rewrite_temp_paths`] by
@@ -693,6 +773,49 @@ mod tests {
             out.adjacency(v, &mut buf).unwrap();
             assert_eq!(buf.as_slice(), mirror.neighbors(v), "node {v}");
         }
+    }
+
+    #[test]
+    fn rebase_keeps_the_live_view_over_the_folded_tables() {
+        // Fold a frozen copy of the buffer into new tables while the live
+        // buffer moves on, then adopt the new tables with the rebased
+        // edits: the merged view must not change.
+        let (dir, mut bg, mut mirror) = setup(1 << 20);
+        let toggle = |bg: &mut BufferedGraph, mirror: &mut DynGraph, u: u32, v: u32| {
+            if mirror.has_edge(u, v) {
+                mirror.delete_edge(u, v).unwrap();
+                bg.delete_edge(u, v).unwrap();
+            } else {
+                mirror.insert_edge(u, v).unwrap();
+                bg.insert_edge(u, v).unwrap();
+            }
+        };
+        // Edits the fold freezes: inserts and deletes, some undone later.
+        for (u, v) in [(4, 5), (0, 1), (0, 5), (2, 3), (1, 4)] {
+            toggle(&mut bg, &mut mirror, u, v);
+        }
+        let folded = bg.pending_net_edits();
+        let target = dir.path().join("g.g1");
+        let frozen = UpdateBuffer::from_net_edits(&folded);
+        let mut source =
+            DiskGraph::open(&dir.path().join("g"), bg.disk().counter().clone()).unwrap();
+        let mut visited = 0;
+        rewrite_tables(&mut source, &frozen, &target, |_| visited += 1).unwrap();
+        assert_eq!(visited, bg.num_nodes());
+        // Edits after the freeze: undo some folded ones, add fresh ones,
+        // and redo one (a pair in both lists, same direction).
+        for (u, v) in [(4, 5), (0, 1), (3, 5), (0, 1), (2, 4)] {
+            toggle(&mut bg, &mut mirror, u, v);
+        }
+        let pending = rebase_edits(&bg.pending_net_edits(), &folded);
+        let new_disk = DiskGraph::open(&target, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+        bg.adopt(new_disk, &pending);
+        assert_eq!(bg.pending_net_edits(), pending);
+        assert_same_view(&mut bg, &mirror);
+        // (0, 1) was deleted, restored, deleted again: folded, so gone.
+        assert!(!pending.iter().any(|&(u, v, _)| (u, v) == (0, 1)));
+        // (4, 5) was folded as an insert, then undone: a pending delete.
+        assert!(pending.contains(&(4, 5, false)));
     }
 
     #[test]

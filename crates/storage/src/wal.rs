@@ -17,11 +17,21 @@
 //! ([`Wal::open`]) walks records front to back and stops at the first one
 //! that does not fully validate — a short length prefix, a payload running
 //! past end of file, or a checksum mismatch. Everything before that point
-//! is returned; everything after is the *torn tail* a mid-append crash
-//! leaves behind, and is physically truncated away so subsequent appends
-//! extend a clean log. A torn tail can therefore cost at most the one
-//! record whose append never completed — exactly the op whose success was
-//! never acknowledged.
+//! is returned. What follows it is one of two things:
+//!
+//! * a **torn tail** — what a crash mid-append leaves: the bytes of
+//!   records whose write never completed, which were never acknowledged.
+//!   They are physically truncated away so subsequent appends extend a
+//!   clean log. A crash can therefore cost at most the records of the one
+//!   write that never completed.
+//! * **rot** — a damaged record with an intact record after it that
+//!   continues the journal. A torn final write cannot be followed by a
+//!   whole record, so the records past the damage were written, and
+//!   possibly acknowledged, after it: dropping them would silently lose
+//!   acknowledged ops. The open refuses with [`Error::Corrupt`] and leaves
+//!   the file as it is; `fsck --repair` decides. Whether a record
+//!   continues the journal is the caller's rule (it knows the payload's
+//!   sequence numbers), passed to [`Wal::open`] and [`Wal::scan`].
 //!
 //! ## I/O pricing
 //!
@@ -91,11 +101,18 @@ impl Wal {
     /// Open the journal at `path`, returning the handle positioned for
     /// appending plus every intact record payload in write order.
     ///
-    /// The scan stops at the first record that fails to validate and
-    /// truncates the file there (see the module docs): a torn trailing
-    /// append disappears, never a completed one. One sequential read of the
-    /// whole file is charged to `counter`.
-    pub fn open(path: &Path, counter: Arc<IoCounter>) -> Result<(Wal, Vec<Vec<u8>>)> {
+    /// The scan stops at the first record that fails to validate. When an
+    /// intact record past it `continues(last, record)` the journal — `last`
+    /// being the last intact record before the damage — the damage is rot
+    /// and the open fails with [`Error::Corrupt`], touching nothing;
+    /// otherwise it is a torn tail and the file is truncated there (see
+    /// the module docs). One sequential read of the whole file is charged
+    /// to `counter`.
+    pub fn open(
+        path: &Path,
+        counter: Arc<IoCounter>,
+        continues: impl Fn(Option<&[u8]>, &[u8]) -> bool,
+    ) -> Result<(Wal, Vec<Vec<u8>>)> {
         let mut file = counter.vfs().open_read_write(path)?;
         let file_len = file.len()?;
         let mut bytes = vec![0u8; file_len as usize];
@@ -103,7 +120,14 @@ impl Wal {
         let b = counter.block_size() as u64;
         counter.charge_read((bytes.len() as u64).div_ceil(b).max(1), bytes.len() as u64);
 
-        let scan = scan_bytes(&bytes, path)?;
+        let scan = scan_bytes(&bytes, path, continues)?;
+        if let Some(at) = scan.rot {
+            return Err(Error::corrupt(format!(
+                "journal {}: {}",
+                path.display(),
+                scan.rot_description(at)
+            )));
+        }
         let pos = scan.valid_len;
         if pos < file_len {
             // Drop the torn tail so appends extend a clean log.
@@ -124,15 +148,21 @@ impl Wal {
     }
 
     /// Read-only scan of the journal at `path`: every intact record, where
-    /// each one ends, and how much of the file validates — without
-    /// truncating anything. This is `fsck`'s view: it can report a torn or
-    /// corrupt tail (`valid_len < file_len`) and leave the evidence on
-    /// disk. One sequential read of the whole file is charged.
-    pub fn scan(path: &Path, counter: &IoCounter) -> Result<WalScan> {
+    /// each one ends, how much of the file validates, and whether the
+    /// damage after that is rot by the caller's `continues` rule (see
+    /// [`Wal::open`]) — without truncating anything. This is `fsck`'s
+    /// view: it can report a torn or rotten tail (`valid_len < file_len`)
+    /// and leave the evidence on disk. One sequential read of the whole
+    /// file is charged.
+    pub fn scan(
+        path: &Path,
+        counter: &IoCounter,
+        continues: impl Fn(Option<&[u8]>, &[u8]) -> bool,
+    ) -> Result<WalScan> {
         let bytes = counter.vfs().read(path)?;
         let b = counter.block_size() as u64;
         counter.charge_read((bytes.len() as u64).div_ceil(b).max(1), bytes.len() as u64);
-        scan_bytes(&bytes, path)
+        scan_bytes(&bytes, path, continues)
     }
 
     /// Append one record and fsync it. When this returns `Ok`, the record
@@ -532,11 +562,33 @@ pub struct WalScan {
     /// Actual file length. `valid_len < file_len` means a torn or corrupt
     /// tail follows the intact prefix.
     pub file_len: u64,
+    /// Offset of the first intact record past the damage at `valid_len`
+    /// that continues the journal: `Some` means the damage is rot, which
+    /// recovery refuses, not a torn tail.
+    pub rot: Option<u64>,
 }
 
-/// Walk `bytes` as a WAL image: magic check, then the intact record
-/// prefix. Shared by the truncating open and the read-only scan.
-fn scan_bytes(bytes: &[u8], path: &Path) -> Result<WalScan> {
+impl WalScan {
+    /// One-line account of rot whose continuing record sits at `at`.
+    pub fn rot_description(&self, at: u64) -> String {
+        format!(
+            "rot: the record at byte {} is damaged, but an intact record continues the journal \
+             at byte {at}; refusing to drop the {} bytes after the damage",
+            self.valid_len,
+            self.file_len - self.valid_len
+        )
+    }
+}
+
+/// Walk `bytes` as a WAL image: magic check, the intact record prefix,
+/// then — when damage ends it — a search of every later offset for an
+/// intact record that `continues` the journal. Shared by the open and the
+/// read-only scan.
+fn scan_bytes(
+    bytes: &[u8],
+    path: &Path,
+    continues: impl Fn(Option<&[u8]>, &[u8]) -> bool,
+) -> Result<WalScan> {
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(Error::corrupt(format!(
             "bad WAL magic in {}",
@@ -546,25 +598,29 @@ fn scan_bytes(bytes: &[u8], path: &Path) -> Result<WalScan> {
     let mut records = Vec::new();
     let mut record_ends = Vec::new();
     let mut pos = WAL_MAGIC.len();
-    // A failed decode is the torn (or absent) tail: keep the prefix.
     while let Some((payload, end)) = decode_record(bytes, pos) {
-        records.push(payload);
+        records.push(payload.to_vec());
         record_ends.push(end as u64);
         pos = end;
     }
+    let last = records.last().map(Vec::as_slice);
+    let rot = (pos + 1..bytes.len())
+        .find(|&at| decode_record(bytes, at).is_some_and(|(next, _)| continues(last, next)))
+        .map(|at| at as u64);
     Ok(WalScan {
         records,
         record_ends,
         valid_len: pos as u64,
         file_len: bytes.len() as u64,
+        rot,
     })
 }
 
 /// Decode the record starting at `pos`, returning `(payload, end offset)`
-/// when it fully validates and `None` when the bytes from `pos` on are a
-/// torn tail (short header, truncated payload, oversized length, or
-/// checksum mismatch).
-fn decode_record(bytes: &[u8], pos: usize) -> Option<(Vec<u8>, usize)> {
+/// when it fully validates and `None` when the bytes from `pos` on do not
+/// hold a whole record (short header, truncated payload, oversized
+/// length, or checksum mismatch).
+fn decode_record(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     let header_end = pos.checked_add(RECORD_HEADER_LEN)?;
     if header_end > bytes.len() {
         return None;
@@ -582,7 +638,7 @@ fn decode_record(bytes: &[u8], pos: usize) -> Option<(Vec<u8>, usize)> {
     if codec::crc32(payload) != crc {
         return None;
     }
-    Some((payload.to_vec(), end))
+    Some((payload, end))
 }
 
 #[cfg(test)]
@@ -599,6 +655,13 @@ mod tests {
         dir.path().join("test.wal")
     }
 
+    /// A continuation rule for payloads whose first byte is a sequence
+    /// number: an intact record continues the journal when it numbers
+    /// past the last intact one.
+    fn seq_rule(last: Option<&[u8]>, next: &[u8]) -> bool {
+        next.first() > last.and_then(|l| l.first())
+    }
+
     #[test]
     fn create_append_reopen_round_trip() {
         let dir = TempDir::new("wal").unwrap();
@@ -609,7 +672,7 @@ mod tests {
             w.append(b"").unwrap();
             w.append(&[7u8; 300]).unwrap();
         }
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
+        let (_w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0], b"alpha");
         assert_eq!(records[1], b"");
@@ -625,11 +688,11 @@ mod tests {
             w.append(b"one").unwrap();
         }
         {
-            let (mut w, records) = Wal::open(&path, counter()).unwrap();
+            let (mut w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
             assert_eq!(records.len(), 1);
             w.append(b"two").unwrap();
         }
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
+        let (_w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 
@@ -647,7 +710,7 @@ mod tests {
         assert!(w.rollback_to(2).is_err(), "cannot roll into the header");
         w.append(b"after").unwrap();
         drop(w);
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
+        let (_w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records, vec![b"kept".to_vec(), b"after".to_vec()]);
     }
 
@@ -660,7 +723,7 @@ mod tests {
         w.truncate().unwrap();
         w.append(b"kept").unwrap();
         drop(w);
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
+        let (_w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records, vec![b"kept".to_vec()]);
     }
 
@@ -679,7 +742,7 @@ mod tests {
         for cut in intact_len..full_len {
             let torn = dir.path().join(format!("torn{cut}.wal"));
             std::fs::write(&torn, &bytes[..cut as usize]).unwrap();
-            let (mut reopened, records) = Wal::open(&torn, counter()).unwrap();
+            let (mut reopened, records) = Wal::open(&torn, counter(), seq_rule).unwrap();
             if cut == full_len {
                 assert_eq!(records.len(), 2);
             } else {
@@ -692,7 +755,7 @@ mod tests {
             // The log stays appendable after tail truncation.
             reopened.append(b"post-recovery").unwrap();
             drop(reopened);
-            let (_w, records) = Wal::open(&torn, counter()).unwrap();
+            let (_w, records) = Wal::open(&torn, counter(), seq_rule).unwrap();
             assert_eq!(records.last().unwrap(), &b"post-recovery".to_vec());
         }
     }
@@ -710,9 +773,65 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let (w, records) = Wal::open(&path, counter()).unwrap();
+        let (w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records, vec![b"good".to_vec()]);
         assert_eq!(w.len_bytes() as usize, keep, "invalid tail truncated");
+    }
+
+    #[test]
+    fn rot_before_a_continuing_record_is_refused_and_left_on_disk() {
+        let dir = TempDir::new("wal").unwrap();
+        let path = wal_path(&dir);
+        let mut w = Wal::create(&path, counter()).unwrap();
+        w.append(&[1, 10]).unwrap();
+        let damaged = w.len_bytes();
+        w.append(&[2, 20]).unwrap();
+        let next = w.len_bytes();
+        w.append(&[3, 30]).unwrap();
+        drop(w);
+        let clean = std::fs::read(&path).unwrap();
+        // Flip a payload byte, then a length byte, of the middle record.
+        for at in [damaged + RECORD_HEADER_LEN as u64 + 1, damaged] {
+            let mut bytes = clean.clone();
+            bytes[at as usize] ^= 0x04;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Wal::open(&path, counter(), seq_rule).unwrap_err();
+            assert!(err.is_corrupt(), "{err}");
+            assert!(err.to_string().contains("rot"), "{err}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "rot must not be truncated"
+            );
+            let scan = Wal::scan(&path, &counter(), seq_rule).unwrap();
+            assert_eq!((scan.records.len(), scan.valid_len), (1, damaged));
+            assert_eq!(scan.rot, Some(next));
+            // Under a rule that sees no continuation, it is a torn tail.
+            let (_w, records) = Wal::open(&path, counter(), |_, _| false).unwrap();
+            assert_eq!(records, vec![vec![1u8, 10]]);
+        }
+    }
+
+    #[test]
+    fn a_stale_record_past_a_tear_does_not_continue_the_journal() {
+        // An intact record numbered at or below the last intact one is not
+        // a continuation: the damage before it is still a torn tail.
+        let dir = TempDir::new("wal").unwrap();
+        let path = wal_path(&dir);
+        let mut w = Wal::create(&path, counter()).unwrap();
+        w.append(&[5]).unwrap();
+        w.append(&[6]).unwrap();
+        w.append(&[4]).unwrap();
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let second = WAL_MAGIC.len() + RECORD_HEADER_LEN + 1;
+        bytes[second + RECORD_HEADER_LEN] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = Wal::scan(&path, &counter(), seq_rule).unwrap();
+        assert_eq!(scan.rot, None);
+        let (w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
+        assert_eq!(records, vec![vec![5u8]]);
+        assert_eq!(w.len_bytes(), second as u64, "the torn tail is truncated");
     }
 
     #[test]
@@ -720,9 +839,13 @@ mod tests {
         let dir = TempDir::new("wal").unwrap();
         let path = wal_path(&dir);
         std::fs::write(&path, b"NOTAWAL!").unwrap();
-        assert!(Wal::open(&path, counter()).unwrap_err().is_corrupt());
+        assert!(Wal::open(&path, counter(), seq_rule)
+            .unwrap_err()
+            .is_corrupt());
         std::fs::write(&path, b"KC").unwrap();
-        assert!(Wal::open(&path, counter()).unwrap_err().is_corrupt());
+        assert!(Wal::open(&path, counter(), seq_rule)
+            .unwrap_err()
+            .is_corrupt());
     }
 
     #[test]
@@ -751,7 +874,7 @@ mod tests {
         assert_eq!(lsn, 3, "LSNs keep counting across truncation");
         group.wait_durable(lsn, false).unwrap();
         drop(group);
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
+        let (_w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records, vec![b"z".to_vec()]);
     }
 
@@ -770,7 +893,7 @@ mod tests {
         assert_eq!(third, 3, "rolled-back LSN 2 is consumed, not reused");
         group.wait_durable(third, false).unwrap();
         drop(group);
-        let (_w, records) = Wal::open(&path, counter()).unwrap();
+        let (_w, records) = Wal::open(&path, counter(), seq_rule).unwrap();
         assert_eq!(records, vec![b"kept".to_vec(), b"after".to_vec()]);
     }
 

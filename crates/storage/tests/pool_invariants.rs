@@ -144,48 +144,6 @@ proptest! {
     }
 }
 
-/// A lease teardown mid-traffic is an invalidation of exactly the leased
-/// ids: the surviving graph's frames stay, and the pool keeps honouring its
-/// budget afterwards.
-#[test]
-fn lease_teardown_under_traffic_keeps_budget_and_neighbours() {
-    let frames = 6u64;
-    let pool = SharedPool::new(BLOCK, frames * BLOCK as u64).unwrap();
-    let survivor = pool.register(1).unwrap();
-    let mut rng = Lcg::new(0xDECAF);
-    for round in 0..40 {
-        let doomed = pool.register(2).unwrap();
-        for _ in 0..30 {
-            let (file, i) = match rng.below(3) {
-                0 => (survivor.file_id(0), 0u32),
-                k => (doomed.file_id(k - 1), k),
-            };
-            let block = rng.below(BLOCKS_PER_FILE as u32) as u64;
-            pool.with_cache_mut(|cache| {
-                cache.get_or_load(file, block, 4, |buf| {
-                    buf.fill(stamp(i, block));
-                    Ok(())
-                })
-            })
-            .unwrap();
-            assert!(
-                pool.resident_bytes() <= pool.budget_bytes(),
-                "round {round}"
-            );
-        }
-        let doomed_ids = [doomed.file_id(0), doomed.file_id(1)];
-        drop(doomed);
-        let keys = pool.resident_keys();
-        assert!(
-            keys.iter().all(|(f, _)| !doomed_ids.contains(f)),
-            "round {round}: dropped lease left frames"
-        );
-        assert!(pool.resident_bytes() <= pool.budget_bytes());
-    }
-    drop(survivor);
-    assert_eq!(pool.resident_frames(), 0);
-}
-
 /// Stress one shared pool from many threads at once: eight pooled opens of
 /// one graph — how a service serves graphs on different threads — hammer
 /// random adjacency lists under a budget far smaller than the graph,

@@ -72,7 +72,6 @@ proptest! {
         for name in TENANTS {
             let w = 1 + rng.below(8);
             ctl.set_weight(name, w);
-            prop_assert_eq!(ctl.weight_of(name), w);
         }
 
         let mut pending: Vec<(usize, PendingAdmission)> = Vec::new();

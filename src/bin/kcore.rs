@@ -285,14 +285,20 @@ fn main() -> graphstore::Result<()> {
             // Fold the named graph's buffered edits into a fresh v3
             // generation of table files (the same commit protocol the
             // serving path uses at its threshold), truncating its update
-            // buffer and journal.
+            // buffer and journal. With nothing to fold it only
+            // checkpoints.
             let [dir, name] = Cli::parse(args, &[], &[]).positionals();
             let opts = kcore_suite::DurableOptions::default();
             let svc = CoreService::open_catalog(Path::new(&dir), opts, StdVfs::arc())?;
+            let before = svc.generation(&name)?;
             let generation = svc.compact(&name)?;
-            println!(
-                "compacted {name}: now generation {generation} (update buffer and journal empty)"
-            );
+            if generation == before {
+                println!("nothing to fold: still generation {generation}");
+            } else {
+                println!(
+                    "compacted {name}: now generation {generation} (update buffer and journal empty)"
+                );
+            }
         }
         _ => usage(),
     }

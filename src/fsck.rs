@@ -15,10 +15,11 @@
 //!    after compaction; magic + CRC) and checks its vectors against the
 //!    graph's node count;
 //! 3. scans the **journal** (`<name>.wal`) read-only: magic and per-record
-//!    framing CRCs, then every record through recovery's own rule
-//!    (`JournalReplay`: decodable, covered by the checkpoint or else
-//!    gap-free and in range), so fsck flags exactly the records recovery
-//!    would refuse;
+//!    framing CRCs — damage followed by an intact record that continues
+//!    the journal is rot, which recovery refuses, not a torn tail — then
+//!    every record through recovery's own rule (`JournalReplay`:
+//!    decodable, covered by the checkpoint or else gap-free and in range),
+//!    so fsck flags exactly the records recovery would refuse;
 //! 4. sweeps for **generation debris**: stale `.rewrite` flush temps
 //!    beside the live tables, and off-generation table/checkpoint files —
 //!    what a compaction leaves when it crashes before its catalog commit
@@ -26,8 +27,8 @@
 //!    generation's).
 //!
 //! With `repair` set, two classes of problem are fixed. The *journal
-//! tail* problems — a torn or CRC-damaged tail, or a record the rule
-//! refuses — are repaired by truncating the journal back to its
+//! tail* problems — a torn or rotten tail, or a record the rule refuses
+//! — are repaired by truncating the journal back to its
 //! longest good prefix, which makes the next
 //! [`crate::CoreService::open_catalog`] recover the checkpoint plus
 //! exactly that prefix (the "fall back to the last good checkpoint"
@@ -259,6 +260,26 @@ impl JournalReplay {
     }
 }
 
+/// The journal's rot rule, shared by recovery and fsck (see
+/// [`graphstore::wal`]): an intact record `next` found past damage
+/// continues the journal when it decodes as a record whose sequence
+/// number is above the last intact record's before the damage (`last`;
+/// any number when the damage struck the first record). A torn final
+/// write cannot be followed by such a record, so the damage is rot and
+/// the records past it were acknowledged.
+pub(crate) fn continues_journal(last: Option<&[u8]>, next: &[u8]) -> bool {
+    let seq = |record: &[u8]| {
+        let (seq, op) = record.split_first_chunk::<8>()?;
+        MaintainOp::decode(op).ok()?;
+        Some(u64::from_le_bytes(*seq))
+    };
+    match (seq(next), last.map(seq)) {
+        (Some(next), Some(Some(last))) => next > last,
+        (Some(_), None) => true,
+        _ => false,
+    }
+}
+
 /// The tables a durable graph references are immutable between
 /// compactions: found in another encoding than catalogued, they were
 /// replaced behind the catalog's back, and the checkpointed state may
@@ -377,7 +398,7 @@ pub(crate) fn check_journal(
 ) {
     let (name, path) = (entry.name.as_str(), wal_path(dir, &entry.name));
     let counter = IoCounter::with_vfs(block_size, Arc::clone(vfs));
-    let scan = match Wal::scan(&path, &counter) {
+    let scan = match Wal::scan(&path, &counter, continues_journal) {
         Ok(scan) => scan,
         Err(e) => {
             // Bad magic or missing file: the journal carries no decodable
@@ -391,17 +412,20 @@ pub(crate) fn check_journal(
 
     // Framing-valid prefix vs. physical length: a torn tail is the normal
     // crash signature (recovery tolerates it silently), but fsck reports
-    // it so `--repair` can scrub the evidence.
+    // it so `--repair` can scrub the evidence. Rot — damage with the
+    // journal continuing past it — is what recovery refuses; `--repair`
+    // cuts the journal back to the intact prefix, as for every refused
+    // record.
     if scan.valid_len < scan.file_len {
         let repaired = repair && truncate_to(&path, scan.valid_len, vfs).is_ok();
-        report.push(
-            Some(name),
-            format!(
+        let problem = match scan.rot {
+            Some(at) => format!("journal {}", scan.rot_description(at)),
+            None => format!(
                 "torn journal tail: {} trailing bytes after the last whole record",
                 scan.file_len - scan.valid_len
             ),
-            repaired,
-        );
+        };
+        report.push(Some(name), problem, repaired);
     }
 
     // Without readable tables and checkpoint there is no recovery for the

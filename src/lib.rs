@@ -173,13 +173,18 @@ impl CoreIndex {
         ))
     }
 
-    /// Compaction's swap: move onto `disk`, the same graph as new tables,
-    /// behind an empty buffer of `capacity` entries. State and engine stay
-    /// put (nothing node-sized is copied); a node-count mismatch is refused
-    /// with the index untouched.
-    pub(crate) fn adopt_tables(&mut self, disk: DiskGraph, capacity: usize) -> Result<()> {
+    /// Compaction's swap: move onto `disk`, new tables of the same graph,
+    /// behind a buffer holding exactly `pending` — the live edits rebased
+    /// onto `disk` ([`graphstore::rebase_edits`]), so the merged view does
+    /// not change. State and engine stay put (nothing node-sized is
+    /// copied); a node-count mismatch is refused with the index untouched.
+    pub(crate) fn adopt_tables(
+        &mut self,
+        disk: DiskGraph,
+        pending: &[(u32, u32, bool)],
+    ) -> Result<()> {
         check_covers(&self.state, &disk)?;
-        self.graph = BufferedGraph::new(disk, capacity);
+        self.graph.adopt(disk, pending);
         self.decompose_stats = RunStats::new("Restored");
         Ok(())
     }
@@ -344,7 +349,7 @@ mod tests {
         let other = dir.path().join("h");
         CoreIndex::create(&other, [(0, 1), (2, 3)], 4).unwrap();
         let disk = |base: &Path| DiskGraph::open(base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        let err = idx.adopt_tables(disk(&other), 8).unwrap_err();
+        let err = idx.adopt_tables(disk(&other), &[]).unwrap_err();
         assert!(err.is_corrupt(), "{err:?}");
         assert_eq!(idx.cores(), &[2, 2, 2]);
         assert!(
@@ -355,10 +360,18 @@ mod tests {
         idx.delete_edge(0, 1).unwrap();
         let rewritten = dir.path().join("g1");
         idx.graph_mut().rewrite_to(&rewritten).unwrap();
-        idx.adopt_tables(disk(&rewritten), 8).unwrap();
+        idx.adopt_tables(disk(&rewritten), &[]).unwrap();
         assert_eq!(idx.cores(), &[1, 1, 1]);
         assert!(idx.verify().unwrap());
         assert!(!idx.has_edge(0, 1).unwrap());
+        assert_eq!(idx.graph_mut().pending_edits(), 0);
+
+        // Adopting with rebased edits keeps them pending over the tables.
+        idx.insert_edge(0, 1).unwrap();
+        idx.adopt_tables(disk(&rewritten), &[(0, 1, true)]).unwrap();
+        assert_eq!(idx.graph_mut().pending_net_edits(), vec![(0, 1, true)]);
+        assert_eq!((idx.num_edges(), idx.cores()), (3, &[2, 2, 2][..]));
+        assert!(idx.verify().unwrap());
     }
 
     #[test]

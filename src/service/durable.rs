@@ -10,20 +10,22 @@
 //! journal is a [`GroupCommitWal`], and [`DurableOptions::group_commit`]
 //! only sets its gather window.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use graphstore::{
-    Catalog, CatalogEntry, DiskGraph, FormatVersion, GroupCommitOptions, GroupCommitWal, IoCounter,
-    Result, SharedPool, StateCheckpoint, Vfs, Wal,
+    Catalog, CatalogEntry, DiskGraph, FormatVersion, GraphPaths, GroupCommitOptions,
+    GroupCommitWal, IoCounter, Result, SharedPool, StateCheckpoint, UpdateBuffer, Vfs, Wal,
 };
 use semicore::{CoreState, MaintainOp, MaintainStats};
 
 use super::health::HealthState;
 use super::{lock_meta, lock_served, not_serving, CoreService, DurableOptions, Served, Slot};
-use crate::fsck::{check_format, ckpt_path, encode_record, wal_path, JournalReplay};
+use crate::fsck::{
+    check_format, ckpt_path, continues_journal, encode_record, wal_path, JournalReplay,
+};
 use crate::CoreIndex;
 
 /// Update-buffer capacity for durable graphs: self-flush is disabled (a
@@ -32,7 +34,7 @@ use crate::CoreIndex;
 /// *actual* memory bound comes from the service instead: once a graph's
 /// pending edits reach [`DurableOptions::compact_after_edits`] the apply
 /// path runs a generational compaction, which rewrites the tables
-/// *through* the commit protocol and empties the buffer.
+/// *through* the commit protocol and folds the buffer into them.
 pub(super) const DURABLE_BUFFER_CAPACITY: usize = usize::MAX;
 
 /// Durability state of a service with a data directory.
@@ -49,6 +51,36 @@ pub(super) struct Durable {
     /// advisory `checkpoint_seq`). Only [`Durable::commit`] changes its
     /// shape, and only after the manifest holding the change is written.
     entries: Mutex<HashMap<String, CatalogEntry>>,
+    /// Graphs with a compaction between its split and the end of its
+    /// join: at most one per name, across repairs and evictions, because
+    /// two would write the same next-generation files.
+    folding: Mutex<HashSet<String>>,
+    /// Where a test parks compaction stages (see [`park::StagePark`]).
+    #[cfg(test)]
+    pub(super) park: Mutex<Option<Arc<park::StagePark>>>,
+}
+
+/// A claim on a graph's one compaction slot, released on drop.
+struct FoldClaim<'a> {
+    durable: &'a Durable,
+    name: String,
+}
+
+impl Drop for FoldClaim<'_> {
+    fn drop(&mut self) {
+        lock_meta(&self.durable.folding).remove(&self.name);
+    }
+}
+
+/// What a compaction's split hands its stage and join.
+struct Split {
+    /// The catalog entry at the split: generation `G`, whose tables the
+    /// stage reads and which must still be committed at the join.
+    entry: CatalogEntry,
+    /// The frozen net edits `F` the stage folds into generation `G + 1`.
+    folded: Vec<(u32, u32, bool)>,
+    /// Base path of generation `G + 1`.
+    new_base: PathBuf,
 }
 
 impl Durable {
@@ -63,7 +95,28 @@ impl Durable {
                 max_delay: Duration::ZERO,
             }),
             entries: Mutex::new(committed.into_iter().map(|e| (e.name.clone(), e)).collect()),
+            folding: Mutex::default(),
+            #[cfg(test)]
+            park: Mutex::default(),
         }
+    }
+
+    /// Claim `name`'s compaction slot; `None` while another compaction of
+    /// it is in flight.
+    fn claim_fold(&self, name: &str) -> Option<FoldClaim<'_>> {
+        lock_meta(&self.folding)
+            .insert(name.to_string())
+            .then(|| FoldClaim {
+                durable: self,
+                name: name.to_string(),
+            })
+    }
+
+    /// True while a compaction of `name` is between its split and the end
+    /// of its join — its next-generation files are work in progress, not
+    /// debris.
+    pub(super) fn is_folding(&self, name: &str) -> bool {
+        lock_meta(&self.folding).contains(name)
     }
 
     fn journal(&self, wal: Wal) -> Result<Arc<GroupCommitWal>> {
@@ -158,15 +211,16 @@ impl CoreService {
     ///    → apply it to the index;
     /// 2. **join** once, still under the lock: every `checkpoint_every`
     ///    ops the maintained state is checkpointed and the journal
-    ///    truncated, and past
-    ///    [`compact_after_edits`](DurableOptions::compact_after_edits)
-    ///    the graph is compacted;
+    ///    truncated;
     /// 3. **barrier** after the lock is released: one fsync wait on the
     ///    last staged record, so the next writer stages while this
     ///    batch's fsync is in flight and concurrent writers share
     ///    barriers. The batch is **acknowledged only after the barrier**,
     ///    so a crash at any instant loses at most ops whose success was
-    ///    never reported.
+    ///    never reported. Past
+    ///    [`compact_after_edits`](DurableOptions::compact_after_edits)
+    ///    the batch then compacts the graph ([`CoreService::compact`],
+    ///    whose rewrite runs without the lock) before it returns.
     ///
     /// Error semantics: ops are applied in order until the first failure;
     /// the already-applied prefix *stays* applied and is made durable
@@ -186,6 +240,9 @@ impl CoreService {
         let before = served.index.format_version();
         let (res, staged_lsn) = self.commit_locked(name, &mut served, ops, &health);
         self.note_format(name, &handle, before, &served);
+        let fold_due = self.durable.as_ref().filter(|d| {
+            res.is_ok() && served.index.graph_mut().pending_edits() >= d.compact_after_edits
+        });
         let journal = served.wal.clone();
         // The barrier is crossed *after* the graph lock is gone: the next
         // writer can validate, journal and apply while this batch is
@@ -205,6 +262,12 @@ impl CoreService {
         }
         if let Err(e) = &res {
             lock_meta(&health).record_failure(e, "maintenance failed");
+        }
+        // Threshold compaction: the staged ops are durable already, so
+        // their fate must not ride on it — its failure only moves the
+        // health machine.
+        if let Some(d) = fold_due {
+            let _ = self.compact_served(d, name, &handle, &health);
         }
         res
     }
@@ -302,7 +365,8 @@ impl CoreService {
     }
 
     /// [`CoreService::apply_batch`] past the registry/health gate, with
-    /// the graph's lock held: stage every op, then join once. Returns the
+    /// the graph's lock held: stage every op, then join once (the
+    /// threshold checkpoint). Returns the
     /// outcome plus the LSN of the last staged record — even when the
     /// outcome is an error, so the caller's barrier still covers the
     /// applied prefix before anything is reported.
@@ -341,14 +405,6 @@ impl CoreService {
                             "threshold checkpoint hit a full disk: {e}"
                         ));
                     }
-                }
-            }
-            // Threshold compaction: same rule, the staged ops' fate must
-            // not ride on it — its failure only moves the health machine.
-            if served.index.graph_mut().pending_edits() >= d.compact_after_edits {
-                let mut committed = false;
-                if let Err(e) = self.compact_locked(d, name, served, &mut committed) {
-                    lock_meta(health).record_compact_failure(&e, committed);
                 }
             }
         }
@@ -437,35 +493,43 @@ impl CoreService {
     }
 
     /// Compact the named graph **now**, regardless of the
-    /// [`DurableOptions::compact_after_edits`] threshold: rewrite its
-    /// current tables plus every buffered edit into a fresh *generation*
-    /// of v3 table files, commit the bumped generation in the catalog
-    /// manifest, then truncate the update buffer and the journal.
-    /// Afterwards the graph's checkpoint carries an empty edit list, so
-    /// recovery is one sequential table scan with nothing to replay.
-    /// Compaction is also the migration: a v1 graph's entry flips to v3 at
-    /// the same commit point as its generation. Returns the new generation
-    /// number.
+    /// [`DurableOptions::compact_after_edits`] threshold: fold its
+    /// buffered edits into a fresh *generation* of v3 table files and
+    /// commit the bumped generation in the catalog manifest. Returns the
+    /// graph's generation afterwards.
+    ///
+    /// A compaction costs what it changes:
+    ///
+    /// * **Empty fold.** With no net edit buffered and v3 tables there is
+    ///   nothing to rewrite: the call is a [`CoreService::save`] — the
+    ///   journal is truncated, no tables are written, and the unchanged
+    ///   generation is returned.
+    /// * **Real fold.** The `O(m)` rewrite runs **without the graph's
+    ///   lock**, beside the live graph, which keeps serving queries and
+    ///   acknowledging edits; only a short split (copy the buffer's net
+    ///   edits, `O(pending)`) and a short join (rebase the buffer, write
+    ///   a checkpoint, commit) hold it. Afterwards the buffer holds only
+    ///   the edits the rewrite did not fold, and recovery is one
+    ///   sequential table scan plus those.
+    ///
+    /// Compaction is also the migration: a v1 graph always rewrites, and
+    /// its entry flips to v3 at the same commit point as its generation.
+    /// One compaction per graph is in flight at a time: a call that finds
+    /// another one running returns the committed generation untouched.
     ///
     /// Errors on a non-durable service. A compaction that fails with an
     /// I/O or corruption error **quarantines** the graph: unlike a
     /// best-effort threshold checkpoint it may have died anywhere inside
     /// the multi-file commit protocol, and re-opening from the committed
     /// manifest is the safe way back (it recovers exactly the pre- or
-    /// post-compaction state, never a third).
+    /// post-compaction state, never a third). One that finds the graph
+    /// evicted, repaired, quarantined or read-only at its join abandons
+    /// with an error and leaves no catalogued trace.
     pub fn compact(&self, name: &str) -> Result<u64> {
         let d = self.durable("nothing to compact")?;
         let _permit = self.admit(name)?;
         let (handle, health) = self.served_for(name, true)?;
-        let mut served = lock_served(name, &handle, &health)?;
-        let before = served.index.format_version();
-        let mut committed = false;
-        let res = self.compact_locked(d, name, &mut served, &mut committed);
-        self.note_format(name, &handle, before, &served);
-        if let Err(e) = &res {
-            lock_meta(&health).record_compact_failure(e, committed);
-        }
-        res
+        self.compact_served(d, name, &handle, &health)
     }
 
     /// The named graph's current table generation (0 until its first
@@ -475,16 +539,83 @@ impl CoreService {
         d.entry(name).map(|e| e.generation)
     }
 
-    /// The generational compaction protocol, with the graph lock held.
-    /// Sync-point order (each a crash window the torture suite walks):
+    /// [`CoreService::compact`] past the registry/health gate: the split,
+    /// under the lock and `O(pending)` — claim the graph's one compaction
+    /// slot, copy the buffer's net edits `F`, mark the served state; or,
+    /// with nothing to fold over v3 tables, checkpoint and stop — then
+    /// [`CoreService::stage_fold`] without the lock and
+    /// [`CoreService::join_fold`] under it. A failure is routed to the
+    /// health machine by whether it struck before or after the catalog
+    /// commit.
+    fn compact_served(
+        &self,
+        d: &Durable,
+        name: &str,
+        handle: &Arc<Mutex<Served>>,
+        health: &Mutex<HealthState>,
+    ) -> Result<u64> {
+        let mut committed = false;
+        let res = (|| {
+            let (split, _claim) = {
+                let mut served = lock_served(name, handle, health)?;
+                let entry = d.entry(name)?;
+                let Some(claim) = d.claim_fold(name) else {
+                    return Ok(entry.generation);
+                };
+                let folded = served.index.graph_mut().pending_net_edits();
+                if folded.is_empty() && served.index.format_version() == FormatVersion::V3 {
+                    self.checkpoint_locked(d, name, &mut served)?;
+                    return Ok(entry.generation);
+                }
+                served.folding = true;
+                let split = Split {
+                    new_base: graphstore::generation_base(&entry.base, entry.generation + 1),
+                    entry,
+                    folded,
+                };
+                (split, claim)
+            };
+            let staged = self.stage_fold(&split);
+            self.join_fold(d, name, handle, health, &split, staged, &mut committed)
+        })();
+        if let Err(e) = &res {
+            lock_meta(health).record_compact_failure(e, committed);
+        }
+        res
+    }
+
+    /// The stage, without the graph's lock: rewrite generation `G`'s
+    /// immutable tables plus the frozen edits into generation `G + 1`
+    /// through the table writer (temp-free: the generation suffix is the
+    /// temp name until the catalog points at it). The old tables are read
+    /// through the stage's own unpooled handle, which moves no tenant's
+    /// pool residency, on the stage's own counter: opening a graph resets
+    /// its counter, and the graph's own is charged by live ops meanwhile.
+    fn stage_fold(&self, split: &Split) -> Result<()> {
+        let counter = IoCounter::with_vfs(self.pool.block_size(), Arc::clone(&self.vfs));
+        let mut source = DiskGraph::open(&split.entry.table_base(), counter)?;
+        let edits = UpdateBuffer::from_net_edits(&split.folded);
+        graphstore::rewrite_tables(&mut source, &edits, &split.new_base, |_v| {
+            #[cfg(test)]
+            if let Some(d) = &self.durable {
+                d.park_stage(_v);
+            }
+        })?;
+        Ok(())
+    }
+
+    /// The join, with the graph's lock held. Sync-point order (each a
+    /// crash window the torture suite walks):
     ///
-    /// 1. rewrite base ∪ buffered edits into `<base>.g<G>` tables — the
-    ///    generation suffix *is* the temp name until the catalog points
-    ///    at it (3 sync events in the table writer);
-    /// 2. write the new generation's checkpoint (`served.seq`, **empty**
-    ///    edits — they are baked into the new tables) at its
-    ///    generation-keyed path, leaving the old checkpoint untouched
-    ///    (3 sync events, atomic replace);
+    /// 1. abandon — before any write — if the graph was evicted,
+    ///    repaired, quarantined or degraded since the split, or the stage
+    ///    failed; else open the new tables against the pool (on the
+    ///    graph's counter, which the open resets);
+    /// 2. rebase the live buffer onto the new tables
+    ///    ([`graphstore::rebase_edits`], `O(pending)`) and write the new
+    ///    generation's checkpoint at `served.seq` with the rebased edits,
+    ///    at its generation-keyed path, leaving the old checkpoint
+    ///    untouched (3 sync events, atomic replace);
     /// 3. rewrite the catalog manifest with the bumped generation — THE
     ///    commit point: one rename atomically switches which tables and
     ///    which checkpoint recovery reads (3 sync events);
@@ -492,33 +623,78 @@ impl CoreService {
     ///    journaled record is `<= served.seq` and the committed
     ///    checkpoint sits exactly at `served.seq`, so recovery skips
     ///    them by sequence number whether or not the truncate landed;
-    /// 5. swap the live index onto the new tables in place (the
-    ///    maintained state is never copied) and drop the old
-    ///    generation's files (plain unlinks: no sync points, no new
-    ///    crash windows; failures leave orphans for fsck to sweep). The
-    ///    registered generation-0 base is the user's file and is never
-    ///    deleted; compaction output (g > 0) is service-owned.
-    fn compact_locked(
+    /// 5. swap the live index onto the new tables in place behind the
+    ///    rebased buffer (the maintained state is never copied) and drop
+    ///    the old generation's files (plain unlinks: no sync points, no
+    ///    new crash windows; failures leave orphans for fsck to sweep).
+    ///    The registered generation-0 base is the user's file and is
+    ///    never deleted; compaction output (g > 0) is service-owned.
+    ///
+    /// Ops acknowledged during the stage are in the live buffer and the
+    /// live state, so the checkpoint of step 2 covers them; threshold
+    /// checkpoints they triggered went to generation `G`'s path, which
+    /// stays the committed one until step 3.
+    #[allow(clippy::too_many_arguments)]
+    fn join_fold(
         &self,
         d: &Durable,
         name: &str,
-        served: &mut Served,
+        handle: &Arc<Mutex<Served>>,
+        health: &Mutex<HealthState>,
+        split: &Split,
+        staged: Result<()>,
         committed: &mut bool,
     ) -> Result<u64> {
-        let old = d.entry(name)?;
-        let new_gen = old.generation + 1;
-        let new_base = graphstore::generation_base(&old.base, new_gen);
-        served.index.graph_mut().rewrite_to(&new_base)?;
-        let counter = served.index.graph_mut().disk().counter().clone();
-        let state = served.index.maintained_state();
-        StateCheckpoint::write_parts(
-            &ckpt_path(&d.dir, name, new_gen),
-            &counter,
-            served.seq,
-            &state.core,
-            &state.cnt,
-            &[],
-        )?;
+        let new_gen = split.entry.generation + 1;
+        type Prepared<'a> = (MutexGuard<'a, Served>, DiskGraph, Vec<(u32, u32, bool)>);
+        let prepared = || -> Result<Prepared<'_>> {
+            let mut served = lock_served(name, handle, health)?;
+            // The split's mark is gone when a repair rebuilt the state.
+            let rebuilt = !std::mem::take(&mut served.folding);
+            // The abandonment rule, checked ahead of a stage failure (a
+            // repair sweeping the stage's files is what failed it): the
+            // graph must still take writes, be registered under `name`
+            // and catalogued at `G`, and not have been rebuilt.
+            lock_meta(health).gate(name, true)?;
+            let registry = self.registry();
+            if !registry
+                .get(name)
+                .is_some_and(|s| Arc::ptr_eq(&s.handle, handle))
+            {
+                return Err(not_serving(name));
+            }
+            drop(registry);
+            if rebuilt || d.entry(name)?.generation != split.entry.generation {
+                return Err(graphstore::Error::InvalidArgument(format!(
+                    "compaction of {name:?} abandoned: the graph was rebuilt while it ran"
+                )));
+            }
+            staged?;
+            let counter = served.index.graph_mut().disk().counter().clone();
+            let charge = split.entry.charge_bytes;
+            let disk =
+                DiskGraph::open_pooled(&split.new_base, counter.clone(), &self.pool, charge)?;
+            let live = served.index.graph_mut().pending_net_edits();
+            let pending = graphstore::rebase_edits(&live, &split.folded);
+            let state = served.index.maintained_state();
+            StateCheckpoint::write_parts(
+                &ckpt_path(&d.dir, name, new_gen),
+                &counter,
+                served.seq,
+                &state.core,
+                &state.cnt,
+                &pending,
+            )?;
+            Ok((served, disk, pending))
+        };
+        let (mut served, disk, pending) = prepared().inspect_err(|_| {
+            // Nothing is catalogued yet: the stage's files are debris.
+            let staged = CatalogEntry {
+                generation: new_gen,
+                ..split.entry.clone()
+            };
+            self.remove_generation_files(d, &staged);
+        })?;
         let seq = served.seq;
         d.commit(&self.pool, self.vfs.as_ref(), |entries| {
             if let Some(e) = entries.get_mut(name) {
@@ -534,10 +710,11 @@ impl CoreService {
         if let Some(journal) = &served.wal {
             journal.truncate_satisfy()?;
         }
-        served.ck_seq = served.seq;
-        let disk = DiskGraph::open_pooled(&new_base, counter, &self.pool, old.charge_bytes)?;
-        served.index.adopt_tables(disk, DURABLE_BUFFER_CAPACITY)?;
-        self.remove_generation_files(d, &old);
+        served.ck_seq = seq;
+        let before = served.index.format_version();
+        served.index.adopt_tables(disk, &pending)?;
+        self.note_format(name, handle, before, &served);
+        self.remove_generation_files(d, &split.entry);
         Ok(new_gen)
     }
 
@@ -550,7 +727,7 @@ impl CoreService {
             .vfs
             .remove_file(&ckpt_path(&d.dir, &entry.name, entry.generation));
         if entry.generation > 0 {
-            let paths = graphstore::GraphPaths::from_base(&entry.table_base());
+            let paths = GraphPaths::from_base(&entry.table_base());
             let _ = self.vfs.remove_file(&paths.nodes);
             let _ = self.vfs.remove_file(&paths.edges);
         }
@@ -678,7 +855,7 @@ impl CoreService {
         }
         // Replay the journal tail through the same typed-op dispatch used
         // live, admitting records by the one journal rule.
-        let (wal, records) = Wal::open(&wal_path(&d.dir, &entry.name), counter)?;
+        let (wal, records) = Wal::open(&wal_path(&d.dir, &entry.name), counter, continues_journal)?;
         let mut replay = JournalReplay::new(ck.seq, index.num_nodes());
         for record in records {
             let admitted = replay.admit(&record).map_err(|problem| {
@@ -693,6 +870,68 @@ impl CoreService {
             wal: Some(d.journal(wal)?),
             seq: replay.seq,
             ck_seq: ck.seq,
+            folding: false,
         })
+    }
+}
+
+/// The compaction stage's test seam.
+#[cfg(test)]
+pub(super) mod park {
+    use std::sync::{Condvar, Mutex};
+
+    use super::{lock_meta, Durable};
+
+    /// Parks compaction stages at one node of their rewrite until
+    /// released — the deterministic seam the tests use to act on a graph
+    /// while its compaction runs.
+    #[derive(Debug, Default)]
+    pub(in crate::service) struct StagePark {
+        /// The node ahead of which stages park.
+        node: u32,
+        /// (a stage is parked, the park is released)
+        state: Mutex<(bool, bool)>,
+        changed: Condvar,
+    }
+
+    impl StagePark {
+        /// A park ahead of `node`'s list.
+        pub(in crate::service) fn at(node: u32) -> StagePark {
+            StagePark {
+                node,
+                ..StagePark::default()
+            }
+        }
+
+        /// Block until a stage has parked.
+        pub(in crate::service) fn wait_parked(&self) {
+            let mut state = lock_meta(&self.state);
+            while !state.0 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        /// Let every parked stage (and every later one) run on.
+        pub(in crate::service) fn release(&self) {
+            lock_meta(&self.state).1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl Durable {
+        /// Park the stage about to rewrite node `v` if the installed park
+        /// is at `v`.
+        pub(super) fn park_stage(&self, v: u32) {
+            let park = lock_meta(&self.park).clone();
+            let Some(park) = park.filter(|p| p.node == v) else {
+                return;
+            };
+            let mut state = lock_meta(&park.state);
+            state.0 = true;
+            park.changed.notify_all();
+            while !state.1 {
+                state = park.changed.wait(state).unwrap();
+            }
+        }
     }
 }

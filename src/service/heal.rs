@@ -122,7 +122,9 @@ impl CoreService {
     /// supervisor — and the report is returned either way. If a
     /// compaction swaps the table generation mid-scrub, the stale
     /// findings are discarded and an empty report returned; the next pass
-    /// rechecks the new generation. Errors on a non-durable service.
+    /// rechecks the new generation. While a compaction is in flight the
+    /// debris sweep is skipped: its stage is writing the next
+    /// generation's files. Errors on a non-durable service.
     pub fn scrub(&self, name: &str) -> Result<FsckReport> {
         let d = self.durable("nothing to scrub")?;
         let (handle, health) = self.slot_parts(name)?;
@@ -148,7 +150,11 @@ impl CoreService {
             // truncated the journal since.
             probe.ck_seq = Some(served.ck_seq);
             check_journal(&d.dir, &entry, probe, block_size, false, &vfs, &mut report);
-            check_generation_debris(&d.dir, &entry, false, &vfs, &mut report);
+            // An in-flight compaction's next-generation files are work in
+            // progress, not debris.
+            if !d.is_folding(name) {
+                check_generation_debris(&d.dir, &entry, false, &vfs, &mut report);
+            }
         }
         if report.unrepaired() > 0 {
             lock_meta(&health).quarantine(&format!(

@@ -46,10 +46,11 @@
 //! (checkpointed) update buffer, which is what makes recovery exact at
 //! any kill point. What bounds that accumulation is **generational
 //! compaction** ([`CoreService::compact`]): tables plus buffered edits
-//! are rewritten into a fresh generation of files and the catalog
-//! manifest's bumped generation number is the single commit point. The
-//! full crash-window analysis lives in ARCHITECTURE.md ("Durability" and
-//! "Compaction").
+//! are rewritten — beside the live graph, without its lock — into a
+//! fresh generation of files and the catalog manifest's bumped
+//! generation number is the single commit point; with nothing buffered,
+//! a compaction is just a checkpoint. The full crash-window analysis
+//! lives in ARCHITECTURE.md ("Durability" and "Compaction").
 //!
 //! ## Failure containment and self-healing
 //!
@@ -173,6 +174,10 @@ struct Served {
     seq: u64,
     /// Sequence number of the last completed checkpoint.
     ck_seq: u64,
+    /// Set by a compaction's split, taken back by its join: a join that
+    /// finds it clear knows a repair rebuilt the graph in between, and
+    /// abandons.
+    folding: bool,
 }
 
 impl Served {
@@ -183,6 +188,7 @@ impl Served {
             wal: None,
             seq: 0,
             ck_seq: 0,
+            folding: false,
         }
     }
 }
@@ -1051,6 +1057,239 @@ mod tests {
         // Compacted graphs keep taking durable updates.
         svc.delete_edge("g", 0, 3).unwrap();
         assert!(svc.verify("g").unwrap());
+    }
+
+    #[test]
+    fn compact_with_nothing_to_fold_is_a_checkpoint() {
+        let dir = TempDir::new("svc-compact").unwrap();
+        let data = dir.path().join("data");
+        let svc = create_durable(&data, 1 << 20).unwrap();
+        svc.create("g", &dir.path().join("g"), triangle_plus_tail(), 5)
+            .unwrap();
+        // Two journaled ops that cancel: nothing is left to fold.
+        svc.insert_edge("g", 1, 3).unwrap();
+        svc.delete_edge("g", 1, 3).unwrap();
+        let wal = data.join("g.wal");
+        assert!(std::fs::metadata(&wal).unwrap().len() > 8);
+        let cores = svc.cores("g").unwrap();
+
+        assert_eq!(svc.compact("g").unwrap(), 0, "the generation is unchanged");
+        assert_eq!(svc.generation("g").unwrap(), 0);
+        for file in ["g.g1.nodes", "g.g1.edges", "data/g.g1.ckpt"] {
+            assert!(!dir.path().join(file).exists(), "{file} was written");
+        }
+        assert_eq!(
+            std::fs::metadata(&wal).unwrap().len(),
+            8,
+            "journal not truncated"
+        );
+        let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
+        let ck = graphstore::StateCheckpoint::read(&data.join("g.ckpt"), &counter).unwrap();
+        assert_eq!((ck.seq, ck.edits.len()), (2, 0), "checkpoint at seq");
+        drop(svc);
+        let report = crate::fsck(&data, false).unwrap();
+        assert!(report.clean(), "{:?}", report.findings);
+        let svc = open_catalog(&data).unwrap();
+        assert_eq!(svc.cores("g").unwrap(), cores);
+        assert!(svc.verify("g").unwrap());
+    }
+
+    /// A 64-node ring with chords: enough nodes for a stage to park
+    /// halfway through its rewrite.
+    fn ring_with_chords() -> Vec<(u32, u32)> {
+        (0..64u32)
+            .flat_map(|v| [(v, (v + 1) % 64), (v, (v + 7) % 64)])
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect()
+    }
+
+    /// A durable service over the ring whose compaction stages park
+    /// halfway through until the returned park is released.
+    fn parked_ring(
+        dir: &TempDir,
+        opts: DurableOptions,
+    ) -> (Arc<CoreService>, Arc<durable::park::StagePark>) {
+        let data = dir.path().join("data");
+        let svc =
+            CoreService::create_durable(&data, DEFAULT_BLOCK_SIZE, 1 << 20, opts, StdVfs::arc())
+                .unwrap();
+        svc.create("g", &dir.path().join("g"), ring_with_chords(), 64)
+            .unwrap();
+        // The ring's 64 nodes: park halfway through the rewrite.
+        let park = Arc::new(durable::park::StagePark::at(32));
+        *lock_meta(&svc.durable.as_ref().unwrap().park) = Some(Arc::clone(&park));
+        (Arc::new(svc), park)
+    }
+
+    /// Toggle `(u, v)` through the service, keeping `present` in step.
+    fn toggle(
+        svc: &CoreService,
+        present: &mut std::collections::BTreeSet<(u32, u32)>,
+        e: (u32, u32),
+    ) {
+        if present.remove(&e) {
+            svc.delete_edge("g", e.0, e.1).unwrap();
+        } else {
+            present.insert(e);
+            svc.insert_edge("g", e.0, e.1).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_parked_compaction_stage_does_not_block_the_tenant() {
+        let dir = TempDir::new("svc-fold").unwrap();
+        let data = dir.path().join("data");
+        // Threshold checkpoints land during the stage, on generation 0.
+        let opts = DurableOptions {
+            checkpoint_every: 3,
+            ..Default::default()
+        };
+        let (svc, park) = parked_ring(&dir, opts);
+        let mut present: std::collections::BTreeSet<(u32, u32)> =
+            ring_with_chords().into_iter().collect();
+        for e in [(0, 1), (2, 40), (5, 6), (10, 30), (3, 50)] {
+            toggle(&svc, &mut present, e);
+        }
+        let split_seq = 5;
+
+        let compactor = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.compact("g"))
+        };
+        park.wait_parked();
+        // The stage is parked mid-rewrite without the lock: edits are
+        // acknowledged and queries answered meanwhile. Some undo folded
+        // edits, one redoes a folded edit, the rest are fresh.
+        for e in [
+            (0, 1),
+            (2, 40),
+            (7, 8),
+            (2, 40),
+            (11, 44),
+            (12, 13),
+            (1, 63),
+        ] {
+            toggle(&svc, &mut present, e);
+            assert!(svc.core("g", e.0).is_ok());
+        }
+        assert!(svc.verify("g").unwrap());
+        assert_eq!(
+            svc.generation("g").unwrap(),
+            0,
+            "G is committed until the join"
+        );
+        let ck = graphstore::StateCheckpoint::read(
+            &data.join("g.ckpt"),
+            &IoCounter::new(DEFAULT_BLOCK_SIZE),
+        )
+        .unwrap();
+        assert!(
+            ck.seq > split_seq,
+            "threshold checkpoints kept writing generation 0"
+        );
+        // One compaction in flight: a second starts nothing.
+        assert_eq!(svc.compact("g").unwrap(), 0);
+        park.release();
+        assert_eq!(compactor.join().unwrap().unwrap(), 1);
+
+        // After the join: the served edges, cores and Eq. 2 counters are
+        // the oracle of every op.
+        let oracle = CoreIndex::create(&dir.path().join("oracle"), present.iter().copied(), 64)
+            .unwrap()
+            .maintained_state()
+            .clone();
+        let want = (present, oracle.core, oracle.cnt);
+        let state = |svc: &CoreService| {
+            svc.with_graph("g", |idx| {
+                let graph = graphstore::snapshot_mem(idx.graph_mut())?;
+                let state = idx.maintained_state();
+                Ok((
+                    graph.edges().collect(),
+                    state.core.clone(),
+                    state.cnt.clone(),
+                ))
+            })
+            .unwrap()
+        };
+        assert_eq!(state(&svc), want);
+        assert!(svc.verify("g").unwrap());
+        let pending = svc
+            .with_graph("g", |idx| Ok(idx.graph_mut().pending_net_edits()))
+            .unwrap();
+        assert!(!pending.is_empty(), "edits after the split stay buffered");
+        assert!(!data.join("g.ckpt").exists(), "the old checkpoint is gone");
+        drop(svc);
+        let report = crate::fsck(&data, false).unwrap();
+        assert!(report.clean(), "{:?}", report.findings);
+        let svc = open_catalog(&data).unwrap();
+        assert_eq!(svc.generation("g").unwrap(), 1);
+        assert_eq!(state(&svc), want);
+        assert!(svc.verify("g").unwrap());
+        // And it folds what the first compaction left behind.
+        assert_eq!(svc.compact("g").unwrap(), 2);
+        assert_eq!(state(&svc), want);
+    }
+
+    #[test]
+    fn an_evict_repair_or_quarantine_during_a_parked_stage_leaves_no_catalogued_trace() {
+        for case in ["evict", "repair", "quarantine"] {
+            let dir = TempDir::new("svc-fold").unwrap();
+            let data = dir.path().join("data");
+            let (svc, park) = parked_ring(&dir, DurableOptions::default());
+            svc.insert_edge("g", 0, 2).unwrap();
+            let cores = svc.cores("g").unwrap();
+            let compactor = {
+                let svc = Arc::clone(&svc);
+                std::thread::spawn(move || svc.compact("g"))
+            };
+            park.wait_parked();
+            if case == "evict" {
+                svc.evict("g").unwrap();
+            } else {
+                let failed = svc.with_graph("g", |_| -> Result<()> {
+                    Err(graphstore::Error::Io(std::io::Error::other("injected")))
+                });
+                assert!(failed.is_err());
+                if case == "repair" {
+                    svc.repair("g").unwrap();
+                }
+            }
+            park.release();
+            let err = compactor.join().unwrap().unwrap_err();
+            for file in ["g.g1.nodes", "g.g1.edges", "data/g.g1.ckpt"] {
+                assert!(
+                    !dir.path().join(file).exists(),
+                    "{case}: {file} left behind"
+                );
+            }
+            match case {
+                "evict" => assert!(!svc.contains("g"), "{case}: {err}"),
+                "quarantine" => {
+                    assert!(err.is_quarantined(), "{case}: {err}");
+                    assert!(svc.quarantine_reason("g").unwrap().is_some());
+                }
+                _ => {
+                    assert!(
+                        matches!(err, graphstore::Error::InvalidArgument(_)),
+                        "{err}"
+                    );
+                    assert_eq!(svc.quarantine_reason("g").unwrap(), None, "{case}");
+                    assert_eq!(svc.generation("g").unwrap(), 0);
+                    assert_eq!(svc.cores("g").unwrap(), cores);
+                    assert!(svc.verify("g").unwrap());
+                }
+            }
+            drop(svc);
+            let report = crate::fsck(&data, false).unwrap();
+            assert!(report.clean(), "{case}: {:?}", report.findings);
+            let svc = open_catalog(&data).unwrap();
+            if case == "evict" {
+                assert!(svc.graph_names().is_empty());
+            } else {
+                assert_eq!(svc.generation("g").unwrap(), 0, "{case}");
+                assert_eq!(svc.cores("g").unwrap(), cores, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Mutex;
 
 use graphstore::{MemGraph, StdVfs, TempDir, DEFAULT_BLOCK_SIZE};
 use kcore_suite::{CoreService, DurableOptions};
@@ -90,7 +91,23 @@ proptest! {
             .unwrap();
         let mut present: BTreeSet<(u32, u32)> = base.iter().copied().collect();
         let mut rng = Lcg::new(seed);
-        for &e in &ops {
+        // Every seed also compacts twice back to back once, ahead of a
+        // seed-chosen op (or after the last): the second call finds
+        // nothing to fold and must be a checkpoint that keeps the
+        // generation. Drawn from its own stream, so the draws below are
+        // the ones each seed always made.
+        let twice_at = Lcg::new(seed ^ 0x5eed_f01d).below(ops.len() as u32 + 1) as usize;
+        for i in 0..=ops.len() {
+            if i == twice_at {
+                let generation = svc.compact(G).unwrap();
+                prop_assert_eq!(svc.compact(G).unwrap(), generation, "an empty fold moved");
+                let next = graphstore::generation_base(&dir.path().join("tort-base"), generation + 1);
+                prop_assert!(
+                    !graphstore::GraphPaths::from_base(&next).nodes.exists(),
+                    "an empty fold wrote tables"
+                );
+            }
+            let Some(&e) = ops.get(i) else { break };
             toggle(&svc, &mut present, e);
             match rng.below(4) {
                 0 => {
@@ -121,6 +138,82 @@ proptest! {
         drop(svc);
         let report = kcore_suite::fsck(&data, false).unwrap();
         prop_assert!(report.clean(), "fsck: {:?}", report.findings);
+    }
+}
+
+/// Compactions racing live writers: two threads toggle edges through the
+/// service while this one compacts back to back until they finish, so
+/// real folds rewrite beside acknowledged edits, and the threshold trigger
+/// and checkpoints fire between them. The served state must be the oracle
+/// of every acknowledged op, and a reopen must serve the same `cnt`. A
+/// stress net for the join's rebase; the service's unit tests force the
+/// interleavings deterministically with a parked stage.
+#[test]
+fn compactions_beside_live_writers_keep_every_acknowledged_op() {
+    for seed in 0..2u64 {
+        let dir = TempDir::new("compact-race").unwrap();
+        let data = dir.path().join("data");
+        let opts = DurableOptions {
+            checkpoint_every: 5,
+            compact_after_edits: 40,
+            ..DurableOptions::default()
+        };
+        let svc =
+            CoreService::create_durable(&data, DEFAULT_BLOCK_SIZE, BUDGET, opts, StdVfs::arc())
+                .unwrap();
+        let g = testutil::random_mem_graph(&mut Lcg::new(seed), 300, 1, 4);
+        let n = g.num_nodes();
+        svc.create(G, &dir.path().join("base"), g.edges(), n)
+            .unwrap();
+        let present = Mutex::new(g.edges().collect::<BTreeSet<_>>());
+        let folds = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (svc, present) = (&svc, &present);
+                    scope.spawn(move || {
+                        let mut rng = Lcg::new(seed * 7 + w);
+                        for _ in 0..300 {
+                            let (u, v) = (rng.below(n), rng.below(n));
+                            if u != v {
+                                toggle(svc, &mut present.lock().unwrap(), (u.min(v), u.max(v)));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let mut folds = 0;
+            while !writers.iter().all(|w| w.is_finished()) {
+                svc.compact(G).unwrap();
+                folds += 1;
+            }
+            folds
+        });
+        assert!(
+            svc.generation(G).unwrap() > 1,
+            "seed {seed}: {folds} calls folded little"
+        );
+        let present = present.into_inner().unwrap();
+        let want = oracle_cores(&MemGraph::from_edges(present.iter().copied(), n));
+        // The served edges, cores and Eq. 2 counters.
+        let state = |svc: &CoreService| {
+            svc.with_graph(G, |idx| {
+                let graph = graphstore::snapshot_mem(idx.graph_mut())?;
+                let state = idx.maintained_state();
+                Ok((
+                    graph.edges().collect::<BTreeSet<_>>(),
+                    state.core.clone(),
+                    state.cnt.clone(),
+                ))
+            })
+            .unwrap()
+        };
+        let live = state(&svc);
+        assert_eq!((&live.0, &live.1), (&present, &want), "seed {seed}");
+        assert!(svc.verify(G).unwrap());
+        drop(svc);
+        let report = kcore_suite::fsck(&data, false).unwrap();
+        assert!(report.clean(), "seed {seed}: {:?}", report.findings);
+        assert_eq!(state(&testutil::open_catalog(&data).unwrap()), live);
     }
 }
 

@@ -414,7 +414,8 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
     let (ins, del) = (MaintainOp::Insert, MaintainOp::Delete);
     let [a, b, c] = [ins(1, 3), ins(1, 4), del(0, 1)];
     // (damage, records, how many the rule admits above the checkpoint,
-    // whether it refuses one)
+    // whether it refuses one); the rot case then flips a payload byte of
+    // record 1 on disk
     let cases: Vec<(&str, Vec<Vec<u8>>, usize, bool)> = vec![
         (
             "none",
@@ -463,6 +464,12 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
             2,
             false,
         ),
+        (
+            "rot before a valid record",
+            vec![record(3, a), record(4, b), record(5, c)],
+            1,
+            true,
+        ),
     ];
     for (case, records, admitted, damaged) in cases {
         let dir = TempDir::new("journal-rule").unwrap();
@@ -476,10 +483,20 @@ fn recovery_and_fsck_agree_on_every_journal_record() {
             svc.save("g").unwrap();
         }
         let mut wal = Wal::create(&data.join("g.wal"), IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
-        for r in &records {
+        let mut rot_at = None;
+        for (i, r) in records.iter().enumerate() {
+            if i == 1 && case.starts_with("rot") {
+                rot_at = Some(wal.len_bytes() + 8 + 3);
+            }
             wal.append(r).unwrap();
         }
         drop(wal);
+        if let Some(at) = rot_at {
+            let path = data.join("g.wal");
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[at as usize] ^= 0x04;
+            std::fs::write(&path, bytes).unwrap();
+        }
 
         let refused = testutil::open_catalog(&data).is_err();
         let report = kcore_suite::fsck(&data, false).unwrap();

@@ -207,6 +207,14 @@ fn cli_builds_v3_compacts_v1_to_v3_and_refuses_the_retired_format_knobs() {
         ok && out.contains("serving: g(v3)") && out.contains("kmax = 2"),
         "{out}"
     );
+    // With nothing left to fold, a second `compact` only checkpoints.
+    let again = kcore(&["compact", data, "g"]);
+    let text = String::from_utf8_lossy(&again.stdout);
+    assert!(
+        again.status.success() && text.contains("nothing to fold: still generation 1"),
+        "stdout: {text}"
+    );
+    assert!(!Path::new(&format!("{raw}.g2.nodes")).exists());
 
     for refused in [
         &["build", edges, base, "--compress"][..],
