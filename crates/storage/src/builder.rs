@@ -16,9 +16,10 @@ use crate::tempdir::TempDir;
 /// Streaming writer producing the node-table/edge-table pair.
 ///
 /// Adjacency lists must be appended in ascending node order; nodes skipped
-/// over get degree zero. Node entries (12 bytes each) are accumulated in
-/// memory — `O(n)`, which the semi-external model permits — and flushed as
-/// the node table at [`DiskGraphWriter::finish`].
+/// over get degree zero. Each node's offset and degree (12 bytes) are
+/// accumulated in memory — `O(n)`, which the semi-external model permits —
+/// and packed into the node index at [`DiskGraphWriter::finish`], whose
+/// widths they decide (see [`crate::format`]).
 ///
 /// The edge-table encoding is chosen at creation
 /// ([`DiskGraphWriter::create_with_format`]): raw `u32` runs (v1) or
@@ -30,7 +31,9 @@ pub struct DiskGraphWriter {
     counter: Arc<IoCounter>,
     version: FormatVersion,
     num_nodes: u32,
-    node_entries: Vec<u8>,
+    /// Each appended node's edge-table offset and degree.
+    offsets: Vec<u64>,
+    degrees: Vec<u32>,
     edge_writer: BlockWriter,
     next_node: u32,
     degree_sum: u64,
@@ -58,7 +61,8 @@ impl DiskGraphWriter {
             counter,
             version,
             num_nodes,
-            node_entries: Vec::with_capacity(num_nodes as usize * 12),
+            offsets: Vec::with_capacity(num_nodes as usize),
+            degrees: Vec::with_capacity(num_nodes as usize),
             edge_writer,
             next_node: 0,
             degree_sum: 0,
@@ -70,8 +74,8 @@ impl DiskGraphWriter {
         // Nodes without adjacency get (current offset, degree 0).
         let offset = self.edge_writer.position();
         while self.next_node < v {
-            self.node_entries
-                .extend_from_slice(&format::encode_node_entry(offset, 0));
+            self.offsets.push(offset);
+            self.degrees.push(0);
             self.next_node += 1;
         }
     }
@@ -105,8 +109,8 @@ impl DiskGraphWriter {
             FormatVersion::V3 => codec::encode_group_run(nbrs, &mut self.encode_buf),
         }
         self.edge_writer.write_all(&self.encode_buf)?;
-        self.node_entries
-            .extend_from_slice(&format::encode_node_entry(offset, nbrs.len() as u32));
+        self.offsets.push(offset);
+        self.degrees.push(nbrs.len() as u32);
         self.next_node = v + 1;
         self.degree_sum += nbrs.len() as u64;
         Ok(())
@@ -125,15 +129,26 @@ impl DiskGraphWriter {
         self.edge_writer.finish()?.sync_all()?;
 
         // For v1 the measured payload is `4 · degree_sum` by construction.
+        let (dw, ow) = format::node_index_widths(&self.offsets, &self.degrees);
         let meta = format::GraphMeta {
             num_nodes: self.num_nodes,
             degree_sum: self.degree_sum,
             version: self.version,
             edge_bytes,
+            layout: format::NodeLayout::Packed {
+                degree_bits: dw,
+                offset_bits: ow,
+            },
         };
         let mut w = BlockWriter::create(&self.paths.nodes, self.counter.clone())?;
         w.write_all(&format::encode_node_header(&meta))?;
-        w.write_all(&self.node_entries)?;
+        let group = format::NODE_GROUP as usize;
+        let mut packed = Vec::with_capacity(meta.node_record_len() as usize);
+        for (offsets, degrees) in self.offsets.chunks(group).zip(self.degrees.chunks(group)) {
+            packed.clear();
+            format::encode_node_group(offsets, degrees, dw, ow, &mut packed);
+            w.write_all(&packed)?;
+        }
         w.finish()?.sync_all()?;
         // Both files are durable; now make their directory entries so.
         crate::io::sync_parent_dir(self.counter.vfs().as_ref(), &self.paths.nodes)?;

@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::cache::{BlockCache, CacheStats};
 use crate::error::{Error, Result};
-use crate::format::{self, FormatVersion, GraphMeta, GraphPaths};
+use crate::format::{self, FormatVersion, GraphMeta, GraphPaths, NodeLayout};
 use crate::io::{BlockReader, IoCounter, IoSnapshot};
 use crate::pool::{PoolLease, SharedPool};
 
@@ -36,7 +36,7 @@ struct CacheBinding {
     charge: Option<Arc<Mutex<BlockCache>>>,
     /// Keeps the pool's file ids reserved; dropping the graph drops it,
     /// which invalidates the graph's frames (pooled opens only).
-    lease: Option<PoolLease>,
+    _lease: Option<PoolLease>,
 }
 
 /// A read-only graph stored on disk as a node table + edge table pair.
@@ -44,10 +44,16 @@ struct CacheBinding {
 /// All reads are charged to the [`IoCounter`] supplied at open time, so the
 /// semi-external algorithms can report I/O exactly as the paper does. By
 /// default the struct holds only O(1) memory (two block readers, each with
-/// one frame and a read-ahead window); the node table is *not* cached in
-/// memory — the semi-external model keeps node *state* (core numbers,
-/// counts) in memory, not the node table itself, which is re-scanned from
-/// disk every iteration (§IV-A).
+/// one frame and a read-ahead window, plus the node-index group read
+/// last); the node table is *not* cached in memory — the semi-external
+/// model keeps node *state* (core numbers, counts) in memory, not the node
+/// table itself, which is re-scanned from disk every iteration (§IV-A).
+///
+/// A lookup in a packed node index ([`crate::format`]) that lands in a
+/// group other than the last one read requests the whole group in one
+/// request and keeps its bytes; later lookups in that group decode from
+/// them and request nothing. An ascending sweep is therefore one
+/// contiguous run of requests over the node table.
 ///
 /// [`DiskGraph::open_with_cache`] attaches a memory-budgeted buffer pool
 /// shared by both tables, realising the model's `M` parameter: resident
@@ -72,6 +78,10 @@ pub struct DiskGraph {
     binding: Option<CacheBinding>,
     /// Reusable decode buffer for the borrowed-adjacency path.
     adj_scratch: Vec<u32>,
+    /// The packed node-index group read last: its number and its bytes.
+    /// Dropped whenever the reader's buffers are, so no lookup decodes a
+    /// stale anchor.
+    group: Option<(u64, Vec<u8>)>,
 }
 
 impl DiskGraph {
@@ -119,7 +129,7 @@ impl DiskGraph {
             node_file: NODE_FILE,
             edge_file: EDGE_FILE,
             charge: None,
-            lease: None,
+            _lease: None,
         });
         Self::open_with_binding(GraphPaths::from_base(base), counter, binding)
     }
@@ -158,7 +168,7 @@ impl DiskGraph {
             node_file: lease.file_id(0),
             edge_file: lease.file_id(1),
             charge,
-            lease: Some(lease),
+            _lease: Some(lease),
         };
         Self::open_with_binding(GraphPaths::from_base(base), counter, Some(binding))
     }
@@ -170,6 +180,11 @@ impl DiskGraph {
     ) -> Result<DiskGraph> {
         let (mut node_reader, mut edge_reader) = Self::open_readers(&paths, &counter, &binding)?;
 
+        // Opening a graph is metadata work, not part of any measured run:
+        // the header and the edge magic are read straight from the files,
+        // charging no counter and seeding no cache frame. The counter may
+        // be a live tenant's (a compaction opens its new generation on
+        // it), so nothing here resets it.
         let meta = read_meta(&mut node_reader)?;
         if node_reader.file_len() != meta.node_file_len() {
             return Err(Error::corrupt(format!(
@@ -189,32 +204,16 @@ impl DiskGraph {
         // a mismatched pair (e.g. a v1 edge table renamed under a v3 node
         // table) would otherwise decode garbage.
         let mut edge_magic = [0u8; format::EDGE_HEADER_LEN as usize];
-        edge_reader.read_exact_at(0, &mut edge_magic)?;
+        edge_reader.read_uncharged(0, &mut edge_magic)?;
         if &edge_magic != meta.version.edge_magic() {
             return Err(Error::corrupt(format!(
                 "edge table magic does not match format {}",
                 meta.version.tag()
             )));
         }
-        // Opening a graph is metadata work, not part of any measured run:
-        // drop the buffered reader state (and cached frames) the header and
-        // magic reads seeded, then zero the counters — otherwise the
-        // current-block freebie would make the first measured request of
-        // block 0 free, skewing every cold-run figure.
+        // Both readers start cold: their first request is a seek.
         node_reader.invalidate();
         edge_reader.invalidate();
-        counter.reset();
-        if let Some(b) = binding.as_ref() {
-            // A graph-private cache starts its measurement fresh; a shared
-            // pool's counters belong to every registered graph and must
-            // survive another graph opening mid-measurement.
-            if b.lease.is_none() {
-                crate::io::lock_cache(&b.pool).reset_stats();
-            }
-            if let Some(ghost) = b.charge.as_ref() {
-                crate::io::lock_cache(ghost).reset_stats();
-            }
-        }
         Ok(DiskGraph {
             paths,
             meta,
@@ -223,6 +222,7 @@ impl DiskGraph {
             edge_reader,
             binding,
             adj_scratch: Vec::new(),
+            group: None,
         })
     }
 
@@ -315,13 +315,39 @@ impl DiskGraph {
         self.counter.snapshot()
     }
 
-    /// Read node `v`'s `(offset, degree)` entry from the node table (charged).
+    /// Read node `v`'s `(offset, degree)` entry from the node table
+    /// (charged; free when `v`'s packed group is the one read last).
     pub fn node_entry(&mut self, v: u32) -> Result<(u64, u32)> {
         Error::check_node(v, self.meta.num_nodes)?;
-        let e: [u8; format::NODE_ENTRY_LEN as usize] = self
-            .node_reader
-            .read_array_at(self.meta.node_entry_offset(v))?;
-        let (offset, degree) = format::decode_node_entry(&e);
+        let (offset, degree) = match self.meta.layout {
+            NodeLayout::Entries => {
+                let at = self.meta.node_record_span(v.into()).0;
+                let e: [u8; format::NODE_ENTRY_LEN as usize] =
+                    self.node_reader.read_array_at(at)?;
+                format::decode_node_entry(&e)
+            }
+            NodeLayout::Packed {
+                degree_bits,
+                offset_bits,
+            } => {
+                let g = u64::from(v / format::NODE_GROUP);
+                let bytes = match &mut self.group {
+                    Some((at, bytes)) if *at == g => bytes,
+                    slot => {
+                        // Zero padding past the record lets every decode
+                        // load 16 bytes at once.
+                        let len = self.meta.node_record_len() as usize;
+                        let mut bytes = slot.take().map(|(_, b)| b).unwrap_or_default();
+                        bytes.resize(len + 16, 0);
+                        let at = self.meta.node_record_span(g).0;
+                        self.node_reader.read_exact_at(at, &mut bytes[..len])?;
+                        &mut slot.insert((g, bytes)).1
+                    }
+                };
+                let i = (v % format::NODE_GROUP) as usize;
+                format::decode_node_group_entry(bytes, i, degree_bits, offset_bits)?
+            }
+        };
         // Lower bound of the run's extent: 4 bytes per id raw, at least the
         // control region for v3 groups. The v3 decoder enforces the exact
         // end itself.
@@ -409,22 +435,28 @@ impl DiskGraph {
     pub fn read_degrees(&mut self) -> Result<Vec<u32>> {
         let n = self.meta.num_nodes as usize;
         let mut degrees = Vec::with_capacity(n);
-        // Read entries in chunks to keep syscalls low; accounting is
-        // unaffected (sequential blocks are charged once either way).
-        const CHUNK: usize = 4096;
-        let mut raw = vec![0u8; CHUNK * format::NODE_ENTRY_LEN as usize];
-        let mut v = 0usize;
-        while v < n {
-            let take = CHUNK.min(n - v);
-            let bytes = take * format::NODE_ENTRY_LEN as usize;
-            self.node_reader
-                .read_exact_at(self.meta.node_entry_offset(v as u32), &mut raw[..bytes])?;
-            for i in 0..take {
-                let entry = &raw[i * format::NODE_ENTRY_LEN as usize..];
-                let (_, degree) = format::decode_node_entry(entry);
-                degrees.push(degree);
+        // Read records in chunks of about 4096 nodes to keep syscalls low;
+        // accounting is unaffected (sequential blocks are charged once
+        // either way).
+        let per = self.meta.nodes_per_record() as usize;
+        let len = self.meta.node_record_len() as usize;
+        let chunk = 4096 / per;
+        let mut raw = vec![0u8; chunk * len];
+        let mut r = 0usize;
+        while r * per < n {
+            let take = chunk.min((n - r * per).div_ceil(per));
+            let at = self.meta.node_record_span(r as u64).0;
+            self.node_reader.read_exact_at(at, &mut raw[..take * len])?;
+            for (i, record) in raw[..take * len].chunks_exact(len).enumerate() {
+                match self.meta.layout {
+                    NodeLayout::Entries => degrees.push(format::decode_node_entry(record).1),
+                    NodeLayout::Packed { degree_bits, .. } => {
+                        let nodes = per.min(n - (r + i) * per);
+                        format::decode_node_group_degrees(record, nodes, degree_bits, &mut degrees);
+                    }
+                }
             }
-            v += take;
+            r += take;
         }
         Ok(degrees)
     }
@@ -434,6 +466,7 @@ impl DiskGraph {
     /// does not re-open the files: after an on-disk replacement the graph
     /// must be re-opened (the update buffer's flush does both).
     pub fn invalidate_buffers(&mut self) {
+        self.group = None;
         self.node_reader.invalidate();
         self.edge_reader.invalidate();
     }
@@ -469,6 +502,7 @@ impl DiskGraph {
         }
         let (mut node_reader, edge_reader) =
             Self::open_readers(&self.paths, &self.counter, &self.binding)?;
+        self.group = None;
         self.meta = read_meta(&mut node_reader)?;
         self.node_reader = node_reader;
         self.edge_reader = edge_reader;
@@ -476,12 +510,12 @@ impl DiskGraph {
     }
 }
 
-/// Read and decode the node-table header from `reader` (as many bytes as
-/// the file offers up to the largest version's header).
+/// Read and decode the node-table header from `reader`, uncharged (as many
+/// bytes as the file offers up to the largest version's header).
 fn read_meta(reader: &mut BlockReader) -> Result<GraphMeta> {
     let want = format::MAX_NODE_HEADER_LEN.min(reader.file_len()) as usize;
     let mut header = [0u8; format::MAX_NODE_HEADER_LEN as usize];
-    reader.read_exact_at(0, &mut header[..want])?;
+    reader.read_uncharged(0, &mut header[..want])?;
     format::decode_node_header(&header[..want])
 }
 
@@ -623,9 +657,9 @@ mod tests {
         let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
         write_mem_graph_with(&base, &g, counter.clone(), FormatVersion::V1).unwrap();
         let paths = GraphPaths::from_base(&base);
-        // Stamp a bogus offset into node 1's entry.
+        // Stamp a bogus anchor into node 1's group.
         let mut bytes = std::fs::read(&paths.nodes).unwrap();
-        let at = format::NODE_HEADER_LEN_V1 as usize + format::NODE_ENTRY_LEN as usize;
+        let at = format::NODE_HEADER_LEN_V3 as usize;
         crate::codec::put_u64(&mut bytes, at, 1 << 40);
         std::fs::write(&paths.nodes, &bytes).unwrap();
         let mut dg = DiskGraph::open(&base, counter).unwrap();

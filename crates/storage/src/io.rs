@@ -522,6 +522,16 @@ impl BlockReader {
         Ok(())
     }
 
+    /// Read exactly `out.len()` bytes at `offset` straight from the file:
+    /// no counter is charged, no frame is filled and the request cursor
+    /// does not move — for metadata an opener validates (headers, magics)
+    /// before any measured run.
+    pub(crate) fn read_uncharged(&mut self, offset: u64, out: &mut [u8]) -> Result<()> {
+        self.check_range(offset, out.len())?;
+        self.file.read_exact_at(offset, out)?;
+        Ok(())
+    }
+
     /// Read the `N` bytes at `offset` — a fixed-size record such as a node
     /// table entry — charged exactly like [`BlockReader::read_exact_at`].
     /// A record inside one frame is a constant-length move straight out of

@@ -66,7 +66,7 @@ pub use cache::{BlockCache, CacheStats};
 pub use catalog::{generation_base, Catalog, CatalogEntry, StateCheckpoint};
 pub use compat::EvictionPolicy;
 pub use error::{Error, Result};
-pub use format::{FormatVersion, GraphMeta, GraphPaths};
+pub use format::{FormatVersion, GraphMeta, GraphPaths, NodeLayout};
 pub use graph::DiskGraph;
 pub use io::{IoCounter, IoSnapshot, DEFAULT_BLOCK_SIZE};
 pub use memgraph::{DynGraph, MemGraph};

@@ -5,13 +5,14 @@
 //! uncached/cached/pooled open paths, an edge table that actually shrinks
 //! and charges like a contiguous read, and damage surfacing as `Corrupt`,
 //! never a panic. The one storage-level rewrite, the update-buffer flush,
-//! writes v3 whatever it read.
+//! writes v3 whatever it read. Under both encodings the packed node index
+//! reads exactly like the legacy 12-byte entry table it replaced.
 
 use std::path::{Path, PathBuf};
 
 use graphstore::{
     write_mem_graph_with, AdjacencyRead, BufferedGraph, DiskGraph, FormatVersion, GraphPaths,
-    IoCounter, MemGraph, SharedPool, TempDir, DEFAULT_BLOCK_SIZE,
+    IoCounter, MemGraph, NodeLayout, SharedPool, TempDir, DEFAULT_BLOCK_SIZE,
 };
 
 /// Clustered lists (consecutive ids — v3's zero-byte code) interleaved with
@@ -353,8 +354,19 @@ fn exact_extent_reads_touch_exactly_the_runs_blocks() {
     assert_eq!(edge_len, 399, "(e): nothing follows the last run");
 
     // One cold read of each placed run, through a fresh handle. Pinned:
-    // (edge blocks charged, read bytes). Every read also charges one
-    // node-table block and 12 entry bytes, and two seeks (one per table).
+    // (edge blocks charged, read bytes). Every read also charges the
+    // blocks and bytes of the node-index group holding the placed nodes,
+    // and two seeks (one per table).
+    let meta = DiskGraph::open(&base, IoCounter::new(EDGE_BLOCK as usize))
+        .unwrap()
+        .meta();
+    assert_eq!(PLACED / 64, (PLACED + 8) / 64, "one group holds every case");
+    let (group_start, group_end) = meta.node_record_span(u64::from(PLACED / 64));
+    let node_blocks = (group_end - 1) / EDGE_BLOCK - group_start / EDGE_BLOCK + 1;
+    // 600 nodes of degree below 128 and group spans below 512 B:
+    // 8 + 8·(7 + 9) bytes per group, over blocks 0, 1 and 2 after the
+    // 40-byte header.
+    assert_eq!((group_start, group_end, node_blocks), (40, 176, 3));
     let cases: [(u32, u64, &str); 5] = [
         (1, 1, "(a) ends on the block's last byte: block 1 untouched"),
         (3, 2, "(b) control region straddles: blocks 1 and 2"),
@@ -378,16 +390,19 @@ fn exact_extent_reads_touch_exactly_the_runs_blocks() {
             let got: Vec<u32> = dg.with_adjacency(v, |nbrs| nbrs.to_vec()).unwrap();
             assert_eq!(got, g.neighbors(v), "{tag}");
             let io = dg.io();
-            assert_eq!(io.read_ios, 1 + edge_blocks, "{tag}");
-            assert_eq!(io.read_bytes, 12 + (range.end - range.start), "{tag}");
+            assert_eq!(io.read_ios, node_blocks + edge_blocks, "{tag}");
+            assert_eq!(
+                io.read_bytes,
+                (group_end - group_start) + (range.end - range.start),
+                "{tag}"
+            );
             assert_eq!(io.seeks, 2, "{tag}");
             // Blocks fetched == blocks charged: nothing beyond the run's
-            // last byte entered a cache. (A shared pool's own counters also
-            // hold the open's header reads, so a pooled open's cache misses
-            // are its charged `read_ios`, asserted above.)
-            assert_eq!(io.physical_reads, 1 + edge_blocks, "{tag}");
-            if let Some(stats) = dg.cache_stats().filter(|_| !label.starts_with("pooled")) {
-                assert_eq!(stats.misses, 1 + edge_blocks, "{tag}");
+            // last byte entered a cache. Opening reads its header and magic
+            // past the caches, so a pooled open's pool misses count too.
+            assert_eq!(io.physical_reads, node_blocks + edge_blocks, "{tag}");
+            if let Some(stats) = dg.cache_stats() {
+                assert_eq!(stats.misses, node_blocks + edge_blocks, "{tag}");
             }
             // The copying accessor takes the same path and price; re-reading
             // a cached run is free, uncached it re-pays all but the block
@@ -398,7 +413,8 @@ fn exact_extent_reads_touch_exactly_the_runs_blocks() {
             let again = dg.io().read_ios - io.read_ios;
             if label.starts_with("uncached") {
                 // Edge: all but the block still held when the run sits in
-                // one (a multi-block run ended elsewhere). Node: held.
+                // one (a multi-block run ended elsewhere). Node: the group
+                // is the one looked up last, so nothing is requested.
                 assert_eq!(again, edge_blocks - u64::from(edge_blocks == 1), "{tag}");
             } else {
                 assert_eq!(again, 0, "{tag}");
@@ -417,15 +433,17 @@ fn exact_extent_reads_touch_exactly_the_runs_blocks() {
             assert_eq!(got, g.neighbors(v), "{label} node {v}");
         }
         let io = dg.io();
-        // Node entries start after the header; edge runs after the magic.
-        let first_node_block = dg.meta().node_entry_offset(0) / EDGE_BLOCK;
+        // Node groups start after the header; edge runs after the magic.
+        // Each group is requested once, as it is entered.
+        let first_node_block = meta.node_record_span(0).0 / EDGE_BLOCK;
         let node_blocks = node_len.div_ceil(EDGE_BLOCK) - first_node_block;
         assert_eq!(
             io.read_ios,
             node_blocks + 399u64.div_ceil(EDGE_BLOCK),
             "{label}"
         );
-        assert_eq!(io.read_bytes, 600 * 12 + (399 - 8), "{label}");
+        assert_eq!(node_len, 40 + 600u64.div_ceil(64) * 136, "{label}");
+        assert_eq!(io.read_bytes, (node_len - 40) + (399 - 8), "{label}");
         // Empty lists read nothing, so the edge cursor never moves again.
         assert_eq!(io.seeks, 2, "{label}");
     }
@@ -472,4 +490,95 @@ fn corrupt_extents_fail_closed() {
             assert_eq!(buf, g.neighbors(v - 1), "{what} / {label}");
         }
     }
+}
+
+/// The packed node index against the 12-byte entry table it replaced: on
+/// seeded random graphs, in both edge encodings, every `node_entry` — in
+/// an ascending sweep and in random order — every adjacency list and the
+/// degree scan agree, and from one full group on the packed table is the
+/// smaller.
+#[test]
+fn packed_index_reads_exactly_like_a_legacy_table() {
+    let dir = TempDir::new("fmt-index").unwrap();
+    let mut rng = testutil::Lcg::new(0x1DE);
+    let node_len = |base: &Path| {
+        std::fs::metadata(GraphPaths::from_base(base).nodes)
+            .unwrap()
+            .len()
+    };
+    for round in 0..8u32 {
+        let g = testutil::random_mem_graph(&mut rng, 1 + 41 * round, 150, 2 + round);
+        let n = g.num_nodes();
+        for version in [FormatVersion::V1, FormatVersion::V3] {
+            let packed = dir.path().join(format!("packed{round}{}", version.tag()));
+            let legacy = dir.path().join(format!("legacy{round}{}", version.tag()));
+            write_mem_graph_with(&packed, &g, IoCounter::new(DEFAULT_BLOCK_SIZE), version).unwrap();
+            testutil::write_legacy_tables(&legacy, &g, version).unwrap();
+            let (mut p, mut l) = (open(&packed), open(&legacy));
+            let tag = format!("round {round} {} n={n}", version.tag());
+            assert!(
+                matches!(p.meta().layout, NodeLayout::Packed { .. }),
+                "{tag}"
+            );
+            assert_eq!(l.meta().layout, NodeLayout::Entries, "{tag}");
+            assert_eq!(p.format_version(), l.format_version(), "{tag}");
+            assert_eq!(
+                p.read_degrees().unwrap(),
+                l.read_degrees().unwrap(),
+                "{tag}"
+            );
+            assert_eq!(p.read_degrees().unwrap(), g.degrees(), "{tag}");
+            let random: Vec<u32> = (0..2 * n).map(|_| rng.below(n)).collect();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for v in (0..n).chain(random) {
+                assert_eq!(
+                    p.node_entry(v).unwrap(),
+                    l.node_entry(v).unwrap(),
+                    "{tag} node {v}"
+                );
+                p.adjacency(v, &mut a).unwrap();
+                l.adjacency(v, &mut b).unwrap();
+                assert_eq!(a, b, "{tag} node {v}");
+            }
+            if n >= 64 {
+                assert!(node_len(&packed) < node_len(&legacy), "{tag}");
+            }
+        }
+    }
+}
+
+/// A packed header whose widths are impossible (0, or wider than a degree
+/// or an offset), or whose widths do not match the table's length, and a
+/// table cut or grown by a byte: each is refused at open with `Corrupt`.
+#[test]
+fn corrupt_node_index_headers_are_refused_at_open() {
+    let g = chunky_graph(300);
+    let dir = TempDir::new("fmt-index-corrupt").unwrap();
+    let base = write(&dir, &g, FormatVersion::V3);
+    let nodes = GraphPaths::from_base(&base).nodes;
+    let good = std::fs::read(&nodes).unwrap();
+    assert_eq!(&good[..8], graphstore::format::NODE_INDEX_MAGIC);
+    let (dw, ow) = (good[12], good[13]);
+    let mut damaged: Vec<(String, Vec<u8>)> = Vec::new();
+    for (at, width) in [
+        (12, 0),
+        (12, 33),
+        (13, 0),
+        (13, 65),
+        (12, dw + 1),
+        (13, ow - 1),
+    ] {
+        let mut bytes = good.clone();
+        bytes[at] = width;
+        damaged.push((format!("byte {at} = {width}"), bytes));
+    }
+    damaged.push(("one byte short".into(), good[..good.len() - 1].to_vec()));
+    damaged.push(("one byte long".into(), [&good[..], &[0]].concat()));
+    for (what, bytes) in damaged {
+        std::fs::write(&nodes, &bytes).unwrap();
+        let err = DiskGraph::open(&base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap_err();
+        assert!(err.is_corrupt(), "{what}: {err}");
+    }
+    std::fs::write(&nodes, &good).unwrap();
+    assert_eq!(open(&base).read_degrees().unwrap(), g.degrees());
 }

@@ -165,9 +165,8 @@ fn snapshot_after_every_request_equals_the_shared_counter_model() {
             // A fresh reader registers under the same counter (and shares
             // the pool its predecessor warmed).
             450 => readers[1] = Some(cached(0)),
-            // `open_with_binding` resets the counter with both of its
-            // readers alive; their per-reader state (position, buffered
-            // block) survives, their charges do not.
+            // A `reset()` with both readers alive: their per-reader state
+            // (position, buffered block) survives, their charges do not.
             600 => {
                 counter.reset();
                 model = IoSnapshot::default();
@@ -228,8 +227,8 @@ fn eight_handles_on_eight_threads_sum_exactly() {
     let one = solo_counter.snapshot();
     assert!(one.seeks > 0 && one.read_bytes > 0);
 
-    // Every open resets the counter, with the handles opened before it
-    // alive; the sweeps start after the last one.
+    // Opening charges nothing, so eight handles opened on one counter
+    // charge exactly their eight sweeps.
     let counter = IoCounter::new(BLOCK);
     let handles: Vec<DiskGraph> = (0..THREADS)
         .map(|_| DiskGraph::open_with_cache(&base, counter.clone(), budget).unwrap())
@@ -289,9 +288,11 @@ impl SpanRule {
 
 /// The uncached rule one layer up: an unattached `DiskGraph` driven
 /// through `read_degrees`, `adjacency` and `with_adjacency` charges, call
-/// by call, exactly the span rule applied to the node-entry read and to
-/// the run's extent (from the node's offset to the next non-empty node's).
-/// Block sizes small enough that entries and runs straddle blocks, over
+/// by call, exactly the span rule applied to the node-index group read (a
+/// lookup requests its whole group when the group differs from the one it
+/// looked up last, and nothing otherwise) and to the run's extent (from
+/// the node's offset to the next non-empty node's).
+/// Block sizes small enough that groups and runs straddle blocks, over
 /// raw and stream-vbyte tables, with random jumps between sequential runs.
 #[test]
 fn uncached_disk_graph_calls_charge_the_span_rule() {
@@ -325,14 +326,15 @@ fn uncached_disk_graph_calls_charge_the_span_rule() {
             let mut model = IoSnapshot::default();
             let mut buf = Vec::new();
             let mut v = 0u32;
+            let mut last_group = None;
             for step in 0..600 {
-                let entry_at = |v: u32| meta.node_entry_offset(v);
                 if step % 50 == 7 {
                     // One request for the whole table (n is below the
-                    // 4096-entry chunk).
+                    // 4096-node chunk); the group a lookup holds stays.
                     let degrees = dg.read_degrees().unwrap();
                     assert_eq!(degrees, g.degrees());
-                    nodes.request(entry_at(0), entry_at(n), block, &mut model);
+                    let start = meta.node_record_span(0).0;
+                    nodes.request(start, meta.node_file_len(), block, &mut model);
                 } else {
                     v = if rng.below(2) == 0 {
                         rng.below(n)
@@ -345,13 +347,12 @@ fn uncached_disk_graph_calls_charge_the_span_rule() {
                         dg.with_adjacency(v, |nbrs| buf = nbrs.to_vec()).unwrap();
                     }
                     assert_eq!(buf, g.neighbors(v), "{version:?} node {v}");
-                    let at = entry_at(v);
-                    nodes.request(
-                        at,
-                        at + graphstore::format::NODE_ENTRY_LEN,
-                        block,
-                        &mut model,
-                    );
+                    let group = u64::from(v / meta.nodes_per_record());
+                    if last_group != Some(group) {
+                        let (start, end) = meta.node_record_span(group);
+                        nodes.request(start, end, block, &mut model);
+                        last_group = Some(group);
+                    }
                     if entries[v as usize].1 > 0 {
                         let end = run_end(v as usize);
                         edge_rule.request(entries[v as usize].0, end, block, &mut model);

@@ -24,7 +24,10 @@
 //!   by the cross-validation and maintenance property suites;
 //! * [`forge_checkpoint`] / [`checkpoint_v1`] — hand-framed state
 //!   checkpoints: crafted bodies, and the version-1 layout no writer
-//!   produces any more.
+//!   produces any more;
+//! * [`write_legacy_tables`] — a table pair whose node table predates the
+//!   packed node index (12-byte entries), which no writer produces any
+//!   more.
 //! * [`FaultVfs`] / [`FaultPlan`] ([`fault`]) — the deterministic fault
 //!   injector behind the crash, fault-property and self-healing suites.
 
@@ -36,7 +39,11 @@ pub use fault::{FaultPlan, FaultVfs};
 
 use std::path::Path;
 
-use graphstore::{MemGraph, Result, StdVfs, DEFAULT_BLOCK_SIZE};
+use graphstore::format::{encode_node_entry, encode_node_header};
+use graphstore::{
+    write_mem_graph_with, DiskGraph, FormatVersion, GraphMeta, GraphPaths, IoCounter, MemGraph,
+    Result, StdVfs, DEFAULT_BLOCK_SIZE,
+};
 use kcore_suite::{CoreService, DurableOptions};
 use proptest::prelude::*;
 
@@ -135,6 +142,29 @@ pub fn checkpoint_v1(seq: u64, cores: &[u32], cnt: &[i32], edits: &[(u32, u32, b
         p.push(inserted as u8);
     }
     forge_checkpoint(1, &p)
+}
+
+/// Write `g` at `base` as tables from before the packed node index: the
+/// edge table of encoding `version`, under a legacy node table of one
+/// 12-byte `(offset, degree)` entry per node (magic `KCORNOD1`, a 32-byte
+/// v1 or 40-byte v3 header).
+pub fn write_legacy_tables(base: &Path, g: &MemGraph, version: FormatVersion) -> Result<()> {
+    let counter = IoCounter::new(DEFAULT_BLOCK_SIZE);
+    write_mem_graph_with(base, g, counter.clone(), version)?;
+    let mut disk = DiskGraph::open(base, counter)?;
+    let meta = disk.meta();
+    let legacy = match version {
+        FormatVersion::V1 => GraphMeta::v1(meta.num_nodes, meta.degree_sum),
+        FormatVersion::V3 => GraphMeta::v3(meta.num_nodes, meta.degree_sum, meta.edge_bytes),
+    };
+    let mut nodes = encode_node_header(&legacy);
+    for v in 0..meta.num_nodes {
+        let (offset, degree) = disk.node_entry(v)?;
+        nodes.extend_from_slice(&encode_node_entry(offset, degree));
+    }
+    drop(disk);
+    std::fs::write(GraphPaths::from_base(base).nodes, nodes)?;
+    Ok(())
 }
 
 /// Core numbers recomputed from scratch by the in-memory oracle (IMCore) —

@@ -133,7 +133,29 @@ pub fn fsck_with(dir: &Path, repair: bool, vfs: Arc<dyn Vfs>) -> Result<FsckRepo
         report.graphs_checked += 1;
         check_graph(dir, entry, catalog.block_size, repair, &vfs, &mut report);
     }
+    for (i, a) in catalog.entries.iter().enumerate() {
+        for b in catalog.entries[i + 1..]
+            .iter()
+            .filter(|b| same_base(&a.base, &b.base))
+        {
+            let problem = format!(
+                "graphs {:?} and {:?} share base {}: their compactions write the same \
+                 generation files",
+                a.name,
+                b.name,
+                a.base.display()
+            );
+            report.push(Some(&b.name), problem, false);
+        }
+    }
     Ok(report)
+}
+
+/// True when two registered bases name the same tables: equal as given,
+/// or resolving to the same node-table file.
+pub(crate) fn same_base(a: &Path, b: &Path) -> bool {
+    let nodes = |base: &Path| std::fs::canonicalize(graphstore::GraphPaths::from_base(base).nodes);
+    a == b || matches!((nodes(a), nodes(b)), (Ok(x), Ok(y)) if x == y)
 }
 
 /// Check (and with `repair`, tail-repair) a **single catalogued graph**
@@ -508,15 +530,24 @@ pub(crate) fn check_generation_debris(
     }
 }
 
-/// Full adjacency walk: every list strictly ascending, in range, and
-/// degree-consistent with the node table; total degree must match the
-/// header.
+/// Full adjacency walk: node-table offsets non-decreasing (every writer
+/// lays the lists out in node order), every list strictly ascending, in
+/// range, and degree-consistent with the node table; total degree must
+/// match the header.
 fn walk_adjacency(disk: &mut DiskGraph) -> Result<()> {
     let n = disk.num_nodes();
     let degrees = disk.read_degrees()?;
     let mut buf = Vec::new();
     let mut total: u64 = 0;
+    let mut last_offset = 0;
     for v in 0..n {
+        let (offset, _) = disk.node_entry(v)?;
+        if offset < last_offset {
+            return Err(graphstore::Error::corrupt(format!(
+                "node {v}: adjacency offset {offset} precedes its predecessor's {last_offset}"
+            )));
+        }
+        last_offset = offset;
         disk.adjacency(v, &mut buf)?;
         let expect = degrees.get(v as usize).copied().unwrap_or(0);
         if buf.len() as u64 != u64::from(expect) {
@@ -743,5 +774,94 @@ mod tests {
         assert!(fsck(&data, false).unwrap().clean());
         // Recovery falls back to the checkpoint alone.
         assert!(open_catalog(&data).is_ok());
+    }
+
+    #[test]
+    fn damaged_node_index_is_a_finding_not_a_panic() {
+        let tmp = TempDir::new("fsck").unwrap();
+        let data = seeded_dir(&tmp);
+        let nodes = tmp.path().join("g.nodes");
+        let good = std::fs::read(&nodes).unwrap();
+        assert_eq!(&good[..8], graphstore::format::NODE_INDEX_MAGIC);
+        // A zero width, an over-wide one, a table a byte short.
+        let mut zero = good.clone();
+        zero[12] = 0;
+        let mut wide = good.clone();
+        wide[13] = 65;
+        for bytes in [zero, wide, good[..good.len() - 1].to_vec()] {
+            std::fs::write(&nodes, &bytes).unwrap();
+            let report = fsck(&data, true).unwrap();
+            assert_eq!(report.unrepaired(), 1, "{:?}", report.findings);
+            assert!(
+                report.findings[0]
+                    .problem
+                    .contains("base tables unreadable"),
+                "{:?}",
+                report.findings
+            );
+            assert!(open_catalog(&data).unwrap_err().is_corrupt());
+        }
+        std::fs::write(&nodes, &good).unwrap();
+        assert!(fsck(&data, false).unwrap().clean());
+    }
+
+    #[test]
+    fn node_offsets_running_backwards_are_a_finding() {
+        let tmp = TempDir::new("fsck").unwrap();
+        let data = seeded_dir(&tmp);
+        let base = tmp.path().join("g");
+        // Rewrite g's node table as legacy 12-byte entries with node 2
+        // pointing back at node 0's list: every offset stays in range.
+        let mut disk = DiskGraph::open(&base, IoCounter::new(DEFAULT_BLOCK_SIZE)).unwrap();
+        let meta = disk.meta();
+        let mut entries: Vec<(u64, u32)> = (0..meta.num_nodes)
+            .map(|v| disk.node_entry(v).unwrap())
+            .collect();
+        drop(disk);
+        entries[2].0 = entries[0].0;
+        let legacy = graphstore::GraphMeta::v3(meta.num_nodes, meta.degree_sum, meta.edge_bytes);
+        let mut nodes = graphstore::format::encode_node_header(&legacy);
+        for (offset, degree) in entries {
+            nodes.extend_from_slice(&graphstore::format::encode_node_entry(offset, degree));
+        }
+        std::fs::write(tmp.path().join("g.nodes"), nodes).unwrap();
+
+        let report = fsck(&data, false).unwrap();
+        assert_eq!(report.unrepaired(), 1, "{:?}", report.findings);
+        assert!(
+            report.findings[0]
+                .problem
+                .contains("node 2: adjacency offset 8 precedes"),
+            "{:?}",
+            report.findings
+        );
+    }
+
+    #[test]
+    fn two_entries_on_one_base_are_a_finding() {
+        let tmp = TempDir::new("fsck").unwrap();
+        let data = seeded_dir(&tmp);
+        // A catalog written before the service refused a shared base: a
+        // second name over g's tables, with sidecars of its own.
+        let vfs = StdVfs::arc();
+        let mut catalog = Catalog::read_with(&data, vfs.as_ref()).unwrap();
+        let mut twin = catalog.entries[0].clone();
+        twin.name = "twin".into();
+        // The same tables spelled another way still count as one base.
+        twin.base = tmp.path().join(".").join("g");
+        catalog.entries.push(twin);
+        catalog.write_with(&data, vfs.as_ref()).unwrap();
+        std::fs::copy(data.join("g.ckpt"), data.join("twin.ckpt")).unwrap();
+        std::fs::copy(data.join("g.wal"), data.join("twin.wal")).unwrap();
+
+        let report = fsck(&data, true).unwrap();
+        assert_eq!(report.unrepaired(), 1, "{:?}", report.findings);
+        let finding = &report.findings[0];
+        assert_eq!(finding.graph.as_deref(), Some("twin"));
+        assert!(
+            finding.problem.contains("share base"),
+            "{}",
+            finding.problem
+        );
     }
 }

@@ -24,7 +24,7 @@ use semicore::{CoreState, MaintainOp, MaintainStats};
 use super::health::HealthState;
 use super::{lock_meta, lock_served, not_serving, CoreService, DurableOptions, Served, Slot};
 use crate::fsck::{
-    check_format, ckpt_path, continues_journal, encode_record, wal_path, JournalReplay,
+    check_format, ckpt_path, continues_journal, encode_record, same_base, wal_path, JournalReplay,
 };
 use crate::CoreIndex;
 
@@ -132,9 +132,10 @@ impl Durable {
     }
 
     /// THE manifest rule — stage → write → publish, under one hold of the
-    /// entries lock: clone the committed map, apply `edit` to the clone,
-    /// write the clone as the catalog manifest (atomic replace), and
-    /// install it only once the write succeeded. A change is therefore
+    /// entries lock: clone the committed map, apply `edit` to the clone
+    /// (an `edit` that refuses aborts the commit before any write), write
+    /// the clone as the catalog manifest (atomic replace), and install it
+    /// only once the write succeeded. A change is therefore
     /// never visible — to a query, or to a racing commit that would write
     /// it out — before its own manifest is durable, and a failed write
     /// leaves the map exactly as last committed, with nothing to roll
@@ -144,11 +145,11 @@ impl Durable {
         &self,
         pool: &SharedPool,
         vfs: &dyn Vfs,
-        edit: impl FnOnce(&mut HashMap<String, CatalogEntry>),
+        edit: impl FnOnce(&mut HashMap<String, CatalogEntry>) -> Result<()>,
     ) -> Result<()> {
         let mut committed = lock_meta(&self.entries);
         let mut staged = committed.clone();
-        edit(&mut staged);
+        edit(&mut staged)?;
         let mut entries: Vec<CatalogEntry> = staged.values().cloned().collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         Catalog {
@@ -161,6 +162,13 @@ impl Durable {
         Ok(())
     }
 
+    /// Refuse to catalog `name` on `base` when another name already holds
+    /// it: a compaction names generation `G + 1` after the base alone, so
+    /// two names on one base would write each other's generation files.
+    pub(super) fn check_base_free(&self, name: &str, base: &Path) -> Result<()> {
+        base_free(&lock_meta(&self.entries), name, base)
+    }
+
     /// Refresh `name`'s in-memory `checkpoint_seq` without writing the
     /// manifest — the one change to the map outside [`Durable::commit`].
     /// The value is advisory (recovery trusts the checkpoint file's own
@@ -170,6 +178,22 @@ impl Durable {
         if let Some(e) = lock_meta(&self.entries).get_mut(name) {
             e.checkpoint_seq = seq;
         }
+    }
+}
+
+/// [`Durable::check_base_free`] over a (staged) entry map.
+fn base_free(entries: &HashMap<String, CatalogEntry>, name: &str, base: &Path) -> Result<()> {
+    match entries
+        .values()
+        .find(|e| e.name != name && same_base(&e.base, base))
+    {
+        Some(owner) => Err(graphstore::Error::InvalidArgument(format!(
+            "base {} is already catalogued as {:?}; two names on one base would \
+             compact into the same generation files",
+            base.display(),
+            owner.name
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -542,7 +566,8 @@ impl CoreService {
     /// [`CoreService::compact`] past the registry/health gate: the split,
     /// under the lock and `O(pending)` — claim the graph's one compaction
     /// slot, copy the buffer's net edits `F`, mark the served state; or,
-    /// with nothing to fold over v3 tables, checkpoint and stop — then
+    /// with nothing to fold over tables in the layout every writer writes
+    /// (v3 edges, packed node index), checkpoint and stop — then
     /// [`CoreService::stage_fold`] without the lock and
     /// [`CoreService::join_fold`] under it. A failure is routed to the
     /// health machine by whether it struck before or after the catalog
@@ -563,7 +588,7 @@ impl CoreService {
                     return Ok(entry.generation);
                 };
                 let folded = served.index.graph_mut().pending_net_edits();
-                if folded.is_empty() && served.index.format_version() == FormatVersion::V3 {
+                if folded.is_empty() && served.index.graph_mut().disk().meta().is_current() {
                     self.checkpoint_locked(d, name, &mut served)?;
                     return Ok(entry.generation);
                 }
@@ -589,8 +614,9 @@ impl CoreService {
     /// through the table writer (temp-free: the generation suffix is the
     /// temp name until the catalog points at it). The old tables are read
     /// through the stage's own unpooled handle, which moves no tenant's
-    /// pool residency, on the stage's own counter: opening a graph resets
-    /// its counter, and the graph's own is charged by live ops meanwhile.
+    /// pool residency, on the stage's own counter: the rewrite is not a
+    /// tenant op, so it charges none of the graph's reads (and no op's
+    /// deadline can cancel it).
     fn stage_fold(&self, split: &Split) -> Result<()> {
         let counter = IoCounter::with_vfs(self.pool.block_size(), Arc::clone(&self.vfs));
         let mut source = DiskGraph::open(&split.entry.table_base(), counter)?;
@@ -610,7 +636,7 @@ impl CoreService {
     /// 1. abandon — before any write — if the graph was evicted,
     ///    repaired, quarantined or degraded since the split, or the stage
     ///    failed; else open the new tables against the pool (on the
-    ///    graph's counter, which the open resets);
+    ///    graph's counter, which the open leaves as it is);
     /// 2. rebase the live buffer onto the new tables
     ///    ([`graphstore::rebase_edits`], `O(pending)`) and write the new
     ///    generation's checkpoint at `served.seq` with the rebased edits,
@@ -702,6 +728,7 @@ impl CoreService {
                 e.checkpoint_seq = seq;
                 e.format = FormatVersion::V3;
             }
+            Ok(())
         })?;
         // The catalog rename landed: failures past this point leave the
         // artefacts between states, which the caller's classification
@@ -753,7 +780,9 @@ impl CoreService {
         let counter = served.index.graph_mut().disk().counter().clone();
         served.wal = Some(d.journal(Wal::create(&wal_path(&d.dir, &name), counter)?)?);
         d.commit(&self.pool, self.vfs.as_ref(), |entries| {
+            base_free(entries, &name, &entry.base)?;
             entries.insert(name, entry);
+            Ok(())
         })
     }
 
@@ -765,6 +794,7 @@ impl CoreService {
         let mut removed = None;
         d.commit(&self.pool, self.vfs.as_ref(), |entries| {
             removed = entries.remove(name);
+            Ok(())
         })?;
         self.registry()
             .remove(name)

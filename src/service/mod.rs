@@ -364,7 +364,7 @@ impl CoreService {
             )));
         }
         let durable = Durable::new(dir, opts, Vec::new());
-        durable.commit(&pool, vfs.as_ref(), |_| {})?;
+        durable.commit(&pool, vfs.as_ref(), |_| Ok(()))?;
         Ok(Self::assemble(pool, Some(durable), vfs))
     }
 
@@ -480,10 +480,12 @@ impl CoreService {
     ///
     /// On a durable service this also registers the graph in the catalog,
     /// writes its initial checkpoint and creates its journal, so a restart
-    /// restores it.
+    /// restores it. A base the catalog already holds under another name is
+    /// refused with [`graphstore::Error::InvalidArgument`].
     pub fn open_with_charge(&self, name: &str, base: &Path, charge_bytes: u64) -> Result<()> {
-        if self.durable.is_some() {
+        if let Some(d) = &self.durable {
             validate_durable_name(name)?;
+            d.check_base_free(name, base)?;
         }
         if self.contains(name) {
             return Err(already_serving(name));
@@ -1092,6 +1094,65 @@ mod tests {
         let svc = open_catalog(&data).unwrap();
         assert_eq!(svc.cores("g").unwrap(), cores);
         assert!(svc.verify("g").unwrap());
+    }
+
+    #[test]
+    fn a_second_name_on_a_catalogued_base_is_refused() {
+        let dir = TempDir::new("svc-shared-base").unwrap();
+        let data = dir.path().join("data");
+        let base = dir.path().join("g");
+        let svc = create_durable(&data, 1 << 20).unwrap();
+        svc.create("a", &base, triangle_plus_tail(), 5).unwrap();
+        // Two spellings of a's base: refused before anything is written,
+        // under its own name it stays a duplicate-name error.
+        for spelling in [base.clone(), dir.path().join(".").join("g")] {
+            let err = svc.open("b", &spelling).unwrap_err();
+            assert!(
+                matches!(err, graphstore::Error::InvalidArgument(_)),
+                "{err}"
+            );
+            assert!(err.to_string().contains("\"a\""), "{err}");
+        }
+        assert!(!data.join("b.wal").exists() && !data.join("b.ckpt").exists());
+        assert_eq!(svc.graph_names(), ["a"]);
+        assert!(svc.open("a", &base).is_err());
+        // a compacts alone into its own generation and survives a restart.
+        svc.insert_edge("a", 1, 3).unwrap();
+        assert_eq!(svc.compact("a").unwrap(), 1);
+        let cores = svc.cores("a").unwrap();
+        drop(svc);
+        assert!(crate::fsck(&data, false).unwrap().clean());
+        let svc = open_catalog(&data).unwrap();
+        assert_eq!(svc.graph_names(), ["a"]);
+        assert_eq!(svc.cores("a").unwrap(), cores);
+        assert!(svc.verify("a").unwrap());
+        // Once a is evicted its base is free for another name.
+        svc.evict("a").unwrap();
+        svc.open("b", &base).unwrap();
+    }
+
+    #[test]
+    fn a_compaction_never_lowers_the_charged_counters() {
+        let dir = TempDir::new("svc-compact-io").unwrap();
+        let data = dir.path().join("data");
+        let svc = create_durable(&data, 1 << 20).unwrap();
+        svc.create("g", &dir.path().join("g"), ring_with_chords(), 64)
+            .unwrap();
+        let mut last = svc.io("g").unwrap();
+        for round in 0..3u32 {
+            svc.insert_edge("g", round, 32 + round).unwrap();
+            let before = svc.io("g").unwrap();
+            assert_eq!(svc.compact("g").unwrap(), u64::from(round) + 1);
+            let after = svc.io("g").unwrap();
+            for (at, now, was) in [(1, before, last), (2, after, before)] {
+                assert!(
+                    now.read_ios >= was.read_ios && now.seeks >= was.seeks,
+                    "round {round} step {at}: {was:?} -> {now:?}"
+                );
+            }
+            last = after;
+        }
+        assert!(last.read_ios > 0 && last.seeks > 0, "{last:?}");
     }
 
     /// A 64-node ring with chords: enough nodes for a stage to park
